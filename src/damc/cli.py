@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -52,17 +52,7 @@ def _load_model(cfg: RunConfig) -> Ddsa:
     text = Path(cfg.model_path).read_text()
     d = parsing.parse_model(text)
     if cfg.domain:
-        d = Ddsa(
-            states=d.states,
-            initial=d.initial,
-            actions=d.actions,
-            transitions=d.transitions,
-            finals=d.finals,
-            variables=d.variables,
-            alpha0=d.alpha0,
-            guards=d.guards,
-            domain=INT if cfg.domain == "int" else RAT,
-        )
+        d = replace(d, domain=INT if cfg.domain == "int" else RAT)
     return d
 
 

@@ -2,6 +2,7 @@
 transition formulas, the update operator, and history constraints."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -181,13 +182,14 @@ def update(
     return fn(list(snapshot.values()), body)
 
 
-def history_constraint(
+def history_prefixes(
     d: Ddsa,
     actions: Sequence[str],
     constraint_seq: Optional[Sequence[Iterable[Formula]]] = None,
     qe: Optional[Callable[[Sequence[VarId], Formula], Formula]] = None,
-) -> Formula:
-    """Accumulated constraint formula of a symbolic run.
+) -> list[Formula]:
+    """History constraints of every prefix of a symbolic run, the empty
+    prefix first.
 
     `constraint_seq` has one constraint set per position (length n+1);
     omitted sets default to empty.  Unsatisfiable results are returned
@@ -199,10 +201,21 @@ def history_constraint(
     if len(constraint_seq) != n + 1:
         raise ValueError("constraint sequence must have run length + 1 entries")
     symbolic_states(d, actions)  # validates the run
-    phi: Formula = conj(*d.initial_constraints(), *constraint_seq[0])
+    hist = [conj(*d.initial_constraints(), *constraint_seq[0])]
     for i, a in enumerate(actions):
-        phi = conj(update(d, phi, a, qe=qe), *constraint_seq[i + 1])
-    return phi
+        hist.append(conj(update(d, hist[-1], a, qe=qe), *constraint_seq[i + 1]))
+    return hist
+
+
+def history_constraint(
+    d: Ddsa,
+    actions: Sequence[str],
+    constraint_seq: Optional[Sequence[Iterable[Formula]]] = None,
+    qe: Optional[Callable[[Sequence[VarId], Formula], Formula]] = None,
+) -> Formula:
+    """Accumulated constraint formula of a symbolic run (see
+    `history_prefixes`)."""
+    return history_prefixes(d, actions, constraint_seq, qe)[-1]
 
 
 def step_allowed(d: Ddsa, pre: Config, action: str, post: Config) -> bool:
@@ -230,35 +243,22 @@ def validate_run(d: Ddsa, run: Run) -> bool:
 
 
 def successors(d: Ddsa, cfg: Config, action: str, grid: Sequence[Fraction]) -> list[Config]:
-    """All one-step successors whose written values come from the grid."""
+    """All one-step successors whose written values come from the grid, the
+    first written variable varying fastest."""
     dst = d.target(cfg.state, action)
     if dst is None:
         if action not in d.actions:
             raise UnknownAction(action)
         return []
-    written = d.write_set(action)
+    written = d.write_set(action)[::-1]
     alpha = cfg.assignment()
-    out: list[Config] = []
-
-    def go(i: int, acc: Assignment):
-        if i == len(written):
-            post = Config.make(dst, acc)
-            if step_allowed(d, cfg, action, post):
-                out.append(post)
-            return
-        for val in grid:
-            acc2 = dict(acc)
-            acc2[written[i]] = Fraction(val)
-            go(i + 1, acc2)
-
-    go(0, dict(alpha))
-    seen = set()
-    dedup = []
-    for c in out:
-        if c not in seen:
-            seen.add(c)
-            dedup.append(c)
-    return dedup
+    out: dict[Config, None] = {}
+    for vals in itertools.product(map(Fraction, grid), repeat=len(written)):
+        alpha.update(zip(written, vals))
+        post = Config.make(dst, alpha)
+        if post not in out and step_allowed(d, cfg, action, post):
+            out[post] = None
+    return list(out)
 
 
 def validate(d: Ddsa) -> list[str]:

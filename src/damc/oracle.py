@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import ltlf as lt
-from .ddsa import Config, Ddsa, Run, step_allowed
+from .ddsa import Config, Ddsa, Run, successors
 from .formula import RAT, Formula, atoms_of, norm_atom
 from .ltlf import Ltlf
 
@@ -44,8 +44,7 @@ def enumerate_runs(d: Ddsa, max_len: int, grid: Sequence[Fraction]) -> Iterator[
     step semantics by construction."""
     if d.alpha0 is None:
         raise ValueError("oracle needs a concrete initial assignment")
-    start = Config.make(d.initial, d.alpha0)
-    configs = [start]
+    configs = [Config.make(d.initial, d.alpha0)]
     actions: list[str] = []
 
     def go() -> Iterator[Run]:
@@ -53,32 +52,13 @@ def enumerate_runs(d: Ddsa, max_len: int, grid: Sequence[Fraction]) -> Iterator[
         if len(actions) >= max_len:
             return
         cur = configs[-1]
-        for (a, dst) in d.outgoing(cur.state):
-            written = d.write_set(a)
-            base = cur.assignment()
-
-            def assignments(i: int):
-                if i == len(written):
-                    yield dict(base)
-                    return
-                for rest in assignments(i + 1):
-                    for val in grid:
-                        out = dict(rest)
-                        out[written[i]] = Fraction(val)
-                        yield out
-
-            seen = set()
-            for alpha in assignments(0):
-                post = Config.make(dst, alpha)
-                if post in seen:
-                    continue
-                seen.add(post)
-                if step_allowed(d, cur, a, post):
-                    configs.append(post)
-                    actions.append(a)
-                    yield from go()
-                    actions.pop()
-                    configs.pop()
+        for (a, _) in d.outgoing(cur.state):
+            for post in successors(d, cur, a, grid):
+                configs.append(post)
+                actions.append(a)
+                yield from go()
+                actions.pop()
+                configs.pop()
 
     yield from go()
 

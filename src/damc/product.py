@@ -2,7 +2,7 @@
 emptiness check, and constructive witness extraction."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,18 +29,13 @@ def extend_with_dummy(d: Ddsa) -> Ddsa:
         raise ValueError("system already carries a dummy initial state")
     b0 = _fresh_name("_init", d.states)
     a0 = _fresh_name("_start", d.actions)
-    guards = dict(d.guards)
-    guards[a0] = conj()  # true
-    return Ddsa(
+    return replace(
+        d,
         states=(b0,) + d.states,
         initial=b0,
         actions=(a0,) + d.actions,
         transitions=((b0, a0, d.initial),) + d.transitions,
-        finals=d.finals,
-        variables=d.variables,
-        alpha0=dict(d.alpha0) if d.alpha0 is not None else None,
-        guards=guards,
-        domain=d.domain,
+        guards={**d.guards, a0: conj()},  # the dummy action's guard is true
         dummy=(b0, a0),
     )
 
@@ -215,14 +210,7 @@ def realize_run(
     history constraint plus the grounded transition formula.
     """
     states = dd.symbolic_states(d, actions)
-    qe = _exact_qe(d)
-    hist: list[Formula] = []
-    phi: Formula = conj(*d.initial_constraints(), *cseq[0])
-    hist.append(phi)
-    for k, a in enumerate(actions):
-        phi = conj(dd.update(d, phi, a, qe=qe), *cseq[k + 1])
-        hist.append(phi)
-
+    hist = dd.history_prefixes(d, actions, cseq, qe=_exact_qe(d))
     res = solve.is_sat(hist[-1], d.domain)
     if not res.sat:
         return None
@@ -260,16 +248,14 @@ def extract_witness(d: Ddsa, path: Sequence[PEdge], nodes: list[PNode]) -> tuple
     word: list[SigmaSymbol] = [e.symbol for e in path]
     actions = [e.action for e in path[1:]]
     cseq = [lt.constr_of(s) for s in word]
-    inner = Ddsa(
+    inner = replace(
+        d,
         states=tuple(s for s in d.states if s != d.dummy[0]),
         initial=nodes[path[0].dst].state,
         actions=tuple(a for a in d.actions if a != d.dummy[1]),
         transitions=tuple(t for t in d.transitions if t[1] != d.dummy[1]),
-        finals=d.finals,
-        variables=d.variables,
-        alpha0=dict(d.alpha0) if d.alpha0 is not None else None,
         guards={a: g for a, g in d.guards.items() if a != d.dummy[1]},
-        domain=d.domain,
+        dummy=None,
     )
     run = realize_run(inner, actions, cseq)
     if run is None:
@@ -310,7 +296,6 @@ class Verdict:
 class VerifyOptions:
     max_nodes: int = 10_000
     unroll: int = 2
-    lookback_K: Optional[int] = None
     keep_artifacts: bool = False
 
 
@@ -327,11 +312,7 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
     constraints = lt.constraints_of(pre)
     stats = Stats()
     try:
-        strategy = sm.detect(
-            d,
-            constraints,
-            sm.DetectOptions(unroll_ff=opts.unroll, lookback_K=opts.lookback_K),
-        )
+        strategy = sm.detect(d, constraints, sm.DetectOptions(unroll_ff=opts.unroll))
     except sm.NoSummaryFound as e:
         return Verdict("inconclusive", stats, reason=str(e))
     stats.strategy = strategy.describe()
@@ -350,11 +331,8 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
     keep = dict(product=prod, nfa=nfa, strategy=strategy) if opts.keep_artifacts else {}
     path = find_accepting_path(prod)
     if path is None:
-        if strategy.exact or strategy.verified_note() is not None:
-            return Verdict("no-witness", stats, **keep)
-        return Verdict(
-            "inconclusive", stats, reason="summary heuristic not verified", **keep
-        )
+        # sound: every strategy is exact or carries the depth it was verified to
+        return Verdict("no-witness", stats, **keep)
     run, word = extract_witness(extended, path, prod.nodes)
     _assert_witness(d, run, word, pre)
     return Verdict("witness", stats, run=run, word=word, **keep)

@@ -270,11 +270,6 @@ def _bounds_on(cube: Cube, x: VarId):
     return eqs, lowers, uppers, rest
 
 
-def _term_atom(lhs: Term, op: str, rhs: Term) -> Optional[NormAtom]:
-    na = norm_atom(Atom(lhs, op, rhs))
-    return na
-
-
 def eliminate_rational(cube: Cube, x: VarId) -> Optional[Cube]:
     """One Fourier-Motzkin step; assumes != was expanded away."""
     eqs, lowers, uppers, rest = _bounds_on(cube, x)
@@ -282,16 +277,16 @@ def eliminate_rational(cube: Cube, x: VarId) -> Optional[Cube]:
         rep = eqs[0]
         new = list(rest)
         for other in eqs[1:]:
-            new.append(_term_atom(rep, "=", other))
+            new.append(norm_atom(Atom(rep, "=", other)))
         for t, strict in lowers:
-            new.append(_term_atom(t, "<" if strict else "<=", rep))
+            new.append(norm_atom(Atom(t, "<" if strict else "<=", rep)))
         for t, strict in uppers:
-            new.append(_term_atom(rep, "<" if strict else "<=", t))
+            new.append(norm_atom(Atom(rep, "<" if strict else "<=", t)))
         return norm_cube(new)
     new = list(rest)
     for lt, ls in lowers:
         for ut, us in uppers:
-            new.append(_term_atom(lt, "<" if (ls or us) else "<=", ut))
+            new.append(norm_atom(Atom(lt, "<" if (ls or us) else "<=", ut)))
     return norm_cube(new)
 
 

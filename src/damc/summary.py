@@ -8,7 +8,7 @@ freedom (logical equivalence), and the two decomposition combinators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -33,17 +33,14 @@ from .solve import BudgetExceeded, ConstraintClass
 # Syntactic criteria
 
 
-def used_actions(d: Ddsa) -> list[str]:
-    seen: list[str] = []
-    for (_, a, _) in d.transitions:
-        if a not in seen:
-            seen.append(a)
-    return seen
+def used_actions(transitions: Sequence[tuple[str, str, str]]) -> list[str]:
+    """Actions of the transitions, in first-use order."""
+    return list(dict.fromkeys(a for (_, a, _) in transitions))
 
 
 def _criterion_atoms(d: Ddsa, constraints: Sequence[Formula]) -> list[Atom]:
     out: list[Atom] = []
-    for a in used_actions(d):
+    for a in used_actions(d.transitions):
         out.extend(atoms_of(d.guard(a)))
     for c in constraints:
         out.extend(atoms_of(c))
@@ -87,6 +84,9 @@ def check_gc(d: Ddsa, constraints: Sequence[Formula]) -> tuple[bool, Optional[in
 # Computation graphs (for feedback freedom and bounded lookback)
 
 GNode = tuple[str, int]  # (variable name, instant)
+
+# Budget on the symbolic runs one control-flow check may enumerate.
+MAX_RUNS = 100_000
 
 
 @dataclass
@@ -189,11 +189,6 @@ def computation_graph(
     return g
 
 
-def _longest_path_exceeds(edges: set[frozenset[GNode]], bound: int) -> bool:
-    """Is there a simple path with more than `bound` edges?"""
-    return _longest_path(edges, stop_above=bound) > bound
-
-
 def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None) -> int:
     """Length of the longest simple path (0 for edgeless graphs)."""
     adj: dict[GNode, list[GNode]] = {}
@@ -220,7 +215,7 @@ def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None
 
 
 def enumerate_symbolic_runs(
-    d: Ddsa, unroll: int, max_runs: int = 100_000, maximal_only: bool = False
+    d: Ddsa, unroll: int, max_runs: int = MAX_RUNS, maximal_only: bool = False
 ) -> Iterator[list[str]]:
     """All symbolic runs in which no transition is traversed more than
     `unroll` times.  A bounded stand-in for full dependency saturation.
@@ -254,7 +249,7 @@ def enumerate_symbolic_runs(
 
 
 def max_collapsed_path(
-    d: Ddsa, constraints: Sequence[Formula], unroll: int, max_runs: int
+    d: Ddsa, constraints: Sequence[Formula], unroll: int, max_runs: int = MAX_RUNS
 ) -> int:
     """Longest collapsed dependency path over all runs at the given unroll."""
     best = 0
@@ -270,7 +265,7 @@ def check_bounded_lookback(
     constraints: Sequence[Formula],
     K: int,
     unroll: int,
-    max_runs: int = 100_000,
+    max_runs: int = MAX_RUNS,
 ) -> bool:
     """After collapsing equality classes, no enumerated run's dependency
     graph may contain an acyclic path longer than K.
@@ -283,7 +278,7 @@ def check_bounded_lookback(
     for actions in enumerate_symbolic_runs(d, unroll, max_runs, maximal_only=True):
         g = computation_graph(d, actions, constraints)
         _, edges = g.collapsed_edges()
-        if _longest_path_exceeds(edges, K):
+        if _longest_path(edges, stop_above=K) > K:
             return False
     return True
 
@@ -332,7 +327,7 @@ def check_feedback_free(
     d: Ddsa,
     constraints: Sequence[Formula],
     unroll: int = 2,
-    max_runs: int = 100_000,
+    max_runs: int = MAX_RUNS,
 ) -> bool:
     """Every dependency between two instances of a variable is spanned by a
     node whose equality class covers both involved intervals."""
@@ -392,20 +387,16 @@ def _sub_system(d: Ddsa, states: set[str], initial: str, finals: set[str], alpha
     trans = tuple(
         (s, a, t) for (s, a, t) in d.transitions if s in states and t in states
     )
-    acts = []
-    for (_, a, _) in trans:
-        if a not in acts:
-            acts.append(a)
-    return Ddsa(
+    acts = used_actions(trans)
+    return replace(
+        d,
         states=tuple(s for s in d.states if s in states),
         initial=initial,
         actions=tuple(acts),
         transitions=trans,
         finals=frozenset(finals),
-        variables=d.variables,
         alpha0=dict(alpha0) if alpha0 is not None else None,
         guards={a: d.guards[a] for a in acts},
-        domain=d.domain,
     )
 
 
@@ -468,17 +459,9 @@ def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
             if {v.name for v in free_vars(at)} <= keep_names
         ]
         guards[a] = conj(*parts)
-    return Ddsa(
-        states=d.states,
-        initial=d.initial,
-        actions=d.actions,
-        transitions=d.transitions,
-        finals=d.finals,
-        variables=tuple(v for v in d.variables if v.name in keep_names),
-        alpha0=None if d.alpha0 is None else {v: d.alpha0[v] for v in d.variables if v.name in keep_names},
-        guards=guards,
-        domain=d.domain,
-    )
+    variables = tuple(v for v in d.variables if v.name in keep_names)
+    alpha0 = None if d.alpha0 is None else {v: d.alpha0[v] for v in variables}
+    return replace(d, variables=variables, alpha0=alpha0, guards=guards)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +471,14 @@ def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
 class Strategy:
     """Update procedure plus equivalence relation for one (sub)system."""
 
+    d: Ddsa
     exact = True
 
     def describe(self) -> str:
         raise NotImplementedError
 
     def initial_state(self):
-        raise NotImplementedError
+        return conj(*self.d.initial_constraints())
 
     def update(self, state, action: str, constrs: Sequence[Formula], src: str, dst: str):
         raise NotImplementedError
@@ -506,7 +490,7 @@ class Strategy:
         raise NotImplementedError
 
     def formula(self, state) -> Formula:
-        raise NotImplementedError
+        return state
 
     def conjoin(self, state, constrs: Sequence[Formula]):
         """State with extra constraints and no transition taken (used for the
@@ -516,68 +500,63 @@ class Strategy:
     def verified_note(self) -> Optional[str]:
         return None
 
-    def _memo_equiv(self, s1, s2, compute) -> bool:
-        """Equivalence is symmetric and queried repeatedly during pool scans;
-        cache per strategy instance."""
+
+@dataclass
+class McStrategy(Strategy):
+    """Monotonicity constraints: rational QE and logical equivalence.
+
+    The other leaf criteria reuse this update procedure; each overrides
+    only the QE function, the equivalence and the domain it solves in.
+    """
+
+    d: Ddsa
+    domain = RAT
+
+    def describe(self) -> str:
+        return "MC"
+
+    def qe(self):
+        return solve.qe_rational
+
+    def equivalent(self, s1: Formula, s2: Formula) -> bool:
+        return solve.equivalent(s1, s2, self.domain)
+
+    def update(self, state, action, constrs, src, dst) -> Formula:
+        return conj(dd.update(self.d, state, action, qe=self.qe()), *constrs)
+
+    def equiv(self, s1, s2, control) -> bool:
+        # symmetric and queried repeatedly during pool scans: cache per instance
         memo = self.__dict__.setdefault("_eq_cache", {})
         hit = memo.get((s1, s2))
         if hit is None:
             hit = memo.get((s2, s1))
         if hit is None:
-            hit = compute()
-            memo[(s1, s2)] = hit
+            hit = memo[(s1, s2)] = self.equivalent(s1, s2)
         return hit
 
-
-@dataclass
-class McStrategy(Strategy):
-    d: Ddsa
-
-    def describe(self) -> str:
-        return "MC"
-
-    def initial_state(self) -> Formula:
-        return conj(*self.d.initial_constraints())
-
-    def update(self, state, action, constrs, src, dst) -> Formula:
-        return conj(dd.update(self.d, state, action, qe=solve.qe_rational), *constrs)
-
-    def equiv(self, s1, s2, control) -> bool:
-        return self._memo_equiv(s1, s2, lambda: solve.equivalent(s1, s2, RAT))
-
     def sat(self, state, control) -> bool:
-        return solve.is_sat(state, RAT).sat
-
-    def formula(self, state) -> Formula:
-        return state
+        return solve.is_sat(state, self.domain).sat
 
 
 @dataclass
-class GcStrategy(Strategy):
-    d: Ddsa
+class GcStrategy(McStrategy):
+    """Gap-order constraints: integer QE and cutoff equivalence at K."""
+
     K: int
+    domain = INT
 
     def describe(self) -> str:
         return f"GC(K={self.K})"
 
-    def initial_state(self) -> Formula:
-        return conj(*self.d.initial_constraints())
+    def qe(self):
+        return solve.qe_gc
 
-    def update(self, state, action, constrs, src, dst) -> Formula:
-        return conj(dd.update(self.d, state, action, qe=solve.qe_gc), *constrs)
-
-    def equiv(self, s1, s2, control) -> bool:
-        return self._memo_equiv(s1, s2, lambda: solve.gc_equivalent(s1, s2, self.K))
-
-    def sat(self, state, control) -> bool:
-        return solve.is_sat(state, INT).sat
-
-    def formula(self, state) -> Formula:
-        return state
+    def equivalent(self, s1: Formula, s2: Formula) -> bool:
+        return solve.gc_equivalent(s1, s2, self.K)
 
 
 @dataclass
-class LookbackStrategy(Strategy):
+class LookbackStrategy(McStrategy):
     """Control-flow criterion: equivalence is plain logical equivalence.
 
     `origin` records whether the bound came from feedback freedom or from
@@ -585,7 +564,6 @@ class LookbackStrategy(Strategy):
     recorded unroll depth.
     """
 
-    d: Ddsa
     K: int
     origin: str  # "bounded-lookback" | "feedback-free"
     unroll: int
@@ -599,30 +577,32 @@ class LookbackStrategy(Strategy):
     def verified_note(self) -> Optional[str]:
         return f"verified up to unroll {self.unroll}"
 
-    def initial_state(self) -> Formula:
-        return conj(*self.d.initial_constraints())
 
-    def update(self, state, action, constrs, src, dst) -> Formula:
-        return conj(dd.update(self.d, state, action, qe=solve.qe_rational), *constrs)
+class _Composed(Strategy):
+    """A combinator over two parts: exact when both are, and verified as far
+    as the parts' notes say."""
 
-    def equiv(self, s1, s2, control) -> bool:
-        return self._memo_equiv(s1, s2, lambda: solve.equivalent(s1, s2, RAT))
+    left: Strategy
+    right: Strategy
 
-    def sat(self, state, control) -> bool:
-        return solve.is_sat(state, RAT).sat
+    @property
+    def exact(self) -> bool:  # type: ignore[override]
+        return self.left.exact and self.right.exact
 
-    def formula(self, state) -> Formula:
-        return state
+    def verified_note(self) -> Optional[str]:
+        notes = [n for n in (self.left.verified_note(), self.right.verified_note()) if n]
+        return "; ".join(notes) or None
 
 
 @dataclass
-class SeqStrategy(Strategy):
+class SeqStrategy(_Composed):
     """Sequential composition at a cut state.
 
     Phase-two formulas are produced by continuing updates from the
     phase-one representative at the cut, which realizes the existential
     combination of the two history sets with quantifiers eliminated
-    eagerly.
+    eagerly.  Both parts therefore work on plain formulas: neither may be
+    a variable split.
     """
 
     d: Ddsa
@@ -632,18 +612,8 @@ class SeqStrategy(Strategy):
     left_states: frozenset[str]
     right_states: frozenset[str]
 
-    def __post_init__(self):
-        self.exact = self.left.exact and self.right.exact
-
     def describe(self) -> str:
         return f"seq-compose({self.left.describe()}, {self.right.describe()}; cut='{self.cut}')"
-
-    def verified_note(self) -> Optional[str]:
-        notes = [n for n in (self.left.verified_note(), self.right.verified_note()) if n]
-        return "; ".join(notes) or None
-
-    def initial_state(self) -> Formula:
-        return self.left.initial_state()
 
     def _side(self, control: str) -> Strategy:
         return self.left if control in self.left_states else self.right
@@ -659,12 +629,9 @@ class SeqStrategy(Strategy):
     def sat(self, state, control) -> bool:
         return self._side(control).sat(state, control)
 
-    def formula(self, state) -> Formula:
-        return state
-
 
 @dataclass
-class VarStrategy(Strategy):
+class VarStrategy(_Composed):
     """Variable-disjoint composition; states are per-part formula pairs."""
 
     d: Ddsa
@@ -674,7 +641,6 @@ class VarStrategy(Strategy):
     right: Strategy
 
     def __post_init__(self):
-        self.exact = self.left.exact and self.right.exact
         self._names1 = {v.name for v in self.v1}
 
     def describe(self) -> str:
@@ -684,10 +650,6 @@ class VarStrategy(Strategy):
             f"var-compose({{{n1}}}: {self.left.describe()}; "
             f"{{{n2}}}: {self.right.describe()})"
         )
-
-    def verified_note(self) -> Optional[str]:
-        notes = [n for n in (self.left.verified_note(), self.right.verified_note()) if n]
-        return "; ".join(notes) or None
 
     def _split(self, constrs: Sequence[Formula]) -> tuple[list[Formula], list[Formula]]:
         c1, c2 = [], []
@@ -729,9 +691,6 @@ class VarStrategy(Strategy):
 @dataclass
 class DetectOptions:
     unroll_ff: int = 2
-    lookback_K: Optional[int] = None
-    max_runs: int = 100_000
-    _depth: int = 0
 
 
 class NoSummaryFound(Exception):
@@ -750,8 +709,10 @@ def detect(
     return s
 
 
-def _detect(d: Ddsa, constraints: list[Formula], opts: DetectOptions) -> Optional[Strategy]:
-    if opts._depth > 8:
+def _detect(
+    d: Ddsa, constraints: list[Formula], opts: DetectOptions, depth: int = 0
+) -> Optional[Strategy]:
+    if depth > 8:
         return None
     if check_mc(d, constraints):
         return McStrategy(d)
@@ -760,34 +721,26 @@ def _detect(d: Ddsa, constraints: list[Formula], opts: DetectOptions) -> Optiona
         return GcStrategy(d, K)
     if d.domain == RAT:
         try:
-            if check_feedback_free(d, constraints, opts.unroll_ff, opts.max_runs):
+            if check_feedback_free(d, constraints, opts.unroll_ff):
                 return LookbackStrategy(
                     d, 2 * len(d.variables), "feedback-free", opts.unroll_ff
                 )
-            if opts.lookback_K is not None:
-                K_lb = opts.lookback_K
-                if check_bounded_lookback(
-                    d, constraints, K_lb, K_lb + 1, opts.max_runs
-                ):
-                    return LookbackStrategy(d, K_lb, "bounded-lookback", K_lb + 1)
-            else:
-                # stabilization probe: claim a bound only when the longest
-                # collapsed path stops growing between unroll depths
-                l2 = max_collapsed_path(d, constraints, 2, opts.max_runs)
-                l3 = max_collapsed_path(d, constraints, 3, opts.max_runs)
-                if l2 == l3:
-                    return LookbackStrategy(d, max(l3, 1), "bounded-lookback", 3)
+            # stabilization probe: claim a bound only when the longest
+            # collapsed path stops growing between unroll depths
+            l2 = max_collapsed_path(d, constraints, 2)
+            l3 = max_collapsed_path(d, constraints, 3)
+            if l2 == l3:
+                return LookbackStrategy(d, max(l3, 1), "bounded-lookback", 3)
         except BudgetExceeded:
             pass
-    deeper = DetectOptions(opts.unroll_ff, opts.lookback_K, opts.max_runs, opts._depth + 1)
     split = var_decompose(d, constraints)
     if split is not None:
         v1, v2 = split
         names1 = {v.name for v in v1}
         c1 = [c for c in constraints if {v.name for v in free_vars(c)} <= names1]
         c2 = [c for c in constraints if c not in c1]
-        left = _detect(project_system(d, v1), c1, deeper)
-        right = _detect(project_system(d, v2), c2, deeper)
+        left = _detect(project_system(d, v1), c1, opts, depth + 1)
+        right = _detect(project_system(d, v2), c2, opts, depth + 1)
         if left is not None and right is not None:
             return VarStrategy(d, v1, v2, left, right)
     parts = seq_decompose(d)
@@ -795,9 +748,12 @@ def _detect(d: Ddsa, constraints: list[Formula], opts: DetectOptions) -> Optiona
         d1, d2, cut = parts
         progress = set(d1.states) != set(d.states) or d1.finals != d.finals
         if progress:
-            left = _detect(d1, constraints, deeper)
-            right = _detect(d2, constraints, deeper)
-            if left is not None and right is not None:
+            left = _detect(d1, constraints, opts, depth + 1)
+            right = _detect(d2, constraints, opts, depth + 1)
+            # formulas cross the cut, so pair states of a variable split cannot
+            if left is not None and right is not None and not any(
+                isinstance(x, VarStrategy) for x in (left, right)
+            ):
                 return SeqStrategy(
                     d, left, right, cut, frozenset(d1.states), frozenset(d2.states)
                 )

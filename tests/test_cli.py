@@ -156,3 +156,30 @@ def test_property_from_file(capsys, tmp_path):
     p.write_text("F (y > 5)\n")
     code, _, _ = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", str(p))
     assert code == 0
+
+
+SEQ_OVER_VAR_MODEL = """\
+domain rat
+vars x y z
+init x=0 y=0 z=0
+states 1 2 3
+initial 1
+final 3
+trans 1 a 1 [x^w > x^r]
+trans 1 b 2 [y^w + z^w = 1]
+trans 2 c 3 [y^w > x^r]
+"""
+
+
+def test_seq_split_with_var_split_part_is_inconclusive(capsys, tmp_path):
+    # the prefix part splits by variables, whose pair states cannot cross the
+    # cut; such a sequential split is refused rather than run
+    p = tmp_path / "seqvar.ddsa"
+    p.write_text(SEQ_OVER_VAR_MODEL)
+    code, out, err = run_cli(capsys, "verify", str(p), "--prop", "F (y > 2)")
+    assert code == 2
+    assert "inconclusive" in out
+    assert "Traceback" not in out + err
+    code, out, _ = run_cli(capsys, "summary", str(p), "--prop", "F (y > 2)")
+    assert code == 2
+    assert "seq-compose" not in out

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 from damc import parsing
@@ -81,3 +82,88 @@ def test_default_grid_contains_constants(auction):
     assert F(0) in grid and F(8) in grid and F(10) in grid
     # rational domain: midpoints present
     assert F(1, 2) in grid
+
+
+def _steps(run) -> str:
+    return " ".join(
+        f"{a}:" + ",".join(f"{v.name}={val}" for v, val in c.alpha)
+        for a, c in zip(run.actions, run.configs[1:])
+    )
+
+
+# Depth-first order: actions as declared, then written values with the first
+# written variable varying fastest.  b4's reset writes a and b; auction's
+# init writes d and t, and bid writes o and b.
+B4_RUNS = [
+    "",
+    "picka:a=1,b=0,s=0",
+    "picka:a=1,b=0,s=0 picka:a=1,b=0,s=0",
+    "picka:a=1,b=0,s=0 picka:a=1,b=0,s=0 picka:a=1,b=0,s=0",
+    "picka:a=1,b=0,s=0 picka:a=1,b=0,s=0 picka:a=2,b=0,s=0",
+    "picka:a=1,b=0,s=0 picka:a=1,b=0,s=0 seta:a=1,b=0,s=1",
+    "picka:a=1,b=0,s=0 picka:a=2,b=0,s=0",
+    "picka:a=1,b=0,s=0 picka:a=2,b=0,s=0 picka:a=1,b=0,s=0",
+    "picka:a=1,b=0,s=0 picka:a=2,b=0,s=0 picka:a=2,b=0,s=0",
+    "picka:a=1,b=0,s=0 picka:a=2,b=0,s=0 seta:a=2,b=0,s=2",
+    "picka:a=1,b=0,s=0 seta:a=1,b=0,s=1",
+    "picka:a=1,b=0,s=0 seta:a=1,b=0,s=1 pickb:a=1,b=1,s=1",
+    "picka:a=1,b=0,s=0 seta:a=1,b=0,s=1 pickb:a=1,b=2,s=1",
+    "picka:a=1,b=0,s=0 seta:a=1,b=0,s=1 addb:a=1,b=0,s=1",
+    "picka:a=2,b=0,s=0",
+    "picka:a=2,b=0,s=0 picka:a=1,b=0,s=0",
+    "picka:a=2,b=0,s=0 picka:a=1,b=0,s=0 picka:a=1,b=0,s=0",
+    "picka:a=2,b=0,s=0 picka:a=1,b=0,s=0 picka:a=2,b=0,s=0",
+    "picka:a=2,b=0,s=0 picka:a=1,b=0,s=0 seta:a=1,b=0,s=1",
+    "picka:a=2,b=0,s=0 picka:a=2,b=0,s=0",
+    "picka:a=2,b=0,s=0 picka:a=2,b=0,s=0 picka:a=1,b=0,s=0",
+    "picka:a=2,b=0,s=0 picka:a=2,b=0,s=0 picka:a=2,b=0,s=0",
+    "picka:a=2,b=0,s=0 picka:a=2,b=0,s=0 seta:a=2,b=0,s=2",
+    "picka:a=2,b=0,s=0 seta:a=2,b=0,s=2",
+    "picka:a=2,b=0,s=0 seta:a=2,b=0,s=2 pickb:a=2,b=1,s=2",
+    "picka:a=2,b=0,s=0 seta:a=2,b=0,s=2 pickb:a=2,b=2,s=2",
+    "picka:a=2,b=0,s=0 seta:a=2,b=0,s=2 addb:a=2,b=0,s=2",
+    "seta:a=0,b=0,s=0",
+    "seta:a=0,b=0,s=0 pickb:a=0,b=1,s=0",
+    "seta:a=0,b=0,s=0 pickb:a=0,b=1,s=0 pickb:a=0,b=1,s=0",
+    "seta:a=0,b=0,s=0 pickb:a=0,b=1,s=0 pickb:a=0,b=2,s=0",
+    "seta:a=0,b=0,s=0 pickb:a=0,b=1,s=0 addb:a=0,b=1,s=1",
+    "seta:a=0,b=0,s=0 pickb:a=0,b=2,s=0",
+    "seta:a=0,b=0,s=0 pickb:a=0,b=2,s=0 pickb:a=0,b=1,s=0",
+    "seta:a=0,b=0,s=0 pickb:a=0,b=2,s=0 pickb:a=0,b=2,s=0",
+    "seta:a=0,b=0,s=0 pickb:a=0,b=2,s=0 addb:a=0,b=2,s=2",
+    "seta:a=0,b=0,s=0 addb:a=0,b=0,s=0",
+    "seta:a=0,b=0,s=0 addb:a=0,b=0,s=0 reset:a=0,b=0,s=0",
+]
+
+AUCTION_RUNS = [
+    "",
+    "init:b=0,d=1,o=0,s=0,t=1",
+    "init:b=0,d=1,o=0,s=0,t=1 check:b=0,d=1,o=0,s=0,t=1",
+    "init:b=0,d=1,o=0,s=0,t=1 check:b=0,d=1,o=0,s=0,t=1 bid:b=1,d=1,o=1,s=0,t=1",
+    "init:b=0,d=1,o=0,s=0,t=1 check:b=0,d=1,o=0,s=0,t=1 bid:b=1,d=1,o=2,s=0,t=1",
+    "init:b=0,d=1,o=0,s=0,t=1 check:b=0,d=1,o=0,s=0,t=1 bid:b=2,d=1,o=1,s=0,t=1",
+    "init:b=0,d=1,o=0,s=0,t=1 check:b=0,d=1,o=0,s=0,t=1 bid:b=2,d=1,o=2,s=0,t=1",
+    "init:b=0,d=1,o=0,s=0,t=1 check:b=0,d=1,o=0,s=0,t=1 dec:b=0,d=0,o=0,s=0,t=1",
+    "init:b=0,d=2,o=0,s=0,t=1",
+    "init:b=0,d=2,o=0,s=0,t=1 check:b=0,d=2,o=0,s=0,t=1",
+    "init:b=0,d=2,o=0,s=0,t=1 check:b=0,d=2,o=0,s=0,t=1 bid:b=1,d=2,o=1,s=0,t=1",
+    "init:b=0,d=2,o=0,s=0,t=1 check:b=0,d=2,o=0,s=0,t=1 bid:b=1,d=2,o=2,s=0,t=1",
+    "init:b=0,d=2,o=0,s=0,t=1 check:b=0,d=2,o=0,s=0,t=1 bid:b=2,d=2,o=1,s=0,t=1",
+    "init:b=0,d=2,o=0,s=0,t=1 check:b=0,d=2,o=0,s=0,t=1 bid:b=2,d=2,o=2,s=0,t=1",
+    "init:b=0,d=2,o=0,s=0,t=1 check:b=0,d=2,o=0,s=0,t=1 dec:b=0,d=0,o=0,s=0,t=1",
+    "init:b=0,d=2,o=0,s=0,t=1 check:b=0,d=2,o=0,s=0,t=1 dec:b=0,d=1,o=0,s=0,t=1",
+    "init:b=0,d=1,o=0,s=0,t=2",
+    "init:b=0,d=1,o=0,s=0,t=2 check:b=0,d=1,o=0,s=0,t=2",
+    "init:b=0,d=1,o=0,s=0,t=2 check:b=0,d=1,o=0,s=0,t=2 bid:b=1,d=1,o=1,s=0,t=2",
+    "init:b=0,d=1,o=0,s=0,t=2 check:b=0,d=1,o=0,s=0,t=2 bid:b=1,d=1,o=2,s=0,t=2",
+]
+
+
+def test_enumerate_runs_order_b4(b4):
+    runs = list(enumerate_runs(b4, 3, frac_grid(0, 2)))
+    assert [_steps(r) for r in runs] == B4_RUNS
+
+
+def test_enumerate_runs_order_auction(auction):
+    runs = itertools.islice(enumerate_runs(auction, 3, frac_grid(0, 2)), len(AUCTION_RUNS))
+    assert [_steps(r) for r in runs] == AUCTION_RUNS
