@@ -331,7 +331,8 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
     keep = dict(product=prod, nfa=nfa, strategy=strategy) if opts.keep_artifacts else {}
     path = find_accepting_path(prod)
     if path is None:
-        # sound: every strategy is exact or carries the depth it was verified to
+        # sound: a strategy with no verified_note is exact; the others carry the
+        # depth they were verified to
         return Verdict("no-witness", stats, **keep)
     run, word = extract_witness(extended, path, prod.nodes)
     _assert_witness(d, run, word, pre)

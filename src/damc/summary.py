@@ -472,7 +472,6 @@ class Strategy:
     """Update procedure plus equivalence relation for one (sub)system."""
 
     d: Ddsa
-    exact = True
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -502,18 +501,13 @@ class Strategy:
 
 
 @dataclass
-class McStrategy(Strategy):
-    """Monotonicity constraints: rational QE and logical equivalence.
-
-    The other leaf criteria reuse this update procedure; each overrides
-    only the QE function, the equivalence and the domain it solves in.
-    """
+class _Leaf(Strategy):
+    """The one update procedure of the leaf criteria: rational QE and
+    logical equivalence.  Each criterion overrides only the QE function,
+    the equivalence and the domain it solves in."""
 
     d: Ddsa
     domain = RAT
-
-    def describe(self) -> str:
-        return "MC"
 
     def qe(self):
         return solve.qe_rational
@@ -539,7 +533,15 @@ class McStrategy(Strategy):
 
 
 @dataclass
-class GcStrategy(McStrategy):
+class McStrategy(_Leaf):
+    """Monotonicity constraints: rational QE and logical equivalence."""
+
+    def describe(self) -> str:
+        return "MC"
+
+
+@dataclass
+class GcStrategy(_Leaf):
     """Gap-order constraints: integer QE and cutoff equivalence at K."""
 
     K: int
@@ -556,7 +558,7 @@ class GcStrategy(McStrategy):
 
 
 @dataclass
-class LookbackStrategy(McStrategy):
+class LookbackStrategy(_Leaf):
     """Control-flow criterion: equivalence is plain logical equivalence.
 
     `origin` records whether the bound came from feedback freedom or from
@@ -568,8 +570,6 @@ class LookbackStrategy(McStrategy):
     origin: str  # "bounded-lookback" | "feedback-free"
     unroll: int
 
-    exact = False
-
     def describe(self) -> str:
         via = " via feedback freedom" if self.origin == "feedback-free" else ""
         return f"bounded-lookback(K={self.K}{via})"
@@ -579,15 +579,10 @@ class LookbackStrategy(McStrategy):
 
 
 class _Composed(Strategy):
-    """A combinator over two parts: exact when both are, and verified as far
-    as the parts' notes say."""
+    """A combinator over two parts, verified as far as the parts' notes say."""
 
     left: Strategy
     right: Strategy
-
-    @property
-    def exact(self) -> bool:  # type: ignore[override]
-        return self.left.exact and self.right.exact
 
     def verified_note(self) -> Optional[str]:
         notes = [n for n in (self.left.verified_note(), self.right.verified_note()) if n]
