@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the five auction properties and print verdicts with timings."""
 import sys
-import time
+from time import perf_counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -33,9 +33,9 @@ def main():
     marks = {"witness": "yes", "no-witness": "no", "inconclusive": "?"}
     for name, text in PROPERTIES:
         psi = parsing.parse_property(text, auction)
-        t0 = time.time()
+        t0 = perf_counter()
         v = verify(auction, psi)
-        dt = time.time() - t0
+        dt = perf_counter() - t0
         print(f"{name}  witness={marks[v.kind]:3s}  {dt:5.1f}s  {text}")
         if v.run is not None:
             steps = " ".join(v.run.actions)

@@ -16,6 +16,7 @@ from typing import Optional
 from . import dot, ltlf as lt, oracle, parsing, product, summary
 from .ddsa import Ddsa
 from .formula import INT, RAT, fmt_rat
+from .solve import BudgetExceeded, UnsupportedInteger
 
 EXIT_WITNESS = 0
 EXIT_NO_WITNESS = 1
@@ -146,8 +147,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.dot_product and verdict.product is not None:
         Path(cfg.dot_product).write_text(dot.product_dot(verdict.product))
     if cfg.dot_cg and verdict.strategy is not None:
-        g = summary.constraint_graph(d, verdict.strategy, cfg.max_nodes)
-        Path(cfg.dot_cg).write_text(dot.constraint_graph_dot(g))
+        try:
+            g = summary.constraint_graph(d, verdict.strategy, cfg.max_nodes)
+        except (BudgetExceeded, UnsupportedInteger) as e:
+            verdict = product.Verdict("inconclusive", verdict.stats, reason=f"--dot-cg: {e}")
+        else:
+            Path(cfg.dot_cg).write_text(dot.constraint_graph_dot(g))
     if cfg.json_output:
         print(json.dumps(_verdict_json(verdict), indent=2))
     else:

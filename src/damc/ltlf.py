@@ -3,6 +3,7 @@ the next-action preprocessing, the transition function delta, the NFA
 construction, and the direct trace semantics used as its oracle."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -432,10 +433,10 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
         return index[q]
 
     edges: list[NfaEdge] = []
-    todo = [psi]
+    todo = deque([psi])
     done = set()
     while todo:
-        q = todo.pop(0)
+        q = todo.popleft()
         if q in done or q == QE_STATE:
             continue
         done.add(q)

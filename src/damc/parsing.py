@@ -82,11 +82,30 @@ def _tokens(text: str, line: Optional[int] = None) -> list[tuple[str, str, int]]
     return out
 
 
+# Deepest nesting of parentheses, unary operators and right-nested `U` the
+# parsers accept; deeper input is a ParseError rather than a RecursionError,
+# and the formulas it yields stay within the recursion limit downstream.
+MAX_NESTING = 100
+
+
 class _Stream:
     def __init__(self, toks, line=None):
         self.toks = toks
         self.i = 0
         self.line = line
+        self.depth = 0
+
+    def nested(self, parse, *args):
+        """parse(self, *args) one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(
+                f"nested more than {MAX_NESTING} levels deep", self.line, self.peek()[2] + 1
+            )
+        self.depth += 1
+        try:
+            return parse(self, *args)
+        finally:
+            self.depth -= 1
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, -1)
@@ -145,11 +164,11 @@ def _parse_term(s: _Stream) -> Term:
 
 def _parse_term_atom(s: _Stream) -> Term:
     if s.accept("punct", "("):
-        t = _parse_term(s)
+        t = s.nested(_parse_term)
         s.expect("punct", ")")
         return t
     if s.accept("punct", "-"):
-        return -_parse_term_atom(s)
+        return -s.nested(_parse_term_atom)
     k, v, c = s.peek()
     if k == "num":
         s.next()
@@ -354,7 +373,7 @@ def _parse_until(s: _Stream, d: Ddsa) -> Ltlf:
     k, v, _ = s.peek()
     if k == "name" and v == "U":
         s.next()
-        return lt.Until(left, _parse_until(s, d))
+        return lt.Until(left, s.nested(_parse_until, d))
     return left
 
 
@@ -362,7 +381,7 @@ def _parse_unary(s: _Stream, d: Ddsa) -> Ltlf:
     k, v, c = s.peek()
     if k == "name" and v in ("X", "F", "G") and not _starts_comparison(s):
         s.next()
-        sub = _parse_unary(s, d)
+        sub = s.nested(_parse_unary, d)
         return {"X": lt.Next, "F": lt.Eventually, "G": lt.Always}[v](sub)
     if k in ("op", "punct") and v == "<":
         # action modality <a>
@@ -374,10 +393,10 @@ def _parse_unary(s: _Stream, d: Ddsa) -> Ltlf:
             if s.accept("op", ">") or s.accept("punct", ">"):
                 if nv not in d.actions:
                     raise UnknownAtom(f"unknown action '{nv}' in modality")
-                return lt.ActNext(nv, _parse_unary(s, d))
+                return lt.ActNext(nv, s.nested(_parse_unary, d))
         s.i = save
     if s.accept("punct", "("):
-        inner = _parse_or(s, d)
+        inner = s.nested(_parse_or, d)
         s.expect("punct", ")")
         return inner
     return _parse_leaf(s, d)

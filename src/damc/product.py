@@ -2,6 +2,7 @@
 emptiness check, and constructive witness extraction."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -103,8 +104,11 @@ def build_product(
 
     An edge needs a satisfiable update image conjoined with the NFA
     symbol's constraints, and the symbol must be consistent with the
-    transition taken.  Nodes at the word-end NFA state are only created
-    when final (they have no successors, so non-final ones are dead).
+    transition taken.  The constraints are over the post-state, so they
+    commute with the image's existential: each (node, action) is imaged
+    once, on its first consistent NFA edge, and every edge conjoins to
+    that image.  Nodes at the word-end NFA state are only created when
+    final (they have no successors, so non-final ones are dead).
     """
     if d.dummy is None:
         raise ValueError("build_product needs the dummy-extended system")
@@ -117,29 +121,24 @@ def build_product(
     reps: dict[str, list[int]] = {d.initial: [0]}
     edges: list[PEdge] = []
     finals: set[int] = set()
-    queue = [0]
+    queue = deque([0])
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         node = nodes[i]
         for (a, dst) in d.outgoing(node.state):
-            cache: dict = {}
+            image = None
             for ne in nfa.outgoing(node.q):
                 if not lt.symbol_consistent_with_step(ne.symbol, a, dst):
                     continue
                 if ne.dst == qe_idx and dst not in d.finals:
                     continue
-                constrs = tuple(lt.constr_of(ne.symbol))
-                key = constrs
-                if key in cache:
-                    ns, ok = cache[key]
-                else:
+                if image is None:
                     if a == dummy_action:
-                        ns = strategy.conjoin(node.sstate, constrs)
+                        image = node.sstate
                     else:
-                        ns = strategy.update(node.sstate, a, constrs, node.state, dst)
-                    ok = strategy.sat(ns, dst)
-                    cache[key] = (ns, ok)
-                if not ok:
+                        image = strategy.image(node.sstate, a, node.state, dst)
+                ns = strategy.conjoin(image, lt.constr_of(ne.symbol))
+                if not strategy.sat(ns, dst):
                     continue
                 j = None
                 for cand in pool.get((dst, ne.dst), []):
@@ -174,9 +173,9 @@ def find_accepting_path(p: ProductAutomaton) -> Optional[list[PEdge]]:
     if p.initial in p.finals:
         return []
     back: dict[int, PEdge] = {p.initial: None}  # type: ignore[assignment]
-    queue = [p.initial]
+    queue = deque([p.initial])
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         for e in p.outgoing(i):
             if e.dst in back:
                 continue
@@ -304,7 +303,8 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
     finite summary, build the product, search for an accepting path, and
     extract plus revalidate a concrete run.
 
-    Failures to detect a summary or stay within budget yield an
+    Failures to detect a summary, to stay within budget or to search the
+    integers exactly, in any phase up to witness extraction, yield an
     inconclusive verdict, never an unsound answer.
     """
     opts = options or VerifyOptions()
@@ -313,28 +313,25 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
     stats = Stats()
     try:
         strategy = sm.detect(d, constraints, sm.DetectOptions(unroll_ff=opts.unroll))
-    except sm.NoSummaryFound as e:
-        return Verdict("inconclusive", stats, reason=str(e))
-    stats.strategy = strategy.describe()
-    stats.note = strategy.verified_note()
-    nfa = lt.build_nfa(pre, d.domain)
-    stats.nfa_states = len(nfa.states)
-    stats.nfa_edges = len(nfa.edges)
-    extended = extend_with_dummy(d)
-    try:
+        stats.strategy = strategy.describe()
+        stats.note = strategy.verified_note()
+        nfa = lt.build_nfa(pre, d.domain)
+        stats.nfa_states = len(nfa.states)
+        stats.nfa_edges = len(nfa.edges)
+        extended = extend_with_dummy(d)
         prod = build_product(extended, nfa, strategy, opts.max_nodes)
-    except (BudgetExceeded, solve.UnsupportedInteger) as e:
+        stats.product_nodes = len(prod.nodes)
+        stats.product_edges = len(prod.edges)
+        stats.product_finals = len(prod.finals)
+        keep = dict(product=prod, nfa=nfa, strategy=strategy) if opts.keep_artifacts else {}
+        path = find_accepting_path(prod)
+        if path is None:
+            # sound: a strategy with no verified_note is exact; the others carry
+            # the depth they were verified to
+            return Verdict("no-witness", stats, **keep)
+        run, word = extract_witness(extended, path, prod.nodes)
+    except (sm.NoSummaryFound, BudgetExceeded, solve.UnsupportedInteger) as e:
         return Verdict("inconclusive", stats, reason=str(e))
-    stats.product_nodes = len(prod.nodes)
-    stats.product_edges = len(prod.edges)
-    stats.product_finals = len(prod.finals)
-    keep = dict(product=prod, nfa=nfa, strategy=strategy) if opts.keep_artifacts else {}
-    path = find_accepting_path(prod)
-    if path is None:
-        # sound: a strategy with no verified_note is exact; the others carry the
-        # depth they were verified to
-        return Verdict("no-witness", stats, **keep)
-    run, word = extract_witness(extended, path, prod.nodes)
     _assert_witness(d, run, word, pre)
     return Verdict("witness", stats, run=run, word=word, **keep)
 

@@ -8,6 +8,7 @@ freedom (logical equivalence), and the two decomposition combinators.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -479,7 +480,8 @@ class Strategy:
     def initial_state(self):
         return conj(*self.d.initial_constraints())
 
-    def update(self, state, action: str, constrs: Sequence[Formula], src: str, dst: str):
+    def image(self, state, action: str, src: str, dst: str):
+        """The state after the transition src --action--> dst."""
         raise NotImplementedError
 
     def equiv(self, s1, s2, control: str) -> bool:
@@ -492,8 +494,9 @@ class Strategy:
         return state
 
     def conjoin(self, state, constrs: Sequence[Formula]):
-        """State with extra constraints and no transition taken (used for the
-        dummy initial step, whose transition formula is pure inertia)."""
+        """State with extra constraints over the current variables (an
+        image, or the state itself on the dummy step, whose transition
+        formula is pure inertia)."""
         return conj(state, *constrs)
 
     def verified_note(self) -> Optional[str]:
@@ -515,11 +518,19 @@ class _Leaf(Strategy):
     def equivalent(self, s1: Formula, s2: Formula) -> bool:
         return solve.equivalent(s1, s2, self.domain)
 
-    def update(self, state, action, constrs, src, dst) -> Formula:
-        return conj(dd.update(self.d, state, action, qe=self.qe()), *constrs)
+    # The image, sat and equivalence memos live on the instance: leaves differ
+    # in their system, QE and domain, and live for one verify call.
+
+    def image(self, state, action, src, dst) -> Formula:
+        # one image per (state, action), however many NFA edges conjoin to it
+        memo = self.__dict__.setdefault("_image_cache", {})
+        hit = memo.get((state, action))
+        if hit is None:
+            hit = memo[(state, action)] = dd.update(self.d, state, action, qe=self.qe())
+        return hit
 
     def equiv(self, s1, s2, control) -> bool:
-        # symmetric and queried repeatedly during pool scans: cache per instance
+        # symmetric and queried repeatedly during pool scans
         memo = self.__dict__.setdefault("_eq_cache", {})
         hit = memo.get((s1, s2))
         if hit is None:
@@ -529,7 +540,11 @@ class _Leaf(Strategy):
         return hit
 
     def sat(self, state, control) -> bool:
-        return solve.is_sat(state, self.domain).sat
+        memo = self.__dict__.setdefault("_sat_cache", {})
+        hit = memo.get(state)
+        if hit is None:
+            hit = memo[state] = solve.is_sat(state, self.domain).sat
+        return hit
 
 
 @dataclass
@@ -613,10 +628,10 @@ class SeqStrategy(_Composed):
     def _side(self, control: str) -> Strategy:
         return self.left if control in self.left_states else self.right
 
-    def update(self, state, action, constrs, src, dst):
+    def image(self, state, action, src, dst):
         if src in self.left_states and dst in self.left_states:
-            return self.left.update(state, action, constrs, src, dst)
-        return self.right.update(state, action, constrs, src, dst)
+            return self.left.image(state, action, src, dst)
+        return self.right.image(state, action, src, dst)
 
     def equiv(self, s1, s2, control) -> bool:
         return self._side(control).equiv(s1, s2, control)
@@ -656,11 +671,10 @@ class VarStrategy(_Composed):
     def initial_state(self):
         return (self.left.initial_state(), self.right.initial_state())
 
-    def update(self, state, action, constrs, src, dst):
-        c1, c2 = self._split(constrs)
+    def image(self, state, action, src, dst):
         return (
-            self.left.update(state[0], action, c1, src, dst),
-            self.right.update(state[1], action, c2, src, dst),
+            self.left.image(state[0], action, src, dst),
+            self.right.image(state[1], action, src, dst),
         )
 
     def conjoin(self, state, constrs):
@@ -784,12 +798,12 @@ def constraint_graph(
     nodes = [CgNode(d.initial, strategy.formula(init), init)]
     pool: dict[str, list[int]] = {d.initial: [0]}
     edges: list[tuple[int, str, int]] = []
-    queue = [0]
+    queue = deque([0])
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         node = nodes[i]
         for (a, dst) in d.outgoing(node.state):
-            ns = strategy.update(node.sstate, a, (), node.state, dst)
+            ns = strategy.image(node.sstate, a, node.state, dst)
             if not strategy.sat(ns, dst):
                 continue
             j = None

@@ -5,7 +5,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from damc import product, solve
 from damc.cli import main
+from damc.solve import BudgetExceeded, UnsupportedInteger
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SCHEMA = json.loads(
@@ -183,3 +185,80 @@ def test_seq_split_with_var_split_part_is_inconclusive(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "summary", str(p), "--prop", "F (y > 2)")
     assert code == 2
     assert "seq-compose" not in out
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_integer_search_failure_in_nfa_pruning_is_inconclusive(capsys, monkeypatch):
+    # MC detection on b1 solves nothing, so the first is_sat call is the
+    # pruning pass of build_nfa
+    exc = UnsupportedInteger("integer search space too large")
+    monkeypatch.setattr(solve, "is_sat", _raise(exc))
+    code, out, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", "F (y > 5)")
+    assert code == 2
+    assert "inconclusive (integer search space too large)" in out
+    assert "Traceback" not in out + err
+
+
+def test_dnf_budget_in_nfa_pruning_is_inconclusive(capsys, monkeypatch):
+    # `!=` splits into two cubes, one more than this budget allows
+    monkeypatch.setattr(solve, "_DNF_CUBE_LIMIT", 1)
+    code, out, _ = run_cli(
+        capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", "F (x != 1 & y != 2)", "--json"
+    )
+    assert code == 2
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["verdict"] == "inconclusive"
+    assert doc["reason"] == "DNF blow-up"
+    assert doc["strategy"] == "MC"
+
+
+@pytest.mark.parametrize(
+    "exc", [BudgetExceeded("DNF blow-up"), UnsupportedInteger("integer search space too large")]
+)
+def test_solver_failure_in_witness_extraction_is_inconclusive(capsys, monkeypatch, exc):
+    # the product is built with the real solver; extraction then fails
+    build = product.build_product
+
+    def build_then_fail(*args, **kwargs):
+        prod = build(*args, **kwargs)
+        monkeypatch.setattr(solve, "is_sat", _raise(exc))
+        return prod
+
+    monkeypatch.setattr(product, "build_product", build_then_fail)
+    code, out, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", "F (y > 5)")
+    assert code == 2
+    assert "sizes: nfa 3/4 product 9/12" in out
+    assert f"inconclusive ({exc})" in out
+    assert "Traceback" not in out + err
+
+
+def test_constraint_graph_budget_under_dot_cg_is_inconclusive(capsys, tmp_path):
+    # y > 5 fails at once, so the product stays at one node, but b1's
+    # constraint graph needs more than two
+    cg = tmp_path / "cg.dot"
+    args = ("verify", str(MODELS / "b1.ddsa"), "--prop", "y > 5", "--max-nodes", "2")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1
+    code, out, err = run_cli(capsys, *args, "--dot-cg", str(cg))
+    assert code == 2
+    assert "inconclusive (--dot-cg: constraint graph exceeded 2 nodes" in out
+    assert "Traceback" not in out + err
+    assert not cg.exists()
+
+
+def test_deeply_nested_property_is_a_parse_error(capsys):
+    deep = "(" * 3000 + "x > 0" + ")" * 3000
+    code, out, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", deep)
+    assert code == 3
+    assert "error: nested more than 100 levels deep" in err
+    assert "Traceback" not in out + err
+    # the deepest accepted nesting still gets a verdict
+    ok = "(" * 100 + "x > 0" + ")" * 100
+    assert run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", ok)[0] == 1

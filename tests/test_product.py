@@ -1,8 +1,12 @@
+import json
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from damc import ltlf as lt, oracle, parsing
+from damc import ddsa as dd, ltlf as lt, oracle, parsing, solve, summary
+from damc.cli import _verdict_json
 from damc.ddsa import Ddsa, validate_run
 from damc.formula import RAT, VarId, atom, conj, evaluate
 from damc.product import (
@@ -367,3 +371,47 @@ def test_product_nodes_satisfy_history_spotcheck(b1):
         cseq = [lt.constr_of(e.symbol) for e in edges]
         h = history_constraint(b1, actions, cseq)
         assert equivalent(prod.nodes[i].formula, h, RAT)
+
+
+AUCTION_GOLDEN = json.loads((Path(__file__).parent / "golden/auction_verdicts.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(AUCTION_GOLDEN))
+def test_auction_verdict_json_golden(auction, name):
+    # verdict, strategy, sizes, word and run of the paper's five properties
+    case = AUCTION_GOLDEN[name]
+    psi = parsing.parse_property(case["property"], auction)
+    assert _verdict_json(verify(auction, psi)) == case["verdict"]
+
+
+def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
+    # the product images each (node, action) once and the leaves memoise
+    # their images and sat answers, so no input reaches the solver twice
+    update, is_sat, leaf_sat = dd.update, solve.is_sat, summary._Leaf.sat
+    images: Counter = Counter()
+    solved: Counter = Counter()
+    leaves: list = []
+
+    def counting_update(d, phi, action, **kwargs):
+        images[(id(d), phi, action)] += 1
+        return update(d, phi, action, **kwargs)
+
+    def counting_is_sat(phi, dom):
+        if leaves:
+            solved[(id(leaves[-1].d), phi)] += 1
+        return is_sat(phi, dom)
+
+    def tracked_leaf_sat(self, state, control):
+        leaves.append(self)
+        try:
+            return leaf_sat(self, state, control)
+        finally:
+            leaves.pop()
+
+    monkeypatch.setattr(dd, "update", counting_update)
+    monkeypatch.setattr(solve, "is_sat", counting_is_sat)
+    monkeypatch.setattr(summary._Leaf, "sat", tracked_leaf_sat)
+    psi = parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", auction)
+    assert verify(auction, psi).kind == "witness"
+    assert len(images) == 78 and set(images.values()) == {1}
+    assert solved and set(solved.values()) == {1}
