@@ -61,6 +61,8 @@ class Ddsa:
         for (s, a, d) in self.transitions:
             self._out.setdefault(s, []).append((a, d))
         self._delta_cache: dict[str, Formula] = {}
+        # computation-graph edge templates per action (summary.computation_graph)
+        self._pairs_cache: dict[str, tuple] = {}
 
     def target(self, state: str, action: str) -> Optional[str]:
         return self._tmap.get((state, action))

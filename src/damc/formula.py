@@ -35,6 +35,35 @@ WRITE = "w"
 INDEXED = "ix"
 
 
+def _hash_once(cls):
+    """Store each object's structural hash on it the first time it is asked
+    for (the hash half of Filliatre & Conchon's hash-consing).
+
+    The value is the dataclass hash of the field tuple, so set and dict
+    orders do not change.  It is not a field, so equality and `repr` ignore
+    it; pickling drops it, because `str` hashes differ between
+    interpreters."""
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True, order=True)
 class VarId:
     name: str
@@ -90,6 +119,7 @@ def _merge(coeffs: Iterable[tuple[VarId, Fraction]]) -> tuple[tuple[VarId, Fract
     return tuple(sorted((v, c) for v, c in acc.items() if c != 0))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Term:
     """A linear expression in coefficient-map form: sum of c*v plus a constant.
@@ -184,6 +214,7 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 _NEG = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Atom(Formula):
     """lhs op rhs, kept as written; solving uses the normalized view."""
@@ -204,6 +235,7 @@ def atom(lhs, op: str, rhs) -> Atom:
     return Atom(Term.of(lhs), op, Term.of(rhs))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And(Formula):
     args: tuple[Formula, ...]
@@ -212,6 +244,7 @@ class And(Formula):
         return fmt_formula(self)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or(Formula):
     args: tuple[Formula, ...]
@@ -220,6 +253,7 @@ class Or(Formula):
         return fmt_formula(self)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Not(Formula):
     arg: Formula
@@ -228,6 +262,7 @@ class Not(Formula):
         return fmt_formula(self)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Exists(Formula):
     bound: tuple[VarId, ...]
@@ -294,6 +329,7 @@ def exists(bound: Iterable[VarId], body: Formula) -> Formula:
 # Normalized atoms
 
 
+@_hash_once
 @dataclass(frozen=True)
 class NormAtom:
     """Canonical form `sum(coeffs) op const` with op in {=, !=, <=, <}.

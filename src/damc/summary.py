@@ -21,13 +21,16 @@ from .formula import (
     RAT,
     Atom,
     Formula,
+    MissingVariable,
+    QuantifiedInput,
     VarId,
     atoms_of,
     conj,
+    evaluate,
     free_vars,
     norm_atom,
 )
-from .solve import BudgetExceeded, ConstraintClass
+from .solve import BudgetExceeded, ConstraintClass, SatResult
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +146,45 @@ class ComputationGraph:
         return roots, edges
 
 
-def _atom_instance_pairs(a: Atom, inst: dict[VarId, GNode]):
-    na = norm_atom(a)
-    present = [inst[v] for v, _ in na.coeffs if v in inst]
-    if len(present) < 2:
-        return [], False
-    is_eq = (
-        na.op == "="
-        and len(na.coeffs) == 2
-        and na.const == 0
-        and {c for _, c in na.coeffs} == {Fraction(1), Fraction(-1)}
-    )
-    pairs = [
-        frozenset({present[i], present[j]})
-        for i in range(len(present))
-        for j in range(i + 1, len(present))
-        if present[i] != present[j]
-    ]
-    return pairs, is_eq
+def _pair_templates(atoms, inst: dict[VarId, GNode]):
+    """Equality and general instance pairs of the atoms; the instants in
+    `inst` are offsets from the step the pairs are placed at."""
+    eq: list[tuple[GNode, GNode]] = []
+    gen: list[tuple[GNode, GNode]] = []
+    for at in atoms:
+        na = norm_atom(at)
+        present = [inst[v] for v, _ in na.coeffs if v in inst]
+        is_eq = (
+            na.op == "="
+            and len(na.coeffs) == 2
+            and na.const == 0
+            and {c for _, c in na.coeffs} == {Fraction(1), Fraction(-1)}
+        )
+        (eq if is_eq else gen).extend(
+            (p, q) for i, p in enumerate(present) for q in present[i + 1 :] if p != q
+        )
+    return eq, gen
+
+
+def _action_templates(d: Ddsa, action: str):
+    """Pair templates of the action's transition formula, reads at offset 0
+    and writes at 1; normalised once per system and action."""
+    hit = d._pairs_cache.get(action)
+    if hit is None:
+        inst = {}
+        for v in d.variables:
+            inst[v.read()] = (v.name, 0)
+            inst[v.write()] = (v.name, 1)
+        hit = _pair_templates(atoms_of(dd.transition_formula(d, action)), inst)
+        d._pairs_cache[action] = hit
+    return hit
+
+
+def _add_shifted(g: ComputationGraph, templates, step: int) -> None:
+    for edges, pairs in zip((g.eq_edges, g.gen_edges), templates):
+        edges.update(
+            frozenset({(n1, o1 + step), (n2, o2 + step)}) for (n1, o1), (n2, o2) in pairs
+        )
 
 
 def computation_graph(
@@ -170,23 +194,14 @@ def computation_graph(
     constraints by inserting every constraint at every instant."""
     dd.symbolic_states(d, actions)
     n = len(actions)
-    names = [v.name for v in d.variables]
-    g = ComputationGraph(n, names)
-    for k, a in enumerate(actions, start=1):
-        delta = dd.transition_formula(d, a)
-        inst = {}
-        for v in d.variables:
-            inst[v.read()] = (v.name, k - 1)
-            inst[v.write()] = (v.name, k)
-        for at in atoms_of(delta):
-            pairs, is_eq = _atom_instance_pairs(at, inst)
-            (g.eq_edges if is_eq else g.gen_edges).update(pairs)
+    g = ComputationGraph(n, [v.name for v in d.variables])
+    for k, a in enumerate(actions):
+        _add_shifted(g, _action_templates(d, a), k)
+    templates = _pair_templates(
+        (at for c in constraints for at in atoms_of(c)), {v: (v.name, 0) for v in d.variables}
+    )
     for k in range(n + 1):
-        inst_c = {v: (v.name, k) for v in d.variables}
-        for c in constraints:
-            for at in atoms_of(c):
-                pairs, is_eq = _atom_instance_pairs(at, inst_c)
-                (g.eq_edges if is_eq else g.gen_edges).update(pairs)
+        _add_shifted(g, templates, k)
     return g
 
 
@@ -507,7 +522,8 @@ class Strategy:
 class _Leaf(Strategy):
     """The one update procedure of the leaf criteria: rational QE and
     logical equivalence.  Each criterion overrides only the QE function,
-    the equivalence and the domain it solves in."""
+    the equivalence, the formula the equivalence compares and the domain it
+    solves in."""
 
     d: Ddsa
     domain = RAT
@@ -517,6 +533,10 @@ class _Leaf(Strategy):
 
     def equivalent(self, s1: Formula, s2: Formula) -> bool:
         return solve.equivalent(s1, s2, self.domain)
+
+    def compared(self, state: Formula) -> Formula:
+        """The formula whose models the equivalence compares."""
+        return state
 
     # The image, sat and equivalence memos live on the instance: leaves differ
     # in their system, QE and domain, and live for one verify call.
@@ -536,15 +556,38 @@ class _Leaf(Strategy):
         if hit is None:
             hit = memo.get((s2, s1))
         if hit is None:
-            hit = memo[(s1, s2)] = self.equivalent(s1, s2)
+            hit = memo[(s1, s2)] = not self._refuted(s1, s2) and self.equivalent(s1, s2)
         return hit
+
+    def _refuted(self, s1: Formula, s2: Formula) -> bool:
+        """Whether a stored model of one side satisfies its compared formula
+        and falsifies the other's.  That model is a witness of exactly what
+        the solver checks first, so a refutation is the solver's answer."""
+        solved = self.__dict__.get("_sat_cache", {})
+        for a, b in ((s1, s2), (s2, s1)):
+            res = solved.get(a)
+            if res is None or res.model is None:
+                continue
+            try:
+                if evaluate(self.compared(a), res.model) and not evaluate(
+                    self.compared(b), res.model
+                ):
+                    return True
+            except (QuantifiedInput, MissingVariable):
+                pass  # a quantified state, or one beyond the model: ask the solver
+        return False
 
     def sat(self, state, control) -> bool:
         memo = self.__dict__.setdefault("_sat_cache", {})
         hit = memo.get(state)
         if hit is None:
-            hit = memo[state] = solve.is_sat(state, self.domain).sat
-        return hit
+            hit = solve.is_sat(state, self.domain)
+            if hit.model is not None:
+                # a model of one cube leaves the other variables free
+                zeros = {v: Fraction(0) for v in self.d.variables}
+                hit = SatResult(True, {**zeros, **hit.model})
+            memo[state] = hit
+        return hit.sat
 
 
 @dataclass
@@ -570,6 +613,13 @@ class GcStrategy(_Leaf):
 
     def equivalent(self, s1: Formula, s2: Formula) -> bool:
         return solve.gc_equivalent(s1, s2, self.K)
+
+    def compared(self, state: Formula) -> Formula:
+        memo = self.__dict__.setdefault("_cutoff_cache", {})
+        hit = memo.get(state)
+        if hit is None:
+            hit = memo[state] = solve.cutoff(state, self.K)
+        return hit
 
 
 @dataclass
@@ -814,8 +864,8 @@ def constraint_graph(
             if j is None:
                 if len(nodes) >= max_nodes:
                     raise BudgetExceeded(
-                        f"constraint graph exceeded {max_nodes} nodes; "
-                        "the strategy's equivalence did not converge"
+                        f"constraint graph exceeded {max_nodes} nodes: "
+                        "the node budget (--max-nodes) was reached"
                     )
                 j = len(nodes)
                 nodes.append(CgNode(dst, strategy.formula(ns), ns))

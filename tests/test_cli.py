@@ -253,6 +253,19 @@ def test_constraint_graph_budget_under_dot_cg_is_inconclusive(capsys, tmp_path):
     assert not cg.exists()
 
 
+def test_constraint_graph_budget_message_names_the_node_budget(capsys, tmp_path):
+    # b1's constraint graph converges at 4 nodes, so a budget of 2 is just
+    # small: the message must not blame the strategy's equivalence
+    cg = tmp_path / "cg.dot"
+    args = ("verify", str(MODELS / "b1.ddsa"), "--prop", "y > 5", "--dot-cg", str(cg))
+    code, out, _ = run_cli(capsys, *args, "--max-nodes", "2")
+    assert code == 2
+    assert "the node budget (--max-nodes) was reached" in out
+    assert "did not converge" not in out
+    assert run_cli(capsys, *args, "--max-nodes", "4")[0] == 1
+    assert "n3 [label=" in cg.read_text()
+
+
 def test_deeply_nested_property_is_a_parse_error(capsys):
     deep = "(" * 3000 + "x > 0" + ")" * 3000
     code, out, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", deep)

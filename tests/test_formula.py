@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -154,3 +156,50 @@ def test_substitute_matches_composed_assignment(f, cx, cy, alpha):
     m = {x: Term.of(F(cx)), y: Term.of(F(cy))}
     composed = {x: F(cx), y: F(cy)}
     assert evaluate(substitute(f, m), alpha) == evaluate(f, composed)
+
+
+# ---------------------------------------------------------------------------
+# hashes are computed once per object
+
+
+def _ir_samples():
+    t = Term.make([(x, F(1)), (y, F(-2))], F(3, 2))
+    a = Atom(t, "<=", Term.of(z))
+    return [
+        x,
+        VarId("x", "ix", 4),
+        t,
+        a,
+        conj(a, atom(y, ">", 0)),
+        disj(a, atom(y, ">", 0)),
+        neg(a),
+        Exists((z,), a),
+        norm_atom(a),
+    ]
+
+
+def _field_tuple(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+def _rebuilt(obj):
+    return type(obj)(*_field_tuple(obj))
+
+
+@pytest.mark.parametrize("obj", _ir_samples(), ids=lambda o: type(o).__name__)
+def test_hash_is_the_field_tuple_hash_stored_once(obj):
+    assert hash(obj) == hash(_field_tuple(obj))
+    assert obj.__dict__["_hash"] == hash(obj)
+    fresh = _rebuilt(obj)
+    assert "_hash" not in fresh.__dict__
+    # equality and repr ignore the stored value
+    assert fresh == obj and repr(fresh) == repr(obj)
+    assert {obj: 1}[fresh] == 1
+
+
+@pytest.mark.parametrize("obj", _ir_samples(), ids=lambda o: type(o).__name__)
+def test_pickle_drops_the_stored_hash(obj):
+    hash(obj)
+    back = pickle.loads(pickle.dumps(obj))
+    assert "_hash" not in back.__dict__
+    assert back == obj and hash(back) == hash(obj)

@@ -415,3 +415,34 @@ def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
     assert verify(auction, psi).kind == "witness"
     assert len(images) == 78 and set(images.values()) == {1}
     assert solved and set(solved.values()) == {1}
+
+
+DISJUNCTION_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden/disjunction_verdicts.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(DISJUNCTION_GOLDEN))
+def test_disjunction_verdict_json_golden(b1, name):
+    # width-1 to width-3 disjunctions on b1, where pool scans are the cost
+    case = DISJUNCTION_GOLDEN[name]
+    psi = parsing.parse_property(case["property"], b1)
+    assert _verdict_json(verify(b1, psi)) == case["verdict"]
+
+
+def test_width3_disjunction_refutes_with_stored_models(b1, monkeypatch):
+    # 1091 of this query's 1285 equivalence checks answer "no"; in 1003 of
+    # them a stored sat model of one side falsifies the other, so only 282
+    # reach the solver, and the product keeps its 41 nodes and 438 edges
+    equivalent = solve.equivalent
+    calls: list = []
+
+    def counting_equivalent(phi, psi, dom):
+        calls.append((phi, psi))
+        return equivalent(phi, psi, dom)
+
+    monkeypatch.setattr(solve, "equivalent", counting_equivalent)
+    psi = parsing.parse_property("F (x>4 & y<4 | x>0 & y<0 | x>1 & y<1)", b1)
+    v = verify(b1, psi)
+    assert (v.kind, v.stats.product_nodes, v.stats.product_edges) == ("witness", 41, 438)
+    assert len(calls) == 282

@@ -1,12 +1,26 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from damc import solve
+from damc import ddsa as dd, solve
 from damc.ddsa import Ddsa, history_constraint
-from damc.formula import INT, RAT, Term, VarId, atom, conj
+from damc.formula import (
+    INT,
+    RAT,
+    Term,
+    VarId,
+    atom,
+    atoms_of,
+    conj,
+    disj,
+    evaluate,
+    norm_atom,
+)
 from damc.solve import BudgetExceeded, equivalent
 from damc.summary import (
+    ComputationGraph,
     DetectOptions,
     GcStrategy,
     LookbackStrategy,
@@ -28,7 +42,7 @@ from damc.summary import (
     var_decompose,
 )
 
-from conftest import with_domain
+from conftest import MODELS, load_model, with_domain
 
 x, y, s = VarId("x"), VarId("y"), VarId("s")
 CG_CONSTRAINTS = [atom(x, ">", 5), atom(s, ">", 0)]  # shared example set
@@ -352,3 +366,133 @@ def test_constraint_graph_nodes_match_history_constraints(b1, b3):
 def test_detect_stability_probe_values(b4):
     assert max_collapsed_path(b4, CG_CONSTRAINTS, 2, 100_000) == 2
     assert max_collapsed_path(b4, CG_CONSTRAINTS, 3, 100_000) == 2
+
+
+# ---------------------------------------------------------------------------
+# Equivalence refuted by stored sat models
+
+
+def _no_solver(*args):
+    raise AssertionError("the solver was asked")
+
+
+def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
+    # the states differ only above K, so they are cutoff-equivalent although
+    # the stored model of the first falsifies the second
+    gc = GcStrategy(b1_int, 3)
+    a, b = atom(Term.of(x) - y, ">=", 5), atom(Term.of(x) - y, ">=", 7)
+    assert gc.sat(a, "1") and gc.sat(b, "1")
+    assert not evaluate(b, gc._sat_cache[a].model)
+    assert gc.equiv(a, b, "1") and gc.equiv(b, a, "1")
+    # below K a stored model refutes without the solver
+    c = atom(Term.of(x) - y, ">=", 1)
+    assert gc.sat(c, "1")
+    monkeypatch.setattr(solve, "gc_equivalent", _no_solver)
+    assert not gc.equiv(c, a, "1")
+
+
+def test_mc_stored_model_refutes_without_the_solver(b1, monkeypatch):
+    mc = McStrategy(b1)
+    a, b = atom(x, ">=", 0), atom(x, ">", 0)
+    assert mc.sat(a, "1") and mc.sat(b, "1")
+    monkeypatch.setattr(solve, "equivalent", _no_solver)
+    assert not mc.equiv(a, b, "1")
+    # x > -1 was never solved, and b's model (x = 1) satisfies it
+    with pytest.raises(AssertionError, match="the solver was asked"):
+        mc.equiv(atom(x, ">", -1), b, "1")
+
+
+GC_SHAPES = (
+    lambda k: atom(Term.of(x) - y, ">=", k),
+    lambda k: atom(Term.of(y) - x, ">=", k),
+    lambda k: atom(x, ">=", k),
+    lambda k: atom(y, "<=", k),
+    lambda k: atom(x, "!=", k),
+    lambda k: atom(x, "=", y),
+)
+MC_SHAPES = (
+    lambda c: atom(x, "<", c),
+    lambda c: atom(y, ">=", c),
+    lambda c: atom(x, "=", c),
+    lambda c: atom(y, "!=", c),
+    lambda c: atom(x, "<=", y),
+    lambda c: atom(x, "!=", y),
+)
+
+
+@st.composite
+def state_pairs(draw, shapes, constants):
+    """Two states of one shape whose constants differ here and there, so
+    that equivalent pairs, refuted pairs and pairs only the solver tells
+    apart all occur."""
+    spec = st.tuples(
+        st.sampled_from(shapes), constants, st.one_of(st.none(), constants)
+    )
+    cubes = draw(st.lists(st.lists(spec, min_size=1, max_size=3), min_size=1, max_size=2))
+    s1 = disj(*(conj(*(f(c) for f, c, _ in cube)) for cube in cubes))
+    s2 = disj(*(conj(*(f(c if d is None else d) for f, c, d in cube)) for cube in cubes))
+    return s1, s2
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_pairs(MC_SHAPES, st.sampled_from([F(-1), F(0), F(1, 2), F(2)])))
+def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
+    mc = McStrategy(b1)
+    for s in pair:
+        mc.sat(s, "1")
+    assert mc.equiv(*pair, "1") == equivalent(*pair, RAT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_pairs(GC_SHAPES, st.integers(0, 6)), st.integers(1, 5))
+def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
+    gc = GcStrategy(b1_int, K)
+    for s in pair:
+        gc.sat(s, "1")
+    assert gc.equiv(*pair, "1") == solve.gc_equivalent(*pair, K)
+
+
+# ---------------------------------------------------------------------------
+# Computation graphs against the per-step construction
+
+
+def _per_step_graph(d, actions, constraints):
+    """Reference: normalise every atom again at every step."""
+    g = ComputationGraph(len(actions), [v.name for v in d.variables])
+
+    def add(atoms, inst):
+        for at in atoms:
+            na = norm_atom(at)
+            present = [inst[v] for v, _ in na.coeffs if v in inst]
+            is_eq = (
+                na.op == "="
+                and len(na.coeffs) == 2
+                and na.const == 0
+                and {c for _, c in na.coeffs} == {1, -1}
+            )
+            for i, p in enumerate(present):
+                for q in present[i + 1 :]:
+                    if p != q:
+                        (g.eq_edges if is_eq else g.gen_edges).add(frozenset({p, q}))
+
+    for k, a in enumerate(actions, start=1):
+        inst = {v.read(): (v.name, k - 1) for v in d.variables}
+        inst.update({v.write(): (v.name, k) for v in d.variables})
+        add(atoms_of(dd.transition_formula(d, a)), inst)
+    for k in range(len(actions) + 1):
+        add([at for c in constraints for at in atoms_of(c)], {v: (v.name, k) for v in d.variables})
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.ddsa")))
+def test_computation_graph_matches_per_step_reference(name):
+    d = load_model(name)
+    v0, v1 = d.variables[0], d.variables[-1]
+    # an equality edge, a general edge and a single-variable atom
+    constraints = [atom(v0, "=", v1), atom(Term.of(v0) + v1, ">", 5), atom(v0, ">", 0)]
+    runs = list(enumerate_symbolic_runs(d, 2))
+    assert len(runs) >= 5
+    for actions in runs:
+        g = computation_graph(d, actions, constraints)
+        ref = _per_step_graph(d, actions, constraints)
+        assert (g.eq_edges, g.gen_edges) == (ref.eq_edges, ref.gen_edges), actions
