@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,42 +24,23 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
-@dataclass
-class RunConfig:
-    model_path: str
-    prop: Optional[str] = None
-    domain: Optional[str] = None
-    json_output: bool = False
-    max_nodes: int = 10_000
-    unroll: int = 2
-    dot_cg: Optional[str] = None
-    dot_nfa: Optional[str] = None
-    dot_product: Optional[str] = None
-    max_len: int = 5
-    grid_max: int = 8
-
-    def __post_init__(self):
-        if self.max_nodes < 1 or self.unroll < 1:
-            raise ValueError("max-nodes and unroll must be at least 1")
-
-
 def _color(text: str, code: str) -> str:
     if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return text
     return f"\033[{code}m{text}\033[0m"
 
 
-def _load_model(cfg: RunConfig) -> Ddsa:
-    text = Path(cfg.model_path).read_text()
+def _load_model(ns: argparse.Namespace) -> Ddsa:
+    text = Path(ns.model).read_text()
     d = parsing.parse_model(text)
-    if cfg.domain:
-        d = replace(d, domain=INT if cfg.domain == "int" else RAT)
+    if ns.domain:
+        d = replace(d, domain=INT if ns.domain == "int" else RAT)
     return d
 
 
-def _load_property(cfg: RunConfig, d: Ddsa) -> lt.Ltlf:
-    assert cfg.prop is not None
-    text = cfg.prop
+def _load_property(ns: argparse.Namespace, d: Ddsa) -> lt.Ltlf:
+    assert ns.prop is not None
+    text = ns.prop
     if os.path.exists(text):
         text = Path(text).read_text().strip()
     return parsing.parse_property(text, d)
@@ -130,30 +111,30 @@ def _print_text_verdict(v: product.Verdict) -> None:
         print(_color(f"verdict: inconclusive ({v.reason})", "33"))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    d = _load_model(cfg)
-    psi = _load_property(cfg, d)
+def cmd_verify(ns: argparse.Namespace) -> int:
+    d = _load_model(ns)
+    psi = _load_property(ns, d)
     verdict = product.verify(
         d,
         psi,
         product.VerifyOptions(
-            max_nodes=cfg.max_nodes,
-            unroll=cfg.unroll,
-            keep_artifacts=bool(cfg.dot_cg or cfg.dot_nfa or cfg.dot_product),
+            max_nodes=ns.max_nodes,
+            unroll=ns.unroll,
+            keep_artifacts=bool(ns.dot_cg or ns.dot_nfa or ns.dot_product),
         ),
     )
-    if cfg.dot_nfa and verdict.nfa is not None:
-        Path(cfg.dot_nfa).write_text(dot.nfa_dot(verdict.nfa))
-    if cfg.dot_product and verdict.product is not None:
-        Path(cfg.dot_product).write_text(dot.product_dot(verdict.product))
-    if cfg.dot_cg and verdict.strategy is not None:
+    if ns.dot_nfa and verdict.nfa is not None:
+        Path(ns.dot_nfa).write_text(dot.nfa_dot(verdict.nfa))
+    if ns.dot_product and verdict.product is not None:
+        Path(ns.dot_product).write_text(dot.product_dot(verdict.product))
+    if ns.dot_cg and verdict.strategy is not None:
         try:
-            g = summary.constraint_graph(d, verdict.strategy, cfg.max_nodes)
+            g = summary.constraint_graph(d, verdict.strategy, ns.max_nodes)
         except (BudgetExceeded, UnsupportedInteger) as e:
             verdict = product.Verdict("inconclusive", verdict.stats, reason=f"--dot-cg: {e}")
         else:
-            Path(cfg.dot_cg).write_text(dot.constraint_graph_dot(g))
-    if cfg.json_output:
+            Path(ns.dot_cg).write_text(dot.constraint_graph_dot(g))
+    if ns.json_output:
         print(json.dumps(_verdict_json(verdict), indent=2))
     else:
         _print_text_verdict(verdict)
@@ -164,41 +145,41 @@ def cmd_verify(cfg: RunConfig) -> int:
     }[verdict.kind]
 
 
-def cmd_summary(cfg: RunConfig) -> int:
-    d = _load_model(cfg)
+def cmd_summary(ns: argparse.Namespace) -> int:
+    d = _load_model(ns)
     constraints = []
-    if cfg.prop:
-        psi = _load_property(cfg, d)
+    if ns.prop:
+        psi = _load_property(ns, d)
         constraints = lt.constraints_of(lt.preprocess(psi))
     try:
         strat = summary.detect(
-            d, constraints, summary.DetectOptions(unroll_ff=cfg.unroll)
+            d, constraints, summary.DetectOptions(unroll_ff=ns.unroll)
         )
     except summary.NoSummaryFound as e:
-        if cfg.json_output:
+        if ns.json_output:
             print(json.dumps({"summary": None, "reason": str(e)}))
         else:
             print(f"no finite summary detected: {e}")
         return EXIT_INCONCLUSIVE
     note = strat.verified_note()
-    if cfg.json_output:
+    if ns.json_output:
         print(json.dumps({"summary": strat.describe(), "note": note}))
     else:
         print(f"summary: {strat.describe()}" + (f" ({note})" if note else ""))
     return EXIT_WITNESS
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    d = _load_model(cfg)
-    psi = _load_property(cfg, d)
+def cmd_oracle(ns: argparse.Namespace) -> int:
+    d = _load_model(ns)
+    psi = _load_property(ns, d)
     pre = lt.preprocess(psi)
-    grid = oracle.default_grid(d, lt.constraints_of(pre), 0, cfg.grid_max)
-    run = oracle.brute_force_witness(d, psi, cfg.max_len, grid)
+    grid = oracle.default_grid(d, lt.constraints_of(pre), 0, ns.grid_max)
+    run = oracle.brute_force_witness(d, psi, ns.max_len, grid)
     if run is None:
-        msg = f"no witness of length <= {cfg.max_len} on the grid"
-        print(json.dumps({"verdict": "none", "detail": msg}) if cfg.json_output else msg)
+        msg = f"no witness of length <= {ns.max_len} on the grid"
+        print(json.dumps({"verdict": "none", "detail": msg}) if ns.json_output else msg)
         return EXIT_NO_WITNESS
-    if cfg.json_output:
+    if ns.json_output:
         print(
             json.dumps(
                 {
@@ -220,6 +201,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_WITNESS
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="damc",
@@ -235,17 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--domain", choices=["int", "rat"], help="override the model domain")
         p.add_argument("--json", action="store_true", dest="json_output")
-        p.add_argument("--max-nodes", type=int, default=10_000)
-        p.add_argument("--unroll", type=int, default=2)
 
     pv = sub.add_parser("verify", help="decide witness existence")
     common(pv, needs_prop=True)
+    pv.add_argument("--max-nodes", type=positive_int, default=10_000)
+    pv.add_argument("--unroll", type=positive_int, default=2)
     pv.add_argument("--dot-cg", help="write the constraint graph as DOT")
     pv.add_argument("--dot-nfa", help="write the property automaton as DOT")
     pv.add_argument("--dot-product", help="write the product automaton as DOT")
 
     ps = sub.add_parser("summary", help="finite-summary detection only")
     common(ps, needs_prop=False)
+    ps.add_argument("--unroll", type=positive_int, default=2)
 
     po = sub.add_parser("oracle", help="brute-force search on a value grid")
     common(po, needs_prop=True)
@@ -262,24 +251,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        cfg = RunConfig(
-            model_path=ns.model,
-            prop=getattr(ns, "prop", None),
-            domain=ns.domain,
-            json_output=ns.json_output,
-            max_nodes=ns.max_nodes,
-            unroll=ns.unroll,
-            dot_cg=getattr(ns, "dot_cg", None),
-            dot_nfa=getattr(ns, "dot_nfa", None),
-            dot_product=getattr(ns, "dot_product", None),
-            max_len=getattr(ns, "max_len", 5),
-            grid_max=getattr(ns, "grid_max", 8),
-        )
         if ns.command == "verify":
-            return cmd_verify(cfg)
+            return cmd_verify(ns)
         if ns.command == "summary":
-            return cmd_summary(cfg)
-        return cmd_oracle(cfg)
+            return cmd_summary(ns)
+        return cmd_oracle(ns)
     except (parsing.ParseError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

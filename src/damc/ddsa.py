@@ -114,9 +114,6 @@ class Run:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def states(self) -> list[str]:
-        return [c.state for c in self.configs]
-
 
 SymbolicRun = tuple[str, ...]  # action labels; states follow from T
 

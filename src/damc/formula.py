@@ -1,4 +1,5 @@
-"""Linear-arithmetic terms, atoms, formulas, and variable assignments.
+"""Linear-arithmetic terms, atoms, quantifier-free formulas, and variable
+assignments.
 
 All coefficients and constants are exact rationals (`fractions.Fraction`);
 floats are rejected at construction time.  Every value here is immutable
@@ -17,10 +18,6 @@ class FormulaError(Exception):
 
 class MissingVariable(FormulaError):
     """An assignment is not total on the formula's free variables."""
-
-
-class QuantifiedInput(FormulaError):
-    """A quantifier appeared where only quantifier-free input is allowed."""
 
 
 class MixedAtom(FormulaError):
@@ -78,9 +75,6 @@ class VarId:
         if self.kind == INDEXED:
             return f"{self.name}#{self.idx}"
         return self.name
-
-    def plain(self) -> "VarId":
-        return VarId(self.name)
 
     def read(self) -> "VarId":
         return VarId(self.name, READ)
@@ -182,10 +176,6 @@ class Term:
         return fmt_term(self)
 
 
-def term(x) -> Term:
-    return Term.of(x)
-
-
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -262,16 +252,6 @@ class Not(Formula):
         return fmt_formula(self)
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Exists(Formula):
-    bound: tuple[VarId, ...]
-    body: Formula
-
-    def __str__(self) -> str:
-        return fmt_formula(self)
-
-
 def conj(*parts: Formula) -> Formula:
     flat: list[Formula] = []
     for p in parts:
@@ -316,13 +296,6 @@ def neg(p: Formula) -> Formula:
     if isinstance(p, Not):
         return p.arg
     return Not(p)
-
-
-def exists(bound: Iterable[VarId], body: Formula) -> Formula:
-    bs = tuple(bound)
-    if not bs:
-        return body
-    return Exists(bs, body)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +398,7 @@ def _norm_atom(a: Atom) -> NormAtom:
 
 
 def evaluate(phi: Formula, alpha: Mapping[VarId, Fraction]) -> bool:
-    """Standard boolean/arithmetic semantics; quantifier-free input only."""
+    """Standard boolean/arithmetic semantics."""
     if isinstance(phi, TrueF):
         return True
     if isinstance(phi, FalseF):
@@ -438,8 +411,6 @@ def evaluate(phi: Formula, alpha: Mapping[VarId, Fraction]) -> bool:
         return any(evaluate(p, alpha) for p in phi.args)
     if isinstance(phi, Not):
         return not evaluate(phi.arg, alpha)
-    if isinstance(phi, Exists):
-        raise QuantifiedInput("evaluate() does not handle quantifiers")
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -455,37 +426,20 @@ def free_vars(phi: Formula) -> set[VarId]:
         return out
     if isinstance(phi, Not):
         return free_vars(phi.arg)
-    if isinstance(phi, Exists):
-        return free_vars(phi.body) - set(phi.bound)
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def max_index(phi: Formula) -> int:
     """Largest numeric index used by any variable in phi (-1 if none)."""
     best = -1
-    for v in _all_vars(phi):
+    for v in free_vars(phi):
         if v.kind == INDEXED:
             best = max(best, v.idx)
     return best
 
 
-def _all_vars(phi: Formula) -> set[VarId]:
-    if isinstance(phi, Exists):
-        return set(phi.bound) | _all_vars(phi.body)
-    if isinstance(phi, (And, Or)):
-        out: set[VarId] = set()
-        for p in phi.args:
-            out |= _all_vars(p)
-        return out
-    if isinstance(phi, Not):
-        return _all_vars(phi.arg)
-    if isinstance(phi, Atom):
-        return phi.lhs.vars() | phi.rhs.vars()
-    return set()
-
-
 def substitute(phi: Formula, mapping: Mapping[VarId, Term]) -> Formula:
-    """Replace free occurrences, renaming binders to avoid capture."""
+    """Replace variables by terms."""
     if isinstance(phi, (TrueF, FalseF)):
         return phi
     if isinstance(phi, Atom):
@@ -496,29 +450,6 @@ def substitute(phi: Formula, mapping: Mapping[VarId, Term]) -> Formula:
         return disj(*(substitute(p, mapping) for p in phi.args))
     if isinstance(phi, Not):
         return neg(substitute(phi.arg, mapping))
-    if isinstance(phi, Exists):
-        live = {v: t for v, t in mapping.items() if v not in phi.bound}
-        if not live:
-            return phi
-        clash = set()
-        for t in live.values():
-            clash |= t.vars()
-        bound = list(phi.bound)
-        body = phi.body
-        fresh_base = max(
-            max_index(phi),
-            max((v.idx for t in live.values() for v in t.vars() if v.kind == INDEXED), default=-1),
-        )
-        renames: dict[VarId, Term] = {}
-        for i, b in enumerate(bound):
-            if b in clash:
-                fresh_base += 1
-                nb = b.indexed(fresh_base) if b.kind != INDEXED else VarId(b.name, INDEXED, fresh_base)
-                renames[b] = Term.of(nb)
-                bound[i] = nb
-        if renames:
-            body = substitute(body, renames)
-        return Exists(tuple(bound), substitute(body, live))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -530,8 +461,6 @@ def atoms_of(phi: Formula) -> Iterator[Atom]:
             yield from atoms_of(p)
     elif isinstance(phi, Not):
         yield from atoms_of(phi.arg)
-    elif isinstance(phi, Exists):
-        yield from atoms_of(phi.body)
 
 
 def restrict(phi: Formula, keep: set[VarId]) -> Formula:
@@ -603,16 +532,11 @@ def fmt_formula(phi: Formula) -> str:
         return " || ".join(_wrap(p, for_and=False) for p in phi.args)
     if isinstance(phi, Not):
         return f"!({fmt_formula(phi.arg)})"
-    if isinstance(phi, Exists):
-        vs = " ".join(str(v) for v in phi.bound)
-        return f"exists {vs}. ({fmt_formula(phi.body)})"
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def _wrap(phi: Formula, for_and: bool) -> str:
     s = fmt_formula(phi)
     if for_and and isinstance(phi, Or):
-        return f"({s})"
-    if isinstance(phi, Exists):
         return f"({s})"
     return s

@@ -192,9 +192,7 @@ def walk(psi: Ltlf) -> Iterator[Ltlf]:
     if isinstance(psi, (LAnd, LOr, Until)):
         yield from walk(psi.left)
         yield from walk(psi.right)
-    elif isinstance(psi, (Next, Eventually, Always)):
-        yield from walk(psi.sub)
-    elif isinstance(psi, ActNext):
+    elif isinstance(psi, (Next, Eventually, Always, ActNext)):
         yield from walk(psi.sub)
 
 
@@ -384,20 +382,6 @@ class Nfa:
     def state_name(self, q: int) -> str:
         s = self.states[q]
         return "q_e" if s == QE_STATE else str(s)
-
-    def accepts(self, word: Sequence[SigmaSymbol]) -> bool:
-        """Does some path with exactly these labels reach a final state?"""
-        frontier = {self.initial}
-        for symbol in word:
-            nxt = set()
-            for q in frontier:
-                for e in self.outgoing(q):
-                    if e.symbol == frozenset(symbol):
-                        nxt.add(e.dst)
-            frontier = nxt
-            if not frontier:
-                return False
-        return bool(frontier & self.finals)
 
     def paths(self, length: int) -> Iterator[list[NfaEdge]]:
         """All accepting edge sequences of the given length."""

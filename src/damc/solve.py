@@ -17,27 +17,23 @@ from math import ceil, floor
 from typing import Mapping, Optional, Sequence, Union
 
 from .formula import (
-    INT,
     RAT,
     And,
     Atom,
     Domain,
-    Exists,
     FalseF,
     Formula,
     FormulaError,
     NormAtom,
     Not,
     Or,
-    QuantifiedInput,
     Term,
     TrueF,
     VarId,
+    atoms_of,
     conj,
     disj,
-    max_index,
     norm_atom,
-    substitute,
 )
 
 
@@ -181,8 +177,6 @@ def _dnf(phi: Formula, positive: bool, expand_ne: bool) -> list[Cube]:
         return [] if positive else [()]
     if isinstance(phi, Not):
         return _dnf(phi.arg, not positive, expand_ne)
-    if isinstance(phi, Exists):
-        raise QuantifiedInput("quantifier in DNF input")
     if isinstance(phi, Atom):
         na = norm_atom(phi)
         if not positive:
@@ -313,56 +307,12 @@ def qe_cube_rational(cube: Cube, xs: set[VarId]) -> Optional[Cube]:
     return cur
 
 
-def _strip_exists(phi: Formula) -> tuple[list[VarId], Formula]:
-    """Pull existential binders to the front, renaming them apart.
-
-    Valid only for positive occurrences; Not over Exists is rejected.
-    """
-    collected: list[VarId] = []
-    counter = [max_index(phi)]
-
-    def walk(p: Formula) -> Formula:
-        if isinstance(p, Exists):
-            ren: dict[VarId, Term] = {}
-            fresh = []
-            for b in p.bound:
-                counter[0] += 1
-                nb = VarId(b.name, "ix", counter[0])
-                ren[b] = Term.of(nb)
-                fresh.append(nb)
-            collected.extend(fresh)
-            return walk(substitute(p.body, ren))
-        if isinstance(p, And):
-            return conj(*(walk(a) for a in p.args))
-        if isinstance(p, Or):
-            return disj(*(walk(a) for a in p.args))
-        if isinstance(p, Not):
-            if _has_exists(p.arg):
-                raise QuantifiedInput("negated quantifier is unsupported")
-            return p
-        return p
-
-    return collected, walk(phi)
-
-
-def _has_exists(phi: Formula) -> bool:
-    if isinstance(phi, Exists):
-        return True
-    if isinstance(phi, (And, Or)):
-        return any(_has_exists(p) for p in phi.args)
-    if isinstance(phi, Not):
-        return _has_exists(phi.arg)
-    return False
-
-
 def qe_rational(xs: Sequence[VarId], phi: Formula) -> Formula:
     """Quantifier-free equivalent of (exists xs. phi) over the rationals."""
-    inner, body = _strip_exists(phi)
-    targets = set(xs) | set(inner)
-    cubes = to_dnf(body)
+    targets = set(xs)
     out: list[Cube] = []
     seen: set[Cube] = set()
-    for cube in cubes:
+    for cube in to_dnf(phi):
         r = qe_cube_rational(cube, targets)
         if r is not None and r not in seen:
             seen.add(r)
@@ -381,7 +331,7 @@ Node = Union[VarId, int]
 Triple = tuple[Node, Node, int]
 
 
-def _gc_of_ineq(vec, const, strict: bool, integer: bool = True) -> Optional[Triple]:
+def _gc_of_ineq(vec, const, strict: bool) -> Optional[Triple]:
     """Normalize `vec <= const` (or <) into difference form p - q >= k."""
     # rewrite as  t' >= c'  with t' = -vec
     nvec = tuple((v, -c) for v, c in vec)
@@ -390,38 +340,28 @@ def _gc_of_ineq(vec, const, strict: bool, integer: bool = True) -> Optional[Trip
         (v, a) = nvec[0]
         c = c / a
         if a > 0:  # v >= c
-            k = _ceil_bound(c, strict, integer)
-            if k is None:
-                return None
+            k = _ceil_bound(c, strict)
             return (v, 0, k) if k >= 0 else (v, k, 0)
         # v <= -c after sign flip: a < 0 -> v <= c where c already divided
-        u = _floor_bound(c, strict, integer)
-        if u is None:
-            return None
+        u = _floor_bound(c, strict)
         return (u, v, 0) if u >= 0 else (0, v, -u)
     if len(nvec) == 2:
         (v1, a1), (v2, a2) = nvec
         if a1 == -a2 and abs(a1) == 1:
             x, y = (v1, v2) if a1 > 0 else (v2, v1)
-            k = _ceil_bound(c, strict, integer)
-            if k is None:
-                return None
-            return (x, y, k)
+            return (x, y, _ceil_bound(c, strict))
     return None
 
 
-def _ceil_bound(c: Fraction, strict: bool, integer: bool) -> Optional[int]:
+def _ceil_bound(c: Fraction, strict: bool) -> int:
     # smallest integer value of t with t >= c (or > c)
-    if not integer and (strict or c.denominator != 1):
-        return None
     if c.denominator == 1:
         return int(c) + (1 if strict else 0)
     return ceil(c)
 
 
-def _floor_bound(c: Fraction, strict: bool, integer: bool) -> Optional[int]:
-    if not integer and (strict or c.denominator != 1):
-        return None
+def _floor_bound(c: Fraction, strict: bool) -> int:
+    # largest integer value of t with t <= c (or < c)
     if c.denominator == 1:
         return int(c) - (1 if strict else 0)
     return floor(c)
@@ -473,24 +413,12 @@ def gc_norm(na: NormAtom) -> Optional[tuple[str, list[Triple]]]:
 def gc_atoms(phi: Formula) -> list[tuple[Atom, str, list[Triple]]]:
     """All atoms of phi with their GC views; raises NotGapOrder on failure."""
     out = []
-    for a in _iter_atoms(phi):
+    for a in atoms_of(phi):
         v = gc_norm(norm_atom(a))
         if v is None:
             raise NotGapOrder(f"not a gap-order atom: {a}")
         out.append((a, v[0], v[1]))
     return out
-
-
-def _iter_atoms(phi: Formula):
-    if isinstance(phi, Atom):
-        yield phi
-    elif isinstance(phi, (And, Or)):
-        for p in phi.args:
-            yield from _iter_atoms(p)
-    elif isinstance(phi, Not):
-        yield from _iter_atoms(phi.arg)
-    elif isinstance(phi, Exists):
-        yield from _iter_atoms(phi.body)
 
 
 def is_gc_formula(phi: Formula) -> bool:
@@ -512,7 +440,7 @@ def classify(phi: Formula) -> ConstraintClass:
     atom has gap-order form; else general linear."""
     mc = True
     gc = True
-    for a in _iter_atoms(phi):
+    for a in atoms_of(phi):
         na = norm_atom(a)
         if not _is_mc(na):
             mc = False
@@ -579,7 +507,7 @@ def _norm_gc_cube(triples: list[Triple]) -> Optional[list[Triple]]:
 
 
 def _gc_key(item):
-    (p, q), k = item if isinstance(item[0], tuple) else ((item[0], item[1]), item[2])
+    (p, q), k = item
     return (_node_key(p), _node_key(q), k)
 
 
@@ -605,13 +533,11 @@ def qe_gc(xs: Sequence[VarId], phi: Formula) -> Formula:
     Upper and lower gap bounds on the eliminated variable combine by adding
     their gaps; the result stays in gap-order form though constants grow.
     """
-    inner, body = _strip_exists(phi)
-    targets = set(xs) | set(inner)
     out: list[tuple[Triple, ...]] = []
     seen: set[tuple[Triple, ...]] = set()
-    for cube in _gc_cubes(body):
+    for cube in _gc_cubes(phi):
         cur: Optional[list[Triple]] = cube
-        for x in sorted(targets, key=_node_key):
+        for x in sorted(set(xs), key=_node_key):
             if cur is None:
                 break
             cur = eliminate_gc(cur, x)
@@ -634,34 +560,28 @@ def is_sat(phi: Formula, dom: Domain) -> SatResult:
     negations) and falls back to a rational relaxation plus a bounded grid
     search otherwise, raising UnsupportedInteger rather than guessing.
     """
-    inner, body = _strip_exists(phi)
-    cubes = to_dnf(body)
     hard: list[Cube] = []
-    for cube in cubes:
+    for cube in to_dnf(phi):
         if dom == RAT:
             model = _sat_cube_rational(cube)
             if model is not None:
                 _check_model(cube, model)
-                return SatResult(True, _strip_inner(model, inner))
+                return SatResult(True, model)
         else:
             tri = _as_difference_cube(cube)
             if tri is not None:
                 model = _sat_difference(tri)
                 if model is not None:
                     _check_model(cube, model)
-                    return SatResult(True, _strip_inner(model, inner))
+                    return SatResult(True, model)
             else:
                 hard.append(cube)
     for cube in hard:
         model = _sat_cube_int_fallback(cube)
         if model is not None:
             _check_model(cube, model)
-            return SatResult(True, _strip_inner(model, inner))
+            return SatResult(True, model)
     return SatResult(False)
-
-
-def _strip_inner(model: dict[VarId, Fraction], inner: list[VarId]) -> dict[VarId, Fraction]:
-    return {v: c for v, c in model.items() if v not in inner}
 
 
 def _check_model(cube: Cube, model: Mapping[VarId, Fraction]) -> None:
@@ -826,19 +746,8 @@ def _sat_cube_int_fallback(cube: Cube) -> Optional[dict[VarId, Fraction]]:
 # ---------------------------------------------------------------------------
 # Equivalence, cutoff
 
-def qe_all(phi: Formula, dom: Domain) -> Formula:
-    """Eliminate any embedded quantifiers using the domain's procedure."""
-    if not _has_exists(phi):
-        return phi
-    if dom == INT:
-        return qe_gc([], phi)
-    return qe_rational([], phi)
-
-
 def equivalent(phi: Formula, psi: Formula, dom: Domain) -> bool:
     """Logical equivalence over the domain, via two unsatisfiability checks."""
-    phi = qe_all(phi, dom)
-    psi = qe_all(psi, dom)
     if is_sat(conj(phi, Not(psi)), dom).sat:
         return False
     if is_sat(conj(psi, Not(phi)), dom).sat:
@@ -874,8 +783,6 @@ def _cutoff_walk(phi: Formula, K: int) -> Formula:
         return conj(*(_cutoff_walk(p, K) for p in phi.args))
     if isinstance(phi, Or):
         return disj(*(_cutoff_walk(p, K) for p in phi.args))
-    if isinstance(phi, Exists):
-        return Exists(phi.bound, _cutoff_walk(phi.body, K))
     raise NotGapOrder(f"unsupported connective in gap-order formula: {phi!r}")
 
 

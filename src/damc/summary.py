@@ -22,7 +22,6 @@ from .formula import (
     Atom,
     Formula,
     MissingVariable,
-    QuantifiedInput,
     VarId,
     atoms_of,
     conj,
@@ -573,8 +572,8 @@ class _Leaf(Strategy):
                     self.compared(b), res.model
                 ):
                     return True
-            except (QuantifiedInput, MissingVariable):
-                pass  # a quantified state, or one beyond the model: ask the solver
+            except MissingVariable:
+                pass  # a state beyond the model: ask the solver
         return False
 
     def sat(self, state, control) -> bool:

@@ -59,6 +59,22 @@ def test_verify_parse_error_in_property(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--prop", "F (y > 5)", "--max-nodes", "0"),
+        ("summary", "--unroll", "0"),
+        # oracle takes neither budget
+        ("oracle", "--prop", "F (y > 5)", "--unroll", "2"),
+    ],
+    ids=["verify-max-nodes-0", "summary-unroll-0", "oracle-unroll"],
+)
+def test_bad_budget_flag_is_a_usage_error(capsys, args):
+    code, _, err = run_cli(capsys, args[0], str(MODELS / "b1.ddsa"), *args[1:])
+    assert code == 3
+    assert args[-2] in err  # the message names the flag
+
+
 def test_json_output_validates_against_schema(capsys):
     code, out, _ = run_cli(
         capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", "F (y > 5)", "--json"

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from damc.formula import (
     RAT,
     Atom,
-    Exists,
     MissingVariable,
     MixedAtom,
-    QuantifiedInput,
     Term,
     VarId,
     atom,
@@ -47,12 +45,9 @@ def test_eval_gap_false():
 def test_eval_errors():
     with pytest.raises(MissingVariable):
         evaluate(atom(x, ">", 0), {})
-    with pytest.raises(QuantifiedInput):
-        evaluate(Exists((x,), atom(x, ">", y)), {y: F(0)})
 
 
 def test_free_vars():
-    assert free_vars(Exists((x,), atom(x, ">", y))) == {y}
     assert free_vars(conj(atom(x, "=", 0), atom(y, "=", 0))) == {x, y}
     assert free_vars(conj()) == set()
 
@@ -69,17 +64,6 @@ def test_substitute_carryover_equality():
     u, v = VarId("u"), VarId("v")
     out = substitute(atom(vw, "=", vr), {vw: Term.of(v), vr: Term.of(u)})
     assert out == atom(v, "=", u)
-
-
-def test_substitute_capture_avoidance():
-    u = VarId("u")
-    phi = Exists((u,), atom(u, ">", x))
-    out = substitute(phi, {x: Term.of(u)})
-    assert isinstance(out, Exists)
-    bound = out.bound[0]
-    assert bound != u
-    # bound variable renamed; u is now free inside
-    assert free_vars(out) == {u}
 
 
 def test_restrict_picks_side():
@@ -173,7 +157,6 @@ def _ir_samples():
         conj(a, atom(y, ">", 0)),
         disj(a, atom(y, ">", 0)),
         neg(a),
-        Exists((z,), a),
         norm_atom(a),
     ]
 

@@ -144,6 +144,14 @@ def test_is_sat_integer_difference_exact():
     assert not is_sat(phi, INT).sat
 
 
+def test_is_sat_integer_non_integral_bounds():
+    # 2x >= 3 is x >= 2 and 2x <= 3 is x <= 1 over the integers
+    two_x = Term.of(x).scale(F(2))
+    assert not is_sat(conj(atom(two_x, ">=", 3), atom(two_x, "<=", 3)), INT).sat
+    res = is_sat(conj(atom(two_x, ">=", 3), atom(x, "<=", 2)), INT)
+    assert res.sat and res.model == {x: F(2)}
+
+
 def test_is_sat_integer_model_is_integral():
     phi = conj(gap(x, y, 2), gap(y, 0, 3))
     res = is_sat(phi, INT)
@@ -220,13 +228,6 @@ def test_gc_equivalent_reflexive_and_negative():
 def test_cutoff_rejects_non_gap():
     with pytest.raises(NotGapOrder):
         cutoff(atom(Term.of(x) + Term.of(y), ">=", 2), 4)
-
-
-def test_to_dnf_rejects_quantifier():
-    from damc.formula import Exists, QuantifiedInput
-
-    with pytest.raises(QuantifiedInput):
-        to_dnf(Exists((x,), atom(x, ">", 0)))
 
 
 # ---------------------------------------------------------------------------
