@@ -32,7 +32,6 @@ from .solve import (
 )
 from .ltlf import build_nfa, preprocess, run_models, word_consistent
 from .summary import (
-    DetectOptions,
     NoSummaryFound,
     check_bounded_lookback,
     check_feedback_free,

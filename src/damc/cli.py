@@ -52,8 +52,6 @@ def _alpha_json(alpha) -> dict:
 
 def _verdict_json(v: product.Verdict) -> dict:
     out: dict = {"verdict": v.kind, "strategy": v.stats.strategy or None}
-    if v.stats.note:
-        out["note"] = v.stats.note
     if v.reason:
         out["reason"] = v.reason
     out["sizes"] = {
@@ -73,11 +71,11 @@ def _verdict_json(v: product.Verdict) -> dict:
     return out
 
 
-def _print_text_verdict(v: product.Verdict) -> None:
+def _text_verdict(v: product.Verdict) -> str:
+    lines = []
     if v.stats.strategy:
-        note = f" ({v.stats.note})" if v.stats.note else ""
-        print(f"strategy: {v.stats.strategy}{note}")
-        print(
+        lines.append(f"strategy: {v.stats.strategy}")
+        lines.append(
             "sizes: nfa {}/{} product {}/{} finals {}".format(
                 v.stats.nfa_states,
                 v.stats.nfa_edges,
@@ -87,10 +85,10 @@ def _print_text_verdict(v: product.Verdict) -> None:
             )
         )
     if v.kind == "witness":
-        print(_color("verdict: witness found", "32"))
+        lines.append(_color("verdict: witness found", "32"))
         assert v.run is not None
         word = v.word or []
-        print("word: " + " ".join(lt.fmt_symbol(s) for s in word))
+        lines.append("word: " + " ".join(lt.fmt_symbol(s) for s in word))
         names = [x.name for x in sorted({vv for c in v.run.configs for vv, _ in c.alpha})]
         header = ["step", "state"] + names + ["action"]
         rows = []
@@ -104,14 +102,18 @@ def _print_text_verdict(v: product.Verdict) -> None:
             )
         widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
         for r in [header] + rows:
-            print("  " + "  ".join(x.ljust(w) for x, w in zip(r, widths)))
+            lines.append("  " + "  ".join(x.ljust(w) for x, w in zip(r, widths)))
     elif v.kind == "no-witness":
-        print(_color("verdict: no witness exists", "31"))
+        lines.append(_color("verdict: no witness exists", "31"))
     else:
-        print(_color(f"verdict: inconclusive ({v.reason})", "33"))
+        lines.append(_color(f"verdict: inconclusive ({v.reason})", "33"))
+    return "\n".join(lines)
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
+# Each command returns its exit code and the text it prints.
+
+
+def cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
     d = _load_model(ns)
     psi = _load_property(ns, d)
     verdict = product.verify(
@@ -119,7 +121,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         psi,
         product.VerifyOptions(
             max_nodes=ns.max_nodes,
-            unroll=ns.unroll,
             keep_artifacts=bool(ns.dot_cg or ns.dot_nfa or ns.dot_product),
         ),
     )
@@ -134,42 +135,34 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             verdict = product.Verdict("inconclusive", verdict.stats, reason=f"--dot-cg: {e}")
         else:
             Path(ns.dot_cg).write_text(dot.constraint_graph_dot(g))
-    if ns.json_output:
-        print(json.dumps(_verdict_json(verdict), indent=2))
-    else:
-        _print_text_verdict(verdict)
-    return {
+    code = {
         "witness": EXIT_WITNESS,
         "no-witness": EXIT_NO_WITNESS,
         "inconclusive": EXIT_INCONCLUSIVE,
     }[verdict.kind]
+    if ns.json_output:
+        return code, json.dumps(_verdict_json(verdict), indent=2)
+    return code, _text_verdict(verdict)
 
 
-def cmd_summary(ns: argparse.Namespace) -> int:
+def cmd_summary(ns: argparse.Namespace) -> tuple[int, str]:
     d = _load_model(ns)
     constraints = []
     if ns.prop:
         psi = _load_property(ns, d)
         constraints = lt.constraints_of(lt.preprocess(psi))
     try:
-        strat = summary.detect(
-            d, constraints, summary.DetectOptions(unroll_ff=ns.unroll)
-        )
+        strat = summary.detect(d, constraints)
     except summary.NoSummaryFound as e:
         if ns.json_output:
-            print(json.dumps({"summary": None, "reason": str(e)}))
-        else:
-            print(f"no finite summary detected: {e}")
-        return EXIT_INCONCLUSIVE
-    note = strat.verified_note()
+            return EXIT_INCONCLUSIVE, json.dumps({"summary": None, "reason": str(e)})
+        return EXIT_INCONCLUSIVE, f"no finite summary detected: {e}"
     if ns.json_output:
-        print(json.dumps({"summary": strat.describe(), "note": note}))
-    else:
-        print(f"summary: {strat.describe()}" + (f" ({note})" if note else ""))
-    return EXIT_WITNESS
+        return EXIT_WITNESS, json.dumps({"summary": strat.describe()})
+    return EXIT_WITNESS, f"summary: {strat.describe()}"
 
 
-def cmd_oracle(ns: argparse.Namespace) -> int:
+def cmd_oracle(ns: argparse.Namespace) -> tuple[int, str]:
     d = _load_model(ns)
     psi = _load_property(ns, d)
     pre = lt.preprocess(psi)
@@ -177,28 +170,26 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     run = oracle.brute_force_witness(d, psi, ns.max_len, grid)
     if run is None:
         msg = f"no witness of length <= {ns.max_len} on the grid"
-        print(json.dumps({"verdict": "none", "detail": msg}) if ns.json_output else msg)
-        return EXIT_NO_WITNESS
-    if ns.json_output:
-        print(
-            json.dumps(
-                {
-                    "verdict": "witness",
-                    "run": [
-                        {"state": c.state, "assign": _alpha_json(dict(c.alpha))}
-                        for c in run.configs
-                    ],
-                    "actions": list(run.actions),
-                }
-            )
+        return EXIT_NO_WITNESS, (
+            json.dumps({"verdict": "none", "detail": msg}) if ns.json_output else msg
         )
-    else:
-        print("witness run:")
-        for i, c in enumerate(run.configs):
-            alpha = ", ".join(f"{v.name}={fmt_rat(x)}" for v, x in c.alpha)
-            arrow = f" --{run.actions[i]}-->" if i < len(run.actions) else ""
-            print(f"  ({c.state}: {alpha}){arrow}")
-    return EXIT_WITNESS
+    if ns.json_output:
+        return EXIT_WITNESS, json.dumps(
+            {
+                "verdict": "witness",
+                "run": [
+                    {"state": c.state, "assign": _alpha_json(dict(c.alpha))}
+                    for c in run.configs
+                ],
+                "actions": list(run.actions),
+            }
+        )
+    lines = ["witness run:"]
+    for i, c in enumerate(run.configs):
+        alpha = ", ".join(f"{v.name}={fmt_rat(x)}" for v, x in c.alpha)
+        arrow = f" --{run.actions[i]}-->" if i < len(run.actions) else ""
+        lines.append(f"  ({c.state}: {alpha}){arrow}")
+    return EXIT_WITNESS, "\n".join(lines)
 
 
 def positive_int(text: str) -> int:
@@ -227,14 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="decide witness existence")
     common(pv, needs_prop=True)
     pv.add_argument("--max-nodes", type=positive_int, default=10_000)
-    pv.add_argument("--unroll", type=positive_int, default=2)
     pv.add_argument("--dot-cg", help="write the constraint graph as DOT")
     pv.add_argument("--dot-nfa", help="write the property automaton as DOT")
     pv.add_argument("--dot-product", help="write the product automaton as DOT")
 
     ps = sub.add_parser("summary", help="finite-summary detection only")
     common(ps, needs_prop=False)
-    ps.add_argument("--unroll", type=positive_int, default=2)
 
     po = sub.add_parser("oracle", help="brute-force search on a value grid")
     common(po, needs_prop=True)
@@ -250,15 +239,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    command = {"verify": cmd_verify, "summary": cmd_summary, "oracle": cmd_oracle}
     try:
-        if ns.command == "verify":
-            return cmd_verify(ns)
-        if ns.command == "summary":
-            return cmd_summary(ns)
-        return cmd_oracle(ns)
+        code, text = command[ns.command](ns)
     except (parsing.ParseError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): the verdict's exit code stands, and
+        # stdout points at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -154,7 +154,8 @@ def build_product(
                             break
                     if len(nodes) >= max_nodes:
                         raise BudgetExceeded(
-                            f"product exceeded {max_nodes} nodes"
+                            f"product exceeded {max_nodes} nodes: "
+                            "the node budget (--max-nodes) was reached"
                         )
                     j = len(nodes)
                     nodes.append(PNode(dst, ne.dst, strategy.formula(rep_state), rep_state))
@@ -271,7 +272,6 @@ def extract_witness(d: Ddsa, path: Sequence[PEdge], nodes: list[PNode]) -> tuple
 @dataclass
 class Stats:
     strategy: str = ""
-    note: Optional[str] = None
     nfa_states: int = 0
     nfa_edges: int = 0
     product_nodes: int = 0
@@ -294,7 +294,6 @@ class Verdict:
 @dataclass
 class VerifyOptions:
     max_nodes: int = 10_000
-    unroll: int = 2
     keep_artifacts: bool = False
 
 
@@ -312,9 +311,8 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
     constraints = lt.constraints_of(pre)
     stats = Stats()
     try:
-        strategy = sm.detect(d, constraints, sm.DetectOptions(unroll_ff=opts.unroll))
+        strategy = sm.detect(d, constraints)
         stats.strategy = strategy.describe()
-        stats.note = strategy.verified_note()
         nfa = lt.build_nfa(pre, d.domain)
         stats.nfa_states = len(nfa.states)
         stats.nfa_edges = len(nfa.edges)
@@ -326,8 +324,10 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
         keep = dict(product=prod, nfa=nfa, strategy=strategy) if opts.keep_artifacts else {}
         path = find_accepting_path(prod)
         if path is None:
-            # sound: a strategy with no verified_note is exact; the others carry
-            # the depth they were verified to
+            # exact: every leaf's relation is (logical equivalence over Q,
+            # cutoff equivalence at K on the integer gap-order fragment), so
+            # merged states have the same continuations, and a saturated
+            # product with no accepting path leaves no witness run
             return Verdict("no-witness", stats, **keep)
         run, word = extract_witness(extended, path, prod.nodes)
     except (sm.NoSummaryFound, BudgetExceeded, solve.UnsupportedInteger) as e:

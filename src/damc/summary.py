@@ -1,10 +1,15 @@
 """Finite-summary detection and the constraint-graph abstraction.
 
 A summary strategy packages the update procedure and the equivalence
-relation under which the reachable constraint formulas of a system fall
-into finitely many classes: monotonicity constraints (logical equivalence),
-gap-order constraints (cutoff equivalence), bounded lookback / feedback
-freedom (logical equivalence), and the two decomposition combinators.
+relation the constraint graph and the product quotient by.  Every leaf is
+exact: over the rationals, Fourier-Motzkin QE and logical equivalence;
+over the integers, gap-order QE and cutoff equivalence at K, which is exact
+on the gap-order fragment.  The criteria (monotonicity constraints, feedback
+freedom, gap-order) certify only that the quotient is finite, so over the
+rationals a criterion just labels the leaf, and a (sub)system no criterion
+and no decomposition covers still gets the exact leaf, labelled
+`exact-fixpoint`, whose fixpoint the node budget bounds.  The two
+decomposition combinators split a system by control state or by variables.
 """
 from __future__ import annotations
 
@@ -90,6 +95,8 @@ GNode = tuple[str, int]  # (variable name, instant)
 
 # Budget on the symbolic runs one control-flow check may enumerate.
 MAX_RUNS = 100_000
+# Unroll depth at which detection checks feedback freedom.
+FF_UNROLL = 2
 
 
 @dataclass
@@ -230,7 +237,7 @@ def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None
 
 
 def enumerate_symbolic_runs(
-    d: Ddsa, unroll: int, max_runs: int = MAX_RUNS, maximal_only: bool = False
+    d: Ddsa, unroll: int, maximal_only: bool = False
 ) -> Iterator[list[str]]:
     """All symbolic runs in which no transition is traversed more than
     `unroll` times.  A bounded stand-in for full dependency saturation.
@@ -244,7 +251,7 @@ def enumerate_symbolic_runs(
     def go(state: str, acc: list[str]):
         nonlocal count
         count += 1
-        if count > max_runs:
+        if count > MAX_RUNS:
             raise BudgetExceeded("symbolic run enumeration too large")
         extended = False
         for (a, dst) in d.outgoing(state):
@@ -263,24 +270,8 @@ def enumerate_symbolic_runs(
     yield from go(d.initial, [])
 
 
-def max_collapsed_path(
-    d: Ddsa, constraints: Sequence[Formula], unroll: int, max_runs: int = MAX_RUNS
-) -> int:
-    """Longest collapsed dependency path over all runs at the given unroll."""
-    best = 0
-    for actions in enumerate_symbolic_runs(d, unroll, max_runs, maximal_only=True):
-        g = computation_graph(d, actions, constraints)
-        _, edges = g.collapsed_edges()
-        best = max(best, _longest_path(edges))
-    return best
-
-
 def check_bounded_lookback(
-    d: Ddsa,
-    constraints: Sequence[Formula],
-    K: int,
-    unroll: int,
-    max_runs: int = MAX_RUNS,
+    d: Ddsa, constraints: Sequence[Formula], K: int, unroll: int
 ) -> bool:
     """After collapsing equality classes, no enumerated run's dependency
     graph may contain an acyclic path longer than K.
@@ -290,7 +281,7 @@ def check_bounded_lookback(
     """
     if K < 1 or unroll < 1:
         raise ValueError("K and unroll must be positive")
-    for actions in enumerate_symbolic_runs(d, unroll, max_runs, maximal_only=True):
+    for actions in enumerate_symbolic_runs(d, unroll, maximal_only=True):
         g = computation_graph(d, actions, constraints)
         _, edges = g.collapsed_edges()
         if _longest_path(edges, stop_above=K) > K:
@@ -339,14 +330,11 @@ def _connected_avoiding(adj, src: GNode, dst: GNode, blocked: set[GNode]) -> boo
 
 
 def check_feedback_free(
-    d: Ddsa,
-    constraints: Sequence[Formula],
-    unroll: int = 2,
-    max_runs: int = MAX_RUNS,
+    d: Ddsa, constraints: Sequence[Formula], unroll: int = FF_UNROLL
 ) -> bool:
     """Every dependency between two instances of a variable is spanned by a
     node whose equality class covers both involved intervals."""
-    for actions in enumerate_symbolic_runs(d, unroll, max_runs):
+    for actions in enumerate_symbolic_runs(d, unroll):
         if not _feedback_free_run(computation_graph(d, actions, constraints)):
             return False
     return True
@@ -513,19 +501,22 @@ class Strategy:
         formula is pure inertia)."""
         return conj(state, *constrs)
 
-    def verified_note(self) -> Optional[str]:
-        return None
-
 
 @dataclass
 class _Leaf(Strategy):
-    """The one update procedure of the leaf criteria: rational QE and
-    logical equivalence.  Each criterion overrides only the QE function,
-    the equivalence, the formula the equivalence compares and the domain it
-    solves in."""
+    """The exact rational leaf: Fourier-Motzkin QE and logical equivalence.
+
+    `label` names the criterion that certifies the fixpoint is finite; the
+    relation is the same whichever it is.  The gap-order leaf overrides only
+    the QE function, the equivalence, the formula the equivalence compares
+    and the domain it solves in."""
 
     d: Ddsa
+    label: str = field(default="exact-fixpoint", kw_only=True)
     domain = RAT
+
+    def describe(self) -> str:
+        return self.label
 
     def qe(self):
         return solve.qe_rational
@@ -590,14 +581,6 @@ class _Leaf(Strategy):
 
 
 @dataclass
-class McStrategy(_Leaf):
-    """Monotonicity constraints: rational QE and logical equivalence."""
-
-    def describe(self) -> str:
-        return "MC"
-
-
-@dataclass
 class GcStrategy(_Leaf):
     """Gap-order constraints: integer QE and cutoff equivalence at K."""
 
@@ -622,39 +605,7 @@ class GcStrategy(_Leaf):
 
 
 @dataclass
-class LookbackStrategy(_Leaf):
-    """Control-flow criterion: equivalence is plain logical equivalence.
-
-    `origin` records whether the bound came from feedback freedom or from
-    the direct bounded-lookback check; both are verified only up to the
-    recorded unroll depth.
-    """
-
-    K: int
-    origin: str  # "bounded-lookback" | "feedback-free"
-    unroll: int
-
-    def describe(self) -> str:
-        via = " via feedback freedom" if self.origin == "feedback-free" else ""
-        return f"bounded-lookback(K={self.K}{via})"
-
-    def verified_note(self) -> Optional[str]:
-        return f"verified up to unroll {self.unroll}"
-
-
-class _Composed(Strategy):
-    """A combinator over two parts, verified as far as the parts' notes say."""
-
-    left: Strategy
-    right: Strategy
-
-    def verified_note(self) -> Optional[str]:
-        notes = [n for n in (self.left.verified_note(), self.right.verified_note()) if n]
-        return "; ".join(notes) or None
-
-
-@dataclass
-class SeqStrategy(_Composed):
+class SeqStrategy(Strategy):
     """Sequential composition at a cut state.
 
     Phase-two formulas are produced by continuing updates from the
@@ -690,7 +641,7 @@ class SeqStrategy(_Composed):
 
 
 @dataclass
-class VarStrategy(_Composed):
+class VarStrategy(Strategy):
     """Variable-disjoint composition; states are per-part formula pairs."""
 
     d: Ddsa
@@ -746,19 +697,14 @@ class VarStrategy(_Composed):
 # Detection
 
 
-@dataclass
-class DetectOptions:
-    unroll_ff: int = 2
-
-
 class NoSummaryFound(Exception):
     """No criterion applied; says nothing about the system itself."""
 
 
-def detect(
-    d: Ddsa, constraints: Sequence[Formula], opts: Optional[DetectOptions] = None
-) -> Strategy:
-    s = _detect(d, list(constraints), opts or DetectOptions())
+def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
+    """A rational system always gets one; an integer system outside the
+    gap-order fragment that no decomposition splits raises NoSummaryFound."""
+    s = _detect(d, list(constraints))
     if s is None:
         raise NoSummaryFound(
             "no finite-summary criterion applied; this says nothing about the "
@@ -767,38 +713,35 @@ def detect(
     return s
 
 
-def _detect(
-    d: Ddsa, constraints: list[Formula], opts: DetectOptions, depth: int = 0
-) -> Optional[Strategy]:
-    if depth > 8:
-        return None
-    if check_mc(d, constraints):
-        return McStrategy(d)
-    gc_ok, K = check_gc(d, constraints)
-    if gc_ok:
-        return GcStrategy(d, K)
-    if d.domain == RAT:
+def _detect(d: Ddsa, constraints: list[Formula], depth: int = 0) -> Optional[Strategy]:
+    if d.domain == INT:
+        # gap-order reasoning is an integer device
+        gc_ok, K = check_gc(d, constraints)
+        if gc_ok:
+            return GcStrategy(d, K)
+    elif check_mc(d, constraints):
+        return _Leaf(d, label="MC")
+    else:
         try:
-            if check_feedback_free(d, constraints, opts.unroll_ff):
-                return LookbackStrategy(
-                    d, 2 * len(d.variables), "feedback-free", opts.unroll_ff
-                )
-            # stabilization probe: claim a bound only when the longest
-            # collapsed path stops growing between unroll depths
-            l2 = max_collapsed_path(d, constraints, 2)
-            l3 = max_collapsed_path(d, constraints, 3)
-            if l2 == l3:
-                return LookbackStrategy(d, max(l3, 1), "bounded-lookback", 3)
+            if check_feedback_free(d, constraints):
+                return _Leaf(d, label="feedback-free")
         except BudgetExceeded:
             pass
+    composed = _decompose(d, constraints, depth + 1) if depth < 8 else None
+    if composed is None and d.domain == RAT:
+        return _Leaf(d)  # exact; only the node budget bounds its fixpoint
+    return composed
+
+
+def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[Strategy]:
     split = var_decompose(d, constraints)
     if split is not None:
         v1, v2 = split
         names1 = {v.name for v in v1}
         c1 = [c for c in constraints if {v.name for v in free_vars(c)} <= names1]
         c2 = [c for c in constraints if c not in c1]
-        left = _detect(project_system(d, v1), c1, opts, depth + 1)
-        right = _detect(project_system(d, v2), c2, opts, depth + 1)
+        left = _detect(project_system(d, v1), c1, depth)
+        right = _detect(project_system(d, v2), c2, depth)
         if left is not None and right is not None:
             return VarStrategy(d, v1, v2, left, right)
     parts = seq_decompose(d)
@@ -806,8 +749,8 @@ def _detect(
         d1, d2, cut = parts
         progress = set(d1.states) != set(d.states) or d1.finals != d.finals
         if progress:
-            left = _detect(d1, constraints, opts, depth + 1)
-            right = _detect(d2, constraints, opts, depth + 1)
+            left = _detect(d1, constraints, depth)
+            right = _detect(d2, constraints, depth)
             # formulas cross the cut, so pair states of a variable split cannot
             if left is not None and right is not None and not any(
                 isinstance(x, VarStrategy) for x in (left, right)

@@ -32,11 +32,6 @@ from damc.ltlf import (
 from damc.product import VerifyOptions, realize_run, verify
 from damc.solve import cutoff, equivalent, gc_equivalent, is_sat, qe_gc, qe_rational
 from damc.summary import (
-    GcStrategy,
-    LookbackStrategy,
-    McStrategy,
-    SeqStrategy,
-    VarStrategy,
     check_bounded_lookback,
     check_feedback_free,
     check_gc,
@@ -238,13 +233,9 @@ def test_criterion_6_auction_suite(auction):
             ok = ok and run_models(auction, v.run, 0, preprocess(psi))
         if shape_ok is None:
             strat = detect(auction, constraints_of(preprocess(psi)))
-            shape_ok = (
-                isinstance(strat, VarStrategy)
-                and {vv.name for vv in strat.v1} == {"b", "d"}
-                and isinstance(strat.left, GcStrategy)
-                and isinstance(strat.right, SeqStrategy)
-                and isinstance(strat.right.left, McStrategy)
-                and isinstance(strat.right.right, LookbackStrategy)
+            shape_ok = strat.describe() == (
+                "var-compose({d,b}: var-compose({d}: seq-compose(exact-fixpoint, MC; "
+                "cut='end'); {b}: MC); {o,t,s}: seq-compose(MC, feedback-free; cut='end'))"
             )
     ok = ok and bool(shape_ok)
     report("criterion 6: auction property suite + composed strategy", ok, "; ".join(lines))

@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -63,11 +66,10 @@ def test_verify_parse_error_in_property(capsys):
     "args",
     [
         ("verify", "--prop", "F (y > 5)", "--max-nodes", "0"),
-        ("summary", "--unroll", "0"),
-        # oracle takes neither budget
+        # oracle takes no budget
         ("oracle", "--prop", "F (y > 5)", "--unroll", "2"),
     ],
-    ids=["verify-max-nodes-0", "summary-unroll-0", "oracle-unroll"],
+    ids=["verify-max-nodes-0", "oracle-unroll"],
 )
 def test_bad_budget_flag_is_a_usage_error(capsys, args):
     code, _, err = run_cli(capsys, args[0], str(MODELS / "b1.ddsa"), *args[1:])
@@ -189,18 +191,86 @@ trans 2 c 3 [y^w > x^r]
 """
 
 
-def test_seq_split_with_var_split_part_is_inconclusive(capsys, tmp_path):
+def test_seq_split_with_var_split_part_is_refused(capsys, tmp_path):
     # the prefix part splits by variables, whose pair states cannot cross the
-    # cut; such a sequential split is refused rather than run
+    # cut; such a sequential split is refused rather than run, and the
+    # rational system gets the exact leaf instead
     p = tmp_path / "seqvar.ddsa"
     p.write_text(SEQ_OVER_VAR_MODEL)
-    code, out, err = run_cli(capsys, "verify", str(p), "--prop", "F (y > 2)")
-    assert code == 2
-    assert "inconclusive" in out
-    assert "Traceback" not in out + err
     code, out, _ = run_cli(capsys, "summary", str(p), "--prop", "F (y > 2)")
-    assert code == 2
+    assert code == 0
     assert "seq-compose" not in out
+    code, out, err = run_cli(capsys, "verify", str(p), "--prop", "F (y > 2)", "--json")
+    assert code == 0
+    assert "Traceback" not in out + err
+    doc = json.loads(out)
+    assert doc["strategy"] == "exact-fixpoint" and doc["verdict"] == "witness"
+    assert doc["actions"] == ["b", "c"]
+    code, out, _ = run_cli(
+        capsys, "oracle", str(p), "--prop", "F (y > 2)", "--max-len", "2", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["actions"] == ["b", "c"]
+
+
+DIVERGING_COUNTER_MODEL = """\
+domain rat
+vars x
+init x=0
+states 1
+initial 1
+final 1
+trans 1 inc 1 [x^w - x^r >= 1]
+"""
+
+
+def test_uncovered_rational_system_ends_at_the_node_budget(capsys, tmp_path):
+    # no criterion bounds this fixpoint, so the exact leaf runs until the
+    # node budget stops it: inconclusive, not a verdict
+    p = tmp_path / "counter.ddsa"
+    p.write_text(DIVERGING_COUNTER_MODEL)
+    assert run_cli(capsys, "summary", str(p))[1] == "summary: exact-fixpoint\n"
+    code, out, err = run_cli(capsys, "verify", str(p), "--prop", "F (x < 0)", "--max-nodes", "100")
+    assert code == 2
+    assert "inconclusive (product exceeded 100 nodes: the node budget (--max-nodes)" in out
+    assert "Traceback" not in out + err
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, as under `damc ... | head`."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "args, expect",
+    [
+        (("verify", "--prop", "F (y > 5)", "--json"), 0),
+        (("verify", "--prop", "F (y > 5 & y < 0)"), 1),
+        (("summary", "--json"), 0),
+    ],
+    ids=["verify-witness", "verify-no-witness", "summary"],
+)
+def test_closed_stdout_keeps_the_exit_code(monkeypatch, tmp_path, args, expect):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main([args[0], str(MODELS / "b1.ddsa"), *args[1:]]) == expect
+        # stdout now points at devnull, so later writes do not fail again
+        os.write(fd, b"dropped")
+    finally:
+        os.close(fd)
+    assert (tmp_path / "stdout").read_text() == ""
 
 
 def _raise(exc):

@@ -21,10 +21,7 @@ from damc.formula import (
 from damc.solve import BudgetExceeded, equivalent
 from damc.summary import (
     ComputationGraph,
-    DetectOptions,
     GcStrategy,
-    LookbackStrategy,
-    McStrategy,
     NoSummaryFound,
     SeqStrategy,
     VarStrategy,
@@ -36,10 +33,10 @@ from damc.summary import (
     constraint_graph,
     detect,
     enumerate_symbolic_runs,
-    max_collapsed_path,
     project_system,
     seq_decompose,
     var_decompose,
+    _Leaf,
 )
 
 from conftest import MODELS, load_model, with_domain
@@ -225,7 +222,8 @@ def test_var_decompose_independent_counters():
 
 
 def test_detect_b1_mc(b1):
-    assert isinstance(detect(b1, []), McStrategy)
+    strat = detect(b1, [])
+    assert type(strat) is _Leaf and strat.describe() == "MC"
 
 
 def test_detect_b3_gc(b3):
@@ -233,15 +231,23 @@ def test_detect_b3_gc(b3):
     assert isinstance(strat, GcStrategy) and strat.K == 4
 
 
+def test_detect_gc_only_over_the_integers(b3):
+    # b3's guards are gap-order shaped; over Q they get the exact leaf
+    strat = detect(with_domain(b3, RAT), [])
+    assert type(strat) is _Leaf and strat.describe() == "exact-fixpoint"
+
+
 def test_detect_auction_shape(auction):
     C = [atom(VarId("b"), "=", 1), atom(VarId("o"), ">", VarId("t")), atom(VarId("b"), "!=", 1)]
     strat = detect(auction, C)
     assert isinstance(strat, VarStrategy)
     assert {v.name for v in strat.v1} == {"b", "d"}
-    assert isinstance(strat.left, GcStrategy)
     assert isinstance(strat.right, SeqStrategy)
-    assert isinstance(strat.right.left, McStrategy)
-    assert isinstance(strat.right.right, LookbackStrategy)
+    # the rational {d,b} part gets exact leaves, never the integer GC leaf
+    assert strat.describe() == (
+        "var-compose({d,b}: var-compose({d}: seq-compose(exact-fixpoint, MC; cut='end'); "
+        "{b}: MC); {o,t,s}: seq-compose(MC, feedback-free; cut='end'))"
+    )
 
 
 def test_detect_nothing_for_two_counter_style():
@@ -317,8 +323,9 @@ def test_constraint_graph_single_state():
 
 
 def test_constraint_graph_budget():
-    # a diverging system under plain equivalence: budget turns
-    # non-convergence into a diagnostic
+    # a diverging rational system that no criterion covers gets the exact
+    # leaf, whose fixpoint is infinite: the budget turns non-convergence
+    # into a diagnostic
     d = Ddsa(
         states=("s",),
         initial="s",
@@ -334,7 +341,8 @@ def test_constraint_graph_budget():
         },
         domain=RAT,
     )
-    strat = McStrategy(d)  # deliberately wrong relation for this system
+    strat = detect(d, [])
+    assert strat.describe() == "exact-fixpoint"
     with pytest.raises(BudgetExceeded):
         constraint_graph(d, strat, max_nodes=10)
 
@@ -363,11 +371,6 @@ def test_constraint_graph_nodes_match_history_constraints(b1, b3):
             assert strat.equiv(node.sstate, h, node.state)
 
 
-def test_detect_stability_probe_values(b4):
-    assert max_collapsed_path(b4, CG_CONSTRAINTS, 2, 100_000) == 2
-    assert max_collapsed_path(b4, CG_CONSTRAINTS, 3, 100_000) == 2
-
-
 # ---------------------------------------------------------------------------
 # Equivalence refuted by stored sat models
 
@@ -392,7 +395,7 @@ def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
 
 
 def test_mc_stored_model_refutes_without_the_solver(b1, monkeypatch):
-    mc = McStrategy(b1)
+    mc = _Leaf(b1)
     a, b = atom(x, ">=", 0), atom(x, ">", 0)
     assert mc.sat(a, "1") and mc.sat(b, "1")
     monkeypatch.setattr(solve, "equivalent", _no_solver)
@@ -437,7 +440,7 @@ def state_pairs(draw, shapes, constants):
 @settings(max_examples=150, deadline=None)
 @given(state_pairs(MC_SHAPES, st.sampled_from([F(-1), F(0), F(1, 2), F(2)])))
 def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
-    mc = McStrategy(b1)
+    mc = _Leaf(b1)
     for s in pair:
         mc.sat(s, "1")
     assert mc.equiv(*pair, "1") == equivalent(*pair, RAT)
