@@ -14,7 +14,6 @@ from .formula import (
     disj,
     evaluate,
     free_vars,
-    restrict,
     substitute,
 )
 from .ddsa import Config, Ddsa, Run, history_constraint, transition_formula, update

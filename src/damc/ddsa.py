@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .formula import (
     INT,
@@ -148,22 +148,13 @@ def transition_formula(d: Ddsa, action: str) -> Formula:
     return out
 
 
-def _qe_for(d: Ddsa, phi: Formula) -> Callable[[Sequence[VarId], Formula], Formula]:
-    if d.domain == INT and solve.is_gc_formula(phi):
-        return solve.qe_gc
-    return solve.qe_rational
-
-
-def update(
-    d: Ddsa,
-    phi: Formula,
-    action: str,
-    qe: Optional[Callable[[Sequence[VarId], Formula], Formula]] = None,
-) -> Formula:
+def update(d: Ddsa, phi: Formula, action: str) -> Formula:
     """One-step image of phi under the action's transition formula.
 
     The existential prefix over the snapshot copies is eliminated
-    immediately, so results stay quantifier-free over V.
+    immediately, so results stay quantifier-free over V.  The domain picks
+    the elimination: Fourier-Motzkin over the rationals, gap-order over the
+    integers (only gap-order systems are imaged there).
     """
     delta = transition_formula(d, action)
     idx = max(max_index(phi), max_index(delta)) + 1
@@ -176,16 +167,14 @@ def update(
             **{v.write(): Term.of(v) for v in d.variables},
         },
     )
-    body = conj(phi_u, delta_uv)
-    fn = qe if qe is not None else _qe_for(d, body)
-    return fn(list(snapshot.values()), body)
+    qe = solve.qe_gc if d.domain == INT else solve.qe_rational
+    return qe(list(snapshot.values()), conj(phi_u, delta_uv))
 
 
 def history_prefixes(
     d: Ddsa,
     actions: Sequence[str],
     constraint_seq: Optional[Sequence[Iterable[Formula]]] = None,
-    qe: Optional[Callable[[Sequence[VarId], Formula], Formula]] = None,
 ) -> list[Formula]:
     """History constraints of every prefix of a symbolic run, the empty
     prefix first.
@@ -202,7 +191,7 @@ def history_prefixes(
     symbolic_states(d, actions)  # validates the run
     hist = [conj(*d.initial_constraints(), *constraint_seq[0])]
     for i, a in enumerate(actions):
-        hist.append(conj(update(d, hist[-1], a, qe=qe), *constraint_seq[i + 1]))
+        hist.append(conj(update(d, hist[-1], a), *constraint_seq[i + 1]))
     return hist
 
 
@@ -210,11 +199,10 @@ def history_constraint(
     d: Ddsa,
     actions: Sequence[str],
     constraint_seq: Optional[Sequence[Iterable[Formula]]] = None,
-    qe: Optional[Callable[[Sequence[VarId], Formula], Formula]] = None,
 ) -> Formula:
     """Accumulated constraint formula of a symbolic run (see
     `history_prefixes`)."""
-    return history_prefixes(d, actions, constraint_seq, qe)[-1]
+    return history_prefixes(d, actions, constraint_seq)[-1]
 
 
 def step_allowed(d: Ddsa, pre: Config, action: str, post: Config) -> bool:

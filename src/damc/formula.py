@@ -20,10 +20,6 @@ class MissingVariable(FormulaError):
     """An assignment is not total on the formula's free variables."""
 
 
-class MixedAtom(FormulaError):
-    """restrict() found an atom straddling the variable split."""
-
-
 # Variable kinds: plain state variables, read/write transition copies, and
 # numbered copies used for quantified snapshots.
 PLAIN = "plain"
@@ -461,29 +457,6 @@ def atoms_of(phi: Formula) -> Iterator[Atom]:
             yield from atoms_of(p)
     elif isinstance(phi, Not):
         yield from atoms_of(phi.arg)
-
-
-def restrict(phi: Formula, keep: set[VarId]) -> Formula:
-    """Conjuncts of phi whose atoms mention only variables in `keep`.
-
-    Requires each conjunct to live entirely on one side of the split.
-    """
-    parts: list[Formula] = []
-    for p in _conjuncts(phi):
-        fv = free_vars(p)
-        if fv <= keep:
-            parts.append(p)
-        elif fv & keep:
-            raise MixedAtom(f"{p} mentions both sides of the variable split")
-    return conj(*parts)
-
-
-def _conjuncts(phi: Formula) -> Iterator[Formula]:
-    if isinstance(phi, And):
-        for p in phi.args:
-            yield from _conjuncts(p)
-    elif not isinstance(phi, TrueF):
-        yield phi
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Optional, Sequence, Union
 
 from .ddsa import Ddsa, Run, step_allowed
@@ -153,27 +154,46 @@ def _build_chain(parts: list[Ltlf], cls) -> Ltlf:
 def land(a: Ltlf, b: Ltlf) -> Ltlf:
     """Conjunction with unit rules plus flatten/dedup/sort, so combined
     quoted formulas reach a canonical shape and the state space closes."""
-    parts: list[Ltlf] = []
-    for p in _assoc_parts(a, LAnd) + _assoc_parts(b, LAnd):
-        if isinstance(p, Bot):
-            return BOT
-        if not isinstance(p, Top) and p not in parts:
-            parts.append(p)
-    if not parts:
-        return TOP
-    return _build_chain(sorted(parts, key=_sort_key), LAnd)
+    return _join(LAnd, TOP, BOT, a, b)
 
 
 def lor(a: Ltlf, b: Ltlf) -> Ltlf:
+    return _join(LOr, BOT, TOP, a, b)
+
+
+def _join(cls, unit: Ltlf, zero: Ltlf, a: Ltlf, b: Ltlf) -> Ltlf:
     parts: list[Ltlf] = []
-    for p in _assoc_parts(a, LOr) + _assoc_parts(b, LOr):
-        if isinstance(p, Top):
-            return TOP
-        if not isinstance(p, Bot) and p not in parts:
+    for p in _assoc_parts(a, cls) + _assoc_parts(b, cls):
+        if p == zero:
+            return zero
+        if p != unit and p not in parts:
             parts.append(p)
+    # Beside its siblings, a sibling inside a part is the unit.  Without this,
+    # the NFA states of (G p) U (F q), F q | (G p & (F q | (G p & ...))),
+    # grow without end.
+    simpler = [
+        reduce(lambda p, q: _assume(p, q, unit), parts[:i] + parts[i + 1 :], p)
+        if isinstance(p, (LAnd, LOr))
+        else p
+        for i, p in enumerate(parts)
+    ]
+    if simpler != parts:
+        return reduce(lambda x, y: _join(cls, unit, zero, x, y), simpler, unit)
     if not parts:
-        return BOT
-    return _build_chain(sorted(parts, key=_sort_key), LOr)
+        return unit
+    return _build_chain(sorted(parts, key=_sort_key), cls)
+
+
+def _assume(psi: Ltlf, fact: Ltlf, value: Ltlf) -> Ltlf:
+    """psi with its Boolean occurrences of `fact` replaced by `value`."""
+    if psi == fact:
+        return value
+    if not isinstance(psi, (LAnd, LOr)):
+        return psi
+    left, right = _assume(psi.left, fact, value), _assume(psi.right, fact, value)
+    if left is psi.left and right is psi.right:
+        return psi
+    return (land if isinstance(psi, LAnd) else lor)(left, right)
 
 
 def constraints_of(psi: Ltlf) -> list[Formula]:

@@ -12,9 +12,18 @@ from . import ltlf as lt
 from . import solve
 from . import summary as sm
 from .ddsa import Config, Ddsa, Run
-from .formula import INT, Formula, Term, VarId, conj, substitute
+from .formula import Formula, Term, VarId, conj, substitute
 from .ltlf import Ltlf, Nfa, SigmaSymbol
 from .solve import BudgetExceeded
+
+
+class ProductBudgetExceeded(BudgetExceeded):
+    """The node budget stopped the product; `sizes` are the nodes, edges and
+    finals built by then."""
+
+    def __init__(self, message: str, sizes: tuple[int, int, int]):
+        super().__init__(message)
+        self.sizes = sizes
 
 
 class InternalInconsistency(Exception):
@@ -153,9 +162,10 @@ def build_product(
                             rep_state = nodes[cand].sstate
                             break
                     if len(nodes) >= max_nodes:
-                        raise BudgetExceeded(
+                        raise ProductBudgetExceeded(
                             f"product exceeded {max_nodes} nodes: "
-                            "the node budget (--max-nodes) was reached"
+                            "the node budget (--max-nodes) was reached",
+                            (len(nodes), len(edges), len(finals)),
                         )
                     j = len(nodes)
                     nodes.append(PNode(dst, ne.dst, strategy.formula(rep_state), rep_state))
@@ -194,10 +204,6 @@ def find_accepting_path(p: ProductAutomaton) -> Optional[list[PEdge]]:
 # Witness extraction
 
 
-def _exact_qe(d: Ddsa):
-    return solve.qe_gc if d.domain == INT else solve.qe_rational
-
-
 def realize_run(
     d: Ddsa, actions: Sequence[str], cseq: Sequence[Sequence[Formula]]
 ) -> Optional[Run]:
@@ -210,7 +216,7 @@ def realize_run(
     history constraint plus the grounded transition formula.
     """
     states = dd.symbolic_states(d, actions)
-    hist = dd.history_prefixes(d, actions, cseq, qe=_exact_qe(d))
+    hist = dd.history_prefixes(d, actions, cseq)
     res = solve.is_sat(hist[-1], d.domain)
     if not res.sat:
         return None
@@ -331,6 +337,8 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
             return Verdict("no-witness", stats, **keep)
         run, word = extract_witness(extended, path, prod.nodes)
     except (sm.NoSummaryFound, BudgetExceeded, solve.UnsupportedInteger) as e:
+        if isinstance(e, ProductBudgetExceeded):
+            stats.product_nodes, stats.product_edges, stats.product_finals = e.sizes
         return Verdict("inconclusive", stats, reason=str(e))
     _assert_witness(d, run, word, pre)
     return Verdict("witness", stats, run=run, word=word, **keep)

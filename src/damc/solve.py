@@ -556,31 +556,28 @@ def is_sat(phi: Formula, dom: Domain) -> SatResult:
     """Satisfiability over the domain, with a checked model on success.
 
     Over the rationals this is complete.  Over the integers it is exact for
-    difference-form cubes (which cover the gap-order fragment and its
-    negations) and falls back to a rational relaxation plus a bounded grid
-    search otherwise, raising UnsupportedInteger rather than guessing.
+    difference-form cubes, which cover the gap-order fragment and its
+    negations; when no such cube has a model and another cube remains, it
+    raises UnsupportedInteger rather than guess.
     """
-    hard: list[Cube] = []
+    outside: Optional[Cube] = None
     for cube in to_dnf(phi):
         if dom == RAT:
             model = _sat_cube_rational(cube)
-            if model is not None:
-                _check_model(cube, model)
-                return SatResult(True, model)
         else:
             tri = _as_difference_cube(cube)
-            if tri is not None:
-                model = _sat_difference(tri)
-                if model is not None:
-                    _check_model(cube, model)
-                    return SatResult(True, model)
-            else:
-                hard.append(cube)
-    for cube in hard:
-        model = _sat_cube_int_fallback(cube)
+            if tri is None:
+                outside = outside or cube  # a non-empty cube
+                continue
+            model = _sat_difference(tri)
         if model is not None:
             _check_model(cube, model)
             return SatResult(True, model)
+    if outside is not None:
+        bad = next(na for na in outside if _as_difference_cube((na,)) is None)
+        raise UnsupportedInteger(
+            f"integer satisfiability outside the difference fragment: {bad.to_atom()}"
+        )
     return SatResult(False)
 
 
@@ -698,49 +695,6 @@ def _sat_difference(triples: list[Triple]) -> Optional[dict[VarId, Fraction]]:
         if isinstance(n, VarId):
             model[n] = Fraction(d[n] - base)
     return model
-
-
-_INT_GRID_LIMIT = 50_000
-
-
-def _sat_cube_int_fallback(cube: Cube) -> Optional[dict[VarId, Fraction]]:
-    relaxed = _sat_cube_rational(cube)
-    if relaxed is None:
-        return None
-    vs = sorted({v for na in cube for v in na.vars()})
-    candidates: dict[VarId, list[Fraction]] = {}
-    pool = {Fraction(0)}
-    for na in cube:
-        if na.const.denominator == 1:
-            pool.add(na.const)
-    for v in vs:
-        x = relaxed.get(v, Fraction(0))
-        local = {Fraction(floor(x)), Fraction(ceil(x))}
-        for c in pool:
-            local |= {c - 1, c, c + 1}
-        candidates[v] = sorted(local)
-    total = 1
-    for v in vs:
-        total *= len(candidates[v])
-    if total > _INT_GRID_LIMIT:
-        raise UnsupportedInteger("integer search space too large")
-    model: dict[VarId, Fraction] = {}
-
-    def go(i: int) -> bool:
-        if i == len(vs):
-            return all(na.holds(model) for na in cube)
-        for val in candidates[vs[i]]:
-            model[vs[i]] = val
-            if go(i + 1):
-                return True
-        del model[vs[i]]
-        return False
-
-    if go(0):
-        return dict(model)
-    raise UnsupportedInteger(
-        "rationally satisfiable but no integer model in the bounded grid"
-    )
 
 
 # ---------------------------------------------------------------------------

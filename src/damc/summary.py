@@ -1,15 +1,17 @@
 """Finite-summary detection and the constraint-graph abstraction.
 
 A summary strategy packages the update procedure and the equivalence
-relation the constraint graph and the product quotient by.  Every leaf is
-exact: over the rationals, Fourier-Motzkin QE and logical equivalence;
-over the integers, gap-order QE and cutoff equivalence at K, which is exact
-on the gap-order fragment.  The criteria (monotonicity constraints, feedback
-freedom, gap-order) certify only that the quotient is finite, so over the
-rationals a criterion just labels the leaf, and a (sub)system no criterion
-and no decomposition covers still gets the exact leaf, labelled
-`exact-fixpoint`, whose fixpoint the node budget bounds.  The two
-decomposition combinators split a system by control state or by variables.
+relation the constraint graph and the product quotient by.  The domain
+alone picks the leaf, and every leaf is exact: over the rationals,
+Fourier-Motzkin QE and logical equivalence; over the integers, gap-order QE
+and cutoff equivalence at K, which is exact on the gap-order fragment.  An
+integer system outside that fragment gets no summary.  Over the rationals
+the criteria (monotonicity constraints, feedback freedom) and the
+sequential split at a cut state only certify that the quotient is finite,
+so they label the leaf; a (sub)system that nothing covers still gets the
+exact leaf, labelled `exact-fixpoint`, whose fixpoint the node budget
+bounds.  The one composition that changes the work is the variable split:
+its parts are solved apart.
 """
 from __future__ import annotations
 
@@ -506,10 +508,10 @@ class Strategy:
 class _Leaf(Strategy):
     """The exact rational leaf: Fourier-Motzkin QE and logical equivalence.
 
-    `label` names the criterion that certifies the fixpoint is finite; the
-    relation is the same whichever it is.  The gap-order leaf overrides only
-    the QE function, the equivalence, the formula the equivalence compares
-    and the domain it solves in."""
+    `label` names the criterion or split that certifies the fixpoint is
+    finite; the relation is the same whichever it is.  The gap-order leaf
+    overrides only the equivalence, the formula the equivalence compares and
+    the domain it solves in; `dd.update` picks the QE from the domain."""
 
     d: Ddsa
     label: str = field(default="exact-fixpoint", kw_only=True)
@@ -517,9 +519,6 @@ class _Leaf(Strategy):
 
     def describe(self) -> str:
         return self.label
-
-    def qe(self):
-        return solve.qe_rational
 
     def equivalent(self, s1: Formula, s2: Formula) -> bool:
         return solve.equivalent(s1, s2, self.domain)
@@ -529,14 +528,14 @@ class _Leaf(Strategy):
         return state
 
     # The image, sat and equivalence memos live on the instance: leaves differ
-    # in their system, QE and domain, and live for one verify call.
+    # in their system and domain, and live for one verify call.
 
     def image(self, state, action, src, dst) -> Formula:
         # one image per (state, action), however many NFA edges conjoin to it
         memo = self.__dict__.setdefault("_image_cache", {})
         hit = memo.get((state, action))
         if hit is None:
-            hit = memo[(state, action)] = dd.update(self.d, state, action, qe=self.qe())
+            hit = memo[(state, action)] = dd.update(self.d, state, action)
         return hit
 
     def equiv(self, s1, s2, control) -> bool:
@@ -590,9 +589,6 @@ class GcStrategy(_Leaf):
     def describe(self) -> str:
         return f"GC(K={self.K})"
 
-    def qe(self):
-        return solve.qe_gc
-
     def equivalent(self, s1: Formula, s2: Formula) -> bool:
         return solve.gc_equivalent(s1, s2, self.K)
 
@@ -602,42 +598,6 @@ class GcStrategy(_Leaf):
         if hit is None:
             hit = memo[state] = solve.cutoff(state, self.K)
         return hit
-
-
-@dataclass
-class SeqStrategy(Strategy):
-    """Sequential composition at a cut state.
-
-    Phase-two formulas are produced by continuing updates from the
-    phase-one representative at the cut, which realizes the existential
-    combination of the two history sets with quantifiers eliminated
-    eagerly.  Both parts therefore work on plain formulas: neither may be
-    a variable split.
-    """
-
-    d: Ddsa
-    left: Strategy
-    right: Strategy
-    cut: str
-    left_states: frozenset[str]
-    right_states: frozenset[str]
-
-    def describe(self) -> str:
-        return f"seq-compose({self.left.describe()}, {self.right.describe()}; cut='{self.cut}')"
-
-    def _side(self, control: str) -> Strategy:
-        return self.left if control in self.left_states else self.right
-
-    def image(self, state, action, src, dst):
-        if src in self.left_states and dst in self.left_states:
-            return self.left.image(state, action, src, dst)
-        return self.right.image(state, action, src, dst)
-
-    def equiv(self, s1, s2, control) -> bool:
-        return self._side(control).equiv(s1, s2, control)
-
-    def sat(self, state, control) -> bool:
-        return self._side(control).sat(state, control)
 
 
 @dataclass
@@ -703,7 +663,7 @@ class NoSummaryFound(Exception):
 
 def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
     """A rational system always gets one; an integer system outside the
-    gap-order fragment that no decomposition splits raises NoSummaryFound."""
+    gap-order fragment raises NoSummaryFound."""
     s = _detect(d, list(constraints))
     if s is None:
         raise NoSummaryFound(
@@ -715,25 +675,25 @@ def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
 
 def _detect(d: Ddsa, constraints: list[Formula], depth: int = 0) -> Optional[Strategy]:
     if d.domain == INT:
-        # gap-order reasoning is an integer device
+        # gap-order reasoning is an integer device; a split cannot help, since
+        # a non-gap-order atom lands in some part
         gc_ok, K = check_gc(d, constraints)
-        if gc_ok:
-            return GcStrategy(d, K)
-    elif check_mc(d, constraints):
+        return GcStrategy(d, K) if gc_ok else None
+    if check_mc(d, constraints):
         return _Leaf(d, label="MC")
-    else:
-        try:
-            if check_feedback_free(d, constraints):
-                return _Leaf(d, label="feedback-free")
-        except BudgetExceeded:
-            pass
+    try:
+        if check_feedback_free(d, constraints):
+            return _Leaf(d, label="feedback-free")
+    except BudgetExceeded:
+        pass
     composed = _decompose(d, constraints, depth + 1) if depth < 8 else None
-    if composed is None and d.domain == RAT:
-        return _Leaf(d)  # exact; only the node budget bounds its fixpoint
-    return composed
+    # exact either way; without a certificate only the node budget bounds it
+    return composed or _Leaf(d)
 
 
 def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[Strategy]:
+    """A variable split, solved apart; else a sequential split, which only
+    certifies the one rational leaf on the whole system."""
     split = var_decompose(d, constraints)
     if split is not None:
         v1, v2 = split
@@ -742,22 +702,14 @@ def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[Stra
         c2 = [c for c in constraints if c not in c1]
         left = _detect(project_system(d, v1), c1, depth)
         right = _detect(project_system(d, v2), c2, depth)
-        if left is not None and right is not None:
-            return VarStrategy(d, v1, v2, left, right)
+        return VarStrategy(d, v1, v2, left, right)
     parts = seq_decompose(d)
     if parts is not None:
         d1, d2, cut = parts
-        progress = set(d1.states) != set(d.states) or d1.finals != d.finals
-        if progress:
-            left = _detect(d1, constraints, depth)
-            right = _detect(d2, constraints, depth)
-            # formulas cross the cut, so pair states of a variable split cannot
-            if left is not None and right is not None and not any(
-                isinstance(x, VarStrategy) for x in (left, right)
-            ):
-                return SeqStrategy(
-                    d, left, right, cut, frozenset(d1.states), frozenset(d2.states)
-                )
+        if set(d1.states) != set(d.states) or d1.finals != d.finals:
+            left = _detect(d1, constraints, depth).describe()
+            right = _detect(d2, constraints, depth).describe()
+            return _Leaf(d, label=f"seq-compose({left}, {right}; cut='{cut}')")
     return None
 
 

@@ -1,12 +1,16 @@
+import contextlib
 import io
 import json
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damc import product, solve
 from damc.cli import main
@@ -191,20 +195,22 @@ trans 2 c 3 [y^w > x^r]
 """
 
 
-def test_seq_split_with_var_split_part_is_refused(capsys, tmp_path):
-    # the prefix part splits by variables, whose pair states cannot cross the
-    # cut; such a sequential split is refused rather than run, and the
-    # rational system gets the exact leaf instead
+SEQ_OVER_VAR_LABEL = "seq-compose(var-compose({x}: MC; {y,z}: feedback-free), MC; cut='2')"
+
+
+def test_seq_split_with_var_split_part_is_certified(capsys, tmp_path):
+    # the prefix part splits by variables; the sequential split only labels
+    # the one exact leaf on the whole system, so no pair state crosses the cut
     p = tmp_path / "seqvar.ddsa"
     p.write_text(SEQ_OVER_VAR_MODEL)
     code, out, _ = run_cli(capsys, "summary", str(p), "--prop", "F (y > 2)")
     assert code == 0
-    assert "seq-compose" not in out
+    assert out == f"summary: {SEQ_OVER_VAR_LABEL}\n"
     code, out, err = run_cli(capsys, "verify", str(p), "--prop", "F (y > 2)", "--json")
     assert code == 0
     assert "Traceback" not in out + err
     doc = json.loads(out)
-    assert doc["strategy"] == "exact-fixpoint" and doc["verdict"] == "witness"
+    assert doc["strategy"] == SEQ_OVER_VAR_LABEL and doc["verdict"] == "witness"
     assert doc["actions"] == ["b", "c"]
     code, out, _ = run_cli(
         capsys, "oracle", str(p), "--prop", "F (y > 2)", "--max-len", "2", "--json"
@@ -234,6 +240,14 @@ def test_uncovered_rational_system_ends_at_the_node_budget(capsys, tmp_path):
     assert code == 2
     assert "inconclusive (product exceeded 100 nodes: the node budget (--max-nodes)" in out
     assert "Traceback" not in out + err
+    # the sizes are those built when the budget was hit
+    assert "sizes: nfa 3/4 product 100/99 finals 0" in out
+    code, out, _ = run_cli(
+        capsys, "verify", str(p), "--prop", "F (x < 0)", "--max-nodes", "100", "--json"
+    )
+    assert code == 2
+    sizes = json.loads(out)["sizes"]
+    assert [sizes[f"product_{k}"] for k in ("nodes", "edges", "finals")] == [100, 99, 0]
 
 
 class _ClosedPipe(io.TextIOBase):
@@ -361,3 +375,79 @@ def test_deeply_nested_property_is_a_parse_error(capsys):
     # the deepest accepted nesting still gets a verdict
     ok = "(" * 100 + "x > 0" + ")" * 100
     assert run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", ok)[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# Totality: every model and property text ends in a verdict or exit 3
+
+_OPS = ["<", "<=", "=", "!=", ">=", ">"]
+# No `!=` in guards: a rational fixpoint that no criterion bounds and whose
+# guards carry one can take minutes to reach 50 nodes, since its equivalence
+# checks multiply out in `to_dnf`, and no time limit bounds `verify` yet.
+_GUARD_OPS = [op for op in _OPS if op != "!="]
+
+
+def _atom_texts(names, ops=_OPS):
+    v = st.sampled_from(names)
+    term = st.one_of(
+        v,
+        st.builds("{} - {}".format, v, v),
+        st.builds("{} + {}".format, v, v),
+        st.builds("2*{}".format, v),
+        st.integers(0, 3).map(str),
+    )
+    return st.builds("{} {} {}".format, term, st.sampled_from(ops), term)
+
+
+@st.composite
+def _queries(draw):
+    """Model text over at most 3 variables and 4 transitions, and a property
+    text over its variables, states and actions."""
+    names = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    finals = draw(st.lists(st.sampled_from(states), min_size=1, unique=True))
+    lines = [
+        "domain " + draw(st.sampled_from(["rat", "int"])),
+        "vars " + " ".join(names),
+        "init " + " ".join(f"{n}={draw(st.integers(0, 2))}" for n in names),
+        "states " + " ".join(states),
+        "initial s0",
+        "final " + " ".join(finals),
+    ]
+    copies = [f"{n}^{k}" for n in names for k in "rw"]
+    actions = [f"a{i}" for i in range(draw(st.integers(1, 4)))]
+    for a in actions:
+        guard = " && ".join(draw(st.lists(_atom_texts(copies, _GUARD_OPS), max_size=2)))
+        src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
+        lines.append(f"trans {src} {a} {dst} [{guard}]")
+    prop = st.recursive(
+        st.one_of(_atom_texts(names), st.sampled_from(states + actions)),
+        lambda p: st.one_of(
+            st.builds("{} ({})".format, st.sampled_from("XFG"), p),
+            st.builds("<{}> ({})".format, st.sampled_from(actions), p),
+            st.builds("({}) {} ({})".format, p, st.sampled_from("U&|"), p),
+        ),
+        max_leaves=4,
+    )
+    return "\n".join(lines) + "\n", draw(prop)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_queries())
+def test_verify_is_total_on_small_models(query):
+    model, prop = query
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ddsa"
+        path.write_text(model)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path), "--prop", prop, "--max-nodes", "50", "--json"])
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        assert err.getvalue().startswith("error: ")
+        return
+    doc = json.loads(out.getvalue())
+    assert code == {"witness": 0, "no-witness": 1, "inconclusive": 2}[doc["verdict"]]
+    if code == 0:
+        assert doc["run"] and doc["actions"] is not None

@@ -10,7 +10,6 @@ from damc.formula import (
     RAT,
     Atom,
     MissingVariable,
-    MixedAtom,
     Term,
     VarId,
     atom,
@@ -20,7 +19,6 @@ from damc.formula import (
     free_vars,
     neg,
     norm_atom,
-    restrict,
     substitute,
 )
 
@@ -64,22 +62,6 @@ def test_substitute_carryover_equality():
     u, v = VarId("u"), VarId("v")
     out = substitute(atom(vw, "=", vr), {vw: Term.of(v), vr: Term.of(u)})
     assert out == atom(v, "=", u)
-
-
-def test_restrict_picks_side():
-    b, d, t = VarId("b"), VarId("d"), VarId("t")
-    phi = conj(atom(d, ">=", 1), atom(t, ">", 0), atom(b, "=", 0))
-    assert restrict(phi, {b, d}) == conj(atom(d, ">=", 1), atom(b, "=", 0))
-
-
-def test_restrict_identity():
-    phi = conj(atom(x, ">", 0), atom(y, "=", 0))
-    assert restrict(phi, free_vars(phi)) == phi
-
-
-def test_restrict_mixed_atom():
-    with pytest.raises(MixedAtom):
-        restrict(atom(Term.of(x) + Term.of(y), ">", 0), {x})
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,30 @@ def test_nfa_acceptance_matches_semantics(b1, b2):
                 assert accepts_consistent_word(d, nfa, run) == run_models(d, run, 0, pre)
 
 
+def test_boolean_combinators_simplify_in_context():
+    c1, c2, c3 = Constr(atom(y, ">", 2)), Constr(atom(x, "=", 0)), StateAtom("1")
+    assert land(c1, lor(c1, c2)) == c1
+    assert lor(c1, land(c1, c2)) == c1
+    # beside the disjunct c1, the c1 inside the conjunction is false
+    assert lor(c1, land(c2, lor(c1, c3))) == lor(c1, land(c2, c3))
+    assert land(c1, lor(c2, land(c1, c3))) == land(c1, lor(c2, c3))
+
+
+def test_nfa_of_until_between_unbounded_operands_closes(b1):
+    # the states of (G p) U (F q) were F q | (G p & (F q | (G p & ...))),
+    # ever deeper, and the construction never ended
+    from conftest import frac_grid
+
+    runs = list(oracle.enumerate_runs(b1, 3, frac_grid(0, 3, halves=True)))[:60]
+    c1, c2 = Constr(atom(y, ">", 2)), Constr(atom(x, "=", 0))
+    for left, right in itertools.product((Eventually, Always), repeat=2):
+        pre = preprocess(Until(left(c2), right(c1)))
+        nfa = build_nfa(pre, b1.domain)
+        assert len(nfa.states) <= 8
+        for run in runs:
+            assert accepts_consistent_word(b1, nfa, run) == run_models(b1, run, 0, pre)
+
+
 def test_delta_totality_on_runs(b1):
     # every quoted state has an entry consistent with any run position
     from conftest import frac_grid

@@ -331,6 +331,28 @@ def test_random_gc_systems_agree_with_oracle():
     assert checked >= 45
 
 
+def test_integer_systems_get_gap_order_or_no_summary():
+    # a split cannot cover an integer system outside gap-order, since the
+    # offending atom lands in some part: such a system gets no summary
+    import random
+    from dataclasses import replace
+
+    from damc.formula import Term
+    from damc.summary import GcStrategy, NoSummaryFound, detect
+
+    rng = random.Random(13)
+    sides = [VarId("x", "r"), VarId("x", "w"), VarId("y", "r"), VarId("y", "w")]
+    for _ in range(40):
+        d = random_gc_system(rng)
+        assert isinstance(detect(d, []), GcStrategy)
+        a = rng.choice(d.actions)
+        p, q = rng.sample(sides, 2)
+        total = atom(Term.of(p) + Term.of(q), rng.choice([">=", "<=", "="]), rng.randint(0, 3))
+        mixed = replace(d, guards={**d.guards, a: conj(d.guards[a], total)})
+        with pytest.raises(NoSummaryFound):
+            detect(mixed, [])
+
+
 def test_random_rational_gap_order_systems_agree_with_oracle():
     # gap-order shaped guards over Q get the exact rational leaf, never GC's
     # integer reasoning; a fixpoint no criterion bounds may run into the

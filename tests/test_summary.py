@@ -23,7 +23,6 @@ from damc.summary import (
     ComputationGraph,
     GcStrategy,
     NoSummaryFound,
-    SeqStrategy,
     VarStrategy,
     check_bounded_lookback,
     check_feedback_free,
@@ -242,7 +241,9 @@ def test_detect_auction_shape(auction):
     strat = detect(auction, C)
     assert isinstance(strat, VarStrategy)
     assert {v.name for v in strat.v1} == {"b", "d"}
-    assert isinstance(strat.right, SeqStrategy)
+    # a sequential split only labels the one exact leaf of its (sub)system
+    assert type(strat.right) is _Leaf
+    assert strat.right.describe() == "seq-compose(MC, feedback-free; cut='end')"
     # the rational {d,b} part gets exact leaves, never the integer GC leaf
     assert strat.describe() == (
         "var-compose({d,b}: var-compose({d}: seq-compose(exact-fixpoint, MC; cut='end'); "
