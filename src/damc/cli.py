@@ -242,7 +242,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     command = {"verify": cmd_verify, "summary": cmd_summary, "oracle": cmd_oracle}
     try:
         code, text = command[ns.command](ns)
-    except (parsing.ParseError, FileNotFoundError, ValueError) as e:
+    except (parsing.ParseError, OSError, ValueError) as e:
+        # OSError: a missing or unreadable model, property or DOT path
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -41,10 +41,8 @@ from .ltlf import Ltlf
 
 class ParseError(Exception):
     def __init__(self, msg: str, line: Optional[int] = None, col: Optional[int] = None):
-        loc = ""
-        if line is not None:
-            loc = f" at line {line}" + (f", column {col}" if col is not None else "")
-        super().__init__(msg + loc)
+        loc = ", ".join(f"{k} {n}" for k, n in (("line", line), ("column", col)) if n is not None)
+        super().__init__(msg + (f" at {loc}" if loc else ""))
         self.line = line
         self.col = col
 
@@ -94,6 +92,8 @@ class _Stream:
         self.i = 0
         self.line = line
         self.depth = 0
+        # where peek points at the end of input: just past the last token
+        self.end = (None, None, toks[-1][2] + len(toks[-1][1]) if toks else 0)
 
     def nested(self, parse, *args):
         """parse(self, *args) one nesting level deeper."""
@@ -108,7 +108,7 @@ class _Stream:
             self.depth -= 1
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, -1)
+        return self.toks[self.i] if self.i < len(self.toks) else self.end
 
     def next(self):
         t = self.peek()
@@ -136,9 +136,11 @@ class _Stream:
         return self.i >= len(self.toks)
 
 
-def _parse_number(text: str) -> Fraction:
+def _parse_number(text: str, line: Optional[int] = None, col: Optional[int] = None) -> Fraction:
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ParseError(f"zero denominator in {text!r}", line, col)
         return Fraction(int(num), int(den))
     return Fraction(text)  # handles decimals exactly
 
@@ -172,7 +174,7 @@ def _parse_term_atom(s: _Stream) -> Term:
     k, v, c = s.peek()
     if k == "num":
         s.next()
-        val = _parse_number(v)
+        val = _parse_number(v, s.line, c + 1)
         if s.accept("punct", "*"):
             nk, nv, _ = s.next()
             if nk != "name":
@@ -265,7 +267,7 @@ def parse_model(text: str) -> Ddsa:
                 if "=" not in piece:
                     raise ParseError(f"init entries look like x=0, got {piece!r}", ln)
                 name, val = piece.split("=", 1)
-                init[VarId(name)] = _parse_number(val)
+                init[VarId(name)] = _parse_number(val, ln)
         elif kw == "states":
             states = rest.split()
         elif kw == "initial":

@@ -109,7 +109,8 @@ def build_product(
     strategy: sm.Strategy,
     max_nodes: int = 10_000,
 ) -> ProductAutomaton:
-    """Forward fixpoint over triples (control state, NFA state, formula).
+    """Forward fixpoint over triples (control state, NFA state, formula),
+    where the formula is the strategy's representative of its class.
 
     An edge needs a satisfiable update image conjoined with the NFA
     symbol's constraints, and the symbol must be consistent with the
@@ -123,11 +124,9 @@ def build_product(
         raise ValueError("build_product needs the dummy-extended system")
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
     dummy_action = d.dummy[1]
-    init_state = strategy.initial_state()
-    init = PNode(d.initial, nfa.initial, strategy.formula(init_state), init_state)
-    nodes = [init]
-    pool: dict[tuple[str, int], list[int]] = {(d.initial, nfa.initial): [0]}
-    reps: dict[str, list[int]] = {d.initial: [0]}
+    init = strategy.canon(strategy.initial_state())
+    nodes = [PNode(d.initial, nfa.initial, strategy.formula(init), init)]
+    index = {(d.initial, nfa.initial, init): 0}
     edges: list[PEdge] = []
     finals: set[int] = set()
     queue = deque([0])
@@ -142,35 +141,21 @@ def build_product(
                 if ne.dst == qe_idx and dst not in d.finals:
                     continue
                 if image is None:
-                    if a == dummy_action:
-                        image = node.sstate
-                    else:
-                        image = strategy.image(node.sstate, a, node.state, dst)
+                    image = node.sstate if a == dummy_action else strategy.image(node.sstate, a)
                 ns = strategy.conjoin(image, lt.constr_of(ne.symbol))
-                if not strategy.sat(ns, dst):
+                if not strategy.sat(ns):
                     continue
-                j = None
-                for cand in pool.get((dst, ne.dst), []):
-                    if strategy.equiv(nodes[cand].sstate, ns, dst):
-                        j = cand
-                        break
+                rep = strategy.canon(ns)
+                j = index.get((dst, ne.dst, rep))
                 if j is None:
-                    # reuse the state's representative formula when one matches
-                    rep_state = ns
-                    for cand in reps.get(dst, []):
-                        if strategy.equiv(nodes[cand].sstate, ns, dst):
-                            rep_state = nodes[cand].sstate
-                            break
                     if len(nodes) >= max_nodes:
                         raise ProductBudgetExceeded(
                             f"product exceeded {max_nodes} nodes: "
                             "the node budget (--max-nodes) was reached",
                             (len(nodes), len(edges), len(finals)),
                         )
-                    j = len(nodes)
-                    nodes.append(PNode(dst, ne.dst, strategy.formula(rep_state), rep_state))
-                    pool.setdefault((dst, ne.dst), []).append(j)
-                    reps.setdefault(dst, []).append(j)
+                    j = index[(dst, ne.dst, rep)] = len(nodes)
+                    nodes.append(PNode(dst, ne.dst, strategy.formula(rep), rep))
                     if ne.dst != qe_idx:
                         queue.append(j)
                     if dst in d.finals and ne.dst in nfa.finals:
@@ -242,28 +227,20 @@ def realize_run(
     return Run(tuple(configs), tuple(actions))
 
 
-def extract_witness(d: Ddsa, path: Sequence[PEdge], nodes: list[PNode]) -> tuple[Run, list[SigmaSymbol]]:
-    """Concrete run from an accepting path, by re-solving exact history
-    constraints rather than trusting the path's representatives.
+def extract_witness(d: Ddsa, path: Sequence[PEdge]) -> tuple[Run, list[SigmaSymbol]]:
+    """Concrete run of the system `d` from an accepting path of its
+    dummy-extended product, by re-solving exact history constraints rather
+    than trusting the path's representatives.
 
     The dummy first step contributes the position-0 constraint set; the
     returned run starts at the real initial state.
     """
-    if d.dummy is None or not path:
+    if not path:
         raise ValueError("path must start with the dummy step")
     word: list[SigmaSymbol] = [e.symbol for e in path]
     actions = [e.action for e in path[1:]]
     cseq = [lt.constr_of(s) for s in word]
-    inner = replace(
-        d,
-        states=tuple(s for s in d.states if s != d.dummy[0]),
-        initial=nodes[path[0].dst].state,
-        actions=tuple(a for a in d.actions if a != d.dummy[1]),
-        transitions=tuple(t for t in d.transitions if t[1] != d.dummy[1]),
-        guards={a: g for a, g in d.guards.items() if a != d.dummy[1]},
-        dummy=None,
-    )
-    run = realize_run(inner, actions, cseq)
+    run = realize_run(d, actions, cseq)
     if run is None:
         raise InternalInconsistency(
             "accepting path has unsatisfiable history constraint"
@@ -335,7 +312,7 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
             # merged states have the same continuations, and a saturated
             # product with no accepting path leaves no witness run
             return Verdict("no-witness", stats, **keep)
-        run, word = extract_witness(extended, path, prod.nodes)
+        run, word = extract_witness(d, path)
     except (sm.NoSummaryFound, BudgetExceeded, solve.UnsupportedInteger) as e:
         if isinstance(e, ProductBudgetExceeded):
             stats.product_nodes, stats.product_edges, stats.product_finals = e.sizes

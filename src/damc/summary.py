@@ -1,8 +1,11 @@
 """Finite-summary detection and the constraint-graph abstraction.
 
 A summary strategy packages the update procedure and the equivalence
-relation the constraint graph and the product quotient by.  The domain
-alone picks the leaf, and every leaf is exact: over the rationals,
+relation the constraint graph and the product quotient by.  The leaf keeps
+that quotient itself: `canon` maps each state to the first equivalent state
+it has seen, so both explorations find a node by its representative with
+a dict lookup (hash-consing modulo equivalence).  The domain alone picks
+the leaf, and every leaf is exact: over the rationals,
 Fourier-Motzkin QE and logical equivalence; over the integers, gap-order QE
 and cutoff equivalence at K, which is exact on the gap-order fragment.  An
 integer system outside that fragment gets no summary.  Over the rationals
@@ -473,39 +476,8 @@ def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
 # Summary strategies
 
 
-class Strategy:
-    """Update procedure plus equivalence relation for one (sub)system."""
-
-    d: Ddsa
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def initial_state(self):
-        return conj(*self.d.initial_constraints())
-
-    def image(self, state, action: str, src: str, dst: str):
-        """The state after the transition src --action--> dst."""
-        raise NotImplementedError
-
-    def equiv(self, s1, s2, control: str) -> bool:
-        raise NotImplementedError
-
-    def sat(self, state, control: str) -> bool:
-        raise NotImplementedError
-
-    def formula(self, state) -> Formula:
-        return state
-
-    def conjoin(self, state, constrs: Sequence[Formula]):
-        """State with extra constraints over the current variables (an
-        image, or the state itself on the dummy step, whose transition
-        formula is pure inertia)."""
-        return conj(state, *constrs)
-
-
 @dataclass
-class _Leaf(Strategy):
+class _Leaf:
     """The exact rational leaf: Fourier-Motzkin QE and logical equivalence.
 
     `label` names the criterion or split that certifies the fixpoint is
@@ -520,6 +492,18 @@ class _Leaf(Strategy):
     def describe(self) -> str:
         return self.label
 
+    def initial_state(self) -> Formula:
+        return conj(*self.d.initial_constraints())
+
+    def formula(self, state: Formula) -> Formula:
+        return state
+
+    def conjoin(self, state: Formula, constrs: Sequence[Formula]) -> Formula:
+        """State with extra constraints over the current variables (an
+        image, or the state itself on the dummy step, whose transition
+        formula is pure inertia)."""
+        return conj(state, *constrs)
+
     def equivalent(self, s1: Formula, s2: Formula) -> bool:
         return solve.equivalent(s1, s2, self.domain)
 
@@ -527,10 +511,10 @@ class _Leaf(Strategy):
         """The formula whose models the equivalence compares."""
         return state
 
-    # The image, sat and equivalence memos live on the instance: leaves differ
-    # in their system and domain, and live for one verify call.
+    # The image, sat and canon memos live on the instance: leaves differ in
+    # their system and domain, and live for one verify call.
 
-    def image(self, state, action, src, dst) -> Formula:
+    def image(self, state: Formula, action: str) -> Formula:
         # one image per (state, action), however many NFA edges conjoin to it
         memo = self.__dict__.setdefault("_image_cache", {})
         hit = memo.get((state, action))
@@ -538,15 +522,23 @@ class _Leaf(Strategy):
             hit = memo[(state, action)] = dd.update(self.d, state, action)
         return hit
 
-    def equiv(self, s1, s2, control) -> bool:
-        # symmetric and queried repeatedly during pool scans
-        memo = self.__dict__.setdefault("_eq_cache", {})
-        hit = memo.get((s1, s2))
+    def canon(self, state: Formula) -> Formula:
+        """The first state canonised here that is equivalent to `state`
+        (`state` itself if none is): one representative per class, so that
+        the explorations find a node by lookup instead of by scan."""
+        memo = self.__dict__.setdefault("_canon_cache", {})
+        hit = memo.get(state)
         if hit is None:
-            hit = memo.get((s2, s1))
-        if hit is None:
-            hit = memo[(s1, s2)] = not self._refuted(s1, s2) and self.equivalent(s1, s2)
+            classes = self.__dict__.setdefault("_classes", [])
+            hit = next((r for r in classes if self.equiv(r, state)), None)
+            if hit is None:
+                classes.append(state)
+                hit = state
+            memo[state] = hit
         return hit
+
+    def equiv(self, s1: Formula, s2: Formula) -> bool:
+        return not self._refuted(s1, s2) and self.equivalent(s1, s2)
 
     def _refuted(self, s1: Formula, s2: Formula) -> bool:
         """Whether a stored model of one side satisfies its compared formula
@@ -566,7 +558,7 @@ class _Leaf(Strategy):
                 pass  # a state beyond the model: ask the solver
         return False
 
-    def sat(self, state, control) -> bool:
+    def sat(self, state: Formula) -> bool:
         memo = self.__dict__.setdefault("_sat_cache", {})
         hit = memo.get(state)
         if hit is None:
@@ -601,10 +593,9 @@ class GcStrategy(_Leaf):
 
 
 @dataclass
-class VarStrategy(Strategy):
+class VarStrategy:
     """Variable-disjoint composition; states are per-part formula pairs."""
 
-    d: Ddsa
     v1: tuple[VarId, ...]
     v2: tuple[VarId, ...]
     left: Strategy
@@ -621,36 +612,32 @@ class VarStrategy(Strategy):
             f"{{{n2}}}: {self.right.describe()})"
         )
 
-    def _split(self, constrs: Sequence[Formula]) -> tuple[list[Formula], list[Formula]]:
-        c1, c2 = [], []
-        for c in constrs:
-            names = {v.name for v in free_vars(c)}
-            (c1 if names <= self._names1 else c2).append(c)
-        return c1, c2
-
     def initial_state(self):
         return (self.left.initial_state(), self.right.initial_state())
 
-    def image(self, state, action, src, dst):
-        return (
-            self.left.image(state[0], action, src, dst),
-            self.right.image(state[1], action, src, dst),
-        )
-
-    def conjoin(self, state, constrs):
-        c1, c2 = self._split(constrs)
-        return (self.left.conjoin(state[0], c1), self.right.conjoin(state[1], c2))
-
-    def equiv(self, s1, s2, control) -> bool:
-        return self.left.equiv(s1[0], s2[0], control) and self.right.equiv(
-            s1[1], s2[1], control
-        )
-
-    def sat(self, state, control) -> bool:
-        return self.left.sat(state[0], control) and self.right.sat(state[1], control)
-
     def formula(self, state) -> Formula:
         return conj(self.left.formula(state[0]), self.right.formula(state[1]))
+
+    def conjoin(self, state, constrs):
+        c1, c2 = [], []
+        for c in constrs:
+            (c1 if {v.name for v in free_vars(c)} <= self._names1 else c2).append(c)
+        return (self.left.conjoin(state[0], c1), self.right.conjoin(state[1], c2))
+
+    def image(self, state, action: str):
+        return (self.left.image(state[0], action), self.right.image(state[1], action))
+
+    def canon(self, state):
+        return (self.left.canon(state[0]), self.right.canon(state[1]))
+
+    def sat(self, state) -> bool:
+        return self.left.sat(state[0]) and self.right.sat(state[1])
+
+
+# The protocol both explorations use: initial_state, image, conjoin, sat,
+# canon and formula.  A state is a formula for a leaf and a pair of part
+# states for a variable split.
+Strategy = _Leaf | VarStrategy
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +689,7 @@ def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[Stra
         c2 = [c for c in constraints if c not in c1]
         left = _detect(project_system(d, v1), c1, depth)
         right = _detect(project_system(d, v2), c2, depth)
-        return VarStrategy(d, v1, v2, left, right)
+        return VarStrategy(v1, v2, left, right)
     parts = seq_decompose(d)
     if parts is not None:
         d1, d2, cut = parts
@@ -735,35 +722,31 @@ def constraint_graph(
     d: Ddsa, strategy: Strategy, max_nodes: int = 10_000
 ) -> ConstraintGraph:
     """Fixpoint exploration from the initial constraint: successors are
-    update images; a node is reused when the strategy's equivalence matches
-    an existing representative for the same control state.  Unsatisfiable
-    images are pruned before node creation."""
-    init = strategy.initial_state()
+    update images, and a node is one (control state, representative) pair
+    of the strategy's quotient.  Unsatisfiable images are pruned before
+    node creation."""
+    init = strategy.canon(strategy.initial_state())
     nodes = [CgNode(d.initial, strategy.formula(init), init)]
-    pool: dict[str, list[int]] = {d.initial: [0]}
+    index = {(d.initial, init): 0}
     edges: list[tuple[int, str, int]] = []
     queue = deque([0])
     while queue:
         i = queue.popleft()
         node = nodes[i]
         for (a, dst) in d.outgoing(node.state):
-            ns = strategy.image(node.sstate, a, node.state, dst)
-            if not strategy.sat(ns, dst):
+            ns = strategy.image(node.sstate, a)
+            if not strategy.sat(ns):
                 continue
-            j = None
-            for cand in pool.get(dst, []):
-                if strategy.equiv(nodes[cand].sstate, ns, dst):
-                    j = cand
-                    break
+            rep = strategy.canon(ns)
+            j = index.get((dst, rep))
             if j is None:
                 if len(nodes) >= max_nodes:
                     raise BudgetExceeded(
                         f"constraint graph exceeded {max_nodes} nodes: "
                         "the node budget (--max-nodes) was reached"
                     )
-                j = len(nodes)
-                nodes.append(CgNode(dst, strategy.formula(ns), ns))
-                pool.setdefault(dst, []).append(j)
+                j = index[(dst, rep)] = len(nodes)
+                nodes.append(CgNode(dst, strategy.formula(rep), rep))
                 queue.append(j)
             edges.append((i, a, j))
     return ConstraintGraph(nodes, edges)

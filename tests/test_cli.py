@@ -67,6 +67,46 @@ def test_verify_parse_error_in_property(capsys):
 
 
 @pytest.mark.parametrize(
+    "edit, prop, where",
+    [
+        (None, "F (x > 1/0)", "column 8"),
+        (("init x=0", "init x=1/0"), "F (x > 1)", "line 4"),
+        (("[x^w > y^r]", "[x^w > 1/0]"), "F (x > 1)", "line 8, column 7"),
+    ],
+    ids=["property", "init", "guard"],
+)
+def test_zero_denominator_is_a_parse_error(capsys, tmp_path, edit, prop, where):
+    model = MODELS / "b1.ddsa"
+    if edit is not None:
+        text = model.read_text()
+        assert edit[0] in text
+        model = tmp_path / "m.ddsa"
+        model.write_text(text.replace(*edit))
+    code, out, err = run_cli(capsys, "verify", str(model), "--prop", prop)
+    assert code == 3
+    assert "error: zero denominator in '1/0'" in err and where in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "prop, where", [("F (y >", "column 7"), ("F (y > 5))", "column 10"), ("", "column 1")]
+)
+def test_property_parse_error_names_its_column(capsys, prop, where):
+    # the end of input is the column just past the last token
+    code, _, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", prop)
+    assert code == 3
+    assert err.rstrip().endswith(f" at {where}")
+
+
+@pytest.mark.parametrize("args", [(str(MODELS), "F (x > 1)"), (str(MODELS / "b1.ddsa"), str(MODELS))])
+def test_directory_path_is_a_usage_error(capsys, args):
+    code, out, err = run_cli(capsys, "verify", args[0], "--prop", args[1])
+    assert code == 3
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("verify", "--prop", "F (y > 5)", "--max-nodes", "0"),

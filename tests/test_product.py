@@ -97,7 +97,7 @@ def test_find_accepting_path_none(b1):
 def test_extract_witness_validates(b1):
     ext, nfa, prod, pre = build_b1_product(b1)
     path = find_accepting_path(prod)
-    run, word = extract_witness(ext, path, prod.nodes)
+    run, word = extract_witness(b1, path)
     assert validate_run(b1, run)
     assert run.configs[-1].state in b1.finals
     assert lt.run_models(b1, run, 0, pre)
@@ -382,6 +382,50 @@ def test_random_rational_gap_order_systems_agree_with_oracle():
     assert decided >= 50
 
 
+def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
+    # one node per (control state, NFA state, class of the leaf's relation):
+    # no two nodes there are equivalent, every node's state is its own
+    # representative, and the DOT file draws the sizes --json reports
+    import random
+
+    from damc.cli import main
+    from damc.ddsa import validate
+
+    rng = random.Random(11)
+    products = 0
+    for domain in (INT, RAT):
+        for _ in range(10):
+            d = random_gc_system(rng, domain)
+            if validate(d):
+                continue
+            model = tmp_path / "m.ddsa"
+            model.write_text(parsing.print_model(d))
+            for text in ("F (y >= 5)", "F (x - y >= 3)", "G (x >= 0)"):
+                psi = parsing.parse_property(text, d)
+                v = verify(d, psi, VerifyOptions(max_nodes=200, keep_artifacts=True))
+                if v.product is None:
+                    continue
+                products += 1
+                strat = v.strategy
+                if domain == INT:
+                    same = lambda a, b: solve.gc_equivalent(a, b, strat.K)  # noqa: E731
+                else:
+                    same = lambda a, b: equivalent(a, b, RAT)  # noqa: E731
+                at: dict = {}
+                for n in v.product.nodes:
+                    assert strat.canon(n.sstate) == n.sstate
+                    assert not any(same(m.formula, n.formula) for m in at.get((n.state, n.q), []))
+                    at.setdefault((n.state, n.q), []).append(n)
+                dot = tmp_path / "p.dot"
+                args = ["verify", str(model), "--prop", text, "--max-nodes", "200"]
+                main(args + ["--json", "--dot-product", str(dot)])
+                sizes = json.loads(capsys.readouterr().out)["sizes"]
+                lines = dot.read_text().splitlines()
+                assert sizes["product_nodes"] == sum(line.startswith("  p") and "->" not in line for line in lines)
+                assert sizes["product_edges"] == sum("->" in line for line in lines)
+    assert products >= 50
+
+
 def test_gc_on_rational_model_agrees_with_oracle():
     d = parsing.parse_model(
         "domain rat\nvars x y\ninit x=0 y=0\nstates 1 2\ninitial 1\nfinal 2\n"
@@ -448,10 +492,10 @@ def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
             solved[(id(leaves[-1].d), phi)] += 1
         return is_sat(phi, dom)
 
-    def tracked_leaf_sat(self, state, control):
+    def tracked_leaf_sat(self, state):
         leaves.append(self)
         try:
-            return leaf_sat(self, state, control)
+            return leaf_sat(self, state)
         finally:
             leaves.pop()
 
@@ -460,7 +504,7 @@ def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
     monkeypatch.setattr(summary._Leaf, "sat", tracked_leaf_sat)
     psi = parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", auction)
     assert verify(auction, psi).kind == "witness"
-    assert len(images) == 70 and set(images.values()) == {1}
+    assert len(images) == 61 and set(images.values()) == {1}
     assert solved and set(solved.values()) == {1}
 
 

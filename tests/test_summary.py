@@ -369,7 +369,7 @@ def test_constraint_graph_nodes_match_history_constraints(b1, b3):
             actions = [a for a, _ in p]
             node = g.nodes[p[-1][1]] if p else g.nodes[0]
             h = history_constraint(d, actions)
-            assert strat.equiv(node.sstate, h, node.state)
+            assert strat.equiv(node.sstate, h)
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +385,25 @@ def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
     # the stored model of the first falsifies the second
     gc = GcStrategy(b1_int, 3)
     a, b = atom(Term.of(x) - y, ">=", 5), atom(Term.of(x) - y, ">=", 7)
-    assert gc.sat(a, "1") and gc.sat(b, "1")
+    assert gc.sat(a) and gc.sat(b)
     assert not evaluate(b, gc._sat_cache[a].model)
-    assert gc.equiv(a, b, "1") and gc.equiv(b, a, "1")
+    assert gc.equiv(a, b) and gc.equiv(b, a)
     # below K a stored model refutes without the solver
     c = atom(Term.of(x) - y, ">=", 1)
-    assert gc.sat(c, "1")
+    assert gc.sat(c)
     monkeypatch.setattr(solve, "gc_equivalent", _no_solver)
-    assert not gc.equiv(c, a, "1")
+    assert not gc.equiv(c, a)
 
 
 def test_mc_stored_model_refutes_without_the_solver(b1, monkeypatch):
     mc = _Leaf(b1)
     a, b = atom(x, ">=", 0), atom(x, ">", 0)
-    assert mc.sat(a, "1") and mc.sat(b, "1")
+    assert mc.sat(a) and mc.sat(b)
     monkeypatch.setattr(solve, "equivalent", _no_solver)
-    assert not mc.equiv(a, b, "1")
+    assert not mc.equiv(a, b)
     # x > -1 was never solved, and b's model (x = 1) satisfies it
     with pytest.raises(AssertionError, match="the solver was asked"):
-        mc.equiv(atom(x, ">", -1), b, "1")
+        mc.equiv(atom(x, ">", -1), b)
 
 
 GC_SHAPES = (
@@ -443,8 +443,8 @@ def state_pairs(draw, shapes, constants):
 def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
     mc = _Leaf(b1)
     for s in pair:
-        mc.sat(s, "1")
-    assert mc.equiv(*pair, "1") == equivalent(*pair, RAT)
+        mc.sat(s)
+    assert mc.equiv(*pair) == equivalent(*pair, RAT)
 
 
 @settings(max_examples=150, deadline=None)
@@ -452,8 +452,8 @@ def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
 def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
     gc = GcStrategy(b1_int, K)
     for s in pair:
-        gc.sat(s, "1")
-    assert gc.equiv(*pair, "1") == solve.gc_equivalent(*pair, K)
+        gc.sat(s)
+    assert gc.equiv(*pair) == solve.gc_equivalent(*pair, K)
 
 
 # ---------------------------------------------------------------------------
