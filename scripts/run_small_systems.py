@@ -10,13 +10,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from damc import parsing
 from damc.formula import INT, VarId, atom
 from damc.ltlf import fmt_symbol
-from damc.product import VerifyOptions, verify
+from damc.product import VerifyOptions, constraint_graph, verify
 from damc.summary import (
     check_bounded_lookback,
     check_feedback_free,
     check_gc,
     check_mc,
-    constraint_graph,
     detect,
 )
 

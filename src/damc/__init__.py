@@ -36,10 +36,10 @@ from .summary import (
     check_feedback_free,
     check_gc,
     check_mc,
-    constraint_graph,
     detect,
 )
-from .product import Verdict, VerifyOptions, extend_with_dummy, realize_run, verify
+from .product import Verdict, VerifyOptions, constraint_graph, extend_with_dummy
+from .product import realize_run, verify
 from .oracle import brute_force_witness, default_grid, enumerate_runs
 from .parsing import parse_model, parse_property, print_model, print_property
 

@@ -130,7 +130,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
         Path(ns.dot_product).write_text(dot.product_dot(verdict.product))
     if ns.dot_cg and verdict.strategy is not None:
         try:
-            g = summary.constraint_graph(d, verdict.strategy, ns.max_nodes)
+            g = product.constraint_graph(d, verdict.strategy, ns.max_nodes)
         except (BudgetExceeded, UnsupportedInteger) as e:
             verdict = product.Verdict("inconclusive", verdict.stats, reason=f"--dot-cg: {e}")
         else:

@@ -118,9 +118,9 @@ class Run:
 SymbolicRun = tuple[str, ...]  # action labels; states follow from T
 
 
-def symbolic_states(d: Ddsa, actions: Sequence[str], start: Optional[str] = None) -> list[str]:
+def symbolic_states(d: Ddsa, actions: Sequence[str]) -> list[str]:
     """State sequence of a symbolic run given by its action labels."""
-    cur = start if start is not None else d.initial
+    cur = d.initial
     out = [cur]
     for a in actions:
         nxt = d.target(cur, a)

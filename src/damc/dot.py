@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 from .ltlf import Nfa, fmt_symbol
-from .product import ProductAutomaton
-from .summary import ConstraintGraph
+from .product import ConstraintGraph, ProductAutomaton
 
 
 def _esc(s: str) -> str:

@@ -249,20 +249,18 @@ class Not(Formula):
 
 
 def conj(*parts: Formula) -> Formula:
-    flat: list[Formula] = []
+    """Flattened conjunction that keeps each conjunct's first occurrence."""
+    flat: dict[Formula, None] = {}
     for p in parts:
         if isinstance(p, TrueF):
             continue
         if isinstance(p, FalseF):
             return FALSE
-        if isinstance(p, And):
-            flat.extend(p.args)
-        else:
-            flat.append(p)
+        flat.update(dict.fromkeys(p.args if isinstance(p, And) else (p,)))
     if not flat:
         return TRUE
     if len(flat) == 1:
-        return flat[0]
+        return next(iter(flat))
     return And(tuple(flat))
 
 

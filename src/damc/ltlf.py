@@ -423,9 +423,9 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
     """Least-fixpoint construction from the quoted initial formula.
 
     An entry without the last flag yields an ordinary transition; an entry
-    with the last flag targeting Top yields a transition into qe.  The Bot
-    sink and transitions whose constraint sets are unsatisfiable are
-    dropped afterwards.
+    with the last flag targeting Top yields a transition into qe.  Entries
+    into the Bot sink, which accepts nothing, and transitions whose
+    constraint sets are unsatisfiable are dropped.
     """
     states: list[Union[Ltlf, str]] = [psi]
     index: dict = {psi: 0}
@@ -446,39 +446,21 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
         done.add(q)
         qi = state_id(q)
         for entry in delta(q):
-            if entry.last and entry.not_last:
+            if entry.target == BOT:
                 continue
             if not entry.last:
                 ti = state_id(entry.target)
-                edges.append(NfaEdge(qi, entry.symbol, ti))
                 if entry.target not in done:
                     todo.append(entry.target)
-            if entry.last and entry.target == TOP:
-                edges.append(NfaEdge(qi, entry.symbol, state_id(QE_STATE)))
-
-    top_i = state_id(TOP)
-    qe_i = state_id(QE_STATE)
-    finals = {top_i, qe_i}
-
-    # optimization pass: drop the Bot sink and unsatisfiable labels
-    drop_states = {i for i, s in enumerate(states) if s == BOT}
-    kept: list[NfaEdge] = []
-    for e in edges:
-        if e.src in drop_states or e.dst in drop_states:
-            continue
-        cs = constr_of(e.symbol)
-        if cs and not solve.is_sat(conj(*cs), dom).sat:
-            continue
-        kept.append(e)
-    remap: dict[int, int] = {}
-    new_states: list[Union[Ltlf, str]] = []
-    for i, s in enumerate(states):
-        if i in drop_states:
-            continue
-        remap[i] = len(new_states)
-        new_states.append(s)
-    new_edges = [NfaEdge(remap[e.src], e.symbol, remap[e.dst]) for e in kept]
-    return Nfa(new_states, new_edges, remap[0], {remap[i] for i in finals})
+            elif entry.target == TOP:
+                ti = state_id(QE_STATE)
+            else:
+                continue
+            # the target is explored even when this label is unsatisfiable
+            cs = constr_of(entry.symbol)
+            if not cs or solve.is_sat(conj(*cs), dom).sat:
+                edges.append(NfaEdge(qi, entry.symbol, ti))
+    return Nfa(states, edges, 0, {state_id(TOP), state_id(QE_STATE)})
 
 
 # ---------------------------------------------------------------------------

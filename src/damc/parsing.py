@@ -137,12 +137,17 @@ class _Stream:
 
 
 def _parse_number(text: str, line: Optional[int] = None, col: Optional[int] = None) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}", line, col)
-        return Fraction(int(num), int(den))
-    return Fraction(text)  # handles decimals exactly
+    """A decimal, exactly, optionally over a denominator: `1.5/2` is 3/4."""
+    num, slash, den = text.partition("/")
+    try:
+        if "/" in den:
+            raise ValueError
+        value, divisor = Fraction(num), Fraction(den if slash else 1)
+    except ValueError:
+        raise ParseError(f"not a number: {text!r}", line, col) from None
+    if divisor == 0:
+        raise ParseError(f"zero denominator in {text!r}", line, col)
+    return value / divisor
 
 
 def _var_of(name: str) -> VarId:

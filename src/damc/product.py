@@ -186,6 +186,36 @@ def find_accepting_path(p: ProductAutomaton) -> Optional[list[PEdge]]:
 
 
 # ---------------------------------------------------------------------------
+# Constraint graph
+
+
+@dataclass
+class ConstraintGraph:
+    nodes: list[PNode]
+    edges: list[tuple[int, str, int]]
+    initial: int = 0
+
+
+def constraint_graph(
+    d: Ddsa, strategy: sm.Strategy, max_nodes: int = 10_000
+) -> ConstraintGraph:
+    """Fixpoint exploration from the initial constraint, quotiented by the
+    strategy: the product with the automaton of `true`, whose one state
+    reads every symbol, without the dummy node."""
+    try:
+        p = build_product(
+            extend_with_dummy(d), lt.build_nfa(lt.TOP, d.domain), strategy, max_nodes + 1
+        )
+    except ProductBudgetExceeded:
+        raise BudgetExceeded(
+            f"constraint graph exceeded {max_nodes} nodes: "
+            "the node budget (--max-nodes) was reached"
+        ) from None
+    edges = [(e.src - 1, e.action, e.dst - 1) for e in p.edges if e.src != p.initial]
+    return ConstraintGraph(p.nodes[1:], edges)
+
+
+# ---------------------------------------------------------------------------
 # Witness extraction
 
 

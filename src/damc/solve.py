@@ -1,9 +1,11 @@
 """Decision procedures over linear arithmetic.
 
-DNF normalization, satisfiability with model extraction, quantifier
-elimination (Fourier-Motzkin over the rationals, gap-order elimination
-over the integers), logical equivalence, the K-cutoff, and recognition
-of the monotonicity / gap-order constraint classes.
+DNF normalization, satisfiability with model extraction (Fourier-Motzkin
+over both domains: an integer cube is first tightened to integer difference
+bounds, on which it is exact), quantifier elimination (Fourier-Motzkin over
+the rationals, gap-order elimination over the integers), logical
+equivalence, the K-cutoff, and recognition of the monotonicity / gap-order
+constraint classes.
 
 Everything works on the exact-rational formula IR from `formula`; there
 is deliberately no SMT backend so every answer is reproducible.
@@ -555,21 +557,23 @@ def qe_gc(xs: Sequence[VarId], phi: Formula) -> Formula:
 def is_sat(phi: Formula, dom: Domain) -> SatResult:
     """Satisfiability over the domain, with a checked model on success.
 
-    Over the rationals this is complete.  Over the integers it is exact for
-    difference-form cubes, which cover the gap-order fragment and its
-    negations; when no such cube has a model and another cube remains, it
-    raises UnsupportedInteger rather than guess.
+    Both domains run Fourier-Motzkin on each DNF cube.  Over the rationals
+    this is complete.  Over the integers each cube is first tightened to
+    non-strict integer difference bounds, on which the rational answer is
+    the integer one; that covers the gap-order fragment and its negations.
+    When no such cube has a model and another cube remains, it raises
+    UnsupportedInteger rather than guess.
     """
     outside: Optional[Cube] = None
     for cube in to_dnf(phi):
         if dom == RAT:
             model = _sat_cube_rational(cube)
         else:
-            tri = _as_difference_cube(cube)
-            if tri is None:
+            tight = _as_difference_cube(cube)
+            if tight is None:
                 outside = outside or cube  # a non-empty cube
                 continue
-            model = _sat_difference(tri)
+            model = _sat_cube_rational(tight)
         if model is not None:
             _check_model(cube, model)
             return SatResult(True, model)
@@ -639,62 +643,30 @@ def _pick_rational(lo, hi) -> Fraction:
     return (lo[0] + hi[0]) / 2
 
 
-def _as_difference_cube(cube: Cube) -> Optional[list[Triple]]:
-    """Difference view p - q >= k (k any integer) of a cube, if one exists."""
-    triples: list[Triple] = []
+def _as_difference_cube(cube: Cube) -> Optional[Cube]:
+    """The cube over the integers as non-strict integer bounds on difference
+    terms (x, -x, x - y), or None when an atom lies outside that fragment.
+
+    `t < c` becomes `t <= ceil(c) - 1`, `t <= c` becomes `t <= floor(c)`, and
+    a gap-order `t = c` becomes `t <= floor(c)` and `-t <= -ceil(c)`.  Such a
+    system is totally unimodular: it has an integer model iff it has a
+    rational one (Schrijver, Theory of Linear and Integer Programming, 1986),
+    and Fourier-Motzkin back-substitution picks integer values for it.
+    """
+    out: list[NormAtom] = []
     for na in cube:
         vec, const, op = na.coeffs, na.const, na.op
-        if op in ("<=", "<"):
-            tr = _gc_of_ineq(vec, const, op == "<")
-            if tr is None:
-                return None
-            triples.append(tr)
-        elif op == "=":
-            eqv = gc_norm(na)
-            if eqv is None or eqv[0] != "conj":
-                return None
-            triples.extend(eqv[1])
-        else:  # != is expanded by to_dnf
-            return None
-    return triples
-
-
-def _sat_difference(triples: list[Triple]) -> Optional[dict[VarId, Fraction]]:
-    """Bellman-Ford on the gap graph; integer model or None."""
-    nodes: list[Node] = [0]
-    consts: list[int] = []
-    for p, q, k in triples:
-        for n in (p, q):
-            if n not in nodes:
-                nodes.append(n)
-                if isinstance(n, int):
-                    consts.append(n)
-    edges: list[tuple[Node, Node, int]] = []
-    for p, q, k in triples:
-        edges.append((p, q, k))  # value(p) - value(q) >= k
-    for c in consts:
-        edges.append((c, 0, c))
-        edges.append((0, c, -c))
-    # potentials: d[q] <= d[p] - k along each constraint
-    d: dict[Node, int] = {n: 0 for n in nodes}
-    for i in range(len(nodes)):
-        changed = False
-        for p, q, k in edges:
-            if d[p] - k < d[q]:
-                d[q] = d[p] - k
-                changed = True
-        if not changed:
-            break
-    else:
-        for p, q, k in edges:
-            if d[p] - k < d[q]:
-                return None  # negative cycle
-    base = d[0]
-    model: dict[VarId, Fraction] = {}
-    for n in nodes:
-        if isinstance(n, VarId):
-            model[n] = Fraction(d[n] - base)
-    return model
+        diff = len(vec) == 1 or (
+            len(vec) == 2 and vec[0][1] == -vec[1][1] and abs(vec[0][1]) == 1
+        )
+        if not diff or op == "!=" or (op == "=" and len(vec) == 2 and const != 0):
+            return None  # != is expanded by to_dnf
+        if op == "=":
+            out.append(NormAtom(vec, "<=", Fraction(floor(const))))
+            out.append(NormAtom(tuple((v, -c) for v, c in vec), "<=", -Fraction(ceil(const))))
+        else:
+            out.append(NormAtom(vec, "<=", Fraction(_floor_bound(const, op == "<"))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,24 @@
-"""Finite-summary detection and the constraint-graph abstraction.
+"""Finite-summary detection: the strategies behind the constraint graph.
 
 A summary strategy packages the update procedure and the equivalence
-relation the constraint graph and the product quotient by.  The leaf keeps
-that quotient itself: `canon` maps each state to the first equivalent state
-it has seen, so both explorations find a node by its representative with
-a dict lookup (hash-consing modulo equivalence).  The domain alone picks
-the leaf, and every leaf is exact: over the rationals,
-Fourier-Motzkin QE and logical equivalence; over the integers, gap-order QE
-and cutoff equivalence at K, which is exact on the gap-order fragment.  An
-integer system outside that fragment gets no summary.  Over the rationals
-the criteria (monotonicity constraints, feedback freedom) and the
-sequential split at a cut state only certify that the quotient is finite,
-so they label the leaf; a (sub)system that nothing covers still gets the
-exact leaf, labelled `exact-fixpoint`, whose fixpoint the node budget
-bounds.  The one composition that changes the work is the variable split:
-its parts are solved apart.
+relation the product quotients by (the constraint graph is the product
+with the automaton of `true`).  The leaf keeps that quotient itself:
+`canon` maps each state to the first equivalent state it has seen, so the
+product finds a node by its representative with a dict lookup
+(hash-consing modulo equivalence).  The domain alone picks the leaf, and
+every leaf is exact and compares its states with one rational equivalence
+check: over the rationals, Fourier-Motzkin QE and logical equivalence;
+over the integers, gap-order QE and equivalence of the cutoffs at K, which
+is exact on the gap-order fragment.  An integer system outside that
+fragment gets no summary.  Over the rationals the criteria (monotonicity
+constraints, feedback freedom) and the sequential split at a cut state only
+certify that the quotient is finite, so they label the leaf; a (sub)system
+that nothing covers still gets the exact leaf, labelled `exact-fixpoint`,
+whose fixpoint the node budget bounds.  The one composition that changes
+the work is the variable split: its parts are solved apart.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -482,8 +482,8 @@ class _Leaf:
 
     `label` names the criterion or split that certifies the fixpoint is
     finite; the relation is the same whichever it is.  The gap-order leaf
-    overrides only the equivalence, the formula the equivalence compares and
-    the domain it solves in; `dd.update` picks the QE from the domain."""
+    overrides only the formula the equivalence compares (the cutoff at K)
+    and the domain it solves in; `dd.update` picks the QE from the domain."""
 
     d: Ddsa
     label: str = field(default="exact-fixpoint", kw_only=True)
@@ -504,11 +504,10 @@ class _Leaf:
         formula is pure inertia)."""
         return conj(state, *constrs)
 
-    def equivalent(self, s1: Formula, s2: Formula) -> bool:
-        return solve.equivalent(s1, s2, self.domain)
-
     def compared(self, state: Formula) -> Formula:
-        """The formula whose models the equivalence compares."""
+        """The formula whose models the equivalence compares, over the
+        rationals (for the gap-order leaf, the cutoff, as in
+        `solve.gc_equivalent`)."""
         return state
 
     # The image, sat and canon memos live on the instance: leaves differ in
@@ -525,7 +524,7 @@ class _Leaf:
     def canon(self, state: Formula) -> Formula:
         """The first state canonised here that is equivalent to `state`
         (`state` itself if none is): one representative per class, so that
-        the explorations find a node by lookup instead of by scan."""
+        the product finds a node by lookup instead of by scan."""
         memo = self.__dict__.setdefault("_canon_cache", {})
         hit = memo.get(state)
         if hit is None:
@@ -538,7 +537,9 @@ class _Leaf:
         return hit
 
     def equiv(self, s1: Formula, s2: Formula) -> bool:
-        return not self._refuted(s1, s2) and self.equivalent(s1, s2)
+        return not self._refuted(s1, s2) and solve.equivalent(
+            self.compared(s1), self.compared(s2), RAT
+        )
 
     def _refuted(self, s1: Formula, s2: Formula) -> bool:
         """Whether a stored model of one side satisfies its compared formula
@@ -580,9 +581,6 @@ class GcStrategy(_Leaf):
 
     def describe(self) -> str:
         return f"GC(K={self.K})"
-
-    def equivalent(self, s1: Formula, s2: Formula) -> bool:
-        return solve.gc_equivalent(s1, s2, self.K)
 
     def compared(self, state: Formula) -> Formula:
         memo = self.__dict__.setdefault("_cutoff_cache", {})
@@ -634,8 +632,8 @@ class VarStrategy:
         return self.left.sat(state[0]) and self.right.sat(state[1])
 
 
-# The protocol both explorations use: initial_state, image, conjoin, sat,
-# canon and formula.  A state is a formula for a leaf and a pair of part
+# The protocol the product uses: initial_state, image, conjoin, sat, canon
+# and formula.  A state is a formula for a leaf and a pair of part
 # states for a variable split.
 Strategy = _Leaf | VarStrategy
 
@@ -698,55 +696,3 @@ def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[Stra
             right = _detect(d2, constraints, depth).describe()
             return _Leaf(d, label=f"seq-compose({left}, {right}; cut='{cut}')")
     return None
-
-
-# ---------------------------------------------------------------------------
-# Constraint graph
-
-
-@dataclass
-class CgNode:
-    state: str
-    formula: Formula
-    sstate: object
-
-
-@dataclass
-class ConstraintGraph:
-    nodes: list[CgNode]
-    edges: list[tuple[int, str, int]]
-    initial: int = 0
-
-
-def constraint_graph(
-    d: Ddsa, strategy: Strategy, max_nodes: int = 10_000
-) -> ConstraintGraph:
-    """Fixpoint exploration from the initial constraint: successors are
-    update images, and a node is one (control state, representative) pair
-    of the strategy's quotient.  Unsatisfiable images are pruned before
-    node creation."""
-    init = strategy.canon(strategy.initial_state())
-    nodes = [CgNode(d.initial, strategy.formula(init), init)]
-    index = {(d.initial, init): 0}
-    edges: list[tuple[int, str, int]] = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        node = nodes[i]
-        for (a, dst) in d.outgoing(node.state):
-            ns = strategy.image(node.sstate, a)
-            if not strategy.sat(ns):
-                continue
-            rep = strategy.canon(ns)
-            j = index.get((dst, rep))
-            if j is None:
-                if len(nodes) >= max_nodes:
-                    raise BudgetExceeded(
-                        f"constraint graph exceeded {max_nodes} nodes: "
-                        "the node budget (--max-nodes) was reached"
-                    )
-                j = index[(dst, rep)] = len(nodes)
-                nodes.append(CgNode(dst, strategy.formula(rep), rep))
-                queue.append(j)
-            edges.append((i, a, j))
-    return ConstraintGraph(nodes, edges)

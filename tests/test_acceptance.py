@@ -29,14 +29,13 @@ from damc.ltlf import (
     run_models,
     word_consistent,
 )
-from damc.product import VerifyOptions, realize_run, verify
+from damc.product import VerifyOptions, constraint_graph, realize_run, verify
 from damc.solve import cutoff, equivalent, gc_equivalent, is_sat, qe_gc, qe_rational
 from damc.summary import (
     check_bounded_lookback,
     check_feedback_free,
     check_gc,
     check_mc,
-    constraint_graph,
     detect,
 )
 

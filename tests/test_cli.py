@@ -89,6 +89,40 @@ def test_zero_denominator_is_a_parse_error(capsys, tmp_path, edit, prop, where):
 
 
 @pytest.mark.parametrize(
+    "edit, prop",
+    [
+        (None, "F (x = 1.5/2)"),
+        (("init x=0", "init x=1.5/2"), "x = 1.5/2 & F (x > 1.5/2)"),
+    ],
+    ids=["property", "init"],
+)
+def test_decimal_over_a_denominator_reads_exactly(capsys, tmp_path, edit, prop):
+    # one number token, 3/4, read as the same query written with 3/4
+    def verdict(edit, prop):
+        model = MODELS / "b1.ddsa"
+        if edit is not None:
+            model = tmp_path / "m.ddsa"
+            model.write_text((MODELS / "b1.ddsa").read_text().replace(*edit))
+        return run_cli(capsys, "verify", str(model), "--prop", prop, "--json")
+
+    code, out, err = verdict(edit, prop)
+    assert (code, err) == (0, "")
+    spelt = None if edit is None else (edit[0], edit[1].replace("1.5/2", "3/4"))
+    assert (code, out, err) == verdict(spelt, prop.replace("1.5/2", "3/4"))
+    assert '"x": "3/4"' in out
+
+
+@pytest.mark.parametrize("value", ["abc", "1/2/3", "1/"])
+def test_init_value_that_is_not_a_number_is_a_parse_error(capsys, tmp_path, value):
+    model = tmp_path / "m.ddsa"
+    model.write_text((MODELS / "b1.ddsa").read_text().replace("init x=0", f"init x={value}"))
+    code, out, err = run_cli(capsys, "verify", str(model), "--prop", "F (x > 1)")
+    assert code == 3
+    assert err.rstrip() == f"error: not a number: {value!r} at line 4"
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
     "prop, where", [("F (y >", "column 7"), ("F (y > 5))", "column 10"), ("", "column 1")]
 )
 def test_property_parse_error_names_its_column(capsys, prop, where):

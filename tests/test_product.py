@@ -21,7 +21,7 @@ from damc.product import (
 from damc.solve import equivalent
 from damc.summary import detect
 
-from conftest import frac_grid
+from conftest import frac_grid, load_model, with_domain
 
 x, y = VarId("x"), VarId("y")
 
@@ -521,9 +521,24 @@ def test_disjunction_verdict_json_golden(b1, name):
     assert _verdict_json(verify(b1, psi)) == case["verdict"]
 
 
+INTEGER_GOLDEN = json.loads((Path(__file__).parent / "golden/integer_verdicts.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_GOLDEN))
+def test_integer_verdict_json_golden(name):
+    # the sweep templates on b3, and on b1, b2 and b4 read over the integers;
+    # a witness's values are the solver's pick, so only its word and actions
+    # are pinned (the run is revalidated inside verify)
+    case = INTEGER_GOLDEN[name]
+    d = with_domain(load_model(case["model"]), INT)
+    out = _verdict_json(verify(d, parsing.parse_property(case["property"], d)))
+    out.pop("run", None)
+    assert out == case["verdict"]
+
+
 def test_width3_disjunction_refutes_with_stored_models(b1, monkeypatch):
-    # 1091 of this query's 1285 equivalence checks answer "no"; in 1003 of
-    # them a stored sat model of one side falsifies the other, so only 282
+    # 1541 of this query's 1647 equivalence checks answer "no"; in 1471 of
+    # them a stored sat model of one side falsifies the other, so only 176
     # reach the solver, and the product keeps its 41 nodes and 438 edges
     equivalent = solve.equivalent
     calls: list = []
@@ -536,4 +551,4 @@ def test_width3_disjunction_refutes_with_stored_models(b1, monkeypatch):
     psi = parsing.parse_property("F (x>4 & y<4 | x>0 & y<0 | x>1 & y<1)", b1)
     v = verify(b1, psi)
     assert (v.kind, v.stats.product_nodes, v.stats.product_edges) == ("witness", 41, 438)
-    assert len(calls) == 282
+    assert len(calls) == 176

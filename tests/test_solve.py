@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damc import solve
 from damc.formula import (
@@ -168,6 +170,46 @@ def test_is_sat_integer_refuses_outside_fragment():
         phi = atom(Term.of(x).scale(F(cx)), "=", Term.of(y).scale(F(2)) + Term.of(1))
         with pytest.raises(solve.UnsupportedInteger):
             is_sat(phi, INT)
+
+
+DIFF_TERMS = (
+    Term.of(x), Term.of(y), Term.of(z), Term.of(x) - y, Term.of(y) - z, Term.of(z) - x
+)
+
+
+@st.composite
+def boxed_difference_formulas(draw):
+    """Disjunctions of cubes of difference atoms over x, y and z, each
+    variable boxed into -4..4, with integer or half-integer constants.  A
+    two-variable `=` keeps the constant 0, the only one gap order allows."""
+    lit = st.tuples(
+        st.sampled_from(DIFF_TERMS),
+        st.sampled_from(("<", "<=", "=", "!=", ">", ">=")),
+        st.integers(-10, 10).map(lambda k: F(k, 2)),
+    )
+    cubes = draw(st.lists(st.lists(lit, min_size=1, max_size=4), min_size=1, max_size=3))
+    box = [atom(v, op, k) for v in (x, y, z) for op, k in ((">=", -4), ("<=", 4))]
+    return conj(
+        *box,
+        disj(*(
+            conj(*(atom(t, op, 0 if op == "=" and len(t.coeffs) == 2 else c) for t, op, c in cube))
+            for cube in cubes
+        )),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_difference_formulas())
+def test_integer_is_sat_agrees_with_brute_force(phi):
+    box = range(-4, 5)
+    expected = any(
+        evaluate(phi, {x: F(a), y: F(b), z: F(c)}) for a in box for b in box for c in box
+    )
+    res = is_sat(phi, INT)
+    assert res.sat == expected
+    if res.sat:
+        assert all(v.denominator == 1 for v in res.model.values())
+        assert evaluate(phi, res.model)
 
 
 # ---------------------------------------------------------------------------

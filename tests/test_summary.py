@@ -18,6 +18,7 @@ from damc.formula import (
     evaluate,
     norm_atom,
 )
+from damc.product import constraint_graph
 from damc.solve import BudgetExceeded, equivalent
 from damc.summary import (
     ComputationGraph,
@@ -29,7 +30,6 @@ from damc.summary import (
     check_gc,
     check_mc,
     computation_graph,
-    constraint_graph,
     detect,
     enumerate_symbolic_runs,
     project_system,
