@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes of `verify`: 0 a witness exists, 1 no witness, 2 inconclusive,
-3 usage or parse error.
+3 usage, parse or internal error.
 """
 from __future__ import annotations
 
@@ -245,6 +245,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (parsing.ParseError, OSError, ValueError) as e:
         # OSError: a missing or unreadable model, property or DOT path
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as e:
+        # a bug, not a verdict: exit 1 would read as "no witness"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
         print(text)

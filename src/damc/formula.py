@@ -1,9 +1,11 @@
 """Linear-arithmetic terms, atoms, quantifier-free formulas, and variable
 assignments.
 
-All coefficients and constants are exact rationals (`fractions.Fraction`);
-floats are rejected at construction time.  Every value here is immutable
-and hashable, so formulas can be shared freely across data structures.
+All coefficients and constants are exact rationals (`fractions.Fraction`),
+except the coefficients of a normalized atom, which are primitive Python
+`int`s; floats are rejected at construction time.  Every value here is
+immutable and hashable, so formulas can be shared freely across data
+structures.
 """
 from __future__ import annotations
 
@@ -301,11 +303,13 @@ def neg(p: Formula) -> Formula:
 class NormAtom:
     """Canonical form `sum(coeffs) op const` with op in {=, !=, <=, <}.
 
-    Coefficients are scaled to primitive integers; equalities additionally
-    get a canonical sign.  Ground atoms have an empty coefficient vector.
+    Coefficients are scaled to primitive integers and stored as `int`, so
+    the solver's normal form hashes and compares them without `Fraction`;
+    the constant stays a `Fraction`.  Equalities additionally get a
+    canonical sign.  Ground atoms have an empty coefficient vector.
     """
 
-    coeffs: tuple[tuple[VarId, Fraction], ...]
+    coeffs: tuple[tuple[VarId, int], ...]
     op: str
     const: Fraction
 
@@ -316,25 +320,30 @@ class NormAtom:
         """Truth value of a ground atom, None if not ground."""
         if self.coeffs:
             return None
-        z = Fraction(0)
         if self.op == "=":
-            return z == self.const
+            return self.const == 0
         if self.op == "!=":
-            return z != self.const
+            return self.const != 0
         if self.op == "<=":
-            return z <= self.const
-        return z < self.const
+            return self.const >= 0
+        return self.const > 0
 
     def to_atom(self) -> Atom:
+        coeffs, op, const = self.coeffs, self.op, self.const
         # flip all-negative inequalities so they print as lower bounds
-        if self.op in ("<=", "<") and self.coeffs and self.coeffs[0][1] < 0:
-            flipped = tuple((v, -c) for v, c in self.coeffs)
-            op = ">=" if self.op == "<=" else ">"
-            return Atom(Term(flipped), op, Term((), -self.const))
-        return Atom(Term(self.coeffs), self.op, Term((), self.const))
+        if op in ("<=", "<") and coeffs and coeffs[0][1] < 0:
+            coeffs = tuple((v, -c) for v, c in coeffs)
+            op, const = (">=" if op == "<=" else ">"), -const
+        lhs = Term(tuple((v, Fraction(c)) for v, c in coeffs))
+        return Atom(lhs, op, Term((), const))
 
     def holds(self, alpha: Mapping[VarId, Fraction]) -> bool:
-        val = Term(self.coeffs).value(alpha)
+        val = 0
+        for v, c in self.coeffs:
+            try:
+                val += c * alpha[v]
+            except KeyError:
+                raise MissingVariable(f"no value for {v}") from None
         if self.op == "=":
             return val == self.const
         if self.op == "!=":
@@ -379,7 +388,7 @@ def _norm_atom(a: Atom) -> NormAtom:
     coeffs, const = t.coeffs, -t.const
     if coeffs:
         k = _primitive_scale(coeffs)
-        coeffs = tuple((v, c * k) for v, c in coeffs)
+        coeffs = tuple((v, int(c * k)) for v, c in coeffs)
         const = const * k
         if op in ("=", "!=") and coeffs[0][1] < 0:
             coeffs = tuple((v, -c) for v, c in coeffs)
@@ -391,20 +400,34 @@ def _norm_atom(a: Atom) -> NormAtom:
 # Core operations
 
 
-def evaluate(phi: Formula, alpha: Mapping[VarId, Fraction]) -> bool:
-    """Standard boolean/arithmetic semantics."""
+def evaluate(
+    phi: Formula,
+    alpha: Mapping[VarId, Fraction],
+    truths: Optional[dict[Atom, bool]] = None,
+) -> bool:
+    """Standard boolean/arithmetic semantics.
+
+    `truths`, when given, memoises each atom's truth under `alpha`; the
+    caller keeps one dict per assignment and passes it to every formula it
+    evaluates under that assignment.  An atom with a variable outside
+    `alpha` raises MissingVariable and is not stored."""
     if isinstance(phi, TrueF):
         return True
     if isinstance(phi, FalseF):
         return False
     if isinstance(phi, Atom):
-        return norm_atom(phi).holds(alpha)
+        if truths is None:
+            return norm_atom(phi).holds(alpha)
+        hit = truths.get(phi)
+        if hit is None:
+            hit = truths[phi] = norm_atom(phi).holds(alpha)
+        return hit
     if isinstance(phi, And):
-        return all(evaluate(p, alpha) for p in phi.args)
+        return all(evaluate(p, alpha, truths) for p in phi.args)
     if isinstance(phi, Or):
-        return any(evaluate(p, alpha) for p in phi.args)
+        return any(evaluate(p, alpha, truths) for p in phi.args)
     if isinstance(phi, Not):
-        return not evaluate(phi.arg, alpha)
+        return not evaluate(phi.arg, alpha, truths)
     raise TypeError(f"not a formula: {phi!r}")
 
 

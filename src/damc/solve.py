@@ -78,15 +78,12 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
     Only pairwise reasoning on atoms sharing a coefficient vector is done;
     full entailment is not attempted.
     """
-    lo: dict[tuple, tuple[Fraction, bool]] = {}  # vec -> (bound, strict)
-    hi: dict[tuple, tuple[Fraction, bool]] = {}
+    # vec -> (bound, strict, the atom that states it)
+    lo: dict[tuple, tuple[Fraction, bool, NormAtom]] = {}
+    hi: dict[tuple, tuple[Fraction, bool, NormAtom]] = {}
     eq: dict[tuple, Fraction] = {}
     ne: dict[tuple, set[Fraction]] = {}
-    order: list[tuple] = []
-
-    def note(vec):
-        if vec not in order:
-            order.append(vec)
+    order: dict[tuple, None] = {}  # the vectors in order of first use
 
     for na in atoms:
         t = na.truth()
@@ -98,7 +95,7 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
         # store bounds against the canonical-sign direction
         canon = vec if vec[0][1] > 0 else tuple((v, -c) for v, c in vec)
         flipped = canon is not vec
-        note(canon)
+        order[canon] = None
         if op in ("=", "!="):
             c = -const if flipped else const
             if op == "=":
@@ -113,11 +110,11 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
                 c = -const
                 cur = lo.get(canon)
                 if cur is None or c > cur[0] or (c == cur[0] and strict):
-                    lo[canon] = (c, strict)
+                    lo[canon] = (c, strict, na)
             else:
                 cur = hi.get(canon)
                 if cur is None or const < cur[0] or (const == cur[0] and strict):
-                    hi[canon] = (const, strict)
+                    hi[canon] = (const, strict, na)
 
     out: list[NormAtom] = []
     for vec in order:
@@ -137,11 +134,11 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
                 return None
             if l[0] == h[0] and (l[1] or h[1]):
                 return None
+        # a kept bound is its input atom, whose hash is already stored
         if l is not None:
-            nvec = tuple((v, -c) for v, c in vec)
-            out.append(NormAtom(nvec, "<" if l[1] else "<=", -l[0]))
+            out.append(l[2])
         if h is not None:
-            out.append(NormAtom(vec, "<" if h[1] else "<=", h[0]))
+            out.append(h[2])
         for c in sorted(nes):
             # drop != atoms already settled by the bounds
             if l is not None and (c < l[0] or (c == l[0] and l[1])):
@@ -250,8 +247,9 @@ def _bounds_on(cube: Cube, x: VarId):
         if a is None:
             rest.append(na)
             continue
-        others = Term(tuple((v, c) for v, c in na.coeffs if v != x))
-        bound = (Term((), na.const) - others).scale(Fraction(1, 1) / a)
+        # a*x + others op const  <=>  x op' (const - others) / a
+        others = tuple((v, Fraction(-c, a)) for v, c in na.coeffs if v != x)
+        bound = Term(others, na.const / a)
         if na.op == "=":
             eqs.append(bound)
         elif na.op == "!=":

@@ -169,7 +169,7 @@ def _pair_templates(atoms, inst: dict[VarId, GNode]):
             na.op == "="
             and len(na.coeffs) == 2
             and na.const == 0
-            and {c for _, c in na.coeffs} == {Fraction(1), Fraction(-1)}
+            and {c for _, c in na.coeffs} == {1, -1}
         )
         (eq if is_eq else gen).extend(
             (p, q) for i, p in enumerate(present) for q in present[i + 1 :] if p != q
@@ -544,15 +544,19 @@ class _Leaf:
     def _refuted(self, s1: Formula, s2: Formula) -> bool:
         """Whether a stored model of one side satisfies its compared formula
         and falsifies the other's.  That model is a witness of exactly what
-        the solver checks first, so a refutation is the solver's answer."""
+        the solver checks first, so a refutation is the solver's answer.
+        Each atom's truth under a stored model is computed once: the memo
+        holds one dict per solved state."""
         solved = self.__dict__.get("_sat_cache", {})
+        truths = self.__dict__.setdefault("_truth_cache", {})
         for a, b in ((s1, s2), (s2, s1)):
             res = solved.get(a)
             if res is None or res.model is None:
                 continue
+            memo = truths.setdefault(a, {})
             try:
-                if evaluate(self.compared(a), res.model) and not evaluate(
-                    self.compared(b), res.model
+                if evaluate(self.compared(a), res.model, memo) and not evaluate(
+                    self.compared(b), res.model, memo
                 ):
                     return True
             except MissingVariable:

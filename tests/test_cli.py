@@ -440,6 +440,19 @@ def test_constraint_graph_budget_message_names_the_node_budget(capsys, tmp_path)
     assert "n3 [label=" in cg.read_text()
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [RuntimeError("boom"), product.InternalInconsistency("extracted run violates step semantics")],
+)
+def test_internal_error_exits_3_with_a_message(capsys, monkeypatch, exc):
+    # a crash must not exit 1, which means "no witness"
+    monkeypatch.setattr(product, "verify", _raise(exc))
+    code, out, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", "F (y > 5)")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_deeply_nested_property_is_a_parse_error(capsys):
     deep = "(" * 3000 + "x > 0" + ")" * 3000
     code, out, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", deep)

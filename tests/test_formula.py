@@ -43,6 +43,14 @@ def test_eval_gap_false():
 def test_eval_errors():
     with pytest.raises(MissingVariable):
         evaluate(atom(x, ">", 0), {})
+    # with a memo too, and an atom it cannot decide is not stored, so the
+    # leaf's refutation keeps falling back to the solver
+    truths = {}
+    phi = conj(atom(y, ">", 0), atom(x, ">", 0))
+    for _ in range(2):
+        with pytest.raises(MissingVariable):
+            evaluate(phi, {y: F(1)}, truths=truths)
+    assert truths == {atom(y, ">", 0): True}
 
 
 def test_free_vars():
@@ -113,6 +121,15 @@ def test_eval_homomorphism(f, g, alpha):
     assert evaluate(conj(f, g), alpha) == (evaluate(f, alpha) and evaluate(g, alpha))
     assert evaluate(disj(f, g), alpha) == (evaluate(f, alpha) or evaluate(g, alpha))
     assert evaluate(neg(f), alpha) == (not evaluate(f, alpha))
+
+
+@settings(max_examples=200)
+@given(st.lists(formulas(), min_size=1, max_size=4), grid_points)
+def test_shared_truths_memo_agrees_with_evaluate(fs, alpha):
+    # one memo per assignment, shared by every formula evaluated under it
+    truths = {}
+    for f in fs + fs:
+        assert evaluate(f, alpha, truths) == evaluate(f, alpha)
 
 
 @settings(max_examples=200)

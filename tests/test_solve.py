@@ -59,6 +59,25 @@ def test_dnf_ne_expansion():
     assert ops == ["<", "<"]  # below and above, each strict
 
 
+def test_normal_form_coefficients_are_ints():
+    # x/2 - 3y/4 > 1 scales to -2x + 3y < -4; the constant stays a Fraction
+    t = Term.make([(x, F(1, 2)), (y, F(-3, 4))])
+    na = norm_atom(atom(t, ">", 1))
+    assert na.coeffs == ((x, -2), (y, 3)) and na.const == F(-4)
+    cubes = [(na,)]
+    cubes += to_dnf(atom(t, "!=", 1))  # the != split
+    cubes += to_dnf(Not(atom(t, "<=", 1)))  # a negated atom
+    cubes += to_dnf(conj(atom(x, ">=", 1), atom(x, "<=", 3)))  # a flipped lower bound
+    cubes += to_dnf(Not(atom(t, "=", 1)))
+    cubes += [
+        solve._as_difference_cube(c)
+        for c in to_dnf(conj(atom(Term.of(x) - Term.of(y), "=", 0), atom(x, "<", F(5, 2))))
+    ]
+    assert len(cubes) == 8 and all(len(c) for c in cubes)
+    assert all(type(c) is int for cube in cubes for na in cube for _, c in na.coeffs)
+    assert all(type(na.const) is F for cube in cubes for na in cube)
+
+
 def test_dnf_false():
     assert to_dnf(FALSE) == []
     assert to_dnf(conj(atom(x, "<", x))) == []  # a < a contradiction
