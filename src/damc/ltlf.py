@@ -291,8 +291,12 @@ class DeltaEntry:
 
 
 def _combine(r1: list[DeltaEntry], r2: list[DeltaEntry], op) -> list[DeltaEntry]:
-    out: list[DeltaEntry] = []
-    seen = set()
+    """The pairwise combination, keeping per (target, last, not_last) only
+    the entries with a ⊆-minimal symbol.  A word that meets a symbol meets
+    every subset of it, and `op` and `| symbol` are monotone, so an entry
+    with a smaller symbol beside it stays dominated in every later
+    combination: acceptance over minimal-requirement symbols is unchanged."""
+    entries: dict[DeltaEntry, None] = {}  # equal entries collapse, in order
     for e1 in r1:
         for e2 in r2:
             last = e1.last or e2.last
@@ -300,11 +304,15 @@ def _combine(r1: list[DeltaEntry], r2: list[DeltaEntry], op) -> list[DeltaEntry]
             if last and nlast:
                 continue  # can never label a transition
             entry = DeltaEntry(op(e1.target, e2.target), e1.symbol | e2.symbol, last, nlast)
-            key = (entry.target, entry.symbol, entry.last, entry.not_last)
-            if key not in seen:
-                seen.add(key)
-                out.append(entry)
-    return out
+            entries[entry] = None
+    symbols: dict[tuple, list[SigmaSymbol]] = {}
+    for e in entries:
+        symbols.setdefault((e.target, e.last, e.not_last), []).append(e.symbol)
+    return [
+        e
+        for e in entries
+        if not any(s < e.symbol for s in symbols[(e.target, e.last, e.not_last)])
+    ]
 
 
 _DELTA_LAMBDA = [

@@ -69,3 +69,29 @@ def frac_grid(lo: int, hi: int, halves: bool = False) -> list[Fraction]:
     if halves:
         vals += [Fraction(2 * k + 1, 2) for k in range(lo, hi)]
     return sorted(vals)
+
+
+# The paper's NFA for F (b & X (x - y >= 2)), as (src, symbol, dst) with p
+# the initial state and m the state after reading b.
+PAPER_NESTED_NEXT_EDGES = (
+    ("p", (), "p"),
+    ("p", ("b",), "m"),
+    ("m", (), "p"),
+    ("m", ("b",), "m"),
+    ("m", ("b", "x - y >= 2"), "true"),
+    ("m", ("x - y >= 2",), "true"),
+    ("m", ("b", "x - y >= 2"), "q_e"),
+    ("m", ("x - y >= 2",), "q_e"),
+    ("true", (), "true"),
+)
+
+
+def minimal_edges(edges, names: dict[str, str]) -> list[tuple[str, str, str]]:
+    """The edges whose symbol strictly contains no other symbol between the
+    same two states, with state names mapped by `names` and symbols
+    formatted as `fmt_symbol` does, sorted."""
+    return sorted(
+        (names.get(src, src), "{" + ", ".join(sorted(sym)) + "}", names.get(dst, dst))
+        for src, sym, dst in edges
+        if not any(s == src and d == dst and set(o) < set(sym) for s, o, d in edges)
+    )

@@ -504,7 +504,7 @@ def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
     monkeypatch.setattr(summary._Leaf, "sat", tracked_leaf_sat)
     psi = parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", auction)
     assert verify(auction, psi).kind == "witness"
-    assert len(images) == 61 and set(images.values()) == {1}
+    assert len(images) == 55 and set(images.values()) == {1}
     assert solved and set(solved.values()) == {1}
 
 
@@ -536,10 +536,27 @@ def test_integer_verdict_json_golden(name):
     assert out == case["verdict"]
 
 
-def test_width3_disjunction_refutes_with_stored_models(b1, monkeypatch):
-    # 1541 of this query's 1647 equivalence checks answer "no"; in 1471 of
-    # them a stored sat model of one side falsifies the other, so only 176
-    # reach the solver, and the product keeps its 41 nodes and 438 edges
+def test_nfa_symbols_are_minimal_between_two_states(auction, b1):
+    # on the auction, disjunction and sweep-template goldens, no NFA edge's
+    # symbol strictly contains the symbol of another edge between the same
+    # two states (8,222 of these queries' 8,526 edges did, 7,450 of them in
+    # the width-6 disjunction, before _combine kept only minimal symbols)
+    cases = [(auction, c["property"]) for c in AUCTION_GOLDEN.values()]
+    cases += [(b1, c["property"]) for c in DISJUNCTION_GOLDEN.values()]
+    cases += [(load_model(c["model"]), c["property"]) for c in INTEGER_GOLDEN.values()]
+    for d, text in cases:
+        nfa = lt.build_nfa(lt.preprocess(parsing.parse_property(text, d)), d.domain)
+        symbols: dict = {}
+        for e in nfa.edges:
+            symbols.setdefault((e.src, e.dst), []).append(e.symbol)
+        for e in nfa.edges:
+            assert not any(s < e.symbol for s in symbols[(e.src, e.dst)]), (text, e)
+
+
+def test_sweep_query_refutes_with_stored_models(b4, monkeypatch):
+    # 411 of this query's 423 equivalence checks answer "no"; in 393 of
+    # them a stored sat model of one side falsifies the other, so only 30
+    # reach the solver, and the product keeps its 62 nodes and 144 edges
     equivalent = solve.equivalent
     calls: list = []
 
@@ -548,7 +565,7 @@ def test_width3_disjunction_refutes_with_stored_models(b1, monkeypatch):
         return equivalent(phi, psi, dom)
 
     monkeypatch.setattr(solve, "equivalent", counting_equivalent)
-    psi = parsing.parse_property("F (x>4 & y<4 | x>0 & y<0 | x>1 & y<1)", b1)
-    v = verify(b1, psi)
-    assert (v.kind, v.stats.product_nodes, v.stats.product_edges) == ("witness", 41, 438)
-    assert len(calls) == 176
+    psi = parsing.parse_property("G (a < 7) | F (s > 8)", b4)
+    v = verify(b4, psi)
+    assert (v.kind, v.stats.product_nodes, v.stats.product_edges) == ("witness", 62, 144)
+    assert len(calls) == 30
