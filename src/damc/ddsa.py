@@ -12,13 +12,12 @@ from .formula import (
     Atom,
     Domain,
     Formula,
+    NormAtom,
     Term,
     VarId,
     conj,
     evaluate,
     free_vars,
-    max_index,
-    substitute,
 )
 from . import solve
 
@@ -61,6 +60,8 @@ class Ddsa:
         for (s, a, d) in self.transitions:
             self._out.setdefault(s, []).append((a, d))
         self._delta_cache: dict[str, Formula] = {}
+        # the renamed transition formula's DNF per (action, snapshot index)
+        self._cubes_cache: dict[tuple[str, int], list] = {}
         # computation-graph edge templates per action (summary.computation_graph)
         self._pairs_cache: dict[str, tuple] = {}
 
@@ -151,24 +152,52 @@ def transition_formula(d: Ddsa, action: str) -> Formula:
 def update(d: Ddsa, phi: Formula, action: str) -> Formula:
     """One-step image of phi under the action's transition formula.
 
+    The image is built on the solver's normal form, by renaming instead of
+    substitution.  In the state's DNF cubes each variable v becomes its
+    snapshot copy v#idx, with idx above every index in the state; in the
+    transition formula's cubes each read v^r becomes v#idx and each write
+    v^w becomes v.  Renaming keeps the variable order, so a renamed atom is
+    still normalized.  Each renamed state cube meets each transition cube.
     The existential prefix over the snapshot copies is eliminated
     immediately, so results stay quantifier-free over V.  The domain picks
-    the elimination: Fourier-Motzkin over the rationals, gap-order over the
-    integers (only gap-order systems are imaged there).
+    the elimination: Fourier-Motzkin on integer rows over the rationals,
+    gap-order over the integers (only gap-order systems are imaged there).
     """
-    delta = transition_formula(d, action)
-    idx = max(max_index(phi), max_index(delta)) + 1
+    gc = d.domain == INT
+    state = solve.to_dnf(phi, expand_ne=not gc)
+    idx = 1 + max((v.idx for cube in state for na in cube for v, _ in na.coeffs), default=-1)
     snapshot = {v: v.indexed(idx) for v in d.variables}
-    phi_u = substitute(phi, {v: Term.of(u) for v, u in snapshot.items()})
-    delta_uv = substitute(
-        delta,
-        {
-            **{v.read(): Term.of(snapshot[v]) for v in d.variables},
-            **{v.write(): Term.of(v) for v in d.variables},
-        },
-    )
-    qe = solve.qe_gc if d.domain == INT else solve.qe_rational
-    return qe(list(snapshot.values()), conj(phi_u, delta_uv))
+    trans = _transition_cubes(d, action, idx)
+    cubes = []
+    for cube in state:
+        pre = tuple(_rename(na, snapshot) for na in cube)
+        for t in trans:
+            merged = solve.norm_cube(pre + t)
+            if merged is not None:
+                cubes.append(merged)
+    qe = solve.qe_gc if gc else solve.qe_rational
+    return qe(list(snapshot.values()), tuple(cubes))
+
+
+def _transition_cubes(d: Ddsa, action: str, idx: int) -> list[solve.Cube]:
+    """The transition formula's DNF with each read v^r renamed to the
+    snapshot copy v#idx and each write v^w to v, once per (action, idx)."""
+    key = (action, idx)
+    hit = d._cubes_cache.get(key)
+    if hit is None:
+        copies = {v.read(): v.indexed(idx) for v in d.variables}
+        copies.update((v.write(), v) for v in d.variables)
+        cubes = solve.to_dnf(transition_formula(d, action), expand_ne=d.domain != INT)
+        stray = {v for cube in cubes for na in cube for v, _ in na.coeffs} - copies.keys()
+        if stray:
+            names = ", ".join(sorted(map(str, stray)))
+            raise ModelError(f"transition '{action}' uses {names}: not a read or write copy")
+        hit = d._cubes_cache[key] = [tuple(_rename(na, copies) for na in c) for c in cubes]
+    return hit
+
+
+def _rename(na: NormAtom, copies: Mapping[VarId, VarId]) -> NormAtom:
+    return NormAtom(tuple((copies.get(v, v), c) for v, c in na.coeffs), na.op, na.const)
 
 
 def history_prefixes(

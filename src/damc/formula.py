@@ -306,7 +306,9 @@ class NormAtom:
     Coefficients are scaled to primitive integers and stored as `int`, so
     the solver's normal form hashes and compares them without `Fraction`;
     the constant stays a `Fraction`.  Equalities additionally get a
-    canonical sign.  Ground atoms have an empty coefficient vector.
+    canonical sign.  Ground atoms have an empty coefficient vector.  The
+    solver only builds atoms in this form, so `to_atom` records its result
+    as already normalized and `norm_atom` maps it straight back.
     """
 
     coeffs: tuple[tuple[VarId, int], ...]
@@ -335,7 +337,10 @@ class NormAtom:
             coeffs = tuple((v, -c) for v, c in coeffs)
             op, const = (">=" if op == "<=" else ">"), -const
         lhs = Term(tuple((v, Fraction(c)) for v, c in coeffs))
-        return Atom(lhs, op, Term((), const))
+        out = Atom(lhs, op, Term((), const))
+        if len(_NORM_CACHE) < 200_000:
+            _NORM_CACHE.setdefault(out, self)
+        return out
 
     def holds(self, alpha: Mapping[VarId, Fraction]) -> bool:
         val = 0

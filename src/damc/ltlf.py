@@ -378,6 +378,11 @@ def _combine_or(r1: list[DeltaEntry], r2: list[DeltaEntry]) -> list[DeltaEntry]:
 
 QE_STATE = "__qe__"  # sentinel name for the extra accepting state
 
+# F true holds exactly at the positions that exist, so as a state it is Top
+# for a word that must go on: it is not final, and it accepts every
+# non-empty rest of the word.
+_GO_ON = Eventually(TOP)
+
 
 @dataclass(frozen=True)
 class NfaEdge:
@@ -411,29 +416,16 @@ class Nfa:
         s = self.states[q]
         return "q_e" if s == QE_STATE else str(s)
 
-    def paths(self, length: int) -> Iterator[list[NfaEdge]]:
-        """All accepting edge sequences of the given length."""
-
-        def go(q: int, remaining: int, acc: list[NfaEdge]):
-            if remaining == 0:
-                if q in self.finals:
-                    yield list(acc)
-                return
-            for e in self.outgoing(q):
-                acc.append(e)
-                yield from go(e.dst, remaining - 1, acc)
-                acc.pop()
-
-        yield from go(self.initial, length, [])
-
 
 def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
     """Least-fixpoint construction from the quoted initial formula.
 
     An entry without the last flag yields an ordinary transition; an entry
-    with the last flag targeting Top yields a transition into qe.  Entries
-    into the Bot sink, which accepts nothing, and transitions whose
-    constraint sets are unsatisfiable are dropped.
+    with the last flag targeting Top yields a transition into qe.  Top is
+    final, so a not-last entry into Top goes to _GO_ON instead, unless a
+    last entry into Top with a subset of its symbol already accepts where
+    the word ends.  Entries into the Bot sink, which accepts nothing, and
+    transitions whose constraint sets are unsatisfiable are dropped.
     """
     states: list[Union[Ltlf, str]] = [psi]
     index: dict = {psi: 0}
@@ -453,14 +445,19 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
             continue
         done.add(q)
         qi = state_id(q)
-        for entry in delta(q):
-            if entry.target == BOT:
+        entries = delta(q)
+        ends = [e.symbol for e in entries if e.last and e.target == TOP]
+        for entry in entries:
+            target = entry.target
+            if target == BOT:
                 continue
             if not entry.last:
-                ti = state_id(entry.target)
-                if entry.target not in done:
-                    todo.append(entry.target)
-            elif entry.target == TOP:
+                if entry.not_last and target == TOP and not any(s <= entry.symbol for s in ends):
+                    target = _GO_ON
+                ti = state_id(target)
+                if target not in done:
+                    todo.append(target)
+            elif target == TOP:
                 ti = state_id(QE_STATE)
             else:
                 continue

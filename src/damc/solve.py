@@ -8,14 +8,20 @@ equivalence, the K-cutoff, and recognition of the monotonicity / gap-order
 constraint classes.
 
 Everything works on the exact-rational formula IR from `formula`; there
-is deliberately no SMT backend so every answer is reproducible.
+is deliberately no SMT backend so every answer is reproducible.  The
+solver's own currency is the normal form: a cube is a tuple of
+`NormAtom`s, whose coefficients are primitive integers.  Images are built
+on such cubes (`ddsa.update` hands `qe_rational` and `qe_gc` the cubes of
+the image directly), and Fourier-Motzkin runs on the integer rows: two
+rows combine as positive integer multiples and are divided by their gcd,
+which is the primitive normal form of the combined atom.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 from typing import Mapping, Optional, Sequence, Union
 
 from .formula import (
@@ -81,7 +87,7 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
     # vec -> (bound, strict, the atom that states it)
     lo: dict[tuple, tuple[Fraction, bool, NormAtom]] = {}
     hi: dict[tuple, tuple[Fraction, bool, NormAtom]] = {}
-    eq: dict[tuple, Fraction] = {}
+    eq: dict[tuple, tuple[Fraction, NormAtom]] = {}
     ne: dict[tuple, set[Fraction]] = {}
     order: dict[tuple, None] = {}  # the vectors in order of first use
 
@@ -99,9 +105,9 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
         if op in ("=", "!="):
             c = -const if flipped else const
             if op == "=":
-                if canon in eq and eq[canon] != c:
+                if canon in eq and eq[canon][0] != c:
                     return None
-                eq[canon] = c
+                eq.setdefault(canon, (c, na))
             else:
                 ne.setdefault(canon, set()).add(c)
         else:
@@ -121,13 +127,14 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
         l, h, e = lo.get(vec), hi.get(vec), eq.get(vec)
         nes = ne.get(vec, set())
         if e is not None:
+            e, stated = e
             if e in nes:
                 return None
             if l is not None and (e < l[0] or (e == l[0] and l[1])):
                 return None
             if h is not None and (e > h[0] or (e == h[0] and h[1])):
                 return None
-            out.append(NormAtom(vec, "=", e))
+            out.append(stated)  # an equality's input atom has the canonical sign
             continue
         if l is not None and h is not None:
             if l[0] > h[0]:
@@ -156,17 +163,23 @@ def _atom_key(na: NormAtom):
 # ---------------------------------------------------------------------------
 # DNF
 
+_DNF_CACHE: dict = {}
+
+
 def to_dnf(phi: Formula, expand_ne: bool = True) -> list[Cube]:
     """Disjunctive normal form as a list of cubes; [] is false, [()] true.
 
     `!=` atoms are expanded into the two strict alternatives, matching the
-    solver-side convention.
+    solver-side convention.  Memoised per formula: a product state is
+    checked for satisfiability and then imaged, and both start here.
     """
-    cubes = _dnf(phi, True, expand_ne)
-    seen: dict[Cube, None] = {}
-    for c in cubes:
-        seen.setdefault(c)
-    return list(seen.keys())
+    key = (phi, expand_ne)
+    hit = _DNF_CACHE.get(key)
+    if hit is None:
+        hit = tuple(dict.fromkeys(_dnf(phi, True, expand_ne)))
+        if len(_DNF_CACHE) < 100_000:
+            _DNF_CACHE[key] = hit
+    return list(hit)
 
 
 def _dnf(phi: Formula, positive: bool, expand_ne: bool) -> list[Cube]:
@@ -231,57 +244,77 @@ def dnf_to_formula(cubes: Sequence[Cube]) -> Formula:
 # ---------------------------------------------------------------------------
 # Rational Fourier-Motzkin elimination
 
-def _bounds_on(cube: Cube, x: VarId):
-    """Split a cube by its relation to x.
+Rows = list[tuple[NormAtom, int]]  # atoms with their coefficient of the eliminated variable
 
-    Returns (eqs, lowers, uppers, rest) where bounds are (term, strict)
-    with `term` the bounding expression, after dividing by x's coefficient.
-    """
-    eqs: list[Term] = []
-    lowers: list[tuple[Term, bool]] = []
-    uppers: list[tuple[Term, bool]] = []
+
+def _rows_on(cube: Cube, x: VarId) -> tuple[Rows, Rows, Rows, list[NormAtom]]:
+    """Split a cube by its relation to x: (eqs, lowers, uppers, rest), each
+    row paired with x's coefficient in it (negative in a lower bound)."""
+    eqs: Rows = []
+    lowers: Rows = []
+    uppers: Rows = []
     rest: list[NormAtom] = []
     for na in cube:
-        cs = dict(na.coeffs)
-        a = cs.get(x)
+        a = dict(na.coeffs).get(x)
         if a is None:
             rest.append(na)
-            continue
-        # a*x + others op const  <=>  x op' (const - others) / a
-        others = tuple((v, Fraction(-c, a)) for v, c in na.coeffs if v != x)
-        bound = Term(others, na.const / a)
-        if na.op == "=":
-            eqs.append(bound)
+        elif na.op == "=":
+            eqs.append((na, a))
         elif na.op == "!=":
             # callers expand != before elimination
             raise AssertionError("unexpected != during elimination")
+        elif a > 0:
+            uppers.append((na, a))
         else:
-            strict = na.op == "<"
-            if a > 0:
-                uppers.append((bound, strict))
-            else:
-                lowers.append((bound, strict))
+            lowers.append((na, a))
     return eqs, lowers, uppers, rest
 
 
-def eliminate_rational(cube: Cube, x: VarId) -> Optional[Cube]:
-    """One Fourier-Motzkin step; assumes != was expanded away."""
-    eqs, lowers, uppers, rest = _bounds_on(cube, x)
+def _resolve(p: NormAtom, a: int, q: NormAtom, b: int) -> NormAtom:
+    """The row |b|*p - sgn(b)*a*q, in which the coefficients a (in p) and b
+    (in q) of the eliminated variable cancel, as a normalized atom.
+
+    p's multiplier is positive, so the row keeps p's direction; q is an
+    equality or a bound of the opposite direction.  Dividing by the gcd of
+    the coefficients (and, for an equality, fixing the sign) gives the
+    unique primitive form that `norm_atom` gives the same inequality."""
+    mp, mq = abs(b), (-a if b > 0 else a)
+    acc = {v: mp * c for v, c in p.coeffs}
+    for v, c in q.coeffs:
+        acc[v] = acc.get(v, 0) + mq * c
+    coeffs = tuple(sorted((v, c) for v, c in acc.items() if c))
+    const = mp * p.const + mq * q.const
+    if p.op == "=" and q.op == "=":
+        op = "="
+    else:
+        op = "<" if "<" in (p.op, q.op) else "<="
+    if coeffs:
+        g = gcd(*(c for _, c in coeffs))
+        if op == "=" and coeffs[0][1] < 0:
+            g = -g
+        if g != 1:
+            coeffs = tuple((v, c // g) for v, c in coeffs)
+            const = const / g
+    return NormAtom(coeffs, op, const)
+
+
+def _resolvents(eqs: Rows, lowers: Rows, uppers: Rows) -> list[NormAtom]:
+    """The rows a Fourier-Motzkin step adds: with an equality, the other
+    rows resolved against the first one; without, every lower bound
+    resolved against every upper bound."""
     if eqs:
-        rep = eqs[0]
-        new = list(rest)
-        for other in eqs[1:]:
-            new.append(norm_atom(Atom(rep, "=", other)))
-        for t, strict in lowers:
-            new.append(norm_atom(Atom(t, "<" if strict else "<=", rep)))
-        for t, strict in uppers:
-            new.append(norm_atom(Atom(rep, "<" if strict else "<=", t)))
-        return norm_cube(new)
-    new = list(rest)
-    for lt, ls in lowers:
-        for ut, us in uppers:
-            new.append(norm_atom(Atom(lt, "<" if (ls or us) else "<=", ut)))
-    return norm_cube(new)
+        e, b = eqs[0]
+        return [_resolve(p, a, e, b) for p, a in eqs[1:] + lowers + uppers]
+    return [_resolve(p, a, q, b) for p, a in lowers for q, b in uppers]
+
+
+def eliminate_rational(cube: Cube, x: VarId) -> Optional[Cube]:
+    """One Fourier-Motzkin step on the cube's integer rows; assumes != was
+    expanded away.  Each combined row is a positive integer combination
+    divided by its gcd, so it is the normal form of the combined atom, and
+    no bound passes through a rational `Term`."""
+    eqs, lowers, uppers, rest = _rows_on(cube, x)
+    return norm_cube(rest + _resolvents(eqs, lowers, uppers))
 
 
 def _elim_order(cube: Cube, xs: set[VarId]) -> Optional[VarId]:
@@ -307,12 +340,16 @@ def qe_cube_rational(cube: Cube, xs: set[VarId]) -> Optional[Cube]:
     return cur
 
 
-def qe_rational(xs: Sequence[VarId], phi: Formula) -> Formula:
-    """Quantifier-free equivalent of (exists xs. phi) over the rationals."""
+def qe_rational(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula:
+    """Quantifier-free equivalent of (exists xs. phi) over the rationals.
+
+    `phi` is a formula or a DNF already in normal form, as a tuple of cubes
+    (`ddsa.update` passes the image's cubes); each cube is eliminated by
+    Fourier-Motzkin on its integer rows."""
     targets = set(xs)
     out: list[Cube] = []
     seen: set[Cube] = set()
-    for cube in to_dnf(phi):
+    for cube in to_dnf(phi) if isinstance(phi, Formula) else phi:
         r = qe_cube_rational(cube, targets)
         if r is not None and r not in seen:
             seen.add(r)
@@ -410,25 +447,6 @@ def gc_norm(na: NormAtom) -> Optional[tuple[str, list[Triple]]]:
     return None
 
 
-def gc_atoms(phi: Formula) -> list[tuple[Atom, str, list[Triple]]]:
-    """All atoms of phi with their GC views; raises NotGapOrder on failure."""
-    out = []
-    for a in atoms_of(phi):
-        v = gc_norm(norm_atom(a))
-        if v is None:
-            raise NotGapOrder(f"not a gap-order atom: {a}")
-        out.append((a, v[0], v[1]))
-    return out
-
-
-def is_gc_formula(phi: Formula) -> bool:
-    try:
-        gc_atoms(phi)
-        return True
-    except NotGapOrder:
-        return False
-
-
 def triple_atom(tr: Triple) -> Atom:
     p, q, k = tr
     lhs = Term.of(p) - Term.of(q)
@@ -469,9 +487,9 @@ def _is_mc(na: NormAtom) -> bool:
 # Gap-order quantifier elimination -----------------------------------------
 
 
-def _gc_cubes(phi: Formula) -> list[list[Triple]]:
-    """DNF over gap-order triples (integer semantics)."""
-    cubes = to_dnf(phi, expand_ne=False)
+def _gc_cubes(cubes: Sequence[Cube]) -> list[list[Triple]]:
+    """Normal-form cubes (with `!=` unexpanded) as DNF over gap-order
+    triples (integer semantics)."""
     out: list[list[Triple]] = []
     for cube in cubes:
         alts: list[list[Triple]] = [[]]
@@ -527,15 +545,17 @@ def eliminate_gc(cube: list[Triple], y: VarId) -> Optional[list[Triple]]:
     return _norm_gc_cube(rest)
 
 
-def qe_gc(xs: Sequence[VarId], phi: Formula) -> Formula:
+def qe_gc(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula:
     """Quantifier-free gap-order equivalent of (exists xs. phi) over Z.
 
-    Upper and lower gap bounds on the eliminated variable combine by adding
-    their gaps; the result stays in gap-order form though constants grow.
+    `phi` is a formula or a DNF in normal form with `!=` unexpanded, as a
+    tuple of cubes (`ddsa.update` passes the image's cubes).  Upper and
+    lower gap bounds on the eliminated variable combine by adding their
+    gaps; the result stays in gap-order form though constants grow.
     """
     out: list[tuple[Triple, ...]] = []
     seen: set[tuple[Triple, ...]] = set()
-    for cube in _gc_cubes(phi):
+    for cube in _gc_cubes(to_dnf(phi, expand_ne=False) if isinstance(phi, Formula) else phi):
         cur: Optional[list[Triple]] = cube
         for x in sorted(set(xs), key=_node_key):
             if cur is None:
@@ -590,7 +610,10 @@ def _check_model(cube: Cube, model: Mapping[VarId, Fraction]) -> None:
 
 
 def _sat_cube_rational(cube: Cube) -> Optional[dict[VarId, Fraction]]:
-    trail: list[tuple[VarId, tuple]] = []
+    """Fourier-Motzkin to a ground cube, then back-substitution: each
+    eliminated variable gets a value between the bounds its trail rows
+    give under the values already chosen."""
+    trail: list[tuple[VarId, Rows, Rows, Rows]] = []
     cur: Optional[Cube] = cube
     while cur:
         vs = set()
@@ -599,34 +622,44 @@ def _sat_cube_rational(cube: Cube) -> Optional[dict[VarId, Fraction]]:
         if not vs:
             break
         x = _elim_order(cur, vs)
-        eqs, lowers, uppers, _ = _bounds_on(cur, x)
-        trail.append((x, (eqs, lowers, uppers)))
-        cur = eliminate_rational(cur, x)
+        eqs, lowers, uppers, rest = _rows_on(cur, x)
+        trail.append((x, eqs, lowers, uppers))
+        cur = norm_cube(rest + _resolvents(eqs, lowers, uppers))
     if cur is None:
         return None
     model: dict[VarId, Fraction] = {}
-    eliminated = {x for x, _ in trail}
-    for _, (eqs, lowers, uppers) in trail:
-        for t in eqs + [b[0] for b in lowers] + [b[0] for b in uppers]:
-            for v in t.vars():
+    eliminated = {x for x, _, _, _ in trail}
+    for _, eqs, lowers, uppers in trail:
+        for na, _ in eqs + lowers + uppers:
+            for v, _ in na.coeffs:
                 if v not in eliminated:
                     model[v] = Fraction(0)  # unconstrained by the residue
-    for x, (eqs, lowers, uppers) in reversed(trail):
+    for x, eqs, lowers, uppers in reversed(trail):
         if eqs:
-            model[x] = eqs[0].value(model)
+            model[x] = _bound(eqs[0], x, model)
             continue
         lo = None
-        for t, s in lowers:
-            v = t.value(model)
+        for row in lowers:
+            v, s = _bound(row, x, model), row[0].op == "<"
             if lo is None or v > lo[0] or (v == lo[0] and s):
                 lo = (v, s)
         hi = None
-        for t, s in uppers:
-            v = t.value(model)
+        for row in uppers:
+            v, s = _bound(row, x, model), row[0].op == "<"
             if hi is None or v < hi[0] or (v == hi[0] and s):
                 hi = (v, s)
         model[x] = _pick_rational(lo, hi)
     return model
+
+
+def _bound(row: tuple[NormAtom, int], x: VarId, model: Mapping[VarId, Fraction]) -> Fraction:
+    """The value of x at which the row a*x + rest op const is tight."""
+    na, a = row
+    rest = na.const
+    for v, c in na.coeffs:
+        if v != x:
+            rest -= c * model[v]
+    return rest / a
 
 
 def _pick_rational(lo, hi) -> Fraction:

@@ -4,9 +4,21 @@ from pathlib import Path
 
 import pytest
 
-from damc import parsing
-from damc.ddsa import Ddsa
-from damc.formula import INT, RAT, VarId
+from damc import parsing, solve
+from damc.ddsa import Ddsa, transition_formula
+from damc.formula import (
+    INT,
+    RAT,
+    Atom,
+    Term,
+    VarId,
+    atoms_of,
+    conj,
+    max_index,
+    norm_atom,
+    substitute,
+)
+from damc.solve import NotGapOrder, gc_norm
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -95,3 +107,111 @@ def minimal_edges(edges, names: dict[str, str]) -> list[tuple[str, str, str]]:
         for src, sym, dst in edges
         if not any(s == src and d == dst and set(o) < set(sym) for s, o, d in edges)
     )
+
+
+def nfa_paths(nfa, length: int):
+    """All accepting edge sequences of the given length."""
+
+    def go(q: int, remaining: int, acc: list):
+        if remaining == 0:
+            if q in nfa.finals:
+                yield list(acc)
+            return
+        for e in nfa.outgoing(q):
+            acc.append(e)
+            yield from go(e.dst, remaining - 1, acc)
+            acc.pop()
+
+    yield from go(nfa.initial, length, [])
+
+
+def gc_atoms(phi):
+    """All atoms of phi with their gap-order views (mode, triples); raises
+    NotGapOrder on an atom outside gap-order."""
+    out = []
+    for a in atoms_of(phi):
+        v = gc_norm(norm_atom(a))
+        if v is None:
+            raise NotGapOrder(f"not a gap-order atom: {a}")
+        out.append((a, v[0], v[1]))
+    return out
+
+
+def is_gc_formula(phi) -> bool:
+    try:
+        gc_atoms(phi)
+        return True
+    except NotGapOrder:
+        return False
+
+
+# ---------------------------------------------------------------------------
+# Reference image: substitution, then QE of the whole formula, with
+# Fourier-Motzkin on rational `Term` bounds.  `ddsa.update` builds the same
+# image on normal-form cubes and must return the identical formula.
+
+
+def term_bound_resolvents(cube, x):
+    """The atoms one Fourier-Motzkin step adds when it divides each bound
+    on x by x's coefficient and normalizes each combination `lt op ut`."""
+    eqs, lowers, uppers = [], [], []
+    for na in cube:
+        a = dict(na.coeffs).get(x)
+        if a is None:
+            continue
+        others = tuple((v, Fraction(-c, a)) for v, c in na.coeffs if v != x)
+        bound = Term(others, na.const / a)
+        if na.op == "=":
+            eqs.append(bound)
+        elif a > 0:
+            uppers.append((bound, na.op == "<"))
+        else:
+            lowers.append((bound, na.op == "<"))
+    if eqs:
+        rep = eqs[0]
+        return (
+            [norm_atom(Atom(rep, "=", other)) for other in eqs[1:]]
+            + [norm_atom(Atom(t, "<" if s else "<=", rep)) for t, s in lowers]
+            + [norm_atom(Atom(rep, "<" if s else "<=", t)) for t, s in uppers]
+        )
+    return [
+        norm_atom(Atom(lt, "<" if (ls or us) else "<=", ut))
+        for lt, ls in lowers
+        for ut, us in uppers
+    ]
+
+
+def term_bound_eliminate(cube, x):
+    rest = [na for na in cube if x not in na.vars()]
+    return solve.norm_cube(rest + term_bound_resolvents(cube, x))
+
+
+def reference_qe_rational(xs, phi):
+    out = []
+    for cube in solve.to_dnf(phi):
+        live = {x for x in xs if any(x in na.vars() for na in cube)}
+        while cube is not None and live:
+            x = solve._elim_order(cube, live)
+            if x is None:
+                break
+            live.discard(x)
+            cube = term_bound_eliminate(cube, x)
+        if cube is not None and cube not in out:
+            out.append(cube)
+    return solve.dnf_to_formula(out)
+
+
+def reference_update(d, phi, action):
+    delta = transition_formula(d, action)
+    idx = max(max_index(phi), max_index(delta)) + 1
+    snapshot = {v: v.indexed(idx) for v in d.variables}
+    phi_u = substitute(phi, {v: Term.of(u) for v, u in snapshot.items()})
+    delta_uv = substitute(
+        delta,
+        {
+            **{v.read(): Term.of(snapshot[v]) for v in d.variables},
+            **{v.write(): Term.of(v) for v in d.variables},
+        },
+    )
+    qe = solve.qe_gc if d.domain == INT else reference_qe_rational
+    return qe(list(snapshot.values()), conj(phi_u, delta_uv))

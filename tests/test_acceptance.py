@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from damc import ltlf as lt, oracle, parsing, product, solve
+from damc import ltlf as lt, oracle, parsing, product
 from damc.ddsa import Ddsa, history_constraint, validate_run
 from damc.formula import INT, RAT, Term, VarId, atom, conj, disj, evaluate, free_vars, norm_atom
 from damc.ltlf import (
@@ -39,7 +39,15 @@ from damc.summary import (
     detect,
 )
 
-from conftest import PAPER_NESTED_NEXT_EDGES, frac_grid, minimal_edges, with_domain
+from conftest import (
+    PAPER_NESTED_NEXT_EDGES,
+    frac_grid,
+    gc_atoms,
+    is_gc_formula,
+    minimal_edges,
+    nfa_paths,
+    with_domain,
+)
 
 x, y = VarId("x"), VarId("y")
 
@@ -334,7 +342,7 @@ def test_criterion_8a_qe_soundness(rng):
         phi = conj(*cubes[:2]) if rng.random() < 0.5 else conj(cubes[0], disj(*cubes[1:3]))
         out = qe_gc([z], phi)
         checked += 1
-        ok_gc = solve.is_gc_formula(out)
+        ok_gc = is_gc_formula(out)
         if not ok_gc:
             failures += 1
         for ax in range(-2, 5):
@@ -371,7 +379,7 @@ def gc_bound(*formulas) -> int:
     over all endpoint constants and gaps, with 0 always included."""
     consts = {0}
     for f in formulas:
-        for _, _, triples in solve.gc_atoms(f):
+        for _, _, triples in gc_atoms(f):
             for (p, q, k) in triples:
                 consts.add(k)
                 if isinstance(p, int):
@@ -504,7 +512,7 @@ def test_criterion_8d_nfa_acceptance(rng, b1, b2):
                 want = run_models(d, run, 0, pre)
                 got = any(
                     word_consistent(d, [e.symbol for e in path], run)
-                    for path in nfa.paths(len(run) + 1)
+                    for path in nfa_paths(nfa, len(run) + 1)
                 )
                 pairs += 1
                 if want != got:

@@ -1,8 +1,12 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from damc import oracle, product, solve
+from damc import oracle, parsing, product, solve
 from damc.ddsa import (
     Config,
     Ddsa,
@@ -15,10 +19,10 @@ from damc.ddsa import (
     validate,
     validate_run,
 )
-from damc.formula import RAT, Term, VarId, atom, conj, evaluate, free_vars
+from damc.formula import INT, RAT, FormulaError, Term, VarId, atom, conj, disj, evaluate, free_vars
 from damc.solve import equivalent, is_sat
 
-from conftest import frac_grid
+from conftest import frac_grid, load_model, reference_update, with_domain
 
 x, y = VarId("x"), VarId("y")
 
@@ -206,3 +210,93 @@ def test_step_allowed_agrees_with_guard(b1):
     assert step_allowed(b1, pre, "a1", good)
     assert not step_allowed(b1, pre, "a1", bad)
     assert not step_allowed(b1, pre, "a1", changed)
+
+
+# ---------------------------------------------------------------------------
+# The image on normal-form cubes equals substitution-then-QE, formula for
+# formula
+
+
+def image_or_error(image, d, phi, action):
+    try:
+        return image(d, phi, action)
+    except FormulaError as e:
+        return type(e)
+
+
+def assert_same_images(d, phis):
+    for phi in phis:
+        for a in d.actions:
+            want = image_or_error(reference_update, d, phi, a)
+            assert image_or_error(update, d, phi, a) == want, (str(phi), a)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_queries():
+    for name in ("auction", "disjunction"):
+        for case in json.loads((GOLDEN / f"{name}_verdicts.json").read_text()).values():
+            yield "auction.ddsa" if name == "auction" else "b1.ddsa", RAT, case["property"]
+    for case in json.loads((GOLDEN / "integer_verdicts.json").read_text()).values():
+        yield case["model"], INT, case["property"]
+
+
+def test_update_equals_reference_on_golden_product_nodes():
+    # every node formula of the auction, disjunction and integer golden
+    # products, imaged under every action of its system
+    models = {}
+    for model, dom, prop in golden_queries():
+        if (model, dom) not in models:
+            models[(model, dom)] = (with_domain(load_model(model), dom), set())
+        d, phis = models[(model, dom)]
+        v = product.verify(d, parsing.parse_property(prop, d), product.VerifyOptions(keep_artifacts=True))
+        if v.product is not None:
+            phis.update(node.formula for node in v.product.nodes)
+    assert sum(len(phis) for _, phis in models.values()) > 100
+    for d, phis in models.values():
+        assert_same_images(d, sorted(phis, key=str))
+
+
+def linear_atoms(names, gap_order):
+    """Atoms over the named plain variables: integer combinations with
+    coefficients in -3..3 and half-integer constants, or (gap_order) the
+    gap-order shapes v >= k, v <= k, v - w >= k, v = w and v != k with
+    k in 0..4."""
+    vs = st.sampled_from([VarId(n) for n in names])
+    if gap_order:
+        const = st.integers(0, 4)
+        return st.one_of(
+            st.builds(lambda v, k: atom(v, ">=", k), vs, const),
+            st.builds(lambda v, k: atom(v, "<=", k), vs, const),
+            st.builds(lambda v, w, k: atom(Term.of(v) - Term.of(w), ">=", k), vs, vs, const),
+            st.builds(lambda v, w: atom(v, "=", w), vs, vs),
+            st.builds(lambda v, k: atom(v, "!=", k), vs, const),
+        )
+    term = st.lists(st.tuples(vs, st.integers(-3, 3)), min_size=1, max_size=3).map(
+        lambda cs: Term.make((v, F(c)) for v, c in cs)
+    )
+    op = st.sampled_from(("<", "<=", "=", "!=", ">", ">="))
+    return st.builds(lambda t, o, k: atom(t, o, F(k, 2)), term, op, st.integers(-8, 8))
+
+
+def states(names, gap_order=False):
+    """Disjunctions of conjunctions of atoms, as the product's states are."""
+    cube = st.lists(linear_atoms(names, gap_order), min_size=1, max_size=4)
+    return st.lists(cube, min_size=1, max_size=3).map(lambda cs: disj(*(conj(*c) for c in cs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("b1.ddsa", "b2.ddsa", "b4.ddsa", "auction.ddsa")), st.data())
+def test_update_equals_reference_on_random_rational_states(model, data):
+    d = load_model(model)
+    phi = data.draw(states([v.name for v in d.variables]))
+    assert_same_images(d, [phi])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("b1.ddsa", "b3.ddsa")), st.data())
+def test_update_equals_reference_on_random_gap_order_states(model, data):
+    d = with_domain(load_model(model), INT)
+    phi = data.draw(states([v.name for v in d.variables], gap_order=True))
+    assert_same_images(d, [phi])

@@ -12,6 +12,7 @@ from damc.formula import (
     MissingVariable,
     Term,
     VarId,
+    _norm_atom,
     atom,
     conj,
     disj,
@@ -106,8 +107,11 @@ grid_points = st.fixed_dictionaries(
 
 @given(atoms)
 def test_normalization_idempotent(a):
+    # to_atom records its atom as normalized, so the uncached
+    # normalization must map it back too
     na = norm_atom(a)
     assert norm_atom(na.to_atom()) == na
+    assert _norm_atom(na.to_atom()) == na
 
 
 @given(atoms, grid_points)

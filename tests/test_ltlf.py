@@ -37,7 +37,7 @@ from damc.ltlf import (
     word_consistent,
 )
 
-from conftest import PAPER_NESTED_NEXT_EDGES, minimal_edges
+from conftest import PAPER_NESTED_NEXT_EDGES, minimal_edges, nfa_paths
 
 x, y = VarId("x"), VarId("y")
 C_Y5 = Constr(atom(y, ">", 5))
@@ -230,7 +230,7 @@ def test_word_consistent_all_empty(b1):
 
 
 def accepts_consistent_word(d, nfa, run):
-    for path in nfa.paths(len(run) + 1):
+    for path in nfa_paths(nfa, len(run) + 1):
         word = [e.symbol for e in path]
         if word_consistent(d, word, run):
             return True
@@ -288,6 +288,19 @@ def test_nfa_acceptance_matches_semantics(b1, b2):
             nfa = build_nfa(pre, d.domain)
             for run in runs:
                 assert accepts_consistent_word(d, nfa, run) == run_models(d, run, 0, pre), psi
+
+
+def test_nfa_entry_into_top_keeps_the_next_position(b1):
+    # X true holds only where a next position exists: its entry into Top is
+    # not-last, so the one-symbol word of a length-0 run must be rejected
+    from conftest import frac_grid
+
+    runs = list(oracle.enumerate_runs(b1, 3, frac_grid(0, 3, halves=True)))
+    assert {len(run) for run in runs} == {0, 1, 2, 3}
+    for psi in (Next(TOP), Next(Next(TOP)), LOr(Constr(atom(y, ">", 2)), Next(TOP))):
+        nfa = build_nfa(psi, b1.domain)
+        for run in runs:
+            assert accepts_consistent_word(b1, nfa, run) == run_models(b1, run, 0, psi), (psi, run)
 
 
 def test_boolean_combinators_simplify_in_context():

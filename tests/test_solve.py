@@ -34,6 +34,8 @@ from damc.solve import (
     to_dnf,
 )
 
+from conftest import term_bound_eliminate, term_bound_resolvents
+
 x, y, z = VarId("x"), VarId("y"), VarId("z")
 
 
@@ -104,6 +106,43 @@ def test_qe_rational_second_step():
 def test_qe_rational_unused_var():
     out = qe_rational([x], atom(y, ">", 3))
     assert equivalent(out, atom(y, ">", 3), RAT)
+
+
+@st.composite
+def rational_cubes(draw):
+    """Normalized cubes of atoms over x, y and z with coefficients in -4..4,
+    so that combined rows meet gcds above 1 and negative leading
+    coefficients, and a cube may hold several equalities on a variable."""
+    lit = st.tuples(
+        st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+        st.sampled_from(("<", "<=", "=", ">", ">=")),
+        st.integers(-12, 12).map(lambda k: F(k, 3)),
+    )
+    atoms = [
+        norm_atom(atom(Term.make(zip((x, y, z), map(F, cs))), op, k))
+        for cs, op, k in draw(st.lists(lit, min_size=1, max_size=6))
+    ]
+    cube = solve.norm_cube(atoms)
+    return () if cube is None else cube
+
+
+def ground_as_truth(na):
+    # a ground row's constant is only known up to a positive factor
+    return na if na.coeffs else na.truth()
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_cubes())
+def test_row_elimination_equals_term_bound_elimination(cube):
+    # a row combination divided by its gcd (and sign-fixed for =) is the
+    # atom norm_atom gives the combined Term bounds: the resolvents agree
+    # atom for atom, and so do the eliminated cubes
+    for v in (x, y, z):
+        eqs, lowers, uppers, _ = solve._rows_on(cube, v)
+        rows = solve._resolvents(eqs, lowers, uppers)
+        want = term_bound_resolvents(cube, v)
+        assert list(map(ground_as_truth, rows)) == list(map(ground_as_truth, want))
+        assert solve.eliminate_rational(cube, v) == term_bound_eliminate(cube, v)
 
 
 # ---------------------------------------------------------------------------
