@@ -34,7 +34,8 @@ def _load_model(ns: argparse.Namespace) -> Ddsa:
     text = Path(ns.model).read_text()
     d = parsing.parse_model(text)
     if ns.domain:
-        d = replace(d, domain=INT if ns.domain == "int" else RAT)
+        # the model must be valid in the domain it is solved in
+        d = parsing.check_model(replace(d, domain=INT if ns.domain == "int" else RAT))
     return d
 
 

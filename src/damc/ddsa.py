@@ -159,12 +159,13 @@ def update(d: Ddsa, phi: Formula, action: str) -> Formula:
     v^w becomes v.  Renaming keeps the variable order, so a renamed atom is
     still normalized.  Each renamed state cube meets each transition cube.
     The existential prefix over the snapshot copies is eliminated
-    immediately, so results stay quantifier-free over V.  The domain picks
-    the elimination: Fourier-Motzkin on integer rows over the rationals,
-    gap-order over the integers (only gap-order systems are imaged there).
+    immediately, so results stay quantifier-free over V.  Both domains
+    eliminate by Fourier-Motzkin on integer rows; over the integers
+    (`qe_gc`, where only gap-order systems are imaged) each cube is first
+    tightened to integer difference bounds.  The state's DNF is the one its
+    satisfiability check used.
     """
-    gc = d.domain == INT
-    state = solve.to_dnf(phi, expand_ne=not gc)
+    state = solve.to_dnf(phi)
     idx = 1 + max((v.idx for cube in state for na in cube for v, _ in na.coeffs), default=-1)
     snapshot = {v: v.indexed(idx) for v in d.variables}
     trans = _transition_cubes(d, action, idx)
@@ -175,7 +176,7 @@ def update(d: Ddsa, phi: Formula, action: str) -> Formula:
             merged = solve.norm_cube(pre + t)
             if merged is not None:
                 cubes.append(merged)
-    qe = solve.qe_gc if gc else solve.qe_rational
+    qe = solve.qe_gc if d.domain == INT else solve.qe_rational
     return qe(list(snapshot.values()), tuple(cubes))
 
 
@@ -187,7 +188,7 @@ def _transition_cubes(d: Ddsa, action: str, idx: int) -> list[solve.Cube]:
     if hit is None:
         copies = {v.read(): v.indexed(idx) for v in d.variables}
         copies.update((v.write(), v) for v in d.variables)
-        cubes = solve.to_dnf(transition_formula(d, action), expand_ne=d.domain != INT)
+        cubes = solve.to_dnf(transition_formula(d, action))
         stray = {v for cube in cubes for na in cube for v, _ in na.coeffs} - copies.keys()
         if stray:
             names = ", ".join(sorted(map(str, stray)))

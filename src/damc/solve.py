@@ -1,11 +1,11 @@
 """Decision procedures over linear arithmetic.
 
-DNF normalization, satisfiability with model extraction (Fourier-Motzkin
-over both domains: an integer cube is first tightened to integer difference
-bounds, on which it is exact), quantifier elimination (Fourier-Motzkin over
-the rationals, gap-order elimination over the integers), logical
-equivalence, the K-cutoff, and recognition of the monotonicity / gap-order
-constraint classes.
+DNF normalization, satisfiability with model extraction, quantifier
+elimination, logical equivalence, the K-cutoff, and recognition of the
+monotonicity / gap-order constraint classes.  Satisfiability and QE are
+Fourier-Motzkin in both domains: over the integers a cube is first
+tightened to non-strict integer difference bounds (rows with coefficients
++-1 and integer bounds), on which the rational answer is the integer one.
 
 Everything works on the exact-rational formula IR from `formula`; there
 is deliberately no SMT backend so every answer is reproducible.  The
@@ -82,13 +82,13 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
     bound subsumption.  Returns None when the cube is contradictory.
 
     Only pairwise reasoning on atoms sharing a coefficient vector is done;
-    full entailment is not attempted.
+    full entailment is not attempted.  The atoms carry no `!=`: `to_dnf`
+    splits each into two strict atoms.
     """
     # vec -> (bound, strict, the atom that states it)
     lo: dict[tuple, tuple[Fraction, bool, NormAtom]] = {}
     hi: dict[tuple, tuple[Fraction, bool, NormAtom]] = {}
     eq: dict[tuple, tuple[Fraction, NormAtom]] = {}
-    ne: dict[tuple, set[Fraction]] = {}
     order: dict[tuple, None] = {}  # the vectors in order of first use
 
     for na in atoms:
@@ -102,14 +102,11 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
         canon = vec if vec[0][1] > 0 else tuple((v, -c) for v, c in vec)
         flipped = canon is not vec
         order[canon] = None
-        if op in ("=", "!="):
+        if op == "=":
             c = -const if flipped else const
-            if op == "=":
-                if canon in eq and eq[canon][0] != c:
-                    return None
-                eq.setdefault(canon, (c, na))
-            else:
-                ne.setdefault(canon, set()).add(c)
+            if canon in eq and eq[canon][0] != c:
+                return None
+            eq.setdefault(canon, (c, na))
         else:
             strict = op == "<"
             if flipped:  # -t <= const  <=>  t >= -const
@@ -125,11 +122,8 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
     out: list[NormAtom] = []
     for vec in order:
         l, h, e = lo.get(vec), hi.get(vec), eq.get(vec)
-        nes = ne.get(vec, set())
         if e is not None:
             e, stated = e
-            if e in nes:
-                return None
             if l is not None and (e < l[0] or (e == l[0] and l[1])):
                 return None
             if h is not None and (e > h[0] or (e == h[0] and h[1])):
@@ -146,13 +140,6 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
             out.append(l[2])
         if h is not None:
             out.append(h[2])
-        for c in sorted(nes):
-            # drop != atoms already settled by the bounds
-            if l is not None and (c < l[0] or (c == l[0] and l[1])):
-                continue
-            if h is not None and (c > h[0] or (c == h[0] and h[1])):
-                continue
-            out.append(NormAtom(vec, "!=", c))
     return tuple(sorted(out, key=_atom_key))
 
 
@@ -166,37 +153,36 @@ def _atom_key(na: NormAtom):
 _DNF_CACHE: dict = {}
 
 
-def to_dnf(phi: Formula, expand_ne: bool = True) -> list[Cube]:
+def to_dnf(phi: Formula) -> list[Cube]:
     """Disjunctive normal form as a list of cubes; [] is false, [()] true.
 
-    `!=` atoms are expanded into the two strict alternatives, matching the
-    solver-side convention.  Memoised per formula: a product state is
-    checked for satisfiability and then imaged, and both start here.
+    `!=` atoms are expanded into the two strict alternatives, in both
+    domains.  Memoised per formula: a product state is checked for
+    satisfiability and then imaged, and both start from this one DNF.
     """
-    key = (phi, expand_ne)
-    hit = _DNF_CACHE.get(key)
+    hit = _DNF_CACHE.get(phi)
     if hit is None:
-        hit = tuple(dict.fromkeys(_dnf(phi, True, expand_ne)))
+        hit = tuple(dict.fromkeys(_dnf(phi, True)))
         if len(_DNF_CACHE) < 100_000:
-            _DNF_CACHE[key] = hit
+            _DNF_CACHE[phi] = hit
     return list(hit)
 
 
-def _dnf(phi: Formula, positive: bool, expand_ne: bool) -> list[Cube]:
+def _dnf(phi: Formula, positive: bool) -> list[Cube]:
     if isinstance(phi, TrueF):
         return [()] if positive else []
     if isinstance(phi, FalseF):
         return [] if positive else [()]
     if isinstance(phi, Not):
-        return _dnf(phi.arg, not positive, expand_ne)
+        return _dnf(phi.arg, not positive)
     if isinstance(phi, Atom):
         na = norm_atom(phi)
         if not positive:
             na = _negate(na)
-        return _atom_cubes(na, expand_ne)
+        return _atom_cubes(na)
     if isinstance(phi, (And, Or)):
         is_and = isinstance(phi, And) == positive
-        parts = [_dnf(p, positive, expand_ne) for p in phi.args]
+        parts = [_dnf(p, positive) for p in phi.args]
         if not is_and:
             return [c for ds in parts for c in ds]
         acc: list[Cube] = [()]
@@ -224,13 +210,13 @@ def _negate(na: NormAtom) -> NormAtom:
     return NormAtom(tuple((v, -c) for v, c in na.coeffs), "<=", -na.const)
 
 
-def _atom_cubes(na: NormAtom, expand_ne: bool) -> list[Cube]:
+def _atom_cubes(na: NormAtom) -> list[Cube]:
     t = na.truth()
     if t is True:
         return [()]
     if t is False:
         return []
-    if na.op == "!=" and expand_ne:
+    if na.op == "!=":
         below = NormAtom(na.coeffs, "<", na.const)
         above = NormAtom(tuple((v, -c) for v, c in na.coeffs), "<", -na.const)
         return [(below,), (above,)]
@@ -242,7 +228,7 @@ def dnf_to_formula(cubes: Sequence[Cube]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Rational Fourier-Motzkin elimination
+# Fourier-Motzkin elimination (both domains)
 
 Rows = list[tuple[NormAtom, int]]  # atoms with their coefficient of the eliminated variable
 
@@ -260,9 +246,6 @@ def _rows_on(cube: Cube, x: VarId) -> tuple[Rows, Rows, Rows, list[NormAtom]]:
             rest.append(na)
         elif na.op == "=":
             eqs.append((na, a))
-        elif na.op == "!=":
-            # callers expand != before elimination
-            raise AssertionError("unexpected != during elimination")
         elif a > 0:
             uppers.append((na, a))
         else:
@@ -309,10 +292,10 @@ def _resolvents(eqs: Rows, lowers: Rows, uppers: Rows) -> list[NormAtom]:
 
 
 def eliminate_rational(cube: Cube, x: VarId) -> Optional[Cube]:
-    """One Fourier-Motzkin step on the cube's integer rows; assumes != was
-    expanded away.  Each combined row is a positive integer combination
-    divided by its gcd, so it is the normal form of the combined atom, and
-    no bound passes through a rational `Term`."""
+    """One Fourier-Motzkin step on the cube's integer rows.  Each combined
+    row is a positive integer combination divided by its gcd, so it is the
+    normal form of the combined atom, and no bound passes through a
+    rational `Term`."""
     eqs, lowers, uppers, rest = _rows_on(cube, x)
     return norm_cube(rest + _resolvents(eqs, lowers, uppers))
 
@@ -346,23 +329,46 @@ def qe_rational(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> F
     `phi` is a formula or a DNF already in normal form, as a tuple of cubes
     (`ddsa.update` passes the image's cubes); each cube is eliminated by
     Fourier-Motzkin on its integer rows."""
+    return _qe_cubes(xs, to_dnf(phi) if isinstance(phi, Formula) else phi)
+
+
+def qe_gc(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula:
+    """Quantifier-free gap-order equivalent of (exists xs. phi) over Z.
+
+    `phi` is a formula or a DNF in normal form, as a tuple of cubes
+    (`ddsa.update` passes the image's cubes); an atom outside gap-order
+    raises NotGapOrder.  Each cube is tightened to non-strict integer
+    difference bounds, as `is_sat` does, and eliminated by Fourier-Motzkin.
+    Every row there has coefficients +-1 and an integer bound, and so has
+    every sum of two rows, so each bound on an eliminated variable is an
+    integer and the rational projection is the integer one.  Sums of
+    non-negative gaps are non-negative: the image stays gap-order.
+    """
+    cubes = to_dnf(phi) if isinstance(phi, Formula) else phi
+    for na in (na for cube in cubes for na in cube):
+        if gc_norm(na) is None:
+            raise NotGapOrder(f"not a gap-order atom: {na.to_atom()}")
+    return _qe_cubes(xs, [norm_cube(_as_difference_cube(cube)) for cube in cubes])
+
+
+def _qe_cubes(xs: Sequence[VarId], cubes: Sequence[Optional[Cube]]) -> Formula:
+    """The disjunction of the cubes' projections, each once; a None cube
+    (a contradiction) contributes nothing."""
     targets = set(xs)
-    out: list[Cube] = []
-    seen: set[Cube] = set()
-    for cube in to_dnf(phi) if isinstance(phi, Formula) else phi:
-        r = qe_cube_rational(cube, targets)
-        if r is not None and r not in seen:
-            seen.add(r)
-            out.append(r)
-    return dnf_to_formula(out)
+    out: dict[Cube, None] = {}
+    for cube in cubes:
+        r = None if cube is None else qe_cube_rational(cube, targets)
+        if r is not None:
+            out[r] = None
+    return dnf_to_formula(list(out))
 
 
 # ---------------------------------------------------------------------------
 # Gap-order machinery
 #
 # A gap-order constraint is x - y >= k with k a natural number and x, y
-# variables or integer constants.  Internally a GC atom is a triple
-# (p, q, k): p - q >= k, where p and q are VarId or int.
+# variables or integer constants.  Detection and the cutoff read an atom as
+# triples (p, q, k): p - q >= k, where p and q are VarId or int.
 
 Node = Union[VarId, int]
 Triple = tuple[Node, Node, int]
@@ -482,91 +488,6 @@ def _is_mc(na: NormAtom) -> bool:
         (_, a1), (_, a2) = na.coeffs
         return a1 == -a2 and abs(a1) == 1 and na.const == 0
     return False
-
-
-# Gap-order quantifier elimination -----------------------------------------
-
-
-def _gc_cubes(cubes: Sequence[Cube]) -> list[list[Triple]]:
-    """Normal-form cubes (with `!=` unexpanded) as DNF over gap-order
-    triples (integer semantics)."""
-    out: list[list[Triple]] = []
-    for cube in cubes:
-        alts: list[list[Triple]] = [[]]
-        for na in cube:
-            v = gc_norm(na)
-            if v is None:
-                raise NotGapOrder(f"not a gap-order atom: {na.to_atom()}")
-            mode, triples = v
-            if mode == "conj":
-                for alt in alts:
-                    alt.extend(triples)
-            else:
-                alts = [alt + [tr] for alt in alts for tr in triples]
-        out.extend(alts)
-    return [c for c in (_norm_gc_cube(c) for c in out) if c is not None]
-
-
-def _norm_gc_cube(triples: list[Triple]) -> Optional[list[Triple]]:
-    best: dict[tuple[Node, Node], int] = {}
-    for p, q, k in triples:
-        if isinstance(p, int) and isinstance(q, int):
-            if p - q < k:
-                return None
-            continue
-        if p == q:
-            if k > 0:
-                return None
-            continue
-        key = (p, q)
-        if key not in best or best[key] < k:
-            best[key] = k
-    return [(p, q, k) for (p, q), k in sorted(best.items(), key=_gc_key)]
-
-
-def _gc_key(item):
-    (p, q), k = item
-    return (_node_key(p), _node_key(q), k)
-
-
-def _node_key(n: Node):
-    if isinstance(n, int):
-        return (0, "", "", n)
-    return (1, n.name, n.kind, n.idx)
-
-
-def eliminate_gc(cube: list[Triple], y: VarId) -> Optional[list[Triple]]:
-    lowers = [(q, k) for (p, q, k) in cube if p == y]   # y >= q + k
-    uppers = [(p, k) for (p, q, k) in cube if q == y]   # y <= p - k
-    rest = [tr for tr in cube if tr[0] != y and tr[1] != y]
-    for q, kl in lowers:
-        for p, ku in uppers:
-            rest.append((p, q, kl + ku))
-    return _norm_gc_cube(rest)
-
-
-def qe_gc(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula:
-    """Quantifier-free gap-order equivalent of (exists xs. phi) over Z.
-
-    `phi` is a formula or a DNF in normal form with `!=` unexpanded, as a
-    tuple of cubes (`ddsa.update` passes the image's cubes).  Upper and
-    lower gap bounds on the eliminated variable combine by adding their
-    gaps; the result stays in gap-order form though constants grow.
-    """
-    out: list[tuple[Triple, ...]] = []
-    seen: set[tuple[Triple, ...]] = set()
-    for cube in _gc_cubes(to_dnf(phi, expand_ne=False) if isinstance(phi, Formula) else phi):
-        cur: Optional[list[Triple]] = cube
-        for x in sorted(set(xs), key=_node_key):
-            if cur is None:
-                break
-            cur = eliminate_gc(cur, x)
-        if cur is not None:
-            key = tuple(cur)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-    return disj(*(conj(*(triple_atom(tr) for tr in cube)) for cube in out))
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +611,8 @@ def _as_difference_cube(cube: Cube) -> Optional[Cube]:
         diff = len(vec) == 1 or (
             len(vec) == 2 and vec[0][1] == -vec[1][1] and abs(vec[0][1]) == 1
         )
-        if not diff or op == "!=" or (op == "=" and len(vec) == 2 and const != 0):
-            return None  # != is expanded by to_dnf
+        if not diff or (op == "=" and len(vec) == 2 and const != 0):
+            return None
         if op == "=":
             out.append(NormAtom(vec, "<=", Fraction(floor(const))))
             out.append(NormAtom(tuple((v, -c) for v, c in vec), "<=", -Fraction(ceil(const))))

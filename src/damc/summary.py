@@ -8,9 +8,10 @@ product finds a node by its representative with a dict lookup
 (hash-consing modulo equivalence).  The domain alone picks the leaf, and
 every leaf is exact and compares its states with one rational equivalence
 check: over the rationals, Fourier-Motzkin QE and logical equivalence;
-over the integers, gap-order QE and equivalence of the cutoffs at K, which
-is exact on the gap-order fragment.  An integer system outside that
-fragment gets no summary.  Over the rationals the criteria (monotonicity
+over the integers, the same QE on cubes tightened to integer difference
+bounds (`solve.qe_gc`) and equivalence of the cutoffs at K, which is exact
+on the gap-order fragment.  An integer system outside that fragment gets
+no summary.  Over the rationals the criteria (monotonicity
 constraints, feedback freedom) and the sequential split at a cut state only
 certify that the quotient is finite, so they label the leaf; a (sub)system
 that nothing covers still gets the exact leaf, labelled `exact-fixpoint`,

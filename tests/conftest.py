@@ -14,11 +14,12 @@ from damc.formula import (
     VarId,
     atoms_of,
     conj,
+    disj,
     max_index,
     norm_atom,
     substitute,
 )
-from damc.solve import NotGapOrder, gc_norm
+from damc.solve import NotGapOrder, gc_norm, triple_atom
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -147,8 +148,10 @@ def is_gc_formula(phi) -> bool:
 
 # ---------------------------------------------------------------------------
 # Reference image: substitution, then QE of the whole formula, with
-# Fourier-Motzkin on rational `Term` bounds.  `ddsa.update` builds the same
-# image on normal-form cubes and must return the identical formula.
+# Fourier-Motzkin on rational `Term` bounds over the rationals and
+# gap-order elimination on triples over the integers.  `ddsa.update` builds
+# the image on normal-form cubes; over the rationals it must return the
+# identical formula, over the integers an equivalent one.
 
 
 def term_bound_resolvents(cube, x):
@@ -201,6 +204,51 @@ def reference_qe_rational(xs, phi):
     return solve.dnf_to_formula(out)
 
 
+def _triple_key(tr):
+    return tuple((0, "", "", n) if isinstance(n, int) else (1, n.name, n.kind, n.idx) for n in tr)
+
+
+def _norm_triples(triples):
+    """Drop ground and reflexive triples (None if one is false) and keep
+    the largest gap per (p, q)."""
+    best = {}
+    for p, q, k in triples:
+        if isinstance(p, int) and isinstance(q, int):
+            if p - q < k:
+                return None
+        elif p == q:
+            if k > 0:
+                return None
+        elif best.get((p, q), k - 1) < k:
+            best[(p, q)] = k
+    return sorted(((p, q, k) for (p, q), k in best.items()), key=_triple_key)
+
+
+def reference_qe_gc(xs, phi):
+    """Gap-order elimination on triples (p, q, k), read p - q >= k (Revesz,
+    TCS 1993): a lower bound x >= q + kl and an upper bound x <= p - ku on
+    the eliminated x combine into p - q >= kl + ku."""
+    out = []
+    for cube in solve.to_dnf(phi):
+        triples = []
+        for na in cube:
+            view = gc_norm(na)
+            if view is None:
+                raise NotGapOrder(f"not a gap-order atom: {na.to_atom()}")
+            triples += view[1]  # a conjunction: to_dnf has split each !=
+        cur = _norm_triples(triples)
+        for x in sorted(set(xs), key=lambda v: _triple_key((v,))):
+            if cur is None:
+                break
+            lowers = [(q, k) for p, q, k in cur if p == x]
+            uppers = [(p, k) for p, q, k in cur if q == x]
+            rest = [tr for tr in cur if x not in tr[:2]]
+            cur = _norm_triples(rest + [(p, q, kl + ku) for q, kl in lowers for p, ku in uppers])
+        if cur is not None and cur not in out:
+            out.append(cur)
+    return disj(*(conj(*(triple_atom(tr) for tr in cube)) for cube in out))
+
+
 def reference_update(d, phi, action):
     delta = transition_formula(d, action)
     idx = max(max_index(phi), max_index(delta)) + 1
@@ -213,5 +261,5 @@ def reference_update(d, phi, action):
             **{v.write(): Term.of(v) for v in d.variables},
         },
     )
-    qe = solve.qe_gc if d.domain == INT else reference_qe_rational
+    qe = reference_qe_gc if d.domain == INT else reference_qe_rational
     return qe(list(snapshot.values()), conj(phi_u, delta_uv))

@@ -332,13 +332,23 @@ def test_criterion_8a_qe_soundness(rng):
                 got = evaluate(out, alpha)
                 if want != got:
                     failures += 1
-    # integer gap-order side
+    # integer gap-order side: gaps p - q >= k, bounds v op k with k a half
+    # integer, and v = w, v != w
     nodes = [x, y, z, 0, 1, 3]
-    for _ in range(150):
-        triples = [
-            (rng.choice(nodes), rng.choice(nodes), rng.randint(0, 4)) for _ in range(4)
-        ]
-        cubes = [atom(Term.of(p) - Term.of(q), ">=", k) for (p, q, k) in triples]
+
+    def gc_leaf():
+        shape = rng.randrange(3)
+        if shape == 0:
+            p, q = rng.choice(nodes), rng.choice(nodes)
+            return atom(Term.of(p) - Term.of(q), ">=", rng.randint(0, 4))
+        if shape == 1:
+            op = rng.choice(("<", "<=", ">", ">=", "=", "!="))
+            return atom(rng.choice([x, y, z]), op, F(rng.randint(-4, 8), 2))
+        v, w = rng.sample([x, y, z], 2)
+        return atom(v, rng.choice(("=", "!=")), w)
+
+    for _ in range(200):
+        cubes = [gc_leaf() for _ in range(3)]
         phi = conj(*cubes[:2]) if rng.random() < 0.5 else conj(cubes[0], disj(*cubes[1:3]))
         out = qe_gc([z], phi)
         checked += 1

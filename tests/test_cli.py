@@ -249,6 +249,18 @@ def test_domain_override(capsys):
     assert json.loads(out)["summary"].startswith("GC(")
 
 
+@pytest.mark.parametrize("command", ["verify", "summary", "oracle"])
+def test_domain_override_validates_the_model(capsys, tmp_path, command):
+    # as invalid under --domain int as with `domain int` in the file
+    model = tmp_path / "m.ddsa"
+    model.write_text(
+        "domain rat\nvars x\ninit x=1/2\nstates s t\ninitial s\nfinal t\ntrans s a t [x^w = x^r]\n"
+    )
+    code, out, err = run_cli(capsys, command, str(model), "--prop", "F (x > 0)", "--domain", "int")
+    assert (code, out) == (3, "")
+    assert err.rstrip() == "error: invalid model: integer model initializes 'x' to non-integer 1/2"
+
+
 def test_property_from_file(capsys, tmp_path):
     p = tmp_path / "prop.ltlf"
     p.write_text("F (y > 5)\n")
