@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .formula import (
     INT,
     Atom,
     Domain,
+    Exact,
     Formula,
     NormAtom,
     Term,
     VarId,
     conj,
     evaluate,
+    exact,
     free_vars,
 )
 from . import solve
@@ -30,7 +31,7 @@ class UnknownAction(ModelError):
     pass
 
 
-Assignment = dict[VarId, Fraction]
+Assignment = dict[VarId, Exact]
 
 
 @dataclass
@@ -92,10 +93,10 @@ class Ddsa:
 @dataclass(frozen=True)
 class Config:
     state: str
-    alpha: tuple[tuple[VarId, Fraction], ...]
+    alpha: tuple[tuple[VarId, Exact], ...]
 
     @staticmethod
-    def make(state: str, alpha: Mapping[VarId, Fraction]) -> "Config":
+    def make(state: str, alpha: Mapping[VarId, Exact]) -> "Config":
         return Config(state, tuple(sorted(alpha.items())))
 
     def assignment(self) -> Assignment:
@@ -259,7 +260,7 @@ def validate_run(d: Ddsa, run: Run) -> bool:
     return True
 
 
-def successors(d: Ddsa, cfg: Config, action: str, grid: Sequence[Fraction]) -> list[Config]:
+def successors(d: Ddsa, cfg: Config, action: str, grid: Sequence[Exact]) -> list[Config]:
     """All one-step successors whose written values come from the grid, the
     first written variable varying fastest."""
     dst = d.target(cfg.state, action)
@@ -270,7 +271,7 @@ def successors(d: Ddsa, cfg: Config, action: str, grid: Sequence[Fraction]) -> l
     written = d.write_set(action)[::-1]
     alpha = cfg.assignment()
     out: dict[Config, None] = {}
-    for vals in itertools.product(map(Fraction, grid), repeat=len(written)):
+    for vals in itertools.product(map(exact, grid), repeat=len(written)):
         alpha.update(zip(written, vals))
         post = Config.make(dst, alpha)
         if post not in out and step_allowed(d, cfg, action, post):

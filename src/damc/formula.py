@@ -1,16 +1,20 @@
 """Linear-arithmetic terms, atoms, quantifier-free formulas, and variable
 assignments.
 
-All coefficients and constants are exact rationals (`fractions.Fraction`),
-except the coefficients of a normalized atom, which are primitive Python
-`int`s; floats are rejected at construction time.  Every value here is
-immutable and hashable, so formulas can be shared freely across data
-structures.
+Every coefficient, constant and assigned value is an exact rational, kept
+as a Python `int` when it is integral and as a `fractions.Fraction` only
+when it is not (`exact`, `exact_div`); the coefficients of a normalized
+atom are primitive `int`s.  Equal ints and Fractions compare and hash
+alike, so the choice never shows in a cache, an order or a printed value;
+it only spares integral arithmetic the `Fraction` machinery.  Floats are
+rejected at construction time.  Every value here is immutable and
+hashable, so formulas can be shared freely across data structures.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -95,20 +99,35 @@ class Domain:
 INT = Domain("int")
 RAT = Domain("rat")
 
+Exact = Union[int, Fraction]  # an int when integral, else a Fraction
 RatLike = Union[int, str, Fraction]
 
 
-def rat(x: RatLike) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floats are forbidden; use Fraction or str")
-    return Fraction(x)
+def exact(x: RatLike) -> Exact:
+    """The exact value of x: an `int` when it is integral, else a `Fraction`.
+    Floats are refused, since their value is already rounded."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise TypeError("floats are forbidden; use Fraction or str")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def _merge(coeffs: Iterable[tuple[VarId, Fraction]]) -> tuple[tuple[VarId, Fraction], ...]:
-    acc: dict[VarId, Fraction] = {}
+def exact_div(a: Exact, b: Exact) -> Exact:
+    """a / b as an exact value; `/` on two ints would give a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact(a / b)
+
+
+def _merge(coeffs: Iterable[tuple[VarId, Exact]]) -> tuple[tuple[VarId, Exact], ...]:
+    acc: dict[VarId, Exact] = {}
     for v, c in coeffs:
-        acc[v] = acc.get(v, Fraction(0)) + c
-    return tuple(sorted((v, c) for v, c in acc.items() if c != 0))
+        acc[v] = acc.get(v, 0) + c
+    return tuple(sorted((v, exact(c)) for v, c in acc.items() if c != 0))
 
 
 @_hash_once
@@ -120,40 +139,40 @@ class Term:
     expressions have identical representations.
     """
 
-    coeffs: tuple[tuple[VarId, Fraction], ...] = ()
-    const: Fraction = Fraction(0)
+    coeffs: tuple[tuple[VarId, Exact], ...] = ()
+    const: Exact = 0
 
     @staticmethod
     def of(x: Union["Term", VarId, RatLike]) -> "Term":
         if isinstance(x, Term):
             return x
         if isinstance(x, VarId):
-            return Term(((x, Fraction(1)),))
-        return Term((), rat(x))
+            return Term(((x, 1),))
+        return Term((), exact(x))
 
     @staticmethod
-    def make(coeffs: Iterable[tuple[VarId, Fraction]], const: RatLike = 0) -> "Term":
-        return Term(_merge(coeffs), rat(const))
+    def make(coeffs: Iterable[tuple[VarId, Exact]], const: RatLike = 0) -> "Term":
+        return Term(_merge(coeffs), exact(const))
 
     def __add__(self, other) -> "Term":
         o = Term.of(other)
-        return Term(_merge(self.coeffs + o.coeffs), self.const + o.const)
+        return Term(_merge(self.coeffs + o.coeffs), exact(self.const + o.const))
 
     def __sub__(self, other) -> "Term":
         return self + (-Term.of(other))
 
     def __neg__(self) -> "Term":
-        return self.scale(Fraction(-1))
+        return Term(tuple((v, -c) for v, c in self.coeffs), -self.const)
 
-    def scale(self, k: Fraction) -> "Term":
+    def scale(self, k: Exact) -> "Term":
         if k == 0:
             return Term()
-        return Term(tuple((v, c * k) for v, c in self.coeffs), self.const * k)
+        return Term(tuple((v, exact(c * k)) for v, c in self.coeffs), exact(self.const * k))
 
     def vars(self) -> set[VarId]:
         return {v for v, _ in self.coeffs}
 
-    def value(self, alpha: Mapping[VarId, Fraction]) -> Fraction:
+    def value(self, alpha: Mapping[VarId, Exact]) -> Exact:
         total = self.const
         for v, c in self.coeffs:
             if v not in alpha:
@@ -303,17 +322,18 @@ def neg(p: Formula) -> Formula:
 class NormAtom:
     """Canonical form `sum(coeffs) op const` with op in {=, !=, <=, <}.
 
-    Coefficients are scaled to primitive integers and stored as `int`, so
-    the solver's normal form hashes and compares them without `Fraction`;
-    the constant stays a `Fraction`.  Equalities additionally get a
-    canonical sign.  Ground atoms have an empty coefficient vector.  The
-    solver only builds atoms in this form, so `to_atom` records its result
-    as already normalized and `norm_atom` maps it straight back.
+    Coefficients are scaled to primitive integers and stored as `int`; the
+    constant is an `int` too unless it is not integral, so on integral data
+    the solver's normal form hashes, compares and evaluates without
+    `Fraction`.  Equalities additionally get a canonical sign.  Ground atoms
+    have an empty coefficient vector.  The solver only builds atoms in this
+    form, so `to_atom` records its result as already normalized and
+    `norm_atom` maps it straight back.
     """
 
     coeffs: tuple[tuple[VarId, int], ...]
     op: str
-    const: Fraction
+    const: Exact
 
     def vars(self) -> set[VarId]:
         return {v for v, _ in self.coeffs}
@@ -336,13 +356,13 @@ class NormAtom:
         if op in ("<=", "<") and coeffs and coeffs[0][1] < 0:
             coeffs = tuple((v, -c) for v, c in coeffs)
             op, const = (">=" if op == "<=" else ">"), -const
-        lhs = Term(tuple((v, Fraction(c)) for v, c in coeffs))
+        lhs = Term(coeffs)
         out = Atom(lhs, op, Term((), const))
         if len(_NORM_CACHE) < 200_000:
             _NORM_CACHE.setdefault(out, self)
         return out
 
-    def holds(self, alpha: Mapping[VarId, Fraction]) -> bool:
+    def holds(self, alpha: Mapping[VarId, Exact]) -> bool:
         val = 0
         for v, c in self.coeffs:
             try:
@@ -358,17 +378,12 @@ class NormAtom:
         return val < self.const
 
 
-def _primitive_scale(coeffs: tuple[tuple[VarId, Fraction], ...]) -> Fraction:
+def _primitive_scale(coeffs: tuple[tuple[VarId, Exact], ...]) -> Exact:
     """Positive factor making the coefficient vector primitive integers."""
     dens = [c.denominator for _, c in coeffs]
     nums = [abs(c.numerator) for _, c in coeffs]
-    if not coeffs:
-        return Fraction(1)
-    from math import gcd, lcm
-
-    l = lcm(*dens) if dens else 1
-    g = gcd(*[n * l // d for n, d in zip(nums, dens)]) if nums else 1
-    return Fraction(l, g if g else 1)
+    l = lcm(*dens)
+    return exact_div(l, gcd(*[n * l // d for n, d in zip(nums, dens)]))
 
 
 _NORM_CACHE: dict = {}
@@ -394,7 +409,7 @@ def _norm_atom(a: Atom) -> NormAtom:
     if coeffs:
         k = _primitive_scale(coeffs)
         coeffs = tuple((v, int(c * k)) for v, c in coeffs)
-        const = const * k
+        const = exact(const * k)
         if op in ("=", "!=") and coeffs[0][1] < 0:
             coeffs = tuple((v, -c) for v, c in coeffs)
             const = -const
@@ -407,7 +422,7 @@ def _norm_atom(a: Atom) -> NormAtom:
 
 def evaluate(
     phi: Formula,
-    alpha: Mapping[VarId, Fraction],
+    alpha: Mapping[VarId, Exact],
     truths: Optional[dict[Atom, bool]] = None,
 ) -> bool:
     """Standard boolean/arithmetic semantics.
@@ -489,7 +504,7 @@ def atoms_of(phi: Formula) -> Iterator[Atom]:
 # Printing
 
 
-def fmt_rat(x: Fraction) -> str:
+def fmt_rat(x: Exact) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -4,12 +4,11 @@ semantics.  A desk-scale referee for differential testing, not a
 decision procedure."""
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import ltlf as lt
 from .ddsa import Config, Ddsa, Run, successors
-from .formula import RAT, Formula, atoms_of, norm_atom
+from .formula import RAT, Exact, Formula, atoms_of, exact_div, norm_atom
 from .ltlf import Ltlf
 
 
@@ -18,10 +17,10 @@ def default_grid(
     constraints: Sequence[Formula] = (),
     lo: int = 0,
     hi: int = 8,
-) -> list[Fraction]:
+) -> list[Exact]:
     """{lo..hi} plus every system/constraint constant, plus midpoints of
     consecutive values on rational domains so strict gaps are witnessable."""
-    vals = {Fraction(k) for k in range(lo, hi + 1)}
+    vals = set(range(lo, hi + 1))
     if d.alpha0:
         vals |= set(d.alpha0.values())
     pool = [d.guard(a) for a in d.actions] + list(constraints)
@@ -30,15 +29,15 @@ def default_grid(
             na = norm_atom(a)
             vals |= {na.const, -na.const}
             if len(na.coeffs) == 1:
-                vals.add(na.const / na.coeffs[0][1])
+                vals.add(exact_div(na.const, na.coeffs[0][1]))
     if d.domain == RAT:
         srt = sorted(vals)
         for x, y in zip(srt, srt[1:]):
-            vals.add((x + y) / 2)
+            vals.add(exact_div(x + y, 2))
     return sorted(vals)
 
 
-def enumerate_runs(d: Ddsa, max_len: int, grid: Sequence[Fraction]) -> Iterator[Run]:
+def enumerate_runs(d: Ddsa, max_len: int, grid: Sequence[Exact]) -> Iterator[Run]:
     """All runs of length <= max_len whose written values come from the
     grid, depth-first in declaration order.  Every yielded run passes the
     step semantics by construction."""
@@ -67,7 +66,7 @@ def brute_force_witness(
     d: Ddsa,
     psi: Ltlf,
     max_len: int,
-    grid: Optional[Sequence[Fraction]] = None,
+    grid: Optional[Sequence[Exact]] = None,
 ) -> Optional[Run]:
     """First enumerated run that ends in a final state and satisfies the
     (preprocessed) property, or None."""

@@ -29,11 +29,13 @@ from .formula import (
     RAT,
     Atom,
     Domain,
+    Exact,
     Formula,
     Term,
     VarId,
     atoms_of,
     conj,
+    exact_div,
     fmt_rat,
 )
 from .ltlf import Ltlf
@@ -136,18 +138,23 @@ class _Stream:
         return self.i >= len(self.toks)
 
 
-def _parse_number(text: str, line: Optional[int] = None, col: Optional[int] = None) -> Fraction:
+def _parse_number(text: str, line: Optional[int] = None, col: Optional[int] = None) -> Exact:
     """A decimal, exactly, optionally over a denominator: `1.5/2` is 3/4."""
     num, slash, den = text.partition("/")
     try:
         if "/" in den:
             raise ValueError
-        value, divisor = Fraction(num), Fraction(den if slash else 1)
+        value, divisor = _numeral(num), _numeral(den) if slash else 1
     except ValueError:
         raise ParseError(f"not a number: {text!r}", line, col) from None
     if divisor == 0:
         raise ParseError(f"zero denominator in {text!r}", line, col)
-    return value / divisor
+    return exact_div(value, divisor)
+
+
+def _numeral(text: str) -> Exact:
+    # most numerals are plain digits, which need no Fraction
+    return int(text) if text.isascii() and text.isdigit() else Fraction(text)
 
 
 def _var_of(name: str) -> VarId:
@@ -247,7 +254,7 @@ def _split_top(text: str, sep: str) -> list[str]:
 def parse_model(text: str) -> Ddsa:
     domain: Optional[Domain] = None
     variables: list[VarId] = []
-    init: dict[VarId, Fraction] = {}
+    init: dict[VarId, Exact] = {}
     states: list[str] = []
     initial: Optional[str] = None
     finals: list[str] = []

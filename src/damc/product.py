@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ddsa as dd
@@ -12,7 +11,7 @@ from . import ltlf as lt
 from . import solve
 from . import summary as sm
 from .ddsa import Config, Ddsa, Run
-from .formula import Formula, Term, VarId, conj, substitute
+from .formula import Exact, Formula, Term, VarId, conj, substitute
 from .ltlf import Ltlf, Nfa, SigmaSymbol
 from .solve import BudgetExceeded
 
@@ -235,9 +234,8 @@ def realize_run(
     res = solve.is_sat(hist[-1], d.domain)
     if not res.sat:
         return None
-    zero = Fraction(0)
-    assigns: list[dict[VarId, Fraction]] = [None] * len(hist)  # type: ignore[list-item]
-    assigns[-1] = {v: res.model.get(v, zero) for v in d.variables}
+    assigns: list[dict[VarId, Exact]] = [None] * len(hist)  # type: ignore[list-item]
+    assigns[-1] = {v: res.model.get(v, 0) for v in d.variables}
     for k in range(len(actions) - 1, -1, -1):
         delta = dd.transition_formula(d, actions[k])
         ground = substitute(
@@ -252,7 +250,7 @@ def realize_run(
             raise InternalInconsistency(
                 f"backward solving failed at step {k}: abstraction is unsound"
             )
-        assigns[k] = {v: step.model.get(v, zero) for v in d.variables}
+        assigns[k] = {v: step.model.get(v, 0) for v in d.variables}
     configs = [Config.make(s, al) for s, al in zip(states, assigns)]
     return Run(tuple(configs), tuple(actions))
 

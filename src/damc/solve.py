@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Mapping, Optional, Sequence, Union
 
@@ -29,6 +28,7 @@ from .formula import (
     And,
     Atom,
     Domain,
+    Exact,
     FalseF,
     Formula,
     FormulaError,
@@ -41,6 +41,8 @@ from .formula import (
     atoms_of,
     conj,
     disj,
+    exact,
+    exact_div,
     norm_atom,
 )
 
@@ -65,7 +67,7 @@ _DNF_CUBE_LIMIT = 200_000
 @dataclass(frozen=True)
 class SatResult:
     sat: bool
-    model: Optional[dict[VarId, Fraction]] = None
+    model: Optional[dict[VarId, Exact]] = None
 
 
 class ConstraintClass(Enum):
@@ -86,9 +88,9 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
     splits each into two strict atoms.
     """
     # vec -> (bound, strict, the atom that states it)
-    lo: dict[tuple, tuple[Fraction, bool, NormAtom]] = {}
-    hi: dict[tuple, tuple[Fraction, bool, NormAtom]] = {}
-    eq: dict[tuple, tuple[Fraction, NormAtom]] = {}
+    lo: dict[tuple, tuple[Exact, bool, NormAtom]] = {}
+    hi: dict[tuple, tuple[Exact, bool, NormAtom]] = {}
+    eq: dict[tuple, tuple[Exact, NormAtom]] = {}
     order: dict[tuple, None] = {}  # the vectors in order of first use
 
     for na in atoms:
@@ -277,8 +279,8 @@ def _resolve(p: NormAtom, a: int, q: NormAtom, b: int) -> NormAtom:
             g = -g
         if g != 1:
             coeffs = tuple((v, c // g) for v, c in coeffs)
-            const = const / g
-    return NormAtom(coeffs, op, const)
+            return NormAtom(coeffs, op, exact_div(const, g))
+    return NormAtom(coeffs, op, exact(const))
 
 
 def _resolvents(eqs: Rows, lowers: Rows, uppers: Rows) -> list[NormAtom]:
@@ -338,17 +340,32 @@ def qe_gc(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula
     `phi` is a formula or a DNF in normal form, as a tuple of cubes
     (`ddsa.update` passes the image's cubes); an atom outside gap-order
     raises NotGapOrder.  Each cube is tightened to non-strict integer
-    difference bounds, as `is_sat` does, and eliminated by Fourier-Motzkin.
+    difference bounds, as `is_sat` does, and eliminated by Fourier-Motzkin;
+    membership is read off the tightened rows (`_gap_order_rows`).
     Every row there has coefficients +-1 and an integer bound, and so has
     every sum of two rows, so each bound on an eliminated variable is an
     integer and the rational projection is the integer one.  Sums of
     non-negative gaps are non-negative: the image stays gap-order.
     """
-    cubes = to_dnf(phi) if isinstance(phi, Formula) else phi
-    for na in (na for cube in cubes for na in cube):
-        if gc_norm(na) is None:
-            raise NotGapOrder(f"not a gap-order atom: {na.to_atom()}")
-    return _qe_cubes(xs, [norm_cube(_as_difference_cube(cube)) for cube in cubes])
+    tight = []
+    for cube in to_dnf(phi) if isinstance(phi, Formula) else phi:
+        rows = _gap_order_rows(cube)
+        if rows is None:
+            bad = next(na for na in cube if _gap_order_rows((na,)) is None)
+            raise NotGapOrder(f"not a gap-order atom: {bad.to_atom()}")
+        tight.append(norm_cube(rows))
+    return _qe_cubes(xs, tight)
+
+
+def _gap_order_rows(cube: Cube) -> Optional[Cube]:
+    """The cube's tightened rows (`_as_difference_cube`) when every atom is
+    gap-order, else None.  A unary row always is; a difference row
+    `x - y <= c` is `y - x >= -c`, a gap iff c <= 0.  A two-variable
+    equality with a nonzero constant has no tightened rows at all."""
+    rows = _as_difference_cube(cube)
+    if rows is None or any(len(na.coeffs) == 2 and na.const > 0 for na in rows):
+        return None
+    return rows
 
 
 def _qe_cubes(xs: Sequence[VarId], cubes: Sequence[Optional[Cube]]) -> Formula:
@@ -381,7 +398,7 @@ def _gc_of_ineq(vec, const, strict: bool) -> Optional[Triple]:
     c = -const
     if len(nvec) == 1:
         (v, a) = nvec[0]
-        c = c / a
+        c = exact_div(c, a)
         if a > 0:  # v >= c
             k = _ceil_bound(c, strict)
             return (v, 0, k) if k >= 0 else (v, k, 0)
@@ -396,14 +413,14 @@ def _gc_of_ineq(vec, const, strict: bool) -> Optional[Triple]:
     return None
 
 
-def _ceil_bound(c: Fraction, strict: bool) -> int:
+def _ceil_bound(c: Exact, strict: bool) -> int:
     # smallest integer value of t with t >= c (or > c)
     if c.denominator == 1:
         return int(c) + (1 if strict else 0)
     return ceil(c)
 
 
-def _floor_bound(c: Fraction, strict: bool) -> int:
+def _floor_bound(c: Exact, strict: bool) -> int:
     # largest integer value of t with t <= c (or < c)
     if c.denominator == 1:
         return int(c) - (1 if strict else 0)
@@ -430,7 +447,7 @@ def gc_norm(na: NormAtom) -> Optional[tuple[str, list[Triple]]]:
         return ("conj", [tr])
     if len(vec) == 1:
         (v, a) = vec[0]
-        c = const / a
+        c = exact_div(const, a)
         if op == "=":
             if c.denominator != 1:
                 return ("conj", [(0, 0, 1)])
@@ -524,13 +541,13 @@ def is_sat(phi: Formula, dom: Domain) -> SatResult:
     return SatResult(False)
 
 
-def _check_model(cube: Cube, model: Mapping[VarId, Fraction]) -> None:
+def _check_model(cube: Cube, model: Mapping[VarId, Exact]) -> None:
     for na in cube:
         if not na.holds(model):
             raise AssertionError(f"model {model} violates {na.to_atom()}")
 
 
-def _sat_cube_rational(cube: Cube) -> Optional[dict[VarId, Fraction]]:
+def _sat_cube_rational(cube: Cube) -> Optional[dict[VarId, Exact]]:
     """Fourier-Motzkin to a ground cube, then back-substitution: each
     eliminated variable gets a value between the bounds its trail rows
     give under the values already chosen."""
@@ -548,13 +565,13 @@ def _sat_cube_rational(cube: Cube) -> Optional[dict[VarId, Fraction]]:
         cur = norm_cube(rest + _resolvents(eqs, lowers, uppers))
     if cur is None:
         return None
-    model: dict[VarId, Fraction] = {}
+    model: dict[VarId, Exact] = {}
     eliminated = {x for x, _, _, _ in trail}
     for _, eqs, lowers, uppers in trail:
         for na, _ in eqs + lowers + uppers:
             for v, _ in na.coeffs:
                 if v not in eliminated:
-                    model[v] = Fraction(0)  # unconstrained by the residue
+                    model[v] = 0  # unconstrained by the residue
     for x, eqs, lowers, uppers in reversed(trail):
         if eqs:
             model[x] = _bound(eqs[0], x, model)
@@ -573,26 +590,26 @@ def _sat_cube_rational(cube: Cube) -> Optional[dict[VarId, Fraction]]:
     return model
 
 
-def _bound(row: tuple[NormAtom, int], x: VarId, model: Mapping[VarId, Fraction]) -> Fraction:
+def _bound(row: tuple[NormAtom, int], x: VarId, model: Mapping[VarId, Exact]) -> Exact:
     """The value of x at which the row a*x + rest op const is tight."""
     na, a = row
     rest = na.const
     for v, c in na.coeffs:
         if v != x:
             rest -= c * model[v]
-    return rest / a
+    return exact_div(rest, a)
 
 
-def _pick_rational(lo, hi) -> Fraction:
+def _pick_rational(lo, hi) -> Exact:
     if lo is None and hi is None:
-        return Fraction(0)
+        return 0
     if lo is None:
-        return hi[0] - 1 if hi[1] else min(hi[0], Fraction(0))
+        return hi[0] - 1 if hi[1] else min(hi[0], 0)
     if hi is None:
-        return lo[0] + 1 if lo[1] else max(lo[0], Fraction(0))
+        return lo[0] + 1 if lo[1] else max(lo[0], 0)
     if not lo[1] and (lo[0] < hi[0] or (lo[0] == hi[0] and not hi[1])):
         return lo[0]
-    return (lo[0] + hi[0]) / 2
+    return exact_div(lo[0] + hi[0], 2)
 
 
 def _as_difference_cube(cube: Cube) -> Optional[Cube]:
@@ -614,10 +631,10 @@ def _as_difference_cube(cube: Cube) -> Optional[Cube]:
         if not diff or (op == "=" and len(vec) == 2 and const != 0):
             return None
         if op == "=":
-            out.append(NormAtom(vec, "<=", Fraction(floor(const))))
-            out.append(NormAtom(tuple((v, -c) for v, c in vec), "<=", -Fraction(ceil(const))))
+            out.append(NormAtom(vec, "<=", floor(const)))
+            out.append(NormAtom(tuple((v, -c) for v, c in vec), "<=", -ceil(const)))
         else:
-            out.append(NormAtom(vec, "<=", Fraction(_floor_bound(const, op == "<"))))
+            out.append(NormAtom(vec, "<=", _floor_bound(const, op == "<")))
     return tuple(out)
 
 

@@ -21,7 +21,6 @@ the work is the variable split: its parts are solved apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import ddsa as dd
@@ -138,9 +137,11 @@ class ComputationGraph:
                 parent[max(ra, rb)] = min(ra, rb)
         return {n: find(n) for n in self.nodes()}
 
-    def spans(self) -> dict[GNode, set[int]]:
-        """Instants covered by each node's equality class, keyed by root."""
-        roots = self.classes()
+    def spans(self, roots: Optional[dict[GNode, GNode]] = None) -> dict[GNode, set[int]]:
+        """Instants covered by each node's equality class, keyed by root;
+        `roots` are the graph's `classes()`, when the caller has them."""
+        if roots is None:
+            roots = self.classes()
         out: dict[GNode, set[int]] = {}
         for n, r in roots.items():
             out.setdefault(r, set()).add(n[1])
@@ -297,23 +298,28 @@ def check_bounded_lookback(
 
 def _feedback_free_run(g: ComputationGraph) -> bool:
     roots = g.classes()
-    spans = g.spans()
+    spans = g.spans(roots)
     adj: dict[GNode, list[GNode]] = {}
     for e in g.eq_edges | g.gen_edges:
         a, b = tuple(e)
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     by_var: dict[str, list[GNode]] = {}
-    for n in g.nodes():
+    for n in roots:
         by_var.setdefault(n[0], []).append(n)
-    for name, insts in by_var.items():
+    # the nodes whose class covers `need`, once per distinct `need`
+    blocked_by: dict[frozenset[int], set[GNode]] = {}
+    for insts in by_var.values():
         for i in range(len(insts)):
             for j in range(i + 1, len(insts)):
                 a, b = insts[i], insts[j]
-                need = spans[roots[a]] | spans[roots[b]]
-                if spans[roots[a]] >= need or spans[roots[b]] >= need:
+                sa, sb = spans[roots[a]], spans[roots[b]]
+                if sa >= sb or sb >= sa:
                     continue
-                blocked = {n for n in g.nodes() if spans[roots[n]] >= need}
+                need = frozenset(sa | sb)
+                blocked = blocked_by.get(need)
+                if blocked is None:
+                    blocked = blocked_by[need] = {n for n, r in roots.items() if spans[r] >= need}
                 if _connected_avoiding(adj, a, b, blocked):
                     return False
     return True
@@ -571,7 +577,7 @@ class _Leaf:
             hit = solve.is_sat(state, self.domain)
             if hit.model is not None:
                 # a model of one cube leaves the other variables free
-                zeros = {v: Fraction(0) for v in self.d.variables}
+                zeros = dict.fromkeys(self.d.variables, 0)
                 hit = SatResult(True, {**zeros, **hit.model})
             memo[state] = hit
         return hit.sat

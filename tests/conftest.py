@@ -15,6 +15,7 @@ from damc.formula import (
     atoms_of,
     conj,
     disj,
+    exact_div,
     max_index,
     norm_atom,
     substitute,
@@ -75,6 +76,17 @@ def auction():
 @pytest.fixture()
 def rng():
     return random.Random(20240817)
+
+
+def is_exact(v) -> bool:
+    """The number representation: an int when integral, else a Fraction."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def assert_exact_formula(phi) -> None:
+    for a in atoms_of(phi):
+        for t in (a.lhs, a.rhs):
+            assert is_exact(t.const) and all(is_exact(c) for _, c in t.coeffs), a
 
 
 def frac_grid(lo: int, hi: int, halves: bool = False) -> list[Fraction]:
@@ -162,8 +174,8 @@ def term_bound_resolvents(cube, x):
         a = dict(na.coeffs).get(x)
         if a is None:
             continue
-        others = tuple((v, Fraction(-c, a)) for v, c in na.coeffs if v != x)
-        bound = Term(others, na.const / a)
+        others = tuple((v, exact_div(-c, a)) for v, c in na.coeffs if v != x)
+        bound = Term(others, exact_div(na.const, a))
         if na.op == "=":
             eqs.append(bound)
         elif a > 0:

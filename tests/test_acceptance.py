@@ -12,7 +12,19 @@ import pytest
 
 from damc import ltlf as lt, oracle, parsing, product
 from damc.ddsa import Ddsa, history_constraint, validate_run
-from damc.formula import INT, RAT, Term, VarId, atom, conj, disj, evaluate, free_vars, norm_atom
+from damc.formula import (
+    INT,
+    RAT,
+    Term,
+    VarId,
+    atom,
+    conj,
+    disj,
+    evaluate,
+    exact_div,
+    free_vars,
+    norm_atom,
+)
 from damc.ltlf import (
     ActNext,
     Always,
@@ -305,14 +317,14 @@ def breakpoints(phi, alpha, var):
         if cv is None:
             continue
         rest = Term(tuple((v, c) for v, c in na.coeffs if v != var))
-        pts.add((na.const - rest.value(alpha)) / cv)
+        pts.add(exact_div(na.const - rest.value(alpha), cv))
     if not pts:
         return [F(0)]
     lo, hi = min(pts), max(pts)
     out = set(pts) | {lo - 1, hi + 1}
     srt = sorted(pts)
     for a, b in zip(srt, srt[1:]):
-        out.add((a + b) / 2)
+        out.add(exact_div(a + b, 2))
     return sorted(out)
 
 

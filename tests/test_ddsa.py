@@ -311,3 +311,72 @@ def test_update_equals_reference_on_random_gap_order_states(model, data):
     d = with_domain(load_model(model), INT)
     phi = data.draw(states([v.name for v in d.variables], gap_order=True))
     assert_same_images(d, [phi])
+
+
+def squeezes(names):
+    """`v > k & v < k + 2`: over the integers v is k + 1, over the
+    rationals anything strictly between."""
+    return st.builds(
+        lambda v, k: conj(atom(v, ">", k), atom(v, "<", k + 2)),
+        st.sampled_from([VarId(n) for n in names]),
+        st.integers(-1, 3),
+    )
+
+
+def gap_order_guards(names):
+    """Guard atoms over read and write copies in gap-order shapes, strict
+    differences between a write and a read included."""
+    reads = st.sampled_from([VarId(n, "r") for n in names])
+    writes = st.sampled_from([VarId(n, "w") for n in names])
+    k = st.integers(0, 2)
+    return st.one_of(
+        st.builds(lambda w, r, k: atom(Term.of(w) - Term.of(r), ">", k), writes, reads, k),
+        st.builds(lambda w, r, k: atom(Term.of(r) - Term.of(w), ">", k), writes, reads, k),
+        st.builds(lambda w, r, k: atom(Term.of(w) - Term.of(r), ">=", k), writes, reads, k),
+        st.builds(lambda w, k: atom(w, "<", k), writes, st.integers(0, 4)),
+        st.builds(lambda w, r: atom(w, "=", r), writes, reads),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_update_equals_reference_on_squeezed_gap_order_snapshots(data):
+    # a snapshot held strictly between two bounds and read by a strict
+    # write: x > 0 & x < 2 imaged by x^w > x^r is x >= 2 over Z but x > 0
+    # (x >= 1) when the strict bounds are eliminated over Q
+    names = ("x", "y")
+    guards = {
+        a: conj(*data.draw(st.lists(gap_order_guards(names), min_size=1, max_size=2)))
+        for a in ("a1", "a2")
+    }
+    d = Ddsa(
+        states=("1", "2"),
+        initial="1",
+        actions=("a1", "a2"),
+        transitions=(("1", "a1", "2"), ("2", "a2", "1")),
+        finals=frozenset({"2"}),
+        variables=(x, y),
+        alpha0={x: 0, y: 0},
+        guards=guards,
+        domain=INT,
+    )
+    part = st.one_of(squeezes(names), linear_atoms(names, gap_order=True))
+    cube = st.lists(part, min_size=1, max_size=3).map(lambda ps: conj(*ps))
+    phi = data.draw(st.lists(cube, min_size=1, max_size=2).map(lambda cs: disj(*cs)))
+    assert_same_images(d, [phi])
+
+
+def test_squeezed_snapshot_image_is_the_integer_one():
+    d = Ddsa(
+        states=("1", "2"),
+        initial="1",
+        actions=("a1",),
+        transitions=(("1", "a1", "2"),),
+        finals=frozenset({"2"}),
+        variables=(x,),
+        alpha0={x: 0},
+        guards={"a1": atom(VarId("x", "w"), ">", VarId("x", "r"))},
+        domain=INT,
+    )
+    image = update(d, conj(atom(x, ">", 0), atom(x, "<", 2)), "a1")
+    assert equivalent(image, atom(x, ">=", 2), INT)

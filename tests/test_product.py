@@ -21,7 +21,7 @@ from damc.product import (
 from damc.solve import equivalent
 from damc.summary import detect
 
-from conftest import frac_grid, load_model, with_domain
+from conftest import assert_exact_formula, frac_grid, is_exact, load_model, with_domain
 
 x, y = VarId("x"), VarId("y")
 
@@ -534,6 +534,50 @@ def test_integer_verdict_json_golden(name):
     out = _verdict_json(verify(d, parsing.parse_property(case["property"], d)))
     out.pop("run", None)
     assert out == case["verdict"]
+
+
+def golden_cases(auction, b1):
+    cases = [(auction, c["property"]) for c in AUCTION_GOLDEN.values()]
+    cases += [(b1, c["property"]) for c in DISJUNCTION_GOLDEN.values()]
+    cases += [
+        (with_domain(load_model(c["model"]), INT), c["property"]) for c in INTEGER_GOLDEN.values()
+    ]
+    return cases
+
+
+def test_golden_states_and_runs_hold_ints_unless_not_integral(auction, b1):
+    # every coefficient and constant of every golden product state, and
+    # every value of every golden witness run (the auction's hold 1/2 and
+    # 3/2), is an int unless it is not integral
+    n_states, n_fractions = 0, 0
+    for d, text in golden_cases(auction, b1):
+        v = verify(d, parsing.parse_property(text, d), VerifyOptions(keep_artifacts=True))
+        for node in v.product.nodes if v.product is not None else ():
+            assert_exact_formula(node.formula)
+            n_states += 1
+        for cfg in v.run.configs if v.run is not None else ():
+            assert all(is_exact(val) for _, val in cfg.alpha), cfg
+            n_fractions += sum(type(val) is F for _, val in cfg.alpha)
+    assert n_states > 500 and n_fractions > 0
+
+
+def test_qe_gc_rejects_the_atoms_gc_norm_rejects_on_integer_goldens(monkeypatch):
+    # the atoms of every cube the integer golden products hand qe_gc are
+    # gap-order by the tightened rows exactly when gc_norm writes them as gaps
+    seen: set = set()
+    qe_gc = solve.qe_gc
+
+    def recording(xs, cubes):
+        seen.update(na for cube in cubes for na in cube)
+        return qe_gc(xs, cubes)
+
+    monkeypatch.setattr(solve, "qe_gc", recording)
+    for case in INTEGER_GOLDEN.values():
+        d = with_domain(load_model(case["model"]), INT)
+        verify(d, parsing.parse_property(case["property"], d))
+    assert len(seen) > 30
+    for na in seen:
+        assert (solve._gap_order_rows((na,)) is None) == (solve.gc_norm(na) is None), na
 
 
 def test_nfa_symbols_are_minimal_between_two_states(auction, b1):

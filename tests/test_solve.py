@@ -18,6 +18,8 @@ from damc.formula import (
     conj,
     disj,
     evaluate,
+    exact,
+    exact_div,
     free_vars,
     norm_atom,
 )
@@ -34,7 +36,7 @@ from damc.solve import (
     to_dnf,
 )
 
-from conftest import term_bound_eliminate, term_bound_resolvents
+from conftest import assert_exact_formula, is_exact, term_bound_eliminate, term_bound_resolvents
 
 x, y, z = VarId("x"), VarId("y"), VarId("z")
 
@@ -62,7 +64,8 @@ def test_dnf_ne_expansion():
 
 
 def test_normal_form_coefficients_are_ints():
-    # x/2 - 3y/4 > 1 scales to -2x + 3y < -4; the constant stays a Fraction
+    # x/2 - 3y/4 > 1 scales to -2x + 3y < -4; a constant is an int when it
+    # is integral and a Fraction (5/2 here) only when it is not
     t = Term.make([(x, F(1, 2)), (y, F(-3, 4))])
     na = norm_atom(atom(t, ">", 1))
     assert na.coeffs == ((x, -2), (y, 3)) and na.const == F(-4)
@@ -77,7 +80,62 @@ def test_normal_form_coefficients_are_ints():
     ]
     assert len(cubes) == 8 and all(len(c) for c in cubes)
     assert all(type(c) is int for cube in cubes for na in cube for _, c in na.coeffs)
-    assert all(type(na.const) is F for cube in cubes for na in cube)
+    assert all(type(na.const) is int for cube in cubes for na in cube)
+    assert type(norm_atom(atom(x, "<", F(5, 2))).const) is F
+
+
+def test_exact_refuses_floats():
+    with pytest.raises(TypeError):
+        exact(0.5)
+    with pytest.raises(TypeError):
+        Term.of(0.5)
+    assert type(exact(F(4, 2))) is int and exact(F(5, 2)) == F(5, 2)
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(5, 2) == F(5, 2) and exact_div(F(3, 2), F(1, 2)) == 3
+
+
+# coefficients and constants with denominators 1 to 3: integral ones as
+# ints and as Fractions (4/2), and non-integral ones such as 5/2 and -1/3
+exact_values = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def exact_atoms(draw):
+    """Atoms whose sides are sums and rescalings of terms over x, y and z,
+    so that Fraction arithmetic meets integral results (1/2 + 1/2)."""
+    terms = st.lists(st.tuples(st.sampled_from((x, y, z)), exact_values), max_size=3).map(
+        Term.make
+    )
+    lhs = draw(terms) + draw(terms).scale(draw(exact_values)) + Term.of(draw(exact_values))
+    op = draw(st.sampled_from(("<", "<=", "=", "!=", ">", ">=")))
+    return Atom(lhs, op, Term.of(draw(exact_values)) - draw(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_atoms(), min_size=1, max_size=4))
+def test_values_are_ints_unless_not_integral(atoms):
+    # every Term, NormAtom constant and model value is an int when it is
+    # integral, a Fraction when it is not, and never a float
+    phi = conj(*atoms)
+    for a in atoms:
+        assert_exact_formula(a)
+        assert_exact_formula(norm_atom(a).to_atom())
+        assert all(type(c) is int for _, c in norm_atom(a).coeffs)
+    cubes = to_dnf(phi)
+    assert all(is_exact(na.const) for cube in cubes for na in cube)
+    for cube in cubes:
+        tight = solve._as_difference_cube(cube)
+        assert tight is None or all(type(na.const) is int for na in tight)
+    res = is_sat(phi, RAT)
+    if res.sat:
+        assert all(is_exact(v) for v in res.model.values()) and evaluate(phi, res.model)
+    assert_exact_formula(qe_rational([x], phi))
+    try:
+        res = is_sat(phi, INT)
+    except solve.UnsupportedInteger:
+        return
+    if res.sat:
+        assert all(type(v) is int for v in res.model.values())
 
 
 def test_dnf_false():
@@ -176,6 +234,34 @@ def test_qe_gc_unused_var():
 def test_qe_gc_rejects_non_gap():
     with pytest.raises(NotGapOrder):
         qe_gc([y], atom(Term.of(x) - Term.of(y), "<=", 3))
+
+
+def difference_atoms():
+    """`v - w op c` and `v op c` with c integral or not: the shapes whose
+    gap-order membership depends on the constant and the operator."""
+    vs = st.sampled_from((x, y, z))
+    ops = st.sampled_from(("<", "<=", "=", "!=", ">", ">="))
+    return st.one_of(
+        st.builds(lambda v, w, o, c: atom(Term.of(v) - w, o, c), vs, vs, ops, exact_values),
+        st.builds(atom, vs, ops, exact_values),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(exact_atoms(), difference_atoms()), min_size=1, max_size=3))
+def test_gap_order_membership_from_tightened_rows(atoms):
+    # qe_gc reads membership off the tightened rows; it rejects the atoms
+    # that gc_norm cannot write as gaps, and names the first one
+    cubes = to_dnf(conj(*atoms))
+    for na in (na for cube in cubes for na in cube):
+        assert (solve._gap_order_rows((na,)) is None) == (solve.gc_norm(na) is None), na
+    bad = [na for cube in cubes for na in cube if solve.gc_norm(na) is None]
+    if not bad:
+        qe_gc([x], tuple(cubes))
+        return
+    with pytest.raises(NotGapOrder) as e:
+        qe_gc([x], tuple(cubes))
+    assert str(e.value) == f"not a gap-order atom: {bad[0].to_atom()}"
 
 
 # ---------------------------------------------------------------------------
