@@ -144,17 +144,12 @@ def _parse_number(text: str, line: Optional[int] = None, col: Optional[int] = No
     try:
         if "/" in den:
             raise ValueError
-        value, divisor = _numeral(num), _numeral(den) if slash else 1
+        value, divisor = Fraction(num), Fraction(den if slash else 1)
     except ValueError:
         raise ParseError(f"not a number: {text!r}", line, col) from None
     if divisor == 0:
         raise ParseError(f"zero denominator in {text!r}", line, col)
     return exact_div(value, divisor)
-
-
-def _numeral(text: str) -> Exact:
-    # most numerals are plain digits, which need no Fraction
-    return int(text) if text.isascii() and text.isdigit() else Fraction(text)
 
 
 def _var_of(name: str) -> VarId:

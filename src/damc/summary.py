@@ -137,11 +137,9 @@ class ComputationGraph:
                 parent[max(ra, rb)] = min(ra, rb)
         return {n: find(n) for n in self.nodes()}
 
-    def spans(self, roots: Optional[dict[GNode, GNode]] = None) -> dict[GNode, set[int]]:
+    def spans(self, roots: dict[GNode, GNode]) -> dict[GNode, set[int]]:
         """Instants covered by each node's equality class, keyed by root;
-        `roots` are the graph's `classes()`, when the caller has them."""
-        if roots is None:
-            roots = self.classes()
+        `roots` are the graph's `classes()`."""
         out: dict[GNode, set[int]] = {}
         for n, r in roots.items():
             out.setdefault(r, set()).add(n[1])
@@ -307,8 +305,6 @@ def _feedback_free_run(g: ComputationGraph) -> bool:
     by_var: dict[str, list[GNode]] = {}
     for n in roots:
         by_var.setdefault(n[0], []).append(n)
-    # the nodes whose class covers `need`, once per distinct `need`
-    blocked_by: dict[frozenset[int], set[GNode]] = {}
     for insts in by_var.values():
         for i in range(len(insts)):
             for j in range(i + 1, len(insts)):
@@ -316,10 +312,8 @@ def _feedback_free_run(g: ComputationGraph) -> bool:
                 sa, sb = spans[roots[a]], spans[roots[b]]
                 if sa >= sb or sb >= sa:
                     continue
-                need = frozenset(sa | sb)
-                blocked = blocked_by.get(need)
-                if blocked is None:
-                    blocked = blocked_by[need] = {n for n, r in roots.items() if spans[r] >= need}
+                need = sa | sb
+                blocked = {n for n, r in roots.items() if spans[r] >= need}
                 if _connected_avoiding(adj, a, b, blocked):
                     return False
     return True

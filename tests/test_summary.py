@@ -79,7 +79,7 @@ def test_computation_graph_b2(b2):
     roots = g.classes()
     # all x instances from instant 1 on share a class (x written once)
     assert len({roots[("x", i)] for i in range(1, 6)}) == 1
-    spans = g.spans()
+    spans = g.spans(roots)
     assert spans[roots[("x", 1)]] == {1, 2, 3, 4, 5}
     _, edges = g.collapsed_edges()
     from damc.summary import _longest_path
