@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from damc import parsing
 from damc.formula import INT, VarId, atom
 from damc.ltlf import fmt_symbol
-from damc.product import VerifyOptions, constraint_graph, verify
+from damc.product import constraint_graph, verify
 from damc.summary import (
     check_bounded_lookback,
     check_feedback_free,
@@ -63,7 +63,7 @@ def main():
     print("\nb1 with property F (y > 5):")
     psi = parsing.parse_property("F (y > 5)", b1)
     t0 = perf_counter()
-    v = verify(b1, psi, VerifyOptions(keep_artifacts=True))
+    v = verify(b1, psi)
     print(f"  verdict {v.kind} in {perf_counter() - t0:.2f}s; product has "
           f"{v.stats.product_nodes} nodes / {v.stats.product_edges} edges")
     print("  word:", " ".join(fmt_symbol(sym) for sym in v.word))

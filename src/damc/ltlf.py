@@ -397,6 +397,10 @@ class Nfa:
 
     States are quoted formulas plus the extra accepting state `qe`, which
     consumes the last symbol of a word; state 0 is the initial state.
+    `edges` keeps construction order; `outgoing(q)` lists q's edges
+    smallest requirement sets first, then by the sorted text of their
+    requirements, so the order never depends on frozenset iteration (it
+    sets the product's BFS order, and so which witness is found).
     """
 
     states: list[Union[Ltlf, str]]
@@ -408,6 +412,8 @@ class Nfa:
         self._adj: dict[int, list[NfaEdge]] = {}
         for e in self.edges:
             self._adj.setdefault(e.src, []).append(e)
+        for lst in self._adj.values():
+            lst.sort(key=lambda e: (len(e.symbol), sorted(str(s) for s in e.symbol)))
 
     def outgoing(self, q: int) -> list[NfaEdge]:
         return self._adj.get(q, [])

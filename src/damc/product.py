@@ -1,5 +1,6 @@
 """Cross product of the system abstraction with the property automaton,
-emptiness check, and constructive witness extraction."""
+and constructive witness extraction.  The construction is the emptiness
+search; the NFA's adjacency order sets its order, and so the witness."""
 from __future__ import annotations
 
 from collections import deque
@@ -74,10 +75,6 @@ class PEdge:
     dst: int
 
 
-def _symbol_key(symbol: SigmaSymbol):
-    return (len(symbol), sorted(str(s) for s in symbol))
-
-
 @dataclass
 class ProductAutomaton:
     nfa: Nfa
@@ -85,21 +82,7 @@ class ProductAutomaton:
     edges: list[PEdge]
     initial: int
     finals: set[int]
-
-    def __post_init__(self):
-        self._adj: dict[int, list[PEdge]] = {}
-        for e in self.edges:
-            self._adj.setdefault(e.src, []).append(e)
-        # deterministic search order: actions as declared (insertion order),
-        # then symbols canonically, smallest requirement sets first
-        for lst in self._adj.values():
-            first = {}
-            for e in lst:
-                first.setdefault(e.action, len(first))
-            lst.sort(key=lambda e: (first[e.action], _symbol_key(e.symbol)))
-
-    def outgoing(self, i: int) -> list[PEdge]:
-        return self._adj.get(i, [])
+    parents: list[Optional[PEdge]]  # the edge that discovered each node
 
 
 def build_product(
@@ -111,6 +94,10 @@ def build_product(
     """Forward fixpoint over triples (control state, NFA state, formula),
     where the formula is the strategy's representative of its class.
 
+    It is the emptiness search: a BFS whose node indices are discovery
+    order, a node's edges going out by action in declaration order, then in
+    the NFA's `outgoing` order; `parents` holds the BFS tree.
+
     An edge needs a satisfiable update image conjoined with the NFA
     symbol's constraints, and the symbol must be consistent with the
     transition taken.  The constraints are over the post-state, so they
@@ -118,6 +105,9 @@ def build_product(
     once, on its first consistent NFA edge, and every edge conjoins to
     that image.  Nodes at the word-end NFA state are only created when
     final (they have no successors, so non-final ones are dead).
+
+    A budget stop (the node budget or a solver's) raises
+    `ProductBudgetExceeded` with the sizes built so far.
     """
     if d.dummy is None:
         raise ValueError("build_product needs the dummy-extended system")
@@ -126,62 +116,62 @@ def build_product(
     init = strategy.canon(strategy.initial_state())
     nodes = [PNode(d.initial, nfa.initial, strategy.formula(init), init)]
     index = {(d.initial, nfa.initial, init): 0}
+    parents: list[Optional[PEdge]] = [None]
     edges: list[PEdge] = []
     finals: set[int] = set()
     queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        node = nodes[i]
-        for (a, dst) in d.outgoing(node.state):
-            image = None
-            for ne in nfa.outgoing(node.q):
-                if not lt.symbol_consistent_with_step(ne.symbol, a, dst):
-                    continue
-                if ne.dst == qe_idx and dst not in d.finals:
-                    continue
-                if image is None:
-                    image = node.sstate if a == dummy_action else strategy.image(node.sstate, a)
-                ns = strategy.conjoin(image, lt.constr_of(ne.symbol))
-                if not strategy.sat(ns):
-                    continue
-                rep = strategy.canon(ns)
-                j = index.get((dst, ne.dst, rep))
-                if j is None:
-                    if len(nodes) >= max_nodes:
-                        raise ProductBudgetExceeded(
-                            f"product exceeded {max_nodes} nodes: "
-                            "the node budget (--max-nodes) was reached",
-                            (len(nodes), len(edges), len(finals)),
-                        )
-                    j = index[(dst, ne.dst, rep)] = len(nodes)
-                    nodes.append(PNode(dst, ne.dst, strategy.formula(rep), rep))
-                    if ne.dst != qe_idx:
-                        queue.append(j)
-                    if dst in d.finals and ne.dst in nfa.finals:
-                        finals.add(j)
-                edges.append(PEdge(i, a, ne.symbol, j))
-    return ProductAutomaton(nfa, nodes, edges, 0, finals)
+    try:
+        while queue:
+            i = queue.popleft()
+            node = nodes[i]
+            for (a, dst) in d.outgoing(node.state):
+                image = None
+                for ne in nfa.outgoing(node.q):
+                    if not lt.symbol_consistent_with_step(ne.symbol, a, dst):
+                        continue
+                    if ne.dst == qe_idx and dst not in d.finals:
+                        continue
+                    if image is None:
+                        image = node.sstate if a == dummy_action else strategy.image(node.sstate, a)
+                    ns = strategy.conjoin(image, lt.constr_of(ne.symbol))
+                    if not strategy.sat(ns):
+                        continue
+                    rep = strategy.canon(ns)
+                    j = index.get((dst, ne.dst, rep), len(nodes))
+                    edge = PEdge(i, a, ne.symbol, j)
+                    if j == len(nodes):
+                        if j >= max_nodes:
+                            raise ProductBudgetExceeded(
+                                f"product exceeded {max_nodes} nodes: "
+                                "the node budget (--max-nodes) was reached",
+                                (len(nodes), len(edges), len(finals)),
+                            )
+                        index[(dst, ne.dst, rep)] = j
+                        nodes.append(PNode(dst, ne.dst, strategy.formula(rep), rep))
+                        parents.append(edge)
+                        if ne.dst != qe_idx:
+                            queue.append(j)
+                        if dst in d.finals and ne.dst in nfa.finals:
+                            finals.add(j)
+                    edges.append(edge)
+    except ProductBudgetExceeded:
+        raise
+    except BudgetExceeded as e:  # a solver budget: keep its message, add the sizes
+        raise ProductBudgetExceeded(str(e), (len(nodes), len(edges), len(finals))) from e
+    return ProductAutomaton(nfa, nodes, edges, 0, finals, parents)
 
 
 def find_accepting_path(p: ProductAutomaton) -> Optional[list[PEdge]]:
-    """Shortest path to a final node; BFS in insertion order is deterministic."""
-    if p.initial in p.finals:
-        return []
-    back: dict[int, PEdge] = {p.initial: None}  # type: ignore[assignment]
-    queue = deque([p.initial])
-    while queue:
-        i = queue.popleft()
-        for e in p.outgoing(i):
-            if e.dst in back:
-                continue
-            back[e.dst] = e
-            if e.dst in p.finals:
-                path = [e]
-                while path[0].src != p.initial:
-                    path.insert(0, back[path[0].src])
-                return path
-            queue.append(e.dst)
-    return None
+    """Shortest path to a final node: the BFS tree's path to the first
+    final node the construction discovered, or None if there is none."""
+    if not p.finals:
+        return None
+    path = []
+    e = p.parents[min(p.finals)]
+    while e is not None:
+        path.append(e)
+        e = p.parents[e.src]
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +195,9 @@ def constraint_graph(
         p = build_product(
             extend_with_dummy(d), lt.build_nfa(lt.TOP, d.domain), strategy, max_nodes + 1
         )
-    except ProductBudgetExceeded:
+    except ProductBudgetExceeded as e:
+        if e.__cause__ is not None:  # a solver budget, whose message stands
+            raise
         raise BudgetExceeded(
             f"constraint graph exceeded {max_nodes} nodes: "
             "the node budget (--max-nodes) was reached"
@@ -305,12 +297,11 @@ class Verdict:
 @dataclass
 class VerifyOptions:
     max_nodes: int = 10_000
-    keep_artifacts: bool = False
 
 
 def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdict:
     """End-to-end check for a witness run: preprocess the property, detect a
-    finite summary, build the product, search for an accepting path, and
+    finite summary, build the product (which finds the accepting path), and
     extract plus revalidate a concrete run.
 
     Failures to detect a summary, to stay within budget or to search the
@@ -332,7 +323,7 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
         stats.product_nodes = len(prod.nodes)
         stats.product_edges = len(prod.edges)
         stats.product_finals = len(prod.finals)
-        keep = dict(product=prod, nfa=nfa, strategy=strategy) if opts.keep_artifacts else {}
+        keep = dict(product=prod, nfa=nfa, strategy=strategy)
         path = find_accepting_path(prod)
         if path is None:
             # exact: every leaf's relation is (logical equivalence over Q,

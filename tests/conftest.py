@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,6 +137,40 @@ def nfa_paths(nfa, length: int):
             acc.pop()
 
     yield from go(nfa.initial, length, [])
+
+
+def reference_accepting_path(p):
+    """Shortest path to a final node of the product `p` by a second search
+    over it: each node's edges sorted by the first position of their action
+    among that node's edges, then smallest requirement sets first, then by
+    the sorted text of the requirements; BFS from the initial node to the
+    first final node it discovers.  `product.find_accepting_path` must
+    return the same edges."""
+    adj: dict = {}
+    for e in p.edges:
+        adj.setdefault(e.src, []).append(e)
+    for lst in adj.values():
+        first: dict = {}
+        for e in lst:
+            first.setdefault(e.action, len(first))
+        lst.sort(key=lambda e: (first[e.action], len(e.symbol), sorted(str(s) for s in e.symbol)))
+    if p.initial in p.finals:
+        return []
+    back = {p.initial: None}
+    queue = deque([p.initial])
+    while queue:
+        i = queue.popleft()
+        for e in adj.get(i, []):
+            if e.dst in back:
+                continue
+            back[e.dst] = e
+            if e.dst in p.finals:
+                path = [e]
+                while path[0].src != p.initial:
+                    path.insert(0, back[path[0].src])
+                return path
+            queue.append(e.dst)
+    return None
 
 
 def gc_atoms(phi):

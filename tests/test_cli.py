@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damc import product, solve
+from damc import parsing, product, solve
 from damc.cli import main
 from damc.solve import BudgetExceeded, UnsupportedInteger
+
+from conftest import reference_accepting_path
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SCHEMA = json.loads(
@@ -405,6 +407,28 @@ def test_dnf_budget_in_nfa_pruning_is_inconclusive(capsys, monkeypatch):
     assert doc["strategy"] == "MC"
 
 
+def test_dnf_budget_in_the_product_reports_the_sizes_built(capsys, monkeypatch):
+    # the NFA's `!=` edges fit a 4-cube budget and a later product state's
+    # do not: the sizes are the product's when the budget stopped it
+    monkeypatch.setattr(solve, "_DNF_CUBE_LIMIT", 4)
+    args = ("verify", str(MODELS / "b1.ddsa"), "--prop", "G (x != 1 & y != 2)")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 2
+    assert "sizes: nfa 3/2 product 5/4 finals 1" in out
+    assert "inconclusive (DNF blow-up)" in out
+    code, out, _ = run_cli(capsys, *args, "--json")
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["reason"] == "DNF blow-up"
+    assert doc["sizes"] == {
+        "nfa_states": 3,
+        "nfa_edges": 2,
+        "product_nodes": 5,
+        "product_edges": 4,
+        "product_finals": 1,
+    }
+
+
 @pytest.mark.parametrize(
     "exc", [BudgetExceeded("DNF blow-up"), UnsupportedInteger("integer search space too large")]
 )
@@ -550,3 +574,19 @@ def test_verify_is_total_on_small_models(query):
     assert code == {"witness": 0, "no-witness": 1, "inconclusive": 2}[doc["verdict"]]
     if code == 0:
         assert doc["run"] and doc["actions"] is not None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_queries())
+def test_accepting_path_matches_reference_search_on_small_models(query):
+    # the BFS tree the construction records gives the very path a second
+    # search over the finished product finds
+    model, prop = query
+    try:
+        d = parsing.parse_model(model)
+        psi = parsing.parse_property(prop, d)
+    except parsing.ParseError:
+        return
+    v = product.verify(d, psi, product.VerifyOptions(max_nodes=50))
+    if v.product is not None:
+        assert product.find_accepting_path(v.product) == reference_accepting_path(v.product)

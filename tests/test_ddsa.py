@@ -258,7 +258,7 @@ def test_update_equals_reference_on_golden_product_nodes():
     models = {}
     for model, dom, prop in golden_queries():
         d = with_domain(load_model(model), dom)
-        v = product.verify(d, parsing.parse_property(prop, d), product.VerifyOptions(keep_artifacts=True))
+        v = product.verify(d, parsing.parse_property(prop, d))
         if v.product is not None:
             K = getattr(v.strategy, "K", None)
             models.setdefault((model, dom, K), (d, set()))[1].update(

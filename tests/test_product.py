@@ -13,6 +13,7 @@ from damc.product import (
     InternalInconsistency,
     VerifyOptions,
     build_product,
+    constraint_graph,
     extend_with_dummy,
     find_accepting_path,
     extract_witness,
@@ -21,7 +22,14 @@ from damc.product import (
 from damc.solve import equivalent
 from damc.summary import detect
 
-from conftest import assert_exact_formula, frac_grid, is_exact, load_model, with_domain
+from conftest import (
+    assert_exact_formula,
+    frac_grid,
+    is_exact,
+    load_model,
+    reference_accepting_path,
+    with_domain,
+)
 
 x, y = VarId("x"), VarId("y")
 
@@ -171,6 +179,19 @@ def test_verify_inconclusive_without_summary():
 def test_verify_budget_exceeded_is_inconclusive(b1):
     v = verify(b1, parsing.parse_property("F (y > 5)", b1), VerifyOptions(max_nodes=3))
     assert v.kind == "inconclusive"
+
+
+def test_solver_budget_in_the_constraint_graph_keeps_its_message(monkeypatch):
+    # a DNF blow-up stops the graph at its first image; that is not the
+    # node budget, and the message must not say so
+    d = parsing.parse_model(
+        "domain rat\nvars x\ninit x=0\nstates 1\ninitial 1\nfinal 1\n"
+        "trans 1 a 1 [x^w != x^r && x^w != 5]\n"
+    )
+    strategy = detect(d, [])
+    monkeypatch.setattr(solve, "_DNF_CUBE_LIMIT", 2)
+    with pytest.raises(solve.BudgetExceeded, match="^DNF blow-up$"):
+        constraint_graph(d, strategy, 50)
 
 
 def test_witness_word_consistency(b1):
@@ -402,7 +423,7 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
             model.write_text(parsing.print_model(d))
             for text in ("F (y >= 5)", "F (x - y >= 3)", "G (x >= 0)"):
                 psi = parsing.parse_property(text, d)
-                v = verify(d, psi, VerifyOptions(max_nodes=200, keep_artifacts=True))
+                v = verify(d, psi, VerifyOptions(max_nodes=200))
                 if v.product is None:
                     continue
                 products += 1
@@ -438,24 +459,21 @@ def test_gc_on_rational_model_agrees_with_oracle():
 
 
 def test_product_nodes_satisfy_history_spotcheck(b1):
-    # along the BFS tree, each node's representative matches the recomputed
-    # history constraint of its path
+    # along the BFS tree the construction records, each node's
+    # representative matches the recomputed history constraint of its path
     from damc.ddsa import history_constraint
 
     ext, nfa, prod, _ = build_b1_product(b1)
-    back = {prod.initial: None}
-    order = [prod.initial]
-    for i in order:
-        for e in prod.outgoing(i):
-            if e.dst not in back:
-                back[e.dst] = e
-                order.append(e.dst)
-    for i in order:
+    assert len(prod.parents) == len(prod.nodes) and prod.parents[prod.initial] is None
+    for i in range(len(prod.nodes)):
         edges = []
         j = i
-        while back[j] is not None:
-            edges.insert(0, back[j])
-            j = back[j].src
+        while prod.parents[j] is not None:
+            e = prod.parents[j]
+            assert e.dst == j and e.src < j and e in prod.edges
+            edges.insert(0, e)
+            j = e.src
+        assert j == prod.initial
         if not edges:
             continue
         actions = [e.action for e in edges][1:]
@@ -551,7 +569,7 @@ def test_golden_states_and_runs_hold_ints_unless_not_integral(auction, b1):
     # 3/2), is an int unless it is not integral
     n_states, n_fractions = 0, 0
     for d, text in golden_cases(auction, b1):
-        v = verify(d, parsing.parse_property(text, d), VerifyOptions(keep_artifacts=True))
+        v = verify(d, parsing.parse_property(text, d))
         for node in v.product.nodes if v.product is not None else ():
             assert_exact_formula(node.formula)
             n_states += 1
@@ -559,6 +577,22 @@ def test_golden_states_and_runs_hold_ints_unless_not_integral(auction, b1):
             assert all(is_exact(val) for _, val in cfg.alpha), cfg
             n_fractions += sum(type(val) is F for _, val in cfg.alpha)
     assert n_states > 500 and n_fractions > 0
+
+
+def test_accepting_path_matches_reference_search_on_goldens(auction, b1):
+    # the BFS tree the construction records gives the very path a second
+    # search over the finished product finds, on every golden product (41
+    # of the golden queries build a product, 33 of them with a final node)
+    products, paths = 0, 0
+    for d, text in golden_cases(auction, b1):
+        v = verify(d, parsing.parse_property(text, d))
+        if v.product is None:
+            continue
+        path = find_accepting_path(v.product)
+        assert path == reference_accepting_path(v.product), text
+        products += 1
+        paths += path is not None
+    assert products >= 40 and paths >= 30
 
 
 def test_qe_gc_rejects_the_atoms_gc_norm_rejects_on_integer_goldens(monkeypatch):
