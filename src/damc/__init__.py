@@ -38,10 +38,10 @@ from .summary import (
     check_mc,
     detect,
 )
-from .product import Verdict, VerifyOptions, constraint_graph, extend_with_dummy
+from .product import Verdict, constraint_graph, extend_with_dummy
 from .product import realize_run, verify
 from .oracle import brute_force_witness, default_grid, enumerate_runs
-from .parsing import parse_model, parse_property, print_model, print_property
+from .parsing import parse_model, parse_property, print_model
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

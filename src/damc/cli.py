@@ -117,7 +117,7 @@ def _text_verdict(v: product.Verdict) -> str:
 def cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
     d = _load_model(ns)
     psi = _load_property(ns, d)
-    verdict = product.verify(d, psi, product.VerifyOptions(max_nodes=ns.max_nodes))
+    verdict = product.verify(d, psi, ns.max_nodes)
     if ns.dot_nfa and verdict.nfa is not None:
         Path(ns.dot_nfa).write_text(dot.nfa_dot(verdict.nfa))
     if ns.dot_product and verdict.product is not None:

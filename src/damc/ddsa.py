@@ -315,6 +315,9 @@ def validate(d: Ddsa) -> list[str]:
         for v in d.variables:
             if v not in d.alpha0:
                 out.append(f"initial assignment missing variable '{v}'")
+        for v in d.alpha0:
+            if v not in d.variables:
+                out.append(f"initial assignment names undeclared variable '{v}'")
         if d.domain == INT:
             for v, val in d.alpha0.items():
                 if val.denominator != 1:

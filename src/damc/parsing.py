@@ -58,7 +58,7 @@ class UnknownAtom(ParseError):
 
 _TOKEN = re.compile(
     r"""\s*(?:
-        (?P<num>\d+(?:\.\d+)?(?:/\d+)?)
+        (?P<num>\d+(?:\.\d+)?(?:/\d+(?:\.\d+)?)?)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\^[rw])?)
       | (?P<op><=|>=|!=|=|<|>)
       | (?P<punct>\(|\)|\[|\]|\+|-|\*|&&|\|\||&|\||\.|<|>)
@@ -467,32 +467,3 @@ def _check_vars(a: Atom, d: Ddsa) -> None:
             raise ParseError("property constraints use plain variables")
         if v.name not in names:
             raise UnknownAtom(f"unknown variable '{v.name}' in property")
-
-
-def print_property(psi: Ltlf) -> str:
-    if isinstance(psi, lt.Top):
-        return "true"
-    if isinstance(psi, lt.Bot):
-        return "false"
-    if isinstance(psi, lt.Constr):
-        f = psi.formula
-        return " & ".join(str(a) for a in atoms_of(f)) if not isinstance(f, Atom) else str(f)
-    if isinstance(psi, lt.StateAtom):
-        return psi.state
-    if isinstance(psi, lt.ActionAtom):
-        return psi.action
-    if isinstance(psi, lt.LAnd):
-        return f"({print_property(psi.left)} & {print_property(psi.right)})"
-    if isinstance(psi, lt.LOr):
-        return f"({print_property(psi.left)} | {print_property(psi.right)})"
-    if isinstance(psi, lt.Next):
-        return f"X ({print_property(psi.sub)})"
-    if isinstance(psi, lt.ActNext):
-        return f"<{psi.action}> ({print_property(psi.sub)})"
-    if isinstance(psi, lt.Eventually):
-        return f"F ({print_property(psi.sub)})"
-    if isinstance(psi, lt.Always):
-        return f"G ({print_property(psi.sub)})"
-    if isinstance(psi, lt.Until):
-        return f"({print_property(psi.left)} U {print_property(psi.right)})"
-    raise TypeError(f"not an LTLf formula: {psi!r}")

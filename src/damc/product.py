@@ -63,8 +63,7 @@ def _fresh_name(base: str, taken: Sequence[str]) -> str:
 class PNode:
     state: str
     q: int  # NFA state index
-    formula: Formula
-    sstate: object
+    formula: Formula  # the strategy's representative of the node's class
 
 
 @dataclass
@@ -113,8 +112,8 @@ def build_product(
         raise ValueError("build_product needs the dummy-extended system")
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
     dummy_action = d.dummy[1]
-    init = strategy.canon(strategy.initial_state())
-    nodes = [PNode(d.initial, nfa.initial, strategy.formula(init), init)]
+    init = strategy.canon(conj(*d.initial_constraints()))
+    nodes = [PNode(d.initial, nfa.initial, init)]
     index = {(d.initial, nfa.initial, init): 0}
     parents: list[Optional[PEdge]] = [None]
     edges: list[PEdge] = []
@@ -132,8 +131,8 @@ def build_product(
                     if ne.dst == qe_idx and dst not in d.finals:
                         continue
                     if image is None:
-                        image = node.sstate if a == dummy_action else strategy.image(node.sstate, a)
-                    ns = strategy.conjoin(image, lt.constr_of(ne.symbol))
+                        image = node.formula if a == dummy_action else strategy.image(node.formula, a)
+                    ns = conj(image, *lt.constr_of(ne.symbol))
                     if not strategy.sat(ns):
                         continue
                     rep = strategy.canon(ns)
@@ -147,7 +146,7 @@ def build_product(
                                 (len(nodes), len(edges), len(finals)),
                             )
                         index[(dst, ne.dst, rep)] = j
-                        nodes.append(PNode(dst, ne.dst, strategy.formula(rep), rep))
+                        nodes.append(PNode(dst, ne.dst, rep))
                         parents.append(edge)
                         if ne.dst != qe_idx:
                             queue.append(j)
@@ -294,12 +293,7 @@ class Verdict:
     strategy: Optional[sm.Strategy] = None
 
 
-@dataclass
-class VerifyOptions:
-    max_nodes: int = 10_000
-
-
-def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdict:
+def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
     """End-to-end check for a witness run: preprocess the property, detect a
     finite summary, build the product (which finds the accepting path), and
     extract plus revalidate a concrete run.
@@ -308,7 +302,6 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
     integers exactly, in any phase up to witness extraction, yield an
     inconclusive verdict, never an unsound answer.
     """
-    opts = options or VerifyOptions()
     pre = lt.preprocess(psi)
     constraints = lt.constraints_of(pre)
     stats = Stats()
@@ -319,7 +312,7 @@ def verify(d: Ddsa, psi: Ltlf, options: Optional[VerifyOptions] = None) -> Verdi
         stats.nfa_states = len(nfa.states)
         stats.nfa_edges = len(nfa.edges)
         extended = extend_with_dummy(d)
-        prod = build_product(extended, nfa, strategy, opts.max_nodes)
+        prod = build_product(extended, nfa, strategy, max_nodes)
         stats.product_nodes = len(prod.nodes)
         stats.product_edges = len(prod.edges)
         stats.product_finals = len(prod.finals)

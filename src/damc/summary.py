@@ -16,7 +16,9 @@ constraints, feedback freedom) and the sequential split at a cut state only
 certify that the quotient is finite, so they label the leaf; a (sub)system
 that nothing covers still gets the exact leaf, labelled `exact-fixpoint`,
 whose fixpoint the node budget bounds.  The one composition that changes
-the work is the variable split: its parts are solved apart.
+the work is the variable split: its parts are solved apart.  A state is a
+formula over the system's variables whatever the strategy; the split reads
+its parts off the state's conjuncts.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from .ddsa import Ddsa
 from .formula import (
     INT,
     RAT,
+    And,
     Atom,
     Formula,
     MissingVariable,
@@ -493,18 +496,6 @@ class _Leaf:
     def describe(self) -> str:
         return self.label
 
-    def initial_state(self) -> Formula:
-        return conj(*self.d.initial_constraints())
-
-    def formula(self, state: Formula) -> Formula:
-        return state
-
-    def conjoin(self, state: Formula, constrs: Sequence[Formula]) -> Formula:
-        """State with extra constraints over the current variables (an
-        image, or the state itself on the dummy step, whose transition
-        formula is pure inertia)."""
-        return conj(state, *constrs)
-
     def compared(self, state: Formula) -> Formula:
         """The formula whose models the equivalence compares, over the
         rationals (for the gap-order leaf, the cutoff, as in
@@ -597,7 +588,10 @@ class GcStrategy(_Leaf):
 
 @dataclass
 class VarStrategy:
-    """Variable-disjoint composition; states are per-part formula pairs."""
+    """Variable-disjoint composition.  A state is one formula; `_split`
+    sends each conjunct whose variables all lie in `v1` (a variable-free
+    one too) to `left` and the rest to `right`, and the parts are solved
+    apart."""
 
     v1: tuple[VarId, ...]
     v2: tuple[VarId, ...]
@@ -606,6 +600,8 @@ class VarStrategy:
 
     def __post_init__(self):
         self._names1 = {v.name for v in self.v1}
+        self._split_cache: dict[Formula, tuple[Formula, Formula]] = {}
+        self._canon_cache: dict[Formula, Formula] = {}
 
     def describe(self) -> str:
         n1 = ",".join(v.name for v in self.v1)
@@ -615,31 +611,33 @@ class VarStrategy:
             f"{{{n2}}}: {self.right.describe()})"
         )
 
-    def initial_state(self):
-        return (self.left.initial_state(), self.right.initial_state())
+    def _split(self, state: Formula) -> tuple[Formula, Formula]:
+        hit = self._split_cache.get(state)
+        if hit is None:
+            c1, c2 = [], []
+            for c in state.args if isinstance(state, And) else (state,):
+                (c1 if {v.name for v in free_vars(c)} <= self._names1 else c2).append(c)
+            hit = self._split_cache[state] = (conj(*c1), conj(*c2))
+        return hit
 
-    def formula(self, state) -> Formula:
-        return conj(self.left.formula(state[0]), self.right.formula(state[1]))
+    def image(self, state: Formula, action: str) -> Formula:
+        s1, s2 = self._split(state)
+        return conj(self.left.image(s1, action), self.right.image(s2, action))
 
-    def conjoin(self, state, constrs):
-        c1, c2 = [], []
-        for c in constrs:
-            (c1 if {v.name for v in free_vars(c)} <= self._names1 else c2).append(c)
-        return (self.left.conjoin(state[0], c1), self.right.conjoin(state[1], c2))
+    def canon(self, state: Formula) -> Formula:
+        hit = self._canon_cache.get(state)
+        if hit is None:
+            s1, s2 = self._split(state)
+            hit = self._canon_cache[state] = conj(self.left.canon(s1), self.right.canon(s2))
+        return hit
 
-    def image(self, state, action: str):
-        return (self.left.image(state[0], action), self.right.image(state[1], action))
-
-    def canon(self, state):
-        return (self.left.canon(state[0]), self.right.canon(state[1]))
-
-    def sat(self, state) -> bool:
-        return self.left.sat(state[0]) and self.right.sat(state[1])
+    def sat(self, state: Formula) -> bool:
+        s1, s2 = self._split(state)
+        return self.left.sat(s1) and self.right.sat(s2)
 
 
-# The protocol the product uses: initial_state, image, conjoin, sat, canon
-# and formula.  A state is a formula for a leaf and a pair of part
-# states for a variable split.
+# The protocol the product uses: describe, image, sat and canon, on states
+# that are formulas over the system's variables.
 Strategy = _Leaf | VarStrategy
 
 

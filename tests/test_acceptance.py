@@ -41,7 +41,7 @@ from damc.ltlf import (
     run_models,
     word_consistent,
 )
-from damc.product import VerifyOptions, constraint_graph, realize_run, verify
+from damc.product import constraint_graph, realize_run, verify
 from damc.solve import cutoff, equivalent, gc_equivalent, is_sat, qe_gc, qe_rational
 from damc.summary import (
     check_bounded_lookback,

@@ -124,6 +124,16 @@ def test_init_value_that_is_not_a_number_is_a_parse_error(capsys, tmp_path, valu
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", ["verify", "summary", "oracle"])
+def test_init_of_an_undeclared_variable_is_an_invalid_model(capsys, tmp_path, command):
+    model = tmp_path / "m.ddsa"
+    text = (MODELS / "b1.ddsa").read_text()
+    model.write_text(text.replace("init x=0 y=0", "init x=0 y=0 z=2"))
+    code, out, err = run_cli(capsys, command, str(model), "--prop", "F (x > 1)")
+    assert (code, out) == (3, "")
+    assert err.rstrip() == "error: invalid model: initial assignment names undeclared variable 'z'"
+
+
 @pytest.mark.parametrize(
     "prop, where", [("F (y >", "column 7"), ("F (y > 5))", "column 10"), ("", "column 1")]
 )
@@ -587,6 +597,6 @@ def test_accepting_path_matches_reference_search_on_small_models(query):
         psi = parsing.parse_property(prop, d)
     except parsing.ParseError:
         return
-    v = product.verify(d, psi, product.VerifyOptions(max_nodes=50))
+    v = product.verify(d, psi, max_nodes=50)
     if v.product is not None:
         assert product.find_accepting_path(v.product) == reference_accepting_path(v.product)

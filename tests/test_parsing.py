@@ -11,7 +11,6 @@ from damc.parsing import (
     parse_model,
     parse_property,
     print_model,
-    print_property,
 )
 
 x, y = VarId("x"), VarId("y")
@@ -87,6 +86,17 @@ def test_model_round_trip(b1, b2, b3, b4, auction):
 def test_parse_constraint_rationals():
     f = parse_constraint("x >= 3/2 && y <= 100.5")
     assert f == conj(atom(x, ">=", F(3, 2)), atom(y, "<=", F(201, 2)))
+
+
+def test_decimal_denominator_reads_the_same_everywhere(b1):
+    # one number token wherever numbers appear: 1.5/0.5 is 3, as in `init`
+    assert parse_property("F (x > 1.5/0.5)", b1) == parse_property("F (x > 3)", b1)
+    assert parse_constraint("x^w > 1.5/0.5") == parse_constraint("x^w > 3")
+    guarded = print_model(b1).replace("[x^w > y^r]", "[x^w > {}]")
+    assert parse_model(guarded.format("1.5/0.5")) == parse_model(guarded.format("3"))
+    for text in ("1/0", "1.5/0.0"):
+        with pytest.raises(ParseError, match=f"zero denominator in '{text}'"):
+            parse_property(f"F (x > {text})", b1)
 
 
 def test_parse_constraint_coefficients():
@@ -174,4 +184,4 @@ def test_property_round_trip(auction):
     ]
     for t in texts:
         psi = parse_property(t, auction)
-        assert parse_property(print_property(psi), auction) == psi
+        assert parse_property(str(psi), auction) == psi

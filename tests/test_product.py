@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damc import ddsa as dd, ltlf as lt, oracle, parsing, solve, summary
 from damc.cli import _verdict_json
@@ -11,7 +13,6 @@ from damc.ddsa import Ddsa, validate_run
 from damc.formula import INT, RAT, VarId, atom, conj, evaluate
 from damc.product import (
     InternalInconsistency,
-    VerifyOptions,
     build_product,
     constraint_graph,
     extend_with_dummy,
@@ -177,7 +178,7 @@ def test_verify_inconclusive_without_summary():
 
 
 def test_verify_budget_exceeded_is_inconclusive(b1):
-    v = verify(b1, parsing.parse_property("F (y > 5)", b1), VerifyOptions(max_nodes=3))
+    v = verify(b1, parsing.parse_property("F (y > 5)", b1), max_nodes=3)
     assert v.kind == "inconclusive"
 
 
@@ -393,7 +394,7 @@ def test_random_rational_gap_order_systems_agree_with_oracle():
         assert not isinstance(detect(d, []), GcStrategy)
         for text in ("F (y >= 5)", "F (x - y >= 3)", "G (x >= 0)"):
             psi = parsing.parse_property(text, d)
-            v = verify(d, psi, VerifyOptions(max_nodes=200))
+            v = verify(d, psi, max_nodes=200)
             found = oracle.brute_force_witness(d, psi, 3, grid)
             if found is not None:
                 assert v.kind != "no-witness", f"{text} on {d.transitions} {d.guards}"
@@ -423,7 +424,7 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
             model.write_text(parsing.print_model(d))
             for text in ("F (y >= 5)", "F (x - y >= 3)", "G (x >= 0)"):
                 psi = parsing.parse_property(text, d)
-                v = verify(d, psi, VerifyOptions(max_nodes=200))
+                v = verify(d, psi, max_nodes=200)
                 if v.product is None:
                     continue
                 products += 1
@@ -434,7 +435,7 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
                     same = lambda a, b: equivalent(a, b, RAT)  # noqa: E731
                 at: dict = {}
                 for n in v.product.nodes:
-                    assert strat.canon(n.sstate) == n.sstate
+                    assert strat.canon(n.formula) == n.formula
                     assert not any(same(m.formula, n.formula) for m in at.get((n.state, n.q), []))
                     at.setdefault((n.state, n.q), []).append(n)
                 dot = tmp_path / "p.dot"
@@ -524,6 +525,96 @@ def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
     assert verify(auction, psi).kind == "witness"
     assert len(images) == 55 and set(images.values()) == {1}
     assert solved and set(solved.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# The variable split is exact: one leaf on the whole system gives the same
+# verdict, sizes, word and run
+
+
+def _verdict_under(d, psi, strategy_of, max_nodes=10_000):
+    """Verdict JSON with `strategy_of(d, constraints)` in place of detection."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(summary, "detect", strategy_of)
+        return _verdict_json(verify(d, psi, max_nodes=max_nodes))
+
+
+def _assert_split_matches_one_leaf(d, psi, split, max_nodes=10_000):
+    apart = _verdict_under(d, psi, split, max_nodes)
+    joint = _verdict_under(d, psi, lambda d, cs: summary._Leaf(d), max_nodes)
+    assert apart.pop("strategy").startswith("var-compose(")
+    assert joint.pop("strategy") == "exact-fixpoint"
+    assert apart == joint
+
+
+@pytest.mark.parametrize("name", sorted(AUCTION_GOLDEN))
+def test_variable_split_matches_one_leaf_on_the_auction(auction, name):
+    psi = parsing.parse_property(AUCTION_GOLDEN[name]["property"], auction)
+    _assert_split_matches_one_leaf(auction, psi, detect)
+
+
+_GROUPS = (("x", "y"), ("u", "v"))
+
+
+def _group_atoms(names):
+    """Atom texts over one variable group; no `!=`, whose DNF the joint
+    leaf multiplies out across the groups."""
+
+    def over(group):
+        v = st.sampled_from([n for n in names if n.split("^")[0] in group])
+        term = st.one_of(
+            v,
+            st.builds("{} - {}".format, v, v),
+            st.builds("{} + 1".format, v),
+            st.integers(0, 2).map(str),
+        )
+        ops = st.sampled_from(["<", "<=", "=", ">=", ">"])
+        return st.builds("{} {} {}".format, term, ops, term)
+
+    return st.sampled_from(_GROUPS).flatmap(over)
+
+
+@st.composite
+def _two_group_systems(draw):
+    """A rational model over x, y, u, v whose guard atoms and property
+    atoms each stay within {x, y} or within {u, v}, and a property."""
+    names = [n for g in _GROUPS for n in g]
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    finals = draw(st.lists(st.sampled_from(states), min_size=1, unique=True))
+    lines = [
+        "domain rat",
+        "vars " + " ".join(names),
+        "init " + " ".join(f"{n}={draw(st.integers(0, 2))}" for n in names),
+        "states " + " ".join(states),
+        "initial s0",
+        "final " + " ".join(finals),
+    ]
+    copies = [f"{n}^{k}" for n in names for k in "rw"]
+    # at most 3 transitions: detection enumerates every symbolic run that
+    # takes each transition at most twice, 7,366 of them for 4 self-loops
+    for i in range(draw(st.integers(1, 3))):
+        guard = " && ".join(draw(st.lists(_group_atoms(copies), max_size=3)))
+        src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
+        lines.append(f"trans {src} a{i} {dst} [{guard}]")
+    prop = st.recursive(
+        st.one_of(_group_atoms(names), st.sampled_from(states)),
+        lambda p: st.one_of(
+            st.builds("{} ({})".format, st.sampled_from("XFG"), p),
+            st.builds("({}) {} ({})".format, p, st.sampled_from("U&|"), p),
+        ),
+        max_leaves=4,
+    )
+    return "\n".join(lines) + "\n", draw(prop)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_two_group_systems())
+def test_variable_split_matches_one_leaf_on_two_group_systems(query):
+    model, prop = query
+    d = parsing.parse_model(model)
+    psi = parsing.parse_property(prop, d)
+    split = lambda d, cs: summary._decompose(d, list(cs), 1)  # noqa: E731
+    _assert_split_matches_one_leaf(d, psi, split, max_nodes=50)
 
 
 DISJUNCTION_GOLDEN = json.loads(

@@ -369,7 +369,7 @@ def test_constraint_graph_nodes_match_history_constraints(b1, b3):
             actions = [a for a, _ in p]
             node = g.nodes[p[-1][1]] if p else g.nodes[0]
             h = history_constraint(d, actions)
-            assert strat.equiv(node.sstate, h)
+            assert strat.equiv(node.formula, h)
 
 
 # ---------------------------------------------------------------------------
