@@ -18,9 +18,7 @@ from .formula import (
 )
 from .ddsa import Config, Ddsa, Run, history_constraint, transition_formula, update
 from .solve import (
-    ConstraintClass,
     SatResult,
-    classify,
     cutoff,
     equivalent,
     gc_equivalent,

@@ -250,6 +250,10 @@ def step_allowed(d: Ddsa, pre: Config, action: str, post: Config) -> bool:
 
 
 def validate_run(d: Ddsa, run: Run) -> bool:
+    """Whether the run starts in the initial configuration, takes allowed
+    steps and, on an integer domain, holds only integers."""
+    if d.domain == INT and any(x.denominator != 1 for c in run.configs for _, x in c.alpha):
+        return False
     if run.configs[0].state != d.initial:
         return False
     if d.alpha0 is not None and run.configs[0].assignment() != d.alpha0:

@@ -466,15 +466,6 @@ def free_vars(phi: Formula) -> set[VarId]:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def max_index(phi: Formula) -> int:
-    """Largest numeric index used by any variable in phi (-1 if none)."""
-    best = -1
-    for v in free_vars(phi):
-        if v.kind == INDEXED:
-            best = max(best, v.idx)
-    return best
-
-
 def substitute(phi: Formula, mapping: Mapping[VarId, Term]) -> Formula:
     """Replace variables by terms."""
     if isinstance(phi, (TrueF, FalseF)):

@@ -19,7 +19,8 @@ def default_grid(
     hi: int = 8,
 ) -> list[Exact]:
     """{lo..hi} plus every system/constraint constant, plus midpoints of
-    consecutive values on rational domains so strict gaps are witnessable."""
+    consecutive values on rational domains so strict gaps are witnessable.
+    On integer domains only the integral values stay."""
     vals = set(range(lo, hi + 1))
     if d.alpha0:
         vals |= set(d.alpha0.values())
@@ -34,6 +35,8 @@ def default_grid(
         srt = sorted(vals)
         for x, y in zip(srt, srt[1:]):
             vals.add(exact_div(x + y, 2))
+    else:
+        vals = {v for v in vals if v.denominator == 1}
     return sorted(vals)
 
 

@@ -6,6 +6,9 @@ monotonicity / gap-order constraint classes.  Satisfiability and QE are
 Fourier-Motzkin in both domains: over the integers a cube is first
 tightened to non-strict integer difference bounds (rows with coefficients
 +-1 and integer bounds), on which the rational answer is the integer one.
+Those tightened rows are also the one reading of gap-order: a row
+`t <= c` is the gap `-t >= -c`, so membership (`is_gap_order`), the bound
+K (`gap_order_bound`) and the cutoff at K all come off them.
 
 Everything works on the exact-rational formula IR from `formula`; there
 is deliberately no SMT backend so every answer is reproducible.  The
@@ -19,9 +22,8 @@ which is the primitive normal form of the combined atom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import ceil, floor, gcd
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .formula import (
     RAT,
@@ -38,7 +40,6 @@ from .formula import (
     Term,
     TrueF,
     VarId,
-    atoms_of,
     conj,
     disj,
     exact,
@@ -68,12 +69,6 @@ _DNF_CUBE_LIMIT = 200_000
 class SatResult:
     sat: bool
     model: Optional[dict[VarId, Exact]] = None
-
-
-class ConstraintClass(Enum):
-    MC = "mc"
-    GC = "gc"
-    GENERAL = "general-linear"
 
 
 # ---------------------------------------------------------------------------
@@ -381,122 +376,73 @@ def _qe_cubes(xs: Sequence[VarId], cubes: Sequence[Optional[Cube]]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Gap-order machinery
+# Gap-order membership, the bound K, the MC test
 #
 # A gap-order constraint is x - y >= k with k a natural number and x, y
-# variables or integer constants.  Detection and the cutoff read an atom as
-# triples (p, q, k): p - q >= k, where p and q are VarId or int.
+# variables or integer constants (Revesz, TCS 1993).  Membership, K and the
+# cutoff read an atom off its tightened rows (`_as_difference_cube`): a row
+# `t <= c` is the gap `-t >= -c`.
 
-Node = Union[VarId, int]
-Triple = tuple[Node, Node, int]
-
-
-def _gc_of_ineq(vec, const, strict: bool) -> Optional[Triple]:
-    """Normalize `vec <= const` (or <) into difference form p - q >= k."""
-    # rewrite as  t' >= c'  with t' = -vec
-    nvec = tuple((v, -c) for v, c in vec)
-    c = -const
-    if len(nvec) == 1:
-        (v, a) = nvec[0]
-        c = exact_div(c, a)
-        if a > 0:  # v >= c
-            k = _ceil_bound(c, strict)
-            return (v, 0, k) if k >= 0 else (v, k, 0)
-        # v <= -c after sign flip: a < 0 -> v <= c where c already divided
-        u = _floor_bound(c, strict)
-        return (u, v, 0) if u >= 0 else (0, v, -u)
-    if len(nvec) == 2:
-        (v1, a1), (v2, a2) = nvec
-        if a1 == -a2 and abs(a1) == 1:
-            x, y = (v1, v2) if a1 > 0 else (v2, v1)
-            return (x, y, _ceil_bound(c, strict))
-    return None
+_FALSE_ROW = NormAtom((), "<=", -1)  # the gap 0 - 0 >= 1
 
 
-def _ceil_bound(c: Exact, strict: bool) -> int:
-    # smallest integer value of t with t >= c (or > c)
-    if c.denominator == 1:
-        return int(c) + (1 if strict else 0)
-    return ceil(c)
+def _gap_reading(na: NormAtom) -> Optional[tuple[Optional[NormAtom], tuple[Exact, ...]]]:
+    """The row whose gap the cutoff caps (None for `=`, `!=` and a true
+    atom) and the constants the atom adds to K; None outside gap-order.
 
-
-def _floor_bound(c: Exact, strict: bool) -> int:
-    # largest integer value of t with t <= c (or < c)
-    if c.denominator == 1:
-        return int(c) - (1 if strict else 0)
-    return floor(c)
-
-
-def gc_norm(na: NormAtom) -> Optional[tuple[str, list[Triple]]]:
-    """GC view of a normalized atom.
-
-    Returns ("conj", triples), ("disj", triples), or None when the atom is
-    not expressible; triples with negative gap make it inexpressible.
-    Equalities become gap pairs; disequalities the two gap-1 alternatives.
+    Every alternative of the atom (`to_dnf` splits a `!=` into two strict
+    atoms) must have gap-order rows, and a two-variable `!=` must have
+    constant 0: the rows of `x - y != 1` are gaps, but gap-order does not
+    write it as gaps.  An atom false over the integers (`x = 5/2`) is the
+    gap 0 - 0 >= 1.  An upper bound `x <= c` adds |c|, any other row its
+    gap -c; an equality `x = e` adds e, and a disequality `x != e` adds e
+    and 1 when e is an integer (else it is true over the integers).
     """
-    t = na.truth()
-    if t is True:
-        return ("conj", [])
-    if t is False:
-        return ("conj", [(0, 0, 1)])  # unsatisfiable marker
-    vec, const, op = na.coeffs, na.const, na.op
-    if op in ("<=", "<"):
-        tr = _gc_of_ineq(vec, const, op == "<")
-        if tr is None or tr[2] < 0:
+    if na.op == "!=" and len(na.coeffs) == 2 and na.const != 0:
+        return None
+    alternatives = []
+    for cube in _atom_cubes(na):
+        rows = _gap_order_rows(cube)
+        if rows is None:
             return None
-        return ("conj", [tr])
-    if len(vec) == 1:
-        (v, a) = vec[0]
-        c = exact_div(const, a)
-        if op == "=":
-            if c.denominator != 1:
-                return ("conj", [(0, 0, 1)])
-            return ("conj", [(v, int(c), 0), (int(c), v, 0)])
-        if c.denominator != 1:
-            return ("conj", [])  # v != non-integer is trivially true on Z
-        return ("disj", [(v, int(c), 1), (int(c), v, 1)])
-    if len(vec) == 2:
-        (v1, a1), (v2, a2) = vec
-        if a1 == -a2 and abs(a1) == 1:
-            x, y = (v1, v2) if a1 > 0 else (v2, v1)
-            c = const if a1 > 0 else -const
-            if op == "=":
-                if c != 0:
-                    return None  # x - y = c with c != 0 is not gap-order
-                return ("conj", [(x, y, 0), (y, x, 0)])
-            if c != 0:
-                return None
-            return ("disj", [(x, y, 1), (y, x, 1)])
-    return None
+        alternatives.append(norm_cube(rows))
+    if all(rows is None for rows in alternatives):
+        return (_FALSE_ROW, (1,))
+    if not na.coeffs:
+        return (None, ())
+    if na.op == "=":
+        return (None, (na.const,))
+    if na.op == "!=":
+        return (None, (na.const, 1) if na.const.denominator == 1 else ())
+    ((row,),) = alternatives
+    c = row.const
+    upper = len(row.coeffs) == 1 and row.coeffs[0][1] > 0
+    return (row, (abs(c) if upper else -c,))
 
 
-def triple_atom(tr: Triple) -> Atom:
-    p, q, k = tr
-    lhs = Term.of(p) - Term.of(q)
-    return Atom(lhs, ">=", Term.of(k))
+def is_gap_order(na: NormAtom) -> bool:
+    """Whether the atom is gap-order: every alternative of it has gap-order
+    rows, and a two-variable `!=` has constant 0 (`_gap_reading`)."""
+    return _gap_reading(na) is not None
 
 
-def classify(phi: Formula) -> ConstraintClass:
-    """MC if every atom is p <> q over variables/constants; else GC when every
-    atom has gap-order form; else general linear."""
-    mc = True
-    gc = True
-    for a in atoms_of(phi):
-        na = norm_atom(a)
-        if not _is_mc(na):
-            mc = False
-        if gc_norm(na) is None:
-            gc = False
-        if not mc and not gc:
-            break
-    if mc:
-        return ConstraintClass.MC
-    if gc:
-        return ConstraintClass.GC
-    return ConstraintClass.GENERAL
+def gap_order_bound(atoms: Iterable[NormAtom]) -> Optional[int]:
+    """The cutoff bound K of the atoms, or None when one is not gap-order.
+
+    K is the largest distance between the constants the atoms add
+    (`_gap_reading`), with 0 always among them, plus one."""
+    consts: set[Exact] = {0}
+    for na in atoms:
+        reading = _gap_reading(na)
+        if reading is None:
+            return None
+        consts.update(reading[1])
+    return max(consts) - min(consts) + 1
 
 
-def _is_mc(na: NormAtom) -> bool:
+def is_mc(na: NormAtom) -> bool:
+    """Whether the atom compares two variables or a variable and a constant
+    (a monotonicity constraint)."""
     if len(na.coeffs) == 0:
         return True
     if len(na.coeffs) == 1:
@@ -612,6 +558,13 @@ def _pick_rational(lo, hi) -> Exact:
     return exact_div(lo[0] + hi[0], 2)
 
 
+def _floor_bound(c: Exact, strict: bool) -> int:
+    # largest integer value of t with t <= c (or < c)
+    if c.denominator == 1:
+        return int(c) - (1 if strict else 0)
+    return floor(c)
+
+
 def _as_difference_cube(cube: Cube) -> Optional[Cube]:
     """The cube over the integers as non-strict integer bounds on difference
     terms (x, -x, x - y), or None when an atom lies outside that fragment.
@@ -651,10 +604,11 @@ def equivalent(phi: Formula, psi: Formula, dom: Domain) -> bool:
 
 
 def cutoff(phi: Formula, K: int) -> Formula:
-    """Replace every gap x - y >= k with k >= K by x - y >= K.
+    """Replace every gap of at least K by the gap K, atom by atom: an atom
+    whose row `t <= c` (`_gap_reading`) has `-c >= K` becomes `-t >= K`.
 
-    Purely syntactic and per-atom; equality and disequality atoms carry
-    gaps 0 and 1 and are never rewritten (K >= 1).
+    Purely syntactic; equality and disequality atoms carry gaps 0 and 1 and
+    are never rewritten (K >= 1).
     """
     if K < 1:
         raise ValueError("cutoff bound must be positive")
@@ -665,14 +619,12 @@ def _cutoff_walk(phi: Formula, K: int) -> Formula:
     if isinstance(phi, (TrueF, FalseF)):
         return phi
     if isinstance(phi, Atom):
-        v = gc_norm(norm_atom(phi))
-        if v is None:
+        reading = _gap_reading(norm_atom(phi))
+        if reading is None:
             raise NotGapOrder(f"not a gap-order atom: {phi}")
-        mode, triples = v
-        if mode == "conj" and len(triples) == 1:
-            p, q, k = triples[0]
-            if k >= K:
-                return triple_atom((p, q, K))
+        row = reading[0]
+        if row is not None and -row.const >= K:
+            return Atom(Term(tuple((v, -c) for v, c in row.coeffs)), ">=", Term.of(K))
         return phi
     if isinstance(phi, And):
         return conj(*(_cutoff_walk(p, K) for p in phi.args))

@@ -42,7 +42,7 @@ from .formula import (
     free_vars,
     norm_atom,
 )
-from .solve import BudgetExceeded, ConstraintClass, SatResult
+from .solve import BudgetExceeded, SatResult
 
 
 # ---------------------------------------------------------------------------
@@ -69,31 +69,15 @@ def check_mc(d: Ddsa, constraints: Sequence[Formula]) -> bool:
     constraints compares two variables/constants."""
     if d.domain != RAT:
         return False
-    return all(
-        solve.classify(a) == ConstraintClass.MC for a in _criterion_atoms(d, constraints)
-    )
+    return all(solve.is_mc(norm_atom(a)) for a in _criterion_atoms(d, constraints))
 
 
 def check_gc(d: Ddsa, constraints: Sequence[Formula]) -> tuple[bool, Optional[int]]:
-    """Gap-order criterion plus the cutoff bound K.
-
-    K is the largest pairwise constant distance plus one, over all integer
-    constants (endpoints and gaps) of guards, the initial assignment, and
-    the verification constraints; 0 always counts as a constant.
-    """
-    consts: set[int] = {0}
-    for a in _criterion_atoms(d, constraints):
-        v = solve.gc_norm(norm_atom(a))
-        if v is None:
-            return (False, None)
-        for (p, q, k) in v[1]:
-            consts.add(k)
-            if isinstance(p, int):
-                consts.add(p)
-            if isinstance(q, int):
-                consts.add(q)
-    K = max(consts) - min(consts) + 1
-    return (True, K)
+    """Gap-order criterion plus the cutoff bound K, over the atoms of
+    guards, the initial assignment and the verification constraints, read
+    off their tightened rows (`solve.gap_order_bound`)."""
+    K = solve.gap_order_bound(norm_atom(a) for a in _criterion_atoms(d, constraints))
+    return (K is not None, K)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +432,7 @@ def var_decompose(
     for i, comp in enumerate(ordered):
         cs = set(comp)
         relevant = [a for a in atoms if {v.name for v in free_vars(a)} & cs]
-        gc_ok[i] = all(solve.gc_norm(norm_atom(a)) is not None for a in relevant)
+        gc_ok[i] = all(solve.is_gap_order(norm_atom(a)) for a in relevant)
     side1 = [n for i, comp in enumerate(ordered) if gc_ok[i] for n in comp]
     side2 = [n for i, comp in enumerate(ordered) if not gc_ok[i] for n in comp]
     if not side1 or not side2:

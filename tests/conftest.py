@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -8,20 +9,25 @@ import pytest
 from damc import parsing, solve
 from damc.ddsa import Ddsa, transition_formula
 from damc.formula import (
+    INDEXED,
     INT,
     RAT,
+    And,
     Atom,
+    FalseF,
+    Or,
     Term,
+    TrueF,
     VarId,
     atoms_of,
     conj,
     disj,
     exact_div,
-    max_index,
+    free_vars,
     norm_atom,
     substitute,
 )
-from damc.solve import NotGapOrder, gc_norm, triple_atom
+from damc.solve import NotGapOrder
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -173,6 +179,130 @@ def reference_accepting_path(p):
     return None
 
 
+# ---------------------------------------------------------------------------
+# Reference gap-order view: an atom as triples (p, q, k), read p - q >= k,
+# where p and q are variables or integer constants (Revesz, TCS 1993).  The
+# program reads gap-order off the tightened rows instead
+# (`solve.is_gap_order`, `solve.gap_order_bound`, `solve.cutoff`); its
+# membership, K and cutoff must equal the ones read off these triples.
+
+
+def _ceil_bound(c, strict: bool) -> int:
+    # smallest integer value of t with t >= c (or > c)
+    if c.denominator == 1:
+        return int(c) + (1 if strict else 0)
+    return math.ceil(c)
+
+
+def _floor_bound(c, strict: bool) -> int:
+    # largest integer value of t with t <= c (or < c)
+    if c.denominator == 1:
+        return int(c) - (1 if strict else 0)
+    return math.floor(c)
+
+
+def _gc_of_ineq(vec, const, strict: bool):
+    """Normalize `vec <= const` (or <) into difference form p - q >= k."""
+    # rewrite as  t' >= c'  with t' = -vec
+    nvec = tuple((v, -c) for v, c in vec)
+    c = -const
+    if len(nvec) == 1:
+        (v, a) = nvec[0]
+        c = exact_div(c, a)
+        if a > 0:  # v >= c
+            k = _ceil_bound(c, strict)
+            return (v, 0, k) if k >= 0 else (v, k, 0)
+        u = _floor_bound(c, strict)  # v <= c
+        return (u, v, 0) if u >= 0 else (0, v, -u)
+    if len(nvec) == 2:
+        (v1, a1), (v2, a2) = nvec
+        if a1 == -a2 and abs(a1) == 1:
+            x, y = (v1, v2) if a1 > 0 else (v2, v1)
+            return (x, y, _ceil_bound(c, strict))
+    return None
+
+
+def gc_norm(na):
+    """The triple view of a normalized atom: ("conj", triples),
+    ("disj", triples), or None when the atom is not expressible (a triple
+    with a negative gap makes it inexpressible).  Equalities become gap
+    pairs, disequalities the two gap-1 alternatives, and an atom false over
+    the integers the gap 0 - 0 >= 1."""
+    t = na.truth()
+    if t is True:
+        return ("conj", [])
+    if t is False:
+        return ("conj", [(0, 0, 1)])
+    vec, const, op = na.coeffs, na.const, na.op
+    if op in ("<=", "<"):
+        tr = _gc_of_ineq(vec, const, op == "<")
+        if tr is None or tr[2] < 0:
+            return None
+        return ("conj", [tr])
+    if len(vec) == 1:
+        (v, a) = vec[0]
+        c = exact_div(const, a)
+        if op == "=":
+            if c.denominator != 1:
+                return ("conj", [(0, 0, 1)])
+            return ("conj", [(v, int(c), 0), (int(c), v, 0)])
+        if c.denominator != 1:
+            return ("conj", [])  # v != non-integer is true over the integers
+        return ("disj", [(v, int(c), 1), (int(c), v, 1)])
+    if len(vec) == 2:
+        (v1, a1), (v2, a2) = vec
+        if a1 == -a2 and abs(a1) == 1:
+            x, y = (v1, v2) if a1 > 0 else (v2, v1)
+            c = const if a1 > 0 else -const
+            if c != 0:
+                return None  # x - y = c and x - y != c need c = 0
+            if op == "=":
+                return ("conj", [(x, y, 0), (y, x, 0)])
+            return ("disj", [(x, y, 1), (y, x, 1)])
+    return None
+
+
+def triple_atom(tr):
+    p, q, k = tr
+    return Atom(Term.of(p) - Term.of(q), ">=", Term.of(k))
+
+
+def reference_gap_bound(atoms):
+    """K of normalized atoms off their triples: the largest distance
+    between integer constants (endpoints and gaps, 0 always among them)
+    plus one; None when an atom has no triple view."""
+    consts = {0}
+    for na in atoms:
+        view = gc_norm(na)
+        if view is None:
+            return None
+        for p, q, k in view[1]:
+            consts.add(k)
+            consts |= {n for n in (p, q) if isinstance(n, int)}
+    return max(consts) - min(consts) + 1
+
+
+def reference_cutoff(phi, K):
+    """Every atom that is one triple (p, q, k) with k >= K becomes the
+    triple (p, q, K)."""
+    if isinstance(phi, (TrueF, FalseF)):
+        return phi
+    if isinstance(phi, Atom):
+        view = gc_norm(norm_atom(phi))
+        if view is None:
+            raise NotGapOrder(f"not a gap-order atom: {phi}")
+        mode, triples = view
+        if mode == "conj" and len(triples) == 1 and triples[0][2] >= K:
+            p, q, _ = triples[0]
+            return triple_atom((p, q, K))
+        return phi
+    if isinstance(phi, And):
+        return conj(*(reference_cutoff(p, K) for p in phi.args))
+    if isinstance(phi, Or):
+        return disj(*(reference_cutoff(p, K) for p in phi.args))
+    raise NotGapOrder(f"unsupported connective in gap-order formula: {phi!r}")
+
+
 def gc_atoms(phi):
     """All atoms of phi with their gap-order views (mode, triples); raises
     NotGapOrder on an atom outside gap-order."""
@@ -298,7 +428,7 @@ def reference_qe_gc(xs, phi):
 
 def reference_update(d, phi, action):
     delta = transition_formula(d, action)
-    idx = max(max_index(phi), max_index(delta)) + 1
+    idx = 1 + max((v.idx for v in free_vars(conj(phi, delta)) if v.kind == INDEXED), default=-1)
     snapshot = {v: v.indexed(idx) for v in d.variables}
     phi_u = substitute(phi, {v: Term.of(u) for v, u in snapshot.items()})
     delta_uv = substitute(

@@ -253,6 +253,21 @@ def test_oracle_subcommand(capsys):
     assert code2 == 1
 
 
+def test_oracle_on_an_integer_model_writes_only_integers(capsys, tmp_path):
+    # the property's constants 5/2 and -5/2 stay off an integer model's
+    # grid, so the oracle agrees with verify that no run reaches x = 5/2
+    p = tmp_path / "inc.ddsa"
+    p.write_text(
+        "domain int\nvars x\ninit x=0\nstates 1\ninitial 1\nfinal 1\n"
+        "trans 1 a 1 [x^w > x^r]\n"
+    )
+    args = ("--prop", "F (2*x = 5)")
+    code, out, _ = run_cli(capsys, "oracle", str(p), *args, "--max-len", "2", "--grid-max", "3")
+    assert code == 1 and "no witness" in out
+    code, out, _ = run_cli(capsys, "verify", str(p), *args)
+    assert code == 1 and "no witness" in out
+
+
 def test_domain_override(capsys):
     code, out, _ = run_cli(
         capsys, "summary", str(MODELS / "b1.ddsa"), "--domain", "int", "--json"

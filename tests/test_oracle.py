@@ -2,12 +2,12 @@ import itertools
 from fractions import Fraction as F
 
 from damc import parsing
-from damc.ddsa import validate_run
-from damc.formula import VarId, atom
+from damc.ddsa import Config, Run, validate_run
+from damc.formula import INT, VarId, atom
 from damc.ltlf import Constr, Eventually, StateAtom, land
 from damc.oracle import brute_force_witness, default_grid, enumerate_runs
 
-from conftest import frac_grid
+from conftest import frac_grid, with_domain
 
 x, y = VarId("x"), VarId("y")
 
@@ -35,6 +35,18 @@ def test_enumerated_runs_are_valid(b1, b2, b4):
     for d in (b1, b2, b4):
         for run in enumerate_runs(d, 2, frac_grid(0, 2)):
             assert validate_run(d, run)
+
+
+def test_integer_runs_hold_only_integers(b1):
+    # the grid of an integer model drops the constants that are not
+    # integral, and a run through a non-integral value is not a run of it
+    b1_int = with_domain(b1, INT)
+    half = atom(x, "=", F(5, 2))
+    assert F(5, 2) in default_grid(b1, [half])
+    assert all(type(v) is int for v in default_grid(b1_int, [half]))
+    configs = (Config.make("1", {x: 0, y: 0}), Config.make("2", {x: F(5, 2), y: 0}))
+    assert validate_run(b1, Run(configs, ("a1",)))
+    assert not validate_run(b1_int, Run(configs, ("a1",)))
 
 
 def test_brute_force_witness_found(b1):

@@ -26,6 +26,7 @@ from damc.summary import detect
 from conftest import (
     assert_exact_formula,
     frac_grid,
+    gc_norm,
     is_exact,
     load_model,
     reference_accepting_path,
@@ -688,7 +689,8 @@ def test_accepting_path_matches_reference_search_on_goldens(auction, b1):
 
 def test_qe_gc_rejects_the_atoms_gc_norm_rejects_on_integer_goldens(monkeypatch):
     # the atoms of every cube the integer golden products hand qe_gc are
-    # gap-order by the tightened rows exactly when gc_norm writes them as gaps
+    # gap-order by the tightened rows exactly when the reference triple view
+    # (conftest.gc_norm) writes them as gaps
     seen: set = set()
     qe_gc = solve.qe_gc
 
@@ -702,7 +704,7 @@ def test_qe_gc_rejects_the_atoms_gc_norm_rejects_on_integer_goldens(monkeypatch)
         verify(d, parsing.parse_property(case["property"], d))
     assert len(seen) > 30
     for na in seen:
-        assert (solve._gap_order_rows((na,)) is None) == (solve.gc_norm(na) is None), na
+        assert (solve._gap_order_rows((na,)) is None) == (gc_norm(na) is None), na
 
 
 def test_nfa_symbols_are_minimal_between_two_states(auction, b1):

@@ -24,19 +24,28 @@ from damc.formula import (
     norm_atom,
 )
 from damc.solve import (
-    ConstraintClass,
     NotGapOrder,
-    classify,
     cutoff,
     equivalent,
+    gap_order_bound,
     gc_equivalent,
+    is_gap_order,
     is_sat,
     qe_gc,
     qe_rational,
     to_dnf,
 )
+from damc.summary import check_mc
 
-from conftest import assert_exact_formula, is_exact, term_bound_eliminate, term_bound_resolvents
+from conftest import (
+    assert_exact_formula,
+    gc_norm,
+    is_exact,
+    reference_cutoff,
+    reference_gap_bound,
+    term_bound_eliminate,
+    term_bound_resolvents,
+)
 
 x, y, z = VarId("x"), VarId("y"), VarId("z")
 
@@ -251,17 +260,59 @@ def difference_atoms():
 @given(st.lists(st.one_of(exact_atoms(), difference_atoms()), min_size=1, max_size=3))
 def test_gap_order_membership_from_tightened_rows(atoms):
     # qe_gc reads membership off the tightened rows; it rejects the atoms
-    # that gc_norm cannot write as gaps, and names the first one
+    # that the reference triple view cannot write as gaps, and names the
+    # first one
     cubes = to_dnf(conj(*atoms))
     for na in (na for cube in cubes for na in cube):
-        assert (solve._gap_order_rows((na,)) is None) == (solve.gc_norm(na) is None), na
-    bad = [na for cube in cubes for na in cube if solve.gc_norm(na) is None]
+        assert (solve._gap_order_rows((na,)) is None) == (gc_norm(na) is None), na
+    bad = [na for cube in cubes for na in cube if gc_norm(na) is None]
     if not bad:
         qe_gc([x], tuple(cubes))
         return
     with pytest.raises(NotGapOrder) as e:
         qe_gc([x], tuple(cubes))
     assert str(e.value) == f"not a gap-order atom: {bad[0].to_atom()}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.one_of(difference_atoms(), exact_atoms()), min_size=1, max_size=4),
+    st.integers(1, 12),
+)
+def test_gap_order_reading_matches_the_triple_view_on_raw_atoms(atoms, K):
+    # on atoms as written (a `!=`, an equality with a non-integral constant,
+    # a ground atom), membership, K and the cutoff read off the tightened
+    # rows are the ones the reference reads off (p, q, k) triples
+    nas = [norm_atom(a) for a in atoms]
+    for a, na in zip(atoms, nas):
+        assert is_gap_order(na) == (gc_norm(na) is not None), na
+        if gc_norm(na) is None:
+            with pytest.raises(NotGapOrder):
+                cutoff(a, K)
+        else:
+            assert cutoff(a, K) == reference_cutoff(a, K), (a, K)
+    assert gap_order_bound(nas) == reference_gap_bound(nas)
+    if all(map(is_gap_order, nas)):
+        phi = disj(atoms[0], conj(*atoms[1:]))
+        assert cutoff(phi, K) == reference_cutoff(phi, K)
+
+
+def test_gap_order_reading_keeps_the_triple_view_quirks():
+    # x - y != 1 has gap-order rows, but is not written as gaps; x = 5/2 is
+    # the gap 0 - 0 >= 1, so its cutoff at K = 1 is false
+    for c in (1, F(-1, 3)):
+        assert not is_gap_order(norm_atom(atom(Term.of(x) - y, "!=", c)))
+    assert is_gap_order(norm_atom(atom(Term.of(x) - y, "!=", 0)))
+    half = atom(x, "=", F(5, 2))
+    assert gap_order_bound([norm_atom(half)]) == 2
+    assert cutoff(half, 1) == atom(0, ">=", 1) and cutoff(half, 2) == half
+    # an upper bound x <= u < 0 adds -u, a lower bound and an equality their
+    # constant, each disequality also 1
+    assert gap_order_bound([norm_atom(atom(x, "<=", -3))]) == 4
+    assert gap_order_bound([norm_atom(atom(x, ">=", -3))]) == 4
+    assert gap_order_bound(map(norm_atom, (atom(x, "<=", -3), atom(y, ">=", -3)))) == 7
+    assert gap_order_bound([norm_atom(atom(x, "=", -2))]) == 3
+    assert gap_order_bound([norm_atom(atom(x, "!=", -2))]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +463,33 @@ def test_cutoff_rejects_non_gap():
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Monotonicity constraints and gap-order membership
 
 
-def test_classify_mc_guard():
-    assert classify(atom(VarId("x", "w"), ">", VarId("y", "r"))) == ConstraintClass.MC
+def test_mc_guard_is_mc_and_gap_order(b1):
+    a = atom(VarId("x", "w"), ">", VarId("y", "r"))
+    assert check_mc(b1, [a]) and is_gap_order(norm_atom(a))
 
 
-def test_classify_gc_not_mc():
+def test_gap_is_gap_order_not_mc(b1):
     a = atom(Term.of(VarId("x", "w")) - Term.of(VarId("y", "r")), ">=", 2)
-    assert classify(a) == ConstraintClass.GC
+    assert is_gap_order(norm_atom(a)) and not check_mc(b1, [a])
 
 
-def test_classify_general():
+def test_general_linear_is_neither(b1):
     a = atom(Term.of(VarId("s", "w")), "=", Term.of(VarId("s", "r")) + Term.of(VarId("b", "r")))
-    assert classify(a) == ConstraintClass.GENERAL
+    assert not check_mc(b1, [a]) and not is_gap_order(norm_atom(a))
 
 
-def test_classify_equality_as_gc_pair():
-    assert classify(atom(x, "=", 3)) == ConstraintClass.MC  # also MC
-    assert classify(conj(atom(x, "=", 3), gap(x, y, 1))) == ConstraintClass.GC
+def test_equality_is_mc_and_a_gap_pair(b1):
+    assert check_mc(b1, [atom(x, "=", 3)])
+    assert not check_mc(b1, [conj(atom(x, "=", 3), gap(x, y, 1))])
+    assert is_gap_order(norm_atom(atom(x, "=", 3))) and is_gap_order(norm_atom(gap(x, y, 1)))
 
 
-def test_upper_bound_gap_is_not_gc():
+def test_upper_bound_gap_is_not_gc(b1):
     a = atom(Term.of(VarId("x", "r")) - Term.of(VarId("x", "w")), "<=", 3)
-    assert classify(a) == ConstraintClass.GENERAL
+    assert not is_gap_order(norm_atom(a)) and not check_mc(b1, [a])
 
 
 # ---------------------------------------------------------------------------
