@@ -9,12 +9,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
 from . import dot, ltlf as lt, oracle, parsing, product, summary
-from .ddsa import Ddsa
+from .ddsa import Ddsa, Run
 from .formula import INT, RAT, fmt_rat
 from .solve import BudgetExceeded, UnsupportedInteger
 
@@ -51,24 +51,23 @@ def _alpha_json(alpha) -> dict:
     return {v.name: fmt_rat(x) for v, x in sorted(alpha.items())}
 
 
+def _run_json(run: Run) -> dict:
+    return {
+        "run": [{"state": c.state, "assign": _alpha_json(dict(c.alpha))} for c in run.configs],
+        "actions": list(run.actions),
+    }
+
+
 def _verdict_json(v: product.Verdict) -> dict:
     out: dict = {"verdict": v.kind, "strategy": v.stats.strategy or None}
     if v.reason:
         out["reason"] = v.reason
-    out["sizes"] = {
-        "nfa_states": v.stats.nfa_states,
-        "nfa_edges": v.stats.nfa_edges,
-        "product_nodes": v.stats.product_nodes,
-        "product_edges": v.stats.product_edges,
-        "product_finals": v.stats.product_finals,
-    }
+    sizes = asdict(v.stats)
+    del sizes["strategy"]
+    out["sizes"] = sizes
     if v.run is not None:
         out["word"] = [sorted(str(s) for s in sym) for sym in (v.word or [])]
-        out["run"] = [
-            {"state": c.state, "assign": _alpha_json(dict(c.alpha))}
-            for c in v.run.configs
-        ]
-        out["actions"] = list(v.run.actions)
+        out.update(_run_json(v.run))
     return out
 
 
@@ -168,16 +167,7 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[int, str]:
             json.dumps({"verdict": "none", "detail": msg}) if ns.json_output else msg
         )
     if ns.json_output:
-        return EXIT_WITNESS, json.dumps(
-            {
-                "verdict": "witness",
-                "run": [
-                    {"state": c.state, "assign": _alpha_json(dict(c.alpha))}
-                    for c in run.configs
-                ],
-                "actions": list(run.actions),
-            }
-        )
+        return EXIT_WITNESS, json.dumps({"verdict": "witness", **_run_json(run)})
     lines = ["witness run:"]
     for i, c in enumerate(run.configs):
         alpha = ", ".join(f"{v.name}={fmt_rat(x)}" for v, x in c.alpha)

@@ -117,9 +117,6 @@ class Run:
         return len(self.actions)
 
 
-SymbolicRun = tuple[str, ...]  # action labels; states follow from T
-
-
 def symbolic_states(d: Ddsa, actions: Sequence[str]) -> list[str]:
     """State sequence of a symbolic run given by its action labels."""
     cur = d.initial

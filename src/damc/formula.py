@@ -217,8 +217,6 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 OPS = ("=", "!=", "<", "<=", ">", ">=")
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
-_NEG = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
 @_hash_once

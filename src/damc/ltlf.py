@@ -356,20 +356,16 @@ def delta(psi: Ltlf) -> list[DeltaEntry]:
             DeltaEntry(BOT, EMPTY_SYMBOL, last=True),
         ]
     if isinstance(psi, Eventually):
-        return _combine_or(delta(psi.sub), delta(Next(psi)))
+        return _combine(delta(psi.sub), delta(Next(psi)), lor)
     if isinstance(psi, Always):
-        inner = _combine_or(delta(Next(psi)), list(_DELTA_LAMBDA))
+        inner = _combine(delta(Next(psi)), list(_DELTA_LAMBDA), lor)
         return _combine(delta(psi.sub), inner, land)
     if isinstance(psi, Until):
         step = _combine(delta(psi.left), delta(Next(psi)), land)
-        return _combine_or(delta(psi.right), step)
+        return _combine(delta(psi.right), step, lor)
     if isinstance(psi, ActNext):
         raise LtlfError("preprocess() must run before delta()")
     raise TypeError(f"not an LTLf formula: {psi!r}")
-
-
-def _combine_or(r1: list[DeltaEntry], r2: list[DeltaEntry]) -> list[DeltaEntry]:
-    return _combine(r1, r2, lor)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +443,7 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
     done = set()
     while todo:
         q = todo.popleft()
-        if q in done or q == QE_STATE:
+        if q in done:
             continue
         done.add(q)
         qi = state_id(q)
@@ -526,17 +522,17 @@ def run_models(d: Ddsa, run: Run, i: int, psi: Ltlf) -> bool:
 
 
 def word_consistent(d: Ddsa, word: Sequence[SigmaSymbol], run: Run) -> bool:
-    """Is the word consistent with the run: no contradictory state or action
-    atoms, and every position's constraints hold under its assignment."""
+    """Is the word consistent with the run: each position's state and action
+    atoms name its state and the action into it (`symbol_consistent_with_step`;
+    position 0 has no action), and its constraints hold under its
+    assignment."""
     n = len(run)
     if len(word) != n + 1:
         raise LengthMismatch(f"word length {len(word)} vs run positions {n + 1}")
     for i, symbol in enumerate(word):
-        for s in symbol:
-            if s.kind == "state" and s.state != run.configs[i].state:
-                return False
-            if s.kind == "action" and i > 0 and s.state != run.actions[i - 1]:
-                return False
+        action = run.actions[i - 1] if i > 0 else None
+        if not symbol_consistent_with_step(symbol, action, run.configs[i].state):
+            return False
         alpha = run.configs[i].assignment()
         for c in constr_of(symbol):
             if not evaluate(c, alpha):
@@ -544,9 +540,12 @@ def word_consistent(d: Ddsa, word: Sequence[SigmaSymbol], run: Run) -> bool:
     return True
 
 
-def symbol_consistent_with_step(symbol: SigmaSymbol, action: str, target: str) -> bool:
+def symbol_consistent_with_step(
+    symbol: SigmaSymbol, action: Optional[str], target: str
+) -> bool:
     """Symbol consistency with a transition: no action atom other than the
-    action taken, no state atom other than the target state."""
+    action taken (none at all without one), no state atom other than the
+    target state."""
     for s in symbol:
         if s.kind == "action" and s.state != action:
             return False

@@ -67,15 +67,19 @@ _TOKEN = re.compile(
 )
 
 
+_BLANKS = re.compile(r"\s*")
+
+
 def _tokens(text: str, line: Optional[int] = None) -> list[tuple[str, str, int]]:
     out = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
+        if not m:
+            bad = _BLANKS.match(text, pos).end()  # the first non-blank
+            if bad == len(text):
                 break
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
+            raise ParseError(f"unexpected character {text[bad]!r}", line, bad + 1)
         kind = m.lastgroup
         out.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
@@ -204,41 +208,35 @@ def _parse_atom(s: _Stream) -> Atom:
     return Atom(lhs, v, rhs)
 
 
-def parse_constraint(text: str, line: Optional[int] = None) -> Formula:
-    """A conjunction of comparison atoms (no disjunction)."""
-    s = _Stream(_tokens(text, line), line)
+def _parse_conjunction(s: _Stream) -> Formula:
     parts = [_parse_atom(s)]
     while s.accept("punct", "&&") or s.accept("punct", "&"):
         parts.append(_parse_atom(s))
-    if not s.done():
-        k, v, c = s.peek()
-        raise ParseError(f"trailing input {v!r}", line, c + 1)
     return conj(*parts)
 
 
+def _expect_done(s: _Stream) -> None:
+    if not s.done():
+        k, v, c = s.peek()
+        raise ParseError(f"trailing input {v!r}", s.line, c + 1)
+
+
+def parse_constraint(text: str, line: Optional[int] = None) -> Formula:
+    """A conjunction of comparison atoms (no disjunction)."""
+    s = _Stream(_tokens(text, line), line)
+    phi = _parse_conjunction(s)
+    _expect_done(s)
+    return phi
+
+
 def _parse_guard(text: str, line: Optional[int] = None) -> list[Formula]:
-    """Top-level disjuncts of a guard, each a conjunction of atoms."""
-    return [parse_constraint(part, line) for part in _split_top(text, "||")]
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = ""
-    i = 0
-    while i < len(text):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-        if depth == 0 and text.startswith(sep, i):
-            parts.append(cur)
-            cur = ""
-            i += len(sep)
-            continue
-        cur += text[i]
-        i += 1
-    parts.append(cur)
+    """Top-level disjuncts of a guard, conjunctions of atoms between `||`
+    tokens; columns in errors count from the start of the guard."""
+    s = _Stream(_tokens(text, line), line)
+    parts = [_parse_conjunction(s)]
+    while s.accept("punct", "||"):
+        parts.append(_parse_conjunction(s))
+    _expect_done(s)
     return parts
 
 
@@ -363,9 +361,7 @@ def parse_property(text: str, model: Ddsa) -> Ltlf:
     """LTLf property linked against the model's states and actions."""
     s = _Stream(_tokens(text), None)
     psi = _parse_or(s, model)
-    if not s.done():
-        k, v, c = s.peek()
-        raise ParseError(f"trailing input {v!r}", None, c + 1)
+    _expect_done(s)
     return psi
 
 

@@ -288,15 +288,6 @@ def _resolvents(eqs: Rows, lowers: Rows, uppers: Rows) -> list[NormAtom]:
     return [_resolve(p, a, q, b) for p, a in lowers for q, b in uppers]
 
 
-def eliminate_rational(cube: Cube, x: VarId) -> Optional[Cube]:
-    """One Fourier-Motzkin step on the cube's integer rows.  Each combined
-    row is a positive integer combination divided by its gcd, so it is the
-    normal form of the combined atom, and no bound passes through a
-    rational `Term`."""
-    eqs, lowers, uppers, rest = _rows_on(cube, x)
-    return norm_cube(rest + _resolvents(eqs, lowers, uppers))
-
-
 def _elim_order(cube: Cube, xs: set[VarId]) -> Optional[VarId]:
     counts: dict[VarId, int] = {}
     for na in cube:
@@ -308,15 +299,25 @@ def _elim_order(cube: Cube, xs: set[VarId]) -> Optional[VarId]:
     return min(counts, key=lambda v: (counts[v], v))
 
 
-def qe_cube_rational(cube: Cube, xs: set[VarId]) -> Optional[Cube]:
-    live = {x for x in xs if any(x in na.vars() for na in cube)}
+def _eliminate(
+    cube: Cube, xs: set[VarId], trail: Optional[list] = None
+) -> Optional[Cube]:
+    """Fourier-Motzkin on the cube's integer rows until no variable of xs
+    is left, the one in fewest rows first (ties by variable order); None
+    when the cube is contradictory.  Each combined row is a positive
+    integer combination divided by its gcd, so it is the normal form of the
+    combined atom, and no bound passes through a rational `Term`.  With a
+    `trail`, each step appends the eliminated variable and its (eqs,
+    lowers, uppers) rows, for back-substitution."""
     cur: Optional[Cube] = cube
-    while cur is not None and live:
-        x = _elim_order(cur, live)
+    while cur:
+        x = _elim_order(cur, xs)
         if x is None:
             break
-        live.discard(x)
-        cur = eliminate_rational(cur, x)
+        eqs, lowers, uppers, rest = _rows_on(cur, x)
+        if trail is not None:
+            trail.append((x, eqs, lowers, uppers))
+        cur = norm_cube(rest + _resolvents(eqs, lowers, uppers))
     return cur
 
 
@@ -369,7 +370,7 @@ def _qe_cubes(xs: Sequence[VarId], cubes: Sequence[Optional[Cube]]) -> Formula:
     targets = set(xs)
     out: dict[Cube, None] = {}
     for cube in cubes:
-        r = None if cube is None else qe_cube_rational(cube, targets)
+        r = None if cube is None else _eliminate(cube, targets)
         if r is not None:
             out[r] = None
     return dnf_to_formula(list(out))
@@ -391,15 +392,13 @@ def _gap_reading(na: NormAtom) -> Optional[tuple[Optional[NormAtom], tuple[Exact
     atom) and the constants the atom adds to K; None outside gap-order.
 
     Every alternative of the atom (`to_dnf` splits a `!=` into two strict
-    atoms) must have gap-order rows, and a two-variable `!=` must have
-    constant 0: the rows of `x - y != 1` are gaps, but gap-order does not
-    write it as gaps.  An atom false over the integers (`x = 5/2`) is the
-    gap 0 - 0 >= 1.  An upper bound `x <= c` adds |c|, any other row its
-    gap -c; an equality `x = e` adds e, and a disequality `x != e` adds e
-    and 1 when e is an integer (else it is true over the integers).
+    atoms) must have gap-order rows: over the integers `x - y != 1` is the
+    gaps `y - x >= 0 | x - y >= 2`.  An atom false over the integers
+    (`x = 5/2`) is the gap 0 - 0 >= 1.  An upper bound `x <= c` adds |c|,
+    any other row its gap -c; an equality `t = e` adds e, and a disequality
+    `t != e` adds e and 1 when e is an integer (else it is true over the
+    integers).
     """
-    if na.op == "!=" and len(na.coeffs) == 2 and na.const != 0:
-        return None
     alternatives = []
     for cube in _atom_cubes(na):
         rows = _gap_order_rows(cube)
@@ -422,7 +421,7 @@ def _gap_reading(na: NormAtom) -> Optional[tuple[Optional[NormAtom], tuple[Exact
 
 def is_gap_order(na: NormAtom) -> bool:
     """Whether the atom is gap-order: every alternative of it has gap-order
-    rows, and a two-variable `!=` has constant 0 (`_gap_reading`)."""
+    rows (`_gap_reading`)."""
     return _gap_reading(na) is not None
 
 
@@ -495,21 +494,10 @@ def _check_model(cube: Cube, model: Mapping[VarId, Exact]) -> None:
 
 def _sat_cube_rational(cube: Cube) -> Optional[dict[VarId, Exact]]:
     """Fourier-Motzkin to a ground cube, then back-substitution: each
-    eliminated variable gets a value between the bounds its trail rows
-    give under the values already chosen."""
+    eliminated variable gets a value between the tightest bounds its trail
+    rows give under the values already chosen."""
     trail: list[tuple[VarId, Rows, Rows, Rows]] = []
-    cur: Optional[Cube] = cube
-    while cur:
-        vs = set()
-        for na in cur:
-            vs |= na.vars()
-        if not vs:
-            break
-        x = _elim_order(cur, vs)
-        eqs, lowers, uppers, rest = _rows_on(cur, x)
-        trail.append((x, eqs, lowers, uppers))
-        cur = norm_cube(rest + _resolvents(eqs, lowers, uppers))
-    if cur is None:
+    if _eliminate(cube, {v for na in cube for v, _ in na.coeffs}, trail) is None:
         return None
     model: dict[VarId, Exact] = {}
     eliminated = {x for x, _, _, _ in trail}
@@ -521,19 +509,21 @@ def _sat_cube_rational(cube: Cube) -> Optional[dict[VarId, Exact]]:
     for x, eqs, lowers, uppers in reversed(trail):
         if eqs:
             model[x] = _bound(eqs[0], x, model)
-            continue
-        lo = None
-        for row in lowers:
-            v, s = _bound(row, x, model), row[0].op == "<"
-            if lo is None or v > lo[0] or (v == lo[0] and s):
-                lo = (v, s)
-        hi = None
-        for row in uppers:
-            v, s = _bound(row, x, model), row[0].op == "<"
-            if hi is None or v < hi[0] or (v == hi[0] and s):
-                hi = (v, s)
-        model[x] = _pick_rational(lo, hi)
+        else:
+            model[x] = _pick_rational(
+                _tightest(lowers, x, model, 1), _tightest(uppers, x, model, -1)
+            )
     return model
+
+
+def _tightest(rows: Rows, x: VarId, model: Mapping[VarId, Exact], sign: int):
+    """The tightest bound (value, strict) the rows put on x under the model:
+    the largest lower bound (sign 1) or the smallest upper bound (sign -1),
+    a strict bound winning a tie; None without rows."""
+    if not rows:
+        return None
+    v, strict = max((sign * _bound(row, x, model), row[0].op == "<") for row in rows)
+    return sign * v, strict
 
 
 def _bound(row: tuple[NormAtom, int], x: VarId, model: Mapping[VarId, Exact]) -> Exact:

@@ -108,21 +108,8 @@ class ComputationGraph:
         return [(v, i) for i in range(self.length + 1) for v in self.var_names]
 
     def classes(self) -> dict[GNode, GNode]:
-        """Union-find roots of the equality subgraph's components."""
-        parent: dict[GNode, GNode] = {n: n for n in self.nodes()}
-
-        def find(x: GNode) -> GNode:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in sorted(self.eq_edges, key=sorted):
-            a, b = sorted(e)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return {n: find(n) for n in self.nodes()}
+        """Roots of the equality subgraph's components (`_components`)."""
+        return _components(self.nodes(), (tuple(e) for e in self.eq_edges))
 
     def spans(self, roots: dict[GNode, GNode]) -> dict[GNode, set[int]]:
         """Instants covered by each node's equality class, keyed by root;
@@ -142,6 +129,35 @@ class ComputationGraph:
             if ra != rb:
                 edges.add(frozenset({ra, rb}))
         return roots, edges
+
+
+def _components(nodes, pairs) -> dict:
+    """Each node's root in the graph with the given edges: a union-find
+    with path halving that keeps the smaller root, so every root is the
+    smallest node of its component, whatever the order of the edges."""
+    parent = {n: n for n in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {n: find(n) for n in parent}
+
+
+def _adjacency(edges: set[frozenset[GNode]]) -> dict[GNode, list[GNode]]:
+    """Undirected adjacency lists of the edges."""
+    adj: dict[GNode, list[GNode]] = {}
+    for e in edges:
+        a, b = tuple(e)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return adj
 
 
 def _pair_templates(atoms, inst: dict[VarId, GNode]):
@@ -205,11 +221,7 @@ def computation_graph(
 
 def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None) -> int:
     """Length of the longest simple path (0 for edgeless graphs)."""
-    adj: dict[GNode, list[GNode]] = {}
-    for e in edges:
-        a, b = tuple(e)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    adj = _adjacency(edges)
     best = 0
     steps = 0
     for root in sorted(adj):
@@ -284,11 +296,7 @@ def check_bounded_lookback(
 def _feedback_free_run(g: ComputationGraph) -> bool:
     roots = g.classes()
     spans = g.spans(roots)
-    adj: dict[GNode, list[GNode]] = {}
-    for e in g.eq_edges | g.gen_edges:
-        a, b = tuple(e)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    adj = _adjacency(g.eq_edges | g.gen_edges)
     by_var: dict[str, list[GNode]] = {}
     for n in roots:
         by_var.setdefault(n[0], []).append(n)
@@ -407,24 +415,12 @@ def var_decompose(
     the first component stands against the rest.
     """
     names = [v.name for v in d.variables]
-    parent = {n: n for n in names}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     atoms = _criterion_atoms(d, constraints)
-    for a in atoms:
-        vs = sorted({v.name for v in free_vars(a)})
-        for other in vs[1:]:
-            ra, rb = find(vs[0]), find(other)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    shared = [sorted({v.name for v in free_vars(a)}) for a in atoms]
+    roots = _components(names, ((vs[0], other) for vs in shared for other in vs[1:]))
     comps: dict[str, list[str]] = {}
     for n in names:
-        comps.setdefault(find(n), []).append(n)
+        comps.setdefault(roots[n], []).append(n)
     ordered = [comps[r] for r in sorted(comps, key=names.index)]
     if len(ordered) < 2:
         return None

@@ -254,11 +254,15 @@ def gc_norm(na):
         if a1 == -a2 and abs(a1) == 1:
             x, y = (v1, v2) if a1 > 0 else (v2, v1)
             c = const if a1 > 0 else -const
-            if c != 0:
-                return None  # x - y = c and x - y != c need c = 0
             if op == "=":
-                return ("conj", [(x, y, 0), (y, x, 0)])
-            return ("disj", [(x, y, 1), (y, x, 1)])
+                return ("conj", [(x, y, 0), (y, x, 0)]) if c == 0 else None
+            # x - y > c  or  x - y < c: two gaps when c lies in [-1, 1]
+            gaps = [(x, y, math.floor(c) + 1), (y, x, 1 - math.ceil(c))]
+            if min(k for _, _, k in gaps) < 0:
+                return None
+            if c.denominator != 1:
+                return ("conj", [])  # true over the integers
+            return ("disj", gaps)
     return None
 
 
@@ -270,12 +274,17 @@ def triple_atom(tr):
 def reference_gap_bound(atoms):
     """K of normalized atoms off their triples: the largest distance
     between integer constants (endpoints and gaps, 0 always among them)
-    plus one; None when an atom has no triple view."""
+    plus one; None when an atom has no triple view.  A disequality adds its
+    constant and 1, as the triples (v, c, 1), (c, v, 1) of `v != c` do,
+    also when it compares two variables."""
     consts = {0}
     for na in atoms:
         view = gc_norm(na)
         if view is None:
             return None
+        if view[0] == "disj":
+            consts |= {na.const, 1}
+            continue
         for p, q, k in view[1]:
             consts.add(k)
             consts |= {n for n in (p, q) if isinstance(n, int)}
@@ -301,6 +310,51 @@ def reference_cutoff(phi, K):
     if isinstance(phi, Or):
         return disj(*(reference_cutoff(p, K) for p in phi.args))
     raise NotGapOrder(f"unsupported connective in gap-order formula: {phi!r}")
+
+
+def reference_sat_cube_rational(cube):
+    """`solve._sat_cube_rational` as it was written before the solver shared
+    one elimination loop between QE and satisfiability: its own
+    Fourier-Motzkin loop over every variable, and one tightest-bound loop
+    for lower and one for upper bounds.  The model it picks is the one the
+    goldens' witness values come from."""
+    trail = []
+    cur = cube
+    while cur:
+        vs = set()
+        for na in cur:
+            vs |= na.vars()
+        if not vs:
+            break
+        x = solve._elim_order(cur, vs)
+        eqs, lowers, uppers, rest = solve._rows_on(cur, x)
+        trail.append((x, eqs, lowers, uppers))
+        cur = solve.norm_cube(rest + solve._resolvents(eqs, lowers, uppers))
+    if cur is None:
+        return None
+    model = {}
+    eliminated = {x for x, _, _, _ in trail}
+    for _, eqs, lowers, uppers in trail:
+        for na, _ in eqs + lowers + uppers:
+            for v, _ in na.coeffs:
+                if v not in eliminated:
+                    model[v] = 0
+    for x, eqs, lowers, uppers in reversed(trail):
+        if eqs:
+            model[x] = solve._bound(eqs[0], x, model)
+            continue
+        lo = None
+        for row in lowers:
+            v, s = solve._bound(row, x, model), row[0].op == "<"
+            if lo is None or v > lo[0] or (v == lo[0] and s):
+                lo = (v, s)
+        hi = None
+        for row in uppers:
+            v, s = solve._bound(row, x, model), row[0].op == "<"
+            if hi is None or v < hi[0] or (v == hi[0] and s):
+                hi = (v, s)
+        model[x] = solve._pick_rational(lo, hi)
+    return model
 
 
 def gc_atoms(phi):

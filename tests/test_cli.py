@@ -74,8 +74,10 @@ def test_verify_parse_error_in_property(capsys):
         (None, "F (x > 1/0)", "column 8"),
         (("init x=0", "init x=1/0"), "F (x > 1)", "line 4"),
         (("[x^w > y^r]", "[x^w > 1/0]"), "F (x > 1)", "line 8, column 7"),
+        # columns count from the start of the guard in every disjunct
+        (("[x^w > y^r]", "[x^w > 0 || y^w > 1/0]"), "F (x > 1)", "line 8, column 18"),
     ],
-    ids=["property", "init", "guard"],
+    ids=["property", "init", "guard", "guard-second-disjunct"],
 )
 def test_zero_denominator_is_a_parse_error(capsys, tmp_path, edit, prop, where):
     model = MODELS / "b1.ddsa"
@@ -87,6 +89,26 @@ def test_zero_denominator_is_a_parse_error(capsys, tmp_path, edit, prop, where):
     code, out, err = run_cli(capsys, "verify", str(model), "--prop", prop)
     assert code == 3
     assert "error: zero denominator in '1/0'" in err and where in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "edit, prop, where",
+    [
+        (None, "F (x > $)", "column 8"),
+        (("[x^w > y^r]", "[x^w > 0 || y^w > $]"), "F (x > 1)", "line 8, column 18"),
+    ],
+    ids=["property", "guard"],
+)
+def test_bad_character_after_a_blank_is_named_where_it_is(capsys, tmp_path, edit, prop, where):
+    # the blank before it is not the error
+    model = MODELS / "b1.ddsa"
+    if edit is not None:
+        model = tmp_path / "m.ddsa"
+        model.write_text((MODELS / "b1.ddsa").read_text().replace(*edit))
+    code, out, err = run_cli(capsys, "verify", str(model), "--prop", prop)
+    assert code == 3
+    assert f"error: unexpected character '$' at {where}" in err
     assert "Traceback" not in out + err
 
 

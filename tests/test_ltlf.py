@@ -217,6 +217,21 @@ def test_word_consistent_wrong_action(b1):
     assert not word_consistent(b1, word, run)
 
 
+def test_word_consistent_has_no_action_at_position_0(b1):
+    # no step leads into position 0, so no action atom holds there, as
+    # run_models says; the step's target state is position 0's state
+    from damc.ddsa import Config, Run
+
+    run = Run((Config.make("1", {x: 0, y: 0}),), ())
+    assert not run_models(b1, run, 0, ActionAtom("a1"))
+    assert not word_consistent(b1, [frozenset({sym_action("a1")})], run)
+    assert not word_consistent(b1, [frozenset({sym_state("2")})], run)
+    assert word_consistent(b1, [frozenset({sym_state("1")})], run)
+    longer = sample_witness_run(b1)
+    word = [frozenset({sym_action("a1")}), frozenset(), frozenset(), frozenset()]
+    assert not word_consistent(b1, word, longer)
+
+
 def test_word_consistent_all_empty(b1):
     run = sample_witness_run(b1)
     assert word_consistent(b1, [frozenset()] * 4, run)

@@ -376,6 +376,69 @@ def test_integer_systems_get_gap_order_or_no_summary():
             detect(mixed, [])
 
 
+# Over the integers `v^w - w^r != c` is a disjunction of gaps for c in
+# [-1, 1] (`x - y != 1` is `y - x >= 0 | x - y >= 2`), and true for a
+# non-integral c; its K reads the constant and 1 as for `v != c`.
+_NE_CONSTANTS = ("-1", "-1/2", "1/3", "1")
+_NE_PROPERTIES = (
+    "F (x > 3)",
+    "F (x = 1)",
+    "F (x = -1)",
+    "X X (x = 1)",
+    "G (x != 1) & F (x = 2)",
+    "X (x = 1)",
+    "F (y = -1 & x = 1)",
+)
+
+
+@st.composite
+def _disequality_systems(draw):
+    """An integer model over x and y, initially 0, each of whose 1-3
+    transitions writes one variable through a `v^w - w^r != c` guard (or
+    writes nothing), and a property."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
+    finals = draw(st.lists(st.sampled_from(states), min_size=1, unique=True))
+    lines = [
+        "domain int",
+        "vars x y",
+        "init x=0 y=0",
+        "states " + " ".join(states),
+        "initial s0",
+        "final " + " ".join(finals),
+    ]
+    ne = st.builds(
+        "{}^w - {}^r != {}".format,
+        st.sampled_from("xy"),
+        st.sampled_from("xy"),
+        st.sampled_from(_NE_CONSTANTS),
+    )
+    for i in range(draw(st.integers(1, 3))):
+        guard = draw(st.one_of(ne, st.just("")))
+        src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
+        lines.append(f"trans {src} a{i} {dst} [{guard}]")
+    return "\n".join(lines) + "\n", draw(st.sampled_from(_NE_PROPERTIES))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_disequality_systems())
+def test_two_variable_disequality_systems_are_gap_order_and_agree_with_oracle(query):
+    # the `!=` guards get the gap-order leaf and a decided verdict; the
+    # grid oracle's witness (runs of up to 3 steps, values -3..4) must be
+    # found, and a no-witness verdict must leave the oracle none
+    model, prop = query
+    d = parsing.parse_model(model)
+    psi = parsing.parse_property(prop, d)
+    v = verify(d, psi)
+    assert v.stats.strategy.startswith("GC(K="), (model, prop)
+    assert v.kind in ("witness", "no-witness"), (model, prop, v.reason)
+    grid = oracle.default_grid(d, lt.constraints_of(lt.preprocess(psi)), -3, 4)
+    found = oracle.brute_force_witness(d, psi, 3, grid)
+    if found is not None:
+        assert v.kind == "witness", (model, prop)
+    if v.kind == "no-witness":
+        assert found is None, (model, prop)
+
+
 def test_random_rational_gap_order_systems_agree_with_oracle():
     # gap-order shaped guards over Q get the exact rational leaf, never GC's
     # integer reasoning; a fixpoint no criterion bounds may run into the

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from damc import solve
@@ -43,6 +43,7 @@ from conftest import (
     is_exact,
     reference_cutoff,
     reference_gap_bound,
+    reference_sat_cube_rational,
     term_bound_eliminate,
     term_bound_resolvents,
 )
@@ -209,7 +210,7 @@ def test_row_elimination_equals_term_bound_elimination(cube):
         rows = solve._resolvents(eqs, lowers, uppers)
         want = term_bound_resolvents(cube, v)
         assert list(map(ground_as_truth, rows)) == list(map(ground_as_truth, want))
-        assert solve.eliminate_rational(cube, v) == term_bound_eliminate(cube, v)
+        assert solve._eliminate(cube, {v}) == term_bound_eliminate(cube, v)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +299,15 @@ def test_gap_order_reading_matches_the_triple_view_on_raw_atoms(atoms, K):
 
 
 def test_gap_order_reading_keeps_the_triple_view_quirks():
-    # x - y != 1 has gap-order rows, but is not written as gaps; x = 5/2 is
-    # the gap 0 - 0 >= 1, so its cutoff at K = 1 is false
-    for c in (1, F(-1, 3)):
-        assert not is_gap_order(norm_atom(atom(Term.of(x) - y, "!=", c)))
-    assert is_gap_order(norm_atom(atom(Term.of(x) - y, "!=", 0)))
+    # over the integers x - y != 1 is the gaps y - x >= 0 | x - y >= 2, and
+    # x - y != -1/3 is true; a disequality adds its constant and 1 to K.
+    # x - y != 2 has a row x - y <= 1, no gap.  x = 5/2 is the gap
+    # 0 - 0 >= 1, so its cutoff at K = 1 is false
+    for c, K in ((1, 2), (-1, 3), (F(-1, 3), 1), (0, 2)):
+        ne = atom(Term.of(x) - y, "!=", c)
+        assert is_gap_order(norm_atom(ne)) and gap_order_bound([norm_atom(ne)]) == K
+        assert cutoff(ne, 1) == ne
+    assert not is_gap_order(norm_atom(atom(Term.of(x) - y, "!=", 2)))
     half = atom(x, "=", F(5, 2))
     assert gap_order_bound([norm_atom(half)]) == 2
     assert cutoff(half, 1) == atom(0, ">=", 1) and cutoff(half, 2) == half
@@ -355,6 +360,36 @@ def test_is_sat_integer_model_is_integral():
     assert res.sat
     assert all(v.denominator == 1 for v in res.model.values())
     assert evaluate(phi, res.model)
+
+
+def reference_model(phi, dom):
+    # is_sat's first model over the DNF, each cube (tightened over the
+    # integers) solved by the reference back-substitution
+    for cube in to_dnf(phi):
+        model = reference_sat_cube_rational(
+            cube if dom == RAT else solve._as_difference_cube(cube)
+        )
+        if model is not None:
+            return model
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rational_cubes())
+def test_sat_model_equals_the_reference_on_rational_cubes(cube):
+    # one elimination loop for QE and sat must pick the model, and so the
+    # witness values, that sat's own loop picked
+    phi = solve.dnf_to_formula([cube])
+    assert is_sat(phi, RAT).model == reference_model(phi, RAT)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(difference_atoms(), min_size=1, max_size=4))
+def test_sat_model_equals_the_reference_on_difference_cubes(atoms):
+    phi = conj(*atoms)
+    cubes = to_dnf(phi)
+    assume(all(solve._as_difference_cube(c) is not None for c in cubes))
+    assert is_sat(phi, INT).model == reference_model(phi, INT)
 
 
 def test_is_sat_integer_refuses_outside_fragment():
