@@ -273,6 +273,8 @@ def extract_witness(d: Ddsa, path: Sequence[PEdge]) -> tuple[Run, list[SigmaSymb
 
 @dataclass
 class Stats:
+    # every field but `strategy` is a key of the `sizes` object in
+    # `verify --json` (cli._verdict_json), in this order
     strategy: str = ""
     nfa_states: int = 0
     nfa_edges: int = 0

@@ -395,9 +395,11 @@ def _gap_reading(na: NormAtom) -> Optional[tuple[Optional[NormAtom], tuple[Exact
     atoms) must have gap-order rows: over the integers `x - y != 1` is the
     gaps `y - x >= 0 | x - y >= 2`.  An atom false over the integers
     (`x = 5/2`) is the gap 0 - 0 >= 1.  An upper bound `x <= c` adds |c|,
-    any other row its gap -c; an equality `t = e` adds e, and a disequality
-    `t != e` adds e and 1 when e is an integer (else it is true over the
-    integers).
+    any other row its gap -c; an equality `t = e` adds e.  A disequality
+    with a constant that is not an integer is true over the integers and
+    adds nothing; else `x != e` adds e and 1, and `x - y != e` the gaps of
+    its two alternatives (0 and 2 for e = 1 or -1, as its disjunctive
+    spelling `x - y <= 0 | x - y >= 2` does).
     """
     alternatives = []
     for cube in _atom_cubes(na):
@@ -412,7 +414,11 @@ def _gap_reading(na: NormAtom) -> Optional[tuple[Optional[NormAtom], tuple[Exact
     if na.op == "=":
         return (None, (na.const,))
     if na.op == "!=":
-        return (None, (na.const, 1) if na.const.denominator == 1 else ())
+        if na.const.denominator != 1:
+            return (None, ())
+        if len(na.coeffs) == 1:
+            return (None, (na.const, 1))
+        return (None, tuple(-row.const for rows in alternatives for row in rows or ()))
     ((row,),) = alternatives
     c = row.const
     upper = len(row.coeffs) == 1 and row.coeffs[0][1] > 0

@@ -274,15 +274,15 @@ def triple_atom(tr):
 def reference_gap_bound(atoms):
     """K of normalized atoms off their triples: the largest distance
     between integer constants (endpoints and gaps, 0 always among them)
-    plus one; None when an atom has no triple view.  A disequality adds its
-    constant and 1, as the triples (v, c, 1), (c, v, 1) of `v != c` do,
-    also when it compares two variables."""
+    plus one; None when an atom has no triple view.  A one-variable
+    disequality `v != c` adds c and 1, as its triples (v, c, 1), (c, v, 1)
+    do; a two-variable one adds the gaps of its two triples."""
     consts = {0}
     for na in atoms:
         view = gc_norm(na)
         if view is None:
             return None
-        if view[0] == "disj":
+        if view[0] == "disj" and len(na.coeffs) == 1:
             consts |= {na.const, 1}
             continue
         for p, q, k in view[1]:

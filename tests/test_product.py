@@ -378,7 +378,8 @@ def test_integer_systems_get_gap_order_or_no_summary():
 
 # Over the integers `v^w - w^r != c` is a disjunction of gaps for c in
 # [-1, 1] (`x - y != 1` is `y - x >= 0 | x - y >= 2`), and true for a
-# non-integral c; its K reads the constant and 1 as for `v != c`.
+# non-integral c; its K reads the gaps of its two alternatives, as the
+# disjunctive spelling's does.
 _NE_CONSTANTS = ("-1", "-1/2", "1/3", "1")
 _NE_PROPERTIES = (
     "F (x > 3)",

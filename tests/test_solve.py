@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from damc import solve
@@ -280,6 +280,8 @@ def test_gap_order_membership_from_tightened_rows(atoms):
     st.lists(st.one_of(difference_atoms(), exact_atoms()), min_size=1, max_size=4),
     st.integers(1, 12),
 )
+@example([atom(Term.of(x) - y, "!=", 1)], 1)
+@example([atom(Term.of(y) - x, "!=", -1)], 1)
 def test_gap_order_reading_matches_the_triple_view_on_raw_atoms(atoms, K):
     # on atoms as written (a `!=`, an equality with a non-integral constant,
     # a ground atom), membership, K and the cutoff read off the tightened
@@ -300,13 +302,17 @@ def test_gap_order_reading_matches_the_triple_view_on_raw_atoms(atoms, K):
 
 def test_gap_order_reading_keeps_the_triple_view_quirks():
     # over the integers x - y != 1 is the gaps y - x >= 0 | x - y >= 2, and
-    # x - y != -1/3 is true; a disequality adds its constant and 1 to K.
-    # x - y != 2 has a row x - y <= 1, no gap.  x = 5/2 is the gap
-    # 0 - 0 >= 1, so its cutoff at K = 1 is false
-    for c, K in ((1, 2), (-1, 3), (F(-1, 3), 1), (0, 2)):
+    # x - y != -1/3 is true; a two-variable disequality adds the gaps of its
+    # alternatives to K, as its disjunctive spelling does, whichever way it
+    # is oriented.  x - y != 2 has a row x - y <= 1, no gap.  x = 5/2 is the
+    # gap 0 - 0 >= 1, so its cutoff at K = 1 is false
+    for c, K in ((1, 3), (-1, 3), (F(-1, 3), 1), (0, 2)):
         ne = atom(Term.of(x) - y, "!=", c)
         assert is_gap_order(norm_atom(ne)) and gap_order_bound([norm_atom(ne)]) == K
+        assert gap_order_bound([norm_atom(atom(Term.of(y) - x, "!=", -c))]) == K
         assert cutoff(ne, 1) == ne
+    spelled = (atom(Term.of(x) - y, "<=", 0), atom(Term.of(x) - y, ">=", 2))
+    assert gap_order_bound(map(norm_atom, spelled)) == 3
     assert not is_gap_order(norm_atom(atom(Term.of(x) - y, "!=", 2)))
     half = atom(x, "=", F(5, 2))
     assert gap_order_bound([norm_atom(half)]) == 2
