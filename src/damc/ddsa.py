@@ -160,10 +160,10 @@ def update(d: Ddsa, phi: Formula, action: str) -> Formula:
     immediately, so results stay quantifier-free over V.  Both domains
     eliminate by Fourier-Motzkin on integer rows; over the integers
     (`qe_gc`, where only gap-order systems are imaged) each cube is first
-    tightened to integer difference bounds.  The state's DNF is the one its
-    satisfiability check used.
+    tightened to integer difference bounds.  The state's DNF, over the
+    system's domain, is the one its satisfiability check used.
     """
-    state = solve.to_dnf(phi)
+    state = solve.to_dnf(phi, d.domain)
     idx = 1 + max((v.idx for cube in state for na in cube for v, _ in na.coeffs), default=-1)
     snapshot = {v: v.indexed(idx) for v in d.variables}
     trans = _transition_cubes(d, action, idx)
@@ -186,7 +186,7 @@ def _transition_cubes(d: Ddsa, action: str, idx: int) -> list[solve.Cube]:
     if hit is None:
         copies = {v.read(): v.indexed(idx) for v in d.variables}
         copies.update((v.write(), v) for v in d.variables)
-        cubes = solve.to_dnf(transition_formula(d, action))
+        cubes = solve.to_dnf(transition_formula(d, action), d.domain)
         stray = {v for cube in cubes for na in cube for v, _ in na.coeffs} - copies.keys()
         if stray:
             names = ", ".join(sorted(map(str, stray)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class FormulaError(Exception):
@@ -41,7 +41,8 @@ def _hash_once(cls):
     The value is the dataclass hash of the field tuple, so set and dict
     orders do not change.  It is not a field, so equality and `repr` ignore
     it; pickling drops it, because `str` hashes differ between
-    interpreters."""
+    interpreters.  `VarId` does without it: as a tuple it hashes, compares
+    and sorts in C, to the same hash and order."""
     structural = cls.__hash__
 
     def __hash__(self):
@@ -62,9 +63,11 @@ def _hash_once(cls):
     return cls
 
 
-@_hash_once
-@dataclass(frozen=True, order=True)
-class VarId:
+class VarId(NamedTuple):
+    """A variable: a tuple, so that coefficient vectors keyed or sorted on
+    it hash and compare in C.  Its hash and order are those of the tuple
+    (name, kind, idx)."""
+
     name: str
     kind: str = PLAIN
     idx: int = -1

@@ -100,10 +100,13 @@ def build_product(
     An edge needs a satisfiable update image conjoined with the NFA
     symbol's constraints, and the symbol must be consistent with the
     transition taken.  The constraints are over the post-state, so they
-    commute with the image's existential: each (node, action) is imaged
-    once, on its first consistent NFA edge, and every edge conjoins to
-    that image.  Nodes at the word-end NFA state are only created when
-    final (they have no successors, so non-final ones are dead).
+    commute with the image's existential: each (node, action) asks the
+    strategy for its image once, on its first consistent NFA edge, and
+    every edge conjoins to that image.  A leaf computes one image per
+    (formula, transition formula), so the actions that a projected leaf
+    sees with the same transition formula share it.  Nodes at the
+    word-end NFA state are only created when final (they have no
+    successors, so non-final ones are dead).
 
     A budget stop (the node budget or a solver's) raises
     `ProductBudgetExceeded` with the sizes built so far.

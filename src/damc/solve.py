@@ -26,6 +26,7 @@ from math import ceil, floor, gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .formula import (
+    INT,
     RAT,
     And,
     Atom,
@@ -150,36 +151,41 @@ def _atom_key(na: NormAtom):
 _DNF_CACHE: dict = {}
 
 
-def to_dnf(phi: Formula) -> list[Cube]:
-    """Disjunctive normal form as a list of cubes; [] is false, [()] true.
+def to_dnf(phi: Formula, dom: Domain = RAT) -> list[Cube]:
+    """Disjunctive normal form over the domain as a list of cubes; [] is
+    false, [()] true.
 
-    `!=` atoms are expanded into the two strict alternatives, in both
-    domains.  Memoised per formula: a product state is checked for
-    satisfiability and then imaged, and both start from this one DNF.
+    `!=` atoms are expanded into the two strict alternatives, except that
+    over the integers one with a constant that is not an integer is true
+    (`_atom_cubes`).  Memoised per formula and domain: a product state is
+    checked for satisfiability and then imaged, and both start from this
+    one DNF.
     """
-    hit = _DNF_CACHE.get(phi)
+    integers = dom == INT
+    key = (phi, INT) if integers else phi
+    hit = _DNF_CACHE.get(key)
     if hit is None:
-        hit = tuple(dict.fromkeys(_dnf(phi, True)))
+        hit = tuple(dict.fromkeys(_dnf(phi, True, integers)))
         if len(_DNF_CACHE) < 100_000:
-            _DNF_CACHE[phi] = hit
+            _DNF_CACHE[key] = hit
     return list(hit)
 
 
-def _dnf(phi: Formula, positive: bool) -> list[Cube]:
+def _dnf(phi: Formula, positive: bool, integers: bool) -> list[Cube]:
     if isinstance(phi, TrueF):
         return [()] if positive else []
     if isinstance(phi, FalseF):
         return [] if positive else [()]
     if isinstance(phi, Not):
-        return _dnf(phi.arg, not positive)
+        return _dnf(phi.arg, not positive, integers)
     if isinstance(phi, Atom):
         na = norm_atom(phi)
         if not positive:
             na = _negate(na)
-        return _atom_cubes(na)
+        return _atom_cubes(na, integers)
     if isinstance(phi, (And, Or)):
         is_and = isinstance(phi, And) == positive
-        parts = [_dnf(p, positive) for p in phi.args]
+        parts = [_dnf(p, positive, integers) for p in phi.args]
         if not is_and:
             return [c for ds in parts for c in ds]
         acc: list[Cube] = [()]
@@ -207,9 +213,10 @@ def _negate(na: NormAtom) -> NormAtom:
     return NormAtom(tuple((v, -c) for v, c in na.coeffs), "<=", -na.const)
 
 
-def _atom_cubes(na: NormAtom) -> list[Cube]:
+def _atom_cubes(na: NormAtom, integers: bool) -> list[Cube]:
     t = na.truth()
-    if t is True:
+    # over the integers the left side, with int coefficients, is an integer
+    if t is True or (integers and na.op == "!=" and na.const.denominator != 1):
         return [()]
     if t is False:
         return []
@@ -344,7 +351,7 @@ def qe_gc(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula
     non-negative gaps are non-negative: the image stays gap-order.
     """
     tight = []
-    for cube in to_dnf(phi) if isinstance(phi, Formula) else phi:
+    for cube in to_dnf(phi, INT) if isinstance(phi, Formula) else phi:
         rows = _gap_order_rows(cube)
         if rows is None:
             bad = next(na for na in cube if _gap_order_rows((na,)) is None)
@@ -391,31 +398,28 @@ def _gap_reading(na: NormAtom) -> Optional[tuple[Optional[NormAtom], tuple[Exact
     """The row whose gap the cutoff caps (None for `=`, `!=` and a true
     atom) and the constants the atom adds to K; None outside gap-order.
 
-    Every alternative of the atom (`to_dnf` splits a `!=` into two strict
-    atoms) must have gap-order rows: over the integers `x - y != 1` is the
+    Every alternative of the atom over the integers (`to_dnf` splits a `!=`
+    into two strict atoms) must have gap-order rows: `x - y != 1` is the
     gaps `y - x >= 0 | x - y >= 2`.  An atom false over the integers
-    (`x = 5/2`) is the gap 0 - 0 >= 1.  An upper bound `x <= c` adds |c|,
-    any other row its gap -c; an equality `t = e` adds e.  A disequality
-    with a constant that is not an integer is true over the integers and
-    adds nothing; else `x != e` adds e and 1, and `x - y != e` the gaps of
-    its two alternatives (0 and 2 for e = 1 or -1, as its disjunctive
-    spelling `x - y <= 0 | x - y >= 2` does).
+    (`x = 5/2`) is the gap 0 - 0 >= 1; one true over them (`x - y != 3/2`)
+    has no row and adds nothing.  An upper bound `x <= c` adds |c|, any
+    other row its gap -c; an equality `t = e` adds e.  `x != e` adds e and
+    1, and `x - y != e` the gaps of its two alternatives (0 and 2 for e = 1
+    or -1, as its disjunctive spelling `x - y <= 0 | x - y >= 2` does).
     """
     alternatives = []
-    for cube in _atom_cubes(na):
+    for cube in _atom_cubes(na, integers=True):
         rows = _gap_order_rows(cube)
         if rows is None:
             return None
         alternatives.append(norm_cube(rows))
     if all(rows is None for rows in alternatives):
         return (_FALSE_ROW, (1,))
-    if not na.coeffs:
+    if alternatives == [()]:
         return (None, ())
     if na.op == "=":
         return (None, (na.const,))
     if na.op == "!=":
-        if na.const.denominator != 1:
-            return (None, ())
         if len(na.coeffs) == 1:
             return (None, (na.const, 1))
         return (None, tuple(-row.const for rows in alternatives for row in rows or ()))
@@ -472,7 +476,7 @@ def is_sat(phi: Formula, dom: Domain) -> SatResult:
     UnsupportedInteger rather than guess.
     """
     outside: Optional[Cube] = None
-    for cube in to_dnf(phi):
+    for cube in to_dnf(phi, dom):
         if dom == RAT:
             model = _sat_cube_rational(cube)
         else:

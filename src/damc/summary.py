@@ -486,11 +486,14 @@ class _Leaf:
     # their system and domain, and live for one verify call.
 
     def image(self, state: Formula, action: str) -> Formula:
-        # one image per (state, action), however many NFA edges conjoin to it
+        # one image per (state, transition formula), shared by the NFA edges
+        # that conjoin to it and by the actions with that formula (on a
+        # projected leaf, those that move none of its variables)
         memo = self.__dict__.setdefault("_image_cache", {})
-        hit = memo.get((state, action))
+        key = (state, dd.transition_formula(self.d, action))
+        hit = memo.get(key)
         if hit is None:
-            hit = memo[(state, action)] = dd.update(self.d, state, action)
+            hit = memo[key] = dd.update(self.d, state, action)
         return hit
 
     def canon(self, state: Formula) -> Formula:

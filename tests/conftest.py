@@ -226,14 +226,14 @@ def gc_norm(na):
     """The triple view of a normalized atom: ("conj", triples),
     ("disj", triples), or None when the atom is not expressible (a triple
     with a negative gap makes it inexpressible).  Equalities become gap
-    pairs, disequalities the two gap-1 alternatives, and an atom false over
-    the integers the gap 0 - 0 >= 1."""
+    pairs, disequalities the two gap-1 alternatives, an atom false over the
+    integers the gap 0 - 0 >= 1, and one true over them no triple."""
     t = na.truth()
-    if t is True:
-        return ("conj", [])
+    vec, const, op = na.coeffs, na.const, na.op
+    if t is True or (op == "!=" and const.denominator != 1):
+        return ("conj", [])  # an integer left side never equals a non-integer
     if t is False:
         return ("conj", [(0, 0, 1)])
-    vec, const, op = na.coeffs, na.const, na.op
     if op in ("<=", "<"):
         tr = _gc_of_ineq(vec, const, op == "<")
         if tr is None or tr[2] < 0:
@@ -246,8 +246,6 @@ def gc_norm(na):
             if c.denominator != 1:
                 return ("conj", [(0, 0, 1)])
             return ("conj", [(v, int(c), 0), (int(c), v, 0)])
-        if c.denominator != 1:
-            return ("conj", [])  # v != non-integer is true over the integers
         return ("disj", [(v, int(c), 1), (int(c), v, 1)])
     if len(vec) == 2:
         (v1, a1), (v2, a2) = vec
@@ -260,8 +258,6 @@ def gc_norm(na):
             gaps = [(x, y, math.floor(c) + 1), (y, x, 1 - math.ceil(c))]
             if min(k for _, _, k in gaps) < 0:
                 return None
-            if c.denominator != 1:
-                return ("conj", [])  # true over the integers
             return ("disj", gaps)
     return None
 

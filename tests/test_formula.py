@@ -146,7 +146,7 @@ def test_substitute_matches_composed_assignment(f, cx, cy, alpha):
 
 
 # ---------------------------------------------------------------------------
-# hashes are computed once per object
+# hashes are computed once per object; a VarId is a tuple, hashed in C
 
 
 def _ir_samples():
@@ -165,6 +165,8 @@ def _ir_samples():
 
 
 def _field_tuple(obj):
+    if isinstance(obj, VarId):
+        return (obj.name, obj.kind, obj.idx)
     return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
 
 
@@ -172,12 +174,31 @@ def _rebuilt(obj):
     return type(obj)(*_field_tuple(obj))
 
 
+_VARID_REPRS = {
+    x: "VarId(name='x', kind='plain', idx=-1)",
+    VarId("x", "ix", 4): "VarId(name='x', kind='ix', idx=4)",
+}
+
+
+def _assert_varid_as_before(obj):
+    """What the tuple keeps of the frozen dataclass: the `repr`, and the
+    (name, kind, idx) order that sorted coefficient vectors follow."""
+    assert repr(obj) == _VARID_REPRS[obj]
+    others = [VarId("w"), x, x.read(), x.write(), x.indexed(3), x.indexed(5), VarId("y")]
+    for o in others:
+        assert (obj < o) == (_field_tuple(obj) < _field_tuple(o))
+        assert (obj == o) == (_field_tuple(obj) == _field_tuple(o))
+
+
 @pytest.mark.parametrize("obj", _ir_samples(), ids=lambda o: type(o).__name__)
 def test_hash_is_the_field_tuple_hash_stored_once(obj):
     assert hash(obj) == hash(_field_tuple(obj))
-    assert obj.__dict__["_hash"] == hash(obj)
     fresh = _rebuilt(obj)
-    assert "_hash" not in fresh.__dict__
+    if isinstance(obj, VarId):
+        _assert_varid_as_before(obj)
+    else:
+        assert obj.__dict__["_hash"] == hash(obj)
+        assert "_hash" not in fresh.__dict__
     # equality and repr ignore the stored value
     assert fresh == obj and repr(fresh) == repr(obj)
     assert {obj: 1}[fresh] == 1
@@ -187,5 +208,10 @@ def test_hash_is_the_field_tuple_hash_stored_once(obj):
 def test_pickle_drops_the_stored_hash(obj):
     hash(obj)
     back = pickle.loads(pickle.dumps(obj))
-    assert "_hash" not in back.__dict__
+    if isinstance(obj, VarId):
+        _assert_varid_as_before(back)
+    else:
+        assert "_hash" not in back.__dict__
+    assert type(back) is type(obj) and repr(back) == repr(obj)
     assert back == obj and hash(back) == hash(obj)
+    assert {obj: 1}[back] == 1

@@ -440,6 +440,66 @@ def test_two_variable_disequality_systems_are_gap_order_and_agree_with_oracle(qu
         assert found is None, (model, prop)
 
 
+@pytest.mark.parametrize("c", ["3/2", "-5/2", "7/3"])
+@pytest.mark.parametrize("prop", _NE_PROPERTIES)
+def test_disequality_with_a_non_integral_constant_is_true_over_the_integers(c, prop):
+    # a `!=` whose constant is not an integer is true over the integers,
+    # for c outside [-1, 1] too: it has no row and adds nothing to K, so
+    # the verdict and label are those of `!= 1/2`, and the grid oracle
+    # agrees with the verdict
+    def model(c):
+        return (
+            "domain int\nvars x y\ninit x=0 y=0\nstates 1\ninitial 1\nfinal 1\n"
+            f"trans 1 a 1 [x^w - x^r != {c}]\ntrans 1 b 1 [y^w - x^r != {c}]\n"
+        )
+
+    d = parsing.parse_model(model(c))
+    psi = parsing.parse_property(prop, d)
+    v = verify(d, psi)
+    half = verify(parsing.parse_model(model("1/2")), psi)
+    assert (v.kind, v.stats.strategy) == (half.kind, half.stats.strategy)
+    assert v.stats.strategy.startswith("GC(K=") and v.kind in ("witness", "no-witness")
+    grid = oracle.default_grid(d, lt.constraints_of(lt.preprocess(psi)), -3, 4)
+    found = oracle.brute_force_witness(d, psi, 3, grid)
+    assert (found is not None) == (v.kind == "witness")
+
+
+def test_disequality_with_a_non_integral_constant_gets_a_witness():
+    model = "domain int\nvars x\ninit x=0\nstates 1\ninitial 1\nfinal 1\ntrans 1 a 1 [x^w - x^r != 3/2]\n"
+    d = parsing.parse_model(model)
+    v = verify(d, parsing.parse_property("F (x > 3)", d))
+    assert (v.kind, v.stats.strategy) == ("witness", "GC(K=5)")
+
+
+def _gap_step_model(g, u):
+    return (
+        "domain int\nvars x\ninit x=0\nstates 1 2\ninitial 1\nfinal 2\n"
+        f"trans 1 a 1 [x^w - x^r >= {g}]\ntrans 1 b 2 [x^r <= {u}]\n"
+    )
+
+
+def test_gap_order_bound_tells_the_steps_under_the_exit_apart():
+    # exit needs x <= 2 and x grows by at least 1 a step, so no run takes
+    # four steps; at K = 1 the cutoff merges x = 1 and x = 2 with x >= 3
+    d = parsing.parse_model(_gap_step_model(1, 2))
+    v = verify(d, parsing.parse_property("X X X X true", d))
+    assert (v.kind, v.stats.strategy) == ("no-witness", "GC(K=3)")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(1, 6))
+def test_gap_steps_under_an_exit_bound_agree_with_oracle(g, u, n):
+    # the verdict of X^n true turns on how many gaps of g fit under u, so a
+    # K too small to count them merges states the property tells apart
+    d = parsing.parse_model(_gap_step_model(g, u))
+    psi = parsing.parse_property("X " * n + "true", d)
+    v = verify(d, psi)
+    assert v.stats.strategy.startswith("GC(K=") and v.kind in ("witness", "no-witness"), v.reason
+    grid = oracle.default_grid(d, lt.constraints_of(lt.preprocess(psi)), 0, u)
+    found = oracle.brute_force_witness(d, psi, n + 2, grid)
+    assert (found is not None) == (v.kind == "witness"), (g, u, n)
+
+
 def test_random_rational_gap_order_systems_agree_with_oracle():
     # gap-order shaped guards over Q get the exact rational leaf, never GC's
     # integer reasoning; a fixpoint no criterion bounds may run into the
@@ -560,15 +620,15 @@ def test_auction_verdict_json_golden(auction, name):
 
 
 def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
-    # the product images each (node, action) once and the leaves memoise
-    # their images and sat answers, so no input reaches the solver twice
+    # the leaves memoise their images per (state, transition formula) and
+    # their sat answers, so no input reaches the solver twice
     update, is_sat, leaf_sat = dd.update, solve.is_sat, summary._Leaf.sat
     images: Counter = Counter()
     solved: Counter = Counter()
     leaves: list = []
 
     def counting_update(d, phi, action, **kwargs):
-        images[(id(d), phi, action)] += 1
+        images[(id(d), phi, dd.transition_formula(d, action))] += 1
         return update(d, phi, action, **kwargs)
 
     def counting_is_sat(phi, dom):
@@ -588,8 +648,37 @@ def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
     monkeypatch.setattr(summary._Leaf, "sat", tracked_leaf_sat)
     psi = parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", auction)
     assert verify(auction, psi).kind == "witness"
-    assert len(images) == 55 and set(images.values()) == {1}
+    assert len(images) == 37 and set(images.values()) == {1}
     assert solved and set(solved.values()) == {1}
+
+
+def test_projected_leaf_images_each_state_and_transition_formula_once(auction, monkeypatch):
+    # on the auction's {b} leaf, init, check, dec, sellnow and fee all
+    # leave b alone (b^w = b^r), so a state asked for by several of them is
+    # imaged once
+    update, leaf_image = dd.update, summary._Leaf.image
+    asked: dict = {}
+    imaged: Counter = Counter()
+
+    def tracked_image(self, state, action):
+        asked.setdefault((id(self.d), state, dd.transition_formula(self.d, action)), set()).add(action)
+        return leaf_image(self, state, action)
+
+    def counting_update(d, phi, action, **kwargs):
+        imaged[(id(d), phi, dd.transition_formula(d, action))] += 1
+        return update(d, phi, action, **kwargs)
+
+    monkeypatch.setattr(summary._Leaf, "image", tracked_image)
+    monkeypatch.setattr(dd, "update", counting_update)
+    psi = parsing.parse_property("F (sold & b=0)", auction)
+    v = verify(auction, psi)
+    assert "{b}: MC" in v.stats.strategy
+    assert imaged.keys() == asked.keys() and set(imaged.values()) == {1}
+    shared: dict = {}
+    for (_, _, tf), acts in asked.items():
+        if len(acts) > 1:
+            shared.setdefault(str(tf), set()).update(acts)
+    assert shared["b^w = b^r"] == {"init", "check", "dec", "sellnow", "fee"}
 
 
 # ---------------------------------------------------------------------------

@@ -369,9 +369,9 @@ def test_is_sat_integer_model_is_integral():
 
 
 def reference_model(phi, dom):
-    # is_sat's first model over the DNF, each cube (tightened over the
-    # integers) solved by the reference back-substitution
-    for cube in to_dnf(phi):
+    # is_sat's first model over the domain's DNF, each cube (tightened over
+    # the integers) solved by the reference back-substitution
+    for cube in to_dnf(phi, dom):
         model = reference_sat_cube_rational(
             cube if dom == RAT else solve._as_difference_cube(cube)
         )
