@@ -63,8 +63,6 @@ class Ddsa:
         self._delta_cache: dict[str, Formula] = {}
         # the renamed transition formula's DNF per (action, snapshot index)
         self._cubes_cache: dict[tuple[str, int], list] = {}
-        # computation-graph edge templates per action (summary.computation_graph)
-        self._pairs_cache: dict[str, tuple] = {}
 
     def target(self, state: str, action: str) -> Optional[str]:
         return self._tmap.get((state, action))

@@ -19,11 +19,19 @@ whose fixpoint the node budget bounds.  The one composition that changes
 the work is the variable split: its parts are solved apart.  A state is a
 formula over the system's variables whatever the strategy; the split reads
 its parts off the state's conjuncts.
+
+Detection reads the system once (`_Reading`), and every part of the split
+tree answers from that reading.  Feedback freedom is checked once per
+control structure and dependency component, and shared by every part with
+both: no atom links two components, so a run's computation graph is the
+disjoint union of its components' graphs, and the system is feedback-free
+exactly when each component is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from functools import cache
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import ddsa as dd
 from . import solve
@@ -84,6 +92,9 @@ def check_gc(d: Ddsa, constraints: Sequence[Formula]) -> tuple[bool, Optional[in
 # Computation graphs (for feedback freedom and bounded lookback)
 
 GNode = tuple[str, int]  # (variable name, instant)
+# Equality and general pairs of instances; an instant is an offset from the
+# step the pairs are placed at.
+Templates = tuple[list[tuple[GNode, GNode]], list[tuple[GNode, GNode]]]
 
 # Budget on the symbolic runs one control-flow check may enumerate.
 MAX_RUNS = 100_000
@@ -150,6 +161,16 @@ def _components(nodes, pairs) -> dict:
     return {n: find(n) for n in parent}
 
 
+def _groups(names: list[str], pairs) -> list[list[str]]:
+    """The components of the names the pairs link, each in name order,
+    ordered by the position of their root (`_components`)."""
+    roots = _components(names, pairs)
+    comps: dict[str, list[str]] = {}
+    for n in names:
+        comps.setdefault(roots[n], []).append(n)
+    return [comps[r] for r in sorted(comps, key=names.index)]
+
+
 def _adjacency(edges: set[frozenset[GNode]]) -> dict[GNode, list[GNode]]:
     """Undirected adjacency lists of the edges."""
     adj: dict[GNode, list[GNode]] = {}
@@ -160,7 +181,7 @@ def _adjacency(edges: set[frozenset[GNode]]) -> dict[GNode, list[GNode]]:
     return adj
 
 
-def _pair_templates(atoms, inst: dict[VarId, GNode]):
+def _pair_templates(atoms, inst: dict[VarId, GNode]) -> Templates:
     """Equality and general instance pairs of the atoms; the instants in
     `inst` are offsets from the step the pairs are placed at."""
     eq: list[tuple[GNode, GNode]] = []
@@ -180,25 +201,69 @@ def _pair_templates(atoms, inst: dict[VarId, GNode]):
     return eq, gen
 
 
-def _action_templates(d: Ddsa, action: str):
-    """Pair templates of the action's transition formula, reads at offset 0
-    and writes at 1; normalised once per system and action."""
-    hit = d._pairs_cache.get(action)
-    if hit is None:
-        inst = {}
-        for v in d.variables:
-            inst[v.read()] = (v.name, 0)
-            inst[v.write()] = (v.name, 1)
-        hit = _pair_templates(atoms_of(dd.transition_formula(d, action)), inst)
-        d._pairs_cache[action] = hit
-    return hit
+@dataclass
+class _Reading:
+    """A system read once for its computation graphs: each used action's
+    pair templates over variable names (reads at offset 0, writes at 1), the
+    constraints' templates (offset 0), and the dependency components, the
+    variables that chains of pairs link.
+
+    A part of the system (a projection on a variable split, a sequential
+    part) reads as the system restricted to its names: no atom of its
+    actions crosses the split.  `verdicts` holds feedback freedom per
+    control structure and component, for every part checked."""
+
+    steps: dict[str, Templates]
+    constraints: Templates
+    components: list[list[str]]
+    verdicts: dict = field(default_factory=dict)
+    placed: dict = field(default_factory=dict)
+
+    def on(self, names: list[str]) -> _Reading:
+        """The reading of the part over `names`, one component."""
+        keep = set(names)
+
+        def restrict(t: Templates) -> Templates:
+            eq, gen = ([pq for pq in ps if pq[0][0] in keep and pq[1][0] in keep] for ps in t)
+            return eq, gen
+
+        steps = {a: restrict(t) for a, t in self.steps.items()}
+        return _Reading(steps, restrict(self.constraints), [names])
 
 
-def _add_shifted(g: ComputationGraph, templates, step: int) -> None:
-    for edges, pairs in zip((g.eq_edges, g.gen_edges), templates):
-        edges.update(
-            frozenset({(n1, o1 + step), (n2, o2 + step)}) for (n1, o1), (n2, o2) in pairs
-        )
+def _read(d: Ddsa, constraints: Sequence[Formula]) -> _Reading:
+    inst = {}
+    for v in d.variables:
+        inst[v.read()] = (v.name, 0)
+        inst[v.write()] = (v.name, 1)
+    steps = {
+        a: _pair_templates(atoms_of(dd.transition_formula(d, a)), inst)
+        for a in used_actions(d.transitions)
+    }
+    cons = _pair_templates(
+        (at for c in constraints for at in atoms_of(c)), {v: (v.name, 0) for v in d.variables}
+    )
+    pairs = (pq for t in (*steps.values(), cons) for ps in t for pq in ps)
+    names = [v.name for v in d.variables]
+    return _Reading(steps, cons, _groups(names, ((p[0], q[0]) for p, q in pairs)))
+
+
+def _graph(r: _Reading, actions: Sequence[str], names: list[str]) -> ComputationGraph:
+    """The run's graph: each action's pairs placed at its step, and the
+    constraints' at every instant; each placement is built once per
+    reading."""
+    g = ComputationGraph(len(actions), names)
+    for key in (*enumerate(actions), *((k, None) for k in range(len(actions) + 1))):
+        hit = r.placed.get(key)
+        if hit is None:
+            k, a = key
+            hit = r.placed[key] = tuple(
+                [frozenset({(n1, o1 + k), (n2, o2 + k)}) for (n1, o1), (n2, o2) in ps]
+                for ps in (r.steps[a] if a is not None else r.constraints)
+            )
+        g.eq_edges.update(hit[0])
+        g.gen_edges.update(hit[1])
+    return g
 
 
 def computation_graph(
@@ -207,16 +272,7 @@ def computation_graph(
     """Dependency graph of a symbolic run, over-approximating verification
     constraints by inserting every constraint at every instant."""
     dd.symbolic_states(d, actions)
-    n = len(actions)
-    g = ComputationGraph(n, [v.name for v in d.variables])
-    for k, a in enumerate(actions):
-        _add_shifted(g, _action_templates(d, a), k)
-    templates = _pair_templates(
-        (at for c in constraints for at in atoms_of(c)), {v: (v.name, 0) for v in d.variables}
-    )
-    for k in range(n + 1):
-        _add_shifted(g, templates, k)
-    return g
+    return _graph(_read(d, constraints), actions, [v.name for v in d.variables])
 
 
 def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None) -> int:
@@ -285,32 +341,35 @@ def check_bounded_lookback(
     """
     if K < 1 or unroll < 1:
         raise ValueError("K and unroll must be positive")
+    r = _read(d, constraints)
+    names = [v.name for v in d.variables]
     for actions in enumerate_symbolic_runs(d, unroll, maximal_only=True):
-        g = computation_graph(d, actions, constraints)
-        _, edges = g.collapsed_edges()
+        _, edges = _graph(r, actions, names).collapsed_edges()
         if _longest_path(edges, stop_above=K) > K:
             return False
     return True
 
 
 def _feedback_free_run(g: ComputationGraph) -> bool:
+    """No two equality classes with instances of one variable and
+    incomparable spans are connected avoiding every node whose class spans
+    both.  A class is connected and its members share one span, so one
+    check per pair of classes answers for every pair of their instances."""
     roots = g.classes()
     spans = g.spans(roots)
     adj = _adjacency(g.eq_edges | g.gen_edges)
-    by_var: dict[str, list[GNode]] = {}
-    for n in roots:
-        by_var.setdefault(n[0], []).append(n)
-    for insts in by_var.values():
-        for i in range(len(insts)):
-            for j in range(i + 1, len(insts)):
-                a, b = insts[i], insts[j]
-                sa, sb = spans[roots[a]], spans[roots[b]]
-                if sa >= sb or sb >= sa:
-                    continue
-                need = sa | sb
-                blocked = {n for n, r in roots.items() if spans[r] >= need}
-                if _connected_avoiding(adj, a, b, blocked):
-                    return False
+    by_var: dict[str, set[GNode]] = {}
+    for n, r in roots.items():
+        by_var.setdefault(n[0], set()).add(r)
+    pairs = {(a, b) for rs in by_var.values() for a in rs for b in rs if a < b}
+    for a, b in sorted(pairs):
+        sa, sb = spans[a], spans[b]
+        if sa >= sb or sb >= sa:
+            continue
+        need = sa | sb
+        blocked = {n for n, r in roots.items() if spans[r] >= need}
+        if _connected_avoiding(adj, a, b, blocked):
+            return False
     return True
 
 
@@ -335,9 +394,44 @@ def check_feedback_free(
 ) -> bool:
     """Every dependency between two instances of a variable is spanned by a
     node whose equality class covers both involved intervals."""
-    for actions in enumerate_symbolic_runs(d, unroll):
-        if not _feedback_free_run(computation_graph(d, actions, constraints)):
+    return _feedback_free(d, _read(d, constraints), unroll)
+
+
+def _feedback_free(d: Ddsa, r: _Reading, unroll: int) -> bool:
+    """Feedback freedom of `d`, the system `r` read or a part of it, checked
+    per component of the reading, each (control structure, component) once
+    per reading.
+
+    Exact: equality classes, spans and avoiding paths stay inside one
+    component, so the system is feedback-free when each component is.
+    Every component enumerates the same runs in the same order as the whole
+    graph would, so a component that fails within the budget fails the
+    whole check, and the budget is exceeded only when no component fails."""
+    names = {v.name for v in d.variables}
+    control = (d.initial, d.transitions, unroll)
+    over: Optional[BudgetExceeded] = None
+    for comp in r.components:
+        comp = [n for n in comp if n in names]
+        if not comp:
+            continue
+        key = (control, tuple(comp))
+        ok = r.verdicts.get(key)
+        if ok is None:
+            part = r.on(comp)
+            try:
+                ok = all(
+                    _feedback_free_run(_graph(part, actions, comp))
+                    for actions in enumerate_symbolic_runs(d, unroll)
+                )
+            except BudgetExceeded as e:
+                ok = e
+            r.verdicts[key] = ok
+        if ok is False:
             return False
+        if ok is not True:
+            over = over or ok
+    if over is not None:
+        raise over
     return True
 
 
@@ -417,11 +511,7 @@ def var_decompose(
     names = [v.name for v in d.variables]
     atoms = _criterion_atoms(d, constraints)
     shared = [sorted({v.name for v in free_vars(a)}) for a in atoms]
-    roots = _components(names, ((vs[0], other) for vs in shared for other in vs[1:]))
-    comps: dict[str, list[str]] = {}
-    for n in names:
-        comps.setdefault(roots[n], []).append(n)
-    ordered = [comps[r] for r in sorted(comps, key=names.index)]
+    ordered = _groups(names, ((vs[0], other) for vs in shared for other in vs[1:]))
     if len(ordered) < 2:
         return None
     gc_ok: dict[int, bool] = {}
@@ -635,7 +725,9 @@ class NoSummaryFound(Exception):
 def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
     """A rational system always gets one; an integer system outside the
     gap-order fragment raises NoSummaryFound."""
-    s = _detect(d, list(constraints))
+    constraints = list(constraints)
+    # read on the first feedback-freedom check, if one is made
+    s = _detect(d, constraints, cache(lambda: _read(d, constraints)))
     if s is None:
         raise NoSummaryFound(
             "no finite-summary criterion applied; this says nothing about the "
@@ -644,7 +736,10 @@ def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
     return s
 
 
-def _detect(d: Ddsa, constraints: list[Formula], depth: int = 0) -> Optional[Strategy]:
+def _detect(
+    d: Ddsa, constraints: list[Formula], read: Callable[[], _Reading], depth: int = 0
+) -> Optional[Strategy]:
+    """`read` gives the reading of the system `detect` was called on."""
     if d.domain == INT:
         # gap-order reasoning is an integer device; a split cannot help, since
         # a non-gap-order atom lands in some part
@@ -653,16 +748,18 @@ def _detect(d: Ddsa, constraints: list[Formula], depth: int = 0) -> Optional[Str
     if check_mc(d, constraints):
         return _Leaf(d, label="MC")
     try:
-        if check_feedback_free(d, constraints):
+        if _feedback_free(d, read(), FF_UNROLL):
             return _Leaf(d, label="feedback-free")
     except BudgetExceeded:
         pass
-    composed = _decompose(d, constraints, depth + 1) if depth < 8 else None
+    composed = _decompose(d, constraints, read, depth + 1) if depth < 8 else None
     # exact either way; without a certificate only the node budget bounds it
     return composed or _Leaf(d)
 
 
-def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[Strategy]:
+def _decompose(
+    d: Ddsa, constraints: list[Formula], read: Callable[[], _Reading], depth: int
+) -> Optional[Strategy]:
     """A variable split, solved apart; else a sequential split, which only
     certifies the one rational leaf on the whole system."""
     split = var_decompose(d, constraints)
@@ -671,14 +768,14 @@ def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[Stra
         names1 = {v.name for v in v1}
         c1 = [c for c in constraints if {v.name for v in free_vars(c)} <= names1]
         c2 = [c for c in constraints if c not in c1]
-        left = _detect(project_system(d, v1), c1, depth)
-        right = _detect(project_system(d, v2), c2, depth)
+        left = _detect(project_system(d, v1), c1, read, depth)
+        right = _detect(project_system(d, v2), c2, read, depth)
         return VarStrategy(v1, v2, left, right)
     parts = seq_decompose(d)
     if parts is not None:
         d1, d2, cut = parts
         if set(d1.states) != set(d.states) or d1.finals != d.finals:
-            left = _detect(d1, constraints, depth).describe()
-            right = _detect(d2, constraints, depth).describe()
+            left = _detect(d1, constraints, read, depth).describe()
+            right = _detect(d2, constraints, read, depth).describe()
             return _Leaf(d, label=f"seq-compose({left}, {right}; cut='{cut}')")
     return None

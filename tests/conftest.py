@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from damc import parsing, solve
+from damc.summary import ComputationGraph, enumerate_symbolic_runs
 from damc.ddsa import Ddsa, transition_formula
 from damc.formula import (
     INDEXED,
@@ -454,9 +455,10 @@ def _norm_triples(triples):
 def reference_qe_gc(xs, phi):
     """Gap-order elimination on triples (p, q, k), read p - q >= k (Revesz,
     TCS 1993): a lower bound x >= q + kl and an upper bound x <= p - ku on
-    the eliminated x combine into p - q >= kl + ku."""
+    the eliminated x combine into p - q >= kl + ku.  Read off the integer
+    DNF, where a `!=` with a non-integral constant is true."""
     out = []
-    for cube in solve.to_dnf(phi):
+    for cube in solve.to_dnf(phi, INT):
         triples = []
         for na in cube:
             view = gc_norm(na)
@@ -490,3 +492,65 @@ def reference_update(d, phi, action):
     )
     qe = reference_qe_gc if d.domain == INT else reference_qe_rational
     return qe(list(snapshot.values()), conj(phi_u, delta_uv))
+
+
+# ---------------------------------------------------------------------------
+# Computation graphs and feedback freedom, on the whole graph of each run
+
+
+def reference_computation_graph(d, actions, constraints):
+    """Normalise every atom again at every step."""
+    g = ComputationGraph(len(actions), [v.name for v in d.variables])
+
+    def add(atoms, inst):
+        for at in atoms:
+            na = norm_atom(at)
+            present = [inst[v] for v, _ in na.coeffs if v in inst]
+            is_eq = (
+                na.op == "="
+                and len(na.coeffs) == 2
+                and na.const == 0
+                and {c for _, c in na.coeffs} == {1, -1}
+            )
+            for i, p in enumerate(present):
+                for q in present[i + 1 :]:
+                    if p != q:
+                        (g.eq_edges if is_eq else g.gen_edges).add(frozenset({p, q}))
+
+    for k, a in enumerate(actions, start=1):
+        inst = {v.read(): (v.name, k - 1) for v in d.variables}
+        inst.update({v.write(): (v.name, k) for v in d.variables})
+        add(atoms_of(transition_formula(d, a)), inst)
+    for k in range(len(actions) + 1):
+        add([at for c in constraints for at in atoms_of(c)], {v: (v.name, k) for v in d.variables})
+    return g
+
+
+def reference_feedback_free(d, constraints, unroll=2):
+    """Feedback freedom on each enumerated run's whole graph, checking every
+    pair of instances of a variable: two instances with incomparable class
+    spans must not be connected avoiding every node whose class spans
+    both.  Raises BudgetExceeded where the enumeration does."""
+    for actions in enumerate_symbolic_runs(d, unroll):
+        g = reference_computation_graph(d, actions, constraints)
+        roots = g.classes()
+        spans = g.spans(roots)
+        adj = {}
+        for a, b in map(tuple, g.eq_edges | g.gen_edges):
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        for a in roots:
+            for b in roots:
+                sa, sb = spans[roots[a]], spans[roots[b]]
+                if a[0] != b[0] or a >= b or sa >= sb or sb >= sa:
+                    continue
+                open_ = {n for n, r in roots.items() if not spans[r] >= sa | sb}
+                seen, todo = {a}, [a]
+                while todo:
+                    for n in adj.get(todo.pop(), []):
+                        if n in open_ and n not in seen:
+                            seen.add(n)
+                            todo.append(n)
+                if b in seen:
+                    return False
+    return True

@@ -767,7 +767,9 @@ def test_variable_split_matches_one_leaf_on_two_group_systems(query):
     model, prop = query
     d = parsing.parse_model(model)
     psi = parsing.parse_property(prop, d)
-    split = lambda d, cs: summary._decompose(d, list(cs), 1)  # noqa: E731
+    def split(d, cs):
+        return summary._decompose(d, list(cs), lambda: summary._read(d, cs), 1)
+
     _assert_split_matches_one_leaf(d, psi, split, max_nodes=50)
 
 

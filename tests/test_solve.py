@@ -43,6 +43,7 @@ from conftest import (
     is_exact,
     reference_cutoff,
     reference_gap_bound,
+    reference_qe_gc,
     reference_sat_cube_rational,
     term_bound_eliminate,
     term_bound_resolvents,
@@ -255,6 +256,17 @@ def difference_atoms():
         st.builds(lambda v, w, o, c: atom(Term.of(v) - w, o, c), vs, vs, ops, exact_values),
         st.builds(atom, vs, ops, exact_values),
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(difference_atoms(), min_size=1, max_size=4), st.sampled_from((x, y, z)))
+@example([atom(Term.of(x) - y, "!=", F(5, 2)), atom(Term.of(y) - z, ">=", 1)], y)
+def test_qe_gc_agrees_with_the_triple_reference(atoms, v):
+    # both read the integer DNF, where a `!=` with a non-integral constant
+    # is true
+    phi = conj(*atoms)
+    assume(all(is_gap_order(na) for cube in to_dnf(phi, INT) for na in cube))
+    assert equivalent(qe_gc([v], phi), reference_qe_gc([v], phi), INT), (str(phi), v)
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damc import ddsa as dd, solve
+from damc import parsing, solve, summary
 from damc.ddsa import Ddsa, history_constraint
 from damc.formula import (
     INT,
@@ -12,16 +12,15 @@ from damc.formula import (
     Term,
     VarId,
     atom,
-    atoms_of,
     conj,
     disj,
     evaluate,
-    norm_atom,
+    free_vars,
 )
+from damc.ltlf import constraints_of, preprocess
 from damc.product import constraint_graph
 from damc.solve import BudgetExceeded, equivalent
 from damc.summary import (
-    ComputationGraph,
     GcStrategy,
     NoSummaryFound,
     VarStrategy,
@@ -38,7 +37,13 @@ from damc.summary import (
     _Leaf,
 )
 
-from conftest import MODELS, load_model, with_domain
+from conftest import (
+    MODELS,
+    load_model,
+    reference_computation_graph,
+    reference_feedback_free,
+    with_domain,
+)
 
 x, y, s = VarId("x"), VarId("y"), VarId("s")
 CG_CONSTRAINTS = [atom(x, ">", 5), atom(s, ">", 0)]  # shared example set
@@ -134,6 +139,114 @@ def test_feedback_free_implies_bounded_lookback(b2):
     # whenever the feedback-freedom check passes, 2|V|-bounded lookback holds
     assert check_feedback_free(b2, CG_CONSTRAINTS, 2)
     assert check_bounded_lookback(b2, CG_CONSTRAINTS, 2 * len(b2.variables), 2)
+
+
+@st.composite
+def component_systems(draw):
+    """Rational systems whose variables fall into 2-3 groups with every atom
+    inside one group: self-loops, `v^w = w^r` atoms that merge the classes
+    of two variables, general atoms, and constraint atoms."""
+    groups, k = [], 0
+    for n in draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)):
+        groups.append([VarId(f"v{k + i}") for i in range(n)])
+        k += n
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    transitions = tuple(
+        (draw(st.sampled_from(states)), f"a{i}", draw(st.sampled_from(states)))
+        for i in range(draw(st.integers(2, 3)))
+    )
+    c = st.integers(-1, 2)
+
+    def pick():
+        g = draw(st.sampled_from(groups))
+        return draw(st.sampled_from(g)), draw(st.sampled_from(g))
+
+    def guard_atom():
+        (v, w), shape = pick(), draw(st.integers(0, 4))
+        if shape == 0:
+            return atom(v.write(), "=", w.read())
+        if shape == 1:
+            return atom(v.write(), "=", w.write())
+        if shape == 2:
+            return atom(v.write(), ">", w.read())
+        if shape == 3:
+            return atom(Term.of(v.write()) + w.read(), "<=", draw(c))
+        return atom(v.read(), ">", draw(c))
+
+    def constraint():
+        (v, w), shape = pick(), draw(st.integers(0, 2))
+        if shape == 0:
+            return atom(v, "=", w)
+        return atom(Term.of(v) + w, ">", draw(c)) if shape == 1 else atom(v, ">", draw(c))
+
+    variables = tuple(v for g in groups for v in g)
+    d = Ddsa(
+        states=tuple(states),
+        initial=states[0],
+        actions=tuple(a for _, a, _ in transitions),
+        transitions=transitions,
+        finals=frozenset({states[-1]}),
+        variables=variables,
+        alpha0=dict.fromkeys(variables, F(0)),
+        guards={
+            a: conj(*(guard_atom() for _ in range(draw(st.integers(0, 2)))))
+            for _, a, _ in transitions
+        },
+        domain=RAT,
+    )
+    return d, [constraint() for _ in range(draw(st.integers(0, 2)))]
+
+
+def _outcome(check):
+    try:
+        return check()
+    except BudgetExceeded:
+        return "budget"
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_systems(), st.sampled_from([None, 1, 5, 20, 60]), st.integers(1, 2))
+def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, unroll):
+    # True, False and the run budget agree with the check on each run's whole
+    # graph, for the system and for the parts of a split, which answer off
+    # the whole system's reading and share its verdicts
+    d, constraints = system
+    parts = [(d, constraints)]
+    split = var_decompose(d, constraints)
+    for side in split or ():
+        names = {v.name for v in side}
+        kept = [c for c in constraints if {v.name for v in free_vars(c)} <= names]
+        parts.append((project_system(d, side), kept))
+    halves = seq_decompose(d)
+    parts += [(part, constraints) for part in halves[:2]] if halves else []
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(summary, "MAX_RUNS", budget)
+        assert _outcome(lambda: check_feedback_free(d, constraints, unroll)) == _outcome(
+            lambda: reference_feedback_free(d, constraints, unroll)
+        )
+        r = summary._read(d, constraints)
+        for part, cs in parts:
+            assert _outcome(lambda: summary._feedback_free(part, r, unroll)) == _outcome(
+                lambda: reference_feedback_free(part, cs, unroll)
+            ), [v.name for v in part.variables]
+
+
+def test_detect_checks_each_control_structure_and_component_once(auction, monkeypatch):
+    # psi11's detection checks feedback freedom on the whole system and on
+    # five parts of its split tree.  Four (control structure, component)
+    # pairs are enumerated: {d} and {o,t,s} on the whole control structure,
+    # {d} on the part before 'end' and {o,t,s} on the part after it
+    psi = parsing.parse_property("F (sold & d>0 & o<=t)", auction)
+    enumerate_runs, calls = summary.enumerate_symbolic_runs, []
+
+    def counted(d, *args, **kwargs):
+        calls.append(d.initial)
+        return enumerate_runs(d, *args, **kwargs)
+
+    monkeypatch.setattr(summary, "enumerate_symbolic_runs", counted)
+    detect(auction, constraints_of(preprocess(psi)))
+    assert calls == ["start", "start", "start", "end"]
 
 
 def test_enumerate_symbolic_runs_budget(b1):
@@ -460,34 +573,6 @@ def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
 # Computation graphs against the per-step construction
 
 
-def _per_step_graph(d, actions, constraints):
-    """Reference: normalise every atom again at every step."""
-    g = ComputationGraph(len(actions), [v.name for v in d.variables])
-
-    def add(atoms, inst):
-        for at in atoms:
-            na = norm_atom(at)
-            present = [inst[v] for v, _ in na.coeffs if v in inst]
-            is_eq = (
-                na.op == "="
-                and len(na.coeffs) == 2
-                and na.const == 0
-                and {c for _, c in na.coeffs} == {1, -1}
-            )
-            for i, p in enumerate(present):
-                for q in present[i + 1 :]:
-                    if p != q:
-                        (g.eq_edges if is_eq else g.gen_edges).add(frozenset({p, q}))
-
-    for k, a in enumerate(actions, start=1):
-        inst = {v.read(): (v.name, k - 1) for v in d.variables}
-        inst.update({v.write(): (v.name, k) for v in d.variables})
-        add(atoms_of(dd.transition_formula(d, a)), inst)
-    for k in range(len(actions) + 1):
-        add([at for c in constraints for at in atoms_of(c)], {v: (v.name, k) for v in d.variables})
-    return g
-
-
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.ddsa")))
 def test_computation_graph_matches_per_step_reference(name):
     d = load_model(name)
@@ -498,5 +583,5 @@ def test_computation_graph_matches_per_step_reference(name):
     assert len(runs) >= 5
     for actions in runs:
         g = computation_graph(d, actions, constraints)
-        ref = _per_step_graph(d, actions, constraints)
+        ref = reference_computation_graph(d, actions, constraints)
         assert (g.eq_edges, g.gen_edges) == (ref.eq_edges, ref.gen_edges), actions
