@@ -2,23 +2,27 @@
 
 A summary strategy packages the update procedure and the equivalence
 relation the product quotients by (the constraint graph is the product
-with the automaton of `true`).  The leaf keeps that quotient itself:
-`canon` maps each state to the first equivalent state it has seen, so the
-product finds a node by its representative with a dict lookup
-(hash-consing modulo equivalence).  The domain alone picks the leaf, and
-every leaf is exact and compares its states with one rational equivalence
+with the automaton of `true`).  There is one leaf class, `_Leaf`, and it
+keeps that quotient itself: `canon` maps each state to the first
+equivalent state it has seen, so the product finds a node by its
+representative with a dict lookup (hash-consing modulo equivalence).
+Every leaf is exact and compares its states with one rational equivalence
 check: over the rationals, Fourier-Motzkin QE and logical equivalence;
-over the integers, the same QE on cubes tightened to integer difference
-bounds (`solve.qe_gc`) and equivalence of the cutoffs at K, which is exact
-on the gap-order fragment.  An integer system outside that fragment gets
-no summary.  Over the rationals the criteria (monotonicity
-constraints, feedback freedom) and the sequential split at a cut state only
-certify that the quotient is finite, so they label the leaf; a (sub)system
-that nothing covers still gets the exact leaf, labelled `exact-fixpoint`,
-whose fixpoint the node budget bounds.  The one composition that changes
-the work is the variable split: its parts are solved apart.  A state is a
-formula over the system's variables whatever the strategy; the split reads
-its parts off the state's conjuncts.
+over the integers, with the gap-order bound `K` set, the same QE on cubes
+tightened to integer difference bounds (`solve.qe_gc`) and equivalence of
+the cutoffs at K, which is exact on the gap-order fragment.  An integer
+system outside that fragment gets no summary.  Over the rationals the
+criteria (monotonicity constraints, feedback freedom) and the sequential
+split at a cut state only certify that the quotient is finite, so they
+label the leaf; a (sub)system that nothing covers still gets the exact
+leaf, labelled `exact-fixpoint`, whose fixpoint the node budget bounds.
+The one composition that changes the work is the variable split: its
+parts are solved apart.  A state is a formula over the system's variables
+whatever the strategy.  Every variable partition goes by whole top-level
+conjuncts (`_by_names`): the split links two variables that share a
+conjunct of a guard or constraint, and the projected guards, the parts'
+constraints and a state's parts each take the conjuncts over their
+variables.
 
 Detection reads the system once (`_Reading`), and every part of the split
 tree answers from that reading.  Feedback freedom is checked once per
@@ -296,15 +300,9 @@ def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None
     return best
 
 
-def enumerate_symbolic_runs(
-    d: Ddsa, unroll: int, maximal_only: bool = False
-) -> Iterator[list[str]]:
+def enumerate_symbolic_runs(d: Ddsa, unroll: int) -> Iterator[list[str]]:
     """All symbolic runs in which no transition is traversed more than
-    `unroll` times.  A bounded stand-in for full dependency saturation.
-
-    With `maximal_only`, only runs with no in-budget extension are yielded;
-    this suffices for prefix-monotone checks like path length.
-    """
+    `unroll` times.  A bounded stand-in for full dependency saturation."""
     budget: dict[tuple[str, str], int] = {}
     count = 0
 
@@ -313,19 +311,16 @@ def enumerate_symbolic_runs(
         count += 1
         if count > MAX_RUNS:
             raise BudgetExceeded("symbolic run enumeration too large")
-        extended = False
         for (a, dst) in d.outgoing(state):
             key = (state, a)
             if budget.get(key, 0) >= unroll:
                 continue
-            extended = True
             budget[key] = budget.get(key, 0) + 1
             acc.append(a)
             yield from go(dst, acc)
             acc.pop()
             budget[key] -= 1
-        if not maximal_only or not extended:
-            yield list(acc)
+        yield list(acc)
 
     yield from go(d.initial, [])
 
@@ -336,14 +331,14 @@ def check_bounded_lookback(
     """After collapsing equality classes, no enumerated run's dependency
     graph may contain an acyclic path longer than K.
 
-    Only maximal runs are inspected: collapsed path length never shrinks
-    when a run is extended.
+    Every run is inspected: extending a run can shorten its collapsed
+    paths, since a later equality can merge earlier classes.
     """
     if K < 1 or unroll < 1:
         raise ValueError("K and unroll must be positive")
     r = _read(d, constraints)
     names = [v.name for v in d.variables]
-    for actions in enumerate_symbolic_runs(d, unroll, maximal_only=True):
+    for actions in enumerate_symbolic_runs(d, unroll):
         _, edges = _graph(r, actions, names).collapsed_edges()
         if _longest_path(edges, stop_above=K) > K:
             return False
@@ -498,27 +493,45 @@ def _sub_system(d: Ddsa, states: set[str], initial: str, finals: set[str], alpha
     )
 
 
+def _conjuncts(f: Formula) -> tuple[Formula, ...]:
+    return f.args if isinstance(f, And) else (f,)
+
+
+def _by_names(f: Formula, names: set[str]) -> tuple[Formula, Formula]:
+    """The conjunction of `f`'s top-level conjuncts whose variables all lie
+    in `names` (a variable-free one too), and the conjunction of the rest:
+    the one way a variable split divides a formula."""
+    inside: list[Formula] = []
+    outside: list[Formula] = []
+    for c in _conjuncts(f):
+        (inside if {v.name for v in free_vars(c)} <= names else outside).append(c)
+    return conj(*inside), conj(*outside)
+
+
 def var_decompose(
     d: Ddsa, constraints: Sequence[Formula]
 ) -> Optional[tuple[tuple[VarId, ...], tuple[VarId, ...]]]:
-    """Two-part split of the variables such that every guard and constraint
-    atom lives on one side.
+    """Two-part split of the variables such that every top-level conjunct of
+    a used guard and of a constraint lives on one side, so that `_by_names`
+    sends it whole to one part.
 
-    Components of the atom co-occurrence graph are grouped so that the
+    Components of the conjunct co-occurrence graph are grouped so that the
     gap-order-expressible ones form the first side; if that degenerates,
     the first component stands against the rest.
     """
     names = [v.name for v in d.variables]
-    atoms = _criterion_atoms(d, constraints)
-    shared = [sorted({v.name for v in free_vars(a)}) for a in atoms]
+    formulas = [*(d.guard(a) for a in used_actions(d.transitions)), *constraints]
+    shared = [sorted({v.name for v in free_vars(c)}) for f in formulas for c in _conjuncts(f)]
     ordered = _groups(names, ((vs[0], other) for vs in shared for other in vs[1:]))
     if len(ordered) < 2:
         return None
-    gc_ok: dict[int, bool] = {}
-    for i, comp in enumerate(ordered):
-        cs = set(comp)
-        relevant = [a for a in atoms if {v.name for v in free_vars(a)} & cs]
-        gc_ok[i] = all(solve.is_gap_order(norm_atom(a)) for a in relevant)
+    # an atom lies in the component of its conjunct
+    component = {n: i for i, comp in enumerate(ordered) for n in comp}
+    gc_ok = [True] * len(ordered)
+    for a in _criterion_atoms(d, constraints):
+        vs = free_vars(a)
+        if vs and not solve.is_gap_order(norm_atom(a)):
+            gc_ok[component[next(iter(vs)).name]] = False
     side1 = [n for i, comp in enumerate(ordered) if gc_ok[i] for n in comp]
     side2 = [n for i, comp in enumerate(ordered) if not gc_ok[i] for n in comp]
     if not side1 or not side2:
@@ -530,17 +543,10 @@ def var_decompose(
 
 
 def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
-    """Projection onto a variable subset: guard atoms over other variables
-    are dropped (the guard becomes true when nothing remains)."""
+    """Projection onto a variable subset: each guard keeps the conjuncts
+    over the kept variables (`_by_names`; true when nothing remains)."""
     keep_names = {v.name for v in keep}
-    guards = {}
-    for a in d.actions:
-        parts = [
-            at
-            for at in atoms_of(d.guard(a))
-            if {v.name for v in free_vars(at)} <= keep_names
-        ]
-        guards[a] = conj(*parts)
+    guards = {a: _by_names(d.guard(a), keep_names)[0] for a in d.actions}
     variables = tuple(v for v in d.variables if v.name in keep_names)
     alpha0 = None if d.alpha0 is None else {v: d.alpha0[v] for v in variables}
     return replace(d, variables=variables, alpha0=alpha0, guards=guards)
@@ -552,28 +558,35 @@ def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
 
 @dataclass
 class _Leaf:
-    """The exact rational leaf: Fourier-Motzkin QE and logical equivalence.
+    """The one exact leaf: QE in the system's domain (`dd.update` picks it)
+    and a rational equivalence check.
 
     `label` names the criterion or split that certifies the fixpoint is
-    finite; the relation is the same whichever it is.  The gap-order leaf
-    overrides only the formula the equivalence compares (the cutoff at K)
-    and the domain it solves in; `dd.update` picks the QE from the domain."""
+    finite; the relation is the same whichever it is.  With the gap-order
+    bound `K` set (an integer system), states are compared by their
+    cutoffs at `K`."""
 
     d: Ddsa
     label: str = field(default="exact-fixpoint", kw_only=True)
-    domain = RAT
+    K: Optional[int] = field(default=None, kw_only=True)
 
     def describe(self) -> str:
         return self.label
 
     def compared(self, state: Formula) -> Formula:
         """The formula whose models the equivalence compares, over the
-        rationals (for the gap-order leaf, the cutoff, as in
-        `solve.gc_equivalent`)."""
-        return state
+        rationals: the state, or its cutoff at `K`, as in
+        `solve.gc_equivalent`."""
+        if self.K is None:
+            return state
+        memo = self.__dict__.setdefault("_cutoff_cache", {})
+        hit = memo.get(state)
+        if hit is None:
+            hit = memo[state] = solve.cutoff(state, self.K)
+        return hit
 
-    # The image, sat and canon memos live on the instance: leaves differ in
-    # their system and domain, and live for one verify call.
+    # The image, sat, cutoff and canon memos live on the instance: leaves
+    # differ in their system and K, and live for one verify call.
 
     def image(self, state: Formula, action: str) -> Formula:
         # one image per (state, transition formula), shared by the NFA edges
@@ -632,7 +645,7 @@ class _Leaf:
         memo = self.__dict__.setdefault("_sat_cache", {})
         hit = memo.get(state)
         if hit is None:
-            hit = solve.is_sat(state, self.domain)
+            hit = solve.is_sat(state, self.d.domain)
             if hit.model is not None:
                 # a model of one cube leaves the other variables free
                 zeros = dict.fromkeys(self.d.variables, 0)
@@ -642,29 +655,10 @@ class _Leaf:
 
 
 @dataclass
-class GcStrategy(_Leaf):
-    """Gap-order constraints: integer QE and cutoff equivalence at K."""
-
-    K: int
-    domain = INT
-
-    def describe(self) -> str:
-        return f"GC(K={self.K})"
-
-    def compared(self, state: Formula) -> Formula:
-        memo = self.__dict__.setdefault("_cutoff_cache", {})
-        hit = memo.get(state)
-        if hit is None:
-            hit = memo[state] = solve.cutoff(state, self.K)
-        return hit
-
-
-@dataclass
 class VarStrategy:
     """Variable-disjoint composition.  A state is one formula; `_split`
-    sends each conjunct whose variables all lie in `v1` (a variable-free
-    one too) to `left` and the rest to `right`, and the parts are solved
-    apart."""
+    sends its conjuncts over `v1` to `left` and the rest to `right`
+    (`_by_names`), and the parts are solved apart."""
 
     v1: tuple[VarId, ...]
     v2: tuple[VarId, ...]
@@ -687,10 +681,7 @@ class VarStrategy:
     def _split(self, state: Formula) -> tuple[Formula, Formula]:
         hit = self._split_cache.get(state)
         if hit is None:
-            c1, c2 = [], []
-            for c in state.args if isinstance(state, And) else (state,):
-                (c1 if {v.name for v in free_vars(c)} <= self._names1 else c2).append(c)
-            hit = self._split_cache[state] = (conj(*c1), conj(*c2))
+            hit = self._split_cache[state] = _by_names(state, self._names1)
         return hit
 
     def image(self, state: Formula, action: str) -> Formula:
@@ -744,7 +735,7 @@ def _detect(
         # gap-order reasoning is an integer device; a split cannot help, since
         # a non-gap-order atom lands in some part
         gc_ok, K = check_gc(d, constraints)
-        return GcStrategy(d, K) if gc_ok else None
+        return _Leaf(d, label=f"GC(K={K})", K=K) if gc_ok else None
     if check_mc(d, constraints):
         return _Leaf(d, label="MC")
     try:
@@ -765,11 +756,9 @@ def _decompose(
     split = var_decompose(d, constraints)
     if split is not None:
         v1, v2 = split
-        names1 = {v.name for v in v1}
-        c1 = [c for c in constraints if {v.name for v in free_vars(c)} <= names1]
-        c2 = [c for c in constraints if c not in c1]
-        left = _detect(project_system(d, v1), c1, read, depth)
-        right = _detect(project_system(d, v2), c2, read, depth)
+        c1, c2 = _by_names(conj(*constraints), {v.name for v in v1})
+        left = _detect(project_system(d, v1), [c1], read, depth)
+        right = _detect(project_system(d, v2), [c2], read, depth)
         return VarStrategy(v1, v2, left, right)
     parts = seq_decompose(d)
     if parts is not None:

@@ -554,3 +554,26 @@ def reference_feedback_free(d, constraints, unroll=2):
                 if b in seen:
                     return False
     return True
+
+
+def reference_bounded_lookback(d, constraints, K, unroll):
+    """Bounded lookback on each enumerated run's whole graph, every run and
+    not only the maximal ones: after merging equality classes, no simple
+    path of general edges is longer than K."""
+    for actions in enumerate_symbolic_runs(d, unroll):
+        g = reference_computation_graph(d, actions, constraints)
+        roots = g.classes()
+        adj = {}
+        for a, b in map(tuple, g.gen_edges):
+            if roots[a] != roots[b]:
+                adj.setdefault(roots[a], set()).add(roots[b])
+                adj.setdefault(roots[b], set()).add(roots[a])
+
+        def too_long(path):
+            return len(path) > K + 1 or any(
+                too_long(path + [n]) for n in adj[path[-1]] if n not in path
+            )
+
+        if any(too_long([n]) for n in adj):
+            return False
+    return True

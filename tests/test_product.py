@@ -4,13 +4,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from damc import ddsa as dd, ltlf as lt, oracle, parsing, solve, summary
 from damc.cli import _verdict_json
 from damc.ddsa import Ddsa, validate_run
-from damc.formula import INT, RAT, VarId, atom, conj, evaluate
+from damc.formula import INT, RAT, And, Term, VarId, atom, conj, disj, evaluate, free_vars, neg
 from damc.product import (
     InternalInconsistency,
     build_product,
@@ -331,7 +331,7 @@ def test_random_gc_systems_agree_with_oracle():
     import random
 
     from damc.ddsa import validate
-    from damc.summary import GcStrategy, detect
+    from damc.summary import detect
 
     rng = random.Random(11)
     grid = [F(k) for k in range(0, 7)]
@@ -340,7 +340,7 @@ def test_random_gc_systems_agree_with_oracle():
         d = random_gc_system(rng)
         if validate(d):
             continue
-        assert isinstance(detect(d, []), GcStrategy)
+        assert detect(d, []).K is not None
         for text in ("F (y >= 5)", "F (x - y >= 3)", "G (x >= 0)"):
             psi = parsing.parse_property(text, d)
             v = verify(d, psi)
@@ -361,13 +361,13 @@ def test_integer_systems_get_gap_order_or_no_summary():
     from dataclasses import replace
 
     from damc.formula import Term
-    from damc.summary import GcStrategy, NoSummaryFound, detect
+    from damc.summary import NoSummaryFound, detect
 
     rng = random.Random(13)
     sides = [VarId("x", "r"), VarId("x", "w"), VarId("y", "r"), VarId("y", "w")]
     for _ in range(40):
         d = random_gc_system(rng)
-        assert isinstance(detect(d, []), GcStrategy)
+        assert detect(d, []).K is not None
         a = rng.choice(d.actions)
         p, q = rng.sample(sides, 2)
         total = atom(Term.of(p) + Term.of(q), rng.choice([">=", "<=", "="]), rng.randint(0, 3))
@@ -507,7 +507,7 @@ def test_random_rational_gap_order_systems_agree_with_oracle():
     import random
 
     from damc.ddsa import validate
-    from damc.summary import GcStrategy, detect
+    from damc.summary import detect
 
     rng = random.Random(11)
     grid = frac_grid(0, 6, halves=True)
@@ -516,7 +516,7 @@ def test_random_rational_gap_order_systems_agree_with_oracle():
         d = random_gc_system(rng, RAT)
         if validate(d):
             continue
-        assert not isinstance(detect(d, []), GcStrategy)
+        assert "GC(" not in detect(d, []).describe()
         for text in ("F (y >= 5)", "F (x - y >= 3)", "G (x >= 0)"):
             psi = parsing.parse_property(text, d)
             v = verify(d, psi, max_nodes=200)
@@ -771,6 +771,94 @@ def test_variable_split_matches_one_leaf_on_two_group_systems(query):
         return summary._decompose(d, list(cs), lambda: summary._read(d, cs), 1)
 
     _assert_split_matches_one_leaf(d, psi, split, max_nodes=50)
+
+
+def _xy_system(guards, transitions, finals):
+    """A library-built rational system over x and y, both initially 0."""
+    return Ddsa(
+        states=("1", "2", "3", "4"),
+        initial="1",
+        actions=tuple(guards),
+        transitions=tuple(transitions),
+        finals=frozenset(finals),
+        variables=(x, y),
+        alpha0={x: F(0), y: F(0)},
+        guards=guards,
+        domain=RAT,
+    )
+
+
+def _then_step_y(guard):
+    """`1 -a-> 2` under `guard`, then `2 -b-> 3` adding 1 to y; final 3."""
+    step_y = atom(Term.of(y.write()), "=", Term.of(y.read()) + 1)
+    return _xy_system({"a": guard, "b": step_y}, [("1", "a", "2"), ("2", "b", "3")], {"3"})
+
+
+_XY_PROPERTIES = (
+    "F (x > 1)",
+    "F (x > 1 & y <= 1)",
+    "F (y < 0)",
+    "G (x <= 1)",
+    "F (x < -1 & X (y > 0))",
+    "(x <= 1) U (y > 1)",
+)
+
+
+@st.composite
+def _disjunctive_xy_systems(draw):
+    """Systems over x and y whose guards mix `disj` and `neg` within one
+    variable and across both, and a property."""
+
+    def leaf(v):
+        shape, op = draw(st.integers(0, 2)), draw(st.sampled_from(["<", "<=", "=", ">=", ">"]))
+        lhs = Term.of(v.write()) - v.read() if shape == 2 else Term.of(v.write())
+        return atom(lhs, op, v.read() if shape == 1 else draw(st.integers(-1, 1)))
+
+    def part():
+        v, w = draw(st.sampled_from([x, y])), draw(st.sampled_from([x, y]))
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            return leaf(v)
+        if kind == 1:
+            return disj(leaf(v), leaf(w))
+        return neg(leaf(v)) if kind == 2 else neg(conj(leaf(v), leaf(w)))
+
+    # control only moves forward, so every run is decided within 3 steps
+    steps = st.lists(st.sampled_from("1234"), min_size=2, max_size=2, unique=True).map(sorted)
+    pairs = draw(st.lists(steps, min_size=1, max_size=4))
+    transitions = [(src, f"a{i}", dst) for i, (src, dst) in enumerate(pairs)]
+    guards = {a: conj(*(part() for _ in range(draw(st.integers(1, 2))))) for _, a, _ in transitions}
+    finals = draw(st.lists(st.sampled_from("1234"), min_size=1, unique=True))
+    return _xy_system(guards, transitions, finals), draw(st.sampled_from(_XY_PROPERTIES))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_disjunctive_xy_systems())
+@example((_then_step_y(disj(atom(x.write(), ">", 1), atom(x.write(), "<", -1))), "F (x > 1)"))
+@example((_then_step_y(neg(atom(x.write(), "<=", 1))), "F (x > 1)"))
+@example(
+    (_then_step_y(disj(atom(x.write(), ">", 1), atom(y.write(), ">", 1))), "F (x > 1 & y <= 1)")
+)
+def test_split_of_disjunctive_and_negated_guards_agrees_with_oracle(query):
+    # a variable split divides a guard by whole conjuncts: a conjunct over x
+    # alone keeps its disjunction or negation when projected, and one that
+    # crosses x and y keeps them together
+    d, text = query
+    psi = parsing.parse_property(text, d)
+    constraints = lt.constraints_of(lt.preprocess(psi))
+    guards = [d.guard(a) for a in d.actions]
+    if any(
+        len({v.name for v in free_vars(c)}) == 2
+        for g in guards
+        for c in (g.args if isinstance(g, And) else (g,))
+    ):
+        assert summary.var_decompose(d, constraints) is None
+    v = verify(d, psi, max_nodes=60)
+    found = oracle.brute_force_witness(d, psi, 3, frac_grid(-2, 2))
+    if found is not None:
+        assert v.kind != "no-witness", (text, guards)
+    if v.kind == "no-witness":
+        assert found is None, (text, guards)
 
 
 DISJUNCTION_GOLDEN = json.loads(

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from damc import parsing, solve, summary
@@ -21,7 +21,6 @@ from damc.ltlf import constraints_of, preprocess
 from damc.product import constraint_graph
 from damc.solve import BudgetExceeded, equivalent
 from damc.summary import (
-    GcStrategy,
     NoSummaryFound,
     VarStrategy,
     check_bounded_lookback,
@@ -40,6 +39,7 @@ from damc.summary import (
 from conftest import (
     MODELS,
     load_model,
+    reference_bounded_lookback,
     reference_computation_graph,
     reference_feedback_free,
     with_domain,
@@ -232,6 +232,25 @@ def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, 
             ), [v.name for v in part.variables]
 
 
+# The run a1 a1 has a collapsed path of 4 edges; the a0 steps of its maximal
+# extension a1 a1 a0 a0 merge classes and leave one of 2.
+LATE_MERGE = parsing.parse_model(
+    "domain rat\nvars x y z\ninit x=0 y=0 z=0\nstates 0\ninitial 0\nfinal 0\n"
+    "trans 0 a0 0 [z^r = y^r && x^r = z^r && y^w = z^w]\n"
+    "trans 0 a1 0 [y^w - z^r > 0 && y^r - x^r > 0 && y^w - z^r > -1]\n"
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(component_systems(), st.integers(1, 4), st.integers(1, 2))
+@example((LATE_MERGE, []), 3, 2)
+def test_bounded_lookback_checks_every_run(system, K, unroll):
+    d, constraints = system
+    assert _outcome(lambda: check_bounded_lookback(d, constraints, K, unroll)) == _outcome(
+        lambda: reference_bounded_lookback(d, constraints, K, unroll)
+    )
+
+
 def test_detect_checks_each_control_structure_and_component_once(auction, monkeypatch):
     # psi11's detection checks feedback freedom on the whole system and on
     # five parts of its split tree.  Four (control structure, component)
@@ -254,8 +273,6 @@ def test_enumerate_symbolic_runs_budget(b1):
     assert [] in runs
     assert ["a1"] in runs and ["a1", "a2"] in runs
     assert max(len(r) for r in runs) == 4
-    maximal = list(enumerate_symbolic_runs(b1, 2, maximal_only=True))
-    assert maximal == [["a1", "a2", "a1", "a2"]]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +357,7 @@ def test_detect_b1_mc(b1):
 
 def test_detect_b3_gc(b3):
     strat = detect(b3, [])
-    assert isinstance(strat, GcStrategy) and strat.K == 4
+    assert type(strat) is _Leaf and strat.K == 4 and strat.describe() == "GC(K=4)"
 
 
 def test_detect_gc_only_over_the_integers(b3):
@@ -496,7 +513,7 @@ def _no_solver(*args):
 def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
     # the states differ only above K, so they are cutoff-equivalent although
     # the stored model of the first falsifies the second
-    gc = GcStrategy(b1_int, 3)
+    gc = _Leaf(b1_int, label="GC(K=3)", K=3)
     a, b = atom(Term.of(x) - y, ">=", 5), atom(Term.of(x) - y, ">=", 7)
     assert gc.sat(a) and gc.sat(b)
     assert not evaluate(b, gc._sat_cache[a].model)
@@ -504,7 +521,7 @@ def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
     # below K a stored model refutes without the solver
     c = atom(Term.of(x) - y, ">=", 1)
     assert gc.sat(c)
-    monkeypatch.setattr(solve, "gc_equivalent", _no_solver)
+    monkeypatch.setattr(solve, "equivalent", _no_solver)
     assert not gc.equiv(c, a)
 
 
@@ -563,7 +580,7 @@ def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
 @settings(max_examples=150, deadline=None)
 @given(state_pairs(GC_SHAPES, st.integers(0, 6)), st.integers(1, 5))
 def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
-    gc = GcStrategy(b1_int, K)
+    gc = _Leaf(b1_int, label=f"GC(K={K})", K=K)
     for s in pair:
         gc.sat(s)
     assert gc.equiv(*pair) == solve.gc_equivalent(*pair, K)
