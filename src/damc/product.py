@@ -104,7 +104,8 @@ def build_product(
     strategy for its image once, on its first consistent NFA edge, and
     every edge conjoins to that image.  A leaf computes one image per
     (formula, transition formula), so the actions that a projected leaf
-    sees with the same transition formula share it.  Nodes at the
+    sees with the same transition formula share it, and none for an action
+    whose guard on it is true: that image is the state itself.  Nodes at the
     word-end NFA state are only created when final (they have no
     successors, so non-final ones are dead).
 

@@ -25,16 +25,26 @@ constraints and a state's parts each take the conjuncts over their
 variables.
 
 Detection reads the system once (`_Reading`), and every part of the split
-tree answers from that reading.  Feedback freedom is checked once per
-control structure and dependency component, and shared by every part with
-both: no atom links two components, so a run's computation graph is the
-disjoint union of its components' graphs, and the system is feedback-free
-exactly when each component is.
+tree answers from that reading.  The reading keeps, per top-level conjunct
+of a guard or constraint, its variable names, whether every atom is MC,
+whether every atom is gap-order, and its computation-graph pair templates,
+each computed on first use: MC, the variable split and its gap-order side,
+the projected guards and the parts' constraints all ask it, and a part
+shares its parent's conjuncts.  The graphs' inertia pairs come from the
+write sets, so no transition formula is built.  Feedback freedom is checked
+once per control structure and dependency component, and shared by every
+part with both: no atom links two components, so a run's computation graph
+is the disjoint union of its components' graphs, and the system is
+feedback-free exactly when each component is.
+
+A leaf's image under an action whose guard on it is true is the state
+itself: every variable keeps its value.  On a projected leaf that is every
+action that moves none of its variables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import ddsa as dd
@@ -42,11 +52,17 @@ from . import solve
 from .ddsa import Ddsa
 from .formula import (
     INT,
+    PLAIN,
     RAT,
+    READ,
+    TRUE,
+    WRITE,
     And,
-    Atom,
+    FalseF,
     Formula,
     MissingVariable,
+    NormAtom,
+    TrueF,
     VarId,
     atoms_of,
     conj,
@@ -63,32 +79,42 @@ from .solve import BudgetExceeded, SatResult
 
 def used_actions(transitions: Sequence[tuple[str, str, str]]) -> list[str]:
     """Actions of the transitions, in first-use order."""
-    return list(dict.fromkeys(a for (_, a, _) in transitions))
+    return list(dict.fromkeys([a for (_, a, _) in transitions]))
 
 
-def _criterion_atoms(d: Ddsa, constraints: Sequence[Formula]) -> list[Atom]:
-    out: list[Atom] = []
-    for a in used_actions(d.transitions):
-        out.extend(atoms_of(d.guard(a)))
-    for c in constraints:
-        out.extend(atoms_of(c))
-    out.extend(a for f in d.initial_constraints() for a in atoms_of(f))
-    return out
+def _conjuncts(f: Formula) -> tuple[Formula, ...]:
+    return f.args if isinstance(f, And) else (f,)
+
+
+def _criterion(r: _Reading, d: Ddsa, constraints: Sequence[Formula]) -> list[_Conjunct]:
+    """The top-level conjuncts of the used guards and of the constraints.
+    The initial assignment's atoms compare one variable with a constant, so
+    they are MC and gap-order and no criterion but `K` reads them."""
+    formulas = [d.guard(a) for a in used_actions(d.transitions)] + list(constraints)
+    return [k for f in formulas for k in r.conjuncts(f)]
 
 
 def check_mc(d: Ddsa, constraints: Sequence[Formula]) -> bool:
     """Monotonicity criterion: rational domain and every atom of guards and
     constraints compares two variables/constants."""
-    if d.domain != RAT:
-        return False
-    return all(solve.is_mc(norm_atom(a)) for a in _criterion_atoms(d, constraints))
+    return _mc(d, constraints, _read(d, constraints))
+
+
+def _mc(d: Ddsa, constraints: Sequence[Formula], r: _Reading) -> bool:
+    return d.domain == RAT and all(k.mc for k in _criterion(r, d, constraints))
 
 
 def check_gc(d: Ddsa, constraints: Sequence[Formula]) -> tuple[bool, Optional[int]]:
     """Gap-order criterion plus the cutoff bound K, over the atoms of
     guards, the initial assignment and the verification constraints, read
     off their tightened rows (`solve.gap_order_bound`)."""
-    K = solve.gap_order_bound(norm_atom(a) for a in _criterion_atoms(d, constraints))
+    return _gc(d, constraints, _read(d, constraints))
+
+
+def _gc(d: Ddsa, constraints: Sequence[Formula], r: _Reading) -> tuple[bool, Optional[int]]:
+    atoms = [na for k in _criterion(r, d, constraints) for na in k.atoms]
+    atoms += (norm_atom(a) for f in d.initial_constraints() for a in atoms_of(f))
+    K = solve.gap_order_bound(atoms)
     return (K is not None, K)
 
 
@@ -185,14 +211,18 @@ def _adjacency(edges: set[frozenset[GNode]]) -> dict[GNode, list[GNode]]:
     return adj
 
 
-def _pair_templates(atoms, inst: dict[VarId, GNode]) -> Templates:
-    """Equality and general instance pairs of the atoms; the instants in
-    `inst` are offsets from the step the pairs are placed at."""
+# The instant of a variable copy in a pair template: a read (or a
+# constraint's plain variable) at the step's offset 0, a write at 1.
+_INSTANT = {READ: 0, PLAIN: 0, WRITE: 1}
+
+
+def _pair_templates(atoms: Sequence[NormAtom]) -> Templates:
+    """Equality and general instance pairs of the atoms, at offsets from
+    the step the pairs are placed at (`_INSTANT`)."""
     eq: list[tuple[GNode, GNode]] = []
     gen: list[tuple[GNode, GNode]] = []
-    for at in atoms:
-        na = norm_atom(at)
-        present = [inst[v] for v, _ in na.coeffs if v in inst]
+    for na in atoms:
+        present = [(v.name, _INSTANT[v.kind]) for v, _ in na.coeffs if v.kind in _INSTANT]
         is_eq = (
             na.op == "="
             and len(na.coeffs) == 2
@@ -205,65 +235,144 @@ def _pair_templates(atoms, inst: dict[VarId, GNode]) -> Templates:
     return eq, gen
 
 
-@dataclass
-class _Reading:
-    """A system read once for its computation graphs: each used action's
-    pair templates over variable names (reads at offset 0, writes at 1), the
-    constraints' templates (offset 0), and the dependency components, the
-    variables that chains of pairs link.
+class _Conjunct:
+    """What detection reads off one top-level conjunct of a guard or a
+    constraint, each fact on first use: its variables, its normalised atoms,
+    whether every atom is MC, whether every atom is gap-order, and its pair
+    templates."""
 
-    A part of the system (a projection on a variable split, a sequential
-    part) reads as the system restricted to its names: no atom of its
-    actions crosses the split.  `verdicts` holds feedback freedom per
-    control structure and component, for every part checked."""
+    def __init__(self, formula: Formula):
+        self.formula = formula
+
+    @cached_property
+    def variables(self) -> set[VarId]:
+        return free_vars(self.formula)
+
+    @cached_property
+    def names(self) -> frozenset[str]:
+        return frozenset(v.name for v in self.variables)
+
+    @cached_property
+    def atoms(self) -> list[NormAtom]:
+        return [norm_atom(a) for a in atoms_of(self.formula)]
+
+    @cached_property
+    def mc(self) -> bool:
+        return all(map(solve.is_mc, self.atoms))
+
+    @cached_property
+    def gap_order(self) -> bool:
+        return all(map(solve.is_gap_order, self.atoms))
+
+    @cached_property
+    def templates(self) -> Templates:
+        return _pair_templates(self.atoms)
+
+
+@dataclass
+class _Pairs:
+    """A system's pair templates over variable names: each used action's
+    (its guard's, and the inertia pair of each variable it leaves alone) and
+    the constraints' (offset 0).  `placed` memoises their placements."""
 
     steps: dict[str, Templates]
     constraints: Templates
-    components: list[list[str]]
-    verdicts: dict = field(default_factory=dict)
     placed: dict = field(default_factory=dict)
 
-    def on(self, names: list[str]) -> _Reading:
-        """The reading of the part over `names`, one component."""
+    def on(self, names) -> _Pairs:
+        """The pairs of the part over `names`: no atom of a part's actions
+        crosses a variable split."""
         keep = set(names)
 
         def restrict(t: Templates) -> Templates:
-            eq, gen = ([pq for pq in ps if pq[0][0] in keep and pq[1][0] in keep] for ps in t)
-            return eq, gen
+            eq, gen = t
+            return (
+                [pq for pq in eq if pq[0][0] in keep and pq[1][0] in keep],
+                [pq for pq in gen if pq[0][0] in keep and pq[1][0] in keep],
+            )
 
-        steps = {a: restrict(t) for a, t in self.steps.items()}
-        return _Reading(steps, restrict(self.constraints), [names])
+        return _Pairs({a: restrict(t) for a, t in self.steps.items()}, restrict(self.constraints))
+
+
+class _Reading:
+    """A system read once, by top-level conjunct: every criterion, split
+    and projection asks `conjuncts` for the facts of a formula's conjuncts,
+    and each conjunct is read once per reading, whichever part of the
+    split tree asks.  The variable splits it builds divide their states by
+    its `names` too.
+
+    The computation-graph pairs and the dependency components (the
+    variables that chains of pairs link) are those of the system read.  A
+    part of it (a projection on a variable split, a sequential part) has
+    the pairs of the system restricted to its names.  `verdicts` holds
+    feedback freedom per control structure and component, for every part
+    checked."""
+
+    def __init__(self, d: Ddsa, constraints: Sequence[Formula]):
+        self.d = d
+        self.constraints = list(constraints)
+        self.facts: dict[Formula, _Conjunct] = {}
+        self.by_formula: dict[Formula, list[_Conjunct]] = {}
+        self.verdicts: dict = {}
+
+    def fact(self, c: Formula) -> _Conjunct:
+        hit = self.facts.get(c)
+        if hit is None:
+            hit = self.facts[c] = _Conjunct(c)
+        return hit
+
+    def conjuncts(self, f: Formula) -> list[_Conjunct]:
+        hit = self.by_formula.get(f)
+        if hit is None:
+            hit = self.by_formula[f] = [self.fact(c) for c in _conjuncts(f)]
+        return hit
+
+    def names(self, c: Formula) -> frozenset[str]:
+        return self.fact(c).names
+
+    @cached_property
+    def pairs(self) -> _Pairs:
+        d = self.d
+        steps = {}
+        for a in used_actions(d.transitions):
+            g = d.guard(a)
+            if isinstance(g, FalseF):  # its transition formula has no atom
+                steps[a] = ([], [])
+                continue
+            ks = self.conjuncts(g)
+            written = {v.name for k in ks for v in k.variables if v.kind == WRITE}
+            eq = [pq for k in ks for pq in k.templates[0]]
+            eq += [((v.name, 0), (v.name, 1)) for v in d.variables if v.name not in written]
+            steps[a] = (eq, [pq for k in ks for pq in k.templates[1]])
+        ks = [k for c in self.constraints for k in self.conjuncts(c)]
+        cons = [pq for k in ks for pq in k.templates[0]], [pq for k in ks for pq in k.templates[1]]
+        # a run's graph has nodes for the declared variables only
+        return _Pairs(steps, cons).on(v.name for v in d.variables)
+
+    @cached_property
+    def components(self) -> list[list[str]]:
+        p = self.pairs
+        pairs = (pq for t in (*p.steps.values(), p.constraints) for ps in t for pq in ps)
+        return _groups([v.name for v in self.d.variables], ((a[0], b[0]) for a, b in pairs))
 
 
 def _read(d: Ddsa, constraints: Sequence[Formula]) -> _Reading:
-    inst = {}
-    for v in d.variables:
-        inst[v.read()] = (v.name, 0)
-        inst[v.write()] = (v.name, 1)
-    steps = {
-        a: _pair_templates(atoms_of(dd.transition_formula(d, a)), inst)
-        for a in used_actions(d.transitions)
-    }
-    cons = _pair_templates(
-        (at for c in constraints for at in atoms_of(c)), {v: (v.name, 0) for v in d.variables}
-    )
-    pairs = (pq for t in (*steps.values(), cons) for ps in t for pq in ps)
-    names = [v.name for v in d.variables]
-    return _Reading(steps, cons, _groups(names, ((p[0], q[0]) for p, q in pairs)))
+    """The reading of `d` under `constraints`; nothing is read until asked."""
+    return _Reading(d, constraints)
 
 
-def _graph(r: _Reading, actions: Sequence[str], names: list[str]) -> ComputationGraph:
+def _graph(p: _Pairs, actions: Sequence[str], names: list[str]) -> ComputationGraph:
     """The run's graph: each action's pairs placed at its step, and the
     constraints' at every instant; each placement is built once per
-    reading."""
+    `_Pairs`."""
     g = ComputationGraph(len(actions), names)
     for key in (*enumerate(actions), *((k, None) for k in range(len(actions) + 1))):
-        hit = r.placed.get(key)
+        hit = p.placed.get(key)
         if hit is None:
             k, a = key
-            hit = r.placed[key] = tuple(
+            hit = p.placed[key] = tuple(
                 [frozenset({(n1, o1 + k), (n2, o2 + k)}) for (n1, o1), (n2, o2) in ps]
-                for ps in (r.steps[a] if a is not None else r.constraints)
+                for ps in (p.steps[a] if a is not None else p.constraints)
             )
         g.eq_edges.update(hit[0])
         g.gen_edges.update(hit[1])
@@ -276,7 +385,7 @@ def computation_graph(
     """Dependency graph of a symbolic run, over-approximating verification
     constraints by inserting every constraint at every instant."""
     dd.symbolic_states(d, actions)
-    return _graph(_read(d, constraints), actions, [v.name for v in d.variables])
+    return _graph(_read(d, constraints).pairs, actions, [v.name for v in d.variables])
 
 
 def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None) -> int:
@@ -336,10 +445,10 @@ def check_bounded_lookback(
     """
     if K < 1 or unroll < 1:
         raise ValueError("K and unroll must be positive")
-    r = _read(d, constraints)
+    p = _read(d, constraints).pairs
     names = [v.name for v in d.variables]
     for actions in enumerate_symbolic_runs(d, unroll):
-        _, edges = _graph(r, actions, names).collapsed_edges()
+        _, edges = _graph(p, actions, names).collapsed_edges()
         if _longest_path(edges, stop_above=K) > K:
             return False
     return True
@@ -412,7 +521,7 @@ def _feedback_free(d: Ddsa, r: _Reading, unroll: int) -> bool:
         key = (control, tuple(comp))
         ok = r.verdicts.get(key)
         if ok is None:
-            part = r.on(comp)
+            part = r.pairs.on(comp)
             try:
                 ok = all(
                     _feedback_free_run(_graph(part, actions, comp))
@@ -493,18 +602,21 @@ def _sub_system(d: Ddsa, states: set[str], initial: str, finals: set[str], alpha
     )
 
 
-def _conjuncts(f: Formula) -> tuple[Formula, ...]:
-    return f.args if isinstance(f, And) else (f,)
-
-
-def _by_names(f: Formula, names: set[str]) -> tuple[Formula, Formula]:
+def _by_names(
+    f: Formula, names: set[str], names_of: Callable[[Formula], frozenset[str]]
+) -> tuple[Formula, Formula]:
     """The conjunction of `f`'s top-level conjuncts whose variables all lie
     in `names` (a variable-free one too), and the conjunction of the rest:
-    the one way a variable split divides a formula."""
+    the one way a variable split divides a formula.  `names_of` gives a
+    conjunct's variable names (`_Reading.names`)."""
     inside: list[Formula] = []
     outside: list[Formula] = []
     for c in _conjuncts(f):
-        (inside if {v.name for v in free_vars(c)} <= names else outside).append(c)
+        (inside if names_of(c) <= names else outside).append(c)
+    if not outside:
+        return f, TRUE
+    if not inside:
+        return TRUE, f
     return conj(*inside), conj(*outside)
 
 
@@ -519,19 +631,23 @@ def var_decompose(
     gap-order-expressible ones form the first side; if that degenerates,
     the first component stands against the rest.
     """
+    return _var_split(d, constraints, _read(d, constraints))
+
+
+def _var_split(
+    d: Ddsa, constraints: Sequence[Formula], r: _Reading
+) -> Optional[tuple[tuple[VarId, ...], tuple[VarId, ...]]]:
     names = [v.name for v in d.variables]
-    formulas = [*(d.guard(a) for a in used_actions(d.transitions)), *constraints]
-    shared = [sorted({v.name for v in free_vars(c)}) for f in formulas for c in _conjuncts(f)]
-    ordered = _groups(names, ((vs[0], other) for vs in shared for other in vs[1:]))
+    ks = [k for k in _criterion(r, d, constraints) if k.names]
+    ordered = _groups(names, ((next(iter(k.names)), n) for k in ks for n in k.names))
     if len(ordered) < 2:
         return None
-    # an atom lies in the component of its conjunct
+    # a conjunct lies in one component
     component = {n: i for i, comp in enumerate(ordered) for n in comp}
     gc_ok = [True] * len(ordered)
-    for a in _criterion_atoms(d, constraints):
-        vs = free_vars(a)
-        if vs and not solve.is_gap_order(norm_atom(a)):
-            gc_ok[component[next(iter(vs)).name]] = False
+    for k in ks:
+        i = component[next(iter(k.names))]
+        gc_ok[i] = gc_ok[i] and k.gap_order
     side1 = [n for i, comp in enumerate(ordered) if gc_ok[i] for n in comp]
     side2 = [n for i, comp in enumerate(ordered) if not gc_ok[i] for n in comp]
     if not side1 or not side2:
@@ -545,8 +661,12 @@ def var_decompose(
 def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
     """Projection onto a variable subset: each guard keeps the conjuncts
     over the kept variables (`_by_names`; true when nothing remains)."""
+    return _project(d, keep, _read(d, []))
+
+
+def _project(d: Ddsa, keep: Sequence[VarId], r: _Reading) -> Ddsa:
     keep_names = {v.name for v in keep}
-    guards = {a: _by_names(d.guard(a), keep_names)[0] for a in d.actions}
+    guards = {a: _by_names(d.guard(a), keep_names, r.names)[0] for a in d.actions}
     variables = tuple(v for v in d.variables if v.name in keep_names)
     alpha0 = None if d.alpha0 is None else {v: d.alpha0[v] for v in variables}
     return replace(d, variables=variables, alpha0=alpha0, guards=guards)
@@ -589,9 +709,13 @@ class _Leaf:
     # differ in their system and K, and live for one verify call.
 
     def image(self, state: Formula, action: str) -> Formula:
+        # under a true guard every variable keeps its value: the image is
+        # the state (on a projected leaf, an action that moves none of its
+        # variables)
+        if isinstance(self.d.guard(action), TrueF):
+            return state
         # one image per (state, transition formula), shared by the NFA edges
-        # that conjoin to it and by the actions with that formula (on a
-        # projected leaf, those that move none of its variables)
+        # that conjoin to it and by the actions with that formula
         memo = self.__dict__.setdefault("_image_cache", {})
         key = (state, dd.transition_formula(self.d, action))
         hit = memo.get(key)
@@ -664,6 +788,8 @@ class VarStrategy:
     v2: tuple[VarId, ...]
     left: Strategy
     right: Strategy
+    # a conjunct's variable names: the detection reading's `names`
+    names_of: Callable[[Formula], frozenset[str]] = field(repr=False)
 
     def __post_init__(self):
         self._names1 = {v.name for v in self.v1}
@@ -681,7 +807,7 @@ class VarStrategy:
     def _split(self, state: Formula) -> tuple[Formula, Formula]:
         hit = self._split_cache.get(state)
         if hit is None:
-            hit = self._split_cache[state] = _by_names(state, self._names1)
+            hit = self._split_cache[state] = _by_names(state, self._names1, self.names_of)
         return hit
 
     def image(self, state: Formula, action: str) -> Formula:
@@ -717,8 +843,8 @@ def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
     """A rational system always gets one; an integer system outside the
     gap-order fragment raises NoSummaryFound."""
     constraints = list(constraints)
-    # read on the first feedback-freedom check, if one is made
-    s = _detect(d, constraints, cache(lambda: _read(d, constraints)))
+    r = _read(d, constraints)
+    s = _detect(d, constraints, lambda: r)
     if s is None:
         raise NoSummaryFound(
             "no finite-summary criterion applied; this says nothing about the "
@@ -730,16 +856,18 @@ def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
 def _detect(
     d: Ddsa, constraints: list[Formula], read: Callable[[], _Reading], depth: int = 0
 ) -> Optional[Strategy]:
-    """`read` gives the reading of the system `detect` was called on."""
+    """`read` gives the reading of the system `detect` was called on, which
+    every part of the split tree answers from."""
+    r = read()
     if d.domain == INT:
         # gap-order reasoning is an integer device; a split cannot help, since
         # a non-gap-order atom lands in some part
-        gc_ok, K = check_gc(d, constraints)
+        gc_ok, K = _gc(d, constraints, r)
         return _Leaf(d, label=f"GC(K={K})", K=K) if gc_ok else None
-    if check_mc(d, constraints):
+    if _mc(d, constraints, r):
         return _Leaf(d, label="MC")
     try:
-        if _feedback_free(d, read(), FF_UNROLL):
+        if _feedback_free(d, r, FF_UNROLL):
             return _Leaf(d, label="feedback-free")
     except BudgetExceeded:
         pass
@@ -753,13 +881,14 @@ def _decompose(
 ) -> Optional[Strategy]:
     """A variable split, solved apart; else a sequential split, which only
     certifies the one rational leaf on the whole system."""
-    split = var_decompose(d, constraints)
+    r = read()
+    split = _var_split(d, constraints, r)
     if split is not None:
         v1, v2 = split
-        c1, c2 = _by_names(conj(*constraints), {v.name for v in v1})
-        left = _detect(project_system(d, v1), [c1], read, depth)
-        right = _detect(project_system(d, v2), [c2], read, depth)
-        return VarStrategy(v1, v2, left, right)
+        c1, c2 = _by_names(conj(*constraints), {v.name for v in v1}, r.names)
+        left = _detect(_project(d, v1, r), [c1], read, depth)
+        right = _detect(_project(d, v2, r), [c2], read, depth)
+        return VarStrategy(v1, v2, left, right, r.names)
     parts = seq_decompose(d)
     if parts is not None:
         d1, d2, cut = parts

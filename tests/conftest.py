@@ -1,13 +1,19 @@
 import math
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from damc import parsing, solve
-from damc.summary import ComputationGraph, enumerate_symbolic_runs
+from damc.summary import (
+    ComputationGraph,
+    enumerate_symbolic_runs,
+    seq_decompose,
+    used_actions,
+)
 from damc.ddsa import Ddsa, transition_formula
 from damc.formula import (
     INDEXED,
@@ -28,7 +34,7 @@ from damc.formula import (
     norm_atom,
     substitute,
 )
-from damc.solve import NotGapOrder
+from damc.solve import BudgetExceeded, NotGapOrder
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -577,3 +583,128 @@ def reference_bounded_lookback(d, constraints, K, unroll):
         if any(too_long([n]) for n in adj):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Detection reading every atom afresh, per part and per criterion
+
+
+def _reference_criterion_atoms(d, constraints):
+    out = []
+    for a in used_actions(d.transitions):
+        out.extend(atoms_of(d.guard(a)))
+    for c in constraints:
+        out.extend(atoms_of(c))
+    out.extend(a for f in d.initial_constraints() for a in atoms_of(f))
+    return out
+
+
+def reference_check_mc(d, constraints):
+    """Monotonicity criterion over every atom of the used guards, the
+    constraints and the initial assignment."""
+    if d.domain != RAT:
+        return False
+    return all(solve.is_mc(norm_atom(a)) for a in _reference_criterion_atoms(d, constraints))
+
+
+def _reference_conjuncts(f):
+    return f.args if isinstance(f, And) else (f,)
+
+
+def _reference_groups(names, pairs):
+    parent = {n: n for n in names}
+
+    def find(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    comps = {}
+    for n in names:
+        comps.setdefault(find(n), []).append(n)
+    return [comps[r] for r in sorted(comps, key=names.index)]
+
+
+def reference_var_decompose(d, constraints):
+    """The two-part variable split by conjunct co-occurrence, gap-order
+    components first, with each atom's gap-order test made on the atom."""
+    names = [v.name for v in d.variables]
+    formulas = [*(d.guard(a) for a in used_actions(d.transitions)), *constraints]
+    shared = [
+        sorted({v.name for v in free_vars(c)}) for f in formulas for c in _reference_conjuncts(f)
+    ]
+    ordered = _reference_groups(names, ((vs[0], other) for vs in shared for other in vs[1:]))
+    if len(ordered) < 2:
+        return None
+    component = {n: i for i, comp in enumerate(ordered) for n in comp}
+    gc_ok = [True] * len(ordered)
+    for a in _reference_criterion_atoms(d, constraints):
+        vs = free_vars(a)
+        if vs and not solve.is_gap_order(norm_atom(a)):
+            gc_ok[component[next(iter(vs)).name]] = False
+    side1 = [n for i, comp in enumerate(ordered) if gc_ok[i] for n in comp]
+    side2 = [n for i, comp in enumerate(ordered) if not gc_ok[i] for n in comp]
+    if not side1 or not side2:
+        side1 = ordered[0]
+        side2 = [n for comp in ordered[1:] for n in comp]
+    v1 = tuple(v for v in d.variables if v.name in set(side1))
+    v2 = tuple(v for v in d.variables if v.name in set(side2))
+    return v1, v2
+
+
+def reference_by_names(f, names):
+    """`f`'s top-level conjuncts over `names`, and the rest, as
+    conjunctions."""
+    inside, outside = [], []
+    for c in _reference_conjuncts(f):
+        (inside if {v.name for v in free_vars(c)} <= names else outside).append(c)
+    return conj(*inside), conj(*outside)
+
+
+def reference_project_guards(d, keep):
+    """Each guard's conjuncts over the kept variables."""
+    names = {v.name for v in keep}
+    return {a: reference_by_names(d.guard(a), names)[0] for a in d.actions}
+
+
+def reference_project_system(d, keep):
+    variables = tuple(v for v in d.variables if v.name in {w.name for w in keep})
+    alpha0 = None if d.alpha0 is None else {v: d.alpha0[v] for v in variables}
+    return replace(
+        d, variables=variables, alpha0=alpha0, guards=reference_project_guards(d, keep)
+    )
+
+
+def reference_detect_label(d, constraints, depth=0):
+    """The label detection gives a rational system, each part read afresh:
+    MC, then feedback freedom on each run's whole graph, then a variable
+    split, then a sequential split."""
+    if reference_check_mc(d, constraints):
+        return "MC"
+    try:
+        if reference_feedback_free(d, constraints):
+            return "feedback-free"
+    except BudgetExceeded:
+        pass
+    if depth < 8:
+        split = reference_var_decompose(d, constraints)
+        if split is not None:
+            v1, v2 = split
+            c1, c2 = reference_by_names(conj(*constraints), {v.name for v in v1})
+            left = reference_detect_label(reference_project_system(d, v1), [c1], depth + 1)
+            right = reference_detect_label(reference_project_system(d, v2), [c2], depth + 1)
+            n1 = ",".join(v.name for v in v1)
+            n2 = ",".join(v.name for v in v2)
+            return f"var-compose({{{n1}}}: {left}; {{{n2}}}: {right})"
+        parts = seq_decompose(d)
+        if parts is not None:
+            d1, d2, cut = parts
+            if set(d1.states) != set(d.states) or d1.finals != d.finals:
+                left = reference_detect_label(d1, constraints, depth + 1)
+                right = reference_detect_label(d2, constraints, depth + 1)
+                return f"seq-compose({left}, {right}; cut='{cut}')"
+    return "exact-fixpoint"

@@ -10,7 +10,20 @@ from hypothesis import strategies as st
 from damc import ddsa as dd, ltlf as lt, oracle, parsing, solve, summary
 from damc.cli import _verdict_json
 from damc.ddsa import Ddsa, validate_run
-from damc.formula import INT, RAT, And, Term, VarId, atom, conj, disj, evaluate, free_vars, neg
+from damc.formula import (
+    INT,
+    RAT,
+    TRUE,
+    And,
+    Term,
+    VarId,
+    atom,
+    conj,
+    disj,
+    evaluate,
+    free_vars,
+    neg,
+)
 from damc.product import (
     InternalInconsistency,
     build_product,
@@ -621,13 +634,16 @@ def test_auction_verdict_json_golden(auction, name):
 
 def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
     # the leaves memoise their images per (state, transition formula) and
-    # their sat answers, so no input reaches the solver twice
+    # their sat answers, so no input reaches the solver twice; an action
+    # whose guard on a leaf is true has the state itself as its image, and
+    # never reaches the solver
     update, is_sat, leaf_sat = dd.update, solve.is_sat, summary._Leaf.sat
     images: Counter = Counter()
     solved: Counter = Counter()
     leaves: list = []
 
     def counting_update(d, phi, action, **kwargs):
+        assert d.guard(action) != TRUE, action
         images[(id(d), phi, dd.transition_formula(d, action))] += 1
         return update(d, phi, action, **kwargs)
 
@@ -648,21 +664,29 @@ def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
     monkeypatch.setattr(summary._Leaf, "sat", tracked_leaf_sat)
     psi = parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", auction)
     assert verify(auction, psi).kind == "witness"
-    assert len(images) == 37 and set(images.values()) == {1}
+    assert len(images) == 28 and set(images.values()) == {1}
     assert solved and set(solved.values()) == {1}
 
 
 def test_projected_leaf_images_each_state_and_transition_formula_once(auction, monkeypatch):
     # on the auction's {b} leaf, init, check, dec, sellnow and fee all
-    # leave b alone (b^w = b^r), so a state asked for by several of them is
-    # imaged once
+    # leave b alone (their guard there is true), so their image is the
+    # state itself and no state reaches dd.update through them; every
+    # other (leaf, state, transition formula) asked for is imaged once
     update, leaf_image = dd.update, summary._Leaf.image
-    asked: dict = {}
+    moving: dict = {}
+    still: dict = {}
     imaged: Counter = Counter()
 
     def tracked_image(self, state, action):
-        asked.setdefault((id(self.d), state, dd.transition_formula(self.d, action)), set()).add(action)
-        return leaf_image(self, state, action)
+        key = (id(self.d), state, dd.transition_formula(self.d, action))
+        out = leaf_image(self, state, action)
+        if self.d.guard(action) == TRUE:
+            assert out is state
+            still.setdefault(key, set()).add(action)
+        else:
+            moving.setdefault(key, set()).add(action)
+        return out
 
     def counting_update(d, phi, action, **kwargs):
         imaged[(id(d), phi, dd.transition_formula(d, action))] += 1
@@ -673,11 +697,11 @@ def test_projected_leaf_images_each_state_and_transition_formula_once(auction, m
     psi = parsing.parse_property("F (sold & b=0)", auction)
     v = verify(auction, psi)
     assert "{b}: MC" in v.stats.strategy
-    assert imaged.keys() == asked.keys() and set(imaged.values()) == {1}
+    assert imaged.keys() == moving.keys() and set(imaged.values()) == {1}
+    assert not still.keys() & moving.keys()
     shared: dict = {}
-    for (_, _, tf), acts in asked.items():
-        if len(acts) > 1:
-            shared.setdefault(str(tf), set()).update(acts)
+    for (_, _, tf), acts in still.items():
+        shared.setdefault(str(tf), set()).update(acts)
     assert shared["b^w = b^r"] == {"init", "check", "dec", "sellnow", "fee"}
 
 
@@ -859,6 +883,111 @@ def test_split_of_disjunctive_and_negated_guards_agrees_with_oracle(query):
         assert v.kind != "no-witness", (text, guards)
     if v.kind == "no-witness":
         assert found is None, (text, guards)
+
+
+# shop-2 (b4 with a `[]` step `done` into the final control) beside an
+# independent counter c: the split gives c a leaf of its own, on which every
+# shop action's guard is true, and `done` and `tick` are true on the other
+SHOP_2_TICK = """domain rat
+vars a0 a1 s c
+init a0=0 a1=0 s=0 c=0
+states 1 2 3 4
+initial 1
+final 4
+trans 1 pick_0 1 [a0^w > 0]
+trans 1 add_0 2 [s^w = a0^r]
+trans 2 pick_1 2 [a1^w > 0]
+trans 2 add_1 3 [s^w = s^r + a1^r]
+trans 3 done 4 []
+trans 4 reset 1 [a0^w = 0 && a1^w = 0]
+trans 4 tick 4 [c^w > c^r]
+"""
+
+# a gap-order system whose `skip` step into the final control is `[]`, and
+# whose `check` writes nothing but is not true
+GAP_SKIP = """domain int
+vars x y
+init x=0 y=0
+states 1 2
+initial 1
+final 2
+trans 1 a 1 [x^w - x^r >= 1]
+trans 1 skip 2 []
+trans 2 b 2 [y^w > x^r]
+trans 2 check 2 [x^r >= 2]
+"""
+
+
+def _leaves(strategy):
+    if isinstance(strategy, summary._Leaf):
+        return [strategy]
+    return _leaves(strategy.left) + _leaves(strategy.right)
+
+
+@st.composite
+def _leaf_states(draw, variables, gap_order):
+    """A disjunction of 1-2 cubes of 1-3 atoms over the variables: bounds
+    and differences, gap-order shaped when `gap_order`."""
+    v = st.sampled_from(variables)
+    k = st.integers(0, 3) if gap_order else st.integers(-2, 2)
+
+    def one():
+        shape, a, b, c = draw(st.integers(0, 3)), draw(v), draw(v), draw(k)
+        if gap_order:
+            return (
+                atom(Term.of(a) - b, ">=", c),
+                atom(a, ">=", c),
+                atom(a, "<=", c),
+                atom(a, "!=", c),
+            )[shape]
+        op = draw(st.sampled_from(["<", "<=", "=", ">=", ">", "!="]))
+        return atom(Term.of(a) - b, op, c) if shape == 0 else atom(a, op, c)
+
+    cubes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    return disj(*(conj(*(one() for _ in range(n))) for n in cubes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_leaf_image_under_a_true_guard_is_the_state(data):
+    # under a true guard every variable keeps its value, so the image is
+    # the state itself, and it is equivalent to the solver's image; under
+    # any other guard, one that writes nothing too, the image is the solver's
+    shop, gap = parsing.parse_model(SHOP_2_TICK), parsing.parse_model(GAP_SKIP)
+    split = detect(shop, [])
+    assert split.describe() == "var-compose({c}: MC; {a0,a1,s}: exact-fixpoint)"
+    leaves = _leaves(split) + [detect(gap, [])]
+    assert leaves[-1].K is not None
+    for leaf in leaves:
+        state = data.draw(_leaf_states(leaf.d.variables, leaf.K is not None))
+        still = [a for a in leaf.d.actions if leaf.d.guard(a) == TRUE]
+        assert still
+        for a in leaf.d.actions:
+            image = dd.update(leaf.d, state, a)
+            if a in still:
+                assert leaf.image(state, a) is state
+                assert equivalent(state, image, leaf.d.domain), (state, a)
+            else:
+                assert leaf.image(state, a) == image, (state, a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_two_group_systems().filter(lambda q: "[]" in q[0]))
+@example((SHOP_2_TICK, "F (4 & c > 1)"))
+@example((SHOP_2_TICK, "G (s <= 1) | F (c > 0 & X (4 & s > 0))"))
+def test_true_guard_steps_under_a_variable_split_agree_with_oracle(query):
+    # `[]` steps, and the actions that move none of a part's variables,
+    # are imaged as the state itself on each side of the split
+    model, prop = query
+    d = parsing.parse_model(model)
+    psi = parsing.parse_property(prop, d)
+    assert summary.var_decompose(d, lt.constraints_of(lt.preprocess(psi))) is not None
+    v = verify(d, psi, max_nodes=50)
+    found = oracle.brute_force_witness(d, psi, 3, frac_grid(0, 2))
+    if found is not None:
+        assert v.kind != "no-witness", (model, prop)
+    if v.kind == "no-witness":
+        assert found is None, (model, prop)
 
 
 DISJUNCTION_GOLDEN = json.loads(

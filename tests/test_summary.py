@@ -4,11 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from damc import parsing, solve, summary
+from damc import ddsa, parsing, solve, summary
 from damc.ddsa import Ddsa, history_constraint
 from damc.formula import (
     INT,
     RAT,
+    And,
     Term,
     VarId,
     atom,
@@ -40,8 +41,13 @@ from conftest import (
     MODELS,
     load_model,
     reference_bounded_lookback,
+    reference_by_names,
+    reference_check_mc,
     reference_computation_graph,
+    reference_detect_label,
     reference_feedback_free,
+    reference_project_guards,
+    reference_var_decompose,
     with_domain,
 )
 
@@ -142,10 +148,13 @@ def test_feedback_free_implies_bounded_lookback(b2):
 
 
 @st.composite
-def component_systems(draw):
+def component_systems(draw, rich=False):
     """Rational systems whose variables fall into 2-3 groups with every atom
     inside one group: self-loops, `v^w = w^r` atoms that merge the classes
-    of two variables, general atoms, and constraint atoms."""
+    of two variables, general atoms, and constraint atoms.  Any guard may be
+    `[]` (true).  With `rich`, a guard or constraint conjunct may also be a
+    disjunction of two atoms, each from any group, or a variable-free
+    atom."""
     groups, k = [], 0
     for n in draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)):
         groups.append([VarId(f"v{k + i}") for i in range(n)])
@@ -179,6 +188,14 @@ def component_systems(draw):
             return atom(v, "=", w)
         return atom(Term.of(v) + w, ">", draw(c)) if shape == 1 else atom(v, ">", draw(c))
 
+    def conjunct(make):
+        kind = draw(st.integers(0, 3)) if rich else 0
+        if kind == 1:
+            return disj(make(), make())
+        if kind == 2:
+            return atom(draw(c), draw(st.sampled_from(["<", "<=", "=", "!="])), draw(c))
+        return make()
+
     variables = tuple(v for g in groups for v in g)
     d = Ddsa(
         states=tuple(states),
@@ -189,12 +206,12 @@ def component_systems(draw):
         variables=variables,
         alpha0=dict.fromkeys(variables, F(0)),
         guards={
-            a: conj(*(guard_atom() for _ in range(draw(st.integers(0, 2)))))
+            a: conj(*(conjunct(guard_atom) for _ in range(draw(st.integers(0, 2)))))
             for _, a, _ in transitions
         },
         domain=RAT,
     )
-    return d, [constraint() for _ in range(draw(st.integers(0, 2)))]
+    return d, [conjunct(constraint) for _ in range(draw(st.integers(0, 2)))]
 
 
 def _outcome(check):
@@ -230,6 +247,68 @@ def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, 
             assert _outcome(lambda: summary._feedback_free(part, r, unroll)) == _outcome(
                 lambda: reference_feedback_free(part, cs, unroll)
             ), [v.name for v in part.variables]
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_systems(rich=True))
+def test_detection_from_one_reading_matches_reading_each_part_afresh(system):
+    # MC, the variable split, the projected guards and the parts'
+    # constraints, answered from the whole system's reading for every part
+    # of the split tree, and the label detection gives, agree with the
+    # references that read every atom of each part afresh
+    d, constraints = system
+    assert check_mc(d, constraints) == reference_check_mc(d, constraints)
+    assert var_decompose(d, constraints) == reference_var_decompose(d, constraints)
+    r = summary._read(d, constraints)
+    todo = [(d, constraints, 0)]
+    while todo:
+        part, cs, depth = todo.pop()
+        assert summary._mc(part, cs, r) == reference_check_mc(part, cs)
+        split = summary._var_split(part, cs, r)
+        assert split == reference_var_decompose(part, cs)
+        if depth == 3:
+            continue
+        for side in split or ():
+            projected = summary._project(part, side, r)
+            assert projected.guards == reference_project_guards(part, side)
+            assert project_system(part, side).guards == projected.guards
+            names = {v.name for v in side}
+            kept = summary._by_names(conj(*cs), names, r.names)[0]
+            assert kept == reference_by_names(conj(*cs), names)[0]
+            todo.append((projected, [kept], depth + 1))
+        halves = seq_decompose(part) if split is None else None
+        todo += [(h, cs, depth + 1) for h in halves[:2]] if halves else []
+    assert detect(d, constraints).describe() == reference_detect_label(d, constraints)
+
+
+def test_detect_reads_each_conjunct_once_and_builds_no_transition_formula(
+    auction, monkeypatch
+):
+    # psi11's detection splits the auction three ways and checks MC and the
+    # gap-order side of the split on every part; each guard or constraint
+    # conjunct is tested for gap-order at most once, and the computation
+    # graphs' pairs come from the guards and the write sets
+    psi = parsing.parse_property("F (sold & d>0 & o<=t)", auction)
+    constraints = constraints_of(preprocess(psi))
+    conjuncts = {
+        c
+        for f in (*auction.guards.values(), *constraints)
+        for c in (f.args if isinstance(f, And) else (f,))
+    }
+    is_gap_order, tested = solve.is_gap_order, []
+
+    def counted(na):
+        tested.append(na)
+        return is_gap_order(na)
+
+    def no_transition_formula(d, action):
+        raise AssertionError(f"transition formula of {action} built")
+
+    monkeypatch.setattr(solve, "is_gap_order", counted)
+    monkeypatch.setattr(ddsa, "transition_formula", no_transition_formula)
+    strat = detect(auction, constraints)
+    assert strat.describe().startswith("var-compose({d,b}: var-compose({d}:")
+    assert 0 < len(tested) <= len(conjuncts)
 
 
 # The run a1 a1 has a collapsed path of 4 edges; the a0 steps of its maximal
