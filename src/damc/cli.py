@@ -176,11 +176,19 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[int, str]:
     return EXIT_WITNESS, "\n".join(lines)
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def natural_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="brute-force search on a value grid")
     common(po, needs_prop=True)
-    po.add_argument("--max-len", type=int, default=5)
-    po.add_argument("--grid-max", type=int, default=8)
+    po.add_argument("--max-len", type=natural_int, default=5)
+    po.add_argument("--grid-max", type=natural_int, default=8)
 
     return ap
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import ltlf as lt
 from .ddsa import Ddsa, validate
@@ -133,10 +133,14 @@ class _Stream:
     def expect(self, kind, value=None):
         got = self.accept(kind, value)
         if got is None:
-            k, v, c = self.peek()
-            want = value or kind
-            raise ParseError(f"expected {want!r}, found {v!r}", self.line, c + 1)
+            self.fail(f"expected {value or kind!r}")
         return got
+
+    def fail(self, expected: str) -> NoReturn:
+        """Raise `expected`, saying what peek points at, and where."""
+        _, v, c = self.peek()
+        found = "end of input" if v is None else repr(v)
+        raise ParseError(f"{expected}, found {found}", self.line, c + 1)
 
     def done(self):
         return self.i >= len(self.toks)
@@ -195,15 +199,14 @@ def _parse_term_atom(s: _Stream) -> Term:
     if k == "name":
         s.next()
         return Term.of(_var_of(v))
-    raise ParseError(f"expected a term, found {v!r}", s.line, c + 1)
+    s.fail("expected a term")
 
 
 def _parse_atom(s: _Stream) -> Atom:
     lhs = _parse_term(s)
-    k, v, c = s.peek()
-    if k != "op":
-        raise ParseError(f"expected a comparison, found {v!r}", s.line, c + 1)
-    s.next()
+    if s.peek()[0] != "op":
+        s.fail("expected a comparison")
+    _, v, _ = s.next()
     rhs = _parse_term(s)
     return Atom(lhs, v, rhs)
 

@@ -18,12 +18,13 @@ from .solve import BudgetExceeded
 
 
 class ProductBudgetExceeded(BudgetExceeded):
-    """The node budget stopped the product; `sizes` are the nodes, edges and
-    finals built by then."""
+    """A budget (the node budget or a solver's) stopped the product;
+    `product` is what was built by then: the first nodes of the whole
+    product, in its BFS order, with their edges, finals and BFS tree."""
 
-    def __init__(self, message: str, sizes: tuple[int, int, int]):
+    def __init__(self, message: str, product: ProductAutomaton):
         super().__init__(message)
-        self.sizes = sizes
+        self.product = product
 
 
 class InternalInconsistency(Exception):
@@ -110,18 +111,16 @@ def build_product(
     successors, so non-final ones are dead).
 
     A budget stop (the node budget or a solver's) raises
-    `ProductBudgetExceeded` with the sizes built so far.
+    `ProductBudgetExceeded` with the product built so far.
     """
     if d.dummy is None:
         raise ValueError("build_product needs the dummy-extended system")
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
     dummy_action = d.dummy[1]
     init = strategy.canon(conj(*d.initial_constraints()))
-    nodes = [PNode(d.initial, nfa.initial, init)]
+    p = ProductAutomaton(nfa, [PNode(d.initial, nfa.initial, init)], [], 0, set(), [None])
+    nodes, edges, finals, parents = p.nodes, p.edges, p.finals, p.parents
     index = {(d.initial, nfa.initial, init): 0}
-    parents: list[Optional[PEdge]] = [None]
-    edges: list[PEdge] = []
-    finals: set[int] = set()
     queue = deque([0])
     try:
         while queue:
@@ -147,7 +146,7 @@ def build_product(
                             raise ProductBudgetExceeded(
                                 f"product exceeded {max_nodes} nodes: "
                                 "the node budget (--max-nodes) was reached",
-                                (len(nodes), len(edges), len(finals)),
+                                p,
                             )
                         index[(dst, ne.dst, rep)] = j
                         nodes.append(PNode(dst, ne.dst, rep))
@@ -159,9 +158,9 @@ def build_product(
                     edges.append(edge)
     except ProductBudgetExceeded:
         raise
-    except BudgetExceeded as e:  # a solver budget: keep its message, add the sizes
-        raise ProductBudgetExceeded(str(e), (len(nodes), len(edges), len(finals))) from e
-    return ProductAutomaton(nfa, nodes, edges, 0, finals, parents)
+    except BudgetExceeded as e:  # a solver budget: keep its message, add the product
+        raise ProductBudgetExceeded(str(e), p) from e
+    return p
 
 
 def find_accepting_path(p: ProductAutomaton) -> Optional[list[PEdge]]:
@@ -306,7 +305,9 @@ def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
 
     Failures to detect a summary, to stay within budget or to search the
     integers exactly, in any phase up to witness extraction, yield an
-    inconclusive verdict, never an unsound answer.
+    inconclusive verdict, never an unsound answer.  A budget stop that has
+    built a final node still gives its witness: the nodes built are the
+    whole product's first ones, so the path is the one it would give.
     """
     pre = lt.preprocess(psi)
     constraints = lt.constraints_of(pre)
@@ -317,14 +318,18 @@ def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
         nfa = lt.build_nfa(pre, d.domain)
         stats.nfa_states = len(nfa.states)
         stats.nfa_edges = len(nfa.edges)
-        extended = extend_with_dummy(d)
-        prod = build_product(extended, nfa, strategy, max_nodes)
+        try:
+            prod, stop = build_product(extend_with_dummy(d), nfa, strategy, max_nodes), None
+        except ProductBudgetExceeded as e:
+            prod, stop = e.product, e
         stats.product_nodes = len(prod.nodes)
         stats.product_edges = len(prod.edges)
         stats.product_finals = len(prod.finals)
         keep = dict(product=prod, nfa=nfa, strategy=strategy)
         path = find_accepting_path(prod)
         if path is None:
+            if stop is not None:
+                raise stop
             # exact: every leaf's relation is (logical equivalence over Q,
             # cutoff equivalence at K on the integer gap-order fragment), so
             # merged states have the same continuations, and a saturated
@@ -332,8 +337,6 @@ def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
             return Verdict("no-witness", stats, **keep)
         run, word = extract_witness(d, path)
     except (sm.NoSummaryFound, BudgetExceeded, solve.UnsupportedInteger) as e:
-        if isinstance(e, ProductBudgetExceeded):
-            stats.product_nodes, stats.product_edges, stats.product_finals = e.sizes
         return Verdict("inconclusive", stats, reason=str(e))
     _assert_witness(d, run, word, pre)
     return Verdict("witness", stats, run=run, word=word, **keep)

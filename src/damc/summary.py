@@ -24,18 +24,18 @@ conjunct of a guard or constraint, and the projected guards, the parts'
 constraints and a state's parts each take the conjuncts over their
 variables.
 
-Detection reads the system once (`_Reading`), and every part of the split
-tree answers from that reading.  The reading keeps, per top-level conjunct
-of a guard or constraint, its variable names, whether every atom is MC,
-whether every atom is gap-order, and its computation-graph pair templates,
-each computed on first use: MC, the variable split and its gap-order side,
-the projected guards and the parts' constraints all ask it, and a part
-shares its parent's conjuncts.  The graphs' inertia pairs come from the
-write sets, so no transition formula is built.  Feedback freedom is checked
-once per control structure and dependency component, and shared by every
-part with both: no atom links two components, so a run's computation graph
-is the disjoint union of its components' graphs, and the system is
-feedback-free exactly when each component is.
+Detection reads each formula once, whichever detection or part of the
+split tree asks: `_FACTS` memoises, per guard, constraint or top-level
+conjunct, its variables and their names, its normalised atoms, whether
+every atom is MC, whether every atom is gap-order, its computation-graph
+pair templates and its conjuncts' facts, each on first use.  Every
+criterion, split and projection answers from it.  The graphs' inertia
+pairs come from the write sets, so no transition formula is built.  A
+detection's one state is its feedback-freedom memo, shared by the split
+tree: the root's pairs, which a part takes restricted to its names, and
+the verdict per control structure and dependency component.  No atom
+links two components, so a run's computation graph is the disjoint union
+of theirs, and the system is feedback-free exactly when each component is.
 
 A leaf's image under an action whose guard on it is true is the state
 itself: every variable keeps its value.  On a projected leaf that is every
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import ddsa as dd
 from . import solve
@@ -82,37 +82,26 @@ def used_actions(transitions: Sequence[tuple[str, str, str]]) -> list[str]:
     return list(dict.fromkeys([a for (_, a, _) in transitions]))
 
 
-def _conjuncts(f: Formula) -> tuple[Formula, ...]:
-    return f.args if isinstance(f, And) else (f,)
-
-
-def _criterion(r: _Reading, d: Ddsa, constraints: Sequence[Formula]) -> list[_Conjunct]:
-    """The top-level conjuncts of the used guards and of the constraints.
-    The initial assignment's atoms compare one variable with a constant, so
-    they are MC and gap-order and no criterion but `K` reads them."""
+def _criterion(d: Ddsa, constraints: Sequence[Formula]) -> list[_Facts]:
+    """The facts of the top-level conjuncts of the used guards and of the
+    constraints.  The initial assignment's atoms compare one variable with a
+    constant, so they are MC and gap-order and no criterion but `K` reads
+    them."""
     formulas = [d.guard(a) for a in used_actions(d.transitions)] + list(constraints)
-    return [k for f in formulas for k in r.conjuncts(f)]
+    return [k for f in formulas for k in _fact(f).conjuncts]
 
 
 def check_mc(d: Ddsa, constraints: Sequence[Formula]) -> bool:
     """Monotonicity criterion: rational domain and every atom of guards and
     constraints compares two variables/constants."""
-    return _mc(d, constraints, _read(d, constraints))
-
-
-def _mc(d: Ddsa, constraints: Sequence[Formula], r: _Reading) -> bool:
-    return d.domain == RAT and all(k.mc for k in _criterion(r, d, constraints))
+    return d.domain == RAT and all(k.mc for k in _criterion(d, constraints))
 
 
 def check_gc(d: Ddsa, constraints: Sequence[Formula]) -> tuple[bool, Optional[int]]:
     """Gap-order criterion plus the cutoff bound K, over the atoms of
     guards, the initial assignment and the verification constraints, read
     off their tightened rows (`solve.gap_order_bound`)."""
-    return _gc(d, constraints, _read(d, constraints))
-
-
-def _gc(d: Ddsa, constraints: Sequence[Formula], r: _Reading) -> tuple[bool, Optional[int]]:
-    atoms = [na for k in _criterion(r, d, constraints) for na in k.atoms]
+    atoms = [na for k in _criterion(d, constraints) for na in k.atoms]
     atoms += (norm_atom(a) for f in d.initial_constraints() for a in atoms_of(f))
     K = solve.gap_order_bound(atoms)
     return (K is not None, K)
@@ -235,11 +224,9 @@ def _pair_templates(atoms: Sequence[NormAtom]) -> Templates:
     return eq, gen
 
 
-class _Conjunct:
-    """What detection reads off one top-level conjunct of a guard or a
-    constraint, each fact on first use: its variables, its normalised atoms,
-    whether every atom is MC, whether every atom is gap-order, and its pair
-    templates."""
+class _Facts:
+    """What detection reads off a guard, a constraint or a top-level
+    conjunct of one, each fact on first use (the module docstring)."""
 
     def __init__(self, formula: Formula):
         self.formula = formula
@@ -268,13 +255,33 @@ class _Conjunct:
     def templates(self) -> Templates:
         return _pair_templates(self.atoms)
 
+    @cached_property
+    def conjuncts(self) -> list[_Facts]:
+        f = self.formula
+        return [_fact(c) for c in f.args] if isinstance(f, And) else [self]
+
+
+# The facts per formula, shared by every detection: they depend on the
+# formula alone.  Capped as `solve._DNF_CACHE` is.
+_FACTS: dict[Formula, _Facts] = {}
+
+
+def _fact(f: Formula) -> _Facts:
+    hit = _FACTS.get(f)
+    if hit is None:
+        hit = _Facts(f)
+        if len(_FACTS) < 100_000:
+            _FACTS[f] = hit
+    return hit
+
 
 @dataclass
 class _Pairs:
-    """A system's pair templates over variable names: each used action's
-    (its guard's, and the inertia pair of each variable it leaves alone) and
-    the constraints' (offset 0).  `placed` memoises their placements."""
+    """A system's pair templates over its variable `names`: each used
+    action's (its guard's, and an inertia pair per variable it leaves alone)
+    and the constraints' (offset 0).  `placed` memoises their placements."""
 
+    names: list[str]
     steps: dict[str, Templates]
     constraints: Templates
     placed: dict = field(default_factory=dict)
@@ -291,81 +298,45 @@ class _Pairs:
                 [pq for pq in gen if pq[0][0] in keep and pq[1][0] in keep],
             )
 
-        return _Pairs({a: restrict(t) for a, t in self.steps.items()}, restrict(self.constraints))
-
-
-class _Reading:
-    """A system read once, by top-level conjunct: every criterion, split
-    and projection asks `conjuncts` for the facts of a formula's conjuncts,
-    and each conjunct is read once per reading, whichever part of the
-    split tree asks.  The variable splits it builds divide their states by
-    its `names` too.
-
-    The computation-graph pairs and the dependency components (the
-    variables that chains of pairs link) are those of the system read.  A
-    part of it (a projection on a variable split, a sequential part) has
-    the pairs of the system restricted to its names.  `verdicts` holds
-    feedback freedom per control structure and component, for every part
-    checked."""
-
-    def __init__(self, d: Ddsa, constraints: Sequence[Formula]):
-        self.d = d
-        self.constraints = list(constraints)
-        self.facts: dict[Formula, _Conjunct] = {}
-        self.by_formula: dict[Formula, list[_Conjunct]] = {}
-        self.verdicts: dict = {}
-
-    def fact(self, c: Formula) -> _Conjunct:
-        hit = self.facts.get(c)
-        if hit is None:
-            hit = self.facts[c] = _Conjunct(c)
-        return hit
-
-    def conjuncts(self, f: Formula) -> list[_Conjunct]:
-        hit = self.by_formula.get(f)
-        if hit is None:
-            hit = self.by_formula[f] = [self.fact(c) for c in _conjuncts(f)]
-        return hit
-
-    def names(self, c: Formula) -> frozenset[str]:
-        return self.fact(c).names
-
-    @cached_property
-    def pairs(self) -> _Pairs:
-        d = self.d
-        steps = {}
-        for a in used_actions(d.transitions):
-            g = d.guard(a)
-            if isinstance(g, FalseF):  # its transition formula has no atom
-                steps[a] = ([], [])
-                continue
-            ks = self.conjuncts(g)
-            written = {v.name for k in ks for v in k.variables if v.kind == WRITE}
-            eq = [pq for k in ks for pq in k.templates[0]]
-            eq += [((v.name, 0), (v.name, 1)) for v in d.variables if v.name not in written]
-            steps[a] = (eq, [pq for k in ks for pq in k.templates[1]])
-        ks = [k for c in self.constraints for k in self.conjuncts(c)]
-        cons = [pq for k in ks for pq in k.templates[0]], [pq for k in ks for pq in k.templates[1]]
-        # a run's graph has nodes for the declared variables only
-        return _Pairs(steps, cons).on(v.name for v in d.variables)
+        return _Pairs(
+            [n for n in self.names if n in keep],
+            {a: restrict(t) for a, t in self.steps.items()},
+            restrict(self.constraints),
+        )
 
     @cached_property
     def components(self) -> list[list[str]]:
-        p = self.pairs
-        pairs = (pq for t in (*p.steps.values(), p.constraints) for ps in t for pq in ps)
-        return _groups([v.name for v in self.d.variables], ((a[0], b[0]) for a, b in pairs))
+        """The dependency components: the names that chains of pairs link."""
+        pairs = (pq for t in (*self.steps.values(), self.constraints) for ps in t for pq in ps)
+        return _groups(self.names, ((a[0], b[0]) for a, b in pairs))
 
 
-def _read(d: Ddsa, constraints: Sequence[Formula]) -> _Reading:
-    """The reading of `d` under `constraints`; nothing is read until asked."""
-    return _Reading(d, constraints)
+def _pairs(d: Ddsa, constraints: Sequence[Formula]) -> _Pairs:
+    """The pairs of `d` under `constraints`, from the write sets and the
+    conjuncts' templates: no transition formula is built."""
+    steps = {}
+    for a in used_actions(d.transitions):
+        g = d.guard(a)
+        if isinstance(g, FalseF):  # its transition formula has no atom
+            steps[a] = ([], [])
+            continue
+        ks = _fact(g).conjuncts
+        written = {v.name for k in ks for v in k.variables if v.kind == WRITE}
+        eq = [pq for k in ks for pq in k.templates[0]]
+        eq += [((v.name, 0), (v.name, 1)) for v in d.variables if v.name not in written]
+        steps[a] = (eq, [pq for k in ks for pq in k.templates[1]])
+    ks = [k for c in constraints for k in _fact(c).conjuncts]
+    cons = [pq for k in ks for pq in k.templates[0]], [pq for k in ks for pq in k.templates[1]]
+    # a run's graph has nodes for the declared variables only
+    names = [v.name for v in d.variables]
+    return _Pairs(names, steps, cons).on(names)
 
 
-def _graph(p: _Pairs, actions: Sequence[str], names: list[str]) -> ComputationGraph:
-    """The run's graph: each action's pairs placed at its step, and the
-    constraints' at every instant; each placement is built once per
-    `_Pairs`."""
-    g = ComputationGraph(len(actions), names)
+def _graph(p: _Pairs, actions: Sequence[str]) -> ComputationGraph:
+    """The run's graph over `p.names`: each action's pairs placed at its
+    step, and the constraints' at every instant; each placement is built
+    once per `_Pairs`."""
+    g = ComputationGraph(len(actions), p.names)
     for key in (*enumerate(actions), *((k, None) for k in range(len(actions) + 1))):
         hit = p.placed.get(key)
         if hit is None:
@@ -385,7 +356,7 @@ def computation_graph(
     """Dependency graph of a symbolic run, over-approximating verification
     constraints by inserting every constraint at every instant."""
     dd.symbolic_states(d, actions)
-    return _graph(_read(d, constraints).pairs, actions, [v.name for v in d.variables])
+    return _graph(_pairs(d, constraints), actions)
 
 
 def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None) -> int:
@@ -445,10 +416,9 @@ def check_bounded_lookback(
     """
     if K < 1 or unroll < 1:
         raise ValueError("K and unroll must be positive")
-    p = _read(d, constraints).pairs
-    names = [v.name for v in d.variables]
+    p = _pairs(d, constraints)
     for actions in enumerate_symbolic_runs(d, unroll):
-        _, edges = _graph(p, actions, names).collapsed_edges()
+        _, edges = _graph(p, actions).collapsed_edges()
         if _longest_path(edges, stop_above=K) > K:
             return False
     return True
@@ -498,38 +468,40 @@ def check_feedback_free(
 ) -> bool:
     """Every dependency between two instances of a variable is spanned by a
     node whose equality class covers both involved intervals."""
-    return _feedback_free(d, _read(d, constraints), unroll)
+    return _feedback_free(d, constraints, unroll, {})
 
 
-def _feedback_free(d: Ddsa, r: _Reading, unroll: int) -> bool:
-    """Feedback freedom of `d`, the system `r` read or a part of it, checked
-    per component of the reading, each (control structure, component) once
-    per reading.
-
-    Exact: equality classes, spans and avoiding paths stay inside one
-    component, so the system is feedback-free when each component is.
-    Every component enumerates the same runs in the same order as the whole
-    graph would, so a component that fails within the budget fails the
-    whole check, and the budget is exceeded only when no component fails."""
+def _feedback_free(d: Ddsa, constraints: Sequence[Formula], unroll: int, memo: dict) -> bool:
+    """Feedback freedom per dependency component under one detection's
+    `memo`: the first system checked is the split tree's root, whose pairs
+    the memo keeps (under `None`); a later system, a part of the root, takes
+    them restricted to its names.  The memo keeps each (control structure,
+    component) verdict too.  Exact: classes, spans and avoiding paths stay
+    in one component.  A component enumerates the runs in the order the
+    whole graph would, so a failure within the budget fails the check, and
+    the budget is exceeded only when no component fails."""
+    root = memo.get(None)
+    if root is None:
+        root = memo[None] = _pairs(d, constraints)
     names = {v.name for v in d.variables}
     control = (d.initial, d.transitions, unroll)
     over: Optional[BudgetExceeded] = None
-    for comp in r.components:
+    for comp in root.components:
         comp = [n for n in comp if n in names]
         if not comp:
             continue
         key = (control, tuple(comp))
-        ok = r.verdicts.get(key)
+        ok = memo.get(key)
         if ok is None:
-            part = r.pairs.on(comp)
+            part = root.on(comp)
             try:
                 ok = all(
-                    _feedback_free_run(_graph(part, actions, comp))
+                    _feedback_free_run(_graph(part, actions))
                     for actions in enumerate_symbolic_runs(d, unroll)
                 )
             except BudgetExceeded as e:
                 ok = e
-            r.verdicts[key] = ok
+            memo[key] = ok
         if ok is False:
             return False
         if ok is not True:
@@ -602,17 +574,14 @@ def _sub_system(d: Ddsa, states: set[str], initial: str, finals: set[str], alpha
     )
 
 
-def _by_names(
-    f: Formula, names: set[str], names_of: Callable[[Formula], frozenset[str]]
-) -> tuple[Formula, Formula]:
+def _by_names(f: Formula, names: set[str]) -> tuple[Formula, Formula]:
     """The conjunction of `f`'s top-level conjuncts whose variables all lie
     in `names` (a variable-free one too), and the conjunction of the rest:
-    the one way a variable split divides a formula.  `names_of` gives a
-    conjunct's variable names (`_Reading.names`)."""
+    the one way a variable split divides a formula."""
     inside: list[Formula] = []
     outside: list[Formula] = []
-    for c in _conjuncts(f):
-        (inside if names_of(c) <= names else outside).append(c)
+    for k in _fact(f).conjuncts:
+        (inside if k.names <= names else outside).append(k.formula)
     if not outside:
         return f, TRUE
     if not inside:
@@ -631,14 +600,8 @@ def var_decompose(
     gap-order-expressible ones form the first side; if that degenerates,
     the first component stands against the rest.
     """
-    return _var_split(d, constraints, _read(d, constraints))
-
-
-def _var_split(
-    d: Ddsa, constraints: Sequence[Formula], r: _Reading
-) -> Optional[tuple[tuple[VarId, ...], tuple[VarId, ...]]]:
     names = [v.name for v in d.variables]
-    ks = [k for k in _criterion(r, d, constraints) if k.names]
+    ks = [k for k in _criterion(d, constraints) if k.names]
     ordered = _groups(names, ((next(iter(k.names)), n) for k in ks for n in k.names))
     if len(ordered) < 2:
         return None
@@ -661,12 +624,8 @@ def _var_split(
 def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
     """Projection onto a variable subset: each guard keeps the conjuncts
     over the kept variables (`_by_names`; true when nothing remains)."""
-    return _project(d, keep, _read(d, []))
-
-
-def _project(d: Ddsa, keep: Sequence[VarId], r: _Reading) -> Ddsa:
     keep_names = {v.name for v in keep}
-    guards = {a: _by_names(d.guard(a), keep_names, r.names)[0] for a in d.actions}
+    guards = {a: _by_names(d.guard(a), keep_names)[0] for a in d.actions}
     variables = tuple(v for v in d.variables if v.name in keep_names)
     alpha0 = None if d.alpha0 is None else {v: d.alpha0[v] for v in variables}
     return replace(d, variables=variables, alpha0=alpha0, guards=guards)
@@ -788,8 +747,6 @@ class VarStrategy:
     v2: tuple[VarId, ...]
     left: Strategy
     right: Strategy
-    # a conjunct's variable names: the detection reading's `names`
-    names_of: Callable[[Formula], frozenset[str]] = field(repr=False)
 
     def __post_init__(self):
         self._names1 = {v.name for v in self.v1}
@@ -807,7 +764,7 @@ class VarStrategy:
     def _split(self, state: Formula) -> tuple[Formula, Formula]:
         hit = self._split_cache.get(state)
         if hit is None:
-            hit = self._split_cache[state] = _by_names(state, self._names1, self.names_of)
+            hit = self._split_cache[state] = _by_names(state, self._names1)
         return hit
 
     def image(self, state: Formula, action: str) -> Formula:
@@ -842,9 +799,7 @@ class NoSummaryFound(Exception):
 def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
     """A rational system always gets one; an integer system outside the
     gap-order fragment raises NoSummaryFound."""
-    constraints = list(constraints)
-    r = _read(d, constraints)
-    s = _detect(d, constraints, lambda: r)
+    s = _detect(d, list(constraints), {})
     if s is None:
         raise NoSummaryFound(
             "no finite-summary criterion applied; this says nothing about the "
@@ -854,46 +809,42 @@ def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
 
 
 def _detect(
-    d: Ddsa, constraints: list[Formula], read: Callable[[], _Reading], depth: int = 0
+    d: Ddsa, constraints: list[Formula], memo: dict, depth: int = 0
 ) -> Optional[Strategy]:
-    """`read` gives the reading of the system `detect` was called on, which
-    every part of the split tree answers from."""
-    r = read()
+    """`memo` is the detection's feedback-freedom memo (`_feedback_free`),
+    which every part of the split tree shares."""
     if d.domain == INT:
         # gap-order reasoning is an integer device; a split cannot help, since
         # a non-gap-order atom lands in some part
-        gc_ok, K = _gc(d, constraints, r)
+        gc_ok, K = check_gc(d, constraints)
         return _Leaf(d, label=f"GC(K={K})", K=K) if gc_ok else None
-    if _mc(d, constraints, r):
+    if check_mc(d, constraints):
         return _Leaf(d, label="MC")
     try:
-        if _feedback_free(d, r, FF_UNROLL):
+        if _feedback_free(d, constraints, FF_UNROLL, memo):
             return _Leaf(d, label="feedback-free")
     except BudgetExceeded:
         pass
-    composed = _decompose(d, constraints, read, depth + 1) if depth < 8 else None
+    composed = _decompose(d, constraints, memo, depth + 1) if depth < 8 else None
     # exact either way; without a certificate only the node budget bounds it
     return composed or _Leaf(d)
 
 
-def _decompose(
-    d: Ddsa, constraints: list[Formula], read: Callable[[], _Reading], depth: int
-) -> Optional[Strategy]:
+def _decompose(d: Ddsa, constraints: list[Formula], memo: dict, depth: int) -> Optional[Strategy]:
     """A variable split, solved apart; else a sequential split, which only
     certifies the one rational leaf on the whole system."""
-    r = read()
-    split = _var_split(d, constraints, r)
+    split = var_decompose(d, constraints)
     if split is not None:
         v1, v2 = split
-        c1, c2 = _by_names(conj(*constraints), {v.name for v in v1}, r.names)
-        left = _detect(_project(d, v1, r), [c1], read, depth)
-        right = _detect(_project(d, v2, r), [c2], read, depth)
-        return VarStrategy(v1, v2, left, right, r.names)
+        c1, c2 = _by_names(conj(*constraints), {v.name for v in v1})
+        left = _detect(project_system(d, v1), [c1], memo, depth)
+        right = _detect(project_system(d, v2), [c2], memo, depth)
+        return VarStrategy(v1, v2, left, right)
     parts = seq_decompose(d)
     if parts is not None:
         d1, d2, cut = parts
         if set(d1.states) != set(d.states) or d1.finals != d.finals:
-            left = _detect(d1, constraints, read, depth).describe()
-            right = _detect(d2, constraints, read, depth).describe()
+            left = _detect(d1, constraints, memo, depth).describe()
+            right = _detect(d2, constraints, memo, depth).describe()
             return _Leaf(d, label=f"seq-compose({left}, {right}; cut='{cut}')")
     return None

@@ -166,6 +166,20 @@ def test_property_parse_error_names_its_column(capsys, prop, where):
     assert err.rstrip().endswith(f" at {where}")
 
 
+@pytest.mark.parametrize(
+    "prop, message",
+    [
+        ("F (x >", "expected a term, found end of input at column 7"),
+        ("F (x > 1", "expected ')', found end of input at column 9"),
+        ("F (x + 1", "expected a comparison, found end of input at column 9"),
+    ],
+)
+def test_parse_error_at_the_end_of_input_names_the_end_of_input(capsys, prop, message):
+    code, out, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", prop)
+    assert (code, out) == (3, "")
+    assert err.rstrip() == f"error: {message}"
+
+
 @pytest.mark.parametrize("args", [(str(MODELS), "F (x > 1)"), (str(MODELS / "b1.ddsa"), str(MODELS))])
 def test_directory_path_is_a_usage_error(capsys, args):
     code, out, err = run_cli(capsys, "verify", args[0], "--prop", args[1])
@@ -180,13 +194,23 @@ def test_directory_path_is_a_usage_error(capsys, args):
         ("verify", "--prop", "F (y > 5)", "--max-nodes", "0"),
         # oracle takes no budget
         ("oracle", "--prop", "F (y > 5)", "--unroll", "2"),
+        # a negative length is no search, not "no witness" (exit 1)
+        ("oracle", "--prop", "F (x > 2)", "--max-len", "-1"),
+        ("oracle", "--prop", "F (x > 2)", "--grid-max", "-1"),
     ],
-    ids=["verify-max-nodes-0", "oracle-unroll"],
+    ids=["verify-max-nodes-0", "oracle-unroll", "oracle-max-len--1", "oracle-grid-max--1"],
 )
 def test_bad_budget_flag_is_a_usage_error(capsys, args):
     code, _, err = run_cli(capsys, args[0], str(MODELS / "b1.ddsa"), *args[1:])
     assert code == 3
     assert args[-2] in err  # the message names the flag
+
+
+def test_oracle_length_zero_is_a_search(capsys):
+    code, out, _ = run_cli(
+        capsys, "oracle", str(MODELS / "b1.ddsa"), "--prop", "F (x > 2)", "--max-len", "0"
+    )
+    assert (code, out.strip()) == (1, "no witness of length <= 0 on the grid")
 
 
 def test_json_output_validates_against_schema(capsys):
@@ -385,6 +409,35 @@ def test_uncovered_rational_system_ends_at_the_node_budget(capsys, tmp_path):
     assert [sizes[f"product_{k}"] for k in ("nodes", "edges", "finals")] == [100, 99, 0]
 
 
+@pytest.mark.parametrize(
+    "model, args, actions, last",
+    [
+        ("counter", ("--prop", "F (x > 3)", "--max-nodes", "100"), ["inc"], {"x": "4"}),
+        (
+            "b3",
+            ("--domain", "rat", "--prop", "F (x > 5)", "--max-nodes", "50"),
+            ["a1"],
+            {"x": "6", "y": "0"},
+        ),
+    ],
+)
+def test_node_budget_stop_with_a_final_built_gives_its_witness(
+    capsys, tmp_path, model, args, actions, last
+):
+    # the nodes built before the stop are the whole product's first ones, in
+    # its BFS order, so the path to the first final is the witness the
+    # whole product would give; it is revalidated like any other
+    p = tmp_path / "counter.ddsa"
+    p.write_text(DIVERGING_COUNTER_MODEL)
+    path = str(p) if model == "counter" else str(MODELS / f"{model}.ddsa")
+    code, out, _ = run_cli(capsys, "verify", path, *args, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["verdict"] == "witness" and doc["sizes"]["product_finals"] > 0
+    assert doc["actions"] == actions and doc["run"][-1]["assign"] == last
+
+
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone, as under `damc ... | head`."""
 
@@ -456,23 +509,24 @@ def test_dnf_budget_in_nfa_pruning_is_inconclusive(capsys, monkeypatch):
 
 def test_dnf_budget_in_the_product_reports_the_sizes_built(capsys, monkeypatch):
     # the NFA's `!=` edges fit a 4-cube budget and a later product state's
-    # do not: the sizes are the product's when the budget stopped it
+    # do not, before any final node is built (one built by then would give
+    # its witness): the sizes are the product's when the budget stopped it
     monkeypatch.setattr(solve, "_DNF_CUBE_LIMIT", 4)
-    args = ("verify", str(MODELS / "b1.ddsa"), "--prop", "G (x != 1 & y != 2)")
+    args = ("verify", str(MODELS / "b1.ddsa"), "--prop", "G (x != 1 & y != 2) & X X X true")
     code, out, _ = run_cli(capsys, *args)
     assert code == 2
-    assert "sizes: nfa 3/2 product 5/4 finals 1" in out
+    assert "sizes: nfa 7/7 product 4/3 finals 0" in out
     assert "inconclusive (DNF blow-up)" in out
     code, out, _ = run_cli(capsys, *args, "--json")
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMA)
     assert doc["reason"] == "DNF blow-up"
     assert doc["sizes"] == {
-        "nfa_states": 3,
-        "nfa_edges": 2,
-        "product_nodes": 5,
-        "product_edges": 4,
-        "product_finals": 1,
+        "nfa_states": 7,
+        "nfa_edges": 7,
+        "product_nodes": 4,
+        "product_edges": 3,
+        "product_finals": 0,
     }
 
 

@@ -792,7 +792,7 @@ def test_variable_split_matches_one_leaf_on_two_group_systems(query):
     d = parsing.parse_model(model)
     psi = parsing.parse_property(prop, d)
     def split(d, cs):
-        return summary._decompose(d, list(cs), lambda: summary._read(d, cs), 1)
+        return summary._decompose(d, list(cs), {}, 1)
 
     _assert_split_matches_one_leaf(d, psi, split, max_nodes=50)
 
@@ -971,13 +971,29 @@ def test_leaf_image_under_a_true_guard_is_the_state(data):
                 assert leaf.image(state, a) == image, (state, a)
 
 
+# `a0` reads x and writes only u: on the part over x it writes nothing, but
+# its guard there is not true, so its image there is not the state
+READ_ONLY_ON_A_PART = """domain rat
+vars x y u v
+init x=0 y=0 u=0 v=0
+states s0 s1
+initial s0
+final s1
+trans s0 a1 s0 [x^w = x^r + 1]
+trans s0 a0 s1 [x^r > 1 && u^w = u^r + 1]
+"""
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_two_group_systems().filter(lambda q: "[]" in q[0]))
 @example((SHOP_2_TICK, "F (4 & c > 1)"))
 @example((SHOP_2_TICK, "G (s <= 1) | F (c > 0 & X (4 & s > 0))"))
+@example((READ_ONLY_ON_A_PART, "F (s1 & u > 0)"))
+@example((READ_ONLY_ON_A_PART.replace("[x^w = x^r + 1]", "[y^w > y^r]"), "F (s1)"))
 def test_true_guard_steps_under_a_variable_split_agree_with_oracle(query):
     # `[]` steps, and the actions that move none of a part's variables,
-    # are imaged as the state itself on each side of the split
+    # are imaged as the state itself on each side of the split; an action
+    # that reads a part's variables and writes none of them is not
     model, prop = query
     d = parsing.parse_model(model)
     psi = parsing.parse_property(prop, d)

@@ -225,8 +225,8 @@ def _outcome(check):
 @given(component_systems(), st.sampled_from([None, 1, 5, 20, 60]), st.integers(1, 2))
 def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, unroll):
     # True, False and the run budget agree with the check on each run's whole
-    # graph, for the system and for the parts of a split, which answer off
-    # the whole system's reading and share its verdicts
+    # graph, for the system and for the parts of a split, which answer from
+    # the whole system's pairs and share its verdicts in one memo
     d, constraints = system
     parts = [(d, constraints)]
     split = var_decompose(d, constraints)
@@ -242,9 +242,9 @@ def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, 
         assert _outcome(lambda: check_feedback_free(d, constraints, unroll)) == _outcome(
             lambda: reference_feedback_free(d, constraints, unroll)
         )
-        r = summary._read(d, constraints)
+        memo: dict = {}  # the whole system, checked first, is the memo's root
         for part, cs in parts:
-            assert _outcome(lambda: summary._feedback_free(part, r, unroll)) == _outcome(
+            assert _outcome(lambda: summary._feedback_free(part, cs, unroll, memo)) == _outcome(
                 lambda: reference_feedback_free(part, cs, unroll)
             ), [v.name for v in part.variables]
 
@@ -253,32 +253,50 @@ def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, 
 @given(component_systems(rich=True))
 def test_detection_from_one_reading_matches_reading_each_part_afresh(system):
     # MC, the variable split, the projected guards and the parts'
-    # constraints, answered from the whole system's reading for every part
-    # of the split tree, and the label detection gives, agree with the
-    # references that read every atom of each part afresh
+    # constraints, answered from the per-formula facts for every part of the
+    # split tree, and the label detection gives, agree with the references
+    # that read every atom of each part afresh
     d, constraints = system
-    assert check_mc(d, constraints) == reference_check_mc(d, constraints)
-    assert var_decompose(d, constraints) == reference_var_decompose(d, constraints)
-    r = summary._read(d, constraints)
     todo = [(d, constraints, 0)]
     while todo:
         part, cs, depth = todo.pop()
-        assert summary._mc(part, cs, r) == reference_check_mc(part, cs)
-        split = summary._var_split(part, cs, r)
+        assert check_mc(part, cs) == reference_check_mc(part, cs)
+        split = var_decompose(part, cs)
         assert split == reference_var_decompose(part, cs)
         if depth == 3:
             continue
         for side in split or ():
-            projected = summary._project(part, side, r)
+            projected = project_system(part, side)
             assert projected.guards == reference_project_guards(part, side)
-            assert project_system(part, side).guards == projected.guards
             names = {v.name for v in side}
-            kept = summary._by_names(conj(*cs), names, r.names)[0]
+            kept = summary._by_names(conj(*cs), names)[0]
             assert kept == reference_by_names(conj(*cs), names)[0]
             todo.append((projected, [kept], depth + 1))
         halves = seq_decompose(part) if split is None else None
         todo += [(h, cs, depth + 1) for h in halves[:2]] if halves else []
     assert detect(d, constraints).describe() == reference_detect_label(d, constraints)
+
+
+def _detection(d, constraints):
+    """The label and the feedback-freedom outcome of a system."""
+    label = detect(d, constraints).describe()
+    return label, _outcome(lambda: check_feedback_free(d, constraints))
+
+
+@settings(max_examples=100, deadline=None)
+@given(component_systems(rich=True), component_systems(rich=True))
+def test_detections_in_turn_match_detections_from_a_cleared_memo(first, second):
+    # the facts memoised per formula by one detection serve the next: each
+    # label and feedback-freedom outcome is the one a detection with the
+    # memo cleared gives
+    systems = (first, second, first)
+    summary._FACTS.clear()
+    in_turn = [_detection(*system) for system in systems]
+    afresh = []
+    for system in systems:
+        summary._FACTS.clear()
+        afresh.append(_detection(*system))
+    assert in_turn == afresh
 
 
 def test_detect_reads_each_conjunct_once_and_builds_no_transition_formula(
@@ -304,6 +322,7 @@ def test_detect_reads_each_conjunct_once_and_builds_no_transition_formula(
     def no_transition_formula(d, action):
         raise AssertionError(f"transition formula of {action} built")
 
+    summary._FACTS.clear()
     monkeypatch.setattr(solve, "is_gap_order", counted)
     monkeypatch.setattr(ddsa, "transition_formula", no_transition_formula)
     strat = detect(auction, constraints)
