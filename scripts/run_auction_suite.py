@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from damc import parsing
 from damc.ltlf import constraints_of, preprocess
 from damc.product import verify
-from damc.summary import detect
+from damc.summary import certify
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -24,11 +24,11 @@ PROPERTIES = [
 
 def main():
     auction = parsing.parse_model((MODELS / "auction.ddsa").read_text())
-    strat = detect(
+    label = certify(
         auction,
         constraints_of(preprocess(parsing.parse_property(PROPERTIES[1][1], auction))),
     )
-    print("summary strategy:", strat.describe())
+    print("summary strategy:", label)
     print()
     marks = {"witness": "yes", "no-witness": "no", "inconclusive": "?"}
     for name, text in PROPERTIES:

@@ -12,6 +12,7 @@ from damc.formula import INT, VarId, atom
 from damc.ltlf import fmt_symbol
 from damc.product import constraint_graph, verify
 from damc.summary import (
+    certify,
     check_bounded_lookback,
     check_feedback_free,
     check_gc,
@@ -27,9 +28,8 @@ def load(name):
 
 
 def show_graph(name, d):
-    strat = detect(d, [])
-    g = constraint_graph(d, strat)
-    print(f"\n{name}: strategy {strat.describe()}, {len(g.nodes)} nodes")
+    g = constraint_graph(d, detect(d, []))
+    print(f"\n{name}: strategy {certify(d, [])}, {len(g.nodes)} nodes")
     for i, n in enumerate(g.nodes):
         print(f"  ({n.state}, {n.formula})")
     for (i, a, j) in g.edges:

@@ -30,6 +30,7 @@ from .solve import (
 from .ltlf import build_nfa, preprocess, run_models, word_consistent
 from .summary import (
     NoSummaryFound,
+    certify,
     check_bounded_lookback,
     check_feedback_free,
     check_gc,

@@ -145,14 +145,14 @@ def cmd_summary(ns: argparse.Namespace) -> tuple[int, str]:
         psi = _load_property(ns, d)
         constraints = lt.constraints_of(lt.preprocess(psi))
     try:
-        strat = summary.detect(d, constraints)
+        label = summary.certify(d, constraints)
     except summary.NoSummaryFound as e:
         if ns.json_output:
             return EXIT_INCONCLUSIVE, json.dumps({"summary": None, "reason": str(e)})
         return EXIT_INCONCLUSIVE, f"no finite summary detected: {e}"
     if ns.json_output:
-        return EXIT_WITNESS, json.dumps({"summary": strat.describe()})
-    return EXIT_WITNESS, f"summary: {strat.describe()}"
+        return EXIT_WITNESS, json.dumps({"summary": label})
+    return EXIT_WITNESS, f"summary: {label}"
 
 
 def cmd_oracle(ns: argparse.Namespace) -> tuple[int, str]:
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dot-nfa", help="write the property automaton as DOT")
     pv.add_argument("--dot-product", help="write the product automaton as DOT")
 
-    ps = sub.add_parser("summary", help="finite-summary detection only")
+    ps = sub.add_parser("summary", help="certify a finite summary (the label only)")
     common(ps, needs_prop=False)
 
     po = sub.add_parser("oracle", help="brute-force search on a value grid")

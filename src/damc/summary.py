@@ -1,4 +1,4 @@
-"""Finite-summary detection: the strategies behind the constraint graph.
+"""Finite-summary detection and certification.
 
 A summary strategy packages the update procedure and the equivalence
 relation the product quotients by (the constraint graph is the product
@@ -10,30 +10,37 @@ Every leaf is exact and compares its states with one rational equivalence
 check: over the rationals, Fourier-Motzkin QE and logical equivalence;
 over the integers, with the gap-order bound `K` set, the same QE on cubes
 tightened to integer difference bounds (`solve.qe_gc`) and equivalence of
-the cutoffs at K, which is exact on the gap-order fragment.  An integer
-system outside that fragment gets no summary.  Over the rationals the
-criteria (monotonicity constraints, feedback freedom) and the sequential
-split at a cut state only certify that the quotient is finite, so they
-label the leaf; a (sub)system that nothing covers still gets the exact
-leaf, labelled `exact-fixpoint`, whose fixpoint the node budget bounds.
-The one composition that changes the work is the variable split: its
-parts are solved apart.  A state is a formula over the system's variables
-whatever the strategy.  Every variable partition goes by whole top-level
+the cutoffs at K, which is exact on the gap-order fragment.  A state is a
+formula over the system's variables whatever the strategy.
+
+`detect` gives the strategy `verify` runs, and reads structure only: no
+verdict reads a certificate.  An integer system gets the gap-order leaf,
+and one outside that fragment gets no summary.  A rational system is split
+once into the components of the conjunct co-occurrence graph
+(`_var_parts`): one component gets one leaf, several get one n-ary
+`VarStrategy` with a leaf per component, solved apart.  The split is the
+one composition that changes the work.
+
+`certify` gives the label of what shows the quotient finite, for
+`damc summary`: `GC(K)` over the integers; over the rationals the
+criteria (monotonicity constraints, feedback freedom), then a two-part
+variable split and a sequential split at a cut state, each part certified
+in turn, and `exact-fixpoint` where nothing applies, whose fixpoint the
+node budget bounds.  Every variable partition goes by whole top-level
 conjuncts (`_by_names`): the split links two variables that share a
 conjunct of a guard or constraint, and the projected guards, the parts'
 constraints and a state's parts each take the conjuncts over their
 variables.
 
-Detection reads each formula once, whichever detection or part of the
-split tree asks: `_FACTS` memoises, per guard, constraint or top-level
-conjunct, its variables and their names, its normalised atoms, whether
-every atom is MC, whether every atom is gap-order, its computation-graph
-pair templates and its conjuncts' facts, each on first use.  Every
-criterion, split and projection answers from it.  The graphs' inertia
-pairs come from the write sets, so no transition formula is built.  A
-detection's one state is its feedback-freedom memo, shared by the split
-tree: the root's pairs, which a part takes restricted to its names, and
-the verdict per control structure and dependency component.  No atom
+Both read each formula once, whichever of them or part of the split tree
+asks: `_FACTS` memoises, per guard, constraint or top-level conjunct, its
+variables and their names, its normalised atoms, whether every atom is
+MC, whether every atom is gap-order, its computation-graph pair templates
+and its conjuncts' facts, each on first use.  The graphs' inertia pairs
+come from the write sets, so no transition formula is built.  A
+certification's one state is its feedback-freedom memo, shared by the
+split tree: the root's pairs, which a part takes restricted to its names,
+and the verdict per control structure and dependency component.  No atom
 links two components, so a run's computation graph is the disjoint union
 of theirs, and the system is feedback-free exactly when each component is.
 
@@ -117,7 +124,7 @@ Templates = tuple[list[tuple[GNode, GNode]], list[tuple[GNode, GNode]]]
 
 # Budget on the symbolic runs one control-flow check may enumerate.
 MAX_RUNS = 100_000
-# Unroll depth at which detection checks feedback freedom.
+# Unroll depth at which certification checks feedback freedom.
 FF_UNROLL = 2
 
 
@@ -225,8 +232,9 @@ def _pair_templates(atoms: Sequence[NormAtom]) -> Templates:
 
 
 class _Facts:
-    """What detection reads off a guard, a constraint or a top-level
-    conjunct of one, each fact on first use (the module docstring)."""
+    """What detection and certification read off a guard, a constraint or
+    a top-level conjunct of one, each fact on first use (the module
+    docstring)."""
 
     def __init__(self, formula: Formula):
         self.formula = formula
@@ -261,8 +269,8 @@ class _Facts:
         return [_fact(c) for c in f.args] if isinstance(f, And) else [self]
 
 
-# The facts per formula, shared by every detection: they depend on the
-# formula alone.  Capped as `solve._DNF_CACHE` is.
+# The facts per formula, shared by every detection and certification: they
+# depend on the formula alone.  Capped as `solve._DNF_CACHE` is.
 _FACTS: dict[Formula, _Facts] = {}
 
 
@@ -472,7 +480,7 @@ def check_feedback_free(
 
 
 def _feedback_free(d: Ddsa, constraints: Sequence[Formula], unroll: int, memo: dict) -> bool:
-    """Feedback freedom per dependency component under one detection's
+    """Feedback freedom per dependency component under one certification's
     `memo`: the first system checked is the split tree's root, whose pairs
     the memo keeps (under `None`); a later system, a part of the root, takes
     them restricted to its names.  The memo keeps each (control structure,
@@ -589,35 +597,42 @@ def _by_names(f: Formula, names: set[str]) -> tuple[Formula, Formula]:
     return conj(*inside), conj(*outside)
 
 
-def var_decompose(
-    d: Ddsa, constraints: Sequence[Formula]
-) -> Optional[tuple[tuple[VarId, ...], tuple[VarId, ...]]]:
-    """Two-part split of the variables such that every top-level conjunct of
-    a used guard and of a constraint lives on one side, so that `_by_names`
-    sends it whole to one part.
-
-    Components of the conjunct co-occurrence graph are grouped so that the
-    gap-order-expressible ones form the first side; if that degenerates,
-    the first component stands against the rest.
-    """
+def _var_parts(d: Ddsa, constraints: Sequence[Formula]) -> tuple[list[list[str]], int]:
+    """The components of the conjunct co-occurrence graph over `d`'s
+    variable names (two variables are linked when they share a top-level
+    conjunct of a used guard or of a constraint), and how many of them come
+    first because each of their conjuncts is gap-order; each group keeps
+    `_groups`' order.  `_by_names` sends every such conjunct whole to one
+    component.  Gap-order is read only when there are several components."""
     names = [v.name for v in d.variables]
     ks = [k for k in _criterion(d, constraints) if k.names]
     ordered = _groups(names, ((next(iter(k.names)), n) for k in ks for n in k.names))
     if len(ordered) < 2:
-        return None
+        return ordered, 0
     # a conjunct lies in one component
     component = {n: i for i, comp in enumerate(ordered) for n in comp}
     gc_ok = [True] * len(ordered)
     for k in ks:
         i = component[next(iter(k.names))]
         gc_ok[i] = gc_ok[i] and k.gap_order
-    side1 = [n for i, comp in enumerate(ordered) if gc_ok[i] for n in comp]
-    side2 = [n for i, comp in enumerate(ordered) if not gc_ok[i] for n in comp]
-    if not side1 or not side2:
-        side1 = ordered[0]
-        side2 = [n for comp in ordered[1:] for n in comp]
-    v1 = tuple(v for v in d.variables if v.name in set(side1))
-    v2 = tuple(v for v in d.variables if v.name in set(side2))
+    first = [comp for comp, ok in zip(ordered, gc_ok) if ok]
+    return first + [comp for comp, ok in zip(ordered, gc_ok) if not ok], len(first)
+
+
+def var_decompose(
+    d: Ddsa, constraints: Sequence[Formula]
+) -> Optional[tuple[tuple[VarId, ...], tuple[VarId, ...]]]:
+    """Two-part split of the variables along `_var_parts`: the gap-order
+    components form the first side; if that degenerates, the first
+    component stands against the rest."""
+    parts, n = _var_parts(d, constraints)
+    if len(parts) < 2:
+        return None
+    if n in (0, len(parts)):
+        n = 1
+    side1 = {name for part in parts[:n] for name in part}
+    v1 = tuple(v for v in d.variables if v.name in side1)
+    v2 = tuple(v for v in d.variables if v.name not in side1)
     return v1, v2
 
 
@@ -638,19 +653,14 @@ def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
 @dataclass
 class _Leaf:
     """The one exact leaf: QE in the system's domain (`dd.update` picks it)
-    and a rational equivalence check.
-
-    `label` names the criterion or split that certifies the fixpoint is
-    finite; the relation is the same whichever it is.  With the gap-order
-    bound `K` set (an integer system), states are compared by their
-    cutoffs at `K`."""
+    and a rational equivalence check.  With the gap-order bound `K` set (an
+    integer system), states are compared by their cutoffs at `K`."""
 
     d: Ddsa
-    label: str = field(default="exact-fixpoint", kw_only=True)
     K: Optional[int] = field(default=None, kw_only=True)
 
     def describe(self) -> str:
-        return self.label
+        return "exact-fixpoint" if self.K is None else f"GC(K={self.K})"
 
     def compared(self, state: Formula) -> Formula:
         """The formula whose models the equivalence compares, over the
@@ -739,48 +749,50 @@ class _Leaf:
 
 @dataclass
 class VarStrategy:
-    """Variable-disjoint composition.  A state is one formula; `_split`
-    sends its conjuncts over `v1` to `left` and the rest to `right`
-    (`_by_names`), and the parts are solved apart."""
+    """Variable-disjoint composition: one exact leaf per part of the
+    variables, solved apart.  A state is one formula; `_split` sends each of
+    its top-level conjuncts to the part that holds its names (a
+    variable-free one to part 0), and the answers are conjoined in part
+    order."""
 
-    v1: tuple[VarId, ...]
-    v2: tuple[VarId, ...]
-    left: Strategy
-    right: Strategy
+    parts: tuple[tuple[tuple[str, ...], _Leaf], ...]
 
     def __post_init__(self):
-        self._names1 = {v.name for v in self.v1}
-        self._split_cache: dict[Formula, tuple[Formula, Formula]] = {}
+        self._part_of = {n: i for i, (names, _) in enumerate(self.parts) for n in names}
+        self._split_cache: dict[Formula, list[Formula]] = {}
         self._canon_cache: dict[Formula, Formula] = {}
 
     def describe(self) -> str:
-        n1 = ",".join(v.name for v in self.v1)
-        n2 = ",".join(v.name for v in self.v2)
-        return (
-            f"var-compose({{{n1}}}: {self.left.describe()}; "
-            f"{{{n2}}}: {self.right.describe()})"
+        inner = "; ".join(
+            f"{{{','.join(names)}}}: {leaf.describe()}" for names, leaf in self.parts
         )
+        return f"var-compose({inner})"
 
-    def _split(self, state: Formula) -> tuple[Formula, Formula]:
+    def _split(self, state: Formula) -> list[Formula]:
         hit = self._split_cache.get(state)
         if hit is None:
-            hit = self._split_cache[state] = _by_names(state, self._names1)
+            groups: list[list[Formula]] = [[] for _ in self.parts]
+            for k in _fact(state).conjuncts:
+                at = {self._part_of[n] for n in k.names} or {0}
+                if len(at) > 1:
+                    raise ValueError(f"a conjunct crosses the variable split: {k.formula}")
+                groups[at.pop()].append(k.formula)
+            hit = self._split_cache[state] = [conj(*g) for g in groups]
         return hit
 
     def image(self, state: Formula, action: str) -> Formula:
-        s1, s2 = self._split(state)
-        return conj(self.left.image(s1, action), self.right.image(s2, action))
+        parts = zip(self.parts, self._split(state))
+        return conj(*(leaf.image(s, action) for (_, leaf), s in parts))
 
     def canon(self, state: Formula) -> Formula:
         hit = self._canon_cache.get(state)
         if hit is None:
-            s1, s2 = self._split(state)
-            hit = self._canon_cache[state] = conj(self.left.canon(s1), self.right.canon(s2))
+            parts = zip(self.parts, self._split(state))
+            hit = self._canon_cache[state] = conj(*(leaf.canon(s) for (_, leaf), s in parts))
         return hit
 
     def sat(self, state: Formula) -> bool:
-        s1, s2 = self._split(state)
-        return self.left.sat(s1) and self.right.sat(s2)
+        return all(leaf.sat(s) for (_, leaf), s in zip(self.parts, self._split(state)))
 
 
 # The protocol the product uses: describe, image, sat and canon, on states
@@ -789,62 +801,86 @@ Strategy = _Leaf | VarStrategy
 
 
 # ---------------------------------------------------------------------------
-# Detection
+# Detection and certification
 
 
 class NoSummaryFound(Exception):
     """No criterion applied; says nothing about the system itself."""
 
 
-def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
-    """A rational system always gets one; an integer system outside the
-    gap-order fragment raises NoSummaryFound."""
-    s = _detect(d, list(constraints), {})
-    if s is None:
+def _gap_order_bound(d: Ddsa, constraints: Sequence[Formula]) -> int:
+    """`K` of an integer system.  Gap-order reasoning is an integer device,
+    and a split cannot help outside it, since a non-gap-order atom lands in
+    some part: such a system gets no summary."""
+    gc_ok, K = check_gc(d, constraints)
+    if not gc_ok:
         raise NoSummaryFound(
             "no finite-summary criterion applied; this says nothing about the "
             "system itself (the summary property is undecidable in general)"
         )
-    return s
+    return K
 
 
-def _detect(
-    d: Ddsa, constraints: list[Formula], memo: dict, depth: int = 0
-) -> Optional[Strategy]:
-    """`memo` is the detection's feedback-freedom memo (`_feedback_free`),
-    which every part of the split tree shares."""
+def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
+    """The strategy the product runs on: the structure that changes the
+    work, and no certificate.  An integer system gets the gap-order leaf
+    (NoSummaryFound outside the fragment).  A rational system gets one
+    exact leaf per component of `_var_parts`, composed when there are
+    several."""
     if d.domain == INT:
-        # gap-order reasoning is an integer device; a split cannot help, since
-        # a non-gap-order atom lands in some part
-        gc_ok, K = check_gc(d, constraints)
-        return _Leaf(d, label=f"GC(K={K})", K=K) if gc_ok else None
+        return _Leaf(d, K=_gap_order_bound(d, constraints))
+    parts, _ = _var_parts(d, constraints)
+    if len(parts) < 2:
+        return _Leaf(d)
+    return VarStrategy(
+        tuple(
+            (tuple(part), _Leaf(project_system(d, [v for v in d.variables if v.name in part])))
+            for part in parts
+        )
+    )
+
+
+def certify(d: Ddsa, constraints: Sequence[Formula]) -> str:
+    """The label of what certifies that the fixpoint is finite: `GC(K)`
+    over the integers (NoSummaryFound outside the fragment); over the
+    rationals MC, then feedback freedom, then a variable split, then a
+    sequential split, each part certified in turn, and `exact-fixpoint`
+    where nothing applies."""
+    if d.domain == INT:
+        return f"GC(K={_gap_order_bound(d, constraints)})"
+    return _certify(d, list(constraints), {})
+
+
+def _certify(d: Ddsa, constraints: list[Formula], memo: dict, depth: int = 0) -> str:
+    """`memo` is the certification's feedback-freedom memo
+    (`_feedback_free`), which every part of the split tree shares."""
     if check_mc(d, constraints):
-        return _Leaf(d, label="MC")
+        return "MC"
     try:
         if _feedback_free(d, constraints, FF_UNROLL, memo):
-            return _Leaf(d, label="feedback-free")
+            return "feedback-free"
     except BudgetExceeded:
         pass
     composed = _decompose(d, constraints, memo, depth + 1) if depth < 8 else None
-    # exact either way; without a certificate only the node budget bounds it
-    return composed or _Leaf(d)
+    return composed or "exact-fixpoint"
 
 
-def _decompose(d: Ddsa, constraints: list[Formula], memo: dict, depth: int) -> Optional[Strategy]:
-    """A variable split, solved apart; else a sequential split, which only
-    certifies the one rational leaf on the whole system."""
+def _decompose(d: Ddsa, constraints: list[Formula], memo: dict, depth: int) -> Optional[str]:
+    """The label of a variable split, else of a sequential split."""
     split = var_decompose(d, constraints)
     if split is not None:
         v1, v2 = split
         c1, c2 = _by_names(conj(*constraints), {v.name for v in v1})
-        left = _detect(project_system(d, v1), [c1], memo, depth)
-        right = _detect(project_system(d, v2), [c2], memo, depth)
-        return VarStrategy(v1, v2, left, right)
+        left = _certify(project_system(d, v1), [c1], memo, depth)
+        right = _certify(project_system(d, v2), [c2], memo, depth)
+        n1 = ",".join(v.name for v in v1)
+        n2 = ",".join(v.name for v in v2)
+        return f"var-compose({{{n1}}}: {left}; {{{n2}}}: {right})"
     parts = seq_decompose(d)
     if parts is not None:
         d1, d2, cut = parts
         if set(d1.states) != set(d.states) or d1.finals != d.finals:
-            left = _detect(d1, constraints, memo, depth).describe()
-            right = _detect(d2, constraints, memo, depth).describe()
-            return _Leaf(d, label=f"seq-compose({left}, {right}; cut='{cut}')")
+            left = _certify(d1, constraints, memo, depth)
+            right = _certify(d2, constraints, memo, depth)
+            return f"seq-compose({left}, {right}; cut='{cut}')"
     return None

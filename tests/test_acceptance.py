@@ -44,6 +44,7 @@ from damc.ltlf import (
 from damc.product import constraint_graph, realize_run, verify
 from damc.solve import cutoff, equivalent, gc_equivalent, is_sat, qe_gc, qe_rational
 from damc.summary import (
+    certify,
     check_bounded_lookback,
     check_feedback_free,
     check_gc,
@@ -241,8 +242,7 @@ def test_criterion_6_auction_suite(auction):
             ok = ok and validate_run(auction, v.run)
             ok = ok and run_models(auction, v.run, 0, preprocess(psi))
         if shape_ok is None:
-            strat = detect(auction, constraints_of(preprocess(psi)))
-            shape_ok = strat.describe() == (
+            shape_ok = certify(auction, constraints_of(preprocess(psi))) == (
                 "var-compose({d,b}: var-compose({d}: seq-compose(exact-fixpoint, MC; "
                 "cut='end'); {b}: MC); {o,t,s}: seq-compose(MC, feedback-free; cut='end'))"
             )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damc import parsing, product, solve
+from damc import parsing, product, solve, summary
 from damc.cli import main
 from damc.solve import BudgetExceeded, UnsupportedInteger
 
@@ -34,7 +34,8 @@ def test_verify_witness_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", "F (y > 5)")
     assert code == 0
     assert "witness found" in out
-    assert "strategy: MC" in out
+    # verify reports the structure it ran on; `damc summary` certifies
+    assert "strategy: exact-fixpoint" in out
 
 
 def test_verify_no_witness_exit_code(capsys):
@@ -359,7 +360,8 @@ SEQ_OVER_VAR_LABEL = "seq-compose(var-compose({x}: MC; {y,z}: feedback-free), MC
 
 def test_seq_split_with_var_split_part_is_certified(capsys, tmp_path):
     # the prefix part splits by variables; the sequential split only labels
-    # the one exact leaf on the whole system, so no pair state crosses the cut
+    # the one exact leaf on the whole system, so no pair state crosses the
+    # cut.  The guard of `c` links x and y, so verify runs one leaf
     p = tmp_path / "seqvar.ddsa"
     p.write_text(SEQ_OVER_VAR_MODEL)
     code, out, _ = run_cli(capsys, "summary", str(p), "--prop", "F (y > 2)")
@@ -369,7 +371,7 @@ def test_seq_split_with_var_split_part_is_certified(capsys, tmp_path):
     assert code == 0
     assert "Traceback" not in out + err
     doc = json.loads(out)
-    assert doc["strategy"] == SEQ_OVER_VAR_LABEL and doc["verdict"] == "witness"
+    assert doc["strategy"] == "exact-fixpoint" and doc["verdict"] == "witness"
     assert doc["actions"] == ["b", "c"]
     code, out, _ = run_cli(
         capsys, "oracle", str(p), "--prop", "F (y > 2)", "--max-len", "2", "--json"
@@ -387,6 +389,47 @@ initial 1
 final 1
 trans 1 inc 1 [x^w - x^r >= 1]
 """
+
+
+# four self-loops on one control: feedback freedom enumerates every symbolic
+# run that takes each loop at most twice, 7,366 of them
+FOUR_SELF_LOOPS_MODEL = """\
+domain rat
+vars x y u v
+init x=0 y=2 u=2 v=2
+states s0
+initial s0
+final s0
+trans s0 a0 s0 []
+trans s0 a1 s0 [x^w >= 0]
+trans s0 a2 s0 []
+trans s0 a3 s0 [v^w + 1 >= u^r && 0 <= x^r - x^w]
+"""
+
+
+def test_verify_enumerates_no_symbolic_run_on_four_self_loops(capsys, tmp_path, monkeypatch):
+    # verify runs the variable split without certifying it; only
+    # `damc summary` pays for feedback freedom
+    p = tmp_path / "loops.ddsa"
+    p.write_text(FOUR_SELF_LOOPS_MODEL)
+    prop = ("--prop", "(x < y U 1 <= 1)")
+    enumerate_runs, calls = summary.enumerate_symbolic_runs, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_runs(*args, **kwargs)
+
+    monkeypatch.setattr(summary, "enumerate_symbolic_runs", counted)
+    code, out, _ = run_cli(capsys, "verify", str(p), *prop, "--json")
+    assert calls == []
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "witness"
+    assert doc["strategy"] == "var-compose({x,y}: exact-fixpoint; {u,v}: exact-fixpoint)"
+    sizes = [doc["sizes"][f"product_{k}"] for k in ("nodes", "edges", "finals")]
+    assert sizes == [21, 95, 15]
+    code, out, _ = run_cli(capsys, "summary", str(p), *prop)
+    assert code == 0 and calls
+    assert out == "summary: var-compose({x,y}: MC; {u,v}: feedback-free)\n"
 
 
 def test_uncovered_rational_system_ends_at_the_node_budget(capsys, tmp_path):
@@ -504,7 +547,7 @@ def test_dnf_budget_in_nfa_pruning_is_inconclusive(capsys, monkeypatch):
     jsonschema.validate(doc, SCHEMA)
     assert doc["verdict"] == "inconclusive"
     assert doc["reason"] == "DNF blow-up"
-    assert doc["strategy"] == "MC"
+    assert doc["strategy"] == "exact-fixpoint"
 
 
 def test_dnf_budget_in_the_product_reports_the_sizes_built(capsys, monkeypatch):

@@ -696,7 +696,7 @@ def test_projected_leaf_images_each_state_and_transition_formula_once(auction, m
     monkeypatch.setattr(dd, "update", counting_update)
     psi = parsing.parse_property("F (sold & b=0)", auction)
     v = verify(auction, psi)
-    assert "{b}: MC" in v.stats.strategy
+    assert "{b}: exact-fixpoint" in v.stats.strategy
     assert imaged.keys() == moving.keys() and set(imaged.values()) == {1}
     assert not still.keys() & moving.keys()
     shared: dict = {}
@@ -732,9 +732,10 @@ def test_variable_split_matches_one_leaf_on_the_auction(auction, name):
 
 
 _GROUPS = (("x", "y"), ("u", "v"))
+_THREE_GROUPS = (("x", "y"), ("u", "v"), ("p", "q"))
 
 
-def _group_atoms(names):
+def _group_atoms(names, groups=_GROUPS):
     """Atom texts over one variable group; no `!=`, whose DNF the joint
     leaf multiplies out across the groups."""
 
@@ -749,14 +750,14 @@ def _group_atoms(names):
         ops = st.sampled_from(["<", "<=", "=", ">=", ">"])
         return st.builds("{} {} {}".format, term, ops, term)
 
-    return st.sampled_from(_GROUPS).flatmap(over)
+    return st.sampled_from(groups).flatmap(over)
 
 
 @st.composite
-def _two_group_systems(draw):
-    """A rational model over x, y, u, v whose guard atoms and property
-    atoms each stay within {x, y} or within {u, v}, and a property."""
-    names = [n for g in _GROUPS for n in g]
+def _grouped_systems(draw, groups=_GROUPS):
+    """A rational model over the variables of `groups` whose guard atoms
+    and property atoms each stay within one group, and a property."""
+    names = [n for g in groups for n in g]
     states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
     finals = draw(st.lists(st.sampled_from(states), min_size=1, unique=True))
     lines = [
@@ -768,14 +769,12 @@ def _two_group_systems(draw):
         "final " + " ".join(finals),
     ]
     copies = [f"{n}^{k}" for n in names for k in "rw"]
-    # at most 3 transitions: detection enumerates every symbolic run that
-    # takes each transition at most twice, 7,366 of them for 4 self-loops
     for i in range(draw(st.integers(1, 3))):
-        guard = " && ".join(draw(st.lists(_group_atoms(copies), max_size=3)))
+        guard = " && ".join(draw(st.lists(_group_atoms(copies, groups), max_size=3)))
         src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
         lines.append(f"trans {src} a{i} {dst} [{guard}]")
     prop = st.recursive(
-        st.one_of(_group_atoms(names), st.sampled_from(states)),
+        st.one_of(_group_atoms(names, groups), st.sampled_from(states)),
         lambda p: st.one_of(
             st.builds("{} ({})".format, st.sampled_from("XFG"), p),
             st.builds("({}) {} ({})".format, p, st.sampled_from("U&|"), p),
@@ -786,15 +785,24 @@ def _two_group_systems(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_two_group_systems())
+@given(_grouped_systems())
 def test_variable_split_matches_one_leaf_on_two_group_systems(query):
     model, prop = query
     d = parsing.parse_model(model)
     psi = parsing.parse_property(prop, d)
-    def split(d, cs):
-        return summary._decompose(d, list(cs), {}, 1)
+    _assert_split_matches_one_leaf(d, psi, detect, max_nodes=50)
 
-    _assert_split_matches_one_leaf(d, psi, split, max_nodes=50)
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_grouped_systems(_THREE_GROUPS))
+def test_variable_split_matches_one_leaf_on_three_group_systems(query):
+    # no atom links two groups, so detection makes at least three parts,
+    # one leaf each, in one n-ary composition
+    model, prop = query
+    d = parsing.parse_model(model)
+    psi = parsing.parse_property(prop, d)
+    assert len(detect(d, lt.constraints_of(lt.preprocess(psi))).parts) >= 3
+    _assert_split_matches_one_leaf(d, psi, detect, max_nodes=50)
 
 
 def _xy_system(guards, transitions, finals):
@@ -921,7 +929,7 @@ trans 2 check 2 [x^r >= 2]
 def _leaves(strategy):
     if isinstance(strategy, summary._Leaf):
         return [strategy]
-    return _leaves(strategy.left) + _leaves(strategy.right)
+    return [leaf for _, leaf in strategy.parts]
 
 
 @st.composite
@@ -955,7 +963,7 @@ def test_leaf_image_under_a_true_guard_is_the_state(data):
     # any other guard, one that writes nothing too, the image is the solver's
     shop, gap = parsing.parse_model(SHOP_2_TICK), parsing.parse_model(GAP_SKIP)
     split = detect(shop, [])
-    assert split.describe() == "var-compose({c}: MC; {a0,a1,s}: exact-fixpoint)"
+    assert split.describe() == "var-compose({c}: exact-fixpoint; {a0,a1,s}: exact-fixpoint)"
     leaves = _leaves(split) + [detect(gap, [])]
     assert leaves[-1].K is not None
     for leaf in leaves:
@@ -985,7 +993,7 @@ trans s0 a0 s1 [x^r > 1 && u^w = u^r + 1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_two_group_systems().filter(lambda q: "[]" in q[0]))
+@given(_grouped_systems().filter(lambda q: "[]" in q[0]))
 @example((SHOP_2_TICK, "F (4 & c > 1)"))
 @example((SHOP_2_TICK, "G (s <= 1) | F (c > 0 & X (4 & s > 0))"))
 @example((READ_ONLY_ON_A_PART, "F (s1 & u > 0)"))
@@ -1032,6 +1040,22 @@ def test_integer_verdict_json_golden(name):
     out = _verdict_json(verify(d, parsing.parse_property(case["property"], d)))
     out.pop("run", None)
     assert out == case["verdict"]
+
+
+@pytest.mark.parametrize("name", ["check_mc", "enumerate_symbolic_runs", "seq_decompose"])
+def test_verify_certifies_nothing_on_the_gated_queries(auction, b1, monkeypatch, name):
+    # a verdict rests on the product of exact leaves and on revalidation,
+    # never on a certificate: the auction and disjunction queries reach no
+    # criterion and no sequential split
+    def certifying(*args, **kwargs):
+        raise AssertionError(f"verify called summary.{name}")
+
+    monkeypatch.setattr(summary, name, certifying)
+    cases = [(auction, c) for c in AUCTION_GOLDEN.values()]
+    cases += [(b1, c) for c in DISJUNCTION_GOLDEN.values()]
+    for d, case in cases:
+        psi = parsing.parse_property(case["property"], d)
+        assert _verdict_json(verify(d, psi)) == case["verdict"]
 
 
 def golden_cases(auction, b1):

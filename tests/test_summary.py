@@ -9,6 +9,7 @@ from damc.ddsa import Ddsa, history_constraint
 from damc.formula import (
     INT,
     RAT,
+    TRUE,
     And,
     Term,
     VarId,
@@ -24,6 +25,7 @@ from damc.solve import BudgetExceeded, equivalent
 from damc.summary import (
     NoSummaryFound,
     VarStrategy,
+    certify,
     check_bounded_lookback,
     check_feedback_free,
     check_gc,
@@ -274,12 +276,12 @@ def test_detection_from_one_reading_matches_reading_each_part_afresh(system):
             todo.append((projected, [kept], depth + 1))
         halves = seq_decompose(part) if split is None else None
         todo += [(h, cs, depth + 1) for h in halves[:2]] if halves else []
-    assert detect(d, constraints).describe() == reference_detect_label(d, constraints)
+    assert certify(d, constraints) == reference_detect_label(d, constraints)
 
 
 def _detection(d, constraints):
-    """The label and the feedback-freedom outcome of a system."""
-    label = detect(d, constraints).describe()
+    """The certificate label and the feedback-freedom outcome of a system."""
+    label = certify(d, constraints)
     return label, _outcome(lambda: check_feedback_free(d, constraints))
 
 
@@ -302,8 +304,8 @@ def test_detections_in_turn_match_detections_from_a_cleared_memo(first, second):
 def test_detect_reads_each_conjunct_once_and_builds_no_transition_formula(
     auction, monkeypatch
 ):
-    # psi11's detection splits the auction three ways and checks MC and the
-    # gap-order side of the split on every part; each guard or constraint
+    # psi11's certification splits the auction three ways and checks MC and
+    # the gap-order side of the split on every part; each guard or constraint
     # conjunct is tested for gap-order at most once, and the computation
     # graphs' pairs come from the guards and the write sets
     psi = parsing.parse_property("F (sold & d>0 & o<=t)", auction)
@@ -325,8 +327,7 @@ def test_detect_reads_each_conjunct_once_and_builds_no_transition_formula(
     summary._FACTS.clear()
     monkeypatch.setattr(solve, "is_gap_order", counted)
     monkeypatch.setattr(ddsa, "transition_formula", no_transition_formula)
-    strat = detect(auction, constraints)
-    assert strat.describe().startswith("var-compose({d,b}: var-compose({d}:")
+    assert certify(auction, constraints).startswith("var-compose({d,b}: var-compose({d}:")
     assert 0 < len(tested) <= len(conjuncts)
 
 
@@ -350,7 +351,7 @@ def test_bounded_lookback_checks_every_run(system, K, unroll):
 
 
 def test_detect_checks_each_control_structure_and_component_once(auction, monkeypatch):
-    # psi11's detection checks feedback freedom on the whole system and on
+    # psi11's certification checks feedback freedom on the whole system and on
     # five parts of its split tree.  Four (control structure, component)
     # pairs are enumerated: {d} and {o,t,s} on the whole control structure,
     # {d} on the part before 'end' and {o,t,s} on the part after it
@@ -362,7 +363,7 @@ def test_detect_checks_each_control_structure_and_component_once(auction, monkey
         return enumerate_runs(d, *args, **kwargs)
 
     monkeypatch.setattr(summary, "enumerate_symbolic_runs", counted)
-    detect(auction, constraints_of(preprocess(psi)))
+    certify(auction, constraints_of(preprocess(psi)))
     assert calls == ["start", "start", "start", "end"]
 
 
@@ -449,34 +450,72 @@ def test_var_decompose_independent_counters():
 
 
 def test_detect_b1_mc(b1):
+    # b1 is one component: detection gives the exact leaf, and MC is the
+    # certificate
     strat = detect(b1, [])
-    assert type(strat) is _Leaf and strat.describe() == "MC"
+    assert type(strat) is _Leaf and strat.describe() == "exact-fixpoint"
+    assert certify(b1, []) == "MC"
 
 
 def test_detect_b3_gc(b3):
     strat = detect(b3, [])
     assert type(strat) is _Leaf and strat.K == 4 and strat.describe() == "GC(K=4)"
+    assert certify(b3, []) == "GC(K=4)"
 
 
 def test_detect_gc_only_over_the_integers(b3):
     # b3's guards are gap-order shaped; over Q they get the exact leaf
     strat = detect(with_domain(b3, RAT), [])
     assert type(strat) is _Leaf and strat.describe() == "exact-fixpoint"
+    assert certify(with_domain(b3, RAT), []) == "exact-fixpoint"
 
 
 def test_detect_auction_shape(auction):
     C = [atom(VarId("b"), "=", 1), atom(VarId("o"), ">", VarId("t")), atom(VarId("b"), "!=", 1)]
     strat = detect(auction, C)
+    # one exact leaf per component, the gap-order components first; the
+    # rational {d} and {b} parts never get the integer GC leaf
     assert isinstance(strat, VarStrategy)
-    assert {v.name for v in strat.v1} == {"b", "d"}
-    # a sequential split only labels the one exact leaf of its (sub)system
-    assert type(strat.right) is _Leaf
-    assert strat.right.describe() == "seq-compose(MC, feedback-free; cut='end')"
-    # the rational {d,b} part gets exact leaves, never the integer GC leaf
+    assert [names for names, _ in strat.parts] == [("d",), ("b",), ("o", "t", "s")]
+    for names, leaf in strat.parts:
+        assert type(leaf) is _Leaf and leaf.K is None
+        assert [v.name for v in leaf.d.variables] == list(names)
     assert strat.describe() == (
+        "var-compose({d}: exact-fixpoint; {b}: exact-fixpoint; {o,t,s}: exact-fixpoint)"
+    )
+    # a sequential split only labels its (sub)system
+    assert certify(auction, C) == (
         "var-compose({d,b}: var-compose({d}: seq-compose(exact-fixpoint, MC; cut='end'); "
         "{b}: MC); {o,t,s}: seq-compose(MC, feedback-free; cut='end'))"
     )
+
+
+def _independent_counters(n):
+    """One control with a self-loop per variable that raises it alone."""
+    loops = "".join(f"trans 1 c{i} 1 [x{i}^w > x{i}^r]\n" for i in range(n))
+    names = [f"x{i}" for i in range(n)]
+    return parsing.parse_model(
+        f"domain rat\nvars {' '.join(names)}\ninit {' '.join(n + '=0' for n in names)}\n"
+        f"states 1\ninitial 1\nfinal 1\n{loops}"
+    )
+
+
+def test_detect_gives_each_independent_variable_a_part():
+    # ten independent counters make ten parts: detection does not recurse,
+    # so no depth bounds the split (certification's tree stops at depth 8)
+    d = _independent_counters(10)
+    strat = detect(d, [])
+    assert [names for names, _ in strat.parts] == [(f"x{i}",) for i in range(10)]
+    assert strat.describe() == (
+        "var-compose(" + "; ".join(f"{{x{i}}}: exact-fixpoint" for i in range(10)) + ")"
+    )
+    # a state's conjuncts go to the parts that hold their names, and a
+    # variable-free one to part 0
+    state = conj(atom(VarId("x9"), ">", 1), atom(1, ">", 0), atom(VarId("x0"), "=", 0))
+    split = strat._split(state)
+    assert split[0] == conj(atom(1, ">", 0), atom(VarId("x0"), "=", 0))
+    assert split[9] == atom(VarId("x9"), ">", 1)
+    assert all(part == TRUE for part in split[1:9])
 
 
 def test_detect_nothing_for_two_counter_style():
@@ -501,6 +540,8 @@ def test_detect_nothing_for_two_counter_style():
     )
     with pytest.raises(NoSummaryFound):
         detect(d, [])
+    with pytest.raises(NoSummaryFound):
+        certify(d, [])
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +652,7 @@ def _no_solver(*args):
 def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
     # the states differ only above K, so they are cutoff-equivalent although
     # the stored model of the first falsifies the second
-    gc = _Leaf(b1_int, label="GC(K=3)", K=3)
+    gc = _Leaf(b1_int, K=3)
     a, b = atom(Term.of(x) - y, ">=", 5), atom(Term.of(x) - y, ">=", 7)
     assert gc.sat(a) and gc.sat(b)
     assert not evaluate(b, gc._sat_cache[a].model)
@@ -678,7 +719,7 @@ def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
 @settings(max_examples=150, deadline=None)
 @given(state_pairs(GC_SHAPES, st.integers(0, 6)), st.integers(1, 5))
 def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
-    gc = _Leaf(b1_int, label=f"GC(K={K})", K=K)
+    gc = _Leaf(b1_int, K=K)
     for s in pair:
         gc.sat(s)
     assert gc.equiv(*pair) == solve.gc_equivalent(*pair, K)
