@@ -38,11 +38,8 @@ variables and their names, its normalised atoms, whether every atom is
 MC, whether every atom is gap-order, its computation-graph pair templates
 and its conjuncts' facts, each on first use.  The graphs' inertia pairs
 come from the write sets, so no transition formula is built.  A
-certification's one state is its feedback-freedom memo, shared by the
-split tree: the root's pairs, which a part takes restricted to its names,
-and the verdict per control structure and dependency component.  No atom
-links two components, so a run's computation graph is the disjoint union
-of theirs, and the system is feedback-free exactly when each component is.
+certification keeps no other state: each part of the split tree checks
+feedback freedom on each enumerated run's whole computation graph.
 
 A leaf's image under an action whose guard on it is true is the state
 itself: every variable keeps its value.  On a projected leaf that is every
@@ -283,78 +280,50 @@ def _fact(f: Formula) -> _Facts:
     return hit
 
 
-@dataclass
-class _Pairs:
-    """A system's pair templates over its variable `names`: each used
-    action's (its guard's, and an inertia pair per variable it leaves alone)
-    and the constraints' (offset 0).  `placed` memoises their placements."""
+def _pairs(d: Ddsa, constraints: Sequence[Formula]) -> dict[Optional[str], Templates]:
+    """The pair templates of `d` under `constraints`: each used action's
+    (its guard's, and an inertia pair per variable it leaves alone) and,
+    under `None`, the constraints' (offset 0).  They come from the write
+    sets and the conjuncts' templates: no transition formula is built."""
+    names = [v.name for v in d.variables]
+    declared = set(names)
 
-    names: list[str]
-    steps: dict[str, Templates]
-    constraints: Templates
-    placed: dict = field(default_factory=dict)
-
-    def on(self, names) -> _Pairs:
-        """The pairs of the part over `names`: no atom of a part's actions
-        crosses a variable split."""
-        keep = set(names)
-
-        def restrict(t: Templates) -> Templates:
-            eq, gen = t
-            return (
-                [pq for pq in eq if pq[0][0] in keep and pq[1][0] in keep],
-                [pq for pq in gen if pq[0][0] in keep and pq[1][0] in keep],
-            )
-
-        return _Pairs(
-            [n for n in self.names if n in keep],
-            {a: restrict(t) for a, t in self.steps.items()},
-            restrict(self.constraints),
+    def over(ks: list[_Facts]) -> Templates:
+        """The conjuncts' pairs over declared names: a run's graph has nodes
+        for those only."""
+        eq, gen = (
+            [(p, q) for k in ks for p, q in k.templates[i] if {p[0], q[0]} <= declared]
+            for i in (0, 1)
         )
+        return eq, gen
 
-    @cached_property
-    def components(self) -> list[list[str]]:
-        """The dependency components: the names that chains of pairs link."""
-        pairs = (pq for t in (*self.steps.values(), self.constraints) for ps in t for pq in ps)
-        return _groups(self.names, ((a[0], b[0]) for a, b in pairs))
-
-
-def _pairs(d: Ddsa, constraints: Sequence[Formula]) -> _Pairs:
-    """The pairs of `d` under `constraints`, from the write sets and the
-    conjuncts' templates: no transition formula is built."""
-    steps = {}
+    pairs: dict[Optional[str], Templates] = {
+        None: over([k for c in constraints for k in _fact(c).conjuncts])
+    }
     for a in used_actions(d.transitions):
         g = d.guard(a)
         if isinstance(g, FalseF):  # its transition formula has no atom
-            steps[a] = ([], [])
+            pairs[a] = ([], [])
             continue
         ks = _fact(g).conjuncts
         written = {v.name for k in ks for v in k.variables if v.kind == WRITE}
-        eq = [pq for k in ks for pq in k.templates[0]]
-        eq += [((v.name, 0), (v.name, 1)) for v in d.variables if v.name not in written]
-        steps[a] = (eq, [pq for k in ks for pq in k.templates[1]])
-    ks = [k for c in constraints for k in _fact(c).conjuncts]
-    cons = [pq for k in ks for pq in k.templates[0]], [pq for k in ks for pq in k.templates[1]]
-    # a run's graph has nodes for the declared variables only
-    names = [v.name for v in d.variables]
-    return _Pairs(names, steps, cons).on(names)
+        eq, gen = over(ks)
+        pairs[a] = (eq + [((n, 0), (n, 1)) for n in names if n not in written], gen)
+    return pairs
 
 
-def _graph(p: _Pairs, actions: Sequence[str]) -> ComputationGraph:
-    """The run's graph over `p.names`: each action's pairs placed at its
-    step, and the constraints' at every instant; each placement is built
-    once per `_Pairs`."""
-    g = ComputationGraph(len(actions), p.names)
-    for key in (*enumerate(actions), *((k, None) for k in range(len(actions) + 1))):
-        hit = p.placed.get(key)
-        if hit is None:
-            k, a = key
-            hit = p.placed[key] = tuple(
-                [frozenset({(n1, o1 + k), (n2, o2 + k)}) for (n1, o1), (n2, o2) in ps]
-                for ps in (p.steps[a] if a is not None else p.constraints)
-            )
-        g.eq_edges.update(hit[0])
-        g.gen_edges.update(hit[1])
+def _graph(
+    d: Ddsa, pairs: dict[Optional[str], Templates], actions: Sequence[str]
+) -> ComputationGraph:
+    """The run's graph over `d`'s variable names: each action's pairs
+    placed at its step, and the constraints' at every instant."""
+    g = ComputationGraph(len(actions), [v.name for v in d.variables])
+    for k, a in (*enumerate(actions), *((k, None) for k in range(len(actions) + 1))):
+        eq, gen = pairs[a]
+        if eq:
+            g.eq_edges.update([frozenset(((p, i + k), (q, j + k))) for (p, i), (q, j) in eq])
+        if gen:
+            g.gen_edges.update([frozenset(((p, i + k), (q, j + k))) for (p, i), (q, j) in gen])
     return g
 
 
@@ -364,7 +333,7 @@ def computation_graph(
     """Dependency graph of a symbolic run, over-approximating verification
     constraints by inserting every constraint at every instant."""
     dd.symbolic_states(d, actions)
-    return _graph(_pairs(d, constraints), actions)
+    return _graph(d, _pairs(d, constraints), actions)
 
 
 def _longest_path(edges: set[frozenset[GNode]], stop_above: Optional[int] = None) -> int:
@@ -426,7 +395,7 @@ def check_bounded_lookback(
         raise ValueError("K and unroll must be positive")
     p = _pairs(d, constraints)
     for actions in enumerate_symbolic_runs(d, unroll):
-        _, edges = _graph(p, actions).collapsed_edges()
+        _, edges = _graph(d, p, actions).collapsed_edges()
         if _longest_path(edges, stop_above=K) > K:
             return False
     return True
@@ -475,48 +444,13 @@ def check_feedback_free(
     d: Ddsa, constraints: Sequence[Formula], unroll: int = FF_UNROLL
 ) -> bool:
     """Every dependency between two instances of a variable is spanned by a
-    node whose equality class covers both involved intervals."""
-    return _feedback_free(d, constraints, unroll, {})
-
-
-def _feedback_free(d: Ddsa, constraints: Sequence[Formula], unroll: int, memo: dict) -> bool:
-    """Feedback freedom per dependency component under one certification's
-    `memo`: the first system checked is the split tree's root, whose pairs
-    the memo keeps (under `None`); a later system, a part of the root, takes
-    them restricted to its names.  The memo keeps each (control structure,
-    component) verdict too.  Exact: classes, spans and avoiding paths stay
-    in one component.  A component enumerates the runs in the order the
-    whole graph would, so a failure within the budget fails the check, and
-    the budget is exceeded only when no component fails."""
-    root = memo.get(None)
-    if root is None:
-        root = memo[None] = _pairs(d, constraints)
-    names = {v.name for v in d.variables}
-    control = (d.initial, d.transitions, unroll)
-    over: Optional[BudgetExceeded] = None
-    for comp in root.components:
-        comp = [n for n in comp if n in names]
-        if not comp:
-            continue
-        key = (control, tuple(comp))
-        ok = memo.get(key)
-        if ok is None:
-            part = root.on(comp)
-            try:
-                ok = all(
-                    _feedback_free_run(_graph(part, actions))
-                    for actions in enumerate_symbolic_runs(d, unroll)
-                )
-            except BudgetExceeded as e:
-                ok = e
-            memo[key] = ok
-        if ok is False:
-            return False
-        if ok is not True:
-            over = over or ok
-    if over is not None:
-        raise over
-    return True
+    node whose equality class covers both involved intervals, on each
+    enumerated run's whole graph."""
+    pairs = _pairs(d, constraints)
+    return all(
+        _feedback_free_run(_graph(d, pairs, actions))
+        for actions in enumerate_symbolic_runs(d, unroll)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -848,31 +782,29 @@ def certify(d: Ddsa, constraints: Sequence[Formula]) -> str:
     where nothing applies."""
     if d.domain == INT:
         return f"GC(K={_gap_order_bound(d, constraints)})"
-    return _certify(d, list(constraints), {})
+    return _certify(d, list(constraints))
 
 
-def _certify(d: Ddsa, constraints: list[Formula], memo: dict, depth: int = 0) -> str:
-    """`memo` is the certification's feedback-freedom memo
-    (`_feedback_free`), which every part of the split tree shares."""
+def _certify(d: Ddsa, constraints: list[Formula], depth: int = 0) -> str:
     if check_mc(d, constraints):
         return "MC"
     try:
-        if _feedback_free(d, constraints, FF_UNROLL, memo):
+        if check_feedback_free(d, constraints):
             return "feedback-free"
     except BudgetExceeded:
         pass
-    composed = _decompose(d, constraints, memo, depth + 1) if depth < 8 else None
+    composed = _decompose(d, constraints, depth + 1) if depth < 8 else None
     return composed or "exact-fixpoint"
 
 
-def _decompose(d: Ddsa, constraints: list[Formula], memo: dict, depth: int) -> Optional[str]:
+def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[str]:
     """The label of a variable split, else of a sequential split."""
     split = var_decompose(d, constraints)
     if split is not None:
         v1, v2 = split
         c1, c2 = _by_names(conj(*constraints), {v.name for v in v1})
-        left = _certify(project_system(d, v1), [c1], memo, depth)
-        right = _certify(project_system(d, v2), [c2], memo, depth)
+        left = _certify(project_system(d, v1), [c1], depth)
+        right = _certify(project_system(d, v2), [c2], depth)
         n1 = ",".join(v.name for v in v1)
         n2 = ",".join(v.name for v in v2)
         return f"var-compose({{{n1}}}: {left}; {{{n2}}}: {right})"
@@ -880,7 +812,7 @@ def _decompose(d: Ddsa, constraints: list[Formula], memo: dict, depth: int) -> O
     if parts is not None:
         d1, d2, cut = parts
         if set(d1.states) != set(d.states) or d1.finals != d.finals:
-            left = _certify(d1, constraints, memo, depth)
-            right = _certify(d2, constraints, memo, depth)
+            left = _certify(d1, constraints, depth)
+            right = _certify(d2, constraints, depth)
             return f"seq-compose({left}, {right}; cut='{cut}')"
     return None

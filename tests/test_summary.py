@@ -52,6 +52,7 @@ from conftest import (
     reference_var_decompose,
     with_domain,
 )
+from test_cli import FOUR_SELF_LOOPS_MODEL
 
 x, y, s = VarId("x"), VarId("y"), VarId("s")
 CG_CONSTRAINTS = [atom(x, ">", 5), atom(s, ">", 0)]  # shared example set
@@ -226,9 +227,8 @@ def _outcome(check):
 @settings(max_examples=150, deadline=None)
 @given(component_systems(), st.sampled_from([None, 1, 5, 20, 60]), st.integers(1, 2))
 def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, unroll):
-    # True, False and the run budget agree with the check on each run's whole
-    # graph, for the system and for the parts of a split, which answer from
-    # the whole system's pairs and share its verdicts in one memo
+    # True, False and the run budget agree with the reference check on each
+    # run's whole graph, for the system and for the parts of a split
     d, constraints = system
     parts = [(d, constraints)]
     split = var_decompose(d, constraints)
@@ -241,14 +241,32 @@ def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, 
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(summary, "MAX_RUNS", budget)
-        assert _outcome(lambda: check_feedback_free(d, constraints, unroll)) == _outcome(
-            lambda: reference_feedback_free(d, constraints, unroll)
-        )
-        memo: dict = {}  # the whole system, checked first, is the memo's root
         for part, cs in parts:
-            assert _outcome(lambda: summary._feedback_free(part, cs, unroll, memo)) == _outcome(
+            assert _outcome(lambda: check_feedback_free(part, cs, unroll)) == _outcome(
                 lambda: reference_feedback_free(part, cs, unroll)
             ), [v.name for v in part.variables]
+
+
+AUCTION_PROPERTIES = [
+    "F (sold & d>0 & o<=t)",
+    "F (b=1 & o>t & F (sold & b!=1))",
+    "F (sold & b=0)",
+    "(s=0) U (d<=0 | o>t)",
+    "G (s=0) | ((d>0 & o<=t) U (s!=0))",
+]
+
+
+@pytest.mark.parametrize("budget", [1, 5, 20, 60])
+def test_certify_under_a_run_budget_matches_the_reference(auction, budget, monkeypatch):
+    # a run budget hit inside the split tree gives the reference's label: at
+    # a budget of 1 the auction's parts certify less than at the default
+    loops = parsing.parse_model(FOUR_SELF_LOOPS_MODEL)
+    systems = [(loops, "(x < y U 1 <= 1)")]
+    systems += [(auction, text) for text in AUCTION_PROPERTIES]
+    monkeypatch.setattr(summary, "MAX_RUNS", budget)
+    for d, text in systems:
+        constraints = constraints_of(preprocess(parsing.parse_property(text, d)))
+        assert certify(d, constraints) == reference_detect_label(d, constraints), text
 
 
 @settings(max_examples=150, deadline=None)
@@ -348,23 +366,6 @@ def test_bounded_lookback_checks_every_run(system, K, unroll):
     assert _outcome(lambda: check_bounded_lookback(d, constraints, K, unroll)) == _outcome(
         lambda: reference_bounded_lookback(d, constraints, K, unroll)
     )
-
-
-def test_detect_checks_each_control_structure_and_component_once(auction, monkeypatch):
-    # psi11's certification checks feedback freedom on the whole system and on
-    # five parts of its split tree.  Four (control structure, component)
-    # pairs are enumerated: {d} and {o,t,s} on the whole control structure,
-    # {d} on the part before 'end' and {o,t,s} on the part after it
-    psi = parsing.parse_property("F (sold & d>0 & o<=t)", auction)
-    enumerate_runs, calls = summary.enumerate_symbolic_runs, []
-
-    def counted(d, *args, **kwargs):
-        calls.append(d.initial)
-        return enumerate_runs(d, *args, **kwargs)
-
-    monkeypatch.setattr(summary, "enumerate_symbolic_runs", counted)
-    certify(auction, constraints_of(preprocess(psi)))
-    assert calls == ["start", "start", "start", "end"]
 
 
 def test_enumerate_symbolic_runs_budget(b1):
