@@ -247,6 +247,20 @@ def _parse_guard(text: str, line: Optional[int] = None) -> list[Formula]:
 # Model parser
 
 
+# The directives a model gives at most once.
+_ONCE = ("domain", "vars", "states", "initial", "final")
+
+
+def _distinct(rest: str, what: str, line: int) -> list[str]:
+    """The names of a declaration line, or a ParseError naming one that
+    occurs twice."""
+    names = rest.split()
+    for i, n in enumerate(names):
+        if n in names[:i]:
+            raise ParseError(f"{what} {n!r} declared twice", line)
+    return names
+
+
 def parse_model(text: str) -> Ddsa:
     domain: Optional[Domain] = None
     variables: list[VarId] = []
@@ -257,6 +271,7 @@ def parse_model(text: str) -> Ddsa:
     transitions: list[tuple[str, str, str]] = []
     actions: list[str] = []
     guards: dict[str, Formula] = {}
+    given: dict[str, int] = {}  # the line of each directive given once
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -264,24 +279,30 @@ def parse_model(text: str) -> Ddsa:
             continue
         kw, _, rest = line.partition(" ")
         rest = rest.strip()
+        if kw in _ONCE:
+            if kw in given:
+                raise ParseError(f"second {kw!r} line (the first is line {given[kw]})", ln)
+            given[kw] = ln
         if kw == "domain":
             if rest not in ("int", "rat"):
                 raise ParseError(f"domain must be 'int' or 'rat', got {rest!r}", ln)
             domain = INT if rest == "int" else RAT
         elif kw == "vars":
-            variables = [VarId(n) for n in rest.split()]
+            variables = [VarId(n) for n in _distinct(rest, "variable", ln)]
         elif kw == "init":
             for piece in rest.split():
                 if "=" not in piece:
                     raise ParseError(f"init entries look like x=0, got {piece!r}", ln)
                 name, val = piece.split("=", 1)
+                if VarId(name) in init:
+                    raise ParseError(f"'init' assigns {name!r} twice", ln)
                 init[VarId(name)] = _parse_number(val, ln)
         elif kw == "states":
-            states = rest.split()
+            states = _distinct(rest, "state", ln)
         elif kw == "initial":
             initial = rest
         elif kw == "final":
-            finals = rest.split()
+            finals = _distinct(rest, "final state", ln)
         elif kw == "trans":
             m = re.match(r"(\S+)\s+(\S+)\s+(\S+)\s*\[(.*)\]\s*$", rest)
             if not m:

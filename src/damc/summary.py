@@ -23,23 +23,24 @@ one composition that changes the work.
 
 `certify` gives the label of what shows the quotient finite, for
 `damc summary`: `GC(K)` over the integers; over the rationals the
-criteria (monotonicity constraints, feedback freedom), then a two-part
-variable split and a sequential split at a cut state, each part certified
-in turn, and `exact-fixpoint` where nothing applies, whose fixpoint the
-node budget bounds.  Every variable partition goes by whole top-level
-conjuncts (`_by_names`): the split links two variables that share a
-conjunct of a guard or constraint, and the projected guards, the parts'
-constraints and a state's parts each take the conjuncts over their
-variables.
+criteria (monotonicity constraints, feedback freedom), then a split into
+the same components `detect` solves apart, one part each, and a
+sequential split at a cut state, each part certified in turn, and
+`exact-fixpoint` where nothing applies, whose fixpoint the node budget
+bounds.  Every variable partition goes by whole top-level conjuncts
+(`_by_names`): the split links two variables that share a conjunct of a
+guard or constraint, and the projected guards, the parts' constraints and
+a state's parts each take the conjuncts over their variables.
 
 Both read each formula once, whichever of them or part of the split tree
 asks: `_FACTS` memoises, per guard, constraint or top-level conjunct, its
 variables and their names, its normalised atoms, whether every atom is
-MC, whether every atom is gap-order, its computation-graph pair templates
-and its conjuncts' facts, each on first use.  The graphs' inertia pairs
-come from the write sets, so no transition formula is built.  A
-certification keeps no other state: each part of the split tree checks
-feedback freedom on each enumerated run's whole computation graph.
+MC, its computation-graph pair templates and its conjuncts' facts, each
+on first use.  Neither reads gap-order over the rationals.  The graphs'
+inertia pairs come from the write sets, so no transition formula is
+built.  A certification keeps no other state: each part of the split
+tree checks feedback freedom on each enumerated run's whole computation
+graph.
 
 A leaf's image under an action whose guard on it is true is the state
 itself: every variable keeps its value.  On a projected leaf that is every
@@ -251,10 +252,6 @@ class _Facts:
     @cached_property
     def mc(self) -> bool:
         return all(map(solve.is_mc, self.atoms))
-
-    @cached_property
-    def gap_order(self) -> bool:
-        return all(map(solve.is_gap_order, self.atoms))
 
     @cached_property
     def templates(self) -> Templates:
@@ -531,43 +528,14 @@ def _by_names(f: Formula, names: set[str]) -> tuple[Formula, Formula]:
     return conj(*inside), conj(*outside)
 
 
-def _var_parts(d: Ddsa, constraints: Sequence[Formula]) -> tuple[list[list[str]], int]:
+def _var_parts(d: Ddsa, constraints: Sequence[Formula]) -> list[list[str]]:
     """The components of the conjunct co-occurrence graph over `d`'s
-    variable names (two variables are linked when they share a top-level
-    conjunct of a used guard or of a constraint), and how many of them come
-    first because each of their conjuncts is gap-order; each group keeps
-    `_groups`' order.  `_by_names` sends every such conjunct whole to one
-    component.  Gap-order is read only when there are several components."""
+    variable names, in `_groups` order: two variables are linked when they
+    share a top-level conjunct of a used guard or of a constraint, so
+    `_by_names` sends every such conjunct whole to one component."""
     names = [v.name for v in d.variables]
-    ks = [k for k in _criterion(d, constraints) if k.names]
-    ordered = _groups(names, ((next(iter(k.names)), n) for k in ks for n in k.names))
-    if len(ordered) < 2:
-        return ordered, 0
-    # a conjunct lies in one component
-    component = {n: i for i, comp in enumerate(ordered) for n in comp}
-    gc_ok = [True] * len(ordered)
-    for k in ks:
-        i = component[next(iter(k.names))]
-        gc_ok[i] = gc_ok[i] and k.gap_order
-    first = [comp for comp, ok in zip(ordered, gc_ok) if ok]
-    return first + [comp for comp, ok in zip(ordered, gc_ok) if not ok], len(first)
-
-
-def var_decompose(
-    d: Ddsa, constraints: Sequence[Formula]
-) -> Optional[tuple[tuple[VarId, ...], tuple[VarId, ...]]]:
-    """Two-part split of the variables along `_var_parts`: the gap-order
-    components form the first side; if that degenerates, the first
-    component stands against the rest."""
-    parts, n = _var_parts(d, constraints)
-    if len(parts) < 2:
-        return None
-    if n in (0, len(parts)):
-        n = 1
-    side1 = {name for part in parts[:n] for name in part}
-    v1 = tuple(v for v in d.variables if v.name in side1)
-    v2 = tuple(v for v in d.variables if v.name not in side1)
-    return v1, v2
+    ks = _criterion(d, constraints)
+    return _groups(names, ((next(iter(k.names)), n) for k in ks for n in k.names))
 
 
 def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
@@ -578,6 +546,11 @@ def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
     variables = tuple(v for v in d.variables if v.name in keep_names)
     alpha0 = None if d.alpha0 is None else {v: d.alpha0[v] for v in variables}
     return replace(d, variables=variables, alpha0=alpha0, guards=guards)
+
+
+def _project(d: Ddsa, part: Sequence[str]) -> Ddsa:
+    """`project_system` onto the variables named in `part`."""
+    return project_system(d, [v for v in d.variables if v.name in part])
 
 
 # ---------------------------------------------------------------------------
@@ -763,23 +736,18 @@ def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
     several."""
     if d.domain == INT:
         return _Leaf(d, K=_gap_order_bound(d, constraints))
-    parts, _ = _var_parts(d, constraints)
+    parts = _var_parts(d, constraints)
     if len(parts) < 2:
         return _Leaf(d)
-    return VarStrategy(
-        tuple(
-            (tuple(part), _Leaf(project_system(d, [v for v in d.variables if v.name in part])))
-            for part in parts
-        )
-    )
+    return VarStrategy(tuple((tuple(part), _Leaf(_project(d, part))) for part in parts))
 
 
 def certify(d: Ddsa, constraints: Sequence[Formula]) -> str:
     """The label of what certifies that the fixpoint is finite: `GC(K)`
     over the integers (NoSummaryFound outside the fragment); over the
-    rationals MC, then feedback freedom, then a variable split, then a
-    sequential split, each part certified in turn, and `exact-fixpoint`
-    where nothing applies."""
+    rationals MC, then feedback freedom, then a split on the components
+    `detect` solves apart, then a sequential split, each part certified in
+    turn, and `exact-fixpoint` where nothing applies."""
     if d.domain == INT:
         return f"GC(K={_gap_order_bound(d, constraints)})"
     return _certify(d, list(constraints))
@@ -798,19 +766,22 @@ def _certify(d: Ddsa, constraints: list[Formula], depth: int = 0) -> str:
 
 
 def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[str]:
-    """The label of a variable split, else of a sequential split."""
-    split = var_decompose(d, constraints)
+    """The label of a split on the components `detect` solves apart
+    (`_var_parts`), one part each, else of a sequential split.  Each part
+    keeps the constraints' conjuncts over its names, a variable-free one
+    too: it is MC and has no graph pairs, so it changes no part's label."""
+    parts = _var_parts(d, constraints)
+    if len(parts) > 1:
+        c = conj(*constraints)
+        labels = (
+            f"{{{','.join(part)}}}: "
+            + _certify(_project(d, part), [_by_names(c, set(part))[0]], depth)
+            for part in parts
+        )
+        return f"var-compose({'; '.join(labels)})"
+    split = seq_decompose(d)
     if split is not None:
-        v1, v2 = split
-        c1, c2 = _by_names(conj(*constraints), {v.name for v in v1})
-        left = _certify(project_system(d, v1), [c1], depth)
-        right = _certify(project_system(d, v2), [c2], depth)
-        n1 = ",".join(v.name for v in v1)
-        n2 = ",".join(v.name for v in v2)
-        return f"var-compose({{{n1}}}: {left}; {{{n2}}}: {right})"
-    parts = seq_decompose(d)
-    if parts is not None:
-        d1, d2, cut = parts
+        d1, d2, cut = split
         if set(d1.states) != set(d.states) or d1.finals != d.finals:
             left = _certify(d1, constraints, depth)
             right = _certify(d2, constraints, depth)

@@ -92,6 +92,23 @@ def rng():
     return random.Random(20240817)
 
 
+def gap_order_reads(monkeypatch) -> list[str]:
+    """The names of the gap-order readings (`solve.is_gap_order`,
+    `solve._gap_reading`) made from now on, in call order."""
+    calls: list[str] = []
+
+    def counted(name, read):
+        def wrapped(*args):
+            calls.append(name)
+            return read(*args)
+
+        return wrapped
+
+    for name in ("is_gap_order", "_gap_reading"):
+        monkeypatch.setattr(solve, name, counted(name, getattr(solve, name)))
+    return calls
+
+
 def is_exact(v) -> bool:
     """The number representation: an int when integral, else a Fraction."""
     return type(v) is int or (type(v) is Fraction and v.denominator != 1)
@@ -629,31 +646,15 @@ def _reference_groups(names, pairs):
     return [comps[r] for r in sorted(comps, key=names.index)]
 
 
-def reference_var_decompose(d, constraints):
-    """The two-part variable split by conjunct co-occurrence, gap-order
-    components first, with each atom's gap-order test made on the atom."""
+def reference_var_parts(d, constraints):
+    """The components of the conjunct co-occurrence graph over the
+    variable names, each conjunct's names read afresh."""
     names = [v.name for v in d.variables]
     formulas = [*(d.guard(a) for a in used_actions(d.transitions)), *constraints]
     shared = [
         sorted({v.name for v in free_vars(c)}) for f in formulas for c in _reference_conjuncts(f)
     ]
-    ordered = _reference_groups(names, ((vs[0], other) for vs in shared for other in vs[1:]))
-    if len(ordered) < 2:
-        return None
-    component = {n: i for i, comp in enumerate(ordered) for n in comp}
-    gc_ok = [True] * len(ordered)
-    for a in _reference_criterion_atoms(d, constraints):
-        vs = free_vars(a)
-        if vs and not solve.is_gap_order(norm_atom(a)):
-            gc_ok[component[next(iter(vs)).name]] = False
-    side1 = [n for i, comp in enumerate(ordered) if gc_ok[i] for n in comp]
-    side2 = [n for i, comp in enumerate(ordered) if not gc_ok[i] for n in comp]
-    if not side1 or not side2:
-        side1 = ordered[0]
-        side2 = [n for comp in ordered[1:] for n in comp]
-    v1 = tuple(v for v in d.variables if v.name in set(side1))
-    v2 = tuple(v for v in d.variables if v.name in set(side2))
-    return v1, v2
+    return _reference_groups(names, ((vs[0], other) for vs in shared for other in vs[1:]))
 
 
 def reference_by_names(f, names):
@@ -681,8 +682,8 @@ def reference_project_system(d, keep):
 
 def reference_detect_label(d, constraints, depth=0):
     """The label detection gives a rational system, each part read afresh:
-    MC, then feedback freedom on each run's whole graph, then a variable
-    split, then a sequential split."""
+    MC, then feedback freedom on each run's whole graph, then one part per
+    variable component, then a sequential split."""
     if reference_check_mc(d, constraints):
         return "MC"
     try:
@@ -691,15 +692,16 @@ def reference_detect_label(d, constraints, depth=0):
     except BudgetExceeded:
         pass
     if depth < 8:
-        split = reference_var_decompose(d, constraints)
-        if split is not None:
-            v1, v2 = split
-            c1, c2 = reference_by_names(conj(*constraints), {v.name for v in v1})
-            left = reference_detect_label(reference_project_system(d, v1), [c1], depth + 1)
-            right = reference_detect_label(reference_project_system(d, v2), [c2], depth + 1)
-            n1 = ",".join(v.name for v in v1)
-            n2 = ",".join(v.name for v in v2)
-            return f"var-compose({{{n1}}}: {left}; {{{n2}}}: {right})"
+        parts = reference_var_parts(d, constraints)
+        if len(parts) > 1:
+            labels = []
+            for part in parts:
+                keep = [v for v in d.variables if v.name in part]
+                projected = reference_project_system(d, keep)
+                kept = reference_by_names(conj(*constraints), set(part))[0]
+                label = reference_detect_label(projected, [kept], depth + 1)
+                labels.append(f"{{{','.join(part)}}}: {label}")
+            return f"var-compose({'; '.join(labels)})"
         parts = seq_decompose(d)
         if parts is not None:
             d1, d2, cut = parts

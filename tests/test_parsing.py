@@ -69,6 +69,39 @@ def test_parse_model_rejects_guard_conflict():
         parse_model(src)
 
 
+ONE_LOOP = (
+    "domain rat\nvars x y\ninit x=0 y=0\nstates 1\ninitial 1\nfinal 1\n"
+    "trans 1 a 1 [x^w > x^r]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, twice",
+    [
+        ("vars x y", "vars x y x"),
+        ("init x=0 y=0", "init x=0 x=1 y=0"),
+        ("states 1", "states 1 1"),
+        ("final 1", "final 1 1"),
+    ],
+)
+def test_parse_model_rejects_a_name_declared_twice(line, twice):
+    # a repeated variable would make a part `{x,x}` and print `init x=0 y=0
+    # x=0`; a repeated init assignment would start the run at the last one
+    assert line in ONE_LOOP and parse_model(ONE_LOOP)
+    with pytest.raises(ParseError, match=r"'(x|1)' (declared|twice).* at line \d"):
+        parse_model(ONE_LOOP.replace(line, twice))
+
+
+@pytest.mark.parametrize(
+    "second", ["domain int", "vars x y", "states 1", "initial 1", "final 1", "init x=0"]
+)
+def test_parse_model_rejects_a_second_declaration(second):
+    # a second line would replace the first, or assign x again
+    n = len(ONE_LOOP.splitlines()) + 1
+    with pytest.raises(ParseError, match=rf"(second|x).* at line {n}$"):
+        parse_model(ONE_LOOP + second + "\n")
+
+
 def test_model_round_trip(b1, b2, b3, b4, auction):
     for d in (b1, b2, b3, b4, auction):
         again = parse_model(print_model(d))

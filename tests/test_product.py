@@ -39,6 +39,7 @@ from damc.summary import detect
 from conftest import (
     assert_exact_formula,
     frac_grid,
+    gap_order_reads,
     gc_norm,
     is_exact,
     load_model,
@@ -884,7 +885,7 @@ def test_split_of_disjunctive_and_negated_guards_agrees_with_oracle(query):
         for g in guards
         for c in (g.args if isinstance(g, And) else (g,))
     ):
-        assert summary.var_decompose(d, constraints) is None
+        assert len(summary._var_parts(d, constraints)) == 1
     v = verify(d, psi, max_nodes=60)
     found = oracle.brute_force_witness(d, psi, 3, frac_grid(-2, 2))
     if found is not None:
@@ -963,7 +964,7 @@ def test_leaf_image_under_a_true_guard_is_the_state(data):
     # any other guard, one that writes nothing too, the image is the solver's
     shop, gap = parsing.parse_model(SHOP_2_TICK), parsing.parse_model(GAP_SKIP)
     split = detect(shop, [])
-    assert split.describe() == "var-compose({c}: exact-fixpoint; {a0,a1,s}: exact-fixpoint)"
+    assert split.describe() == "var-compose({a0,a1,s}: exact-fixpoint; {c}: exact-fixpoint)"
     leaves = _leaves(split) + [detect(gap, [])]
     assert leaves[-1].K is not None
     for leaf in leaves:
@@ -1005,7 +1006,7 @@ def test_true_guard_steps_under_a_variable_split_agree_with_oracle(query):
     model, prop = query
     d = parsing.parse_model(model)
     psi = parsing.parse_property(prop, d)
-    assert summary.var_decompose(d, lt.constraints_of(lt.preprocess(psi))) is not None
+    assert len(summary._var_parts(d, lt.constraints_of(lt.preprocess(psi)))) > 1
     v = verify(d, psi, max_nodes=50)
     found = oracle.brute_force_witness(d, psi, 3, frac_grid(0, 2))
     if found is not None:
@@ -1056,6 +1057,19 @@ def test_verify_certifies_nothing_on_the_gated_queries(auction, b1, monkeypatch,
     for d, case in cases:
         psi = parsing.parse_property(case["property"], d)
         assert _verdict_json(verify(d, psi)) == case["verdict"]
+
+
+def test_verify_over_q_reads_no_gap_order(auction, b1, monkeypatch):
+    # gap-order is an integer device: over Q, splitting the auction into
+    # its parts and solving them reads no atom for gap-order
+    summary._FACTS.clear()
+    tested = gap_order_reads(monkeypatch)
+    cases = [(auction, c) for c in AUCTION_GOLDEN.values()]
+    cases += [(b1, c) for c in DISJUNCTION_GOLDEN.values()]
+    for d, case in cases:
+        psi = parsing.parse_property(case["property"], d)
+        assert _verdict_json(verify(d, psi)) == case["verdict"]
+    assert tested == []
 
 
 def golden_cases(auction, b1):

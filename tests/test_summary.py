@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from damc.formula import (
     INT,
     RAT,
     TRUE,
-    And,
     Term,
     VarId,
     atom,
@@ -20,7 +20,7 @@ from damc.formula import (
     free_vars,
 )
 from damc.ltlf import constraints_of, preprocess
-from damc.product import constraint_graph
+from damc.product import constraint_graph, verify
 from damc.solve import BudgetExceeded, equivalent
 from damc.summary import (
     NoSummaryFound,
@@ -35,12 +35,13 @@ from damc.summary import (
     enumerate_symbolic_runs,
     project_system,
     seq_decompose,
-    var_decompose,
     _Leaf,
+    _var_parts,
 )
 
 from conftest import (
     MODELS,
+    gap_order_reads,
     load_model,
     reference_bounded_lookback,
     reference_by_names,
@@ -49,7 +50,7 @@ from conftest import (
     reference_detect_label,
     reference_feedback_free,
     reference_project_guards,
-    reference_var_decompose,
+    reference_var_parts,
     with_domain,
 )
 from test_cli import FOUR_SELF_LOOPS_MODEL
@@ -231,11 +232,10 @@ def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, 
     # run's whole graph, for the system and for the parts of a split
     d, constraints = system
     parts = [(d, constraints)]
-    split = var_decompose(d, constraints)
-    for side in split or ():
-        names = {v.name for v in side}
-        kept = [c for c in constraints if {v.name for v in free_vars(c)} <= names]
-        parts.append((project_system(d, side), kept))
+    components = _var_parts(d, constraints)
+    for names in components if len(components) > 1 else ():
+        kept = [c for c in constraints if {v.name for v in free_vars(c)} <= set(names)]
+        parts.append((project_system(d, [v for v in d.variables if v.name in names]), kept))
     halves = seq_decompose(d)
     parts += [(part, constraints) for part in halves[:2]] if halves else []
     with pytest.MonkeyPatch.context() as mp:
@@ -247,6 +247,12 @@ def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, 
             ), [v.name for v in part.variables]
 
 
+# `damc summary`'s label of the auction, with no property and under each
+# of its five properties
+AUCTION_LABEL = (
+    "var-compose({d}: seq-compose(exact-fixpoint, MC; cut='end'); "
+    "{o,t,s}: seq-compose(MC, feedback-free; cut='end'); {b}: MC)"
+)
 AUCTION_PROPERTIES = [
     "F (sold & d>0 & o<=t)",
     "F (b=1 & o>t & F (sold & b!=1))",
@@ -281,18 +287,18 @@ def test_detection_from_one_reading_matches_reading_each_part_afresh(system):
     while todo:
         part, cs, depth = todo.pop()
         assert check_mc(part, cs) == reference_check_mc(part, cs)
-        split = var_decompose(part, cs)
-        assert split == reference_var_decompose(part, cs)
+        components = _var_parts(part, cs)
+        assert components == reference_var_parts(part, cs)
         if depth == 3:
             continue
-        for side in split or ():
+        for names in components if len(components) > 1 else ():
+            side = [v for v in part.variables if v.name in names]
             projected = project_system(part, side)
             assert projected.guards == reference_project_guards(part, side)
-            names = {v.name for v in side}
-            kept = summary._by_names(conj(*cs), names)[0]
-            assert kept == reference_by_names(conj(*cs), names)[0]
+            kept = summary._by_names(conj(*cs), set(names))[0]
+            assert kept == reference_by_names(conj(*cs), set(names))[0]
             todo.append((projected, [kept], depth + 1))
-        halves = seq_decompose(part) if split is None else None
+        halves = seq_decompose(part) if len(components) < 2 else None
         todo += [(h, cs, depth + 1) for h in halves[:2]] if halves else []
     assert certify(d, constraints) == reference_detect_label(d, constraints)
 
@@ -319,34 +325,24 @@ def test_detections_in_turn_match_detections_from_a_cleared_memo(first, second):
     assert in_turn == afresh
 
 
-def test_detect_reads_each_conjunct_once_and_builds_no_transition_formula(
+def test_certify_over_q_reads_no_gap_order_and_builds_no_transition_formula(
     auction, monkeypatch
 ):
-    # psi11's certification splits the auction three ways and checks MC and
-    # the gap-order side of the split on every part; each guard or constraint
-    # conjunct is tested for gap-order at most once, and the computation
-    # graphs' pairs come from the guards and the write sets
+    # psi11's certification splits the auction three ways and checks MC,
+    # feedback freedom and the sequential split on every part; over Q no
+    # atom is read for gap-order, and the computation graphs' pairs come
+    # from the guards and the write sets
     psi = parsing.parse_property("F (sold & d>0 & o<=t)", auction)
     constraints = constraints_of(preprocess(psi))
-    conjuncts = {
-        c
-        for f in (*auction.guards.values(), *constraints)
-        for c in (f.args if isinstance(f, And) else (f,))
-    }
-    is_gap_order, tested = solve.is_gap_order, []
-
-    def counted(na):
-        tested.append(na)
-        return is_gap_order(na)
 
     def no_transition_formula(d, action):
         raise AssertionError(f"transition formula of {action} built")
 
     summary._FACTS.clear()
-    monkeypatch.setattr(solve, "is_gap_order", counted)
+    tested = gap_order_reads(monkeypatch)
     monkeypatch.setattr(ddsa, "transition_formula", no_transition_formula)
-    assert certify(auction, constraints).startswith("var-compose({d,b}: var-compose({d}:")
-    assert 0 < len(tested) <= len(conjuncts)
+    assert certify(auction, constraints) == AUCTION_LABEL
+    assert tested == []
 
 
 # The run a1 a1 has a collapsed path of 4 edges; the a0 steps of its maximal
@@ -413,20 +409,16 @@ def test_seq_decompose_two_state_chain():
     assert cut == "q" and set(d1.states) == {"p", "q"} and set(d2.states) == {"q"}
 
 
-def test_var_decompose_auction(auction):
+def test_var_parts_auction(auction):
     psi_atoms = [atom(VarId("b"), "=", 1), atom(VarId("o"), ">", VarId("t")), atom(VarId("b"), "!=", 1)]
-    split = var_decompose(auction, psi_atoms)
-    assert split is not None
-    v1, v2 = split
-    assert {v.name for v in v1} == {"b", "d"}
-    assert {v.name for v in v2} == {"o", "t", "s"}
+    assert _var_parts(auction, psi_atoms) == [["d"], ["o", "t", "s"], ["b"]]
 
 
-def test_var_decompose_single_component(b1):
-    assert var_decompose(b1, []) is None
+def test_var_parts_single_component(b1):
+    assert _var_parts(b1, []) == [["x", "y"]]
 
 
-def test_var_decompose_independent_counters():
+def test_var_parts_independent_counters():
     d = Ddsa(
         states=("s",),
         initial="s",
@@ -441,9 +433,7 @@ def test_var_decompose_independent_counters():
         },
         domain=RAT,
     )
-    split = var_decompose(d, [])
-    assert split is not None
-    assert {v.name for v in split[0]} | {v.name for v in split[1]} == {"x", "y"}
+    assert _var_parts(d, []) == [["x"], ["y"]]
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +464,48 @@ def test_detect_gc_only_over_the_integers(b3):
 def test_detect_auction_shape(auction):
     C = [atom(VarId("b"), "=", 1), atom(VarId("o"), ">", VarId("t")), atom(VarId("b"), "!=", 1)]
     strat = detect(auction, C)
-    # one exact leaf per component, the gap-order components first; the
-    # rational {d} and {b} parts never get the integer GC leaf
+    # one exact leaf per component, in `_groups` order; the rational {d}
+    # and {b} parts never get the integer GC leaf
     assert isinstance(strat, VarStrategy)
-    assert [names for names, _ in strat.parts] == [("d",), ("b",), ("o", "t", "s")]
+    assert [names for names, _ in strat.parts] == [("d",), ("o", "t", "s"), ("b",)]
     for names, leaf in strat.parts:
         assert type(leaf) is _Leaf and leaf.K is None
         assert [v.name for v in leaf.d.variables] == list(names)
     assert strat.describe() == (
-        "var-compose({d}: exact-fixpoint; {b}: exact-fixpoint; {o,t,s}: exact-fixpoint)"
+        "var-compose({d}: exact-fixpoint; {o,t,s}: exact-fixpoint; {b}: exact-fixpoint)"
     )
-    # a sequential split only labels its (sub)system
-    assert certify(auction, C) == (
-        "var-compose({d,b}: var-compose({d}: seq-compose(exact-fixpoint, MC; cut='end'); "
-        "{b}: MC); {o,t,s}: seq-compose(MC, feedback-free; cut='end'))"
-    )
+    # certification splits on the same parts; a sequential split only
+    # labels its (sub)system
+    assert certify(auction, C) == AUCTION_LABEL
+
+
+def _top_parts(label):
+    """The names of a label's top-level `var-compose` parts, in order
+    (none for an unsplit label)."""
+    if not label.startswith("var-compose("):
+        return []
+    depth, parts = 0, []
+    for m in re.finditer(r"[()]|\{([^}]*)\}", label):
+        depth += {"(": 1, ")": -1}.get(m.group(0), 0)
+        if depth == 1 and m.group(1) is not None:
+            parts.append(m.group(1).split(","))
+    return parts
+
+
+def test_summary_certifies_the_parts_verify_solves(auction):
+    # `damc summary`'s label lists the parts `verify` solves apart, with
+    # the same names in the same order: every model over Q and the
+    # four-self-loop system with no property, and under their properties
+    loops = parsing.parse_model(FOUR_SELF_LOOPS_MODEL)
+    models = [with_domain(load_model(p.name), RAT) for p in sorted(MODELS.glob("*.ddsa"))]
+    for d in [*models, loops]:
+        assert _top_parts(certify(d, [])) == _top_parts(detect(d, []).describe())
+    assert _top_parts(certify(loops, [])) == [["x"], ["y"], ["u", "v"]]
+    for d, text in [(loops, "(x < y U 1 <= 1)")] + [(auction, t) for t in AUCTION_PROPERTIES]:
+        psi = parsing.parse_property(text, d)
+        label = certify(d, constraints_of(preprocess(psi)))
+        assert _top_parts(label) == _top_parts(verify(d, psi).strategy.describe()), text
+    assert _top_parts(label) == [["d"], ["o", "t", "s"], ["b"]]
 
 
 def _independent_counters(n):
