@@ -32,14 +32,12 @@ bounds.  Every variable partition goes by whole top-level conjuncts
 guard or constraint, and the projected guards, the parts' constraints and
 a state's parts each take the conjuncts over their variables.
 
-Both read each formula once, whichever of them or part of the split tree
-asks: `_FACTS` memoises, per guard, constraint or top-level conjunct, its
-variables and their names, its normalised atoms, whether every atom is
-MC, its computation-graph pair templates and its conjuncts' facts, each
-on first use.  Neither reads gap-order over the rationals.  The graphs'
+Both read a formula's conjuncts, names and atoms where they need them
+and keep no memo: an atom's normal form comes from `norm_atom`, which
+keeps its own.  Neither reads gap-order over the rationals.  The graphs'
 inertia pairs come from the write sets, so no transition formula is
-built.  A certification keeps no other state: each part of the split
-tree checks feedback freedom on each enumerated run's whole computation
+built.  A certification keeps no state: each part of the split tree
+checks feedback freedom on each enumerated run's whole computation
 graph.
 
 A leaf's image under an action whose guard on it is true is the state
@@ -49,7 +47,6 @@ action that moves none of its variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import ddsa as dd
@@ -87,27 +84,35 @@ def used_actions(transitions: Sequence[tuple[str, str, str]]) -> list[str]:
     return list(dict.fromkeys([a for (_, a, _) in transitions]))
 
 
-def _criterion(d: Ddsa, constraints: Sequence[Formula]) -> list[_Facts]:
-    """The facts of the top-level conjuncts of the used guards and of the
-    constraints.  The initial assignment's atoms compare one variable with a
-    constant, so they are MC and gap-order and no criterion but `K` reads
-    them."""
+def _conjuncts(f: Formula) -> tuple[Formula, ...]:
+    """The top-level conjuncts of `f`."""
+    return f.args if isinstance(f, And) else (f,)
+
+
+def _criterion(d: Ddsa, constraints: Sequence[Formula]) -> list[Formula]:
+    """The top-level conjuncts of the used guards and of the constraints.
+    The initial assignment's atoms compare one variable with a constant, so
+    they are MC and gap-order and no criterion but `K` reads them."""
     formulas = [d.guard(a) for a in used_actions(d.transitions)] + list(constraints)
-    return [k for f in formulas for k in _fact(f).conjuncts]
+    return [k for f in formulas for k in _conjuncts(f)]
+
+
+def _norm_atoms(fs: Sequence[Formula]) -> list[NormAtom]:
+    """The normalised atoms of the formulas, in order."""
+    return [norm_atom(a) for f in fs for a in atoms_of(f)]
 
 
 def check_mc(d: Ddsa, constraints: Sequence[Formula]) -> bool:
     """Monotonicity criterion: rational domain and every atom of guards and
     constraints compares two variables/constants."""
-    return d.domain == RAT and all(k.mc for k in _criterion(d, constraints))
+    return d.domain == RAT and all(map(solve.is_mc, _norm_atoms(_criterion(d, constraints))))
 
 
 def check_gc(d: Ddsa, constraints: Sequence[Formula]) -> tuple[bool, Optional[int]]:
     """Gap-order criterion plus the cutoff bound K, over the atoms of
     guards, the initial assignment and the verification constraints, read
     off their tightened rows (`solve.gap_order_bound`)."""
-    atoms = [na for k in _criterion(d, constraints) for na in k.atoms]
-    atoms += (norm_atom(a) for f in d.initial_constraints() for a in atoms_of(f))
+    atoms = _norm_atoms(_criterion(d, constraints)) + _norm_atoms(d.initial_constraints())
     K = solve.gap_order_bound(atoms)
     return (K is not None, K)
 
@@ -187,12 +192,12 @@ def _components(nodes, pairs) -> dict:
 
 def _groups(names: list[str], pairs) -> list[list[str]]:
     """The components of the names the pairs link, each in name order,
-    ordered by the position of their root (`_components`)."""
+    ordered by their first name: renaming a name moves no component."""
     roots = _components(names, pairs)
     comps: dict[str, list[str]] = {}
     for n in names:
         comps.setdefault(roots[n], []).append(n)
-    return [comps[r] for r in sorted(comps, key=names.index)]
+    return list(comps.values())
 
 
 def _adjacency(edges: set[frozenset[GNode]]) -> dict[GNode, list[GNode]]:
@@ -229,82 +234,31 @@ def _pair_templates(atoms: Sequence[NormAtom]) -> Templates:
     return eq, gen
 
 
-class _Facts:
-    """What detection and certification read off a guard, a constraint or
-    a top-level conjunct of one, each fact on first use (the module
-    docstring)."""
-
-    def __init__(self, formula: Formula):
-        self.formula = formula
-
-    @cached_property
-    def variables(self) -> set[VarId]:
-        return free_vars(self.formula)
-
-    @cached_property
-    def names(self) -> frozenset[str]:
-        return frozenset(v.name for v in self.variables)
-
-    @cached_property
-    def atoms(self) -> list[NormAtom]:
-        return [norm_atom(a) for a in atoms_of(self.formula)]
-
-    @cached_property
-    def mc(self) -> bool:
-        return all(map(solve.is_mc, self.atoms))
-
-    @cached_property
-    def templates(self) -> Templates:
-        return _pair_templates(self.atoms)
-
-    @cached_property
-    def conjuncts(self) -> list[_Facts]:
-        f = self.formula
-        return [_fact(c) for c in f.args] if isinstance(f, And) else [self]
-
-
-# The facts per formula, shared by every detection and certification: they
-# depend on the formula alone.  Capped as `solve._DNF_CACHE` is.
-_FACTS: dict[Formula, _Facts] = {}
-
-
-def _fact(f: Formula) -> _Facts:
-    hit = _FACTS.get(f)
-    if hit is None:
-        hit = _Facts(f)
-        if len(_FACTS) < 100_000:
-            _FACTS[f] = hit
-    return hit
-
-
 def _pairs(d: Ddsa, constraints: Sequence[Formula]) -> dict[Optional[str], Templates]:
     """The pair templates of `d` under `constraints`: each used action's
     (its guard's, and an inertia pair per variable it leaves alone) and,
     under `None`, the constraints' (offset 0).  They come from the write
-    sets and the conjuncts' templates: no transition formula is built."""
+    sets and the formulas' atoms: no transition formula is built."""
     names = [v.name for v in d.variables]
     declared = set(names)
 
-    def over(ks: list[_Facts]) -> Templates:
-        """The conjuncts' pairs over declared names: a run's graph has nodes
+    def over(fs: Sequence[Formula]) -> Templates:
+        """The formulas' pairs over declared names: a run's graph has nodes
         for those only."""
         eq, gen = (
-            [(p, q) for k in ks for p, q in k.templates[i] if {p[0], q[0]} <= declared]
-            for i in (0, 1)
+            [(p, q) for p, q in templates if {p[0], q[0]} <= declared]
+            for templates in _pair_templates(_norm_atoms(fs))
         )
         return eq, gen
 
-    pairs: dict[Optional[str], Templates] = {
-        None: over([k for c in constraints for k in _fact(c).conjuncts])
-    }
+    pairs: dict[Optional[str], Templates] = {None: over(constraints)}
     for a in used_actions(d.transitions):
         g = d.guard(a)
         if isinstance(g, FalseF):  # its transition formula has no atom
             pairs[a] = ([], [])
             continue
-        ks = _fact(g).conjuncts
-        written = {v.name for k in ks for v in k.variables if v.kind == WRITE}
-        eq, gen = over(ks)
+        written = {v.name for v in free_vars(g) if v.kind == WRITE}
+        eq, gen = over([g])
         pairs[a] = (eq + [((n, 0), (n, 1)) for n in names if n not in written], gen)
     return pairs
 
@@ -519,8 +473,8 @@ def _by_names(f: Formula, names: set[str]) -> tuple[Formula, Formula]:
     the one way a variable split divides a formula."""
     inside: list[Formula] = []
     outside: list[Formula] = []
-    for k in _fact(f).conjuncts:
-        (inside if k.names <= names else outside).append(k.formula)
+    for k in _conjuncts(f):
+        (inside if {v.name for v in free_vars(k)} <= names else outside).append(k)
     if not outside:
         return f, TRUE
     if not inside:
@@ -534,8 +488,8 @@ def _var_parts(d: Ddsa, constraints: Sequence[Formula]) -> list[list[str]]:
     share a top-level conjunct of a used guard or of a constraint, so
     `_by_names` sends every such conjunct whole to one component."""
     names = [v.name for v in d.variables]
-    ks = _criterion(d, constraints)
-    return _groups(names, ((next(iter(k.names)), n) for k in ks for n in k.names))
+    linked = ({v.name for v in free_vars(k)} for k in _criterion(d, constraints))
+    return _groups(names, ((next(iter(ns)), n) for ns in linked for n in ns))
 
 
 def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
@@ -557,14 +511,22 @@ def _project(d: Ddsa, part: Sequence[str]) -> Ddsa:
 # Summary strategies
 
 
-@dataclass
 class _Leaf:
     """The one exact leaf: QE in the system's domain (`dd.update` picks it)
     and a rational equivalence check.  With the gap-order bound `K` set (an
     integer system), states are compared by their cutoffs at `K`."""
 
-    d: Ddsa
-    K: Optional[int] = field(default=None, kw_only=True)
+    def __init__(self, d: Ddsa, *, K: Optional[int] = None):
+        self.d = d
+        self.K = K
+        # The memos live on the leaf: leaves differ in their system and K,
+        # and live for one verify call.
+        self._image_cache: dict[tuple[Formula, Formula], Formula] = {}
+        self._sat_cache: dict[Formula, SatResult] = {}
+        self._truth_cache: dict[Formula, dict] = {}
+        self._cutoff_cache: dict[Formula, Formula] = {}
+        self._canon_cache: dict[Formula, Formula] = {}
+        self._classes: list[Formula] = []
 
     def describe(self) -> str:
         return "exact-fixpoint" if self.K is None else f"GC(K={self.K})"
@@ -575,14 +537,10 @@ class _Leaf:
         `solve.gc_equivalent`."""
         if self.K is None:
             return state
-        memo = self.__dict__.setdefault("_cutoff_cache", {})
-        hit = memo.get(state)
+        hit = self._cutoff_cache.get(state)
         if hit is None:
-            hit = memo[state] = solve.cutoff(state, self.K)
+            hit = self._cutoff_cache[state] = solve.cutoff(state, self.K)
         return hit
-
-    # The image, sat, cutoff and canon memos live on the instance: leaves
-    # differ in their system and K, and live for one verify call.
 
     def image(self, state: Formula, action: str) -> Formula:
         # under a true guard every variable keeps its value: the image is
@@ -592,26 +550,23 @@ class _Leaf:
             return state
         # one image per (state, transition formula), shared by the NFA edges
         # that conjoin to it and by the actions with that formula
-        memo = self.__dict__.setdefault("_image_cache", {})
         key = (state, dd.transition_formula(self.d, action))
-        hit = memo.get(key)
+        hit = self._image_cache.get(key)
         if hit is None:
-            hit = memo[key] = dd.update(self.d, state, action)
+            hit = self._image_cache[key] = dd.update(self.d, state, action)
         return hit
 
     def canon(self, state: Formula) -> Formula:
         """The first state canonised here that is equivalent to `state`
         (`state` itself if none is): one representative per class, so that
         the product finds a node by lookup instead of by scan."""
-        memo = self.__dict__.setdefault("_canon_cache", {})
-        hit = memo.get(state)
+        hit = self._canon_cache.get(state)
         if hit is None:
-            classes = self.__dict__.setdefault("_classes", [])
-            hit = next((r for r in classes if self.equiv(r, state)), None)
+            hit = next((r for r in self._classes if self.equiv(r, state)), None)
             if hit is None:
-                classes.append(state)
+                self._classes.append(state)
                 hit = state
-            memo[state] = hit
+            self._canon_cache[state] = hit
         return hit
 
     def equiv(self, s1: Formula, s2: Formula) -> bool:
@@ -625,13 +580,11 @@ class _Leaf:
         the solver checks first, so a refutation is the solver's answer.
         Each atom's truth under a stored model is computed once: the memo
         holds one dict per solved state."""
-        solved = self.__dict__.get("_sat_cache", {})
-        truths = self.__dict__.setdefault("_truth_cache", {})
         for a, b in ((s1, s2), (s2, s1)):
-            res = solved.get(a)
+            res = self._sat_cache.get(a)
             if res is None or res.model is None:
                 continue
-            memo = truths.setdefault(a, {})
+            memo = self._truth_cache.setdefault(a, {})
             try:
                 if evaluate(self.compared(a), res.model, memo) and not evaluate(
                     self.compared(b), res.model, memo
@@ -642,15 +595,14 @@ class _Leaf:
         return False
 
     def sat(self, state: Formula) -> bool:
-        memo = self.__dict__.setdefault("_sat_cache", {})
-        hit = memo.get(state)
+        hit = self._sat_cache.get(state)
         if hit is None:
             hit = solve.is_sat(state, self.d.domain)
             if hit.model is not None:
                 # a model of one cube leaves the other variables free
                 zeros = dict.fromkeys(self.d.variables, 0)
                 hit = SatResult(True, {**zeros, **hit.model})
-            memo[state] = hit
+            self._sat_cache[state] = hit
         return hit.sat
 
 
@@ -679,11 +631,11 @@ class VarStrategy:
         hit = self._split_cache.get(state)
         if hit is None:
             groups: list[list[Formula]] = [[] for _ in self.parts]
-            for k in _fact(state).conjuncts:
-                at = {self._part_of[n] for n in k.names} or {0}
+            for k in _conjuncts(state):
+                at = {self._part_of[v.name] for v in free_vars(k)} or {0}
                 if len(at) > 1:
-                    raise ValueError(f"a conjunct crosses the variable split: {k.formula}")
-                groups[at.pop()].append(k.formula)
+                    raise ValueError(f"a conjunct crosses the variable split: {k}")
+                groups[at.pop()].append(k)
             hit = self._split_cache[state] = [conj(*g) for g in groups]
         return hit
 

@@ -38,6 +38,7 @@ from damc.summary import detect
 
 from conftest import (
     assert_exact_formula,
+    clear_process_memos,
     frac_grid,
     gap_order_reads,
     gc_norm,
@@ -1062,7 +1063,6 @@ def test_verify_certifies_nothing_on_the_gated_queries(auction, b1, monkeypatch,
 def test_verify_over_q_reads_no_gap_order(auction, b1, monkeypatch):
     # gap-order is an integer device: over Q, splitting the auction into
     # its parts and solving them reads no atom for gap-order
-    summary._FACTS.clear()
     tested = gap_order_reads(monkeypatch)
     cases = [(auction, c) for c in AUCTION_GOLDEN.values()]
     cases += [(b1, c) for c in DISJUNCTION_GOLDEN.values()]
@@ -1079,6 +1079,27 @@ def golden_cases(auction, b1):
         (with_domain(load_model(c["model"]), INT), c["property"]) for c in INTEGER_GOLDEN.values()
     ]
     return cases
+
+
+def test_golden_verdicts_in_turn_match_verdicts_from_cleared_memos():
+    # the process-wide DNF and normalisation memos change no answer: the
+    # golden queries' verdict JSON (run included), asked in one process in
+    # order and then in reverse on one model object per system, is each
+    # query's JSON with those memos cleared and the model parsed afresh
+    cases = [("auction.ddsa", RAT, c["property"]) for c in AUCTION_GOLDEN.values()]
+    cases += [("b1.ddsa", RAT, c["property"]) for c in DISJUNCTION_GOLDEN.values()]
+    cases += [(c["model"], INT, c["property"]) for c in INTEGER_GOLDEN.values()]
+    models = {(name, dom): with_domain(load_model(name), dom) for name, dom, _ in cases}
+
+    def verdict(d, text):
+        return _verdict_json(verify(d, parsing.parse_property(text, d)))
+
+    forward = {case: verdict(models[case[:2]], case[2]) for case in cases}
+    backward = {case: verdict(models[case[:2]], case[2]) for case in reversed(cases)}
+    for name, dom, text in cases:
+        clear_process_memos()
+        afresh = verdict(with_domain(load_model(name), dom), text)
+        assert forward[name, dom, text] == backward[name, dom, text] == afresh, text
 
 
 def test_golden_states_and_runs_hold_ints_unless_not_integral(auction, b1):

@@ -41,6 +41,7 @@ from damc.summary import (
 
 from conftest import (
     MODELS,
+    clear_process_memos,
     gap_order_reads,
     load_model,
     reference_bounded_lookback,
@@ -304,23 +305,25 @@ def test_detection_from_one_reading_matches_reading_each_part_afresh(system):
 
 
 def _detection(d, constraints):
-    """The certificate label and the feedback-freedom outcome of a system."""
+    """The strategy `verify` runs on, the certificate label and the
+    feedback-freedom outcome of a system."""
     label = certify(d, constraints)
-    return label, _outcome(lambda: check_feedback_free(d, constraints))
+    feedback_free = _outcome(lambda: check_feedback_free(d, constraints))
+    return detect(d, constraints).describe(), label, feedback_free
 
 
 @settings(max_examples=100, deadline=None)
 @given(component_systems(rich=True), component_systems(rich=True))
 def test_detections_in_turn_match_detections_from_a_cleared_memo(first, second):
-    # the facts memoised per formula by one detection serve the next: each
-    # label and feedback-freedom outcome is the one a detection with the
-    # memo cleared gives
+    # detection and certification keep no memo; the process-wide DNF and
+    # normalisation memos one detection fills serve the next, and each
+    # strategy, label and feedback-freedom outcome is the one a detection
+    # with those memos cleared gives
     systems = (first, second, first)
-    summary._FACTS.clear()
     in_turn = [_detection(*system) for system in systems]
     afresh = []
     for system in systems:
-        summary._FACTS.clear()
+        clear_process_memos()
         afresh.append(_detection(*system))
     assert in_turn == afresh
 
@@ -338,7 +341,6 @@ def test_certify_over_q_reads_no_gap_order_and_builds_no_transition_formula(
     def no_transition_formula(d, action):
         raise AssertionError(f"transition formula of {action} built")
 
-    summary._FACTS.clear()
     tested = gap_order_reads(monkeypatch)
     monkeypatch.setattr(ddsa, "transition_formula", no_transition_formula)
     assert certify(auction, constraints) == AUCTION_LABEL
@@ -506,6 +508,21 @@ def test_summary_certifies_the_parts_verify_solves(auction):
         label = certify(d, constraints_of(preprocess(psi)))
         assert _top_parts(label) == _top_parts(verify(d, psi).strategy.describe()), text
     assert _top_parts(label) == [["d"], ["o", "t", "s"], ["b"]]
+
+
+def test_parts_keep_the_declaration_order():
+    # the parts are ordered by their first declared variable, so renaming a
+    # variable moves no part: under `vars z m a` the part {z,a} comes first,
+    # though a is the alphabetically least name
+    base = "domain rat\nvars z m a\ninit z=0 m=0 a=0\nstates 1\ninitial 1\nfinal 1\n"
+    split = "var-compose({z,a}: exact-fixpoint; {m}: exact-fixpoint)"
+    mc = parsing.parse_model(base + "trans 1 p 1 [z^w > a^r]\ntrans 1 q 1 [m^w > m^r]\n")
+    assert detect(mc, []).describe() == split
+    assert certify(mc, []) == "MC"
+    # with a non-MC guard on {z,a}, certification splits on the same parts
+    d = parsing.parse_model(base + "trans 1 p 1 [z^w > z^r + a^r]\ntrans 1 q 1 [m^w > m^r]\n")
+    assert detect(d, []).describe() == split
+    assert certify(d, []) == "var-compose({z,a}: exact-fixpoint; {m}: MC)"
 
 
 def _independent_counters(n):
