@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +34,7 @@ def _load_model(ns: argparse.Namespace) -> Ddsa:
     d = parsing.parse_model(text)
     if ns.domain:
         # the model must be valid in the domain it is solved in
-        d = parsing.check_model(replace(d, domain=INT if ns.domain == "int" else RAT))
+        d = parsing.check_model(d.replace(domain=INT if ns.domain == "int" else RAT))
     return d
 
 
@@ -62,9 +61,7 @@ def _verdict_json(v: product.Verdict) -> dict:
     out: dict = {"verdict": v.kind, "strategy": v.stats.strategy or None}
     if v.reason:
         out["reason"] = v.reason
-    sizes = asdict(v.stats)
-    del sizes["strategy"]
-    out["sizes"] = sizes
+    out["sizes"] = v.stats.sizes()
     if v.run is not None:
         out["word"] = [sorted(str(s) for s in sym) for sym in (v.word or [])]
         out.update(_run_json(v.run))

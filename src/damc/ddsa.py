@@ -3,7 +3,6 @@ transition formulas, the update operator, and history constraints."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .formula import (
@@ -14,7 +13,9 @@ from .formula import (
     Formula,
     NormAtom,
     Term,
+    Value,
     VarId,
+    _set,
     conj,
     evaluate,
     exact,
@@ -34,28 +35,39 @@ class UnknownAction(ModelError):
 Assignment = dict[VarId, Exact]
 
 
-@dataclass
 class Ddsa:
     """Labelled transition system with guarded actions over read/write
-    variable copies.  Treated as immutable after construction.
+    variable copies.  Treated as immutable after construction: `replace`
+    gives a changed copy.
 
     `alpha0` may be None for subsystems with a symbolic initial assignment
     (used by the sequential decomposition); such systems contribute no
     initial constraints.
     """
 
-    states: tuple[str, ...]
-    initial: str
-    actions: tuple[str, ...]
-    transitions: tuple[tuple[str, str, str], ...]  # (src, action, dst)
-    finals: frozenset[str]
-    variables: tuple[VarId, ...]
-    alpha0: Optional[Assignment]
-    guards: dict[str, Formula]
-    domain: Domain
-    dummy: Optional[tuple[str, str]] = None  # (dummy state, dummy action)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        initial: str,
+        actions: tuple[str, ...],
+        transitions: tuple[tuple[str, str, str], ...],  # (src, action, dst)
+        finals: frozenset[str],
+        variables: tuple[VarId, ...],
+        alpha0: Optional[Assignment],
+        guards: dict[str, Formula],
+        domain: Domain,
+        dummy: Optional[tuple[str, str]] = None,  # (dummy state, dummy action)
+    ):
+        self.states = states
+        self.initial = initial
+        self.actions = actions
+        self.transitions = transitions
+        self.finals = finals
+        self.variables = variables
+        self.alpha0 = alpha0
+        self.guards = guards
+        self.domain = domain
+        self.dummy = dummy
         self._tmap = {(s, a): d for (s, a, d) in self.transitions}
         self._out: dict[str, list[tuple[str, str]]] = {}
         for (s, a, d) in self.transitions:
@@ -63,6 +75,19 @@ class Ddsa:
         self._delta_cache: dict[str, Formula] = {}
         # the renamed transition formula's DNF per (action, snapshot index)
         self._cubes_cache: dict[tuple[str, int], list] = {}
+
+    def _fields(self) -> dict:
+        """The constructor's arguments: every attribute but the caches."""
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+    def replace(self, **changes) -> "Ddsa":
+        """A copy with the given fields changed; its caches start empty."""
+        return Ddsa(**{**self._fields(), **changes})
+
+    def __eq__(self, other):
+        if not isinstance(other, Ddsa):
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def target(self, state: str, action: str) -> Optional[str]:
         return self._tmap.get((state, action))
@@ -88,10 +113,13 @@ class Ddsa:
         return [Atom(Term.of(v), "=", Term.of(self.alpha0[v])) for v in self.variables]
 
 
-@dataclass(frozen=True)
-class Config:
-    state: str
-    alpha: tuple[tuple[VarId, Exact], ...]
+class Config(Value):
+    __slots__ = ("state", "alpha")
+
+    def __init__(self, state: str, alpha: tuple[tuple[VarId, Exact], ...]):
+        _set(self, "state", state)
+        _set(self, "alpha", alpha)
+        _set(self, "_hash", None)
 
     @staticmethod
     def make(state: str, alpha: Mapping[VarId, Exact]) -> "Config":
@@ -101,15 +129,16 @@ class Config:
         return dict(self.alpha)
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(Value):
     """Concrete run: configurations joined by action labels."""
 
-    configs: tuple[Config, ...]
-    actions: tuple[str, ...]
+    __slots__ = ("configs", "actions")
 
-    def __post_init__(self):
-        assert len(self.configs) == len(self.actions) + 1
+    def __init__(self, configs: tuple[Config, ...], actions: tuple[str, ...]):
+        assert len(configs) == len(actions) + 1
+        _set(self, "configs", configs)
+        _set(self, "actions", actions)
+        _set(self, "_hash", None)
 
     def __len__(self) -> int:
         return len(self.actions)

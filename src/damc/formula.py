@@ -9,12 +9,16 @@ alike, so the choice never shows in a cache, an order or a printed value;
 it only spares integral arithmetic the `Fraction` machinery.  Floats are
 rejected at construction time.  Every value here is immutable and
 hashable, so formulas can be shared freely across data structures.
+
+The value classes here and in the other modules derive from `Value`: each
+lists its fields in `__slots__` and fills them in its own `__init__`, so
+that importing the package builds no code at run time (no `dataclasses`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
@@ -34,33 +38,58 @@ WRITE = "w"
 INDEXED = "ix"
 
 
-def _hash_once(cls):
-    """Store each object's structural hash on it the first time it is asked
-    for (the hash half of Filliatre & Conchon's hash-consing).
+# How a value's `__init__` fills a field: `Value.__setattr__` refuses.
+_set = object.__setattr__
 
-    The value is the dataclass hash of the field tuple, so set and dict
-    orders do not change.  It is not a field, so equality and `repr` ignore
-    it; pickling drops it, because `str` hashes differ between
-    interpreters.  `VarId` does without it: as a tuple it hashes, compares
-    and sorts in C, to the same hash and order."""
-    structural = cls.__hash__
+
+class Value:
+    """An immutable value: each subclass lists its fields in `__slots__`, in
+    the order its `__init__` takes them, and fills them with `_set`, and
+    `_hash` with None.
+
+    Two values are equal when they are of one class and their fields are
+    equal.  The hash is that of the field tuple: set and dict orders reach
+    the output, so it is the hash a frozen dataclass would have.  `repr` is
+    `ClassName(field=value, ...)`.  The hash is stored on the object the
+    first time it is asked for (the hash half of Filliatre & Conchon's
+    hash-consing).  It is not a field: equality and `repr` ignore it, and
+    pickling drops it, because `str` hashes differ between interpreters.
+    `VarId` does without it: as a tuple it hashes, compares and sorts in C,
+    to the same hash and order."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls):
+        # (class, *fields), or the class alone without fields, read in C:
+        # equal values have equal keys
+        cls._key = attrgetter("__class__", *cls.__slots__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Value):
+            return NotImplemented
+        return self._key(self) == other._key(other)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-            return h
+        h = self._hash
+        if h is None:
+            h = hash(self._key(self)[1:] if self.__slots__ else ())  # the fields
+            _set(self, "_hash", h)
+        return h
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
+    def __reduce__(self):
+        return self.__class__, self._key(self)[1:] if self.__slots__ else ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class VarId(NamedTuple):
@@ -91,9 +120,12 @@ class VarId(NamedTuple):
         return VarId(self.name, INDEXED, i)
 
 
-@dataclass(frozen=True)
-class Domain:
-    tag: str  # "int" | "rat"
+class Domain(Value):
+    __slots__ = ("tag",)  # "int" | "rat"
+
+    def __init__(self, tag: str):
+        _set(self, "tag", tag)
+        _set(self, "_hash", None)
 
     def __str__(self) -> str:
         return self.tag
@@ -133,17 +165,19 @@ def _merge(coeffs: Iterable[tuple[VarId, Exact]]) -> tuple[tuple[VarId, Exact], 
     return tuple(sorted((v, exact(c)) for v, c in acc.items() if c != 0))
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Term:
+class Term(Value):
     """A linear expression in coefficient-map form: sum of c*v plus a constant.
 
     Zero coefficients are dropped and variables are kept sorted, so equal
     expressions have identical representations.
     """
 
-    coeffs: tuple[tuple[VarId, Exact], ...] = ()
-    const: Exact = 0
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: tuple[tuple[VarId, Exact], ...] = (), const: Exact = 0):
+        _set(self, "coeffs", coeffs)
+        _set(self, "const", const)
+        _set(self, "_hash", None)
 
     @staticmethod
     def of(x: Union["Term", VarId, RatLike]) -> "Term":
@@ -200,18 +234,26 @@ class Term:
 # Formulas
 
 
-class Formula:
+class Formula(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_hash", None)
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_hash", None)
+
     def __str__(self) -> str:
         return "false"
 
@@ -222,18 +264,18 @@ FALSE = FalseF()
 OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Atom(Formula):
     """lhs op rhs, kept as written; solving uses the normalized view."""
 
-    lhs: Term
-    op: str
-    rhs: Term
+    __slots__ = ("lhs", "op", "rhs")
 
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise ValueError(f"bad comparison operator {self.op!r}")
+    def __init__(self, lhs: Term, op: str, rhs: Term):
+        if op not in OPS:
+            raise ValueError(f"bad comparison operator {op!r}")
+        _set(self, "lhs", lhs)
+        _set(self, "op", op)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", None)
 
     def __str__(self) -> str:
         return f"{fmt_term(self.lhs)} {self.op} {fmt_term(self.rhs)}"
@@ -243,28 +285,34 @@ def atom(lhs, op: str, rhs) -> Atom:
     return Atom(Term.of(lhs), op, Term.of(rhs))
 
 
-@_hash_once
-@dataclass(frozen=True)
 class And(Formula):
-    args: tuple[Formula, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple[Formula, ...]):
+        _set(self, "args", args)
+        _set(self, "_hash", None)
 
     def __str__(self) -> str:
         return fmt_formula(self)
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Or(Formula):
-    args: tuple[Formula, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple[Formula, ...]):
+        _set(self, "args", args)
+        _set(self, "_hash", None)
 
     def __str__(self) -> str:
         return fmt_formula(self)
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        _set(self, "arg", arg)
+        _set(self, "_hash", None)
 
     def __str__(self) -> str:
         return fmt_formula(self)
@@ -318,9 +366,7 @@ def neg(p: Formula) -> Formula:
 # Normalized atoms
 
 
-@_hash_once
-@dataclass(frozen=True)
-class NormAtom:
+class NormAtom(Value):
     """Canonical form `sum(coeffs) op const` with op in {=, !=, <=, <}.
 
     Coefficients are scaled to primitive integers and stored as `int`; the
@@ -332,9 +378,13 @@ class NormAtom:
     `norm_atom` maps it straight back.
     """
 
-    coeffs: tuple[tuple[VarId, int], ...]
-    op: str
-    const: Exact
+    __slots__ = ("coeffs", "op", "const")
+
+    def __init__(self, coeffs: tuple[tuple[VarId, int], ...], op: str, const: Exact):
+        _set(self, "coeffs", coeffs)
+        _set(self, "op", op)
+        _set(self, "const", const)
+        _set(self, "_hash", None)
 
     def vars(self) -> set[VarId]:
         return {v for v, _ in self.coeffs}

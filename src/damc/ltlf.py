@@ -4,12 +4,11 @@ construction, and the direct trace semantics used as its oracle."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Optional, Sequence, Union
 
 from .ddsa import Ddsa, Run, step_allowed
-from .formula import Domain, Formula, conj, evaluate
+from .formula import Domain, Formula, Value, _set, conj, evaluate
 from . import solve
 
 
@@ -26,105 +25,143 @@ class LengthMismatch(LtlfError):
 # automaton construction only.
 
 
-class Ltlf:
+class Ltlf(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(Ltlf):
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_hash", None)
+
     def __str__(self):
         return "true"
 
 
-@dataclass(frozen=True)
 class Bot(Ltlf):
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_hash", None)
+
     def __str__(self):
         return "false"
 
 
-@dataclass(frozen=True)
 class Constr(Ltlf):
-    formula: Formula
+    __slots__ = ("formula",)
+
+    def __init__(self, formula: Formula):
+        _set(self, "formula", formula)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return str(self.formula)
 
 
-@dataclass(frozen=True)
 class StateAtom(Ltlf):
-    state: str
+    __slots__ = ("state",)
+
+    def __init__(self, state: str):
+        _set(self, "state", state)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return self.state
 
 
-@dataclass(frozen=True)
 class ActionAtom(Ltlf):
-    action: str
+    __slots__ = ("action",)
+
+    def __init__(self, action: str):
+        _set(self, "action", action)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return self.action
 
 
-@dataclass(frozen=True)
 class LAnd(Ltlf):
-    left: Ltlf
-    right: Ltlf
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Ltlf, right: Ltlf):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True)
 class LOr(Ltlf):
-    left: Ltlf
-    right: Ltlf
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Ltlf, right: Ltlf):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
 class Next(Ltlf):
     """<.> psi: some successor position exists and satisfies psi."""
 
-    sub: Ltlf
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: Ltlf):
+        _set(self, "sub", sub)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return f"X ({self.sub})"
 
 
-@dataclass(frozen=True)
 class ActNext(Ltlf):
     """<a> psi: the next step uses action a and its target satisfies psi."""
 
-    action: str
-    sub: Ltlf
+    __slots__ = ("action", "sub")
+
+    def __init__(self, action: str, sub: Ltlf):
+        _set(self, "action", action)
+        _set(self, "sub", sub)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return f"<{self.action}> ({self.sub})"
 
 
-@dataclass(frozen=True)
 class Eventually(Ltlf):
-    sub: Ltlf
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: Ltlf):
+        _set(self, "sub", sub)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return f"F ({self.sub})"
 
 
-@dataclass(frozen=True)
 class Always(Ltlf):
-    sub: Ltlf
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: Ltlf):
+        _set(self, "sub", sub)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return f"G ({self.sub})"
 
 
-@dataclass(frozen=True)
 class Until(Ltlf):
-    left: Ltlf
-    right: Ltlf
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Ltlf, right: Ltlf):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", None)
 
     def __str__(self):
         return f"({self.left} U {self.right})"
@@ -240,11 +277,14 @@ def preprocess(psi: Ltlf) -> Ltlf:
 # constraints; the last/not-last flags exist only inside delta results.
 
 
-@dataclass(frozen=True)
-class Sym:
-    kind: str  # "state" | "action" | "constr"
-    state: str = ""
-    formula: Optional[Formula] = None
+class Sym(Value):
+    __slots__ = ("kind", "state", "formula")
+
+    def __init__(self, kind: str, state: str = "", formula: Optional[Formula] = None):
+        _set(self, "kind", kind)  # "state" | "action" | "constr"
+        _set(self, "state", state)
+        _set(self, "formula", formula)
+        _set(self, "_hash", None)
 
     def __str__(self):
         if self.kind == "constr":
@@ -282,12 +322,17 @@ def fmt_symbol(symbol: SigmaSymbol) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-@dataclass(frozen=True)
-class DeltaEntry:
-    target: Ltlf
-    symbol: SigmaSymbol
-    last: bool = False
-    not_last: bool = False
+class DeltaEntry(Value):
+    __slots__ = ("target", "symbol", "last", "not_last")
+
+    def __init__(
+        self, target: Ltlf, symbol: SigmaSymbol, last: bool = False, not_last: bool = False
+    ):
+        _set(self, "target", target)
+        _set(self, "symbol", symbol)
+        _set(self, "last", last)
+        _set(self, "not_last", not_last)
+        _set(self, "_hash", None)
 
 
 def _combine(r1: list[DeltaEntry], r2: list[DeltaEntry], op) -> list[DeltaEntry]:
@@ -380,14 +425,16 @@ QE_STATE = "__qe__"  # sentinel name for the extra accepting state
 _GO_ON = Eventually(TOP)
 
 
-@dataclass(frozen=True)
-class NfaEdge:
-    src: int
-    symbol: SigmaSymbol
-    dst: int
+class NfaEdge(Value):
+    __slots__ = ("src", "symbol", "dst")
+
+    def __init__(self, src: int, symbol: SigmaSymbol, dst: int):
+        _set(self, "src", src)
+        _set(self, "symbol", symbol)
+        _set(self, "dst", dst)
+        _set(self, "_hash", None)
 
 
-@dataclass
 class Nfa:
     """Automaton over minimal-requirement symbols.
 
@@ -399,12 +446,13 @@ class Nfa:
     sets the product's BFS order, and so which witness is found).
     """
 
-    states: list[Union[Ltlf, str]]
-    edges: list[NfaEdge]
-    initial: int
-    finals: set[int]
-
-    def __post_init__(self):
+    def __init__(
+        self, states: list[Union[Ltlf, str]], edges: list[NfaEdge], initial: int, finals: set[int]
+    ):
+        self.states = states
+        self.edges = edges
+        self.initial = initial
+        self.finals = finals
         self._adj: dict[int, list[NfaEdge]] = {}
         for e in self.edges:
             self._adj.setdefault(e.src, []).append(e)

@@ -4,7 +4,6 @@ search; the NFA's adjacency order sets its order, and so the witness."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import ddsa as dd
@@ -12,7 +11,7 @@ from . import ltlf as lt
 from . import solve
 from . import summary as sm
 from .ddsa import Config, Ddsa, Run
-from .formula import Exact, Formula, Term, VarId, conj, substitute
+from .formula import Exact, Formula, Term, Value, VarId, _set, conj, substitute
 from .ltlf import Ltlf, Nfa, SigmaSymbol
 from .solve import BudgetExceeded
 
@@ -40,8 +39,7 @@ def extend_with_dummy(d: Ddsa) -> Ddsa:
         raise ValueError("system already carries a dummy initial state")
     b0 = _fresh_name("_init", d.states)
     a0 = _fresh_name("_start", d.actions)
-    return replace(
-        d,
+    return d.replace(
         states=(b0,) + d.states,
         initial=b0,
         actions=(a0,) + d.actions,
@@ -60,29 +58,43 @@ def _fresh_name(base: str, taken: Sequence[str]) -> str:
     return name
 
 
-@dataclass
-class PNode:
-    state: str
-    q: int  # NFA state index
-    formula: Formula  # the strategy's representative of the node's class
+class PNode(Value):
+    __slots__ = ("state", "q", "formula")
+
+    def __init__(self, state: str, q: int, formula: Formula):
+        _set(self, "state", state)
+        _set(self, "q", q)  # NFA state index
+        _set(self, "formula", formula)  # the strategy's representative of the node's class
+        _set(self, "_hash", None)
 
 
-@dataclass
-class PEdge:
-    src: int
-    action: str
-    symbol: SigmaSymbol
-    dst: int
+class PEdge(Value):
+    __slots__ = ("src", "action", "symbol", "dst")
+
+    def __init__(self, src: int, action: str, symbol: SigmaSymbol, dst: int):
+        _set(self, "src", src)
+        _set(self, "action", action)
+        _set(self, "symbol", symbol)
+        _set(self, "dst", dst)
+        _set(self, "_hash", None)
 
 
-@dataclass
 class ProductAutomaton:
-    nfa: Nfa
-    nodes: list[PNode]
-    edges: list[PEdge]
-    initial: int
-    finals: set[int]
-    parents: list[Optional[PEdge]]  # the edge that discovered each node
+    def __init__(
+        self,
+        nfa: Nfa,
+        nodes: list[PNode],
+        edges: list[PEdge],
+        initial: int,
+        finals: set[int],
+        parents: list[Optional[PEdge]],  # the edge that discovered each node
+    ):
+        self.nfa = nfa
+        self.nodes = nodes
+        self.edges = edges
+        self.initial = initial
+        self.finals = finals
+        self.parents = parents
 
 
 def build_product(
@@ -180,11 +192,11 @@ def find_accepting_path(p: ProductAutomaton) -> Optional[list[PEdge]]:
 # Constraint graph
 
 
-@dataclass
 class ConstraintGraph:
-    nodes: list[PNode]
-    edges: list[tuple[int, str, int]]
-    initial: int = 0
+    def __init__(self, nodes: list[PNode], edges: list[tuple[int, str, int]], initial: int = 0):
+        self.nodes = nodes
+        self.edges = edges
+        self.initial = initial
 
 
 def constraint_graph(
@@ -274,28 +286,40 @@ def extract_witness(d: Ddsa, path: Sequence[PEdge]) -> tuple[Run, list[SigmaSymb
 # Verdicts and orchestration
 
 
-@dataclass
 class Stats:
-    # every field but `strategy` is a key of the `sizes` object in
-    # `verify --json` (cli._verdict_json), in this order
-    strategy: str = ""
-    nfa_states: int = 0
-    nfa_edges: int = 0
-    product_nodes: int = 0
-    product_edges: int = 0
-    product_finals: int = 0
+    def __init__(self):
+        self.strategy = ""
+        # the `sizes` object of `verify --json`, in this order
+        self.nfa_states = 0
+        self.nfa_edges = 0
+        self.product_nodes = 0
+        self.product_edges = 0
+        self.product_finals = 0
+
+    def sizes(self) -> dict[str, int]:
+        return {k: v for k, v in vars(self).items() if k != "strategy"}
 
 
-@dataclass
 class Verdict:
-    kind: str  # "witness" | "no-witness" | "inconclusive"
-    stats: Stats
-    run: Optional[Run] = None
-    word: Optional[list[SigmaSymbol]] = None
-    reason: Optional[str] = None
-    product: Optional[ProductAutomaton] = None
-    nfa: Optional[Nfa] = None
-    strategy: Optional[sm.Strategy] = None
+    def __init__(
+        self,
+        kind: str,  # "witness" | "no-witness" | "inconclusive"
+        stats: Stats,
+        run: Optional[Run] = None,
+        word: Optional[list[SigmaSymbol]] = None,
+        reason: Optional[str] = None,
+        product: Optional[ProductAutomaton] = None,
+        nfa: Optional[Nfa] = None,
+        strategy: Optional[sm.Strategy] = None,
+    ):
+        self.kind = kind
+        self.stats = stats
+        self.run = run
+        self.word = word
+        self.reason = reason
+        self.product = product
+        self.nfa = nfa
+        self.strategy = strategy
 
 
 def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:

@@ -21,7 +21,6 @@ which is the primitive normal form of the combined atom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, floor, gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -40,7 +39,9 @@ from .formula import (
     Or,
     Term,
     TrueF,
+    Value,
     VarId,
+    _set,
     conj,
     disj,
     exact,
@@ -66,10 +67,13 @@ Cube = tuple[NormAtom, ...]
 _DNF_CUBE_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
-class SatResult:
-    sat: bool
-    model: Optional[dict[VarId, Exact]] = None
+class SatResult(Value):
+    __slots__ = ("sat", "model")
+
+    def __init__(self, sat: bool, model: Optional[dict[VarId, Exact]] = None):
+        _set(self, "sat", sat)
+        _set(self, "model", model)
+        _set(self, "_hash", None)
 
 
 # ---------------------------------------------------------------------------

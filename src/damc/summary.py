@@ -46,7 +46,6 @@ action that moves none of its variables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 from . import ddsa as dd
@@ -131,7 +130,6 @@ MAX_RUNS = 100_000
 FF_UNROLL = 2
 
 
-@dataclass
 class ComputationGraph:
     """Undirected dependency graph over variable instances of a symbolic run.
 
@@ -139,10 +137,11 @@ class ComputationGraph:
     shape x = y between two instances; everything else is general.
     """
 
-    length: int
-    var_names: list[str]
-    eq_edges: set[frozenset[GNode]] = field(default_factory=set)
-    gen_edges: set[frozenset[GNode]] = field(default_factory=set)
+    def __init__(self, length: int, var_names: list[str]):
+        self.length = length
+        self.var_names = var_names
+        self.eq_edges: set[frozenset[GNode]] = set()
+        self.gen_edges: set[frozenset[GNode]] = set()
 
     def nodes(self) -> list[GNode]:
         return [(v, i) for i in range(self.length + 1) for v in self.var_names]
@@ -174,8 +173,10 @@ class ComputationGraph:
 def _components(nodes, pairs) -> dict:
     """Each node's root in the graph with the given edges: a union-find
     with path halving that keeps the smaller root, so every root is the
-    smallest node of its component, whatever the order of the edges."""
+    smallest node of its component, whatever the order of the edges.  It
+    stops reading edges once one component holds every node."""
     parent = {n: n for n in nodes}
+    left = len(parent)  # components
 
     def find(x):
         while parent[x] != x:
@@ -183,10 +184,13 @@ def _components(nodes, pairs) -> dict:
             x = parent[x]
         return x
 
-    for a, b in pairs:
+    for a, b in pairs if left > 1 else ():
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
+            left -= 1
+            if left == 1:
+                break
     return {n: find(n) for n in parent}
 
 
@@ -455,8 +459,7 @@ def _sub_system(d: Ddsa, states: set[str], initial: str, finals: set[str], alpha
         (s, a, t) for (s, a, t) in d.transitions if s in states and t in states
     )
     acts = used_actions(trans)
-    return replace(
-        d,
+    return d.replace(
         states=tuple(s for s in d.states if s in states),
         initial=initial,
         actions=tuple(acts),
@@ -499,7 +502,7 @@ def project_system(d: Ddsa, keep: Sequence[VarId]) -> Ddsa:
     guards = {a: _by_names(d.guard(a), keep_names)[0] for a in d.actions}
     variables = tuple(v for v in d.variables if v.name in keep_names)
     alpha0 = None if d.alpha0 is None else {v: d.alpha0[v] for v in variables}
-    return replace(d, variables=variables, alpha0=alpha0, guards=guards)
+    return d.replace(variables=variables, alpha0=alpha0, guards=guards)
 
 
 def _project(d: Ddsa, part: Sequence[str]) -> Ddsa:
@@ -606,19 +609,18 @@ class _Leaf:
         return hit.sat
 
 
-@dataclass
 class VarStrategy:
     """Variable-disjoint composition: one exact leaf per part of the
     variables, solved apart.  A state is one formula; `_split` sends each of
     its top-level conjuncts to the part that holds its names (a
     variable-free one to part 0), and the answers are conjoined in part
-    order."""
+    order.  Each distinct conjunct's names are read once."""
 
-    parts: tuple[tuple[tuple[str, ...], _Leaf], ...]
-
-    def __post_init__(self):
+    def __init__(self, parts: tuple[tuple[tuple[str, ...], _Leaf], ...]):
+        self.parts = parts
         self._part_of = {n: i for i, (names, _) in enumerate(self.parts) for n in names}
         self._split_cache: dict[Formula, list[Formula]] = {}
+        self._conjunct_part: dict[Formula, int] = {}
         self._canon_cache: dict[Formula, Formula] = {}
 
     def describe(self) -> str:
@@ -632,10 +634,13 @@ class VarStrategy:
         if hit is None:
             groups: list[list[Formula]] = [[] for _ in self.parts]
             for k in _conjuncts(state):
-                at = {self._part_of[v.name] for v in free_vars(k)} or {0}
-                if len(at) > 1:
-                    raise ValueError(f"a conjunct crosses the variable split: {k}")
-                groups[at.pop()].append(k)
+                at = self._conjunct_part.get(k)
+                if at is None:
+                    parts = {self._part_of[v.name] for v in free_vars(k)} or {0}
+                    if len(parts) > 1:
+                        raise ValueError(f"a conjunct crosses the variable split: {k}")
+                    at = self._conjunct_part[k] = parts.pop()
+                groups[at].append(k)
             hit = self._split_cache[state] = [conj(*g) for g in groups]
         return hit
 

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -683,8 +682,8 @@ def reference_project_guards(d, keep):
 def reference_project_system(d, keep):
     variables = tuple(v for v in d.variables if v.name in {w.name for w in keep})
     alpha0 = None if d.alpha0 is None else {v: d.alpha0[v] for v in variables}
-    return replace(
-        d, variables=variables, alpha0=alpha0, guards=reference_project_guards(d, keep)
+    return d.replace(
+        variables=variables, alpha0=alpha0, guards=reference_project_guards(d, keep)
     )
 
 

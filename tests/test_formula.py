@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 from fractions import Fraction as F
 
@@ -6,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damc import ltlf as lt
+from damc.ddsa import Config, Run
 from damc.formula import (
+    FALSE,
+    INT,
     RAT,
+    TRUE,
     Atom,
     MissingVariable,
+    NormAtom,
     Term,
     VarId,
     _norm_atom,
@@ -22,6 +27,8 @@ from damc.formula import (
     norm_atom,
     substitute,
 )
+from damc.product import PEdge, PNode
+from damc.solve import SatResult
 
 x, y, z = VarId("x"), VarId("y"), VarId("z")
 
@@ -146,72 +153,147 @@ def test_substitute_matches_composed_assignment(f, cx, cy, alpha):
 
 
 # ---------------------------------------------------------------------------
-# hashes are computed once per object; a VarId is a tuple, hashed in C
+# Value classes: a hash computed once per object, equality, `repr` and
+# pickling as the frozen dataclasses they were; a VarId is a tuple, hashed in C
 
 
 def _ir_samples():
+    """(object, its field tuple, its `repr` as the dataclass printed it) for
+    one instance of every value class."""
     t = Term.make([(x, F(1)), (y, F(-2))], F(3, 2))
     a = Atom(t, "<=", Term.of(z))
+    b = atom(y, ">", 0)
+    z_term = Term(((z, 1),), 0)
+    c, s, act = lt.Constr(b), lt.StateAtom("s1"), lt.ActionAtom("bid")
+    state_sym = lt.sym_state("s1")
+    sym = frozenset({state_sym})
+    c1, c2 = Config("s1", ((x, 0),)), Config("s2", ((x, 3),))
+    X = "VarId(name='x', kind='plain', idx=-1)"
+    Y = "VarId(name='y', kind='plain', idx=-1)"
+    Z = "VarId(name='z', kind='plain', idx=-1)"
+    T = f"Term(coeffs=(({X}, 1), ({Y}, -2)), const=Fraction(3, 2))"
+    A = f"Atom(lhs={T}, op='<=', rhs=Term(coeffs=(({Z}, 1),), const=0))"
+    B = f"Atom(lhs=Term(coeffs=(({Y}, 1),), const=0), op='>', rhs=Term(coeffs=(), const=0))"
+    S = "frozenset({Sym(kind='state', state='s1', formula=None)})"
     return [
-        x,
-        VarId("x", "ix", 4),
-        t,
-        a,
-        conj(a, atom(y, ">", 0)),
-        disj(a, atom(y, ">", 0)),
-        neg(a),
-        norm_atom(a),
+        (x, ("x", "plain", -1), X),
+        (VarId("x", "ix", 4), ("x", "ix", 4), "VarId(name='x', kind='ix', idx=4)"),
+        (INT, ("int",), "Domain(tag='int')"),
+        (t, (((x, 1), (y, -2)), F(3, 2)), T),
+        (TRUE, (), "TrueF()"),
+        (FALSE, (), "FalseF()"),
+        (a, (t, "<=", z_term), A),
+        (conj(a, b), ((a, b),), f"And(args=({A}, {B}))"),
+        (disj(a, b), ((a, b),), f"Or(args=({A}, {B}))"),
+        (neg(a), (a,), f"Not(arg={A})"),
+        (
+            norm_atom(a),
+            (((x, 1), (y, -2), (z, -1)), "<=", F(-3, 2)),
+            f"NormAtom(coeffs=(({X}, 1), ({Y}, -2), ({Z}, -1)), op='<=', const=Fraction(-3, 2))",
+        ),
+        (lt.TOP, (), "Top()"),
+        (lt.BOT, (), "Bot()"),
+        (c, (b,), f"Constr(formula={B})"),
+        (s, ("s1",), "StateAtom(state='s1')"),
+        (act, ("bid",), "ActionAtom(action='bid')"),
+        (lt.LAnd(c, s), (c, s), f"LAnd(left=Constr(formula={B}), right=StateAtom(state='s1'))"),
+        (lt.LOr(c, act), (c, act), f"LOr(left=Constr(formula={B}), right=ActionAtom(action='bid'))"),
+        (lt.Next(c), (c,), f"Next(sub=Constr(formula={B}))"),
+        (lt.ActNext("bid", s), ("bid", s), "ActNext(action='bid', sub=StateAtom(state='s1'))"),
+        (lt.Eventually(c), (c,), f"Eventually(sub=Constr(formula={B}))"),
+        (lt.Always(s), (s,), "Always(sub=StateAtom(state='s1'))"),
+        (lt.Until(s, c), (s, c), f"Until(left=StateAtom(state='s1'), right=Constr(formula={B}))"),
+        (lt.sym_constr(b), ("constr", "", b), f"Sym(kind='constr', state='', formula={B})"),
+        (
+            lt.DeltaEntry(c, sym, not_last=True),
+            (c, sym, False, True),
+            f"DeltaEntry(target=Constr(formula={B}), symbol={S}, last=False, not_last=True)",
+        ),
+        (lt.NfaEdge(0, sym, 1), (0, sym, 1), f"NfaEdge(src=0, symbol={S}, dst=1)"),
+        (
+            Config("s1", ((x, 0), (y, F(1, 2)))),
+            ("s1", ((x, 0), (y, F(1, 2)))),
+            f"Config(state='s1', alpha=(({X}, 0), ({Y}, Fraction(1, 2))))",
+        ),
+        (
+            Run((c1, c2), ("bid",)),
+            ((c1, c2), ("bid",)),
+            f"Run(configs=(Config(state='s1', alpha=(({X}, 0),)), "
+            f"Config(state='s2', alpha=(({X}, 3),))), actions=('bid',))",
+        ),
+        (PNode("s1", 0, b), ("s1", 0, b), f"PNode(state='s1', q=0, formula={B})"),
+        (
+            PEdge(0, "bid", sym, 1),
+            (0, "bid", sym, 1),
+            f"PEdge(src=0, action='bid', symbol={S}, dst=1)",
+        ),
+        (SatResult(False), (False, None), "SatResult(sat=False, model=None)"),
     ]
 
 
-def _field_tuple(obj):
-    if isinstance(obj, VarId):
-        return (obj.name, obj.kind, obj.idx)
-    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+_SAMPLES = _ir_samples()
+_IDS = [type(o).__name__ for o, _, _ in _SAMPLES]
 
 
-def _rebuilt(obj):
-    return type(obj)(*_field_tuple(obj))
+def _rebuilt(obj, fields):
+    return type(obj)(*fields)
 
 
-_VARID_REPRS = {
-    x: "VarId(name='x', kind='plain', idx=-1)",
-    VarId("x", "ix", 4): "VarId(name='x', kind='ix', idx=4)",
-}
-
-
-def _assert_varid_as_before(obj):
-    """What the tuple keeps of the frozen dataclass: the `repr`, and the
-    (name, kind, idx) order that sorted coefficient vectors follow."""
-    assert repr(obj) == _VARID_REPRS[obj]
+def _assert_varid_as_before(obj, fields):
+    """What the tuple keeps of the frozen dataclass: the (name, kind, idx)
+    order that sorted coefficient vectors follow."""
     others = [VarId("w"), x, x.read(), x.write(), x.indexed(3), x.indexed(5), VarId("y")]
     for o in others:
-        assert (obj < o) == (_field_tuple(obj) < _field_tuple(o))
-        assert (obj == o) == (_field_tuple(obj) == _field_tuple(o))
+        assert (obj < o) == (fields < tuple(o))
+        assert (obj == o) == (fields == tuple(o))
 
 
-@pytest.mark.parametrize("obj", _ir_samples(), ids=lambda o: type(o).__name__)
-def test_hash_is_the_field_tuple_hash_stored_once(obj):
-    assert hash(obj) == hash(_field_tuple(obj))
-    fresh = _rebuilt(obj)
+@pytest.mark.parametrize("obj, fields, text", _SAMPLES, ids=_IDS)
+def test_hash_is_the_field_tuple_hash_stored_once(obj, fields, text):
+    assert hash(obj) == hash(fields)
+    assert repr(obj) == text
+    fresh = _rebuilt(obj, fields)
     if isinstance(obj, VarId):
-        _assert_varid_as_before(obj)
+        _assert_varid_as_before(obj, fields)
     else:
-        assert obj.__dict__["_hash"] == hash(obj)
-        assert "_hash" not in fresh.__dict__
+        assert obj._hash == hash(obj)
+        assert fresh._hash is None
+        # once stored, the hash is read back, not computed again
+        hash(fresh)
+        object.__setattr__(fresh, "_hash", 12345)
+        assert hash(fresh) == 12345
+        object.__setattr__(fresh, "_hash", None)
     # equality and repr ignore the stored value
     assert fresh == obj and repr(fresh) == repr(obj)
     assert {obj: 1}[fresh] == 1
 
 
-@pytest.mark.parametrize("obj", _ir_samples(), ids=lambda o: type(o).__name__)
-def test_pickle_drops_the_stored_hash(obj):
+@pytest.mark.parametrize("obj, fields, text", _SAMPLES, ids=_IDS)
+def test_pickle_drops_the_stored_hash(obj, fields, text):
     hash(obj)
     back = pickle.loads(pickle.dumps(obj))
     if isinstance(obj, VarId):
-        _assert_varid_as_before(back)
+        _assert_varid_as_before(back, fields)
     else:
-        assert "_hash" not in back.__dict__
-    assert type(back) is type(obj) and repr(back) == repr(obj)
+        assert back._hash is None
+    assert type(back) is type(obj) and repr(back) == text
     assert back == obj and hash(back) == hash(obj)
     assert {obj: 1}[back] == 1
+
+
+@pytest.mark.parametrize("obj, fields, text", _SAMPLES, ids=_IDS)
+def test_values_refuse_assignment(obj, fields, text):
+    name = "kind" if isinstance(obj, VarId) else (obj.__slots__ or ("anything",))[0]
+    with pytest.raises(AttributeError):
+        setattr(obj, name, None)
+    assert repr(obj) == text
+
+
+def test_equality_is_tagged_by_type():
+    p = lt.StateAtom("p")
+    assert lt.Next(p) != lt.Eventually(p)
+    assert lt.Top() == lt.TOP and lt.Top() != lt.Bot()
+    assert TRUE != lt.TOP
+    assert lt.LAnd(p, p) != lt.LOr(p, p) and lt.LAnd(p, p) != lt.Until(p, p)
+    assert Atom(Term.of(x), "<", Term.of(y)) != NormAtom(((x, 1),), "<", 0)
+    assert (lt.Next(p) == (p,)) is False

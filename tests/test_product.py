@@ -373,7 +373,6 @@ def test_integer_systems_get_gap_order_or_no_summary():
     # a split cannot cover an integer system outside gap-order, since the
     # offending atom lands in some part: such a system gets no summary
     import random
-    from dataclasses import replace
 
     from damc.formula import Term
     from damc.summary import NoSummaryFound, detect
@@ -386,7 +385,7 @@ def test_integer_systems_get_gap_order_or_no_summary():
         a = rng.choice(d.actions)
         p, q = rng.sample(sides, 2)
         total = atom(Term.of(p) + Term.of(q), rng.choice([">=", "<=", "="]), rng.randint(0, 3))
-        mixed = replace(d, guards={**d.guards, a: conj(d.guards[a], total)})
+        mixed = d.replace(guards={**d.guards, a: conj(d.guards[a], total)})
         with pytest.raises(NoSummaryFound):
             detect(mixed, [])
 
