@@ -3,7 +3,7 @@ transition formulas, the update operator, and history constraints."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .formula import (
     INT,
@@ -174,10 +174,13 @@ def transition_formula(d: Ddsa, action: str) -> Formula:
     return out
 
 
-def update(d: Ddsa, phi: Formula, action: str) -> Formula:
+def update(d: Ddsa, phi: Union[Formula, solve.Dnf], action: str) -> Union[Formula, solve.Dnf]:
     """One-step image of phi under the action's transition formula.
 
-    The image is built on the solver's normal form, by renaming instead of
+    `phi` is a formula, whose image comes back as a formula, or a DNF in
+    normal form over the system's domain, whose image comes back as a DNF:
+    a product state is one, and its image is the next state's start.  The
+    image is built on the solver's normal form, by renaming instead of
     substitution.  In the state's DNF cubes each variable v becomes its
     snapshot copy v#idx, with idx above every index in the state; in the
     transition formula's cubes each read v^r becomes v#idx and each write
@@ -187,10 +190,11 @@ def update(d: Ddsa, phi: Formula, action: str) -> Formula:
     immediately, so results stay quantifier-free over V.  Both domains
     eliminate by Fourier-Motzkin on integer rows; over the integers
     (`qe_gc`, where only gap-order systems are imaged) each cube is first
-    tightened to integer difference bounds.  The state's DNF, over the
-    system's domain, is the one its satisfiability check used.
+    tightened to integer difference bounds.  Each image makes exactly one
+    QE call.
     """
-    state = solve.to_dnf(phi, d.domain)
+    formula = isinstance(phi, Formula)
+    state = solve.to_dnf(phi, d.domain) if formula else phi
     idx = 1 + max((v.idx for cube in state for na in cube for v, _ in na.coeffs), default=-1)
     snapshot = {v: v.indexed(idx) for v in d.variables}
     trans = _transition_cubes(d, action, idx)
@@ -202,7 +206,8 @@ def update(d: Ddsa, phi: Formula, action: str) -> Formula:
             if merged is not None:
                 cubes.append(merged)
     qe = solve.qe_gc if d.domain == INT else solve.qe_rational
-    return qe(list(snapshot.values()), tuple(cubes))
+    out = qe(list(snapshot.values()), tuple(cubes))
+    return solve.dnf_to_formula(out) if formula else out
 
 
 def _transition_cubes(d: Ddsa, action: str, idx: int) -> list[solve.Cube]:

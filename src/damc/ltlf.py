@@ -475,9 +475,11 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
     final, so a not-last entry into Top goes to _GO_ON instead, unless a
     last entry into Top with a subset of its symbol already accepts where
     the word ends.  Entries into the Bot sink, which accepts nothing, and
-    transitions whose constraint sets are unsatisfiable are dropped.
+    transitions whose constraint sets are unsatisfiable are dropped.  Each
+    distinct constraint set is decided once per construction.
     """
     states: list[Union[Ltlf, str]] = [psi]
+    satisfiable: dict[Formula, bool] = {}  # by the constraints' conjunction
     index: dict = {psi: 0}
 
     def state_id(q) -> int:
@@ -513,8 +515,13 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
                 continue
             # the target is explored even when this label is unsatisfiable
             cs = constr_of(entry.symbol)
-            if not cs or solve.is_sat(conj(*cs), dom).sat:
-                edges.append(NfaEdge(qi, entry.symbol, ti))
+            if cs:
+                label = conj(*cs)
+                if label not in satisfiable:
+                    satisfiable[label] = solve.is_sat(label, dom).sat
+                if not satisfiable[label]:
+                    continue
+            edges.append(NfaEdge(qi, entry.symbol, ti))
     return Nfa(states, edges, 0, {state_id(TOP), state_id(QE_STATE)})
 
 

@@ -1,6 +1,12 @@
 """Cross product of the system abstraction with the property automaton,
 and constructive witness extraction.  The construction is the emptiness
-search; the NFA's adjacency order sets its order, and so the witness."""
+search; the NFA's adjacency order sets its order, and so the witness.
+
+A product node holds the strategy's class of its data state, whose state
+stays in the solver's normal form (a DNF per leaf); the node prints the
+class's formula.  Over the rationals a witness is solved backwards on the
+formulas of its BFS-tree path's nodes, so extraction images nothing; over
+the integers on the path's exact history constraints."""
 from __future__ import annotations
 
 from collections import deque
@@ -11,7 +17,7 @@ from . import ltlf as lt
 from . import solve
 from . import summary as sm
 from .ddsa import Config, Ddsa, Run
-from .formula import Exact, Formula, Term, Value, VarId, _set, conj, substitute
+from .formula import INT, Exact, Formula, Term, Value, VarId, _set, conj, substitute
 from .ltlf import Ltlf, Nfa, SigmaSymbol
 from .solve import BudgetExceeded
 
@@ -64,7 +70,7 @@ class PNode(Value):
     def __init__(self, state: str, q: int, formula: Formula):
         _set(self, "state", state)
         _set(self, "q", q)  # NFA state index
-        _set(self, "formula", formula)  # the strategy's representative of the node's class
+        _set(self, "formula", formula)  # the formula of the node's class
         _set(self, "_hash", None)
 
 
@@ -88,6 +94,7 @@ class ProductAutomaton:
         initial: int,
         finals: set[int],
         parents: list[Optional[PEdge]],  # the edge that discovered each node
+        classes: list,  # each node's class of the strategy
     ):
         self.nfa = nfa
         self.nodes = nodes
@@ -95,6 +102,7 @@ class ProductAutomaton:
         self.initial = initial
         self.finals = finals
         self.parents = parents
+        self.classes = classes
 
 
 def build_product(
@@ -103,24 +111,26 @@ def build_product(
     strategy: sm.Strategy,
     max_nodes: int = 10_000,
 ) -> ProductAutomaton:
-    """Forward fixpoint over triples (control state, NFA state, formula),
-    where the formula is the strategy's representative of its class.
+    """Forward fixpoint over triples (control state, NFA state, class),
+    where the class is the strategy's, and the node prints its formula.
 
     It is the emptiness search: a BFS whose node indices are discovery
     order, a node's edges going out by action in declaration order, then in
     the NFA's `outgoing` order; `parents` holds the BFS tree.
 
-    An edge needs a satisfiable update image conjoined with the NFA
-    symbol's constraints, and the symbol must be consistent with the
-    transition taken.  The constraints are over the post-state, so they
-    commute with the image's existential: each (node, action) asks the
-    strategy for its image once, on its first consistent NFA edge, and
-    every edge conjoins to that image.  A leaf computes one image per
-    (formula, transition formula), so the actions that a projected leaf
-    sees with the same transition formula share it, and none for an action
-    whose guard on it is true: that image is the state itself.  Nodes at the
-    word-end NFA state are only created when final (they have no
-    successors, so non-final ones are dead).
+    Every state stays in the solver's normal form, a DNF per leaf.  An edge
+    needs a satisfiable update image conjoined with the NFA symbol's
+    constraints (one `norm_cube` per pair of cubes), and the symbol must be
+    consistent with the transition taken.  The constraints are over the
+    post-state, so they commute with the image's existential: each (node,
+    action) asks the strategy for its image once, on its first consistent
+    NFA edge, and every edge conjoins to that image.  A symbol's
+    constraints are put in normal form, and split by part, once.  A leaf
+    computes one image per (class, transition formula), so the actions that
+    a projected leaf sees with the same transition formula share it, and
+    none for an action whose guard on it is true: that image is the state
+    itself.  Nodes at the word-end NFA state are only created when final
+    (they have no successors, so non-final ones are dead).
 
     A budget stop (the node budget or a solver's) raises
     `ProductBudgetExceeded` with the product built so far.
@@ -129,16 +139,20 @@ def build_product(
         raise ValueError("build_product needs the dummy-extended system")
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
     dummy_action = d.dummy[1]
-    init = strategy.canon(conj(*d.initial_constraints()))
-    p = ProductAutomaton(nfa, [PNode(d.initial, nfa.initial, init)], [], 0, set(), [None])
-    nodes, edges, finals, parents = p.nodes, p.edges, p.finals, p.parents
+    init = strategy.initial(strategy.label(d.initial_constraints()))
+    p = ProductAutomaton(
+        nfa, [PNode(d.initial, nfa.initial, strategy.formula(init))], [], 0, set(), [None], [init]
+    )
+    nodes, edges, finals, parents, classes = p.nodes, p.edges, p.finals, p.parents, p.classes
     index = {(d.initial, nfa.initial, init): 0}
+    labels: dict[SigmaSymbol, object] = {}
     queue = deque([0])
     try:
         while queue:
             i = queue.popleft()
-            node = nodes[i]
+            node, rep = nodes[i], classes[i]
             for (a, dst) in d.outgoing(node.state):
+                step = None if a == dummy_action else a  # the dummy step moves nothing
                 image = None
                 for ne in nfa.outgoing(node.q):
                     if not lt.symbol_consistent_with_step(ne.symbol, a, dst):
@@ -146,12 +160,15 @@ def build_product(
                     if ne.dst == qe_idx and dst not in d.finals:
                         continue
                     if image is None:
-                        image = node.formula if a == dummy_action else strategy.image(node.formula, a)
-                    ns = conj(image, *lt.constr_of(ne.symbol))
+                        image = strategy.image(rep, step)
+                    label = labels.get(ne.symbol)
+                    if label is None:
+                        label = labels[ne.symbol] = strategy.label(lt.constr_of(ne.symbol))
+                    ns = strategy.meet(image, label)
                     if not strategy.sat(ns):
                         continue
-                    rep = strategy.canon(ns)
-                    j = index.get((dst, ne.dst, rep), len(nodes))
+                    cls = strategy.canon(ns, rep, step, label)
+                    j = index.get((dst, ne.dst, cls), len(nodes))
                     edge = PEdge(i, a, ne.symbol, j)
                     if j == len(nodes):
                         if j >= max_nodes:
@@ -160,8 +177,9 @@ def build_product(
                                 "the node budget (--max-nodes) was reached",
                                 p,
                             )
-                        index[(dst, ne.dst, rep)] = j
-                        nodes.append(PNode(dst, ne.dst, rep))
+                        index[(dst, ne.dst, cls)] = j
+                        nodes.append(PNode(dst, ne.dst, strategy.formula(cls)))
+                        classes.append(cls)
                         parents.append(edge)
                         if ne.dst != qe_idx:
                             queue.append(j)
@@ -229,18 +247,32 @@ def realize_run(
 ) -> Optional[Run]:
     """Concrete run abstracted by a symbolic run whose positions satisfy the
     given constraint sets, or None when the history constraint is
-    unsatisfiable.
+    unsatisfiable: `_solve_backwards` on the exact history constraints of
+    its prefixes (`ddsa.history_prefixes`)."""
+    return _solve_backwards(d, actions, dd.history_prefixes(d, actions, cseq))
 
-    Solves the exact history constraint for the final assignment and walks
-    backwards, constructing each intermediate assignment from the prefix
-    history constraint plus the grounded transition formula.
+
+def _solve_backwards(
+    d: Ddsa, actions: Sequence[str], prefixes: Sequence[Formula]
+) -> Optional[Run]:
+    """Concrete run of the symbolic run `actions` whose assignment at each
+    position k satisfies `prefixes[k]`, or None when the last is
+    unsatisfiable.  Each prefix must be equivalent to the history
+    constraint of the run's first k steps (with whatever constraints its
+    positions carry).
+
+    Solves the last prefix for the final assignment and walks backwards,
+    constructing each intermediate assignment from its prefix plus the
+    transition formula grounded on the assignment after it.  A prefix
+    equivalent to its history constraint has such an assignment, so a
+    failed step means the prefixes are not: it raises
+    InternalInconsistency.
     """
     states = dd.symbolic_states(d, actions)
-    hist = dd.history_prefixes(d, actions, cseq)
-    res = solve.is_sat(hist[-1], d.domain)
+    res = solve.is_sat(prefixes[-1], d.domain)
     if not res.sat:
         return None
-    assigns: list[dict[VarId, Exact]] = [None] * len(hist)  # type: ignore[list-item]
+    assigns: list[dict[VarId, Exact]] = [None] * len(prefixes)  # type: ignore[list-item]
     assigns[-1] = {v: res.model.get(v, 0) for v in d.variables}
     for k in range(len(actions) - 1, -1, -1):
         delta = dd.transition_formula(d, actions[k])
@@ -251,7 +283,7 @@ def realize_run(
                 **{v.write(): Term.of(assigns[k + 1][v]) for v in d.variables},
             },
         )
-        step = solve.is_sat(conj(hist[k], ground), d.domain)
+        step = solve.is_sat(conj(prefixes[k], ground), d.domain)
         if not step.sat:
             raise InternalInconsistency(
                 f"backward solving failed at step {k}: abstraction is unsound"
@@ -261,10 +293,19 @@ def realize_run(
     return Run(tuple(configs), tuple(actions))
 
 
-def extract_witness(d: Ddsa, path: Sequence[PEdge]) -> tuple[Run, list[SigmaSymbol]]:
+def extract_witness(
+    d: Ddsa, p: ProductAutomaton, path: Sequence[PEdge]
+) -> tuple[Run, list[SigmaSymbol]]:
     """Concrete run of the system `d` from an accepting path of its
-    dummy-extended product, by re-solving exact history constraints rather
-    than trusting the path's representatives.
+    dummy-extended product `p`, solved backwards (`_solve_backwards`).
+
+    Over the rationals the prefixes are the formulas of the path's nodes,
+    which lie on the product's BFS tree: each is equivalent to its path's
+    history constraint, since `canon` merges only equivalent states, the
+    image is exact, and a split node is the conjunction of its parts.  So
+    no image is computed again.  Over the integers a node is only
+    cutoff-equivalent to its prefix, so the prefixes are the exact history
+    constraints.  `_assert_witness` revalidates the run either way.
 
     The dummy first step contributes the position-0 constraint set; the
     returned run starts at the real initial state.
@@ -273,8 +314,10 @@ def extract_witness(d: Ddsa, path: Sequence[PEdge]) -> tuple[Run, list[SigmaSymb
         raise ValueError("path must start with the dummy step")
     word: list[SigmaSymbol] = [e.symbol for e in path]
     actions = [e.action for e in path[1:]]
-    cseq = [lt.constr_of(s) for s in word]
-    run = realize_run(d, actions, cseq)
+    if d.domain == INT:
+        run = realize_run(d, actions, [lt.constr_of(s) for s in word])
+    else:
+        run = _solve_backwards(d, actions, [p.nodes[e.dst].formula for e in path])
     if run is None:
         raise InternalInconsistency(
             "accepting path has unsatisfiable history constraint"
@@ -359,7 +402,7 @@ def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
             # merged states have the same continuations, and a saturated
             # product with no accepting path leaves no witness run
             return Verdict("no-witness", stats, **keep)
-        run, word = extract_witness(d, path)
+        run, word = extract_witness(d, prod, path)
     except (sm.NoSummaryFound, BudgetExceeded, solve.UnsupportedInteger) as e:
         return Verdict("inconclusive", stats, reason=str(e))
     _assert_witness(d, run, word, pre)

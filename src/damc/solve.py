@@ -13,11 +13,13 @@ K (`gap_order_bound`) and the cutoff at K all come off them.
 Everything works on the exact-rational formula IR from `formula`; there
 is deliberately no SMT backend so every answer is reproducible.  The
 solver's own currency is the normal form: a cube is a tuple of
-`NormAtom`s, whose coefficients are primitive integers.  Images are built
-on such cubes (`ddsa.update` hands `qe_rational` and `qe_gc` the cubes of
-the image directly), and Fourier-Motzkin runs on the integer rows: two
-rows combine as positive integer multiples and are divided by their gcd,
-which is the primitive normal form of the combined atom.
+`NormAtom`s, whose coefficients are primitive integers, and a DNF is a
+tuple of cubes.  `is_sat`, `qe_rational` and `qe_gc` take a formula or a
+DNF, and a QE function answers a DNF with a DNF: a product state is a
+DNF, and its images and satisfiability checks never pass through a
+formula.  Fourier-Motzkin runs on the integer rows: two rows combine as
+positive integer multiples and are divided by their gcd, which is the
+primitive normal form of the combined atom.
 """
 from __future__ import annotations
 
@@ -63,6 +65,7 @@ class BudgetExceeded(FormulaError):
 
 
 Cube = tuple[NormAtom, ...]
+Dnf = tuple[Cube, ...]  # () is false, ((),) true
 
 _DNF_CUBE_LIMIT = 200_000
 
@@ -161,9 +164,9 @@ def to_dnf(phi: Formula, dom: Domain = RAT) -> list[Cube]:
 
     `!=` atoms are expanded into the two strict alternatives, except that
     over the integers one with a constant that is not an integer is true
-    (`_atom_cubes`).  Memoised per formula and domain: a product state is
-    checked for satisfiability and then imaged, and both start from this
-    one DNF.
+    (`_atom_cubes`).  Memoised per formula and domain: an NFA symbol's
+    constraints are decided when the NFA is built and put in normal form
+    again by the product, and a history prefix is imaged and then solved.
     """
     integers = dom == INT
     key = (phi, INT) if integers else phi
@@ -192,19 +195,32 @@ def _dnf(phi: Formula, positive: bool, integers: bool) -> list[Cube]:
         parts = [_dnf(p, positive, integers) for p in phi.args]
         if not is_and:
             return [c for ds in parts for c in ds]
-        acc: list[Cube] = [()]
+        if not all(parts):
+            return []
+        # the one-cube parts meet in one `norm_cube`: they change neither
+        # the cubes nor the order of the others' products
+        merged = norm_cube(tuple(a for ds in parts if len(ds) == 1 for a in ds[0]))
+        acc: list[Cube] = [] if merged is None else [merged]
         for ds in parts:
-            nxt: list[Cube] = []
-            for left in acc:
-                for right in ds:
-                    merged = norm_cube(left + right)
-                    if merged is not None:
-                        nxt.append(merged)
-            if len(nxt) > _DNF_CUBE_LIMIT:
-                raise BudgetExceeded("DNF blow-up")
-            acc = nxt
+            if len(ds) > 1:
+                acc = conj_cubes(acc, ds)
         return acc
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def conj_cubes(left: Sequence[Cube], right: Sequence[Cube]) -> list[Cube]:
+    """The cubes of the conjunction of two DNFs: one `norm_cube` per pair,
+    the left cube outer, contradictions dropped.  More than
+    `_DNF_CUBE_LIMIT` of them raise BudgetExceeded."""
+    out: list[Cube] = []
+    for l in left:
+        for r in right:
+            merged = norm_cube(l + r)
+            if merged is not None:
+                out.append(merged)
+    if len(out) > _DNF_CUBE_LIMIT:
+        raise BudgetExceeded("DNF blow-up")
+    return out
 
 
 def _negate(na: NormAtom) -> NormAtom:
@@ -332,22 +348,26 @@ def _eliminate(
     return cur
 
 
-def qe_rational(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula:
+def qe_rational(xs: Sequence[VarId], phi: Union[Formula, Dnf]) -> Union[Formula, Dnf]:
     """Quantifier-free equivalent of (exists xs. phi) over the rationals.
 
-    `phi` is a formula or a DNF already in normal form, as a tuple of cubes
-    (`ddsa.update` passes the image's cubes); each cube is eliminated by
-    Fourier-Motzkin on its integer rows."""
-    return _qe_cubes(xs, to_dnf(phi) if isinstance(phi, Formula) else phi)
+    `phi` is a formula, answered with a formula, or a DNF already in normal
+    form, answered with a DNF (`ddsa.update` passes the image's cubes and
+    gets the image's cubes); each cube is eliminated by Fourier-Motzkin on
+    its integer rows."""
+    if isinstance(phi, Formula):
+        return dnf_to_formula(_qe_cubes(xs, to_dnf(phi)))
+    return _qe_cubes(xs, phi)
 
 
-def qe_gc(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula:
+def qe_gc(xs: Sequence[VarId], phi: Union[Formula, Dnf]) -> Union[Formula, Dnf]:
     """Quantifier-free gap-order equivalent of (exists xs. phi) over Z.
 
-    `phi` is a formula or a DNF in normal form, as a tuple of cubes
-    (`ddsa.update` passes the image's cubes); an atom outside gap-order
-    raises NotGapOrder.  Each cube is tightened to non-strict integer
-    difference bounds, as `is_sat` does, and eliminated by Fourier-Motzkin;
+    `phi` is a formula, answered with a formula, or a DNF in normal form,
+    answered with a DNF (`ddsa.update` passes the image's cubes and gets
+    the image's cubes); an atom outside gap-order raises NotGapOrder.  Each
+    cube is tightened to non-strict integer difference bounds, as `is_sat`
+    does, and eliminated by Fourier-Motzkin;
     membership is read off the tightened rows (`_gap_order_rows`).
     Every row there has coefficients +-1 and an integer bound, and so has
     every sum of two rows, so each bound on an eliminated variable is an
@@ -361,7 +381,8 @@ def qe_gc(xs: Sequence[VarId], phi: Union[Formula, tuple[Cube, ...]]) -> Formula
             bad = next(na for na in cube if _gap_order_rows((na,)) is None)
             raise NotGapOrder(f"not a gap-order atom: {bad.to_atom()}")
         tight.append(norm_cube(rows))
-    return _qe_cubes(xs, tight)
+    out = _qe_cubes(xs, tight)
+    return dnf_to_formula(out) if isinstance(phi, Formula) else out
 
 
 def _gap_order_rows(cube: Cube) -> Optional[Cube]:
@@ -375,16 +396,16 @@ def _gap_order_rows(cube: Cube) -> Optional[Cube]:
     return rows
 
 
-def _qe_cubes(xs: Sequence[VarId], cubes: Sequence[Optional[Cube]]) -> Formula:
-    """The disjunction of the cubes' projections, each once; a None cube
-    (a contradiction) contributes nothing."""
+def _qe_cubes(xs: Sequence[VarId], cubes: Sequence[Optional[Cube]]) -> Dnf:
+    """The cubes' projections, each once; a None cube (a contradiction)
+    contributes nothing."""
     targets = set(xs)
     out: dict[Cube, None] = {}
     for cube in cubes:
         r = None if cube is None else _eliminate(cube, targets)
         if r is not None:
             out[r] = None
-    return dnf_to_formula(list(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +490,20 @@ def is_mc(na: NormAtom) -> bool:
 # ---------------------------------------------------------------------------
 # Satisfiability
 
-def is_sat(phi: Formula, dom: Domain) -> SatResult:
+def is_sat(phi: Union[Formula, Dnf], dom: Domain) -> SatResult:
     """Satisfiability over the domain, with a checked model on success.
 
-    Both domains run Fourier-Motzkin on each DNF cube.  Over the rationals
-    this is complete.  Over the integers each cube is first tightened to
-    non-strict integer difference bounds, on which the rational answer is
-    the integer one; that covers the gap-order fragment and its negations.
+    `phi` is a formula or a DNF in normal form over the domain (a product
+    state).  Both domains run Fourier-Motzkin on each DNF cube.  Over the
+    rationals this is complete.  Over the integers each cube is first
+    tightened to non-strict integer difference bounds, on which the
+    rational answer is the integer one; that covers the gap-order fragment
+    and its negations.
     When no such cube has a model and another cube remains, it raises
     UnsupportedInteger rather than guess.
     """
     outside: Optional[Cube] = None
-    for cube in to_dnf(phi, dom):
+    for cube in to_dnf(phi, dom) if isinstance(phi, Formula) else phi:
         if dom == RAT:
             model = _sat_cube_rational(cube)
         else:

@@ -3,15 +3,22 @@
 A summary strategy packages the update procedure and the equivalence
 relation the product quotients by (the constraint graph is the product
 with the automaton of `true`).  There is one leaf class, `_Leaf`, and it
-keeps that quotient itself: `canon` maps each state to the first
-equivalent state it has seen, so the product finds a node by its
-representative with a dict lookup (hash-consing modulo equivalence).
-Every leaf is exact and compares its states with one rational equivalence
-check: over the rationals, Fourier-Motzkin QE and logical equivalence;
-over the integers, with the gap-order bound `K` set, the same QE on cubes
+keeps that quotient itself: `canon` maps each state to the class of the
+first equivalent state it has seen, so the product finds a node by its
+class with a dict lookup (hash-consing modulo equivalence).  Every leaf
+is exact and compares its states with one rational equivalence check:
+over the rationals, Fourier-Motzkin QE and logical equivalence; over the
+integers, with the gap-order bound `K` set, the same QE on cubes
 tightened to integer difference bounds (`solve.qe_gc`) and equivalence of
-the cutoffs at K, which is exact on the gap-order fragment.  A state is a
-formula over the system's variables whatever the strategy.
+the cutoffs at K, which is exact on the gap-order fragment.
+
+A leaf's state is a DNF in the solver's normal form (`solve.Dnf`), and
+under a variable split a state is one per part: images, the conjunction
+with an NFA symbol's constraints, satisfiability, the canonisation memo
+and the stored-model refutation all work on cubes.  A state is written as
+a formula only when a leaf has not canonised it before: that formula is
+what the solver's equivalence check and the cutoff read, and what a new
+class keeps for the product to print.
 
 `detect` gives the strategy `verify` runs, and reads structure only: no
 verdict reads a certificate.  An integer system gets the gap-order leaf,
@@ -71,7 +78,7 @@ from .formula import (
     free_vars,
     norm_atom,
 )
-from .solve import BudgetExceeded, SatResult
+from .solve import BudgetExceeded, Dnf, SatResult
 
 
 # ---------------------------------------------------------------------------
@@ -514,90 +521,86 @@ def _project(d: Ddsa, part: Sequence[str]) -> Ddsa:
 # Summary strategies
 
 
+class _Class:
+    """One class of a leaf's quotient: its representative state, the
+    formula it was opened with (a product node prints it), the formula the
+    equivalence compares (the cutoff at K over the integers), and the
+    representative's stored sat model with the truths of atoms under it."""
+
+    __slots__ = ("state", "formula", "compared", "model", "truths")
+
+    def __init__(self, state: Dnf, formula: Formula, compared: Formula, model):
+        self.state = state
+        self.formula = formula
+        self.compared = compared
+        self.model = model
+        self.truths: dict = {}
+
+
+# A constraint set as the product conjoins it: its formulas, which a new
+# class's formula prints, and their DNF over the system's domain.
+Label = tuple[tuple[Formula, ...], Dnf]
+
+
 class _Leaf:
     """The one exact leaf: QE in the system's domain (`dd.update` picks it)
     and a rational equivalence check.  With the gap-order bound `K` set (an
-    integer system), states are compared by their cutoffs at `K`."""
+    integer system), states are compared by their cutoffs at `K`.
+
+    A state is a DNF in the solver's normal form over the system's domain,
+    and a product node holds its `_Class`.  Images, conjunction with a
+    label, satisfiability and the canonisation memo all work on the cubes.
+    A formula is built on a canonisation miss only: the source's image
+    formula conjoined with the label's formulas, as the state would have
+    been written.  It is what the solver's equivalence check and the cutoff
+    read, and what the product prints."""
 
     def __init__(self, d: Ddsa, *, K: Optional[int] = None):
         self.d = d
         self.K = K
         # The memos live on the leaf: leaves differ in their system and K,
         # and live for one verify call.
-        self._image_cache: dict[tuple[Formula, Formula], Formula] = {}
-        self._sat_cache: dict[Formula, SatResult] = {}
-        self._truth_cache: dict[Formula, dict] = {}
-        self._cutoff_cache: dict[Formula, Formula] = {}
-        self._canon_cache: dict[Formula, Formula] = {}
-        self._classes: list[Formula] = []
+        self._image_cache: dict[tuple[_Class, Formula], Dnf] = {}
+        self._sat_cache: dict[Dnf, SatResult] = {}
+        self._canon_cache: dict[Dnf, _Class] = {}
+        self._classes: list[_Class] = []
 
     def describe(self) -> str:
         return "exact-fixpoint" if self.K is None else f"GC(K={self.K})"
 
-    def compared(self, state: Formula) -> Formula:
-        """The formula whose models the equivalence compares, over the
-        rationals: the state, or its cutoff at `K`, as in
-        `solve.gc_equivalent`."""
-        if self.K is None:
-            return state
-        hit = self._cutoff_cache.get(state)
-        if hit is None:
-            hit = self._cutoff_cache[state] = solve.cutoff(state, self.K)
-        return hit
+    def label(self, formulas: Sequence[Formula]) -> Label:
+        return tuple(formulas), tuple(solve.to_dnf(conj(*formulas), self.d.domain))
 
-    def image(self, state: Formula, action: str) -> Formula:
-        # under a true guard every variable keeps its value: the image is
-        # the state (on a projected leaf, an action that moves none of its
-        # variables)
-        if isinstance(self.d.guard(action), TrueF):
-            return state
-        # one image per (state, transition formula), shared by the NFA edges
+    def initial(self, label: Label) -> _Class:
+        """The class of the label's constraints (the initial assignment's)."""
+        return self.canon(label[1], None, None, label)
+
+    def _moves(self, action: Optional[str]) -> bool:
+        """Whether the action's image is not the state itself: no action
+        (the dummy step) and one whose guard is true keep every variable's
+        value (on a projected leaf, an action that moves none of its
+        variables)."""
+        return action is not None and not isinstance(self.d.guard(action), TrueF)
+
+    def image(self, rep: _Class, action: Optional[str]) -> Dnf:
+        if not self._moves(action):
+            return rep.state
+        # one image per (class, transition formula), shared by the NFA edges
         # that conjoin to it and by the actions with that formula
-        key = (state, dd.transition_formula(self.d, action))
+        key = (rep, dd.transition_formula(self.d, action))
         hit = self._image_cache.get(key)
         if hit is None:
-            hit = self._image_cache[key] = dd.update(self.d, state, action)
+            hit = self._image_cache[key] = dd.update(self.d, rep.state, action)
         return hit
 
-    def canon(self, state: Formula) -> Formula:
-        """The first state canonised here that is equivalent to `state`
-        (`state` itself if none is): one representative per class, so that
-        the product finds a node by lookup instead of by scan."""
-        hit = self._canon_cache.get(state)
-        if hit is None:
-            hit = next((r for r in self._classes if self.equiv(r, state)), None)
-            if hit is None:
-                self._classes.append(state)
-                hit = state
-            self._canon_cache[state] = hit
-        return hit
+    def meet(self, image: Dnf, label: Label) -> Dnf:
+        """The image conjoined with the label: one `norm_cube` per pair of
+        cubes, under the solver's cube budget."""
+        if not label[0]:
+            return image
+        return tuple(dict.fromkeys(solve.conj_cubes(image, label[1])))
 
-    def equiv(self, s1: Formula, s2: Formula) -> bool:
-        return not self._refuted(s1, s2) and solve.equivalent(
-            self.compared(s1), self.compared(s2), RAT
-        )
-
-    def _refuted(self, s1: Formula, s2: Formula) -> bool:
-        """Whether a stored model of one side satisfies its compared formula
-        and falsifies the other's.  That model is a witness of exactly what
-        the solver checks first, so a refutation is the solver's answer.
-        Each atom's truth under a stored model is computed once: the memo
-        holds one dict per solved state."""
-        for a, b in ((s1, s2), (s2, s1)):
-            res = self._sat_cache.get(a)
-            if res is None or res.model is None:
-                continue
-            memo = self._truth_cache.setdefault(a, {})
-            try:
-                if evaluate(self.compared(a), res.model, memo) and not evaluate(
-                    self.compared(b), res.model, memo
-                ):
-                    return True
-            except MissingVariable:
-                pass  # a state beyond the model: ask the solver
-        return False
-
-    def sat(self, state: Formula) -> bool:
+    def sat(self, state: Dnf) -> bool:
         hit = self._sat_cache.get(state)
         if hit is None:
             hit = solve.is_sat(state, self.d.domain)
@@ -608,20 +611,91 @@ class _Leaf:
             self._sat_cache[state] = hit
         return hit.sat
 
+    def canon(
+        self, state: Dnf, rep: Optional[_Class], action: Optional[str], label: Label
+    ) -> _Class:
+        """The class of the first state canonised here that is equivalent to
+        `state`, the image of `rep` under `action` conjoined with `label`
+        (a new class if none is): one class per equivalence class, so that
+        the product finds a node by lookup instead of by scan."""
+        hit = self._canon_cache.get(state)
+        if hit is None:
+            if rep is None:
+                image = TRUE
+            elif self._moves(action):
+                image = solve.dnf_to_formula(self.image(rep, action))
+            else:
+                image = rep.formula
+            hit = self._canon_cache[state] = self._classify(state, conj(image, *label[0]))
+        return hit
+
+    def _classify(self, state: Dnf, formula: Formula) -> _Class:
+        new = self._class(state, formula)
+        for c in self._classes:
+            if self.equiv(c, new):
+                return c
+        self._classes.append(new)
+        return new
+
+    def _class(self, state: Dnf, formula: Formula) -> _Class:
+        """A class of the state written as `formula`, with the state's
+        stored sat model, if it has one."""
+        compared = formula if self.K is None else solve.cutoff(formula, self.K)
+        res = self._sat_cache.get(state)
+        return _Class(state, formula, compared, None if res is None else res.model)
+
+    def equiv(self, c1: _Class, c2: _Class) -> bool:
+        return not self._refuted(c1, c2) and solve.equivalent(c1.compared, c2.compared, RAT)
+
+    def _refuted(self, c1: _Class, c2: _Class) -> bool:
+        """Whether a stored model of one side satisfies its compared formula
+        and falsifies the other's.  That model is a witness of exactly what
+        the solver checks first, so a refutation is the solver's answer.
+        Each atom's truth under a stored model is computed once: each class
+        keeps the truths under its own."""
+        for a, b in ((c1, c2), (c2, c1)):
+            if a.model is None:
+                continue
+            try:
+                if self._holds(a, a) and not self._holds(b, a):
+                    return True
+            except MissingVariable:
+                pass  # a state beyond the model: ask the solver
+        return False
+
+    def _holds(self, c: _Class, under: _Class) -> bool:
+        """The truth of `c`'s compared formula under `under`'s model: over
+        the rationals read off the cubes, the cutoff's formula otherwise."""
+        model, truths = under.model, under.truths
+        if self.K is not None:
+            return evaluate(c.compared, model, truths)
+        for cube in c.state:
+            for na in cube:
+                t = truths.get(na)
+                if t is None:
+                    t = truths[na] = na.holds(model)
+                if not t:
+                    break
+            else:
+                return True
+        return False
+
+    def formula(self, rep: _Class) -> Formula:
+        return rep.formula
+
 
 class VarStrategy:
     """Variable-disjoint composition: one exact leaf per part of the
-    variables, solved apart.  A state is one formula; `_split` sends each of
-    its top-level conjuncts to the part that holds its names (a
-    variable-free one to part 0), and the answers are conjoined in part
-    order.  Each distinct conjunct's names are read once."""
+    variables, solved apart.  A state is one leaf state per part, in part
+    order, and a node holds one class per part; its formula is the
+    conjunction of theirs.  A label sends each top-level conjunct of its
+    formulas to the part that holds its names (a variable-free one to part
+    0); the product asks for one label per NFA symbol."""
 
     def __init__(self, parts: tuple[tuple[tuple[str, ...], _Leaf], ...]):
         self.parts = parts
+        self._leaves = tuple(leaf for _, leaf in parts)
         self._part_of = {n: i for i, (names, _) in enumerate(self.parts) for n in names}
-        self._split_cache: dict[Formula, list[Formula]] = {}
-        self._conjunct_part: dict[Formula, int] = {}
-        self._canon_cache: dict[Formula, Formula] = {}
 
     def describe(self) -> str:
         inner = "; ".join(
@@ -629,38 +703,52 @@ class VarStrategy:
         )
         return f"var-compose({inner})"
 
-    def _split(self, state: Formula) -> list[Formula]:
-        hit = self._split_cache.get(state)
-        if hit is None:
-            groups: list[list[Formula]] = [[] for _ in self.parts]
-            for k in _conjuncts(state):
-                at = self._conjunct_part.get(k)
-                if at is None:
-                    parts = {self._part_of[v.name] for v in free_vars(k)} or {0}
-                    if len(parts) > 1:
-                        raise ValueError(f"a conjunct crosses the variable split: {k}")
-                    at = self._conjunct_part[k] = parts.pop()
-                groups[at].append(k)
-            hit = self._split_cache[state] = [conj(*g) for g in groups]
-        return hit
+    def _split(self, formulas: Sequence[Formula]) -> list[list[Formula]]:
+        """The formulas' top-level conjuncts, grouped by part in order."""
+        groups: list[list[Formula]] = [[] for _ in self.parts]
+        for f in formulas:
+            for k in _conjuncts(f):
+                parts = {self._part_of[v.name] for v in free_vars(k)} or {0}
+                if len(parts) > 1:
+                    raise ValueError(f"a conjunct crosses the variable split: {k}")
+                groups[parts.pop()].append(k)
+        return groups
 
-    def image(self, state: Formula, action: str) -> Formula:
-        parts = zip(self.parts, self._split(state))
-        return conj(*(leaf.image(s, action) for (_, leaf), s in parts))
+    def label(self, formulas: Sequence[Formula]) -> tuple[Label, ...]:
+        return tuple(leaf.label(g) for leaf, g in zip(self._leaves, self._split(formulas)))
 
-    def canon(self, state: Formula) -> Formula:
-        hit = self._canon_cache.get(state)
-        if hit is None:
-            parts = zip(self.parts, self._split(state))
-            hit = self._canon_cache[state] = conj(*(leaf.canon(s) for (_, leaf), s in parts))
-        return hit
+    def initial(self, label: tuple[Label, ...]) -> tuple[_Class, ...]:
+        return tuple(leaf.initial(l) for leaf, l in zip(self._leaves, label))
 
-    def sat(self, state: Formula) -> bool:
-        return all(leaf.sat(s) for (_, leaf), s in zip(self.parts, self._split(state)))
+    def image(self, rep: tuple[_Class, ...], action: Optional[str]) -> tuple[Dnf, ...]:
+        return tuple(leaf.image(c, action) for leaf, c in zip(self._leaves, rep))
+
+    def meet(self, image: tuple[Dnf, ...], label: tuple[Label, ...]) -> tuple[Dnf, ...]:
+        return tuple(leaf.meet(s, l) for leaf, s, l in zip(self._leaves, image, label))
+
+    def sat(self, state: tuple[Dnf, ...]) -> bool:
+        # a part with no cube is false, whatever the others are
+        return all(state) and all(leaf.sat(s) for leaf, s in zip(self._leaves, state))
+
+    def canon(
+        self,
+        state: tuple[Dnf, ...],
+        rep: tuple[_Class, ...],
+        action: Optional[str],
+        label: tuple[Label, ...],
+    ) -> tuple[_Class, ...]:
+        return tuple(
+            leaf.canon(s, c, action, l)
+            for leaf, s, c, l in zip(self._leaves, state, rep, label)
+        )
+
+    def formula(self, rep: tuple[_Class, ...]) -> Formula:
+        return conj(*(c.formula for c in rep))
 
 
-# The protocol the product uses: describe, image, sat and canon, on states
-# that are formulas over the system's variables.
+# The protocol the product uses: describe, label, initial, image, meet, sat,
+# canon and formula.  A product node holds a strategy's class (`_Class`, or
+# one per part), and a candidate state is a DNF (one per part).
 Strategy = _Leaf | VarStrategy
 
 

@@ -573,6 +573,36 @@ def test_dnf_budget_in_the_product_reports_the_sizes_built(capsys, monkeypatch):
     }
 
 
+def test_dnf_budget_on_an_image_times_a_disequality_label(capsys, monkeypatch, tmp_path):
+    # `x^w != x^r` images x = 0 to the two cubes x < 0 | x > 0, and the
+    # label x != 5 is two cubes: each fits a 2-cube budget, the conjunction
+    # of the image with the label (3 cubes) does not; without the budget
+    # the query has a witness
+    model = tmp_path / "ne.ddsa"
+    model.write_text(
+        "domain rat\nvars x\ninit x=0\nstates 1\ninitial 1\nfinal 1\n"
+        "trans 1 a 1 [x^w != x^r]\n"
+    )
+    args = ("verify", str(model), "--prop", "X (x != 5)", "--json")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    conj_cubes, met = solve.conj_cubes, []
+
+    def recording(left, right):
+        met.append((len(left), len(right)))
+        return conj_cubes(left, right)
+
+    monkeypatch.setattr(solve, "_DNF_CUBE_LIMIT", 2)
+    monkeypatch.setattr(solve, "conj_cubes", recording)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 2
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["reason"] == "DNF blow-up"
+    assert (doc["sizes"]["product_nodes"], doc["sizes"]["product_edges"]) == (2, 1)
+    assert met[-1] == (2, 2)
+
+
 @pytest.mark.parametrize(
     "exc", [BudgetExceeded("DNF blow-up"), UnsupportedInteger("integer search space too large")]
 )

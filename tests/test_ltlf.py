@@ -374,3 +374,32 @@ def test_delta_totality_on_runs(b1):
                         break
                 assert ok, f"delta not total at {q} position {i}"
         states.extend(e.target for e in entries)
+
+
+AUCTION_PROPERTIES = (
+    "F (sold & d>0 & o<=t)",
+    "F (b=1 & o>t & F (sold & b!=1))",
+    "F (sold & b=0)",
+    "(s=0) U (d<=0 | o>t)",
+    "G (s=0) | ((d>0 & o<=t) U (s!=0))",
+)
+
+
+def test_build_nfa_decides_each_distinct_label_once(auction, monkeypatch):
+    # the five auction properties' NFAs have 25 edge entries with
+    # constraints, and 12 distinct constraint sets among them: one
+    # satisfiability check each, none twice within a construction
+    from damc import solve
+
+    is_sat, asked = solve.is_sat, []
+
+    def recording(phi, dom):
+        asked.append(phi)
+        return is_sat(phi, dom)
+
+    monkeypatch.setattr(solve, "is_sat", recording)
+    for text in AUCTION_PROPERTIES:
+        before = len(asked)
+        build_nfa(preprocess(parsing.parse_property(text, auction)), auction.domain)
+        assert len(set(asked[before:])) == len(asked) - before, text
+    assert len(asked) == 12

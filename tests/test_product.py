@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from damc import ddsa as dd, ltlf as lt, oracle, parsing, solve, summary
+from damc import ddsa as dd, ltlf as lt, oracle, parsing, product, solve, summary
 from damc.cli import _verdict_json
 from damc.ddsa import Ddsa, validate_run
 from damc.formula import (
@@ -122,7 +122,7 @@ def test_find_accepting_path_none(b1):
 def test_extract_witness_validates(b1):
     ext, nfa, prod, pre = build_b1_product(b1)
     path = find_accepting_path(prod)
-    run, word = extract_witness(b1, path)
+    run, word = extract_witness(b1, prod, path)
     assert validate_run(b1, run)
     assert run.configs[-1].state in b1.finals
     assert lt.run_models(b1, run, 0, pre)
@@ -545,8 +545,8 @@ def test_random_rational_gap_order_systems_agree_with_oracle():
 
 def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
     # one node per (control state, NFA state, class of the leaf's relation):
-    # no two nodes there are equivalent, every node's state is its own
-    # representative, and the DOT file draws the sizes --json reports
+    # no two nodes there are equivalent, every node's class is the class of
+    # its own state, and the DOT file draws the sizes --json reports
     import random
 
     from damc.cli import main
@@ -573,8 +573,12 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
                 else:
                     same = lambda a, b: equivalent(a, b, RAT)  # noqa: E731
                 at: dict = {}
-                for n in v.product.nodes:
-                    assert strat.canon(n.formula) == n.formula
+                for n, c in zip(v.product.nodes, v.product.classes):
+                    # the node prints its class's formula, and its class's
+                    # state canonises to the class itself
+                    assert strat.formula(c) == n.formula
+                    state = tuple(x.state for x in c) if isinstance(c, tuple) else c.state
+                    assert strat.canon(state, c, None, strat.label([])) == c
                     assert not any(same(m.formula, n.formula) for m in at.get((n.state, n.q), []))
                     at.setdefault((n.state, n.q), []).append(n)
                 dot = tmp_path / "p.dot"
@@ -634,10 +638,13 @@ def test_auction_verdict_json_golden(auction, name):
 
 
 def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
-    # the leaves memoise their images per (state, transition formula) and
-    # their sat answers, so no input reaches the solver twice; an action
-    # whose guard on a leaf is true has the state itself as its image, and
-    # never reaches the solver
+    # the leaves memoise their images per (class, transition formula) and
+    # their sat answers per state DNF, so each distinct state DNF is imaged
+    # once per transition formula and solved once; an action whose guard on
+    # a leaf is true has the state itself as its image, and never reaches
+    # the solver.  The 21 images are the leaves' own: extraction images
+    # nothing, where re-imaging the witness's 7 steps on the whole system
+    # made 28
     update, is_sat, leaf_sat = dd.update, solve.is_sat, summary._Leaf.sat
     images: Counter = Counter()
     solved: Counter = Counter()
@@ -665,7 +672,9 @@ def test_psi12_images_and_solves_each_input_once(auction, monkeypatch):
     monkeypatch.setattr(summary._Leaf, "sat", tracked_leaf_sat)
     psi = parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", auction)
     assert verify(auction, psi).kind == "witness"
-    assert len(images) == 28 and set(images.values()) == {1}
+    assert len(images) == 21 and set(images.values()) == {1}
+    assert all(d != id(auction) for d, _, _ in images)
+    assert all(isinstance(phi, tuple) for _, phi, _ in images)
     assert solved and set(solved.values()) == {1}
 
 
@@ -673,17 +682,20 @@ def test_projected_leaf_images_each_state_and_transition_formula_once(auction, m
     # on the auction's {b} leaf, init, check, dec, sellnow and fee all
     # leave b alone (their guard there is true), so their image is the
     # state itself and no state reaches dd.update through them; every
-    # other (leaf, state, transition formula) asked for is imaged once
+    # other (leaf, state DNF, transition formula) asked for is imaged once
     update, leaf_image = dd.update, summary._Leaf.image
     moving: dict = {}
     still: dict = {}
     imaged: Counter = Counter()
 
-    def tracked_image(self, state, action):
-        key = (id(self.d), state, dd.transition_formula(self.d, action))
-        out = leaf_image(self, state, action)
+    def tracked_image(self, rep, action):
+        out = leaf_image(self, rep, action)
+        if action is None:  # the dummy step moves nothing
+            assert out is rep.state
+            return out
+        key = (id(self.d), rep.state, dd.transition_formula(self.d, action))
         if self.d.guard(action) == TRUE:
-            assert out is state
+            assert out is rep.state
             still.setdefault(key, set()).add(action)
         else:
             moving.setdefault(key, set()).add(action)
@@ -969,15 +981,16 @@ def test_leaf_image_under_a_true_guard_is_the_state(data):
     assert leaves[-1].K is not None
     for leaf in leaves:
         state = data.draw(_leaf_states(leaf.d.variables, leaf.K is not None))
+        rep = leaf.initial(leaf.label([state]))
         still = [a for a in leaf.d.actions if leaf.d.guard(a) == TRUE]
         assert still
         for a in leaf.d.actions:
             image = dd.update(leaf.d, state, a)
             if a in still:
-                assert leaf.image(state, a) is state
+                assert leaf.image(rep, a) is rep.state
                 assert equivalent(state, image, leaf.d.domain), (state, a)
             else:
-                assert leaf.image(state, a) == image, (state, a)
+                assert solve.dnf_to_formula(leaf.image(rep, a)) == image, (state, a)
 
 
 # `a0` reads x and writes only u: on the part over x it writes nothing, but
@@ -1080,6 +1093,73 @@ def golden_cases(auction, b1):
     return cases
 
 
+def _extraction_images(monkeypatch) -> list:
+    """The `dd.update` calls that `extract_witness` makes, one list per
+    extraction, and the history prefixes it asks for."""
+    update, extract, history = dd.update, product.extract_witness, dd.history_prefixes
+    per: list = []
+    inside: list = []
+
+    def counting_update(d, phi, action):
+        if inside:
+            per[-1]["images"] += 1
+        return update(d, phi, action)
+
+    def recording_history(d, actions, cseq=None):
+        if inside:
+            per[-1]["history"].append(list(actions))
+        return history(d, actions, cseq)
+
+    def tracked(d, p, path):
+        per.append({"images": 0, "history": [], "steps": len(path) - 1})
+        inside.append(True)
+        try:
+            return extract(d, p, path)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dd, "update", counting_update)
+    monkeypatch.setattr(dd, "history_prefixes", recording_history)
+    monkeypatch.setattr(product, "extract_witness", tracked)
+    return per
+
+
+def test_rational_extraction_images_nothing_on_goldens(auction, b1, monkeypatch):
+    # over Q a witness is solved backwards on the formulas of its BFS-tree
+    # path's nodes, each equivalent to its history prefix: extraction makes
+    # no image and builds no history constraint, and the golden runs (the
+    # auction's hold 1/2 and 3/2) do not move
+    per = _extraction_images(monkeypatch)
+    cases = [(auction, c) for c in AUCTION_GOLDEN.values()]
+    cases += [(b1, c) for c in DISJUNCTION_GOLDEN.values()]
+    for d, case in cases:
+        psi = parsing.parse_property(case["property"], d)
+        assert _verdict_json(verify(d, psi)) == case["verdict"]
+    assert len(per) == sum(c["verdict"]["verdict"] == "witness" for _, c in cases) >= 10
+    assert max(e["steps"] for e in per) >= 5
+    assert all(e["images"] == 0 and e["history"] == [] for e in per)
+
+
+def test_integer_extraction_solves_history_constraints_golden(monkeypatch):
+    # over Z a node is only cutoff-equivalent to its history prefix, so an
+    # integer witness is solved on the exact history constraints: one
+    # whole-system image per step, and the run passes revalidation
+    per = _extraction_images(monkeypatch)
+    witnesses = []
+    for case in INTEGER_GOLDEN.values():
+        d = with_domain(load_model(case["model"]), INT)
+        psi = parsing.parse_property(case["property"], d)
+        v = verify(d, psi)
+        if v.kind == "witness":
+            product._assert_witness(d, v.run, v.word, lt.preprocess(psi))
+            witnesses.append(v.run)
+    assert len(per) == len(witnesses) >= 20
+    assert any(len(run) >= 2 for run in witnesses)
+    for e, run in zip(per, witnesses):
+        assert e["history"] == [list(run.actions)]
+        assert e["images"] == e["steps"] == len(run)
+
+
 def test_golden_verdicts_in_turn_match_verdicts_from_cleared_memos():
     # the process-wide DNF and normalisation memos change no answer: the
     # golden queries' verdict JSON (run included), asked in one process in
@@ -1171,9 +1251,12 @@ def test_nfa_symbols_are_minimal_between_two_states(auction, b1):
 
 
 def test_sweep_query_refutes_with_stored_models(b4, monkeypatch):
-    # 411 of this query's 423 equivalence checks answer "no"; in 393 of
-    # them a stored sat model of one side falsifies the other, so only 30
-    # reach the solver, and the product keeps its 62 nodes and 144 edges
+    # the canonisation memo is keyed by the state's DNF, so a state checks
+    # for its class once however it is written: 325 of this query's 330
+    # equivalence checks answer "no"; in 308 of them a stored sat model of
+    # one side falsifies the other, so only 22 reach the solver, and the
+    # product keeps its 62 nodes and 144 edges (a memo keyed by formulas
+    # made 423 checks, 30 of them in the solver)
     equivalent = solve.equivalent
     calls: list = []
 
@@ -1185,4 +1268,4 @@ def test_sweep_query_refutes_with_stored_models(b4, monkeypatch):
     psi = parsing.parse_property("G (a < 7) | F (s > 8)", b4)
     v = verify(b4, psi)
     assert (v.kind, v.stats.product_nodes, v.stats.product_edges) == ("witness", 62, 144)
-    assert len(calls) == 30
+    assert len(calls) == 22

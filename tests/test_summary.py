@@ -10,7 +10,6 @@ from damc.ddsa import Ddsa, history_constraint
 from damc.formula import (
     INT,
     RAT,
-    TRUE,
     Term,
     VarId,
     atom,
@@ -544,13 +543,13 @@ def test_detect_gives_each_independent_variable_a_part():
     assert strat.describe() == (
         "var-compose(" + "; ".join(f"{{x{i}}}: exact-fixpoint" for i in range(10)) + ")"
     )
-    # a state's conjuncts go to the parts that hold their names, and a
+    # a label's conjuncts go to the parts that hold their names, and a
     # variable-free one to part 0
-    state = conj(atom(VarId("x9"), ">", 1), atom(1, ">", 0), atom(VarId("x0"), "=", 0))
-    split = strat._split(state)
-    assert split[0] == conj(atom(1, ">", 0), atom(VarId("x0"), "=", 0))
-    assert split[9] == atom(VarId("x9"), ">", 1)
-    assert all(part == TRUE for part in split[1:9])
+    label = conj(atom(VarId("x9"), ">", 1), atom(1, ">", 0), atom(VarId("x0"), "=", 0))
+    split = strat._split([label])
+    assert split[0] == [atom(1, ">", 0), atom(VarId("x0"), "=", 0)]
+    assert split[9] == [atom(VarId("x9"), ">", 1)]
+    assert all(part == [] for part in split[1:9])
 
 
 def test_detect_nothing_for_two_counter_style():
@@ -673,7 +672,10 @@ def test_constraint_graph_nodes_match_history_constraints(b1, b3):
             actions = [a for a, _ in p]
             node = g.nodes[p[-1][1]] if p else g.nodes[0]
             h = history_constraint(d, actions)
-            assert strat.equiv(node.formula, h)
+            if strat.K is None:
+                assert solve.equivalent(node.formula, h, RAT)
+            else:
+                assert solve.gc_equivalent(node.formula, h, strat.K)
 
 
 # ---------------------------------------------------------------------------
@@ -684,30 +686,38 @@ def _no_solver(*args):
     raise AssertionError("the solver was asked")
 
 
+def _solved(leaf, f):
+    """A class of the leaf for the formula, after its DNF's sat check."""
+    state = leaf.label([f])[1]
+    leaf.sat(state)
+    return leaf._class(state, f)
+
+
 def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
     # the states differ only above K, so they are cutoff-equivalent although
     # the stored model of the first falsifies the second
     gc = _Leaf(b1_int, K=3)
-    a, b = atom(Term.of(x) - y, ">=", 5), atom(Term.of(x) - y, ">=", 7)
-    assert gc.sat(a) and gc.sat(b)
-    assert not evaluate(b, gc._sat_cache[a].model)
+    a, b = (_solved(gc, atom(Term.of(x) - y, ">=", k)) for k in (5, 7))
+    assert a.model is not None and b.model is not None
+    assert not evaluate(b.formula, a.model)
     assert gc.equiv(a, b) and gc.equiv(b, a)
     # below K a stored model refutes without the solver
-    c = atom(Term.of(x) - y, ">=", 1)
-    assert gc.sat(c)
+    c = _solved(gc, atom(Term.of(x) - y, ">=", 1))
+    assert c.model is not None
     monkeypatch.setattr(solve, "equivalent", _no_solver)
     assert not gc.equiv(c, a)
 
 
 def test_mc_stored_model_refutes_without_the_solver(b1, monkeypatch):
     mc = _Leaf(b1)
-    a, b = atom(x, ">=", 0), atom(x, ">", 0)
-    assert mc.sat(a) and mc.sat(b)
+    a, b = _solved(mc, atom(x, ">=", 0)), _solved(mc, atom(x, ">", 0))
+    assert a.model is not None and b.model is not None
     monkeypatch.setattr(solve, "equivalent", _no_solver)
     assert not mc.equiv(a, b)
     # x > -1 was never solved, and b's model (x = 1) satisfies it
+    never = mc._class(mc.label([atom(x, ">", -1)])[1], atom(x, ">", -1))
     with pytest.raises(AssertionError, match="the solver was asked"):
-        mc.equiv(atom(x, ">", -1), b)
+        mc.equiv(never, b)
 
 
 GC_SHAPES = (
@@ -746,18 +756,14 @@ def state_pairs(draw, shapes, constants):
 @given(state_pairs(MC_SHAPES, st.sampled_from([F(-1), F(0), F(1, 2), F(2)])))
 def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
     mc = _Leaf(b1)
-    for s in pair:
-        mc.sat(s)
-    assert mc.equiv(*pair) == equivalent(*pair, RAT)
+    assert mc.equiv(*(_solved(mc, s) for s in pair)) == equivalent(*pair, RAT)
 
 
 @settings(max_examples=150, deadline=None)
 @given(state_pairs(GC_SHAPES, st.integers(0, 6)), st.integers(1, 5))
 def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
     gc = _Leaf(b1_int, K=K)
-    for s in pair:
-        gc.sat(s)
-    assert gc.equiv(*pair) == solve.gc_equivalent(*pair, K)
+    assert gc.equiv(*(_solved(gc, s) for s in pair)) == solve.gc_equivalent(*pair, K)
 
 
 # ---------------------------------------------------------------------------
