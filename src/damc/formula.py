@@ -13,6 +13,9 @@ hashable, so formulas can be shared freely across data structures.
 The value classes here and in the other modules derive from `Value`: each
 lists its fields in `__slots__` and fills them in its own `__init__`, so
 that importing the package builds no code at run time (no `dataclasses`).
+A memo lives on the value it describes, in a slot whose name starts with
+`_` (`Value._hash`, `Atom._norm`), and no table in the module remembers a
+value across calls.
 """
 from __future__ import annotations
 
@@ -45,24 +48,27 @@ _set = object.__setattr__
 class Value:
     """An immutable value: each subclass lists its fields in `__slots__`, in
     the order its `__init__` takes them, and fills them with `_set`, and
-    `_hash` with None.
+    each of its memos with None.
 
-    Two values are equal when they are of one class and their fields are
-    equal.  The hash is that of the field tuple: set and dict orders reach
-    the output, so it is the hash a frozen dataclass would have.  `repr` is
+    A slot whose name starts with `_` is a memo, not a field: `_hash` on
+    every value, and whatever a subclass adds.  Two values are equal when
+    they are of one class and their fields are equal.  The hash is that of
+    the field tuple: set and dict orders reach the output, so it is the
+    hash a frozen dataclass would have.  `repr` is
     `ClassName(field=value, ...)`.  The hash is stored on the object the
     first time it is asked for (the hash half of Filliatre & Conchon's
-    hash-consing).  It is not a field: equality and `repr` ignore it, and
-    pickling drops it, because `str` hashes differ between interpreters.
-    `VarId` does without it: as a tuple it hashes, compares and sorts in C,
-    to the same hash and order."""
+    hash-consing).  Equality, the hash and `repr` ignore the memos, and
+    pickling drops them: `str` hashes differ between interpreters, and a
+    memo is recomputed on demand.  `VarId` does without a stored hash: as a
+    tuple it hashes, compares and sorts in C, to the same hash and order."""
 
     __slots__ = ("_hash",)
 
     def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if n[0] != "_")
         # (class, *fields), or the class alone without fields, read in C:
         # equal values have equal keys
-        cls._key = attrgetter("__class__", *cls.__slots__)
+        cls._key = attrgetter("__class__", *cls._fields)
 
     def __eq__(self, other):
         if self is other:
@@ -74,16 +80,16 @@ class Value:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self._key(self)[1:] if self.__slots__ else ())  # the fields
+            h = hash(self._key(self)[1:] if self._fields else ())  # the fields
             _set(self, "_hash", h)
         return h
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, self._key(self)[1:] if self.__slots__ else ()
+        return self.__class__, self._key(self)[1:] if self._fields else ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -265,9 +271,10 @@ OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
 class Atom(Formula):
-    """lhs op rhs, kept as written; solving uses the normalized view."""
+    """lhs op rhs, kept as written; solving uses the normalized view, which
+    `norm_atom` stores in the memo `_norm` the first time it is asked for."""
 
-    __slots__ = ("lhs", "op", "rhs")
+    __slots__ = ("lhs", "op", "rhs", "_norm")
 
     def __init__(self, lhs: Term, op: str, rhs: Term):
         if op not in OPS:
@@ -276,6 +283,7 @@ class Atom(Formula):
         _set(self, "op", op)
         _set(self, "rhs", rhs)
         _set(self, "_hash", None)
+        _set(self, "_norm", None)
 
     def __str__(self) -> str:
         return f"{fmt_term(self.lhs)} {self.op} {fmt_term(self.rhs)}"
@@ -374,8 +382,8 @@ class NormAtom(Value):
     the solver's normal form hashes, compares and evaluates without
     `Fraction`.  Equalities additionally get a canonical sign.  Ground atoms
     have an empty coefficient vector.  The solver only builds atoms in this
-    form, so `to_atom` records its result as already normalized and
-    `norm_atom` maps it straight back.
+    form, so the atom `to_atom` prints stores this atom as its normal form,
+    and `norm_atom` reads it back without normalising.
     """
 
     __slots__ = ("coeffs", "op", "const")
@@ -407,10 +415,8 @@ class NormAtom(Value):
         if op in ("<=", "<") and coeffs and coeffs[0][1] < 0:
             coeffs = tuple((v, -c) for v, c in coeffs)
             op, const = (">=" if op == "<=" else ">"), -const
-        lhs = Term(coeffs)
-        out = Atom(lhs, op, Term((), const))
-        if len(_NORM_CACHE) < 200_000:
-            _NORM_CACHE.setdefault(out, self)
+        out = Atom(Term(coeffs), op, Term((), const))
+        _set(out, "_norm", self)
         return out
 
     def holds(self, alpha: Mapping[VarId, Exact]) -> bool:
@@ -437,16 +443,11 @@ def _primitive_scale(coeffs: tuple[tuple[VarId, Exact], ...]) -> Exact:
     return exact_div(l, gcd(*[n * l // d for n, d in zip(nums, dens)]))
 
 
-_NORM_CACHE: dict = {}
-
-
 def norm_atom(a: Atom) -> NormAtom:
-    hit = _NORM_CACHE.get(a)
-    if hit is not None:
-        return hit
-    out = _norm_atom(a)
-    if len(_NORM_CACHE) < 200_000:
-        _NORM_CACHE[a] = out
+    out = a._norm
+    if out is None:
+        out = _norm_atom(a)
+        _set(a, "_norm", out)
     return out
 
 
@@ -471,34 +472,21 @@ def _norm_atom(a: Atom) -> NormAtom:
 # Core operations
 
 
-def evaluate(
-    phi: Formula,
-    alpha: Mapping[VarId, Exact],
-    truths: Optional[dict[Atom, bool]] = None,
-) -> bool:
-    """Standard boolean/arithmetic semantics.
-
-    `truths`, when given, memoises each atom's truth under `alpha`; the
-    caller keeps one dict per assignment and passes it to every formula it
-    evaluates under that assignment.  An atom with a variable outside
-    `alpha` raises MissingVariable and is not stored."""
+def evaluate(phi: Formula, alpha: Mapping[VarId, Exact]) -> bool:
+    """Standard boolean/arithmetic semantics.  An atom with a variable
+    outside `alpha` raises MissingVariable."""
     if isinstance(phi, TrueF):
         return True
     if isinstance(phi, FalseF):
         return False
     if isinstance(phi, Atom):
-        if truths is None:
-            return norm_atom(phi).holds(alpha)
-        hit = truths.get(phi)
-        if hit is None:
-            hit = truths[phi] = norm_atom(phi).holds(alpha)
-        return hit
+        return norm_atom(phi).holds(alpha)
     if isinstance(phi, And):
-        return all(evaluate(p, alpha, truths) for p in phi.args)
+        return all(evaluate(p, alpha) for p in phi.args)
     if isinstance(phi, Or):
-        return any(evaluate(p, alpha, truths) for p in phi.args)
+        return any(evaluate(p, alpha) for p in phi.args)
     if isinstance(phi, Not):
-        return not evaluate(phi.arg, alpha, truths)
+        return not evaluate(phi.arg, alpha)
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -155,27 +155,15 @@ def _atom_key(na: NormAtom):
 # ---------------------------------------------------------------------------
 # DNF
 
-_DNF_CACHE: dict = {}
-
-
 def to_dnf(phi: Formula, dom: Domain = RAT) -> list[Cube]:
-    """Disjunctive normal form over the domain as a list of cubes; [] is
-    false, [()] true.
+    """Disjunctive normal form over the domain as a list of cubes, each
+    once; [] is false, [()] true.
 
     `!=` atoms are expanded into the two strict alternatives, except that
     over the integers one with a constant that is not an integer is true
-    (`_atom_cubes`).  Memoised per formula and domain: an NFA symbol's
-    constraints are decided when the NFA is built and put in normal form
-    again by the product, and a history prefix is imaged and then solved.
+    (`_atom_cubes`).
     """
-    integers = dom == INT
-    key = (phi, INT) if integers else phi
-    hit = _DNF_CACHE.get(key)
-    if hit is None:
-        hit = tuple(dict.fromkeys(_dnf(phi, True, integers)))
-        if len(_DNF_CACHE) < 100_000:
-            _DNF_CACHE[key] = hit
-    return list(hit)
+    return list(dict.fromkeys(_dnf(phi, True, dom == INT)))
 
 
 def _dnf(phi: Formula, positive: bool, integers: bool) -> list[Cube]:

@@ -525,7 +525,8 @@ class _Class:
     """One class of a leaf's quotient: its representative state, the
     formula it was opened with (a product node prints it), the formula the
     equivalence compares (the cutoff at K over the integers), and the
-    representative's stored sat model with the truths of atoms under it."""
+    representative's stored sat model with the truths under it of the
+    rational states' normalized atoms."""
 
     __slots__ = ("state", "formula", "compared", "model", "truths")
 
@@ -650,9 +651,7 @@ class _Leaf:
     def _refuted(self, c1: _Class, c2: _Class) -> bool:
         """Whether a stored model of one side satisfies its compared formula
         and falsifies the other's.  That model is a witness of exactly what
-        the solver checks first, so a refutation is the solver's answer.
-        Each atom's truth under a stored model is computed once: each class
-        keeps the truths under its own."""
+        the solver checks first, so a refutation is the solver's answer."""
         for a, b in ((c1, c2), (c2, c1)):
             if a.model is None:
                 continue
@@ -665,10 +664,12 @@ class _Leaf:
 
     def _holds(self, c: _Class, under: _Class) -> bool:
         """The truth of `c`'s compared formula under `under`'s model: over
-        the rationals read off the cubes, the cutoff's formula otherwise."""
+        the integers the cutoff's formula, evaluated; over the rationals read
+        off the cubes, each atom's truth under a class's model computed once
+        and kept on that class (`truths`)."""
         model, truths = under.model, under.truths
         if self.K is not None:
-            return evaluate(c.compared, model, truths)
+            return evaluate(c.compared, model)
         for cube in c.state:
             for na in cube:
                 t = truths.get(na)

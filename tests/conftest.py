@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from damc import formula, parsing, solve
+from damc import parsing, solve
 from damc.summary import (
     ComputationGraph,
     enumerate_symbolic_runs,
@@ -106,14 +106,6 @@ def gap_order_reads(monkeypatch) -> list[str]:
     for name in ("is_gap_order", "_gap_reading"):
         monkeypatch.setattr(solve, name, counted(name, getattr(solve, name)))
     return calls
-
-
-def clear_process_memos() -> None:
-    """Empty the memos every caller in the process shares: the DNF memo
-    (`solve._DNF_CACHE`) and the atom-normalisation memo
-    (`formula._NORM_CACHE`)."""
-    solve._DNF_CACHE.clear()
-    formula._NORM_CACHE.clear()
 
 
 def is_exact(v) -> bool:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import damc
 from damc import ddsa as dd, ltlf as lt, oracle, parsing, product, solve, summary
 from damc.cli import _verdict_json
 from damc.ddsa import Ddsa, validate_run
@@ -38,7 +42,6 @@ from damc.summary import detect
 
 from conftest import (
     assert_exact_formula,
-    clear_process_memos,
     frac_grid,
     gap_order_reads,
     gc_norm,
@@ -1161,10 +1164,11 @@ def test_integer_extraction_solves_history_constraints_golden(monkeypatch):
 
 
 def test_golden_verdicts_in_turn_match_verdicts_from_cleared_memos():
-    # the process-wide DNF and normalisation memos change no answer: the
-    # golden queries' verdict JSON (run included), asked in one process in
-    # order and then in reverse on one model object per system, is each
-    # query's JSON with those memos cleared and the model parsed afresh
+    # the memos stored on shared model objects (the model's own caches, and
+    # each guard atom's normal form) change no answer: the golden queries'
+    # verdict JSON (run included), asked in one process in order and then in
+    # reverse on one model object per system, is each query's JSON on the
+    # model parsed afresh, which carries no memo
     cases = [("auction.ddsa", RAT, c["property"]) for c in AUCTION_GOLDEN.values()]
     cases += [("b1.ddsa", RAT, c["property"]) for c in DISJUNCTION_GOLDEN.values()]
     cases += [(c["model"], INT, c["property"]) for c in INTEGER_GOLDEN.values()]
@@ -1176,9 +1180,101 @@ def test_golden_verdicts_in_turn_match_verdicts_from_cleared_memos():
     forward = {case: verdict(models[case[:2]], case[2]) for case in cases}
     backward = {case: verdict(models[case[:2]], case[2]) for case in reversed(cases)}
     for name, dom, text in cases:
-        clear_process_memos()
         afresh = verdict(with_domain(load_model(name), dom), text)
         assert forward[name, dom, text] == backward[name, dom, text] == afresh, text
+
+
+def _module_containers() -> dict:
+    """Every module-level dict, list and set of every loaded damc module,
+    by (module, name): the object and its length."""
+    return {
+        (m, name): (v, len(v))
+        for m, mod in list(sys.modules.items())
+        if m == "damc" or m.startswith("damc.")
+        for name, v in vars(mod).items()
+        if isinstance(v, (dict, list, set)) and not name.startswith("__")
+    }
+
+
+MODEL_NAMES = ("auction.ddsa", "b1.ddsa", "b2.ddsa", "b3.ddsa", "b4.ddsa")
+
+
+def _containers_changed_by_goldens_and_certificates() -> list[str]:
+    """The module-level containers of damc that answering every golden
+    query, certifying each one's constraints on its model, and certifying
+    every model over Q and Z replace or grow."""
+    before = _module_containers()
+    for d, text in golden_cases(load_model("auction.ddsa"), load_model("b1.ddsa")):
+        psi = parsing.parse_property(text, d)
+        _verdict_json(verify(d, psi))
+        _certificate(d, lt.constraints_of(lt.preprocess(psi)))
+    for name in MODEL_NAMES:
+        for dom in (RAT, INT):
+            _certificate(with_domain(load_model(name), dom), [])
+    after = _module_containers()
+    return [
+        f"{m}.{name}"
+        for (m, name) in sorted(before.keys() | after.keys())
+        if (m, name) not in before
+        or (m, name) not in after
+        or after[m, name][0] is not before[m, name][0]
+        or after[m, name][1] != before[m, name][1]
+    ]
+
+
+def test_goldens_and_certificates_leave_every_module_container_as_found():
+    # no process-wide memo; asked in a fresh interpreter, in which no
+    # earlier test has filled one
+    src = str(Path(damc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run(
+        [sys.executable, __file__, "--module-state"], capture_output=True, text=True, env=env
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == []
+
+
+def _certificate(d, constraints):
+    try:
+        return summary.certify(d, constraints)
+    except summary.NoSummaryFound:
+        return None
+
+
+FOUR_CONTROL_MODEL = """\
+domain rat
+vars x
+init x=0
+states 1 2 3 4
+initial 1
+final 3
+trans 1 up 2 [x^w > x^r]
+trans 1 p 4 [x^w = x^r]
+trans 4 q 2 [x^w >= x^r]
+trans 2 chk 3 [x^r <= 0]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, sizes",
+    [("true", (6, 5, 1)), ("F (x >= 0)", (12, 15, 2))],
+)
+def test_four_control_system_gives_the_witness_the_oracle_finds(text, sizes):
+    # `up` and `p; q` both reach control 2, with x > 0 and x >= 0; only the
+    # second passes `chk`, so a quotient that merged the two classes (as one
+    # comparing their closures would) reports no witness
+    d = parsing.parse_model(FOUR_CONTROL_MODEL)
+    psi = parsing.parse_property(text, d)
+    v = verify(d, psi)
+    assert v.kind == "witness"
+    assert (v.stats.product_nodes, v.stats.product_edges, v.stats.product_finals) == sizes
+    product._assert_witness(d, v.run, v.word, lt.preprocess(psi))
+    assert v.run.actions == ("p", "q", "chk")
+    assert [c.state for c in v.run.configs] == ["1", "4", "2", "3"]
+    assert all(dict(c.alpha) == {x: 0} for c in v.run.configs)
+    found = oracle.brute_force_witness(d, psi, 4)
+    assert found is not None and found.actions == v.run.actions
 
 
 def test_golden_states_and_runs_hold_ints_unless_not_integral(auction, b1):
@@ -1269,3 +1365,7 @@ def test_sweep_query_refutes_with_stored_models(b4, monkeypatch):
     v = verify(b4, psi)
     assert (v.kind, v.stats.product_nodes, v.stats.product_edges) == ("witness", 62, 144)
     assert len(calls) == 22
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--module-state"]:
+    print(json.dumps(_containers_changed_by_goldens_and_certificates()))

@@ -1,3 +1,4 @@
+import pickle
 import re
 from fractions import Fraction as F
 
@@ -40,7 +41,6 @@ from damc.summary import (
 
 from conftest import (
     MODELS,
-    clear_process_memos,
     gap_order_reads,
     load_model,
     reference_bounded_lookback,
@@ -314,16 +314,17 @@ def _detection(d, constraints):
 @settings(max_examples=100, deadline=None)
 @given(component_systems(rich=True), component_systems(rich=True))
 def test_detections_in_turn_match_detections_from_a_cleared_memo(first, second):
-    # detection and certification keep no memo; the process-wide DNF and
-    # normalisation memos one detection fills serve the next, and each
-    # strategy, label and feedback-freedom outcome is the one a detection
-    # with those memos cleared gives
+    # the memos a detection stores on the system's objects (the model's
+    # caches, and each atom's normal form) serve the next detection of that
+    # system, and change no answer: each strategy, label and feedback-freedom
+    # outcome is the one a detection on a copy without memos gives (a pickled
+    # atom drops its normal form, and `replace` starts the caches empty)
     systems = (first, second, first)
     in_turn = [_detection(*system) for system in systems]
     afresh = []
     for system in systems:
-        clear_process_memos()
-        afresh.append(_detection(*system))
+        d, constraints = pickle.loads(pickle.dumps(system))
+        afresh.append(_detection(d.replace(), constraints))
     assert in_turn == afresh
 
 
