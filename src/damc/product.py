@@ -4,9 +4,10 @@ search; the NFA's adjacency order sets its order, and so the witness.
 
 A product node holds the strategy's class of its data state, whose state
 stays in the solver's normal form (a DNF per leaf); the node prints the
-class's formula.  Over the rationals a witness is solved backwards on the
-formulas of its BFS-tree path's nodes, so extraction images nothing; over
-the integers on the path's exact history constraints."""
+class's cubes as a formula.  Over the rationals a witness is solved
+backwards on the formulas of its BFS-tree path's nodes, so extraction
+images nothing; over the integers on the path's exact history
+constraints."""
 from __future__ import annotations
 
 from collections import deque
@@ -112,7 +113,8 @@ def build_product(
     max_nodes: int = 10_000,
 ) -> ProductAutomaton:
     """Forward fixpoint over triples (control state, NFA state, class),
-    where the class is the strategy's, and the node prints its formula.
+    where the class is the strategy's, and the node prints its formula: the
+    cubes of the class's representative, its first state.
 
     It is the emptiness search: a BFS whose node indices are discovery
     order, a node's edges going out by action in declaration order, then in
@@ -125,11 +127,12 @@ def build_product(
     post-state, so they commute with the image's existential: each (node,
     action) asks the strategy for its image once, on its first consistent
     NFA edge, and every edge conjoins to that image.  A symbol's
-    constraints are put in normal form, and split by part, once.  A leaf
-    computes one image per (class, transition formula), so the actions that
-    a projected leaf sees with the same transition formula share it, and
-    none for an action whose guard on it is true: that image is the state
-    itself.  Nodes at the word-end NFA state are only created when final
+    constraints are put in normal form, and split by part, once, and the
+    initial node's class is the one `canon` gives the initial constraints'
+    label.  A leaf computes one image per (class, transition formula), so
+    the actions that a projected leaf sees with the same transition formula
+    share it, and none for an action whose guard on it is true: that image
+    is the state itself.  Nodes at the word-end NFA state are only created when final
     (they have no successors, so non-final ones are dead).
 
     A budget stop (the node budget or a solver's) raises
@@ -139,7 +142,7 @@ def build_product(
         raise ValueError("build_product needs the dummy-extended system")
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
     dummy_action = d.dummy[1]
-    init = strategy.initial(strategy.label(d.initial_constraints()))
+    init = strategy.canon(strategy.label(d.initial_constraints()))
     p = ProductAutomaton(
         nfa, [PNode(d.initial, nfa.initial, strategy.formula(init))], [], 0, set(), [None], [init]
     )
@@ -167,7 +170,7 @@ def build_product(
                     ns = strategy.meet(image, label)
                     if not strategy.sat(ns):
                         continue
-                    cls = strategy.canon(ns, rep, step, label)
+                    cls = strategy.canon(ns)
                     j = index.get((dst, ne.dst, cls), len(nodes))
                     edge = PEdge(i, a, ne.symbol, j)
                     if j == len(nodes):

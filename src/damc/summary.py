@@ -15,10 +15,11 @@ the cutoffs at K, which is exact on the gap-order fragment.
 A leaf's state is a DNF in the solver's normal form (`solve.Dnf`), and
 under a variable split a state is one per part: images, the conjunction
 with an NFA symbol's constraints, satisfiability, the canonisation memo
-and the stored-model refutation all work on cubes.  A state is written as
-a formula only when a leaf has not canonised it before: that formula is
-what the solver's equivalence check and the cutoff read, and what a new
-class keeps for the product to print.
+and the stored-model refutation all work on cubes.  A class is its
+representative's cubes: a state is written as a formula
+(`solve.dnf_to_formula`) only when a leaf has not canonised it before, and
+that formula is what the solver's equivalence check and the cutoff read,
+and what a new class keeps for the product to print.
 
 `detect` gives the strategy `verify` runs, and reads structure only: no
 verdict reads a certificate.  An integer system gets the gap-order leaf,
@@ -522,11 +523,11 @@ def _project(d: Ddsa, part: Sequence[str]) -> Ddsa:
 
 
 class _Class:
-    """One class of a leaf's quotient: its representative state, the
-    formula it was opened with (a product node prints it), the formula the
-    equivalence compares (the cutoff at K over the integers), and the
-    representative's stored sat model with the truths under it of the
-    rational states' normalized atoms."""
+    """One class of a leaf's quotient: its representative state, that
+    state's cubes written as a formula (a product node prints it), the
+    formula the equivalence compares (the cutoff at K over the integers),
+    and the representative's stored sat model with the truths under it of
+    the rational states' normalized atoms."""
 
     __slots__ = ("state", "formula", "compared", "model", "truths")
 
@@ -538,23 +539,18 @@ class _Class:
         self.truths: dict = {}
 
 
-# A constraint set as the product conjoins it: its formulas, which a new
-# class's formula prints, and their DNF over the system's domain.
-Label = tuple[tuple[Formula, ...], Dnf]
-
-
 class _Leaf:
     """The one exact leaf: QE in the system's domain (`dd.update` picks it)
     and a rational equivalence check.  With the gap-order bound `K` set (an
     integer system), states are compared by their cutoffs at `K`.
 
     A state is a DNF in the solver's normal form over the system's domain,
-    and a product node holds its `_Class`.  Images, conjunction with a
-    label, satisfiability and the canonisation memo all work on the cubes.
-    A formula is built on a canonisation miss only: the source's image
-    formula conjoined with the label's formulas, as the state would have
-    been written.  It is what the solver's equivalence check and the cutoff
-    read, and what the product prints."""
+    and a product node holds its `_Class`.  A label is the DNF of a
+    constraint set.  Images, conjunction with a label, satisfiability and
+    the canonisation memo all work on the cubes.  A formula is built on a
+    canonisation miss only: the state's cubes, written once
+    (`solve.dnf_to_formula`).  It is what the solver's equivalence check
+    and the cutoff read, and what the product prints."""
 
     def __init__(self, d: Ddsa, *, K: Optional[int] = None):
         self.d = d
@@ -569,12 +565,8 @@ class _Leaf:
     def describe(self) -> str:
         return "exact-fixpoint" if self.K is None else f"GC(K={self.K})"
 
-    def label(self, formulas: Sequence[Formula]) -> Label:
-        return tuple(formulas), tuple(solve.to_dnf(conj(*formulas), self.d.domain))
-
-    def initial(self, label: Label) -> _Class:
-        """The class of the label's constraints (the initial assignment's)."""
-        return self.canon(label[1], None, None, label)
+    def label(self, formulas: Sequence[Formula]) -> Dnf:
+        return tuple(solve.to_dnf(conj(*formulas), self.d.domain))
 
     def _moves(self, action: Optional[str]) -> bool:
         """Whether the action's image is not the state itself: no action
@@ -594,12 +586,12 @@ class _Leaf:
             hit = self._image_cache[key] = dd.update(self.d, rep.state, action)
         return hit
 
-    def meet(self, image: Dnf, label: Label) -> Dnf:
+    def meet(self, image: Dnf, label: Dnf) -> Dnf:
         """The image conjoined with the label: one `norm_cube` per pair of
-        cubes, under the solver's cube budget."""
-        if not label[0]:
+        cubes, under the solver's cube budget (none for the true label)."""
+        if label == ((),):
             return image
-        return tuple(dict.fromkeys(solve.conj_cubes(image, label[1])))
+        return tuple(dict.fromkeys(solve.conj_cubes(image, label)))
 
     def sat(self, state: Dnf) -> bool:
         hit = self._sat_cache.get(state)
@@ -612,35 +604,28 @@ class _Leaf:
             self._sat_cache[state] = hit
         return hit.sat
 
-    def canon(
-        self, state: Dnf, rep: Optional[_Class], action: Optional[str], label: Label
-    ) -> _Class:
+    def canon(self, state: Dnf) -> _Class:
         """The class of the first state canonised here that is equivalent to
-        `state`, the image of `rep` under `action` conjoined with `label`
-        (a new class if none is): one class per equivalence class, so that
-        the product finds a node by lookup instead of by scan."""
+        `state` (a new class, `state` its representative, if none is): one
+        class per equivalence class, so that the product finds a node by
+        lookup instead of by scan."""
         hit = self._canon_cache.get(state)
         if hit is None:
-            if rep is None:
-                image = TRUE
-            elif self._moves(action):
-                image = solve.dnf_to_formula(self.image(rep, action))
-            else:
-                image = rep.formula
-            hit = self._canon_cache[state] = self._classify(state, conj(image, *label[0]))
+            hit = self._canon_cache[state] = self._classify(state)
         return hit
 
-    def _classify(self, state: Dnf, formula: Formula) -> _Class:
-        new = self._class(state, formula)
+    def _classify(self, state: Dnf) -> _Class:
+        new = self._class(state)
         for c in self._classes:
             if self.equiv(c, new):
                 return c
         self._classes.append(new)
         return new
 
-    def _class(self, state: Dnf, formula: Formula) -> _Class:
-        """A class of the state written as `formula`, with the state's
-        stored sat model, if it has one."""
+    def _class(self, state: Dnf) -> _Class:
+        """A class of the state, its cubes written as a formula, with the
+        state's stored sat model, if it has one."""
+        formula = solve.dnf_to_formula(state)
         compared = formula if self.K is None else solve.cutoff(formula, self.K)
         res = self._sat_cache.get(state)
         return _Class(state, formula, compared, None if res is None else res.model)
@@ -715,41 +700,30 @@ class VarStrategy:
                 groups[parts.pop()].append(k)
         return groups
 
-    def label(self, formulas: Sequence[Formula]) -> tuple[Label, ...]:
+    def label(self, formulas: Sequence[Formula]) -> tuple[Dnf, ...]:
         return tuple(leaf.label(g) for leaf, g in zip(self._leaves, self._split(formulas)))
-
-    def initial(self, label: tuple[Label, ...]) -> tuple[_Class, ...]:
-        return tuple(leaf.initial(l) for leaf, l in zip(self._leaves, label))
 
     def image(self, rep: tuple[_Class, ...], action: Optional[str]) -> tuple[Dnf, ...]:
         return tuple(leaf.image(c, action) for leaf, c in zip(self._leaves, rep))
 
-    def meet(self, image: tuple[Dnf, ...], label: tuple[Label, ...]) -> tuple[Dnf, ...]:
+    def meet(self, image: tuple[Dnf, ...], label: tuple[Dnf, ...]) -> tuple[Dnf, ...]:
         return tuple(leaf.meet(s, l) for leaf, s, l in zip(self._leaves, image, label))
 
     def sat(self, state: tuple[Dnf, ...]) -> bool:
         # a part with no cube is false, whatever the others are
         return all(state) and all(leaf.sat(s) for leaf, s in zip(self._leaves, state))
 
-    def canon(
-        self,
-        state: tuple[Dnf, ...],
-        rep: tuple[_Class, ...],
-        action: Optional[str],
-        label: tuple[Label, ...],
-    ) -> tuple[_Class, ...]:
-        return tuple(
-            leaf.canon(s, c, action, l)
-            for leaf, s, c, l in zip(self._leaves, state, rep, label)
-        )
+    def canon(self, state: tuple[Dnf, ...]) -> tuple[_Class, ...]:
+        return tuple(leaf.canon(s) for leaf, s in zip(self._leaves, state))
 
     def formula(self, rep: tuple[_Class, ...]) -> Formula:
         return conj(*(c.formula for c in rep))
 
 
-# The protocol the product uses: describe, label, initial, image, meet, sat,
-# canon and formula.  A product node holds a strategy's class (`_Class`, or
-# one per part), and a candidate state is a DNF (one per part).
+# The protocol the product uses: describe, label, image, meet, sat, canon and
+# formula.  A product node holds a strategy's class (`_Class`, or one per
+# part), and a candidate state and a label are each a DNF (one per part);
+# the initial node's class is `canon` of the initial constraints' label.
 Strategy = _Leaf | VarStrategy
 
 

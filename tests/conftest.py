@@ -6,14 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from damc import parsing, solve
+from damc import ltlf as lt, parsing, solve
 from damc.summary import (
     ComputationGraph,
     enumerate_symbolic_runs,
     seq_decompose,
     used_actions,
 )
-from damc.ddsa import Ddsa, transition_formula
+from damc.ddsa import Ddsa, transition_formula, update
+from damc.product import extend_with_dummy
 from damc.formula import (
     INDEXED,
     INT,
@@ -21,6 +22,7 @@ from damc.formula import (
     And,
     Atom,
     FalseF,
+    Not,
     Or,
     Term,
     TrueF,
@@ -200,6 +202,56 @@ def reference_accepting_path(p):
                 return path
             queue.append(e.dst)
     return None
+
+
+def check_closed(d, verdict) -> int:
+    """Assert that the no-witness product of `verdict` on the rational
+    system `d` is closed under the exact image, and return the number of
+    steps checked.  The initial constraints entail node 0's formula.  Take
+    a node not at the word-end NFA state, an action out of its control
+    state and an NFA edge consistent with that step (the product's own
+    skips: one to the word-end state must reach a final control), and
+    conjoin the node formula's image under the whole system (`ddsa.update`)
+    with the symbol's constraints.  Where that is satisfiable, the step
+    reaches no final control with a final NFA state, and the product has
+    an edge with that action and symbol to a node at the step's (control,
+    NFA state) whose formula the conjunction entails.  So a merge into a
+    larger class passes, and one into a smaller or incomparable class
+    fails (Namjoshi, CAV 2001)."""
+    p = verdict.product
+    assert d.domain == RAT and verdict.kind == "no-witness" and p is not None
+    nfa, e = p.nfa, extend_with_dummy(d)
+    word_end = nfa.states.index(lt.QE_STATE)
+    out: dict = {}
+    for edge in p.edges:
+        out.setdefault((edge.src, edge.action, edge.symbol), []).append(p.nodes[edge.dst])
+
+    def entails(phi, psi) -> bool:
+        return not solve.is_sat(conj(phi, Not(psi)), RAT).sat
+
+    assert entails(conj(*d.initial_constraints()), p.nodes[p.initial].formula)
+    steps = 0
+    for i, node in enumerate(p.nodes):
+        if node.q == word_end:
+            continue
+        for a, dst in e.outgoing(node.state):
+            image = update(e, node.formula, a)
+            for ne in nfa.outgoing(node.q):
+                if not lt.symbol_consistent_with_step(ne.symbol, a, dst):
+                    continue
+                if ne.dst == word_end and dst not in d.finals:
+                    continue
+                step = conj(image, *lt.constr_of(ne.symbol))
+                if not solve.is_sat(step, RAT).sat:
+                    continue
+                where = f"node {i} under {a} to ({dst}, {nfa.state_name(ne.dst)})"
+                assert not (dst in d.finals and ne.dst in nfa.finals), f"accepts: {where}"
+                targets = [
+                    n for n in out.get((i, a, ne.symbol), []) if (n.state, n.q) == (dst, ne.dst)
+                ]
+                assert any(entails(step, n.formula) for n in targets), f"not closed: {where}"
+                steps += 1
+    return steps
 
 
 # ---------------------------------------------------------------------------

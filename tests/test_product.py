@@ -42,6 +42,7 @@ from damc.summary import detect
 
 from conftest import (
     assert_exact_formula,
+    check_closed,
     frac_grid,
     gap_order_reads,
     gc_norm,
@@ -309,6 +310,7 @@ def test_random_mc_systems_agree_with_oracle():
                 assert v.kind == "witness", f"{text} on {d.transitions} {d.guards}"
             if v.kind == "no-witness":
                 assert found is None, f"{text} on {d.transitions} {d.guards}"
+                check_closed(d, v)
             checked += 1
     assert checked >= 60
 
@@ -542,6 +544,7 @@ def test_random_rational_gap_order_systems_agree_with_oracle():
                 assert v.kind != "no-witness", f"{text} on {d.transitions} {d.guards}"
             if v.kind == "no-witness":
                 assert found is None, f"{text} on {d.transitions} {d.guards}"
+                check_closed(d, v)
             decided += v.kind != "inconclusive"
     assert decided >= 50
 
@@ -577,11 +580,15 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
                     same = lambda a, b: equivalent(a, b, RAT)  # noqa: E731
                 at: dict = {}
                 for n, c in zip(v.product.nodes, v.product.classes):
-                    # the node prints its class's formula, and its class's
-                    # state canonises to the class itself
+                    # the node prints its class's formula, which reads back
+                    # as its class's cubes (each part's, when split), and its
+                    # class's state canonises to the class itself
                     assert strat.formula(c) == n.formula
+                    parts = c if isinstance(c, tuple) else (c,)
+                    for leaf, part in zip(_leaves(strat), parts):
+                        assert tuple(solve.to_dnf(part.formula, leaf.d.domain)) == part.state
                     state = tuple(x.state for x in c) if isinstance(c, tuple) else c.state
-                    assert strat.canon(state, c, None, strat.label([])) == c
+                    assert strat.canon(state) == c
                     assert not any(same(m.formula, n.formula) for m in at.get((n.state, n.q), []))
                     at.setdefault((n.state, n.q), []).append(n)
                 dot = tmp_path / "p.dot"
@@ -984,7 +991,7 @@ def test_leaf_image_under_a_true_guard_is_the_state(data):
     assert leaves[-1].K is not None
     for leaf in leaves:
         state = data.draw(_leaf_states(leaf.d.variables, leaf.K is not None))
-        rep = leaf.initial(leaf.label([state]))
+        rep = leaf.canon(leaf.label([state]))
         still = [a for a in leaf.d.actions if leaf.d.guard(a) == TRUE]
         assert still
         for a in leaf.d.actions:
@@ -1275,6 +1282,27 @@ def test_four_control_system_gives_the_witness_the_oracle_finds(text, sizes):
     assert all(dict(c.alpha) == {x: 0} for c in v.run.configs)
     found = oracle.brute_force_witness(d, psi, 4)
     assert found is not None and found.actions == v.run.actions
+
+
+def test_golden_rational_no_witness_products_are_closed():
+    # every rational no-witness product of the digest queries is closed
+    # under the exact image (`check_closed`); over the integers a node is
+    # only cutoff-equivalent to what reaches it, so those are left out
+    from test_product_digests import queries
+
+    models: dict = {}
+    products, steps = 0, 0
+    for _, model, dom, text, max_nodes in queries():
+        if model not in models:
+            models[model] = load_model(model)
+        d = models[model]
+        if dom is not None or d.domain != RAT:  # an integer golden or model
+            continue
+        v = verify(d, parsing.parse_property(text, d), max_nodes=max_nodes)
+        if v.kind == "no-witness":
+            steps += check_closed(d, v)
+            products += 1
+    assert (products, steps) == (59, 725)
 
 
 def test_golden_states_and_runs_hold_ints_unless_not_integral(auction, b1):

@@ -1,16 +1,19 @@
-"""A digest of every verdict on the golden queries and on the benchmark's
-seeded queries, pinned in `golden/product_digests.json`.
+"""Two digests of every verdict on the golden queries and on the
+benchmark's seeded queries, pinned in `golden/product_digests.json`.
 
-A digest covers what a verdict shows: its kind, reason, strategy and sizes,
-every product node as printed (control state, NFA state, formula), every
-edge, the finals, the witness run, and the word as sorted strings, as `damc
-verify --json` prints it (a `Sym`'s `repr` and frozenset order are not
-stable between processes).  The seeded queries are the auction, disjunction
-and sweep workloads at seeds 1-5, at `--max-nodes 300`.
+The *structure* digest covers what a verdict shows but the node text: its
+kind, reason, strategy and sizes, every product node's control state and
+NFA state, every edge, the finals, the witness run, and the word as sorted
+strings, as `damc verify --json` prints it (a `Sym`'s `repr` and frozenset
+order are not stable between processes).  The *text* digest covers each
+node's formula as printed.  A change that only reprints nodes moves text
+digests alone.  The seeded queries are the auction, disjunction and sweep
+workloads at seeds 1-5, at `--max-nodes 300`.
 
     PYTHONPATH=src python tests/test_product_digests.py --write
 
-records the digests of the checked-out code.
+records both digests of the checked-out code, and `--write-text` the text
+digests alone, keeping the pinned structure digests.
 """
 import hashlib
 import json
@@ -66,19 +69,26 @@ def queries() -> list[tuple[str, str, object, str, int]]:
     return _golden_queries() + _seeded_queries()
 
 
-def digest(v) -> str:
-    """The digest of a verdict (the module docstring says what it covers)."""
+def digest(v) -> dict[str, str]:
+    """The structure and text digests of a verdict (the module docstring
+    says what each covers)."""
     doc = _verdict_json(v)
+    texts = []
     p = v.product
     if p is not None:
-        doc["nodes"] = [[n.state, n.q, str(n.formula)] for n in p.nodes]
+        doc["nodes"] = [[n.state, n.q] for n in p.nodes]
         doc["edges"] = [[e.src, e.action, sorted(str(s) for s in e.symbol), e.dst] for e in p.edges]
         doc["finals"] = sorted(p.finals)
+        texts = [str(n.formula) for n in p.nodes]
+    return {"structure": _hash(doc), "text": _hash(texts)}
+
+
+def _hash(doc) -> str:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
-def digests(cases) -> dict[str, str]:
+def digests(cases) -> dict[str, dict[str, str]]:
     models: dict = {}
     out = {}
     for qid, model, dom, text, max_nodes in cases:
@@ -104,11 +114,15 @@ def test_product_digests_golden(kind):
     cases = [q for q in queries() if q[0].split(":")[0] == kind]
     assert cases
     got = digests(cases)
-    changed = sorted(qid for qid in got if got[qid] != PINNED.get(qid))
-    assert not changed, changed
+    for part in ("structure", "text"):
+        changed = sorted(qid for qid in got if got[qid][part] != PINNED.get(qid, {}).get(part))
+        assert not changed, (part, changed)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:] not in (["--write"], ["--write-text"]):
         sys.exit(__doc__)
-    DIGESTS.write_text(json.dumps(digests(queries()), indent=1, sort_keys=True) + "\n")
+    got = digests(queries())
+    if sys.argv[1] == "--write-text":
+        got = {qid: {**PINNED[qid], "text": got[qid]["text"]} for qid in got}
+    DIGESTS.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")

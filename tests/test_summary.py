@@ -688,10 +688,10 @@ def _no_solver(*args):
 
 
 def _solved(leaf, f):
-    """A class of the leaf for the formula, after its DNF's sat check."""
-    state = leaf.label([f])[1]
+    """A class of the leaf for the formula's DNF, after its sat check."""
+    state = leaf.label([f])
     leaf.sat(state)
-    return leaf._class(state, f)
+    return leaf._class(state)
 
 
 def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
@@ -716,7 +716,7 @@ def test_mc_stored_model_refutes_without_the_solver(b1, monkeypatch):
     monkeypatch.setattr(solve, "equivalent", _no_solver)
     assert not mc.equiv(a, b)
     # x > -1 was never solved, and b's model (x = 1) satisfies it
-    never = mc._class(mc.label([atom(x, ">", -1)])[1], atom(x, ">", -1))
+    never = mc._class(mc.label([atom(x, ">", -1)]))
     with pytest.raises(AssertionError, match="the solver was asked"):
         mc.equiv(never, b)
 
@@ -762,9 +762,14 @@ def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
 
 @settings(max_examples=150, deadline=None)
 @given(state_pairs(GC_SHAPES, st.integers(0, 6)), st.integers(1, 5))
+@example((conj(atom(x, ">=", 1), atom(x, "!=", 0)), conj(atom(x, ">=", 1), atom(x, "!=", 1))), 1)
 def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
+    # a class compares the cutoffs of its integer cubes, which need not be
+    # those of the drawn formulas: `x >= 1 && x != 1` is the cube `x >= 2`,
+    # cut at K = 1 to `x >= 1`, while the drawn formula cuts to itself
     gc = _Leaf(b1_int, K=K)
-    assert gc.equiv(*(_solved(gc, s) for s in pair)) == solve.gc_equivalent(*pair, K)
+    a, b = (_solved(gc, s) for s in pair)
+    assert gc.equiv(a, b) == solve.gc_equivalent(a.formula, b.formula, K)
 
 
 # ---------------------------------------------------------------------------
