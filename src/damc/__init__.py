@@ -14,7 +14,6 @@ from .formula import (
     disj,
     evaluate,
     free_vars,
-    substitute,
 )
 from .ddsa import Config, Ddsa, Run, history_constraint, transition_formula, update
 from .solve import (

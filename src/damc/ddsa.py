@@ -3,9 +3,10 @@ transition formulas, the update operator, and history constraints."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .formula import (
+    INDEXED,
     INT,
     Atom,
     Domain,
@@ -174,27 +175,19 @@ def transition_formula(d: Ddsa, action: str) -> Formula:
     return out
 
 
-def update(d: Ddsa, phi: Union[Formula, solve.Dnf], action: str) -> Union[Formula, solve.Dnf]:
-    """One-step image of phi under the action's transition formula.
-
-    `phi` is a formula, whose image comes back as a formula, or a DNF in
-    normal form over the system's domain, whose image comes back as a DNF:
-    a product state is one, and its image is the next state's start.  The
-    image is built on the solver's normal form, by renaming instead of
-    substitution.  In the state's DNF cubes each variable v becomes its
-    snapshot copy v#idx, with idx above every index in the state; in the
-    transition formula's cubes each read v^r becomes v#idx and each write
-    v^w becomes v.  Renaming keeps the variable order, so a renamed atom is
-    still normalized.  Each renamed state cube meets each transition cube.
-    The existential prefix over the snapshot copies is eliminated
-    immediately, so results stay quantifier-free over V.  Both domains
-    eliminate by Fourier-Motzkin on integer rows; over the integers
-    (`qe_gc`, where only gap-order systems are imaged) each cube is first
-    tightened to integer difference bounds.  Each image makes exactly one
-    QE call.
+def update(d: Ddsa, state: solve.Dnf, action: str) -> solve.Dnf:
+    """One-step image of a state, a DNF in normal form over the system's
+    domain, under the action's transition formula, as a DNF.  It is built by
+    renaming instead of substitution: in the state's cubes each variable v
+    becomes its snapshot copy v#idx, with idx above every index in the
+    state; in the transition formula's cubes each read v^r becomes v#idx and
+    each write v^w becomes v.  Renaming keeps the variable order, so a
+    renamed atom is still normalized.  Each renamed state cube meets each
+    transition cube, and the snapshot copies are eliminated at once by
+    Fourier-Motzkin on integer rows; over the integers (`qe_gc`, where only
+    gap-order systems are imaged) each cube is first tightened to integer
+    difference bounds.  Each image makes exactly one QE call.
     """
-    formula = isinstance(phi, Formula)
-    state = solve.to_dnf(phi, d.domain) if formula else phi
     idx = 1 + max((v.idx for cube in state for na in cube for v, _ in na.coeffs), default=-1)
     snapshot = {v: v.indexed(idx) for v in d.variables}
     trans = _transition_cubes(d, action, idx)
@@ -206,8 +199,7 @@ def update(d: Ddsa, phi: Union[Formula, solve.Dnf], action: str) -> Union[Formul
             if merged is not None:
                 cubes.append(merged)
     qe = solve.qe_gc if d.domain == INT else solve.qe_rational
-    out = qe(list(snapshot.values()), tuple(cubes))
-    return solve.dnf_to_formula(out) if formula else out
+    return qe(list(snapshot.values()), tuple(cubes))
 
 
 def _transition_cubes(d: Ddsa, action: str, idx: int) -> list[solve.Cube]:
@@ -231,13 +223,36 @@ def _rename(na: NormAtom, copies: Mapping[VarId, VarId]) -> NormAtom:
     return NormAtom(tuple((copies.get(v, v), c) for v, c in na.coeffs), na.op, na.const)
 
 
+def grounded_transition(d: Ddsa, action: str, post: Mapping[VarId, Exact]) -> list[solve.Cube]:
+    """The pre-states the action takes to `post`, as a DNF: the cached
+    transition cubes `update` uses (reads v#0, writes v) with each write's
+    value folded into the constant and each read renamed to v, divided by
+    the gcd as `norm_atom` would (`solve.primitive_atom`)."""
+    out = []
+    for cube in _transition_cubes(d, action, 0):
+        atoms = []
+        for na in cube:
+            const, reads = na.const, {}
+            for v, c in na.coeffs:
+                if v.kind == INDEXED:
+                    reads[VarId(v.name)] = c
+                else:
+                    const -= c * post[v]
+            atoms.append(solve.primitive_atom(reads, na.op, const))
+        grounded = solve.norm_cube(atoms)
+        if grounded is not None:
+            out.append(grounded)
+    return out
+
+
 def history_prefixes(
     d: Ddsa,
     actions: Sequence[str],
     constraint_seq: Optional[Sequence[Iterable[Formula]]] = None,
-) -> list[Formula]:
+) -> list[solve.Dnf]:
     """History constraints of every prefix of a symbolic run, the empty
-    prefix first.
+    prefix first, as DNFs: each the image of the one before conjoined with
+    its position's constraint cubes.
 
     `constraint_seq` has one constraint set per position (length n+1);
     omitted sets default to empty.  Unsatisfiable results are returned
@@ -249,9 +264,10 @@ def history_prefixes(
     if len(constraint_seq) != n + 1:
         raise ValueError("constraint sequence must have run length + 1 entries")
     symbolic_states(d, actions)  # validates the run
-    hist = [conj(*d.initial_constraints(), *constraint_seq[0])]
+    hist = [tuple(solve.to_dnf(conj(*d.initial_constraints(), *constraint_seq[0]), d.domain))]
     for i, a in enumerate(actions):
-        hist.append(conj(update(d, hist[-1], a), *constraint_seq[i + 1]))
+        cubes = solve.to_dnf(conj(*constraint_seq[i + 1]), d.domain)
+        hist.append(tuple(solve.conj_cubes(update(d, hist[-1], a), cubes)))
     return hist
 
 
@@ -260,9 +276,9 @@ def history_constraint(
     actions: Sequence[str],
     constraint_seq: Optional[Sequence[Iterable[Formula]]] = None,
 ) -> Formula:
-    """Accumulated constraint formula of a symbolic run (see
-    `history_prefixes`)."""
-    return history_prefixes(d, actions, constraint_seq)[-1]
+    """Accumulated constraint formula of a symbolic run: the last of
+    `history_prefixes`, written as a formula."""
+    return solve.dnf_to_formula(history_prefixes(d, actions, constraint_seq)[-1])
 
 
 def step_allowed(d: Ddsa, pre: Config, action: str, post: Config) -> bool:

@@ -223,15 +223,6 @@ class Term(Value):
             total += c * alpha[v]
         return total
 
-    def subst(self, mapping: Mapping[VarId, "Term"]) -> "Term":
-        out = Term((), self.const)
-        for v, c in self.coeffs:
-            if v in mapping:
-                out = out + mapping[v].scale(c)
-            else:
-                out = out + Term(((v, c),))
-        return out
-
     def __str__(self) -> str:
         return fmt_term(self)
 
@@ -502,21 +493,6 @@ def free_vars(phi: Formula) -> set[VarId]:
         return out
     if isinstance(phi, Not):
         return free_vars(phi.arg)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def substitute(phi: Formula, mapping: Mapping[VarId, Term]) -> Formula:
-    """Replace variables by terms."""
-    if isinstance(phi, (TrueF, FalseF)):
-        return phi
-    if isinstance(phi, Atom):
-        return Atom(phi.lhs.subst(mapping), phi.op, phi.rhs.subst(mapping))
-    if isinstance(phi, And):
-        return conj(*(substitute(p, mapping) for p in phi.args))
-    if isinstance(phi, Or):
-        return disj(*(substitute(p, mapping) for p in phi.args))
-    if isinstance(phi, Not):
-        return neg(substitute(phi.arg, mapping))
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -518,7 +518,7 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
             if cs:
                 label = conj(*cs)
                 if label not in satisfiable:
-                    satisfiable[label] = solve.is_sat(label, dom).sat
+                    satisfiable[label] = solve.is_sat(tuple(solve.to_dnf(label, dom)), dom).sat
                 if not satisfiable[label]:
                     continue
             edges.append(NfaEdge(qi, entry.symbol, ti))

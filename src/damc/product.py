@@ -4,10 +4,9 @@ search; the NFA's adjacency order sets its order, and so the witness.
 
 A product node holds the strategy's class of its data state, whose state
 stays in the solver's normal form (a DNF per leaf); the node prints the
-class's cubes as a formula.  Over the rationals a witness is solved
-backwards on the formulas of its BFS-tree path's nodes, so extraction
-images nothing; over the integers on the path's exact history
-constraints."""
+class's cubes as a formula.  A witness is solved backwards on DNFs: over
+the rationals on its BFS-tree path's class cubes, so extraction images
+nothing; over the integers on the path's exact history constraints."""
 from __future__ import annotations
 
 from collections import deque
@@ -18,7 +17,7 @@ from . import ltlf as lt
 from . import solve
 from . import summary as sm
 from .ddsa import Config, Ddsa, Run
-from .formula import INT, Exact, Formula, Term, Value, VarId, _set, conj, substitute
+from .formula import INT, Exact, Formula, Value, VarId, _set, conj
 from .ltlf import Ltlf, Nfa, SigmaSymbol
 from .solve import BudgetExceeded
 
@@ -96,6 +95,7 @@ class ProductAutomaton:
         finals: set[int],
         parents: list[Optional[PEdge]],  # the edge that discovered each node
         classes: list,  # each node's class of the strategy
+        strategy: sm.Strategy,
     ):
         self.nfa = nfa
         self.nodes = nodes
@@ -104,6 +104,7 @@ class ProductAutomaton:
         self.finals = finals
         self.parents = parents
         self.classes = classes
+        self.strategy = strategy
 
 
 def build_product(
@@ -143,9 +144,8 @@ def build_product(
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
     dummy_action = d.dummy[1]
     init = strategy.canon(strategy.label(d.initial_constraints()))
-    p = ProductAutomaton(
-        nfa, [PNode(d.initial, nfa.initial, strategy.formula(init))], [], 0, set(), [None], [init]
-    )
+    root = PNode(d.initial, nfa.initial, strategy.formula(init))
+    p = ProductAutomaton(nfa, [root], [], 0, set(), [None], [init], strategy)
     nodes, edges, finals, parents, classes = p.nodes, p.edges, p.finals, p.parents, p.classes
     index = {(d.initial, nfa.initial, init): 0}
     labels: dict[SigmaSymbol, object] = {}
@@ -250,26 +250,25 @@ def realize_run(
 ) -> Optional[Run]:
     """Concrete run abstracted by a symbolic run whose positions satisfy the
     given constraint sets, or None when the history constraint is
-    unsatisfiable: `_solve_backwards` on the exact history constraints of
-    its prefixes (`ddsa.history_prefixes`)."""
+    unsatisfiable: `_solve_backwards` on the DNFs of the exact history
+    constraints of its prefixes (`ddsa.history_prefixes`)."""
     return _solve_backwards(d, actions, dd.history_prefixes(d, actions, cseq))
 
 
 def _solve_backwards(
-    d: Ddsa, actions: Sequence[str], prefixes: Sequence[Formula]
+    d: Ddsa, actions: Sequence[str], prefixes: Sequence[solve.Dnf]
 ) -> Optional[Run]:
     """Concrete run of the symbolic run `actions` whose assignment at each
-    position k satisfies `prefixes[k]`, or None when the last is
+    position k satisfies the DNF `prefixes[k]`, or None when the last is
     unsatisfiable.  Each prefix must be equivalent to the history
     constraint of the run's first k steps (with whatever constraints its
     positions carry).
 
-    Solves the last prefix for the final assignment and walks backwards,
-    constructing each intermediate assignment from its prefix plus the
-    transition formula grounded on the assignment after it.  A prefix
-    equivalent to its history constraint has such an assignment, so a
-    failed step means the prefixes are not: it raises
-    InternalInconsistency.
+    Solves the last prefix for the final assignment and walks backwards:
+    each assignment is a model of its prefix met with the transition cubes
+    grounded on the next one (`ddsa.grounded_transition`).  A prefix
+    equivalent to its history constraint has such a model, so a failed
+    step means the prefixes are not: it raises InternalInconsistency.
     """
     states = dd.symbolic_states(d, actions)
     res = solve.is_sat(prefixes[-1], d.domain)
@@ -278,15 +277,8 @@ def _solve_backwards(
     assigns: list[dict[VarId, Exact]] = [None] * len(prefixes)  # type: ignore[list-item]
     assigns[-1] = {v: res.model.get(v, 0) for v in d.variables}
     for k in range(len(actions) - 1, -1, -1):
-        delta = dd.transition_formula(d, actions[k])
-        ground = substitute(
-            delta,
-            {
-                **{v.read(): Term.of(v) for v in d.variables},
-                **{v.write(): Term.of(assigns[k + 1][v]) for v in d.variables},
-            },
-        )
-        step = solve.is_sat(conj(prefixes[k], ground), d.domain)
+        ground = dd.grounded_transition(d, actions[k], assigns[k + 1])
+        step = solve.is_sat(tuple(solve.conj_cubes(prefixes[k], ground)), d.domain)
         if not step.sat:
             raise InternalInconsistency(
                 f"backward solving failed at step {k}: abstraction is unsound"
@@ -302,13 +294,14 @@ def extract_witness(
     """Concrete run of the system `d` from an accepting path of its
     dummy-extended product `p`, solved backwards (`_solve_backwards`).
 
-    Over the rationals the prefixes are the formulas of the path's nodes,
-    which lie on the product's BFS tree: each is equivalent to its path's
-    history constraint, since `canon` merges only equivalent states, the
-    image is exact, and a split node is the conjunction of its parts.  So
-    no image is computed again.  Over the integers a node is only
-    cutoff-equivalent to its prefix, so the prefixes are the exact history
-    constraints.  `_assert_witness` revalidates the run either way.
+    Over the rationals the prefixes are the cubes of the path's classes
+    (the strategy's `cubes`), which lie on the product's BFS tree: each is
+    equivalent to its path's history constraint, since `canon` merges only
+    equivalent states, the image is exact, and a split node is the
+    conjunction of its parts.  So no image is computed again.  Over the
+    integers a node is only cutoff-equivalent to its prefix, so the
+    prefixes are the exact history constraints.  `_assert_witness`
+    revalidates the run either way.
 
     The dummy first step contributes the position-0 constraint set; the
     returned run starts at the real initial state.
@@ -320,7 +313,7 @@ def extract_witness(
     if d.domain == INT:
         run = realize_run(d, actions, [lt.constr_of(s) for s in word])
     else:
-        run = _solve_backwards(d, actions, [p.nodes[e.dst].formula for e in path])
+        run = _solve_backwards(d, actions, [p.strategy.cubes(p.classes[e.dst]) for e in path])
     if run is None:
         raise InternalInconsistency(
             "accepting path has unsatisfiable history constraint"

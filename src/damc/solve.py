@@ -1,9 +1,9 @@
 """Decision procedures over linear arithmetic.
 
 DNF normalization, satisfiability with model extraction, quantifier
-elimination, logical equivalence, the K-cutoff, and recognition of the
-monotonicity / gap-order constraint classes.  Satisfiability and QE are
-Fourier-Motzkin in both domains: over the integers a cube is first
+elimination, entailment and equivalence, the K-cutoff, and recognition of
+the monotonicity / gap-order constraint classes.  Satisfiability and QE
+are Fourier-Motzkin in both domains: over the integers a cube is first
 tightened to non-strict integer difference bounds (rows with coefficients
 +-1 and integer bounds), on which the rational answer is the integer one.
 Those tightened rows are also the one reading of gap-order: a row
@@ -12,19 +12,17 @@ K (`gap_order_bound`) and the cutoff at K all come off them.
 
 Everything works on the exact-rational formula IR from `formula`; there
 is deliberately no SMT backend so every answer is reproducible.  The
-solver's own currency is the normal form: a cube is a tuple of
-`NormAtom`s, whose coefficients are primitive integers, and a DNF is a
-tuple of cubes.  `is_sat`, `qe_rational` and `qe_gc` take a formula or a
-DNF, and a QE function answers a DNF with a DNF: a product state is a
-DNF, and its images and satisfiability checks never pass through a
-formula.  Fourier-Motzkin runs on the integer rows: two rows combine as
-positive integer multiples and are divided by their gcd, which is the
-primitive normal form of the combined atom.
+solver's currency is the normal form: a cube is a tuple of `NormAtom`s,
+whose coefficients are primitive integers, and a DNF is a tuple of cubes.
+`to_dnf` is the way in from a formula and `dnf_to_formula` the way back;
+every other entry point takes and returns DNFs.  Fourier-Motzkin runs on
+the integer rows: two rows combine as positive integer multiples and are
+divided by their gcd, the primitive normal form of the combined atom.
 """
 from __future__ import annotations
 
 from math import ceil, floor, gcd
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .formula import (
     INT,
@@ -39,7 +37,6 @@ from .formula import (
     NormAtom,
     Not,
     Or,
-    Term,
     TrueF,
     Value,
     VarId,
@@ -270,19 +267,22 @@ def _resolve(p: NormAtom, a: int, q: NormAtom, b: int) -> NormAtom:
     (in q) of the eliminated variable cancel, as a normalized atom.
 
     p's multiplier is positive, so the row keeps p's direction; q is an
-    equality or a bound of the opposite direction.  Dividing by the gcd of
-    the coefficients (and, for an equality, fixing the sign) gives the
-    unique primitive form that `norm_atom` gives the same inequality."""
+    equality or a bound of the opposite direction."""
     mp, mq = abs(b), (-a if b > 0 else a)
     acc = {v: mp * c for v, c in p.coeffs}
     for v, c in q.coeffs:
         acc[v] = acc.get(v, 0) + mq * c
-    coeffs = tuple(sorted((v, c) for v, c in acc.items() if c))
-    const = mp * p.const + mq * q.const
     if p.op == "=" and q.op == "=":
         op = "="
     else:
         op = "<" if "<" in (p.op, q.op) else "<="
+    return primitive_atom(acc, op, mp * p.const + mq * q.const)
+
+
+def primitive_atom(acc: Mapping[VarId, int], op: str, const: Exact) -> NormAtom:
+    """The atom `sum(c * v) op const` on integer coefficients as `norm_atom`
+    gives it: divided by the gcd, with the sign fixed on an equality."""
+    coeffs = tuple(sorted((v, c) for v, c in acc.items() if c))
     if coeffs:
         g = gcd(*(c for _, c in coeffs))
         if op == "=" and coeffs[0][1] < 0:
@@ -336,41 +336,31 @@ def _eliminate(
     return cur
 
 
-def qe_rational(xs: Sequence[VarId], phi: Union[Formula, Dnf]) -> Union[Formula, Dnf]:
-    """Quantifier-free equivalent of (exists xs. phi) over the rationals.
-
-    `phi` is a formula, answered with a formula, or a DNF already in normal
-    form, answered with a DNF (`ddsa.update` passes the image's cubes and
-    gets the image's cubes); each cube is eliminated by Fourier-Motzkin on
-    its integer rows."""
-    if isinstance(phi, Formula):
-        return dnf_to_formula(_qe_cubes(xs, to_dnf(phi)))
-    return _qe_cubes(xs, phi)
+def qe_rational(xs: Sequence[VarId], cubes: Dnf) -> Dnf:
+    """Quantifier-free equivalent of (exists xs. cubes) over the rationals:
+    each cube eliminated by Fourier-Motzkin on its integer rows."""
+    return _qe_cubes(xs, cubes)
 
 
-def qe_gc(xs: Sequence[VarId], phi: Union[Formula, Dnf]) -> Union[Formula, Dnf]:
-    """Quantifier-free gap-order equivalent of (exists xs. phi) over Z.
-
-    `phi` is a formula, answered with a formula, or a DNF in normal form,
-    answered with a DNF (`ddsa.update` passes the image's cubes and gets
-    the image's cubes); an atom outside gap-order raises NotGapOrder.  Each
-    cube is tightened to non-strict integer difference bounds, as `is_sat`
-    does, and eliminated by Fourier-Motzkin;
-    membership is read off the tightened rows (`_gap_order_rows`).
-    Every row there has coefficients +-1 and an integer bound, and so has
-    every sum of two rows, so each bound on an eliminated variable is an
-    integer and the rational projection is the integer one.  Sums of
-    non-negative gaps are non-negative: the image stays gap-order.
+def qe_gc(xs: Sequence[VarId], cubes: Dnf) -> Dnf:
+    """Quantifier-free gap-order equivalent of (exists xs. cubes) over Z;
+    an atom outside gap-order raises NotGapOrder.  Each cube is tightened
+    to non-strict integer difference bounds, as `is_sat` does, and
+    eliminated by Fourier-Motzkin; membership is read off the tightened
+    rows (`_gap_order_rows`).  Every row there has coefficients +-1 and an
+    integer bound, and so has every sum of two rows, so each bound on an
+    eliminated variable is an integer and the rational projection is the
+    integer one.  Sums of non-negative gaps are non-negative: the image
+    stays gap-order.
     """
     tight = []
-    for cube in to_dnf(phi, INT) if isinstance(phi, Formula) else phi:
+    for cube in cubes:
         rows = _gap_order_rows(cube)
         if rows is None:
             bad = next(na for na in cube if _gap_order_rows((na,)) is None)
             raise NotGapOrder(f"not a gap-order atom: {bad.to_atom()}")
         tight.append(norm_cube(rows))
-    out = _qe_cubes(xs, tight)
-    return dnf_to_formula(out) if isinstance(phi, Formula) else out
+    return _qe_cubes(xs, tight)
 
 
 def _gap_order_rows(cube: Cube) -> Optional[Cube]:
@@ -478,20 +468,19 @@ def is_mc(na: NormAtom) -> bool:
 # ---------------------------------------------------------------------------
 # Satisfiability
 
-def is_sat(phi: Union[Formula, Dnf], dom: Domain) -> SatResult:
+def is_sat(cubes: Sequence[Cube], dom: Domain) -> SatResult:
     """Satisfiability over the domain, with a checked model on success.
 
-    `phi` is a formula or a DNF in normal form over the domain (a product
-    state).  Both domains run Fourier-Motzkin on each DNF cube.  Over the
-    rationals this is complete.  Over the integers each cube is first
-    tightened to non-strict integer difference bounds, on which the
-    rational answer is the integer one; that covers the gap-order fragment
-    and its negations.
-    When no such cube has a model and another cube remains, it raises
-    UnsupportedInteger rather than guess.
+    The model is that of the DNF's first satisfiable cube.  Both domains
+    run Fourier-Motzkin on each cube, which over the rationals is complete.
+    Over the integers each cube is first tightened to non-strict integer
+    difference bounds, on which the rational answer is the integer one;
+    that covers the gap-order fragment and its negations.  When no such
+    cube has a model and another cube remains, it raises UnsupportedInteger
+    rather than guess.
     """
     outside: Optional[Cube] = None
-    for cube in to_dnf(phi, dom) if isinstance(phi, Formula) else phi:
+    for cube in cubes:
         if dom == RAT:
             model = _sat_cube_rational(cube)
         else:
@@ -607,52 +596,77 @@ def _as_difference_cube(cube: Cube) -> Optional[Cube]:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence, cutoff
+# Entailment, equivalence, cutoff
 
-def equivalent(phi: Formula, psi: Formula, dom: Domain) -> bool:
-    """Logical equivalence over the domain, via two unsatisfiability checks."""
-    if is_sat(conj(phi, Not(psi)), dom).sat:
-        return False
-    if is_sat(conj(psi, Not(phi)), dom).sat:
-        return False
+def entails(a: Sequence[Cube], b: Sequence[Cube]) -> bool:
+    """Whether every rational model of the DNF `a` is one of the DNF `b`:
+    each cube of `a` conjoined with the negation of `b`, cube by cube, has
+    no model.  A cube's negation splits a partial cube into one per atom
+    (two for an equality); one with no model is pruned, and one whose model
+    satisfies the negated atom keeps it without a solver call."""
+    for cube in a:
+        first = _sat_cube_rational(cube)
+        partial = {} if first is None else {cube: first}
+        for other in b:
+            split: dict[Cube, dict[VarId, Exact]] = {}
+            for p, model in partial.items():
+                for na in other:
+                    for (neg,) in _atom_cubes(_negate(na), integers=False):
+                        q = norm_cube(p + (neg,))
+                        if q is not None and q not in split:
+                            kept = model if _holds_free(neg, model) else _sat_cube_rational(q)
+                            if kept is not None:
+                                split[q] = kept
+            if len(split) > _DNF_CUBE_LIMIT:
+                raise BudgetExceeded("DNF blow-up")
+            partial = split
+        if partial:
+            return False
     return True
 
 
-def cutoff(phi: Formula, K: int) -> Formula:
-    """Replace every gap of at least K by the gap K, atom by atom: an atom
-    whose row `t <= c` (`_gap_reading`) has `-c >= K` becomes `-t >= K`.
+def _holds_free(na: NormAtom, model: Mapping[VarId, Exact]) -> bool:
+    """A bound's truth under the model, a variable it leaves free read as 0."""
+    val = sum(c * model.get(v, 0) for v, c in na.coeffs)
+    return val < na.const if na.op == "<" else val <= na.const
 
-    Purely syntactic; equality and disequality atoms carry gaps 0 and 1 and
-    are never rewritten (K >= 1).
+
+def equivalent(a: Sequence[Cube], b: Sequence[Cube]) -> bool:
+    """Logical equivalence of two DNFs over the rationals: `entails` both ways."""
+    return entails(a, b) and entails(b, a)
+
+
+def cutoff(cubes: Sequence[Cube], K: int) -> Dnf:
+    """Replace every gap of at least K by the gap K, atom by atom, in an
+    integer DNF: an atom whose row `t <= c` (`_gap_reading`) has `-c >= K`
+    becomes `-t >= K`; one outside gap-order raises NotGapOrder.  It cuts
+    the cubes as given (`to_dnf(., INT)` splits each `!=`), so the
+    product's gap-order relation reads a class's integer DNF, not a
+    formula's text: `x >= 1 && x != 1` is the cube `x > 1`, cut at K = 1
+    to `x >= 1`, but kept at K = 3, where it differs from `x >= 2` over Q.
     """
     if K < 1:
         raise ValueError("cutoff bound must be positive")
-    return _cutoff_walk(phi, K)
+    out: dict[Cube, None] = {}
+    for cube in cubes:
+        cut = []
+        for na in cube:
+            reading = _gap_reading(na)
+            if reading is None:
+                raise NotGapOrder(f"not a gap-order atom: {na.to_atom()}")
+            row = reading[0]
+            cut.append(NormAtom(row.coeffs, "<=", -K) if row and -row.const >= K else na)
+        cut = norm_cube(cut)
+        if cut is not None:
+            out[cut] = None
+    return tuple(out)
 
 
-def _cutoff_walk(phi: Formula, K: int) -> Formula:
-    if isinstance(phi, (TrueF, FalseF)):
-        return phi
-    if isinstance(phi, Atom):
-        reading = _gap_reading(norm_atom(phi))
-        if reading is None:
-            raise NotGapOrder(f"not a gap-order atom: {phi}")
-        row = reading[0]
-        if row is not None and -row.const >= K:
-            return Atom(Term(tuple((v, -c) for v, c in row.coeffs)), ">=", Term.of(K))
-        return phi
-    if isinstance(phi, And):
-        return conj(*(_cutoff_walk(p, K) for p in phi.args))
-    if isinstance(phi, Or):
-        return disj(*(_cutoff_walk(p, K) for p in phi.args))
-    raise NotGapOrder(f"unsupported connective in gap-order formula: {phi!r}")
+def gc_equivalent(a: Sequence[Cube], b: Sequence[Cube], K: int) -> bool:
+    """Cutoff equivalence: integer DNFs agree after capping all gaps at K.
 
-
-def gc_equivalent(phi: Formula, psi: Formula, K: int) -> bool:
-    """Cutoff equivalence: formulas agree after capping all gaps at K.
-
-    The comparison of the capped formulas runs over the rationals, which is
+    The comparison of the capped DNFs runs over the rationals, which is
     sound for gap-order satisfiability questions (difference systems with
     integer offsets have integer solutions whenever they have any).
     """
-    return equivalent(cutoff(phi, K), cutoff(psi, K), RAT)
+    return equivalent(cutoff(a, K), cutoff(b, K))

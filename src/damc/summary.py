@@ -12,14 +12,9 @@ integers, with the gap-order bound `K` set, the same QE on cubes
 tightened to integer difference bounds (`solve.qe_gc`) and equivalence of
 the cutoffs at K, which is exact on the gap-order fragment.
 
-A leaf's state is a DNF in the solver's normal form (`solve.Dnf`), and
-under a variable split a state is one per part: images, the conjunction
-with an NFA symbol's constraints, satisfiability, the canonisation memo
-and the stored-model refutation all work on cubes.  A class is its
-representative's cubes: a state is written as a formula
-(`solve.dnf_to_formula`) only when a leaf has not canonised it before, and
-that formula is what the solver's equivalence check and the cutoff read,
-and what a new class keeps for the product to print.
+A leaf's state is a DNF in the solver's normal form (`solve.Dnf`), one per
+part under a variable split, and everything a leaf does works on cubes.  A
+class is written as a formula once, when it opens, for the product to print.
 
 `detect` gives the strategy `verify` runs, and reads structure only: no
 verdict reads a certificate.  An integer system gets the gap-order leaf,
@@ -54,6 +49,7 @@ action that moves none of its variables.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterator, Optional, Sequence
 
 from . import ddsa as dd
@@ -75,7 +71,6 @@ from .formula import (
     VarId,
     atoms_of,
     conj,
-    evaluate,
     free_vars,
     norm_atom,
 )
@@ -523,20 +518,19 @@ def _project(d: Ddsa, part: Sequence[str]) -> Ddsa:
 
 
 class _Class:
-    """One class of a leaf's quotient: its representative state, that
-    state's cubes written as a formula (a product node prints it), the
-    formula the equivalence compares (the cutoff at K over the integers),
-    and the representative's stored sat model with the truths under it of
-    the rational states' normalized atoms."""
+    """One class of a leaf's quotient: its representative state, the DNF
+    the equivalence compares (over the integers the state's cutoff at K),
+    the state's stored sat model with the truths under it of compared
+    atoms, and, once the class opens, its formula (a node prints it)."""
 
-    __slots__ = ("state", "formula", "compared", "model", "truths")
+    __slots__ = ("state", "compared", "model", "truths", "formula")
 
-    def __init__(self, state: Dnf, formula: Formula, compared: Formula, model):
+    def __init__(self, state: Dnf, compared: Dnf, model):
         self.state = state
-        self.formula = formula
         self.compared = compared
         self.model = model
         self.truths: dict = {}
+        self.formula: Optional[Formula] = None
 
 
 class _Leaf:
@@ -546,11 +540,11 @@ class _Leaf:
 
     A state is a DNF in the solver's normal form over the system's domain,
     and a product node holds its `_Class`.  A label is the DNF of a
-    constraint set.  Images, conjunction with a label, satisfiability and
-    the canonisation memo all work on the cubes.  A formula is built on a
-    canonisation miss only: the state's cubes, written once
-    (`solve.dnf_to_formula`).  It is what the solver's equivalence check
-    and the cutoff read, and what the product prints."""
+    constraint set.  Images, conjunction with a label, satisfiability, the
+    canonisation memo and the equivalence check (`solve.equivalent`, cube
+    entailment both ways) all work on cubes.  Over the integers it compares
+    the cutoffs of the states' integer DNFs, never a formula's text.  A
+    class's formula (`solve.dnf_to_formula`) is written when it opens."""
 
     def __init__(self, d: Ddsa, *, K: Optional[int] = None):
         self.d = d
@@ -619,24 +613,24 @@ class _Leaf:
         for c in self._classes:
             if self.equiv(c, new):
                 return c
+        new.formula = solve.dnf_to_formula(state)
         self._classes.append(new)
         return new
 
     def _class(self, state: Dnf) -> _Class:
-        """A class of the state, its cubes written as a formula, with the
-        state's stored sat model, if it has one."""
-        formula = solve.dnf_to_formula(state)
-        compared = formula if self.K is None else solve.cutoff(formula, self.K)
+        """A class of the state, with the state's stored sat model, if it
+        has one; it gets its formula only if it opens."""
+        compared = state if self.K is None else solve.cutoff(state, self.K)
         res = self._sat_cache.get(state)
-        return _Class(state, formula, compared, None if res is None else res.model)
+        return _Class(state, compared, None if res is None else res.model)
 
     def equiv(self, c1: _Class, c2: _Class) -> bool:
-        return not self._refuted(c1, c2) and solve.equivalent(c1.compared, c2.compared, RAT)
+        return not self._refuted(c1, c2) and solve.equivalent(c1.compared, c2.compared)
 
     def _refuted(self, c1: _Class, c2: _Class) -> bool:
-        """Whether a stored model of one side satisfies its compared formula
-        and falsifies the other's.  That model is a witness of exactly what
-        the solver checks first, so a refutation is the solver's answer."""
+        """Whether a stored model of one side satisfies its compared DNF and
+        falsifies the other's.  That model is a witness of exactly what the
+        solver checks first, so a refutation is the solver's answer."""
         for a, b in ((c1, c2), (c2, c1)):
             if a.model is None:
                 continue
@@ -648,14 +642,11 @@ class _Leaf:
         return False
 
     def _holds(self, c: _Class, under: _Class) -> bool:
-        """The truth of `c`'s compared formula under `under`'s model: over
-        the integers the cutoff's formula, evaluated; over the rationals read
-        off the cubes, each atom's truth under a class's model computed once
-        and kept on that class (`truths`)."""
+        """The truth of `c`'s compared DNF under `under`'s model, read off
+        the cubes, each atom's truth under a class's model computed once and
+        kept on that class (`truths`)."""
         model, truths = under.model, under.truths
-        if self.K is not None:
-            return evaluate(c.compared, model)
-        for cube in c.state:
+        for cube in c.compared:
             for na in cube:
                 t = truths.get(na)
                 if t is None:
@@ -668,6 +659,9 @@ class _Leaf:
 
     def formula(self, rep: _Class) -> Formula:
         return rep.formula
+
+    def cubes(self, rep: _Class) -> Dnf:
+        return rep.state
 
 
 class VarStrategy:
@@ -719,11 +713,17 @@ class VarStrategy:
     def formula(self, rep: tuple[_Class, ...]) -> Formula:
         return conj(*(c.formula for c in rep))
 
+    def cubes(self, rep: tuple[_Class, ...]) -> Dnf:
+        """The parts' cubes joined in part order (`solve.conj_cubes`)."""
+        return tuple(reduce(solve.conj_cubes, (c.state for c in rep), ((),)))
 
-# The protocol the product uses: describe, label, image, meet, sat, canon and
-# formula.  A product node holds a strategy's class (`_Class`, or one per
-# part), and a candidate state and a label are each a DNF (one per part);
-# the initial node's class is `canon` of the initial constraints' label.
+
+# The protocol the product uses: describe, label, image, meet, sat, canon,
+# formula and cubes.  A product node holds a strategy's class (`_Class`, or
+# one per part), and a candidate state and a label are each a DNF (one per
+# part); the initial node's class is `canon` of the initial constraints'
+# label.  A node prints the class's `formula`, and witness extraction over
+# the rationals solves on its `cubes`.
 Strategy = _Leaf | VarStrategy
 
 

@@ -32,8 +32,8 @@ from damc.formula import (
     disj,
     exact_div,
     free_vars,
+    neg,
     norm_atom,
-    substitute,
 )
 from damc.solve import BudgetExceeded, NotGapOrder
 
@@ -204,6 +204,21 @@ def reference_accepting_path(p):
     return None
 
 
+def reference_entails(phi, psi, dom=RAT) -> bool:
+    """Whether the formula `phi` entails `psi` over the domain: `phi`
+    conjoined with the negation of `psi` has no model, renormalised through
+    `to_dnf`.  The formula-level reference for `solve.entails`, with which
+    it shares no code but `is_sat`."""
+    return not solve.is_sat(solve.to_dnf(conj(phi, Not(psi)), dom), dom).sat
+
+
+def equivalent(phi, psi, dom) -> bool:
+    """Logical equivalence of two formulas over the domain: entailment both
+    ways (`reference_entails`).  The formula-level reference for
+    `solve.equivalent`, which takes DNFs over Q."""
+    return reference_entails(phi, psi, dom) and reference_entails(psi, phi, dom)
+
+
 def check_closed(d, verdict) -> int:
     """Assert that the no-witness product of `verdict` on the rational
     system `d` is closed under the exact image, and return the number of
@@ -226,30 +241,28 @@ def check_closed(d, verdict) -> int:
     for edge in p.edges:
         out.setdefault((edge.src, edge.action, edge.symbol), []).append(p.nodes[edge.dst])
 
-    def entails(phi, psi) -> bool:
-        return not solve.is_sat(conj(phi, Not(psi)), RAT).sat
-
-    assert entails(conj(*d.initial_constraints()), p.nodes[p.initial].formula)
+    assert reference_entails(conj(*d.initial_constraints()), p.nodes[p.initial].formula)
     steps = 0
     for i, node in enumerate(p.nodes):
         if node.q == word_end:
             continue
         for a, dst in e.outgoing(node.state):
-            image = update(e, node.formula, a)
+            image = solve.dnf_to_formula(update(e, tuple(solve.to_dnf(node.formula)), a))
             for ne in nfa.outgoing(node.q):
                 if not lt.symbol_consistent_with_step(ne.symbol, a, dst):
                     continue
                 if ne.dst == word_end and dst not in d.finals:
                     continue
                 step = conj(image, *lt.constr_of(ne.symbol))
-                if not solve.is_sat(step, RAT).sat:
+                if not solve.is_sat(solve.to_dnf(step), RAT).sat:
                     continue
                 where = f"node {i} under {a} to ({dst}, {nfa.state_name(ne.dst)})"
                 assert not (dst in d.finals and ne.dst in nfa.finals), f"accepts: {where}"
                 targets = [
                     n for n in out.get((i, a, ne.symbol), []) if (n.state, n.q) == (dst, ne.dst)
                 ]
-                assert any(entails(step, n.formula) for n in targets), f"not closed: {where}"
+                closed = any(reference_entails(step, n.formula) for n in targets)
+                assert closed, f"not closed: {where}"
                 steps += 1
     return steps
 
@@ -381,6 +394,17 @@ def reference_cutoff(phi, K):
     if isinstance(phi, Or):
         return disj(*(reference_cutoff(p, K) for p in phi.args))
     raise NotGapOrder(f"unsupported connective in gap-order formula: {phi!r}")
+
+
+def reference_cube_cutoff(cubes, K):
+    """`reference_cutoff` atom by atom on an integer DNF, each cube
+    renormalised and each once: the cutoff `solve.cutoff` must give."""
+    out = {}
+    for cube in cubes:
+        cut = solve.norm_cube([norm_atom(reference_cutoff(na.to_atom(), K)) for na in cube])
+        if cut is not None:
+            out[cut] = None
+    return tuple(out)
 
 
 def reference_sat_cube_rational(cube):
@@ -550,6 +574,26 @@ def reference_qe_gc(xs, phi):
         if cur is not None and cur not in out:
             out.append(cur)
     return disj(*(conj(*(triple_atom(tr) for tr in cube)) for cube in out))
+
+
+def substitute(phi, mapping):
+    """The formula with each variable in `mapping` replaced by its term."""
+    if isinstance(phi, (TrueF, FalseF)):
+        return phi
+    if isinstance(phi, Atom):
+        return Atom(_subst_term(phi.lhs, mapping), phi.op, _subst_term(phi.rhs, mapping))
+    if isinstance(phi, And):
+        return conj(*(substitute(p, mapping) for p in phi.args))
+    if isinstance(phi, Or):
+        return disj(*(substitute(p, mapping) for p in phi.args))
+    return neg(substitute(phi.arg, mapping))
+
+
+def _subst_term(t, mapping):
+    out = Term.of(t.const)
+    for v, c in t.coeffs:
+        out = out + (mapping[v].scale(c) if v in mapping else Term(((v, c),)))
+    return out
 
 
 def reference_update(d, phi, action):

@@ -42,7 +42,7 @@ from damc.ltlf import (
     word_consistent,
 )
 from damc.product import constraint_graph, realize_run, verify
-from damc.solve import cutoff, equivalent, gc_equivalent, is_sat, qe_gc, qe_rational
+from damc.solve import conj_cubes, cutoff, dnf_to_formula, is_sat, qe_gc, qe_rational, to_dnf
 from damc.summary import (
     certify,
     check_bounded_lookback,
@@ -54,6 +54,7 @@ from damc.summary import (
 
 from conftest import (
     PAPER_NESTED_NEXT_EDGES,
+    equivalent,
     frac_grid,
     gc_atoms,
     is_gc_formula,
@@ -132,7 +133,7 @@ def test_criterion_3_gap_order_b3(b3):
     ok = ok and equivalent(h2, conj(atom(x, ">=", 2), atom(y, ">=", 3)), INT)
     h4 = history_constraint(b3, ["a1", "a2"] * 2)
     h6 = history_constraint(b3, ["a1", "a2"] * 3)
-    c4, c6 = cutoff(h4, 4), cutoff(h6, 4)
+    c4, c6 = (dnf_to_formula(cutoff(to_dnf(h, INT), 4)) for h in (h4, h6))
     target = conj(
         atom(Term.of(x) - Term.of(0), ">=", 4), atom(Term.of(y) - Term.of(0), ">=", 4)
     )
@@ -335,7 +336,7 @@ def test_criterion_8a_qe_soundness(rng):
     grid = [F(k) for k in range(-3, 4)] + [F(2 * k + 1, 2) for k in range(-3, 3)]
     for _ in range(350):
         phi = random_formula(rng, [x, y, z])
-        out = qe_rational([z], phi)
+        out = dnf_to_formula(qe_rational([z], tuple(to_dnf(phi))))
         checked += 1
         for ax in [F(-2), F(0), F(1), F(5, 2)]:
             for ay in [F(-1), F(0), F(3)]:
@@ -362,7 +363,7 @@ def test_criterion_8a_qe_soundness(rng):
     for _ in range(200):
         cubes = [gc_leaf() for _ in range(3)]
         phi = conj(*cubes[:2]) if rng.random() < 0.5 else conj(cubes[0], disj(*cubes[1:3]))
-        out = qe_gc([z], phi)
+        out = dnf_to_formula(qe_gc([z], tuple(to_dnf(phi, INT))))
         checked += 1
         ok_gc = is_gc_formula(out)
         if not ok_gc:
@@ -417,7 +418,8 @@ def test_criterion_8b_cutoff_equisat(rng):
         phi = random_gc_formula(rng)
         K = gc_bound(phi)
         checked += 1
-        if is_sat(phi, INT).sat != is_sat(cutoff(phi, K), INT).sat:
+        cubes = tuple(to_dnf(phi, INT))
+        if is_sat(cubes, INT).sat != is_sat(cutoff(cubes, K), INT).sat:
             failures += 1
     # commutation with update-style combination on random small pairs
     for _ in range(60):
@@ -428,10 +430,11 @@ def test_criterion_8b_cutoff_equisat(rng):
         )
         psi = atom(Term.of(y) - Term.of(u), ">=", rng.randint(0, 8))
         K = gc_bound(phi, psi)
-        lhs = cutoff(qe_gc([u], conj(phi, psi)), K)
-        rhs = cutoff(qe_gc([u], conj(cutoff(phi, K), cutoff(psi, K))), K)
+        p, q = to_dnf(phi, INT), to_dnf(psi, INT)
+        lhs = cutoff(qe_gc([u], conj_cubes(p, q)), K)
+        rhs = cutoff(qe_gc([u], conj_cubes(cutoff(p, K), cutoff(q, K))), K)
         checked += 1
-        if not equivalent(lhs, rhs, INT):
+        if not equivalent(dnf_to_formula(lhs), dnf_to_formula(rhs), INT):
             failures += 1
     report(
         "criterion 8b: cutoff equisatisfiability",
@@ -485,7 +488,7 @@ def test_criterion_8c_history_correspondence(rng, b1, b2, b3, b4):
                 [c for c in pool if rng.random() < 0.25] for _ in range(len(actions))
             ]
             h = history_constraint(d, actions, cseq)
-            if not is_sat(h, d.domain).sat:
+            if not is_sat(to_dnf(h, d.domain), d.domain).sat:
                 continue
             run = realize_run(d, actions, cseq)
             assert run is not None

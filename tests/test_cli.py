@@ -679,8 +679,11 @@ def test_deeply_nested_property_is_a_parse_error(capsys):
 
 _OPS = ["<", "<=", "=", "!=", ">=", ">"]
 # No `!=` in guards: a rational fixpoint that no criterion bounds and whose
-# guards carry one can take minutes to reach 50 nodes, since its equivalence
-# checks multiply out in `to_dnf`, and no time limit bounds `verify` yet.
+# guards carry one grows its classes' cube counts at every step (nothing
+# drops a redundant cube yet).  On the `!=` system of the CI guard, on a
+# 2-vCPU host, 30 nodes take 0.7 s, 40 take 1.7 s and 60 take 14 s, and no
+# time limit bounds `verify` yet.  Equivalence no longer renormalises
+# through `to_dnf`.
 _GUARD_OPS = [op for op in _OPS if op != "!="]
 
 

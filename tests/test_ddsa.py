@@ -11,6 +11,7 @@ from damc.ddsa import (
     Config,
     Ddsa,
     UnknownAction,
+    grounded_transition,
     history_constraint,
     step_allowed,
     successors,
@@ -20,9 +21,9 @@ from damc.ddsa import (
     validate_run,
 )
 from damc.formula import INT, RAT, FormulaError, Term, VarId, atom, conj, disj, evaluate, free_vars
-from damc.solve import equivalent, is_sat
+from damc.solve import dnf_to_formula, is_sat, to_dnf
 
-from conftest import frac_grid, load_model, reference_update, with_domain
+from conftest import equivalent, frac_grid, load_model, reference_update, with_domain
 
 x, y = VarId("x"), VarId("y")
 
@@ -69,12 +70,17 @@ def test_transition_formula_unknown_action(b1):
         transition_formula(b1, "nope")
 
 
+def formula_image(d, phi, action):
+    """`update` of a formula's cubes, written as a formula."""
+    return dnf_to_formula(update(d, tuple(to_dnf(phi, d.domain)), action))
+
+
 def test_update_first_steps(b1):
     phi0 = conj(atom(x, "=", 0), atom(y, "=", 0))
-    u1 = update(b1, phi0, "a1")
+    u1 = formula_image(b1, phi0, "a1")
     assert equivalent(u1, conj(atom(x, ">", 0), atom(y, "=", 0)), RAT)
     phi = conj(atom(x, ">", 0), atom(y, ">", x))
-    u2 = update(b1, phi, "a1")
+    u2 = formula_image(b1, phi, "a1")
     assert equivalent(u2, conj(atom(x, ">", y), atom(y, ">", 0)), RAT)
 
 
@@ -91,13 +97,58 @@ def test_update_identity_for_pure_carryover():
         domain=RAT,
     )
     phi = conj(atom(x, ">", 0), atom(y, ">", x))
-    assert equivalent(update(d, phi, "skip"), phi, RAT)
+    assert equivalent(formula_image(d, phi, "skip"), phi, RAT)
 
 
 def test_update_preserves_unsat(b1):
     phi = conj(atom(x, ">", 0), atom(x, "<", 0))
-    out = update(b1, phi, "a1")
+    out = update(b1, tuple(to_dnf(phi)), "a1")
     assert not is_sat(out, RAT).sat
+
+
+# grounded transitions: the pre-states an action takes to a given post-state,
+# which backward witness solving meets with each prefix
+
+
+def test_grounded_transition_renames_reads_and_folds_writes(b1):
+    # x^w > y^r and y^w = y^r, grounded on x = 5, y = 2: 5 > y and 2 = y
+    out = grounded_transition(b1, "a1", {x: F(5), y: F(2)})
+    assert out == to_dnf(conj(atom(y, "<", 5), atom(y, "=", 2)), RAT)
+
+
+def test_grounded_transition_divides_by_the_gcd():
+    # 2 x^w - 4 y^r = 0 grounded on x = 6 is -4 y = -12, primitive: y = 3,
+    # which the inertia y^w = y^r grounded on y = 3 repeats
+    guard = atom(Term.make([(x.write(), F(2)), (y.read(), F(-4))]), "=", 0)
+    d = Ddsa(
+        states=("s",),
+        initial="s",
+        actions=("g",),
+        transitions=(("s", "g", "s"),),
+        finals=frozenset({"s"}),
+        variables=(x, y),
+        alpha0={x: F(0), y: F(0)},
+        guards={"g": guard},
+        domain=RAT,
+    )
+    out = grounded_transition(d, "g", {x: F(6), y: F(3)})
+    assert out == to_dnf(atom(y, "=", 3), RAT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(("b1.ddsa", "b2.ddsa", "b3.ddsa", "b4.ddsa", "auction.ddsa")),
+    st.data(),
+)
+def test_grounded_transition_matches_composed_assignment(model, data):
+    d = load_model(model)
+    action = data.draw(st.sampled_from(d.actions))
+    grid = frac_grid(-2, 3, halves=d.domain == RAT)
+    post = {v: data.draw(st.sampled_from(grid)) for v in d.variables}
+    pre = {v: data.draw(st.sampled_from(grid)) for v in d.variables}
+    composed = {**{v.read(): pre[v] for v in d.variables}, **{v.write(): post[v] for v in d.variables}}
+    grounded = dnf_to_formula(grounded_transition(d, action, post))
+    assert evaluate(grounded, pre) == evaluate(transition_formula(d, action), composed)
 
 
 # history constraints: acceptance criterion 2 lives in test_acceptance
@@ -230,14 +281,15 @@ def assert_same_images(d, phis, K=None):
     for phi in phis:
         for a in d.actions:
             want = image_or_error(reference_update, d, phi, a)
-            got = image_or_error(update, d, phi, a)
+            got = image_or_error(formula_image, d, phi, a)
             if d.domain == RAT or isinstance(want, type):
                 assert got == want, (str(phi), a)
                 continue
             assert not isinstance(got, type), (str(phi), a, got)
             assert equivalent(got, want, INT), (str(phi), a, str(got), str(want))
             if K is not None:
-                assert solve.gc_equivalent(got, want, K), (str(phi), a, K)
+                cubes = (to_dnf(f, INT) for f in (got, want))
+                assert solve.gc_equivalent(*cubes, K), (str(phi), a, K)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -378,5 +430,5 @@ def test_squeezed_snapshot_image_is_the_integer_one():
         guards={"a1": atom(VarId("x", "w"), ">", VarId("x", "r"))},
         domain=INT,
     )
-    image = update(d, conj(atom(x, ">", 0), atom(x, "<", 2)), "a1")
+    image = formula_image(d, conj(atom(x, ">", 0), atom(x, "<", 2)), "a1")
     assert equivalent(image, atom(x, ">=", 2), INT)

@@ -25,7 +25,6 @@ from damc.formula import (
     free_vars,
     neg,
     norm_atom,
-    substitute,
 )
 from damc.product import PEdge, PNode
 from damc.solve import SatResult
@@ -56,20 +55,6 @@ def test_eval_errors():
 def test_free_vars():
     assert free_vars(conj(atom(x, "=", 0), atom(y, "=", 0))) == {x, y}
     assert free_vars(conj()) == set()
-
-
-def test_substitute_renaming():
-    xw, yr = VarId("x", "w"), VarId("y", "r")
-    y0 = y.indexed(0)
-    out = substitute(atom(xw, ">", yr), {xw: Term.of(x), yr: Term.of(y0)})
-    assert out == atom(x, ">", y0)
-
-
-def test_substitute_carryover_equality():
-    vw, vr = VarId("v", "w"), VarId("v", "r")
-    u, v = VarId("u"), VarId("v")
-    out = substitute(atom(vw, "=", vr), {vw: Term.of(v), vr: Term.of(u)})
-    assert out == atom(v, "=", u)
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +109,6 @@ def test_eval_homomorphism(f, g, alpha):
     assert evaluate(conj(f, g), alpha) == (evaluate(f, alpha) and evaluate(g, alpha))
     assert evaluate(disj(f, g), alpha) == (evaluate(f, alpha) or evaluate(g, alpha))
     assert evaluate(neg(f), alpha) == (not evaluate(f, alpha))
-
-
-@settings(max_examples=200)
-@given(formulas(), st.integers(-3, 3), st.integers(-3, 3), grid_points)
-def test_substitute_matches_composed_assignment(f, cx, cy, alpha):
-    # ground substitution x -> cx, y -> cy
-    m = {x: Term.of(F(cx)), y: Term.of(F(cy))}
-    composed = {x: F(cx), y: F(cy)}
-    assert evaluate(substitute(f, m), alpha) == evaluate(f, composed)
 
 
 # ---------------------------------------------------------------------------

@@ -393,9 +393,9 @@ def test_build_nfa_decides_each_distinct_label_once(auction, monkeypatch):
 
     is_sat, asked = solve.is_sat, []
 
-    def recording(phi, dom):
-        asked.append(phi)
-        return is_sat(phi, dom)
+    def recording(cubes, dom):
+        asked.append(tuple(cubes))
+        return is_sat(cubes, dom)
 
     monkeypatch.setattr(solve, "is_sat", recording)
     for text in AUCTION_PROPERTIES:

@@ -37,12 +37,12 @@ from damc.product import (
     extract_witness,
     verify,
 )
-from damc.solve import equivalent
 from damc.summary import detect
 
 from conftest import (
     assert_exact_formula,
     check_closed,
+    equivalent,
     frac_grid,
     gap_order_reads,
     gc_norm,
@@ -575,7 +575,9 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
                 products += 1
                 strat = v.strategy
                 if domain == INT:
-                    same = lambda a, b: solve.gc_equivalent(a, b, strat.K)  # noqa: E731
+                    same = lambda a, b: solve.gc_equivalent(  # noqa: E731
+                        solve.to_dnf(a, INT), solve.to_dnf(b, INT), strat.K
+                    )
                 else:
                     same = lambda a, b: equivalent(a, b, RAT)  # noqa: E731
                 at: dict = {}
@@ -995,7 +997,8 @@ def test_leaf_image_under_a_true_guard_is_the_state(data):
         still = [a for a in leaf.d.actions if leaf.d.guard(a) == TRUE]
         assert still
         for a in leaf.d.actions:
-            image = dd.update(leaf.d, state, a)
+            cubes = tuple(solve.to_dnf(state, leaf.d.domain))
+            image = solve.dnf_to_formula(dd.update(leaf.d, cubes, a))
             if a in still:
                 assert leaf.image(rep, a) is rep.state
                 assert equivalent(state, image, leaf.d.domain), (state, a)
@@ -1135,8 +1138,8 @@ def _extraction_images(monkeypatch) -> list:
 
 
 def test_rational_extraction_images_nothing_on_goldens(auction, b1, monkeypatch):
-    # over Q a witness is solved backwards on the formulas of its BFS-tree
-    # path's nodes, each equivalent to its history prefix: extraction makes
+    # over Q a witness is solved backwards on the cubes of its BFS-tree
+    # path's classes, each equivalent to its history prefix: extraction makes
     # no image and builds no history constraint, and the golden runs (the
     # auction's hold 1/2 and 3/2) do not move
     per = _extraction_images(monkeypatch)
@@ -1384,9 +1387,9 @@ def test_sweep_query_refutes_with_stored_models(b4, monkeypatch):
     equivalent = solve.equivalent
     calls: list = []
 
-    def counting_equivalent(phi, psi, dom):
-        calls.append((phi, psi))
-        return equivalent(phi, psi, dom)
+    def counting_equivalent(a, b):
+        calls.append((a, b))
+        return equivalent(a, b)
 
     monkeypatch.setattr(solve, "equivalent", counting_equivalent)
     psi = parsing.parse_property("G (a < 7) | F (s > 8)", b4)

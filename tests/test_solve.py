@@ -26,6 +26,8 @@ from damc.formula import (
 from damc.solve import (
     NotGapOrder,
     cutoff,
+    dnf_to_formula,
+    entails,
     equivalent,
     gap_order_bound,
     gc_equivalent,
@@ -39,9 +41,11 @@ from damc.summary import check_mc
 
 from conftest import (
     assert_exact_formula,
+    equivalent as reference_equivalent,
     gc_norm,
     is_exact,
-    reference_cutoff,
+    reference_cube_cutoff,
+    reference_entails,
     reference_gap_bound,
     reference_qe_gc,
     reference_sat_cube_rational,
@@ -137,12 +141,12 @@ def test_values_are_ints_unless_not_integral(atoms):
     for cube in cubes:
         tight = solve._as_difference_cube(cube)
         assert tight is None or all(type(na.const) is int for na in tight)
-    res = is_sat(phi, RAT)
+    res = is_sat(cubes, RAT)
     if res.sat:
         assert all(is_exact(v) for v in res.model.values()) and evaluate(phi, res.model)
-    assert_exact_formula(qe_rational([x], phi))
+    assert_exact_formula(dnf_to_formula(qe_rational([x], tuple(cubes))))
     try:
-        res = is_sat(phi, INT)
+        res = is_sat(to_dnf(phi, INT), INT)
     except solve.UnsupportedInteger:
         return
     if res.sat:
@@ -161,20 +165,20 @@ def test_dnf_false():
 def test_qe_rational_first_step():
     x0, y0 = x.indexed(0), y.indexed(0)
     body = conj(atom(x0, "=", 0), atom(y0, "=", 0), atom(x, ">", y0), atom(y, "=", y0))
-    out = qe_rational([x0, y0], body)
-    assert equivalent(out, conj(atom(x, ">", 0), atom(y, "=", 0)), RAT)
+    out = qe_rational([x0, y0], tuple(to_dnf(body)))
+    assert equivalent(out, to_dnf(conj(atom(x, ">", 0), atom(y, "=", 0))))
 
 
 def test_qe_rational_second_step():
     x1, y1 = x.indexed(1), y.indexed(1)
     body = conj(atom(x1, ">", 0), atom(y1, "=", 0), atom(x, "=", x1), atom(y, ">", x1))
-    out = qe_rational([x1, y1], body)
-    assert equivalent(out, conj(atom(x, ">", 0), atom(y, ">", x)), RAT)
+    out = qe_rational([x1, y1], tuple(to_dnf(body)))
+    assert equivalent(out, to_dnf(conj(atom(x, ">", 0), atom(y, ">", x))))
 
 
 def test_qe_rational_unused_var():
-    out = qe_rational([x], atom(y, ">", 3))
-    assert equivalent(out, atom(y, ">", 3), RAT)
+    out = qe_rational([x], tuple(to_dnf(atom(y, ">", 3))))
+    assert equivalent(out, to_dnf(atom(y, ">", 3)))
 
 
 @st.composite
@@ -221,14 +225,14 @@ def test_row_elimination_equals_term_bound_elimination(cube):
 def test_qe_gc_worked_example():
     x1, y1 = x.indexed(1), y.indexed(1)
     body = conj(gap(x1, y1, 2), atom(y1, "=", 0), atom(x, "=", x1), gap(y, y1, 3))
-    out = qe_gc([x1, y1], body)
-    assert equivalent(out, conj(atom(x, ">=", 2), atom(y, ">=", 3)), INT)
+    out = dnf_to_formula(qe_gc([x1, y1], tuple(to_dnf(body, INT))))
+    assert reference_equivalent(out, conj(atom(x, ">=", 2), atom(y, ">=", 3)), INT)
 
 
 def test_qe_gc_brute_force_grid():
     # oracle: brute-force equivalence over the integer grid {-5..10}^2
     body = conj(gap(x, y, 1), gap(y, 0, 0))
-    out = qe_gc([y], body)
+    out = dnf_to_formula(qe_gc([y], tuple(to_dnf(body, INT))))
     assert free_vars(out) <= {x}
     for xv in range(-5, 11):
         truth = any(
@@ -238,13 +242,13 @@ def test_qe_gc_brute_force_grid():
 
 
 def test_qe_gc_unused_var():
-    out = qe_gc([y], gap(x, z, 2))
-    assert equivalent(out, gap(x, z, 2), INT)
+    out = dnf_to_formula(qe_gc([y], tuple(to_dnf(gap(x, z, 2), INT))))
+    assert reference_equivalent(out, gap(x, z, 2), INT)
 
 
 def test_qe_gc_rejects_non_gap():
     with pytest.raises(NotGapOrder):
-        qe_gc([y], atom(Term.of(x) - Term.of(y), "<=", 3))
+        qe_gc([y], tuple(to_dnf(atom(Term.of(x) - Term.of(y), "<=", 3), INT)))
 
 
 def difference_atoms():
@@ -265,8 +269,10 @@ def test_qe_gc_agrees_with_the_triple_reference(atoms, v):
     # both read the integer DNF, where a `!=` with a non-integral constant
     # is true
     phi = conj(*atoms)
-    assume(all(is_gap_order(na) for cube in to_dnf(phi, INT) for na in cube))
-    assert equivalent(qe_gc([v], phi), reference_qe_gc([v], phi), INT), (str(phi), v)
+    cubes = tuple(to_dnf(phi, INT))
+    assume(all(is_gap_order(na) for cube in cubes for na in cube))
+    got = dnf_to_formula(qe_gc([v], cubes))
+    assert reference_equivalent(got, reference_qe_gc([v], phi), INT), (str(phi), v)
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,20 +302,22 @@ def test_gap_order_membership_from_tightened_rows(atoms):
 @example([atom(Term.of(y) - x, "!=", -1)], 1)
 def test_gap_order_reading_matches_the_triple_view_on_raw_atoms(atoms, K):
     # on atoms as written (a `!=`, an equality with a non-integral constant,
-    # a ground atom), membership, K and the cutoff read off the tightened
-    # rows are the ones the reference reads off (p, q, k) triples
+    # a ground atom), membership and K read off the tightened rows are the
+    # ones the reference reads off (p, q, k) triples; the cutoff of each
+    # atom's integer DNF (a `!=` split) is the reference's, atom by atom
     nas = [norm_atom(a) for a in atoms]
     for a, na in zip(atoms, nas):
         assert is_gap_order(na) == (gc_norm(na) is not None), na
+        cubes = tuple(to_dnf(a, INT))
         if gc_norm(na) is None:
             with pytest.raises(NotGapOrder):
-                cutoff(a, K)
+                cutoff(cubes, K)
         else:
-            assert cutoff(a, K) == reference_cutoff(a, K), (a, K)
+            assert cutoff(cubes, K) == reference_cube_cutoff(cubes, K), (a, K)
     assert gap_order_bound(nas) == reference_gap_bound(nas)
     if all(map(is_gap_order, nas)):
-        phi = disj(atoms[0], conj(*atoms[1:]))
-        assert cutoff(phi, K) == reference_cutoff(phi, K)
+        cubes = tuple(to_dnf(disj(atoms[0], conj(*atoms[1:])), INT))
+        assert cutoff(cubes, K) == reference_cube_cutoff(cubes, K)
 
 
 def test_gap_order_reading_keeps_the_triple_view_quirks():
@@ -322,13 +330,13 @@ def test_gap_order_reading_keeps_the_triple_view_quirks():
         ne = atom(Term.of(x) - y, "!=", c)
         assert is_gap_order(norm_atom(ne)) and gap_order_bound([norm_atom(ne)]) == K
         assert gap_order_bound([norm_atom(atom(Term.of(y) - x, "!=", -c))]) == K
-        assert cutoff(ne, 1) == ne
     spelled = (atom(Term.of(x) - y, "<=", 0), atom(Term.of(x) - y, ">=", 2))
     assert gap_order_bound(map(norm_atom, spelled)) == 3
     assert not is_gap_order(norm_atom(atom(Term.of(x) - y, "!=", 2)))
     half = atom(x, "=", F(5, 2))
     assert gap_order_bound([norm_atom(half)]) == 2
-    assert cutoff(half, 1) == atom(0, ">=", 1) and cutoff(half, 2) == half
+    cubes = tuple(to_dnf(half, INT))
+    assert cutoff(cubes, 1) == () and cutoff(cubes, 2) == cubes
     # an upper bound x <= u < 0 adds -u, a lower bound and an equality their
     # constant, each disequality also 1
     assert gap_order_bound([norm_atom(atom(x, "<=", -3))]) == 4
@@ -344,37 +352,37 @@ def test_gap_order_reading_keeps_the_triple_view_quirks():
 
 def test_is_sat_model_validated():
     phi = conj(atom(x, ">", 0), atom(y, ">", x))
-    res = is_sat(phi, RAT)
+    res = is_sat(to_dnf(phi), RAT)
     assert res.sat and evaluate(phi, res.model)
 
 
 def test_is_sat_unsat():
-    assert not is_sat(conj(atom(x, ">", y), atom(y, ">", x)), RAT).sat
+    assert not is_sat(to_dnf(conj(atom(x, ">", y), atom(y, ">", x))), RAT).sat
 
 
 def test_is_sat_cutoff_equisatisfiable_example():
-    phi = conj(gap(x, y, 2), atom(y, ">=", 3))
-    assert is_sat(phi, INT).sat == is_sat(cutoff(phi, 4), INT).sat
+    cubes = tuple(to_dnf(conj(gap(x, y, 2), atom(y, ">=", 3)), INT))
+    assert is_sat(cubes, INT).sat == is_sat(cutoff(cubes, 4), INT).sat
 
 
 def test_is_sat_integer_difference_exact():
     # 0 < x < 1 has rational but no integer solution
     phi = conj(atom(x, ">", 0), atom(x, "<", 1))
-    assert is_sat(phi, RAT).sat
-    assert not is_sat(phi, INT).sat
+    assert is_sat(to_dnf(phi), RAT).sat
+    assert not is_sat(to_dnf(phi, INT), INT).sat
 
 
 def test_is_sat_integer_non_integral_bounds():
     # 2x >= 3 is x >= 2 and 2x <= 3 is x <= 1 over the integers
     two_x = Term.of(x).scale(F(2))
-    assert not is_sat(conj(atom(two_x, ">=", 3), atom(two_x, "<=", 3)), INT).sat
-    res = is_sat(conj(atom(two_x, ">=", 3), atom(x, "<=", 2)), INT)
+    assert not is_sat(to_dnf(conj(atom(two_x, ">=", 3), atom(two_x, "<=", 3)), INT), INT).sat
+    res = is_sat(to_dnf(conj(atom(two_x, ">=", 3), atom(x, "<=", 2)), INT), INT)
     assert res.sat and res.model == {x: F(2)}
 
 
 def test_is_sat_integer_model_is_integral():
     phi = conj(gap(x, y, 2), gap(y, 0, 3))
-    res = is_sat(phi, INT)
+    res = is_sat(to_dnf(phi, INT), INT)
     assert res.sat
     assert all(v.denominator == 1 for v in res.model.values())
     assert evaluate(phi, res.model)
@@ -398,7 +406,7 @@ def test_sat_model_equals_the_reference_on_rational_cubes(cube):
     # one elimination loop for QE and sat must pick the model, and so the
     # witness values, that sat's own loop picked
     phi = solve.dnf_to_formula([cube])
-    assert is_sat(phi, RAT).model == reference_model(phi, RAT)
+    assert is_sat(to_dnf(phi), RAT).model == reference_model(phi, RAT)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -407,7 +415,7 @@ def test_sat_model_equals_the_reference_on_difference_cubes(atoms):
     phi = conj(*atoms)
     cubes = to_dnf(phi)
     assume(all(solve._as_difference_cube(c) is not None for c in cubes))
-    assert is_sat(phi, INT).model == reference_model(phi, INT)
+    assert is_sat(to_dnf(phi, INT), INT).model == reference_model(phi, INT)
 
 
 def test_is_sat_integer_refuses_outside_fragment():
@@ -417,7 +425,7 @@ def test_is_sat_integer_refuses_outside_fragment():
     for cx in (2, 3):
         phi = atom(Term.of(x).scale(F(cx)), "=", Term.of(y).scale(F(2)) + Term.of(1))
         with pytest.raises(solve.UnsupportedInteger):
-            is_sat(phi, INT)
+            is_sat(to_dnf(phi, INT), INT)
 
 
 DIFF_TERMS = (
@@ -453,7 +461,7 @@ def test_integer_is_sat_agrees_with_brute_force(phi):
     expected = any(
         evaluate(phi, {x: F(a), y: F(b), z: F(c)}) for a in box for b in box for c in box
     )
-    res = is_sat(phi, INT)
+    res = is_sat(to_dnf(phi, INT), INT)
     assert res.sat == expected
     if res.sat:
         assert all(v.denominator == 1 for v in res.model.values())
@@ -467,52 +475,77 @@ def test_integer_is_sat_agrees_with_brute_force(phi):
 def test_equivalent_redundant_atom():
     lhs = conj(atom(x, ">", 0), atom(y, ">", x))
     rhs = conj(atom(x, ">", 0), atom(y, ">", x), atom(y, ">", 0))
-    assert equivalent(lhs, rhs, RAT)
+    assert equivalent(to_dnf(lhs), to_dnf(rhs))
 
 
 def test_equivalent_reflexive():
-    phi = conj(atom(x, ">", 0), atom(y, "=", 0))
-    assert equivalent(phi, phi, RAT)
+    cubes = to_dnf(conj(atom(x, ">", 0), atom(y, "=", 0)))
+    assert equivalent(cubes, cubes)
 
 
 def test_equivalent_strict_vs_nonstrict():
-    assert not equivalent(atom(x, ">", 0), atom(x, ">=", 0), RAT)
+    assert not equivalent(to_dnf(atom(x, ">", 0)), to_dnf(atom(x, ">=", 0)))
+
+
+@st.composite
+def rational_dnfs(draw):
+    """DNFs of up to three `rational_cubes`, with their `=`, strict and
+    non-strict atoms."""
+    return tuple(draw(st.lists(rational_cubes(), max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rational_dnfs(),
+    st.one_of(rational_dnfs(), st.sampled_from(((), ((),)))),
+)
+def test_entails_agrees_with_the_formula_reference(a, b):
+    # a's cubes each conjoined with b's negation, cube by cube, against the
+    # formula a & !b renormalised through to_dnf; b ranges over several
+    # cubes, false () and true ((),)
+    want = reference_entails(dnf_to_formula(a), dnf_to_formula(b))
+    assert entails(a, b) == want, (a, b)
+    assert equivalent(a, b) == (want and reference_entails(dnf_to_formula(b), dnf_to_formula(a)))
 
 
 # ---------------------------------------------------------------------------
-# Cutoff
+# Cutoff (on integer DNFs)
+
+
+def int_dnf(phi):
+    return tuple(to_dnf(phi, INT))
 
 
 def test_cutoff_replaces_large_gaps():
     phi = conj(gap(x, 0, 5), gap(y, 0, 6))
-    assert cutoff(phi, 4) == conj(gap(x, 0, 4), gap(y, 0, 4))
+    assert cutoff(int_dnf(phi), 4) == int_dnf(conj(gap(x, 0, 4), gap(y, 0, 4)))
 
 
 def test_cutoff_keeps_small_gaps():
-    phi = gap(x, y, 2)
-    assert cutoff(phi, 4) == phi
+    cubes = int_dnf(gap(x, y, 2))
+    assert cutoff(cubes, 4) == cubes
 
 
 def test_cutoff_per_atom_in_disjunction():
     phi = disj(gap(x, y, 9), gap(x, 0, 1))
-    assert cutoff(phi, 4) == disj(gap(x, y, 4), gap(x, 0, 1))
+    assert cutoff(int_dnf(phi), 4) == int_dnf(disj(gap(x, y, 4), gap(x, 0, 1)))
 
 
 def test_gc_equivalent_shifted_pair():
     a = conj(atom(x, ">=", 5), atom(y, ">=", 6))
     b = conj(atom(x, ">=", 8), atom(y, ">=", 9))
-    assert gc_equivalent(a, b, 4)
+    assert gc_equivalent(int_dnf(a), int_dnf(b), 4)
 
 
 def test_gc_equivalent_reflexive_and_negative():
-    phi = conj(gap(x, y, 2))
-    assert gc_equivalent(phi, phi, 4)
-    assert not gc_equivalent(atom(x, ">=", 1), atom(x, ">=", 2), 4)
+    cubes = int_dnf(conj(gap(x, y, 2)))
+    assert gc_equivalent(cubes, cubes, 4)
+    assert not gc_equivalent(int_dnf(atom(x, ">=", 1)), int_dnf(atom(x, ">=", 2)), 4)
 
 
 def test_cutoff_rejects_non_gap():
     with pytest.raises(NotGapOrder):
-        cutoff(atom(Term.of(x) + Term.of(y), ">=", 2), 4)
+        cutoff(int_dnf(atom(Term.of(x) + Term.of(y), ">=", 2)), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +584,15 @@ def test_upper_bound_gap_is_not_gc(b1):
 
 def test_equivalent_is_equivalence_relation():
     pop = [
-        conj(atom(x, ">", 0), atom(y, ">", x)),
-        conj(atom(x, ">", 0), atom(y, ">", x), atom(y, ">", 0)),
-        conj(atom(x, ">=", 1)),
-        conj(atom(x, ">", 0)),
+        to_dnf(conj(atom(x, ">", 0), atom(y, ">", x))),
+        to_dnf(conj(atom(x, ">", 0), atom(y, ">", x), atom(y, ">", 0))),
+        to_dnf(conj(atom(x, ">=", 1))),
+        to_dnf(conj(atom(x, ">", 0))),
     ]
     for f in pop:
-        assert equivalent(f, f, RAT)
+        assert equivalent(f, f)
     for f, g in itertools.product(pop, pop):
-        assert equivalent(f, g, RAT) == equivalent(g, f, RAT)
+        assert equivalent(f, g) == equivalent(g, f)
     for f, g, h in itertools.product(pop, pop, pop):
-        if equivalent(f, g, RAT) and equivalent(g, h, RAT):
-            assert equivalent(f, h, RAT)
+        if equivalent(f, g) and equivalent(g, h):
+            assert equivalent(f, h)

@@ -21,7 +21,7 @@ from damc.formula import (
 )
 from damc.ltlf import constraints_of, preprocess
 from damc.product import constraint_graph, verify
-from damc.solve import BudgetExceeded, equivalent
+from damc.solve import BudgetExceeded, dnf_to_formula, to_dnf
 from damc.summary import (
     NoSummaryFound,
     VarStrategy,
@@ -41,6 +41,7 @@ from damc.summary import (
 
 from conftest import (
     MODELS,
+    equivalent,
     gap_order_reads,
     load_model,
     reference_bounded_lookback,
@@ -608,7 +609,7 @@ def test_constraint_graph_b3_finite_under_cutoff(b3):
     h2 = history_constraint(b3, ["a1", "a2"])
     h4 = history_constraint(b3, ["a1", "a2", "a1", "a2"])
     assert not equivalent(h2, h4, INT)
-    assert solve.gc_equivalent(h2, h2, strat.K)
+    assert solve.gc_equivalent(to_dnf(h2, INT), to_dnf(h2, INT), strat.K)
 
 
 def test_constraint_graph_single_state():
@@ -674,9 +675,10 @@ def test_constraint_graph_nodes_match_history_constraints(b1, b3):
             node = g.nodes[p[-1][1]] if p else g.nodes[0]
             h = history_constraint(d, actions)
             if strat.K is None:
-                assert solve.equivalent(node.formula, h, RAT)
+                assert equivalent(node.formula, h, RAT)
             else:
-                assert solve.gc_equivalent(node.formula, h, strat.K)
+                cubes = (to_dnf(f, INT) for f in (node.formula, h))
+                assert solve.gc_equivalent(*cubes, strat.K)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +702,7 @@ def test_gc_refutation_compares_cutoffs(b1_int, monkeypatch):
     gc = _Leaf(b1_int, K=3)
     a, b = (_solved(gc, atom(Term.of(x) - y, ">=", k)) for k in (5, 7))
     assert a.model is not None and b.model is not None
-    assert not evaluate(b.formula, a.model)
+    assert not evaluate(dnf_to_formula(b.state), a.model)
     assert gc.equiv(a, b) and gc.equiv(b, a)
     # below K a stored model refutes without the solver
     c = _solved(gc, atom(Term.of(x) - y, ">=", 1))
@@ -764,12 +766,12 @@ def test_mc_equiv_after_sat_agrees_with_the_solver(b1, pair):
 @given(state_pairs(GC_SHAPES, st.integers(0, 6)), st.integers(1, 5))
 @example((conj(atom(x, ">=", 1), atom(x, "!=", 0)), conj(atom(x, ">=", 1), atom(x, "!=", 1))), 1)
 def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
-    # a class compares the cutoffs of its integer cubes, which need not be
-    # those of the drawn formulas: `x >= 1 && x != 1` is the cube `x >= 2`,
-    # cut at K = 1 to `x >= 1`, while the drawn formula cuts to itself
+    # a class compares the cutoffs of its integer cubes, `to_dnf(., INT)`
+    # of the drawn formulas: `x >= 1 && x != 1` is the cube `x > 1`, whose
+    # row `x >= 2` is cut at K = 1 to `x >= 1`, as `x >= 1 && x != 0` is
     gc = _Leaf(b1_int, K=K)
     a, b = (_solved(gc, s) for s in pair)
-    assert gc.equiv(a, b) == solve.gc_equivalent(a.formula, b.formula, K)
+    assert gc.equiv(a, b) == solve.gc_equivalent(*(to_dnf(s, INT) for s in pair), K)
 
 
 # ---------------------------------------------------------------------------
