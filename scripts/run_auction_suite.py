@@ -6,10 +6,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from damc import parsing
+from damc import certify, parsing
 from damc.ltlf import constraints_of, preprocess
 from damc.product import verify
-from damc.summary import certify
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 

@@ -7,18 +7,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from damc import parsing
-from damc.formula import INT, VarId, atom
-from damc.ltlf import fmt_symbol
-from damc.product import constraint_graph, verify
-from damc.summary import (
+from damc import (
     certify,
     check_bounded_lookback,
     check_feedback_free,
     check_gc,
     check_mc,
     detect,
+    parsing,
 )
+from damc.formula import INT, VarId, atom
+from damc.ltlf import fmt_symbol
+from damc.product import constraint_graph, verify
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 

@@ -27,15 +27,8 @@ from .solve import (
     to_dnf,
 )
 from .ltlf import build_nfa, preprocess, run_models, word_consistent
-from .summary import (
-    NoSummaryFound,
-    certify,
-    check_bounded_lookback,
-    check_feedback_free,
-    check_gc,
-    check_mc,
-    detect,
-)
+from .summary import NoSummaryFound, check_gc, detect
+from .certificates import certify, check_bounded_lookback, check_feedback_free, check_mc
 from .product import Verdict, constraint_graph, extend_with_dummy
 from .product import realize_run, verify
 from .oracle import brute_force_witness, default_grid, enumerate_runs

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import dot, ltlf as lt, oracle, parsing, product, summary
+from . import certificates, dot, ltlf as lt, oracle, parsing, product, summary
 from .ddsa import Ddsa, Run
 from .formula import INT, RAT, fmt_rat
 from .solve import BudgetExceeded, UnsupportedInteger
@@ -142,7 +142,7 @@ def cmd_summary(ns: argparse.Namespace) -> tuple[int, str]:
         psi = _load_property(ns, d)
         constraints = lt.constraints_of(lt.preprocess(psi))
     try:
-        label = summary.certify(d, constraints)
+        label = certificates.certify(d, constraints)
     except summary.NoSummaryFound as e:
         if ns.json_output:
             return EXIT_INCONCLUSIVE, json.dumps({"summary": None, "reason": str(e)})

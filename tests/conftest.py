@@ -7,12 +7,8 @@ from pathlib import Path
 import pytest
 
 from damc import ltlf as lt, parsing, solve
-from damc.summary import (
-    ComputationGraph,
-    enumerate_symbolic_runs,
-    seq_decompose,
-    used_actions,
-)
+from damc.certificates import ComputationGraph, enumerate_symbolic_runs, seq_decompose
+from damc.summary import used_actions
 from damc.ddsa import Ddsa, transition_formula, update
 from damc.product import extend_with_dummy
 from damc.formula import (

@@ -43,7 +43,7 @@ from damc.ltlf import (
 )
 from damc.product import constraint_graph, realize_run, verify
 from damc.solve import conj_cubes, cutoff, dnf_to_formula, is_sat, qe_gc, qe_rational, to_dnf
-from damc.summary import (
+from damc import (
     certify,
     check_bounded_lookback,
     check_feedback_free,
@@ -458,7 +458,7 @@ def constraint_pool(d):
 
 
 def test_criterion_8c_history_correspondence(rng, b1, b2, b3, b4):
-    from damc.summary import enumerate_symbolic_runs
+    from damc.certificates import enumerate_symbolic_runs
 
     direction1 = 0
     for d, grid_hi, maxlen in ((b1, 3, 3), (b2, 3, 3), (b3, 6, 3), (b4, 2, 3)):

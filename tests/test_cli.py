@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damc import parsing, product, solve, summary
+from damc import certificates, parsing, product, solve
 from damc.cli import main
 from damc.solve import BudgetExceeded, UnsupportedInteger
 
@@ -413,13 +413,13 @@ def test_verify_enumerates_no_symbolic_run_on_four_self_loops(capsys, tmp_path, 
     p = tmp_path / "loops.ddsa"
     p.write_text(FOUR_SELF_LOOPS_MODEL)
     prop = ("--prop", "(x < y U 1 <= 1)")
-    enumerate_runs, calls = summary.enumerate_symbolic_runs, []
+    enumerate_runs, calls = certificates.enumerate_symbolic_runs, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return enumerate_runs(*args, **kwargs)
 
-    monkeypatch.setattr(summary, "enumerate_symbolic_runs", counted)
+    monkeypatch.setattr(certificates, "enumerate_symbolic_runs", counted)
     code, out, _ = run_cli(capsys, "verify", str(p), *prop, "--json")
     assert calls == []
     doc = json.loads(out)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import damc
-from damc import ddsa as dd, ltlf as lt, oracle, parsing, product, solve, summary
+from damc import certificates, ddsa as dd, ltlf as lt, oracle, parsing, product, solve, summary
 from damc.cli import _verdict_json
 from damc.ddsa import Ddsa, validate_run
 from damc.formula import (
@@ -1075,9 +1075,9 @@ def test_verify_certifies_nothing_on_the_gated_queries(auction, b1, monkeypatch,
     # never on a certificate: the auction and disjunction queries reach no
     # criterion and no sequential split
     def certifying(*args, **kwargs):
-        raise AssertionError(f"verify called summary.{name}")
+        raise AssertionError(f"verify called certificates.{name}")
 
-    monkeypatch.setattr(summary, name, certifying)
+    monkeypatch.setattr(certificates, name, certifying)
     cases = [(auction, c) for c in AUCTION_GOLDEN.values()]
     cases += [(b1, c) for c in DISJUNCTION_GOLDEN.values()]
     for d, case in cases:
@@ -1247,7 +1247,7 @@ def test_goldens_and_certificates_leave_every_module_container_as_found():
 
 def _certificate(d, constraints):
     try:
-        return summary.certify(d, constraints)
+        return damc.certify(d, constraints)
     except summary.NoSummaryFound:
         return None
 

@@ -37,7 +37,7 @@ from damc.solve import (
     qe_rational,
     to_dnf,
 )
-from damc.summary import check_mc
+from damc import check_mc
 
 from conftest import (
     assert_exact_formula,

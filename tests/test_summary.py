@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from damc import ddsa, parsing, solve, summary
+from damc import certificates, ddsa, parsing, solve, summary
 from damc.ddsa import Ddsa, history_constraint
 from damc.formula import (
     INT,
@@ -22,22 +22,23 @@ from damc.formula import (
 from damc.ltlf import constraints_of, preprocess
 from damc.product import constraint_graph, verify
 from damc.solve import BudgetExceeded, dnf_to_formula, to_dnf
-from damc.summary import (
+from damc import (
     NoSummaryFound,
-    VarStrategy,
     certify,
     check_bounded_lookback,
     check_feedback_free,
     check_gc,
     check_mc,
-    computation_graph,
     detect,
-    enumerate_symbolic_runs,
-    project_system,
-    seq_decompose,
-    _Leaf,
-    _var_parts,
 )
+from damc.certificates import (
+    _graph,
+    _longest_path,
+    _pairs,
+    enumerate_symbolic_runs,
+    seq_decompose,
+)
+from damc.summary import VarStrategy, _Leaf, _var_parts, project_system
 
 from conftest import (
     MODELS,
@@ -91,26 +92,25 @@ def test_check_gc_recomputes_K_brute_force(b3):
 
 
 def test_computation_graph_b2(b2):
-    g = computation_graph(b2, ["setx", "sety", "sety", "sety", "done"], CG_CONSTRAINTS)
+    actions = ["setx", "sety", "sety", "sety", "done"]
+    g = _graph(b2, _pairs(b2, CG_CONSTRAINTS), actions)
     roots = g.classes()
     # all x instances from instant 1 on share a class (x written once)
     assert len({roots[("x", i)] for i in range(1, 6)}) == 1
     spans = g.spans(roots)
     assert spans[roots[("x", 1)]] == {1, 2, 3, 4, 5}
     _, edges = g.collapsed_edges()
-    from damc.summary import _longest_path
-
-    assert _longest_path(edges) == 2
+    assert _longest_path(edges, stop_above=len(edges)) == 2
 
 
 def test_computation_graph_empty_run(b2):
-    g = computation_graph(b2, [], CG_CONSTRAINTS)
+    g = _graph(b2, _pairs(b2, CG_CONSTRAINTS), [])
     assert g.eq_edges == set() and g.gen_edges == set()
     assert g.nodes() == [("x", 0), ("y", 0)]
 
 
 def test_computation_graph_b4_general_sum_edge(b4):
-    g = computation_graph(b4, ["picka", "seta", "pickb", "addb"], CG_CONSTRAINTS)
+    g = _graph(b4, _pairs(b4, CG_CONSTRAINTS), ["picka", "seta", "pickb", "addb"])
     # the sum update links s4 to both s3 and b3 with general edges
     assert frozenset({("s", 4), ("s", 3)}) in g.gen_edges
     assert frozenset({("s", 4), ("b", 3)}) in g.gen_edges
@@ -236,12 +236,12 @@ def test_feedback_freedom_per_component_matches_the_whole_graph(system, budget, 
     components = _var_parts(d, constraints)
     for names in components if len(components) > 1 else ():
         kept = [c for c in constraints if {v.name for v in free_vars(c)} <= set(names)]
-        parts.append((project_system(d, [v for v in d.variables if v.name in names]), kept))
+        parts.append((project_system(d, names), kept))
     halves = seq_decompose(d)
     parts += [(part, constraints) for part in halves[:2]] if halves else []
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
-            mp.setattr(summary, "MAX_RUNS", budget)
+            mp.setattr(certificates, "MAX_RUNS", budget)
         for part, cs in parts:
             assert _outcome(lambda: check_feedback_free(part, cs, unroll)) == _outcome(
                 lambda: reference_feedback_free(part, cs, unroll)
@@ -270,7 +270,7 @@ def test_certify_under_a_run_budget_matches_the_reference(auction, budget, monke
     loops = parsing.parse_model(FOUR_SELF_LOOPS_MODEL)
     systems = [(loops, "(x < y U 1 <= 1)")]
     systems += [(auction, text) for text in AUCTION_PROPERTIES]
-    monkeypatch.setattr(summary, "MAX_RUNS", budget)
+    monkeypatch.setattr(certificates, "MAX_RUNS", budget)
     for d, text in systems:
         constraints = constraints_of(preprocess(parsing.parse_property(text, d)))
         assert certify(d, constraints) == reference_detect_label(d, constraints), text
@@ -294,7 +294,7 @@ def test_detection_from_one_reading_matches_reading_each_part_afresh(system):
             continue
         for names in components if len(components) > 1 else ():
             side = [v for v in part.variables if v.name in names]
-            projected = project_system(part, side)
+            projected = project_system(part, names)
             assert projected.guards == reference_project_guards(part, side)
             kept = summary._by_names(conj(*cs), set(names))[0]
             assert kept == reference_by_names(conj(*cs), set(names))[0]
@@ -379,7 +379,7 @@ def test_enumerate_symbolic_runs_budget(b1):
 
 
 def test_seq_decompose_auction_parts(auction):
-    proj = project_system(auction, [VarId("o"), VarId("t"), VarId("s")])
+    proj = project_system(auction, ["o", "t", "s"])
     parts = seq_decompose(proj)
     assert parts is not None
     d1, d2, cut = parts
@@ -546,12 +546,15 @@ def test_detect_gives_each_independent_variable_a_part():
         "var-compose(" + "; ".join(f"{{x{i}}}: exact-fixpoint" for i in range(10)) + ")"
     )
     # a label's conjuncts go to the parts that hold their names, and a
-    # variable-free one to part 0
-    label = conj(atom(VarId("x9"), ">", 1), atom(1, ">", 0), atom(VarId("x0"), "=", 0))
-    split = strat._split([label])
-    assert split[0] == [atom(1, ">", 0), atom(VarId("x0"), "=", 0)]
-    assert split[9] == [atom(VarId("x9"), ">", 1)]
-    assert all(part == [] for part in split[1:9])
+    # variable-free one (here false) to part 0
+    x0, x9 = VarId("x0"), VarId("x9")
+    labels = strat.label([conj(atom(x9, ">", 1), atom(0, ">", 1), atom(x0, "=", 0))])
+    assert labels[0] == ()
+    assert labels[9] == tuple(to_dnf(atom(x9, ">", 1), RAT)) != ((),)
+    assert all(label == ((),) for label in labels[1:9])
+    # a conjunct over two parts' names belongs to no part
+    with pytest.raises(ValueError, match="crosses the variable split"):
+        strat.label([atom(x0, "<", x9)])
 
 
 def test_detect_nothing_for_two_counter_style():
@@ -787,6 +790,6 @@ def test_computation_graph_matches_per_step_reference(name):
     runs = list(enumerate_symbolic_runs(d, 2))
     assert len(runs) >= 5
     for actions in runs:
-        g = computation_graph(d, actions, constraints)
+        g = _graph(d, _pairs(d, constraints), actions)
         ref = reference_computation_graph(d, actions, constraints)
         assert (g.eq_edges, g.gen_edges) == (ref.eq_edges, ref.gen_edges), actions
