@@ -16,7 +16,7 @@ from damc import (
     detect,
     parsing,
 )
-from damc.formula import INT, VarId, atom
+from damc.formula import VarId, atom
 from damc.ltlf import fmt_symbol
 from damc.product import constraint_graph, verify
 

@@ -1,6 +1,8 @@
 """Witness checking for data-aware dynamic systems with linear arithmetic
 over finite traces."""
 
+import types
+
 from .formula import (
     INT,
     RAT,
@@ -34,5 +36,8 @@ from .product import realize_run, verify
 from .oracle import brute_force_witness, default_grid, enumerate_runs
 from .parsing import parse_model, parse_property, print_model
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+]
 __version__ = "0.1.0"

@@ -4,9 +4,10 @@ search; the NFA's adjacency order sets its order, and so the witness.
 
 A product node holds the strategy's class of its data state, whose state
 stays in the solver's normal form (a DNF per leaf); the node prints the
-class's cubes as a formula.  A witness is solved backwards on DNFs: over
-the rationals on its BFS-tree path's class cubes, so extraction images
-nothing; over the integers on the path's exact history constraints."""
+class's cubes as a formula, written the first time it is read.  A witness
+is solved backwards on DNFs: over the rationals on its BFS-tree path's
+class cubes, so extraction images nothing; over the integers on the path's
+exact history constraints."""
 from __future__ import annotations
 
 from collections import deque
@@ -65,13 +66,21 @@ def _fresh_name(base: str, taken: Sequence[str]) -> str:
 
 
 class PNode(Value):
-    __slots__ = ("state", "q", "formula")
+    __slots__ = ("state", "q", "cls")
 
-    def __init__(self, state: str, q: int, formula: Formula):
+    def __init__(self, state: str, q: int, cls):
         _set(self, "state", state)
         _set(self, "q", q)  # NFA state index
-        _set(self, "formula", formula)  # the formula of the node's class
+        _set(self, "cls", cls)  # the strategy's class (one per part when split)
         _set(self, "_hash", None)
+
+    @property
+    def formula(self) -> Formula:
+        """The formula of the node's class; a split node's parts' formulas
+        conjoined in part order."""
+        if isinstance(self.cls, tuple):
+            return conj(*(c.formula for c in self.cls))
+        return self.cls.formula
 
 
 class PEdge(Value):
@@ -94,7 +103,6 @@ class ProductAutomaton:
         initial: int,
         finals: set[int],
         parents: list[Optional[PEdge]],  # the edge that discovered each node
-        classes: list,  # each node's class of the strategy
         strategy: sm.Strategy,
     ):
         self.nfa = nfa
@@ -103,7 +111,6 @@ class ProductAutomaton:
         self.initial = initial
         self.finals = finals
         self.parents = parents
-        self.classes = classes
         self.strategy = strategy
 
 
@@ -115,7 +122,8 @@ def build_product(
 ) -> ProductAutomaton:
     """Forward fixpoint over triples (control state, NFA state, class),
     where the class is the strategy's, and the node prints its formula: the
-    cubes of the class's representative, its first state.
+    cubes of the class's representative, its first state, written only
+    when the node is printed.
 
     It is the emptiness search: a BFS whose node indices are discovery
     order, a node's edges going out by action in declaration order, then in
@@ -130,11 +138,11 @@ def build_product(
     NFA edge, and every edge conjoins to that image.  A symbol's
     constraints are put in normal form, and split by part, once, and the
     initial node's class is the one `canon` gives the initial constraints'
-    label.  A leaf computes one image per (class, transition formula), so
-    the actions that a projected leaf sees with the same transition formula
-    share it, and none for an action whose guard on it is true: that image
-    is the state itself.  Nodes at the word-end NFA state are only created when final
-    (they have no successors, so non-final ones are dead).
+    label.  A leaf computes one image per (class, guard), so the actions
+    that a projected leaf sees with the same guard share it, and none for
+    an action whose guard on it is true: that image is the state itself.
+    Nodes at the word-end NFA state are only created when final (they have
+    no successors, so non-final ones are dead).
 
     A budget stop (the node budget or a solver's) raises
     `ProductBudgetExceeded` with the product built so far.
@@ -144,16 +152,16 @@ def build_product(
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
     dummy_action = d.dummy[1]
     init = strategy.canon(strategy.label(d.initial_constraints()))
-    root = PNode(d.initial, nfa.initial, strategy.formula(init))
-    p = ProductAutomaton(nfa, [root], [], 0, set(), [None], [init], strategy)
-    nodes, edges, finals, parents, classes = p.nodes, p.edges, p.finals, p.parents, p.classes
+    root = PNode(d.initial, nfa.initial, init)
+    p = ProductAutomaton(nfa, [root], [], 0, set(), [None], strategy)
+    nodes, edges, finals, parents = p.nodes, p.edges, p.finals, p.parents
     index = {(d.initial, nfa.initial, init): 0}
     labels: dict[SigmaSymbol, object] = {}
     queue = deque([0])
     try:
         while queue:
             i = queue.popleft()
-            node, rep = nodes[i], classes[i]
+            node = nodes[i]
             for (a, dst) in d.outgoing(node.state):
                 step = None if a == dummy_action else a  # the dummy step moves nothing
                 image = None
@@ -163,7 +171,7 @@ def build_product(
                     if ne.dst == qe_idx and dst not in d.finals:
                         continue
                     if image is None:
-                        image = strategy.image(rep, step)
+                        image = strategy.image(node.cls, step)
                     label = labels.get(ne.symbol)
                     if label is None:
                         label = labels[ne.symbol] = strategy.label(lt.constr_of(ne.symbol))
@@ -181,8 +189,7 @@ def build_product(
                                 p,
                             )
                         index[(dst, ne.dst, cls)] = j
-                        nodes.append(PNode(dst, ne.dst, strategy.formula(cls)))
-                        classes.append(cls)
+                        nodes.append(PNode(dst, ne.dst, cls))
                         parents.append(edge)
                         if ne.dst != qe_idx:
                             queue.append(j)
@@ -313,7 +320,7 @@ def extract_witness(
     if d.domain == INT:
         run = realize_run(d, actions, [lt.constr_of(s) for s in word])
     else:
-        run = _solve_backwards(d, actions, [p.strategy.cubes(p.classes[e.dst]) for e in path])
+        run = _solve_backwards(d, actions, [p.strategy.cubes(p.nodes[e.dst].cls) for e in path])
     if run is None:
         raise InternalInconsistency(
             "accepting path has unsatisfiable history constraint"

@@ -14,7 +14,8 @@ the cutoffs at K, which is exact on the gap-order fragment.
 
 A leaf's state is a DNF in the solver's normal form (`solve.Dnf`), one per
 part under a variable split, and everything a leaf does works on cubes.  A
-class is written as a formula once, when it opens, for the product to print.
+class is written as a formula the first time it is read, where a product
+node is printed; `verify` reads none.
 
 `detect` gives the strategy `verify` runs, and reads structure only.  An
 integer system gets the gap-order leaf, and one outside that fragment gets
@@ -178,17 +179,25 @@ def project_system(d: Ddsa, names: Sequence[str]) -> Ddsa:
 class _Class:
     """One class of a leaf's quotient: its representative state, the DNF
     the equivalence compares (over the integers the state's cutoff at K),
-    the state's stored sat model with the truths under it of compared
-    atoms, and, once the class opens, its formula (a node prints it)."""
+    and the state's stored sat model with the truths under it of compared
+    atoms.  Its formula is written the first time it is read (a node
+    prints it)."""
 
-    __slots__ = ("state", "compared", "model", "truths", "formula")
+    __slots__ = ("state", "compared", "model", "truths", "_formula")
 
     def __init__(self, state: Dnf, compared: Dnf, model):
         self.state = state
         self.compared = compared
         self.model = model
         self.truths: dict = {}
-        self.formula: Optional[Formula] = None
+        self._formula: Optional[Formula] = None
+
+    @property
+    def formula(self) -> Formula:
+        """The representative state written as a formula, once."""
+        if self._formula is None:
+            self._formula = solve.dnf_to_formula(self.state)
+        return self._formula
 
 
 class _Leaf:
@@ -202,7 +211,7 @@ class _Leaf:
     canonisation memo and the equivalence check (`solve.equivalent`, cube
     entailment both ways) all work on cubes.  Over the integers it compares
     the cutoffs of the states' integer DNFs, never a formula's text.  A
-    class's formula (`solve.dnf_to_formula`) is written when it opens."""
+    class's formula is written only when it is read."""
 
     def __init__(self, d: Ddsa, *, K: Optional[int] = None):
         self.d = d
@@ -230,9 +239,10 @@ class _Leaf:
     def image(self, rep: _Class, action: Optional[str]) -> Dnf:
         if not self._moves(action):
             return rep.state
-        # one image per (class, transition formula), shared by the NFA edges
-        # that conjoin to it and by the actions with that formula
-        key = (rep, dd.transition_formula(self.d, action))
+        # one image per (class, guard), shared by the NFA edges that conjoin
+        # to it and by the actions with that guard: on one system the guard
+        # fixes the write set, and so the whole transition formula
+        key = (rep, self.d.guard(action))
         hit = self._image_cache.get(key)
         if hit is None:
             hit = self._image_cache[key] = dd.update(self.d, rep.state, action)
@@ -271,13 +281,12 @@ class _Leaf:
         for c in self._classes:
             if self.equiv(c, new):
                 return c
-        new.formula = solve.dnf_to_formula(state)
         self._classes.append(new)
         return new
 
     def _class(self, state: Dnf) -> _Class:
         """A class of the state, with the state's stored sat model, if it
-        has one; it gets its formula only if it opens."""
+        has one."""
         compared = state if self.K is None else solve.cutoff(state, self.K)
         res = self._sat_cache.get(state)
         return _Class(state, compared, None if res is None else res.model)
@@ -315,9 +324,6 @@ class _Leaf:
                 return True
         return False
 
-    def formula(self, rep: _Class) -> Formula:
-        return rep.formula
-
     def cubes(self, rep: _Class) -> Dnf:
         return rep.state
 
@@ -325,8 +331,8 @@ class _Leaf:
 class VarStrategy:
     """Variable-disjoint composition: one exact leaf per part of the
     variables, solved apart.  A state is one leaf state per part, in part
-    order, and a node holds one class per part; its formula is the
-    conjunction of theirs.  A label sends each top-level conjunct of its
+    order, and a node holds one class per part (it prints the conjunction
+    of their formulas).  A label sends each top-level conjunct of its
     formulas to the part that holds its names (a variable-free one to part
     0); the product asks for one label per NFA symbol."""
 
@@ -364,20 +370,17 @@ class VarStrategy:
     def canon(self, state: tuple[Dnf, ...]) -> tuple[_Class, ...]:
         return tuple(leaf.canon(s) for leaf, s in zip(self._leaves, state))
 
-    def formula(self, rep: tuple[_Class, ...]) -> Formula:
-        return conj(*(c.formula for c in rep))
-
     def cubes(self, rep: tuple[_Class, ...]) -> Dnf:
         """The parts' cubes joined in part order (`solve.conj_cubes`)."""
         return tuple(reduce(solve.conj_cubes, (c.state for c in rep), ((),)))
 
 
-# The protocol the product uses: describe, label, image, meet, sat, canon,
-# formula and cubes.  A product node holds a strategy's class (`_Class`, or
-# one per part), and a candidate state and a label are each a DNF (one per
-# part); the initial node's class is `canon` of the initial constraints'
-# label.  A node prints the class's `formula`, and witness extraction over
-# the rationals solves on its `cubes`.
+# The protocol the product uses: describe, label, image, meet, sat, canon
+# and cubes.  A product node holds a strategy's class (`_Class`, or one per
+# part), and a candidate state and a label are each a DNF (one per part);
+# the initial node's class is `canon` of the initial constraints' label.  A
+# node prints its class's formula (the parts' conjoined in part order), and
+# witness extraction over the rationals solves on the class's `cubes`.
 Strategy = _Leaf | VarStrategy
 
 

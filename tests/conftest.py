@@ -22,7 +22,6 @@ from damc.formula import (
     Or,
     Term,
     TrueF,
-    VarId,
     atoms_of,
     conj,
     disj,
@@ -213,6 +212,28 @@ def equivalent(phi, psi, dom) -> bool:
     ways (`reference_entails`).  The formula-level reference for
     `solve.equivalent`, which takes DNFs over Q."""
     return reference_entails(phi, psi, dom) and reference_entails(psi, phi, dom)
+
+
+def cube_entails(a, b, dom) -> bool:
+    """`reference_entails` on two DNFs, one cube of `b` at a time: each
+    cube of `a` is conjoined with the negation of `b`'s cubes in turn, and
+    a partial cube with no model over the domain is dropped.  For DNFs
+    whose negation has more cubes than `to_dnf` allows."""
+    for cube in a:
+        partial = [cube] if solve.is_sat([cube], dom).sat else []
+        for other in b:
+            negated = solve.to_dnf(Not(solve.dnf_to_formula([other])), dom)
+            joined = dict.fromkeys(solve.conj_cubes(partial, negated))
+            partial = [q for q in joined if solve.is_sat([q], dom).sat]
+        if partial:
+            return False
+    return True
+
+
+def cube_equivalent(a, b, dom) -> bool:
+    """Logical equivalence of two DNFs over the domain: `cube_entails`
+    both ways."""
+    return cube_entails(a, b, dom) and cube_entails(b, a, dom)
 
 
 def check_closed(d, verdict) -> int:

@@ -4,14 +4,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 summary lines.  Timing bounds are part of the criteria and asserted.
 """
 import itertools
-import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
-from damc import ltlf as lt, oracle, parsing, product
-from damc.ddsa import Ddsa, history_constraint, validate_run
+from damc import ltlf as lt, oracle, parsing
+from damc.ddsa import history_constraint, validate_run
 from damc.formula import (
     INT,
     RAT,
@@ -22,7 +19,6 @@ from damc.formula import (
     disj,
     evaluate,
     exact_div,
-    free_vars,
     norm_atom,
 )
 from damc.ltlf import (
@@ -60,7 +56,6 @@ from conftest import (
     is_gc_formula,
     minimal_edges,
     nfa_paths,
-    with_domain,
 )
 
 x, y = VarId("x"), VarId("y")

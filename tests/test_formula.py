@@ -184,7 +184,7 @@ def _ir_samples():
             f"Run(configs=(Config(state='s1', alpha=(({X}, 0),)), "
             f"Config(state='s2', alpha=(({X}, 3),))), actions=('bid',))",
         ),
-        (PNode("s1", 0, b), ("s1", 0, b), f"PNode(state='s1', q=0, formula={B})"),
+        (PNode("s1", 0, b), ("s1", 0, b), f"PNode(state='s1', q=0, cls={B})"),
         (
             PEdge(0, "bid", sym, 1),
             (0, "bid", sym, 1),

@@ -24,12 +24,10 @@ from damc.formula import (
     atom,
     conj,
     disj,
-    evaluate,
     free_vars,
     neg,
 )
 from damc.product import (
-    InternalInconsistency,
     build_product,
     constraint_graph,
     extend_with_dummy,
@@ -374,6 +372,75 @@ def test_random_gc_systems_agree_with_oracle():
     assert checked >= 45
 
 
+def random_gc3_system(rng):
+    """Random integer system over a, b and s whose guards are conjunctions
+    of gaps between copies, bounds and increments, with constants 0-2."""
+    names = ("a", "b", "s")
+    states = ["p", "q", "r"][: rng.randint(2, 3)]
+    finals = rng.sample(states, rng.randint(1, len(states)))
+    lines = ["domain int", "vars a b s", "init a=0 b=0 s=0", "states " + " ".join(states)]
+    lines += [f"initial {states[0]}", "final " + " ".join(finals)]
+    for i in range(rng.randint(2, 5)):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            v, u = rng.sample(names, 2)
+            vk, uk, c, shape = rng.choice("rw"), rng.choice("rw"), rng.randint(0, 2), rng.random()
+            if shape < 0.45:
+                parts.append(f"{v}^{vk} - {u}^{uk} >= {c}")
+            elif shape < 0.85:
+                parts.append(f"{v}^{vk} {'<=' if shape < 0.65 else '>='} {c}")
+            else:
+                parts.append(f"{v}^w - {v}^r >= {c}")
+        lines.append(f"trans {rng.choice(states)} t{i} {rng.choice(states)} [{' && '.join(parts)}]")
+    return parsing.parse_model("\n".join(lines) + "\n")
+
+
+# Over Z an image copies every variable, so it writes the rows an unwritten
+# variable's copy implies.  An image without them would merge more than the
+# gap-order quotient: here t4 takes a = 2 && a - b >= 4 (cut to
+# a - b >= 3) to a - b >= 6, which would join its class, where the rows
+# b <= -2 and b <= -4 keep them apart
+COARSER_MERGE = parsing.parse_model(
+    "domain int\nvars a b s\ninit a=0 b=0 s=0\nstates p q\ninitial p\nfinal p q\n"
+    "trans p t0 p [b^r - a^w >= 0 && s^w >= 1]\n"
+    "trans p t1 q [b^w - s^w >= 1 && a^w - a^r >= 0]\n"
+    "trans q t2 p [a^r - b^w >= 1 && s^r - b^r >= 2]\n"
+    "trans q t3 p [a^r - s^r >= 0 && a^r >= 2]\n"
+    "trans p t4 q [b^w - s^w >= 2 && s^r - b^w >= 0]\n"
+)
+
+
+def test_random_three_variable_gap_order_systems_agree_with_oracle():
+    import random
+
+    from damc.ddsa import validate
+
+    rng = random.Random(5)
+    grid = [F(k) for k in range(-2, 3)]
+    systems = [COARSER_MERGE] + [random_gc3_system(rng) for _ in range(20)]
+    checked = no_witness = 0
+    for d in systems:
+        if validate(d):
+            continue
+        for text in ("F (s <= 2 & a >= 2)", "F (a - b >= 2)", "G (b >= 0)", "F (a <= 0 & s >= 1)"):
+            psi = parsing.parse_property(text, d)
+            v = verify(d, psi, max_nodes=300)
+            assert v.kind in ("witness", "no-witness"), (text, v.reason)
+            if v.kind == "no-witness":
+                no_witness += 1
+                assert oracle.brute_force_witness(d, psi, 3, grid) is None, (text, d.guards)
+            checked += 1
+    assert checked >= 60 and no_witness >= 25
+
+
+def test_integer_image_keeps_the_rows_unwritten_copies_imply():
+    # the 84 classes of the full snapshot's image; copying only the written
+    # variables gives 82
+    psi = parsing.parse_property("F (s <= 2 & a >= 2)", COARSER_MERGE)
+    v = verify(COARSER_MERGE, psi, max_nodes=300)
+    assert v.kind == "witness" and len(v.product.nodes) == 84
+
+
 def test_integer_systems_get_gap_order_or_no_summary():
     # a split cannot cover an integer system outside gap-order, since the
     # offending atom lands in some part: such a system gets no summary
@@ -581,12 +648,14 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
                 else:
                     same = lambda a, b: equivalent(a, b, RAT)  # noqa: E731
                 at: dict = {}
-                for n, c in zip(v.product.nodes, v.product.classes):
-                    # the node prints its class's formula, which reads back
-                    # as its class's cubes (each part's, when split), and its
-                    # class's state canonises to the class itself
-                    assert strat.formula(c) == n.formula
+                for n in v.product.nodes:
+                    # the node prints its class's formula (its parts',
+                    # conjoined in part order, when split), which reads back
+                    # as its class's cubes, and its class's state canonises
+                    # to the class itself
+                    c = n.cls
                     parts = c if isinstance(c, tuple) else (c,)
+                    assert n.formula == conj(*(part.formula for part in parts))
                     for leaf, part in zip(_leaves(strat), parts):
                         assert tuple(solve.to_dnf(part.formula, leaf.d.domain)) == part.state
                     state = tuple(x.state for x in c) if isinstance(c, tuple) else c.state
@@ -1069,6 +1138,28 @@ def test_integer_verdict_json_golden(name):
     assert out == case["verdict"]
 
 
+def test_build_product_writes_no_formula_on_the_gated_goldens(auction, b1, monkeypatch):
+    # an image is keyed by the action's guard and renames the guard's cubes,
+    # and a class is written as a formula only when a node is printed: the
+    # product of the auction and disjunction goldens builds neither a
+    # transition formula nor a class's formula
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} called")
+
+        return refused
+
+    monkeypatch.setattr(dd, "transition_formula", refuse("transition_formula"))
+    monkeypatch.setattr(solve, "dnf_to_formula", refuse("dnf_to_formula"))
+    cases = [(auction, c["property"]) for c in AUCTION_GOLDEN.values()]
+    cases += [(b1, c["property"]) for c in DISJUNCTION_GOLDEN.values()]
+    for d, text in cases:
+        pre = lt.preprocess(parsing.parse_property(text, d))
+        strategy = detect(d, lt.constraints_of(pre))
+        p = build_product(extend_with_dummy(d), lt.build_nfa(pre, d.domain), strategy)
+        assert len(p.nodes) > 1
+
+
 @pytest.mark.parametrize("name", ["check_mc", "enumerate_symbolic_runs", "seq_decompose"])
 def test_verify_certifies_nothing_on_the_gated_queries(auction, b1, monkeypatch, name):
     # a verdict rests on the product of exact leaves and on revalidation,
@@ -1379,9 +1470,9 @@ def test_nfa_symbols_are_minimal_between_two_states(auction, b1):
 
 def test_sweep_query_refutes_with_stored_models(b4, monkeypatch):
     # the canonisation memo is keyed by the state's DNF, so a state checks
-    # for its class once however it is written: 325 of this query's 330
-    # equivalence checks answer "no"; in 308 of them a stored sat model of
-    # one side falsifies the other, so only 22 reach the solver, and the
+    # for its class once however it is written: 317 of this query's 323
+    # equivalence checks answer "no"; in 300 of them a stored sat model of
+    # one side falsifies the other, so only 23 reach the solver, and the
     # product keeps its 62 nodes and 144 edges (a memo keyed by formulas
     # made 423 checks, 30 of them in the solver)
     equivalent = solve.equivalent
@@ -1395,7 +1486,7 @@ def test_sweep_query_refutes_with_stored_models(b4, monkeypatch):
     psi = parsing.parse_property("G (a < 7) | F (s > 8)", b4)
     v = verify(b4, psi)
     assert (v.kind, v.stats.product_nodes, v.stats.product_edges) == ("witness", 62, 144)
-    assert len(calls) == 22
+    assert len(calls) == 23
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--module-state"]:

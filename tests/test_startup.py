@@ -4,6 +4,7 @@ run time, and the modules `verify` runs bind nothing of `certificates`."""
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import damc
@@ -56,3 +57,14 @@ def test_package_exports_the_certificates_by_their_names():
     assert damc.certify.__module__ == "damc.certificates" and callable(damc.certify)
     names = {"certify", "check_mc", "check_feedback_free", "check_bounded_lookback"}
     assert names | {"check_gc", "detect", "NoSummaryFound"} <= set(damc.__all__)
+
+
+def test_package_exports_its_api_and_no_submodule():
+    # `from damc import *` binds the API names, none of the submodules the
+    # package binds while importing
+    scope: dict = {}
+    exec("from damc import *", scope)
+    exported = set(scope) - {"__builtins__"}
+    assert exported == set(damc.__all__) and len(damc.__all__) == len(exported)
+    assert not [n for n in exported if isinstance(scope[n], types.ModuleType)]
+    assert {"verify", "detect", "certify", "update", "to_dnf"} <= exported
