@@ -3,7 +3,7 @@ transition formulas, the update operator, and history constraints."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .formula import (
     INDEXED,
@@ -12,11 +12,11 @@ from .formula import (
     Domain,
     Exact,
     Formula,
+    MissingVariable,
     NormAtom,
     Term,
     Value,
     VarId,
-    _set,
     conj,
     evaluate,
     exact,
@@ -115,13 +115,9 @@ class Ddsa:
         return [Atom(Term.of(v), "=", Term.of(self.alpha0[v])) for v in self.variables]
 
 
-class Config(Value):
-    __slots__ = ("state", "alpha")
-
-    def __init__(self, state: str, alpha: tuple[tuple[VarId, Exact], ...]):
-        _set(self, "state", state)
-        _set(self, "alpha", alpha)
-        _set(self, "_hash", None)
+class Config(NamedTuple):
+    state: str
+    alpha: tuple[tuple[VarId, Exact], ...]
 
     @staticmethod
     def make(state: str, alpha: Mapping[VarId, Exact]) -> "Config":
@@ -138,9 +134,7 @@ class Run(Value):
 
     def __init__(self, configs: tuple[Config, ...], actions: tuple[str, ...]):
         assert len(configs) == len(actions) + 1
-        _set(self, "configs", configs)
-        _set(self, "actions", actions)
-        _set(self, "_hash", None)
+        super().__init__(configs, actions)
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -307,16 +301,25 @@ def history_constraint(
 
 
 def step_allowed(d: Ddsa, pre: Config, action: str, post: Config) -> bool:
-    """Def-style step check: transition exists and the guard assignment
-    built from both configurations satisfies the transition formula."""
+    """Def-style step check: the transition exists, the guard holds under
+    the reads of `pre` and the writes of `post`, and every variable the
+    action does not write keeps its value.  This is the truth of
+    `transition_formula` under that assignment, read without building its
+    inertia atoms."""
     if d.target(pre.state, action) != post.state:
         return False
-    beta: Assignment = {}
-    for v, val in pre.alpha:
-        beta[v.read()] = val
-    for v, val in post.alpha:
-        beta[v.write()] = val
-    return evaluate(transition_formula(d, action), beta)
+    beta = {v.read(): val for v, val in pre.alpha}
+    beta.update((v.write(), val) for v, val in post.alpha)
+    if not evaluate(d.guard(action), beta):
+        return False
+    before, after, written = pre.assignment(), post.assignment(), d.write_set(action)
+    return all(_value(before, v) == _value(after, v) for v in d.variables if v not in written)
+
+
+def _value(alpha: Assignment, v: VarId) -> Exact:
+    if v not in alpha:
+        raise MissingVariable(f"no value for {v}")
+    return alpha[v]
 
 
 def validate_run(d: Ddsa, run: Run) -> bool:

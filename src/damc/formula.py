@@ -10,12 +10,17 @@ it only spares integral arithmetic the `Fraction` machinery.  Floats are
 rejected at construction time.  Every value here is immutable and
 hashable, so formulas can be shared freely across data structures.
 
-The value classes here and in the other modules derive from `Value`: each
-lists its fields in `__slots__` and fills them in its own `__init__`, so
-that importing the package builds no code at run time (no `dataclasses`).
-A memo lives on the value it describes, in a slot whose name starts with
-`_` (`Value._hash`, `Atom._norm`), and no table in the module remembers a
-value across calls.
+The value classes here and in the other modules state their fields once.
+A flat record (`VarId`, `Domain`, `NormAtom`, and elsewhere `Sym`,
+`DeltaEntry`, `NfaEdge`, `SatResult`, `Config`, `PNode`, `PEdge`) is a
+`typing.NamedTuple`: it hashes, compares, sorts and prints in C, and it is
+equal to any tuple with equal items, so no container in damc mixes it with
+another tuple of its shape.  A tree node (`Term`, the formulas, the LTLf
+nodes, `Run`) derives from `Value`, which tags equality by class and stores
+its hash: it lists its fields in `__slots__`, and `Value.__init__` fills
+them without building code at import, as `dataclasses` would.  A memo lives on the value it describes, in a slot whose
+name starts with `_` (`Value._hash`, `Atom._norm`), and no table in the
+module remembers a value across calls.
 """
 from __future__ import annotations
 
@@ -46,29 +51,40 @@ _set = object.__setattr__
 
 
 class Value:
-    """An immutable value: each subclass lists its fields in `__slots__`, in
-    the order its `__init__` takes them, and fills them with `_set`, and
-    each of its memos with None.
+    """An immutable tree node: each subclass lists its fields in `__slots__`,
+    in the order `__init__` takes them positionally.
 
     A slot whose name starts with `_` is a memo, not a field: `_hash` on
-    every value, and whatever a subclass adds.  Two values are equal when
-    they are of one class and their fields are equal.  The hash is that of
-    the field tuple: set and dict orders reach the output, so it is the
-    hash a frozen dataclass would have.  `repr` is
+    every value, and whatever a subclass adds; `__init__` sets each memo to
+    None.  Two values are equal when they are of one class and their fields
+    are equal.  The hash is that of the field tuple: set and dict orders
+    reach the output, so it is the hash a frozen dataclass would have, and
+    the hash a named tuple of the same fields has.  `repr` is
     `ClassName(field=value, ...)`.  The hash is stored on the object the
     first time it is asked for (the hash half of Filliatre & Conchon's
     hash-consing).  Equality, the hash and `repr` ignore the memos, and
     pickling drops them: `str` hashes differ between interpreters, and a
-    memo is recomputed on demand.  `VarId` does without a stored hash: as a
-    tuple it hashes, compares and sorts in C, to the same hash and order."""
+    memo is recomputed on demand."""
 
     __slots__ = ("_hash",)
 
     def __init_subclass__(cls):
         cls._fields = tuple(n for n in cls.__slots__ if n[0] != "_")
+        cls._memos = ("_hash",) + tuple(n for n in cls.__slots__ if n[0] == "_")
         # (class, *fields), or the class alone without fields, read in C:
         # equal values have equal keys
         cls._key = attrgetter("__class__", *cls._fields)
+
+    def __init__(self, *fields):
+        if len(fields) != len(self._fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes {len(self._fields)} "
+                f"positional fields but {len(fields)} were given"
+            )
+        for name, value in zip(self._fields, fields):
+            _set(self, name, value)
+        for name in self._memos:
+            _set(self, name, None)
 
     def __eq__(self, other):
         if self is other:
@@ -126,12 +142,8 @@ class VarId(NamedTuple):
         return VarId(self.name, INDEXED, i)
 
 
-class Domain(Value):
-    __slots__ = ("tag",)  # "int" | "rat"
-
-    def __init__(self, tag: str):
-        _set(self, "tag", tag)
-        _set(self, "_hash", None)
+class Domain(NamedTuple):
+    tag: str  # "int" | "rat"
 
     def __str__(self) -> str:
         return self.tag
@@ -238,18 +250,12 @@ class Formula(Value):
 class TrueF(Formula):
     __slots__ = ()
 
-    def __init__(self):
-        _set(self, "_hash", None)
-
     def __str__(self) -> str:
         return "true"
 
 
 class FalseF(Formula):
     __slots__ = ()
-
-    def __init__(self):
-        _set(self, "_hash", None)
 
     def __str__(self) -> str:
         return "false"
@@ -285,33 +291,21 @@ def atom(lhs, op: str, rhs) -> Atom:
 
 
 class And(Formula):
-    __slots__ = ("args",)
-
-    def __init__(self, args: tuple[Formula, ...]):
-        _set(self, "args", args)
-        _set(self, "_hash", None)
+    __slots__ = ("args",)  # tuple[Formula, ...]
 
     def __str__(self) -> str:
         return fmt_formula(self)
 
 
 class Or(Formula):
-    __slots__ = ("args",)
-
-    def __init__(self, args: tuple[Formula, ...]):
-        _set(self, "args", args)
-        _set(self, "_hash", None)
+    __slots__ = ("args",)  # tuple[Formula, ...]
 
     def __str__(self) -> str:
         return fmt_formula(self)
 
 
 class Not(Formula):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Formula):
-        _set(self, "arg", arg)
-        _set(self, "_hash", None)
+    __slots__ = ("arg",)  # Formula
 
     def __str__(self) -> str:
         return fmt_formula(self)
@@ -365,7 +359,7 @@ def neg(p: Formula) -> Formula:
 # Normalized atoms
 
 
-class NormAtom(Value):
+class NormAtom(NamedTuple):
     """Canonical form `sum(coeffs) op const` with op in {=, !=, <=, <}.
 
     Coefficients are scaled to primitive integers and stored as `int`; the
@@ -374,16 +368,13 @@ class NormAtom(Value):
     `Fraction`.  Equalities additionally get a canonical sign.  Ground atoms
     have an empty coefficient vector.  The solver only builds atoms in this
     form, so the atom `to_atom` prints stores this atom as its normal form,
-    and `norm_atom` reads it back without normalising.
+    and `norm_atom` reads it back without normalising.  As a tuple it sorts
+    by (coeffs, op, const), the order of a cube's atoms.
     """
 
-    __slots__ = ("coeffs", "op", "const")
-
-    def __init__(self, coeffs: tuple[tuple[VarId, int], ...], op: str, const: Exact):
-        _set(self, "coeffs", coeffs)
-        _set(self, "op", op)
-        _set(self, "const", const)
-        _set(self, "_hash", None)
+    coeffs: tuple[tuple[VarId, int], ...]
+    op: str
+    const: Exact
 
     def vars(self) -> set[VarId]:
         return {v for v, _ in self.coeffs}

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .ddsa import Ddsa, Run, step_allowed
-from .formula import Domain, Formula, Value, _set, conj, evaluate
+from .formula import Domain, Formula, Value, conj, evaluate
 from . import solve
 
 
@@ -32,18 +32,12 @@ class Ltlf(Value):
 class Top(Ltlf):
     __slots__ = ()
 
-    def __init__(self):
-        _set(self, "_hash", None)
-
     def __str__(self):
         return "true"
 
 
 class Bot(Ltlf):
     __slots__ = ()
-
-    def __init__(self):
-        _set(self, "_hash", None)
 
     def __str__(self):
         return "false"
@@ -52,20 +46,12 @@ class Bot(Ltlf):
 class Constr(Ltlf):
     __slots__ = ("formula",)
 
-    def __init__(self, formula: Formula):
-        _set(self, "formula", formula)
-        _set(self, "_hash", None)
-
     def __str__(self):
         return str(self.formula)
 
 
 class StateAtom(Ltlf):
     __slots__ = ("state",)
-
-    def __init__(self, state: str):
-        _set(self, "state", state)
-        _set(self, "_hash", None)
 
     def __str__(self):
         return self.state
@@ -74,10 +60,6 @@ class StateAtom(Ltlf):
 class ActionAtom(Ltlf):
     __slots__ = ("action",)
 
-    def __init__(self, action: str):
-        _set(self, "action", action)
-        _set(self, "_hash", None)
-
     def __str__(self):
         return self.action
 
@@ -85,22 +67,12 @@ class ActionAtom(Ltlf):
 class LAnd(Ltlf):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Ltlf, right: Ltlf):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", None)
-
     def __str__(self):
         return f"({self.left} & {self.right})"
 
 
 class LOr(Ltlf):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Ltlf, right: Ltlf):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", None)
 
     def __str__(self):
         return f"({self.left} | {self.right})"
@@ -111,10 +83,6 @@ class Next(Ltlf):
 
     __slots__ = ("sub",)
 
-    def __init__(self, sub: Ltlf):
-        _set(self, "sub", sub)
-        _set(self, "_hash", None)
-
     def __str__(self):
         return f"X ({self.sub})"
 
@@ -124,21 +92,12 @@ class ActNext(Ltlf):
 
     __slots__ = ("action", "sub")
 
-    def __init__(self, action: str, sub: Ltlf):
-        _set(self, "action", action)
-        _set(self, "sub", sub)
-        _set(self, "_hash", None)
-
     def __str__(self):
         return f"<{self.action}> ({self.sub})"
 
 
 class Eventually(Ltlf):
     __slots__ = ("sub",)
-
-    def __init__(self, sub: Ltlf):
-        _set(self, "sub", sub)
-        _set(self, "_hash", None)
 
     def __str__(self):
         return f"F ({self.sub})"
@@ -147,21 +106,12 @@ class Eventually(Ltlf):
 class Always(Ltlf):
     __slots__ = ("sub",)
 
-    def __init__(self, sub: Ltlf):
-        _set(self, "sub", sub)
-        _set(self, "_hash", None)
-
     def __str__(self):
         return f"G ({self.sub})"
 
 
 class Until(Ltlf):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Ltlf, right: Ltlf):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", None)
 
     def __str__(self):
         return f"({self.left} U {self.right})"
@@ -277,14 +227,10 @@ def preprocess(psi: Ltlf) -> Ltlf:
 # constraints; the last/not-last flags exist only inside delta results.
 
 
-class Sym(Value):
-    __slots__ = ("kind", "state", "formula")
-
-    def __init__(self, kind: str, state: str = "", formula: Optional[Formula] = None):
-        _set(self, "kind", kind)  # "state" | "action" | "constr"
-        _set(self, "state", state)
-        _set(self, "formula", formula)
-        _set(self, "_hash", None)
+class Sym(NamedTuple):
+    kind: str  # "state" | "action" | "constr"
+    state: str = ""
+    formula: Optional[Formula] = None
 
     def __str__(self):
         if self.kind == "constr":
@@ -322,17 +268,11 @@ def fmt_symbol(symbol: SigmaSymbol) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-class DeltaEntry(Value):
-    __slots__ = ("target", "symbol", "last", "not_last")
-
-    def __init__(
-        self, target: Ltlf, symbol: SigmaSymbol, last: bool = False, not_last: bool = False
-    ):
-        _set(self, "target", target)
-        _set(self, "symbol", symbol)
-        _set(self, "last", last)
-        _set(self, "not_last", not_last)
-        _set(self, "_hash", None)
+class DeltaEntry(NamedTuple):
+    target: Ltlf
+    symbol: SigmaSymbol
+    last: bool = False
+    not_last: bool = False
 
 
 def _combine(r1: list[DeltaEntry], r2: list[DeltaEntry], op) -> list[DeltaEntry]:
@@ -425,14 +365,10 @@ QE_STATE = "__qe__"  # sentinel name for the extra accepting state
 _GO_ON = Eventually(TOP)
 
 
-class NfaEdge(Value):
-    __slots__ = ("src", "symbol", "dst")
-
-    def __init__(self, src: int, symbol: SigmaSymbol, dst: int):
-        _set(self, "src", src)
-        _set(self, "symbol", symbol)
-        _set(self, "dst", dst)
-        _set(self, "_hash", None)
+class NfaEdge(NamedTuple):
+    src: int
+    symbol: SigmaSymbol
+    dst: int
 
 
 class Nfa:

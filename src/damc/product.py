@@ -11,14 +11,14 @@ exact history constraints."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import ddsa as dd
 from . import ltlf as lt
 from . import solve
 from . import summary as sm
 from .ddsa import Config, Ddsa, Run
-from .formula import INT, Exact, Formula, Value, VarId, _set, conj
+from .formula import INT, Exact, Formula, VarId, conj
 from .ltlf import Ltlf, Nfa, SigmaSymbol
 from .solve import BudgetExceeded
 
@@ -65,14 +65,10 @@ def _fresh_name(base: str, taken: Sequence[str]) -> str:
     return name
 
 
-class PNode(Value):
-    __slots__ = ("state", "q", "cls")
-
-    def __init__(self, state: str, q: int, cls):
-        _set(self, "state", state)
-        _set(self, "q", q)  # NFA state index
-        _set(self, "cls", cls)  # the strategy's class (one per part when split)
-        _set(self, "_hash", None)
+class PNode(NamedTuple):
+    state: str
+    q: int  # NFA state index
+    cls: object  # the strategy's class (one per part when split)
 
     @property
     def formula(self) -> Formula:
@@ -83,15 +79,11 @@ class PNode(Value):
         return self.cls.formula
 
 
-class PEdge(Value):
-    __slots__ = ("src", "action", "symbol", "dst")
-
-    def __init__(self, src: int, action: str, symbol: SigmaSymbol, dst: int):
-        _set(self, "src", src)
-        _set(self, "action", action)
-        _set(self, "symbol", symbol)
-        _set(self, "dst", dst)
-        _set(self, "_hash", None)
+class PEdge(NamedTuple):
+    src: int
+    action: str
+    symbol: SigmaSymbol
+    dst: int
 
 
 class ProductAutomaton:

@@ -22,7 +22,7 @@ divided by their gcd, the primitive normal form of the combined atom.
 from __future__ import annotations
 
 from math import ceil, floor, gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .formula import (
     INT,
@@ -38,9 +38,7 @@ from .formula import (
     Not,
     Or,
     TrueF,
-    Value,
     VarId,
-    _set,
     conj,
     disj,
     exact,
@@ -67,13 +65,9 @@ Dnf = tuple[Cube, ...]  # () is false, ((),) true
 _DNF_CUBE_LIMIT = 200_000
 
 
-class SatResult(Value):
-    __slots__ = ("sat", "model")
-
-    def __init__(self, sat: bool, model: Optional[dict[VarId, Exact]] = None):
-        _set(self, "sat", sat)
-        _set(self, "model", model)
-        _set(self, "_hash", None)
+class SatResult(NamedTuple):
+    sat: bool
+    model: Optional[dict[VarId, Exact]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +136,7 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
             out.append(l[2])
         if h is not None:
             out.append(h[2])
-    return tuple(sorted(out, key=_atom_key))
-
-
-def _atom_key(na: NormAtom):
-    return (na.coeffs, na.op, na.const)
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +541,8 @@ def _bound(row: tuple[NormAtom, int], x: VarId, model: Mapping[VarId, Exact]) ->
 
 
 def _pick_rational(lo, hi) -> Exact:
-    if lo is None and hi is None:
-        return 0
+    """A value between the bounds, at least one of which is set: a variable
+    `_eliminate` takes has a row, and one without an equality a bound."""
     if lo is None:
         return hi[0] - 1 if hi[1] else min(hi[0], 0)
     if hi is None:

@@ -52,7 +52,6 @@ from .formula import (
     TRUE,
     And,
     Formula,
-    MissingVariable,
     NormAtom,
     TrueF,
     atoms_of,
@@ -297,15 +296,12 @@ class _Leaf:
     def _refuted(self, c1: _Class, c2: _Class) -> bool:
         """Whether a stored model of one side satisfies its compared DNF and
         falsifies the other's.  That model is a witness of exactly what the
-        solver checks first, so a refutation is the solver's answer."""
+        solver checks first, so a refutation is the solver's answer.  `sat`
+        gives every stored model a value for each of the leaf's variables,
+        so no atom's truth lacks one."""
         for a, b in ((c1, c2), (c2, c1)):
-            if a.model is None:
-                continue
-            try:
-                if self._holds(a, a) and not self._holds(b, a):
-                    return True
-            except MissingVariable:
-                pass  # a state beyond the model: ask the solver
+            if a.model is not None and self._holds(a, a) and not self._holds(b, a):
+                return True
         return False
 
     def _holds(self, c: _Class, under: _Class) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -24,6 +25,7 @@ from damc.formula import (
     INT,
     RAT,
     FormulaError,
+    MissingVariable,
     Term,
     VarId,
     atom,
@@ -293,6 +295,40 @@ def test_step_allowed_agrees_with_guard(b1):
     assert step_allowed(b1, pre, "a1", good)
     assert not step_allowed(b1, pre, "a1", bad)
     assert not step_allowed(b1, pre, "a1", changed)
+
+
+@pytest.mark.parametrize("name", ["b1.ddsa", "b2.ddsa", "b3.ddsa", "b4.ddsa", "auction.ddsa"])
+def test_step_allowed_is_the_transition_formula(name):
+    """`step_allowed` compares the unwritten variables' values and evaluates
+    the guard alone; it agrees with evaluating `transition_formula`, inertia
+    atoms included, on every step out of a configuration that a run of
+    length <= 1 reaches, to every post-state whose variables all range over
+    the grid (so unwritten variables change too)."""
+    d = load_model(name)
+    grid = (0, 1, 3)
+    checked = allowed = 0
+    for run in oracle.enumerate_runs(d, 1, grid):
+        pre = run.configs[-1]
+        for a, dst in d.outgoing(pre.state):
+            delta = transition_formula(d, a)
+            for vals in itertools.product(grid, repeat=len(d.variables)):
+                post = Config.make(dst, dict(zip(d.variables, vals)))
+                beta = {v.read(): val for v, val in pre.alpha}
+                beta.update((v.write(), val) for v, val in post.alpha)
+                got = step_allowed(d, pre, a, post)
+                assert got == evaluate(delta, beta), (pre, a, post)
+                checked, allowed = checked + 1, allowed + got
+    assert 0 < allowed < checked
+
+
+def test_step_allowed_misses_a_value_as_the_transition_formula_does(b1):
+    pre = Config.make("1", {x: F(0), y: F(0)})
+    post = Config.make("2", {x: F(2)})  # no value for the unwritten y
+    beta = {x.read(): F(0), y.read(): F(0), x.write(): F(2)}
+    with pytest.raises(MissingVariable):
+        evaluate(transition_formula(b1, "a1"), beta)
+    with pytest.raises(MissingVariable):
+        step_allowed(b1, pre, "a1", post)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import ast
 import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import damc
 from damc import ltlf as lt
 from damc.ddsa import Config, Run
 from damc.formula import (
@@ -16,6 +19,8 @@ from damc.formula import (
     MissingVariable,
     NormAtom,
     Term,
+    TrueF,
+    Value,
     VarId,
     _norm_atom,
     atom,
@@ -112,8 +117,9 @@ def test_eval_homomorphism(f, g, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Value classes: a hash computed once per object, equality, `repr` and
-# pickling as the frozen dataclasses they were; a VarId is a tuple, hashed in C
+# Value classes: the hash, equality, `repr` and pickling of the frozen
+# dataclasses they were.  A tree node stores its hash once; a flat record is
+# a named tuple, hashed and compared in C
 
 
 def _ir_samples():
@@ -214,11 +220,26 @@ def _rebuilt(obj, fields):
     return type(obj)(*fields)
 
 
-def _assert_varid_as_before(obj, fields):
-    """What the tuple keeps of the frozen dataclass: the (name, kind, idx)
-    order that sorted coefficient vectors follow."""
-    others = [VarId("w"), x, x.read(), x.write(), x.indexed(3), x.indexed(5), VarId("y")]
-    for o in others:
+_ORDERED = {
+    VarId: [VarId("w"), x, x.read(), x.write(), x.indexed(3), x.indexed(5), VarId("y")],
+    NormAtom: [
+        NormAtom((), "<", 1),
+        NormAtom(((x, 1),), "<=", 0),
+        NormAtom(((x, 1), (y, -2), (z, -1)), "<", 0),
+        NormAtom(((x, 1), (y, -2), (z, -1)), "<=", -2),
+        NormAtom(((x, 1), (y, -2), (z, -1)), "<=", F(-3, 2)),
+    ],
+}
+
+
+def _assert_tuple_as_before(obj, fields):
+    """What a tuple keeps of the frozen dataclass: its items are the fields,
+    it stores no hash, and it sorts in field order: the (name, kind, idx)
+    of a sorted coefficient vector and the (coeffs, op, const) of a cube's
+    atoms."""
+    assert tuple(obj) == fields and obj == fields
+    assert not hasattr(obj, "_hash")
+    for o in _ORDERED.get(type(obj), ()):
         assert (obj < o) == (fields < tuple(o))
         assert (obj == o) == (fields == tuple(o))
 
@@ -228,8 +249,8 @@ def test_hash_is_the_field_tuple_hash_stored_once(obj, fields, text):
     assert hash(obj) == hash(fields)
     assert repr(obj) == text
     fresh = _rebuilt(obj, fields)
-    if isinstance(obj, VarId):
-        _assert_varid_as_before(obj, fields)
+    if isinstance(obj, tuple):
+        _assert_tuple_as_before(obj, fields)
     else:
         assert obj._hash == hash(obj)
         assert fresh._hash is None
@@ -253,8 +274,8 @@ def test_hash_is_the_field_tuple_hash_stored_once(obj, fields, text):
 def test_pickle_drops_the_stored_hash(obj, fields, text):
     hash(obj)
     back = pickle.loads(pickle.dumps(obj))
-    if isinstance(obj, VarId):
-        _assert_varid_as_before(back, fields)
+    if isinstance(obj, tuple):
+        _assert_tuple_as_before(back, fields)
     else:
         assert back._hash is None
     if isinstance(obj, Atom):
@@ -266,7 +287,7 @@ def test_pickle_drops_the_stored_hash(obj, fields, text):
 
 @pytest.mark.parametrize("obj, fields, text", _SAMPLES, ids=_IDS)
 def test_values_refuse_assignment(obj, fields, text):
-    name = "kind" if isinstance(obj, VarId) else (obj.__slots__ or ("anything",))[0]
+    name = (obj._fields or ("anything",))[0]
     with pytest.raises(AttributeError):
         setattr(obj, name, None)
     assert repr(obj) == text
@@ -280,3 +301,51 @@ def test_equality_is_tagged_by_type():
     assert lt.LAnd(p, p) != lt.LOr(p, p) and lt.LAnd(p, p) != lt.Until(p, p)
     assert Atom(Term.of(x), "<", Term.of(y)) != NormAtom(((x, 1),), "<", 0)
     assert (lt.Next(p) == (p,)) is False
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: lt.Next(), lambda: lt.Until(lt.TOP), lambda: lt.Top(lt.TOP), lambda: TrueF(1)],
+    ids=["Next()", "Until(1 field)", "Top(1 field)", "TrueF(1 field)"],
+)
+def test_a_tree_node_refuses_a_wrong_field_count(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def _value_classes() -> list[type]:
+    out, todo = [], Value.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        out.append(cls)
+        todo.extend(cls.__subclasses__())
+    return [c for c in out if c.__module__.startswith("damc.")]
+
+
+def _stores_only(fn: ast.FunctionDef) -> bool:
+    """Whether a constructor without defaults only fills slots with
+    `_set(self, ...)`: `Value.__init__` written out."""
+    body = [s for s in fn.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+    calls = [s.value for s in body if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)]
+    return (
+        not fn.args.defaults
+        and len(calls) == len(body)
+        and all(isinstance(c.func, ast.Name) and c.func.id == "_set" for c in calls)
+    )
+
+
+def test_no_value_class_writes_out_the_shared_constructor():
+    """Only `Atom` (it checks `op`), `Term` (its defaults) and `Run` (its
+    length check) define a constructor; a flat record is a named tuple, and
+    a tree node takes `Value.__init__`."""
+    own = {c.__name__ for c in _value_classes() if "__init__" in vars(c)}
+    assert own == {"Atom", "Term", "Run"}
+    names = {c.__name__ for c in _value_classes()}
+    written_out = []
+    for path in sorted(Path(damc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__" and _stores_only(fn):
+                        written_out.append(f"{path.name}:{node.name}")
+    assert written_out == []
