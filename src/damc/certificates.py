@@ -6,7 +6,7 @@ feedback freedom), then a split into the components `summary.detect`
 solves apart, one part each, and a sequential split at a cut state, each
 part certified in turn, and `exact-fixpoint` where nothing applies, whose
 fixpoint the node budget bounds.  A part of a variable split is the
-projection `summary.detect` solves (`project_system`), and keeps the
+projection `summary.detect` solves (`split_system`), and keeps the
 constraints' conjuncts over its names (`_by_names`).
 
 The graphs' inertia pairs come from the write sets, so no transition
@@ -31,8 +31,7 @@ from .summary import (
     _criterion,
     _gap_order_bound,
     _norm_atoms,
-    _var_parts,
-    project_system,
+    split_system,
     used_actions,
 )
 
@@ -384,17 +383,16 @@ def _certify(d: Ddsa, constraints: list[Formula], depth: int = 0) -> str:
 
 
 def _decompose(d: Ddsa, constraints: list[Formula], depth: int) -> Optional[str]:
-    """The label of a split on the components `detect` solves apart
-    (`_var_parts`), one part each, else of a sequential split.  Each part
-    keeps the constraints' conjuncts over its names, a variable-free one
-    too: it is MC and has no graph pairs, so it changes no part's label."""
-    parts = _var_parts(d, constraints)
+    """The label of a split on the parts `detect` solves apart
+    (`split_system`), else of a sequential split.  Each part keeps the
+    constraints' conjuncts over its names, a variable-free one too: it is
+    MC and has no graph pairs, so it changes no part's label."""
+    parts = split_system(d, constraints)
     if len(parts) > 1:
         c = conj(*constraints)
         labels = (
-            f"{{{','.join(part)}}}: "
-            + _certify(project_system(d, part), [_by_names(c, set(part))[0]], depth)
-            for part in parts
+            f"{{{','.join(names)}}}: " + _certify(part, [_by_names(c, set(names))[0]], depth)
+            for names, part in parts
         )
         return f"var-compose({'; '.join(labels)})"
     split = seq_decompose(d)

@@ -74,6 +74,7 @@ class Ddsa:
         for (s, a, d) in self.transitions:
             self._out.setdefault(s, []).append((a, d))
         self._delta_cache: dict[str, Formula] = {}
+        self._write_cache: dict[str, tuple[VarId, ...]] = {}
         # the snapshot and the renamed transition cubes per (action,
         # snapshot index), as `_transition_cubes` builds them
         self._cubes_cache: dict[tuple[str, int], tuple] = {}
@@ -103,10 +104,13 @@ class Ddsa:
             raise UnknownAction(action)
         return self.guards[action]
 
-    def write_set(self, action: str) -> list[VarId]:
-        g = self.guard(action)
-        written = {v.name for v in free_vars(g) if v.kind == "w"}
-        return [v for v in self.variables if v.name in written]
+    def write_set(self, action: str) -> tuple[VarId, ...]:
+        """The variables the guard writes, in declaration order, once."""
+        hit = self._write_cache.get(action)
+        if hit is None:
+            written = {v.name for v in free_vars(self.guard(action)) if v.kind == "w"}
+            hit = self._write_cache[action] = tuple(v for v in self.variables if v.name in written)
+        return hit
 
     def initial_constraints(self) -> list[Formula]:
         """C_alpha0: one equality v = alpha0(v) per variable."""

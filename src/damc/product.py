@@ -2,12 +2,12 @@
 and constructive witness extraction.  The construction is the emptiness
 search; the NFA's adjacency order sets its order, and so the witness.
 
-A product node holds the strategy's class of its data state, whose state
-stays in the solver's normal form (a DNF per leaf); the node prints the
-class's cubes as a formula, written the first time it is read.  A witness
-is solved backwards on DNFs: over the rationals on its BFS-tree path's
-class cubes, so extraction images nothing; over the integers on the path's
-exact history constraints."""
+A product node holds the strategy's class of its data state, one leaf
+class per part, whose states stay in the solver's normal form; the node
+prints the parts' formulas conjoined, written the first time it is read.
+A witness is solved backwards on DNFs: over the rationals each part on its
+own system and its BFS-tree path's class states, so extraction images
+nothing; over the integers on the path's exact history constraints."""
 from __future__ import annotations
 
 from collections import deque
@@ -68,15 +68,12 @@ def _fresh_name(base: str, taken: Sequence[str]) -> str:
 class PNode(NamedTuple):
     state: str
     q: int  # NFA state index
-    cls: object  # the strategy's class (one per part when split)
+    cls: tuple  # the strategy's class: one leaf class per part
 
     @property
     def formula(self) -> Formula:
-        """The formula of the node's class; a split node's parts' formulas
-        conjoined in part order."""
-        if isinstance(self.cls, tuple):
-            return conj(*(c.formula for c in self.cls))
-        return self.cls.formula
+        """The parts' formulas of the class, conjoined in part order."""
+        return conj(*(c.formula for c in self.cls))
 
 
 class PEdge(NamedTuple):
@@ -121,18 +118,17 @@ def build_product(
     order, a node's edges going out by action in declaration order, then in
     the NFA's `outgoing` order; `parents` holds the BFS tree.
 
-    Every state stays in the solver's normal form, a DNF per leaf.  An edge
-    needs a satisfiable update image conjoined with the NFA symbol's
-    constraints (one `norm_cube` per pair of cubes), and the symbol must be
-    consistent with the transition taken.  The constraints are over the
-    post-state, so they commute with the image's existential: each (node,
-    action) asks the strategy for its image once, on its first consistent
-    NFA edge, and every edge conjoins to that image.  A symbol's
-    constraints are put in normal form, and split by part, once, and the
-    initial node's class is the one `canon` gives the initial constraints'
-    label.  A leaf computes one image per (class, guard), so the actions
-    that a projected leaf sees with the same guard share it, and none for
-    an action whose guard on it is true: that image is the state itself.
+    Every state stays in the solver's normal form, a DNF per part.  An
+    edge needs a satisfiable update image conjoined with the NFA symbol's
+    constraints in every part (the strategy's `successor`), and the symbol
+    must be consistent with the transition taken.  The constraints are over
+    the post-state, so they commute with the image's existential: each
+    (node, action) asks the strategy for its image once, on its first
+    consistent NFA edge, and every edge conjoins to that image.  A symbol's
+    constraints are put in normal form, and split by part, once.  A leaf
+    computes one image per (class, guard), so the actions that a projected
+    leaf sees with the same guard share it, and none for an action whose
+    guard on it is true: that image is the state itself.
     Nodes at the word-end NFA state are only created when final (they have
     no successors, so non-final ones are dead).
 
@@ -143,12 +139,12 @@ def build_product(
         raise ValueError("build_product needs the dummy-extended system")
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
     dummy_action = d.dummy[1]
-    init = strategy.canon(strategy.label(d.initial_constraints()))
+    init = strategy.initial()
     root = PNode(d.initial, nfa.initial, init)
     p = ProductAutomaton(nfa, [root], [], 0, set(), [None], strategy)
     nodes, edges, finals, parents = p.nodes, p.edges, p.finals, p.parents
     index = {(d.initial, nfa.initial, init): 0}
-    labels: dict[SigmaSymbol, object] = {}
+    labels: dict[SigmaSymbol, tuple] = {}
     queue = deque([0])
     try:
         while queue:
@@ -167,10 +163,9 @@ def build_product(
                     label = labels.get(ne.symbol)
                     if label is None:
                         label = labels[ne.symbol] = strategy.label(lt.constr_of(ne.symbol))
-                    ns = strategy.meet(image, label)
-                    if not strategy.sat(ns):
+                    cls = strategy.successor(image, label)
+                    if cls is None:
                         continue
-                    cls = strategy.canon(ns)
                     j = index.get((dst, ne.dst, cls), len(nodes))
                     edge = PEdge(i, a, ne.symbol, j)
                     if j == len(nodes):
@@ -251,17 +246,18 @@ def realize_run(
     given constraint sets, or None when the history constraint is
     unsatisfiable: `_solve_backwards` on the DNFs of the exact history
     constraints of its prefixes (`ddsa.history_prefixes`)."""
-    return _solve_backwards(d, actions, dd.history_prefixes(d, actions, cseq))
+    assigns = _solve_backwards(d, actions, dd.history_prefixes(d, actions, cseq))
+    return None if assigns is None else _run(d, actions, [assigns])
 
 
 def _solve_backwards(
     d: Ddsa, actions: Sequence[str], prefixes: Sequence[solve.Dnf]
-) -> Optional[Run]:
-    """Concrete run of the symbolic run `actions` whose assignment at each
-    position k satisfies the DNF `prefixes[k]`, or None when the last is
-    unsatisfiable.  Each prefix must be equivalent to the history
-    constraint of the run's first k steps (with whatever constraints its
-    positions carry).
+) -> Optional[list[dict[VarId, Exact]]]:
+    """The assignments, one per position, of a concrete run of the symbolic
+    run `actions` whose assignment at each position k satisfies the DNF
+    `prefixes[k]`, or None when the last is unsatisfiable.  Each prefix
+    must be equivalent to the history constraint of the run's first k steps
+    (with whatever constraints its positions carry).
 
     Solves the last prefix for the final assignment and walks backwards:
     each assignment is a model of its prefix met with the transition cubes
@@ -269,7 +265,6 @@ def _solve_backwards(
     equivalent to its history constraint has such a model, so a failed
     step means the prefixes are not: it raises InternalInconsistency.
     """
-    states = dd.symbolic_states(d, actions)
     res = solve.is_sat(prefixes[-1], d.domain)
     if not res.sat:
         return None
@@ -283,8 +278,14 @@ def _solve_backwards(
                 f"backward solving failed at step {k}: abstraction is unsound"
             )
         assigns[k] = {v: step.model.get(v, 0) for v in d.variables}
-    configs = [Config.make(s, al) for s, al in zip(states, assigns)]
-    return Run(tuple(configs), tuple(actions))
+    return assigns
+
+
+def _run(d: Ddsa, actions: Sequence[str], parts: Sequence[list[dict[VarId, Exact]]]) -> Run:
+    """The run of the symbolic run `actions` whose assignment at each
+    position is the union of the parts' assignments there."""
+    assigns = ({v: x for a in at for v, x in a.items()} for at in zip(*parts))
+    return Run(tuple(map(Config.make, dd.symbolic_states(d, actions), assigns)), tuple(actions))
 
 
 def extract_witness(
@@ -293,12 +294,13 @@ def extract_witness(
     """Concrete run of the system `d` from an accepting path of its
     dummy-extended product `p`, solved backwards (`_solve_backwards`).
 
-    Over the rationals the prefixes are the cubes of the path's classes
-    (the strategy's `cubes`), which lie on the product's BFS tree: each is
-    equivalent to its path's history constraint, since `canon` merges only
-    equivalent states, the image is exact, and a split node is the
-    conjunction of its parts.  So no image is computed again.  Over the
-    integers a node is only cutoff-equivalent to its prefix, so the
+    Over the rationals each part is solved on its own system, whose
+    transition cubes its images built, and on its classes' states along
+    the path, which lies on the BFS tree: each is equivalent to the part's
+    history constraint, since `canon` merges only equivalent states and the
+    image is exact, so no image is computed again.  The parts share no
+    variable, so a position's assignment is the union of the parts'.  Over
+    the integers a node is only cutoff-equivalent to its prefix, so the
     prefixes are the exact history constraints.  `_assert_witness`
     revalidates the run either way.
 
@@ -312,7 +314,11 @@ def extract_witness(
     if d.domain == INT:
         run = realize_run(d, actions, [lt.constr_of(s) for s in word])
     else:
-        run = _solve_backwards(d, actions, [p.strategy.cubes(p.nodes[e.dst].cls) for e in path])
+        columns = zip(p.strategy.parts, zip(*(p.nodes[e.dst].cls for e in path)))
+        parts = [
+            _solve_backwards(leaf.d, actions, [c.state for c in cs]) for (_, leaf), cs in columns
+        ]
+        run = None if None in parts else _run(d, actions, parts)
     if run is None:
         raise InternalInconsistency(
             "accepting path has unsatisfiable history constraint"

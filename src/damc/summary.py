@@ -12,21 +12,21 @@ integers, with the gap-order bound `K` set, the same QE on cubes
 tightened to integer difference bounds (`solve.qe_gc`) and equivalence of
 the cutoffs at K, which is exact on the gap-order fragment.
 
-A leaf's state is a DNF in the solver's normal form (`solve.Dnf`), one per
-part under a variable split, and everything a leaf does works on cubes.  A
-class is written as a formula the first time it is read, where a product
-node is printed; `verify` reads none.
+A leaf's state is a DNF in the solver's normal form (`solve.Dnf`), and
+everything a leaf does works on cubes.  A class is written as a formula
+the first time it is read, where a product node is printed; `verify`
+reads none.
 
-`detect` gives the strategy `verify` runs, and reads structure only.  An
-integer system gets the gap-order leaf, and one outside that fragment gets
-no summary.  A rational system is split once into the components of the
-conjunct co-occurrence graph (`_var_parts`): one component gets one leaf,
-several get one n-ary `VarStrategy` with a leaf per component, solved
-apart.  The split is the one composition that changes the work.  Every
-variable partition goes by whole top-level conjuncts (`_by_names`): the
-split links two variables that share a conjunct of a guard or constraint,
-and the projected guards and a label's parts each take the conjuncts over
-their variables.
+`detect` gives the strategy `verify` runs, one `Strategy` of one or more
+parts, and reads structure only.  An integer system is one part on the
+gap-order leaf, and one outside that fragment gets no summary.  A rational
+system is split once into the components of the conjunct co-occurrence
+graph (`split_system`), each a part with its own leaf, solved apart.  The
+split is the one composition that changes the work.  Every variable
+partition goes by whole top-level conjuncts (`_by_names`): the split links
+two variables that share a conjunct of a guard or constraint, and the
+projected guards and a label's parts each take the conjuncts over their
+variables.
 
 The paper's certificates that the quotient is finite, which `damc summary`
 prints, live in `certificates`, which reads this module; nothing here reads
@@ -41,7 +41,7 @@ action that moves none of its variables.
 """
 from __future__ import annotations
 
-from functools import reduce
+from itertools import repeat
 from typing import Optional, Sequence
 
 from . import ddsa as dd
@@ -171,6 +171,15 @@ def project_system(d: Ddsa, names: Sequence[str]) -> Ddsa:
     return d.replace(variables=variables, alpha0=alpha0, guards=guards)
 
 
+def split_system(d: Ddsa, constraints: Sequence[Formula]) -> list[tuple[tuple[str, ...], Ddsa]]:
+    """The parts a system is solved and certified in: each component of
+    `_var_parts` and its projection, or the whole system if there is one."""
+    parts = _var_parts(d, constraints)
+    if len(parts) < 2:
+        return [(tuple(v.name for v in d.variables), d)]
+    return [(tuple(part), project_system(d, part)) for part in parts]
+
+
 # ---------------------------------------------------------------------------
 # Summary strategies
 
@@ -205,7 +214,7 @@ class _Leaf:
     integer system), states are compared by their cutoffs at `K`.
 
     A state is a DNF in the solver's normal form over the system's domain,
-    and a product node holds its `_Class`.  A label is the DNF of a
+    and a product node holds its `_Class` per part.  A label is the DNF of a
     constraint set.  Images, conjunction with a label, satisfiability, the
     canonisation memo and the equivalence check (`solve.equivalent`, cube
     entailment both ways) all work on cubes.  Over the integers it compares
@@ -228,26 +237,23 @@ class _Leaf:
     def label(self, formulas: Sequence[Formula]) -> Dnf:
         return tuple(solve.to_dnf(conj(*formulas), self.d.domain))
 
-    def _moves(self, action: Optional[str]) -> bool:
-        """Whether the action's image is not the state itself: no action
-        (the dummy step) and one whose guard is true keep every variable's
-        value (on a projected leaf, an action that moves none of its
-        variables)."""
-        return action is not None and not isinstance(self.d.guard(action), TrueF)
-
     def image(self, rep: _Class, action: Optional[str]) -> Dnf:
-        if not self._moves(action):
+        # no action (the dummy step) and a true guard keep every variable's
+        # value (on a projected leaf, an action that moves none of its
+        # variables): the image is the state itself.  Otherwise one image
+        # per (class, guard), shared by the NFA edges that conjoin to it and
+        # by the actions with that guard: on one system the guard fixes the
+        # write set, and so the whole transition formula
+        guard = None if action is None else self.d.guard(action)
+        if guard is None or isinstance(guard, TrueF):
             return rep.state
-        # one image per (class, guard), shared by the NFA edges that conjoin
-        # to it and by the actions with that guard: on one system the guard
-        # fixes the write set, and so the whole transition formula
-        key = (rep, self.d.guard(action))
-        hit = self._image_cache.get(key)
+        hit = self._image_cache.get((rep, guard))
         if hit is None:
-            hit = self._image_cache[key] = dd.update(self.d, rep.state, action)
+            hit = self._image_cache[rep, guard] = dd.update(self.d, rep.state, action)
         return hit
 
-    def meet(self, image: Dnf, label: Dnf) -> Dnf:
+    @staticmethod
+    def meet(image: Dnf, label: Dnf) -> Dnf:
         """The image conjoined with the label: one `norm_cube` per pair of
         cubes, under the solver's cube budget (none for the true label)."""
         if label == ((),):
@@ -320,31 +326,29 @@ class _Leaf:
                 return True
         return False
 
-    def cubes(self, rep: _Class) -> Dnf:
-        return rep.state
 
-
-class VarStrategy:
-    """Variable-disjoint composition: one exact leaf per part of the
-    variables, solved apart.  A state is one leaf state per part, in part
-    order, and a node holds one class per part (it prints the conjunction
-    of their formulas).  A label sends each top-level conjunct of its
-    formulas to the part that holds its names (a variable-free one to part
-    0); the product asks for one label per NFA symbol."""
+class Strategy:
+    """One exact leaf per part of the variables, solved apart: `parts` is
+    one or more `(names, leaf)` pairs (an unsplit system is one part), and a
+    class or a state is one leaf class or DNF per part, in part order.  The
+    product asks for a `label` per NFA symbol, the `initial` class, an
+    `image` per (node, action) and a `successor` per edge it tries."""
 
     def __init__(self, parts: tuple[tuple[tuple[str, ...], _Leaf], ...]):
         self.parts = parts
         self._leaves = tuple(leaf for _, leaf in parts)
 
     def describe(self) -> str:
-        inner = "; ".join(
-            f"{{{','.join(names)}}}: {leaf.describe()}" for names, leaf in self.parts
-        )
+        if len(self.parts) == 1:
+            return self._leaves[0].describe()
+        inner = "; ".join(f"{{{','.join(ns)}}}: {leaf.describe()}" for ns, leaf in self.parts)
         return f"var-compose({inner})"
 
     def label(self, formulas: Sequence[Formula]) -> tuple[Dnf, ...]:
         """Each part's label, of the conjuncts peeled off for it in part
-        order (`_by_names`)."""
+        order (`_by_names`); one part takes every conjunct."""
+        if len(self._leaves) == 1:
+            return (self._leaves[0].label(formulas),)
         rest, labels = conj(*formulas), []
         for names, leaf in self.parts:
             inside, rest = _by_names(rest, set(names))
@@ -353,31 +357,20 @@ class VarStrategy:
             raise ValueError(f"a conjunct crosses the variable split: {rest}")
         return tuple(labels)
 
-    def image(self, rep: tuple[_Class, ...], action: Optional[str]) -> tuple[Dnf, ...]:
-        return tuple(leaf.image(c, action) for leaf, c in zip(self._leaves, rep))
+    def initial(self) -> tuple[_Class, ...]:
+        """The class of each part's initial constraints."""
+        return tuple(leaf.canon(leaf.label(leaf.d.initial_constraints())) for leaf in self._leaves)
 
-    def meet(self, image: tuple[Dnf, ...], label: tuple[Dnf, ...]) -> tuple[Dnf, ...]:
-        return tuple(leaf.meet(s, l) for leaf, s, l in zip(self._leaves, image, label))
+    def image(self, cls: tuple[_Class, ...], action: Optional[str]) -> tuple[Dnf, ...]:
+        return tuple(map(_Leaf.image, self._leaves, cls, repeat(action)))
 
-    def sat(self, state: tuple[Dnf, ...]) -> bool:
-        # a part with no cube is false, whatever the others are
-        return all(state) and all(leaf.sat(s) for leaf, s in zip(self._leaves, state))
-
-    def canon(self, state: tuple[Dnf, ...]) -> tuple[_Class, ...]:
-        return tuple(leaf.canon(s) for leaf, s in zip(self._leaves, state))
-
-    def cubes(self, rep: tuple[_Class, ...]) -> Dnf:
-        """The parts' cubes joined in part order (`solve.conj_cubes`)."""
-        return tuple(reduce(solve.conj_cubes, (c.state for c in rep), ((),)))
-
-
-# The protocol the product uses: describe, label, image, meet, sat, canon
-# and cubes.  A product node holds a strategy's class (`_Class`, or one per
-# part), and a candidate state and a label are each a DNF (one per part);
-# the initial node's class is `canon` of the initial constraints' label.  A
-# node prints its class's formula (the parts' conjoined in part order), and
-# witness extraction over the rationals solves on the class's `cubes`.
-Strategy = _Leaf | VarStrategy
+    def successor(self, images: tuple[Dnf, ...], label: tuple[Dnf, ...]) -> Optional[tuple]:
+        """Each part's class of its image met with its label, or None when a
+        part, solved in part order, is unsatisfiable."""
+        states = tuple(map(_Leaf.meet, images, label))
+        if all(map(_Leaf.sat, self._leaves, states)):
+            return tuple(map(_Leaf.canon, self._leaves, states))
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +396,10 @@ def _gap_order_bound(d: Ddsa, constraints: Sequence[Formula]) -> int:
 
 def detect(d: Ddsa, constraints: Sequence[Formula]) -> Strategy:
     """The strategy the product runs on: the structure that changes the
-    work, and no certificate.  An integer system gets the gap-order leaf
-    (NoSummaryFound outside the fragment).  A rational system gets one
-    exact leaf per component of `_var_parts`, composed when there are
-    several."""
+    work, and no certificate.  An integer system is one part, on the
+    gap-order leaf (NoSummaryFound outside the fragment).  A rational
+    system gets one exact leaf per part of `split_system`."""
     if d.domain == INT:
-        return _Leaf(d, K=_gap_order_bound(d, constraints))
-    parts = _var_parts(d, constraints)
-    if len(parts) < 2:
-        return _Leaf(d)
-    return VarStrategy(tuple((tuple(part), _Leaf(project_system(d, part))) for part in parts))
+        whole = tuple(v.name for v in d.variables)
+        return Strategy(((whole, _Leaf(d, K=_gap_order_bound(d, constraints))),))
+    return Strategy(tuple((names, _Leaf(part)) for names, part in split_system(d, constraints)))

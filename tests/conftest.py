@@ -2,11 +2,12 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
-from damc import ltlf as lt, parsing, solve
+from damc import ltlf as lt, parsing, product, solve
 from damc.certificates import ComputationGraph, enumerate_symbolic_runs, seq_decompose
 from damc.summary import used_actions
 from damc.ddsa import Ddsa, transition_formula, update
@@ -234,6 +235,21 @@ def cube_equivalent(a, b, dom) -> bool:
     """Logical equivalence of two DNFs over the domain: `cube_entails`
     both ways."""
     return cube_entails(a, b, dom) and cube_entails(b, a, dom)
+
+
+def reference_joint_run(d, p, path):
+    """The run of an accepting path of the rational product `p` of `d`
+    solved on joint cubes: each position's parts' states multiplied out in
+    part order (`solve.conj_cubes`), and the whole system solved backwards
+    on them (`product._solve_backwards`).  Extraction solves each part on
+    its own system and states instead."""
+    actions = [e.action for e in path[1:]]
+    prefixes = [
+        tuple(reduce(solve.conj_cubes, (c.state for c in p.nodes[e.dst].cls), ((),)))
+        for e in path
+    ]
+    assigns = product._solve_backwards(d, actions, prefixes)
+    return None if assigns is None else product._run(d, actions, [assigns])
 
 
 def check_closed(d, verdict) -> int:

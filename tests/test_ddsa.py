@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damc import ddsa as dd
 from damc import oracle, parsing, product, solve
 from damc.ddsa import (
     Config,
@@ -203,6 +204,25 @@ def test_history_constraint_length_mismatch(b1):
         history_constraint(b1, ["a1"], [[]])
 
 
+def test_write_set_is_read_off_the_guard_once_per_action(b1, monkeypatch):
+    # the write set is kept per action on the model: a second call returns
+    # the same tuple without reading the guard's variables, and `replace`
+    # starts the memo empty, so a replaced guard gets its own write set
+    d = b1.replace()
+    first = d.write_set("a1")
+    assert first == (x,)
+
+    def refused(*args):
+        raise AssertionError("free_vars called")
+
+    with monkeypatch.context() as m:
+        m.setattr(dd, "free_vars", refused)
+        assert d.write_set("a1") is first
+    swapped = d.replace(guards={**d.guards, "a1": atom(y.write(), ">", x.read())})
+    assert swapped.write_set("a1") == (y,)
+    assert d.write_set("a1") is first
+
+
 def test_successors_b1(b1):
     cfg = Config.make("1", {x: F(0), y: F(0)})
     out = successors(b1, cfg, "a1", frac_grid(0, 2))
@@ -384,7 +404,7 @@ def test_update_equals_reference_on_golden_product_nodes():
         d = with_domain(load_model(model), dom)
         v = product.verify(d, parsing.parse_property(prop, d))
         if v.product is not None:
-            K = getattr(v.strategy, "K", None)
+            K = v.strategy.parts[0][1].K
             models.setdefault((model, dom, K), (d, set()))[1].update(
                 node.formula for node in v.product.nodes
             )

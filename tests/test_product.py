@@ -47,6 +47,7 @@ from conftest import (
     is_exact,
     load_model,
     reference_accepting_path,
+    reference_joint_run,
     with_domain,
 )
 
@@ -358,7 +359,8 @@ def test_random_gc_systems_agree_with_oracle():
         d = random_gc_system(rng)
         if validate(d):
             continue
-        assert detect(d, []).K is not None
+        ((_, leaf),) = detect(d, []).parts
+        assert leaf.K is not None
         for text in ("F (y >= 5)", "F (x - y >= 3)", "G (x >= 0)"):
             psi = parsing.parse_property(text, d)
             v = verify(d, psi)
@@ -453,7 +455,8 @@ def test_integer_systems_get_gap_order_or_no_summary():
     sides = [VarId("x", "r"), VarId("x", "w"), VarId("y", "r"), VarId("y", "w")]
     for _ in range(40):
         d = random_gc_system(rng)
-        assert detect(d, []).K is not None
+        ((_, leaf),) = detect(d, []).parts
+        assert leaf.K is not None
         a = rng.choice(d.actions)
         p, q = rng.sample(sides, 2)
         total = atom(Term.of(p) + Term.of(q), rng.choice([">=", "<=", "="]), rng.randint(0, 3))
@@ -641,25 +644,23 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
                     continue
                 products += 1
                 strat = v.strategy
+                leaves = [leaf for _, leaf in strat.parts]
                 if domain == INT:
                     same = lambda a, b: solve.gc_equivalent(  # noqa: E731
-                        solve.to_dnf(a, INT), solve.to_dnf(b, INT), strat.K
+                        solve.to_dnf(a, INT), solve.to_dnf(b, INT), leaves[0].K
                     )
                 else:
                     same = lambda a, b: equivalent(a, b, RAT)  # noqa: E731
                 at: dict = {}
                 for n in v.product.nodes:
-                    # the node prints its class's formula (its parts',
-                    # conjoined in part order, when split), which reads back
-                    # as its class's cubes, and its class's state canonises
-                    # to the class itself
-                    c = n.cls
-                    parts = c if isinstance(c, tuple) else (c,)
-                    assert n.formula == conj(*(part.formula for part in parts))
-                    for leaf, part in zip(_leaves(strat), parts):
+                    # the node prints its parts' formulas conjoined in part
+                    # order, each of which reads back as its part's cubes,
+                    # and each part's state canonises to the part's class
+                    assert len(n.cls) == len(leaves)
+                    assert n.formula == conj(*(part.formula for part in n.cls))
+                    for leaf, part in zip(leaves, n.cls):
                         assert tuple(solve.to_dnf(part.formula, leaf.d.domain)) == part.state
-                    state = tuple(x.state for x in c) if isinstance(c, tuple) else c.state
-                    assert strat.canon(state) == c
+                        assert leaf.canon(part.state) is part
                     assert not any(same(m.formula, n.formula) for m in at.get((n.state, n.q), []))
                     at.setdefault((n.state, n.q), []).append(n)
                 dot = tmp_path / "p.dot"
@@ -811,9 +812,14 @@ def _verdict_under(d, psi, strategy_of, max_nodes=10_000):
         return _verdict_json(verify(d, psi, max_nodes=max_nodes))
 
 
+def _one_part(d, constraints):
+    """The strategy of one exact leaf on the whole system."""
+    return summary.Strategy(((tuple(v.name for v in d.variables), summary._Leaf(d)),))
+
+
 def _assert_split_matches_one_leaf(d, psi, split, max_nodes=10_000):
     apart = _verdict_under(d, psi, split, max_nodes)
-    joint = _verdict_under(d, psi, lambda d, cs: summary._Leaf(d), max_nodes)
+    joint = _verdict_under(d, psi, _one_part, max_nodes)
     assert apart.pop("strategy").startswith("var-compose(")
     assert joint.pop("strategy") == "exact-fixpoint"
     assert apart == joint
@@ -829,9 +835,10 @@ _GROUPS = (("x", "y"), ("u", "v"))
 _THREE_GROUPS = (("x", "y"), ("u", "v"), ("p", "q"))
 
 
-def _group_atoms(names, groups=_GROUPS):
-    """Atom texts over one variable group; no `!=`, whose DNF the joint
-    leaf multiplies out across the groups."""
+def _group_atoms(names, groups=_GROUPS, ne=False):
+    """Atom texts over one variable group.  `!=` comes only with `ne`, in
+    half the draws so that parts often hold several cubes; the one-leaf
+    comparison would multiply those cubes out across the groups."""
 
     def over(group):
         v = st.sampled_from([n for n in names if n.split("^")[0] in group])
@@ -841,16 +848,17 @@ def _group_atoms(names, groups=_GROUPS):
             st.builds("{} + 1".format, v),
             st.integers(0, 2).map(str),
         )
-        ops = st.sampled_from(["<", "<=", "=", ">=", ">"])
+        ops = st.sampled_from(["<", "<=", "=", ">=", ">"] + ["!="] * (5 * ne))
         return st.builds("{} {} {}".format, term, ops, term)
 
     return st.sampled_from(groups).flatmap(over)
 
 
 @st.composite
-def _grouped_systems(draw, groups=_GROUPS):
+def _grouped_systems(draw, groups=_GROUPS, ne=False):
     """A rational model over the variables of `groups` whose guard atoms
-    and property atoms each stay within one group, and a property."""
+    and property atoms each stay within one group (with `!=` atoms when
+    `ne`), and a property."""
     names = [n for g in groups for n in g]
     states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
     finals = draw(st.lists(st.sampled_from(states), min_size=1, unique=True))
@@ -864,11 +872,11 @@ def _grouped_systems(draw, groups=_GROUPS):
     ]
     copies = [f"{n}^{k}" for n in names for k in "rw"]
     for i in range(draw(st.integers(1, 3))):
-        guard = " && ".join(draw(st.lists(_group_atoms(copies, groups), max_size=3)))
+        guard = " && ".join(draw(st.lists(_group_atoms(copies, groups, ne), max_size=3)))
         src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
         lines.append(f"trans {src} a{i} {dst} [{guard}]")
     prop = st.recursive(
-        st.one_of(_group_atoms(names, groups), st.sampled_from(states)),
+        st.one_of(_group_atoms(names, groups, ne), st.sampled_from(states)),
         lambda p: st.one_of(
             st.builds("{} ({})".format, st.sampled_from("XFG"), p),
             st.builds("({}) {} ({})".format, p, st.sampled_from("U&|"), p),
@@ -897,6 +905,74 @@ def test_variable_split_matches_one_leaf_on_three_group_systems(query):
     psi = parsing.parse_property(prop, d)
     assert len(detect(d, lt.constraints_of(lt.preprocess(psi))).parts) >= 3
     _assert_split_matches_one_leaf(d, psi, detect, max_nodes=50)
+
+
+# `!=` atoms give each part's states several cubes
+SEVERAL_CUBES = """domain rat
+vars x y u v
+init x=0 y=1 u=0 v=1
+states s0 s1
+initial s0
+final s1
+trans s0 a0 s0 [x^w != x^r && y^w != y^r && u^w != u^r + 1]
+trans s0 a1 s1 [u^w != v^r && x^w - y^r != 2]
+"""
+
+
+def _assert_extraction_matches_joint_cubes(d, v):
+    """A witness's run is the one the joint cubes of its path give on the
+    whole system, and its word is the path's."""
+    path = find_accepting_path(v.product)
+    assert (v.run, v.word) == (reference_joint_run(d, v.product, path), [e.symbol for e in path])
+
+
+def test_psi12_extraction_solves_each_part_on_its_own_system(monkeypatch):
+    # each part is solved on its own projection, whose transition cubes its
+    # images built: the whole model's own cubes are never built, and a
+    # part's are built during extraction only for an action whose guard on
+    # it is true (no image is computed for that one)
+    d = load_model("auction.ddsa")
+    extract, before = product.extract_witness, []
+
+    def tracked(system, p, path):
+        before.append([set(leaf.d._cubes_cache) for _, leaf in p.strategy.parts])
+        return extract(system, p, path)
+
+    monkeypatch.setattr(product, "extract_witness", tracked)
+    v = verify(d, parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", d))
+    assert v.kind == "witness" and len(v.strategy.parts) == 3
+    assert d._cubes_cache == {}
+    for built, (_, leaf) in zip(before[0], v.strategy.parts):
+        assert built
+        assert all(leaf.d.guard(a) == TRUE for a, _ in leaf.d._cubes_cache.keys() - built)
+    _assert_extraction_matches_joint_cubes(d, v)
+
+
+@pytest.mark.parametrize(
+    "prop", ["X (x != 0 & X (s1 & u != 0))", "X X (s1 & x > y & u != v)", "F (s1 & x != 0 & u != 0)"]
+)
+def test_extraction_of_parts_with_several_cubes_matches_the_joint_cubes(prop):
+    d = parsing.parse_model(SEVERAL_CUBES)
+    v = verify(d, parsing.parse_property(prop, d))
+    assert v.kind == "witness" and len(v.strategy.parts) == 2
+    path = find_accepting_path(v.product)
+    assert all(len(c.state) > 1 for c in v.product.nodes[path[-1].dst].cls)
+    _assert_extraction_matches_joint_cubes(d, v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_grouped_systems(ne=True), st.integers(1, 3))
+def test_extraction_with_disequalities_matches_the_joint_cubes(query, steps):
+    # with `!=` atoms in guards and properties a part holds several cubes;
+    # each part solved on its own system and states gives the run of the
+    # joint cubes on the whole system: the parts share no variable, so the
+    # first satisfiable joint cube is the tuple of the parts' first ones.
+    # The property is put `steps` positions ahead, so a witness takes steps
+    model, prop = query
+    d = parsing.parse_model(model)
+    v = verify(d, parsing.parse_property("X (" * steps + prop + ")" * steps, d), max_nodes=50)
+    if v.kind == "witness":
+        _assert_extraction_matches_joint_cubes(d, v)
 
 
 def _xy_system(guards, transitions, finals):
@@ -1020,12 +1096,6 @@ trans 2 check 2 [x^r >= 2]
 """
 
 
-def _leaves(strategy):
-    if isinstance(strategy, summary._Leaf):
-        return [strategy]
-    return [leaf for _, leaf in strategy.parts]
-
-
 @st.composite
 def _leaf_states(draw, variables, gap_order):
     """A disjunction of 1-2 cubes of 1-3 atoms over the variables: bounds
@@ -1058,7 +1128,7 @@ def test_leaf_image_under_a_true_guard_is_the_state(data):
     shop, gap = parsing.parse_model(SHOP_2_TICK), parsing.parse_model(GAP_SKIP)
     split = detect(shop, [])
     assert split.describe() == "var-compose({a0,a1,s}: exact-fixpoint; {c}: exact-fixpoint)"
-    leaves = _leaves(split) + [detect(gap, [])]
+    leaves = [leaf for strat in (split, detect(gap, [])) for _, leaf in strat.parts]
     assert leaves[-1].K is not None
     for leaf in leaves:
         state = data.draw(_leaf_states(leaf.d.variables, leaf.K is not None))

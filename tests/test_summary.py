@@ -38,7 +38,7 @@ from damc.certificates import (
     enumerate_symbolic_runs,
     seq_decompose,
 )
-from damc.summary import VarStrategy, _Leaf, _var_parts, project_system
+from damc.summary import _Leaf, _var_parts, project_system
 
 from conftest import (
     MODELS,
@@ -444,23 +444,30 @@ def test_var_parts_independent_counters():
 
 
 def test_detect_b1_mc(b1):
-    # b1 is one component: detection gives the exact leaf, and MC is the
-    # certificate
+    # b1 is one component: detection gives one part, the exact leaf on b1
+    # itself, and MC is the certificate
     strat = detect(b1, [])
-    assert type(strat) is _Leaf and strat.describe() == "exact-fixpoint"
+    ((names, leaf),) = strat.parts
+    assert names == ("x", "y") and leaf.d is b1 and leaf.K is None
+    assert strat.describe() == "exact-fixpoint"
     assert certify(b1, []) == "MC"
 
 
 def test_detect_b3_gc(b3):
+    # an integer system is one part, on the gap-order leaf
     strat = detect(b3, [])
-    assert type(strat) is _Leaf and strat.K == 4 and strat.describe() == "GC(K=4)"
+    ((names, leaf),) = strat.parts
+    assert names == ("x", "y") and leaf.d is b3 and leaf.K == 4
+    assert strat.describe() == "GC(K=4)"
     assert certify(b3, []) == "GC(K=4)"
 
 
 def test_detect_gc_only_over_the_integers(b3):
     # b3's guards are gap-order shaped; over Q they get the exact leaf
     strat = detect(with_domain(b3, RAT), [])
-    assert type(strat) is _Leaf and strat.describe() == "exact-fixpoint"
+    ((names, leaf),) = strat.parts
+    assert names == ("x", "y") and leaf.K is None
+    assert strat.describe() == "exact-fixpoint"
     assert certify(with_domain(b3, RAT), []) == "exact-fixpoint"
 
 
@@ -469,7 +476,6 @@ def test_detect_auction_shape(auction):
     strat = detect(auction, C)
     # one exact leaf per component, in `_groups` order; the rational {d}
     # and {b} parts never get the integer GC leaf
-    assert isinstance(strat, VarStrategy)
     assert [names for names, _ in strat.parts] == [("d",), ("o", "t", "s"), ("b",)]
     for names, leaf in strat.parts:
         assert type(leaf) is _Leaf and leaf.K is None
@@ -612,7 +618,8 @@ def test_constraint_graph_b3_finite_under_cutoff(b3):
     h2 = history_constraint(b3, ["a1", "a2"])
     h4 = history_constraint(b3, ["a1", "a2", "a1", "a2"])
     assert not equivalent(h2, h4, INT)
-    assert solve.gc_equivalent(to_dnf(h2, INT), to_dnf(h2, INT), strat.K)
+    ((_, leaf),) = strat.parts
+    assert solve.gc_equivalent(to_dnf(h2, INT), to_dnf(h2, INT), leaf.K)
 
 
 def test_constraint_graph_single_state():
@@ -662,6 +669,7 @@ def test_constraint_graph_nodes_match_history_constraints(b1, b3):
     for d in (b1, b3):
         strat = detect(d, [])
         g = constraint_graph(d, strat)
+        ((_, leaf),) = strat.parts
         # walk all simple paths up to length 6
         def paths(i, acc, depth):
             yield list(acc)
@@ -677,11 +685,11 @@ def test_constraint_graph_nodes_match_history_constraints(b1, b3):
             actions = [a for a, _ in p]
             node = g.nodes[p[-1][1]] if p else g.nodes[0]
             h = history_constraint(d, actions)
-            if strat.K is None:
+            if leaf.K is None:
                 assert equivalent(node.formula, h, RAT)
             else:
                 cubes = (to_dnf(f, INT) for f in (node.formula, h))
-                assert solve.gc_equivalent(*cubes, strat.K)
+                assert solve.gc_equivalent(*cubes, leaf.K)
 
 
 # ---------------------------------------------------------------------------
