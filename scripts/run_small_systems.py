@@ -65,7 +65,7 @@ def main():
     t0 = perf_counter()
     v = verify(b1, psi)
     print(f"  verdict {v.kind} in {perf_counter() - t0:.2f}s; product has "
-          f"{v.stats.product_nodes} nodes / {v.stats.product_edges} edges")
+          f"{v.sizes['product_nodes']} nodes / {v.sizes['product_edges']} edges")
     print("  word:", " ".join(fmt_symbol(sym) for sym in v.word))
     for i, c in enumerate(v.run.configs):
         a = v.run.actions[i] if i < len(v.run.actions) else ""

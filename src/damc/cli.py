@@ -21,6 +21,7 @@ EXIT_WITNESS = 0
 EXIT_NO_WITNESS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+_EXIT = {"witness": EXIT_WITNESS, "no-witness": EXIT_NO_WITNESS, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _color(text: str, code: str) -> str:
@@ -58,10 +59,10 @@ def _run_json(run: Run) -> dict:
 
 
 def _verdict_json(v: product.Verdict) -> dict:
-    out: dict = {"verdict": v.kind, "strategy": v.stats.strategy or None}
+    out: dict = {"verdict": v.kind, "strategy": v.label or None}
     if v.reason:
         out["reason"] = v.reason
-    out["sizes"] = v.stats.sizes()
+    out["sizes"] = v.sizes
     if v.run is not None:
         out["word"] = [sorted(str(s) for s in sym) for sym in (v.word or [])]
         out.update(_run_json(v.run))
@@ -70,17 +71,9 @@ def _verdict_json(v: product.Verdict) -> dict:
 
 def _text_verdict(v: product.Verdict) -> str:
     lines = []
-    if v.stats.strategy:
-        lines.append(f"strategy: {v.stats.strategy}")
-        lines.append(
-            "sizes: nfa {}/{} product {}/{} finals {}".format(
-                v.stats.nfa_states,
-                v.stats.nfa_edges,
-                v.stats.product_nodes,
-                v.stats.product_edges,
-                v.stats.product_finals,
-            )
-        )
+    if v.label:
+        lines.append(f"strategy: {v.label}")
+        lines.append("sizes: nfa {}/{} product {}/{} finals {}".format(*v.sizes.values()))
     if v.kind == "witness":
         lines.append(_color("verdict: witness found", "32"))
         assert v.run is not None
@@ -90,13 +83,8 @@ def _text_verdict(v: product.Verdict) -> str:
         header = ["step", "state"] + names + ["action"]
         rows = []
         for i, c in enumerate(v.run.configs):
-            alpha = dict(c.alpha)
             act = v.run.actions[i] if i < len(v.run.actions) else ""
-            rows.append(
-                [str(i), c.state]
-                + [fmt_rat(alpha[vv]) for vv in sorted(alpha)]
-                + [act]
-            )
+            rows.append([str(i), c.state] + [fmt_rat(x) for _, x in c.alpha] + [act])
         widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
         for r in [header] + rows:
             lines.append("  " + "  ".join(x.ljust(w) for x, w in zip(r, widths)))
@@ -114,22 +102,21 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
     d = _load_model(ns)
     psi = _load_property(ns, d)
     verdict = product.verify(d, psi, ns.max_nodes)
-    if ns.dot_nfa and verdict.nfa is not None:
-        Path(ns.dot_nfa).write_text(dot.nfa_dot(verdict.nfa))
-    if ns.dot_product and verdict.product is not None:
-        Path(ns.dot_product).write_text(dot.product_dot(verdict.product))
-    if ns.dot_cg and verdict.strategy is not None:
+    prod = verdict.product  # None on an inconclusive verdict
+    if ns.dot_nfa and prod is not None:
+        Path(ns.dot_nfa).write_text(dot.nfa_dot(prod.nfa))
+    if ns.dot_product and prod is not None:
+        Path(ns.dot_product).write_text(dot.product_dot(prod))
+    if ns.dot_cg and prod is not None:
         try:
-            g = product.constraint_graph(d, verdict.strategy, ns.max_nodes)
+            g = product.constraint_graph(d, prod.strategy, ns.max_nodes)
         except (BudgetExceeded, UnsupportedInteger) as e:
-            verdict = product.Verdict("inconclusive", verdict.stats, reason=f"--dot-cg: {e}")
+            verdict = verdict._replace(
+                kind="inconclusive", reason=f"--dot-cg: {e}", run=None, word=None, product=None
+            )
         else:
             Path(ns.dot_cg).write_text(dot.constraint_graph_dot(g))
-    code = {
-        "witness": EXIT_WITNESS,
-        "no-witness": EXIT_NO_WITNESS,
-        "inconclusive": EXIT_INCONCLUSIVE,
-    }[verdict.kind]
+    code = _EXIT[verdict.kind]
     if ns.json_output:
         return code, json.dumps(_verdict_json(verdict), indent=2)
     return code, _text_verdict(verdict)

@@ -12,11 +12,13 @@ hashable, so formulas can be shared freely across data structures.
 
 The value classes here and in the other modules state their fields once.
 A flat record (`VarId`, `Domain`, `NormAtom`, and elsewhere `Sym`,
-`DeltaEntry`, `NfaEdge`, `SatResult`, `Config`, `PNode`, `PEdge`) is a
-`typing.NamedTuple`: it hashes, compares, sorts and prints in C, and it is
-equal to any tuple with equal items, so no container in damc mixes it with
-another tuple of its shape.  A tree node (`Term`, the formulas, the LTLf
-nodes, `Run`) derives from `Value`, which tags equality by class and stores
+`DeltaEntry`, `NfaEdge`, `SatResult`, `Config`, `PNode`, `PEdge`,
+`ProductAutomaton`, `ConstraintGraph`, `Verdict`) is a
+`typing.NamedTuple`: it compares, sorts and prints in C, hashes when its
+fields do (the last three hold lists, so they do not), and it is equal to
+any tuple with equal items, so no container in damc mixes it with another
+tuple of its shape.  A tree node (`Term`, the formulas, the LTLf nodes,
+`Run`) derives from `Value`, which tags equality by class and stores
 its hash: it lists its fields in `__slots__`, and `Value.__init__` fills
 them without building code at import, as `dataclasses` would.  A memo lives on the value it describes, in a slot whose
 name starts with `_` (`Value._hash`, `Atom._norm`), and no table in the

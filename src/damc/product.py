@@ -7,7 +7,10 @@ class per part, whose states stay in the solver's normal form; the node
 prints the parts' formulas conjoined, written the first time it is read.
 A witness is solved backwards on DNFs: over the rationals each part on its
 own system and its BFS-tree path's class states, so extraction images
-nothing; over the integers on the path's exact history constraints."""
+nothing; over the integers on the path's exact history constraints.
+`verify` returns one `Verdict` record of what it built: the strategy's
+label, the NFA's and product's sizes, and, unless it is inconclusive, the
+product, which holds the NFA and the strategy."""
 from __future__ import annotations
 
 from collections import deque
@@ -83,24 +86,14 @@ class PEdge(NamedTuple):
     dst: int
 
 
-class ProductAutomaton:
-    def __init__(
-        self,
-        nfa: Nfa,
-        nodes: list[PNode],
-        edges: list[PEdge],
-        initial: int,
-        finals: set[int],
-        parents: list[Optional[PEdge]],  # the edge that discovered each node
-        strategy: sm.Strategy,
-    ):
-        self.nfa = nfa
-        self.nodes = nodes
-        self.edges = edges
-        self.initial = initial
-        self.finals = finals
-        self.parents = parents
-        self.strategy = strategy
+class ProductAutomaton(NamedTuple):
+    nfa: Nfa
+    nodes: list[PNode]
+    edges: list[PEdge]
+    initial: int
+    finals: set[int]
+    parents: list[Optional[PEdge]]  # the edge that discovered each node
+    strategy: sm.Strategy
 
 
 def build_product(
@@ -207,11 +200,10 @@ def find_accepting_path(p: ProductAutomaton) -> Optional[list[PEdge]]:
 # Constraint graph
 
 
-class ConstraintGraph:
-    def __init__(self, nodes: list[PNode], edges: list[tuple[int, str, int]], initial: int = 0):
-        self.nodes = nodes
-        self.edges = edges
-        self.initial = initial
+class ConstraintGraph(NamedTuple):
+    nodes: list[PNode]
+    edges: list[tuple[int, str, int]]
+    initial: int = 0
 
 
 def constraint_graph(
@@ -263,7 +255,9 @@ def _solve_backwards(
     each assignment is a model of its prefix met with the transition cubes
     grounded on the next one (`ddsa.grounded_transition`).  A prefix
     equivalent to its history constraint has such a model, so a failed
-    step means the prefixes are not: it raises InternalInconsistency.
+    step means the prefixes are not: it raises InternalInconsistency.  A
+    step that writes none of `d`'s variables keeps each value, so it takes
+    the next assignment unsolved (revalidation checks its guard).
     """
     res = solve.is_sat(prefixes[-1], d.domain)
     if not res.sat:
@@ -271,6 +265,9 @@ def _solve_backwards(
     assigns: list[dict[VarId, Exact]] = [None] * len(prefixes)  # type: ignore[list-item]
     assigns[-1] = {v: res.model.get(v, 0) for v in d.variables}
     for k in range(len(actions) - 1, -1, -1):
+        if not d.write_set(actions[k]):
+            assigns[k] = assigns[k + 1]
+            continue
         ground = dd.grounded_transition(d, actions[k], assigns[k + 1])
         step = solve.is_sat(tuple(solve.conj_cubes(prefixes[k], ground)), d.domain)
         if not step.sat:
@@ -330,46 +327,36 @@ def extract_witness(
 # Verdicts and orchestration
 
 
-class Stats:
-    def __init__(self):
-        self.strategy = ""
-        # the `sizes` object of `verify --json`, in this order
-        self.nfa_states = 0
-        self.nfa_edges = 0
-        self.product_nodes = 0
-        self.product_edges = 0
-        self.product_finals = 0
-
-    def sizes(self) -> dict[str, int]:
-        return {k: v for k, v in vars(self).items() if k != "strategy"}
+# the keys of a verdict's `sizes`, the object of `verify --json`, in order
+SIZES = ("nfa_states", "nfa_edges", "product_nodes", "product_edges", "product_finals")
 
 
-class Verdict:
-    def __init__(
-        self,
-        kind: str,  # "witness" | "no-witness" | "inconclusive"
-        stats: Stats,
-        run: Optional[Run] = None,
-        word: Optional[list[SigmaSymbol]] = None,
-        reason: Optional[str] = None,
-        product: Optional[ProductAutomaton] = None,
-        nfa: Optional[Nfa] = None,
-        strategy: Optional[sm.Strategy] = None,
-    ):
-        self.kind = kind
-        self.stats = stats
-        self.run = run
-        self.word = word
-        self.reason = reason
-        self.product = product
-        self.nfa = nfa
-        self.strategy = strategy
+class Verdict(NamedTuple):
+    kind: str  # "witness" | "no-witness" | "inconclusive"
+    label: str  # the strategy's `describe()`, "" when detection failed
+    sizes: dict[str, int]  # keyed by SIZES, in that order
+    run: Optional[Run] = None
+    word: Optional[list[SigmaSymbol]] = None
+    reason: Optional[str] = None
+    product: Optional[ProductAutomaton] = None
+
+
+def _verdict(kind: str, strategy, nfa, prod, **found) -> Verdict:
+    """The verdict on the strategy, NFA and product `verify` built by then
+    (None for what it did not): their label and sizes, and the product
+    unless the verdict is inconclusive."""
+    nfa_sizes = (0, 0) if nfa is None else (len(nfa.states), len(nfa.edges))
+    prod_sizes = (0, 0, 0) if prod is None else (len(prod.nodes), len(prod.edges), len(prod.finals))
+    sizes = dict(zip(SIZES, nfa_sizes + prod_sizes))
+    label = "" if strategy is None else strategy.describe()
+    return Verdict(kind, label, sizes, product=None if kind == "inconclusive" else prod, **found)
 
 
 def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
     """End-to-end check for a witness run: preprocess the property, detect a
     finite summary, build the product (which finds the accepting path), and
-    extract plus revalidate a concrete run.
+    extract plus revalidate a concrete run.  The verdict's label and sizes
+    are read off what was built (`_verdict`), also on an inconclusive one.
 
     Failures to detect a summary, to stay within budget or to search the
     integers exactly, in any phase up to witness extraction, yield an
@@ -378,22 +365,14 @@ def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
     whole product's first ones, so the path is the one it would give.
     """
     pre = lt.preprocess(psi)
-    constraints = lt.constraints_of(pre)
-    stats = Stats()
+    strategy = nfa = prod = None
     try:
-        strategy = sm.detect(d, constraints)
-        stats.strategy = strategy.describe()
+        strategy = sm.detect(d, lt.constraints_of(pre))
         nfa = lt.build_nfa(pre, d.domain)
-        stats.nfa_states = len(nfa.states)
-        stats.nfa_edges = len(nfa.edges)
         try:
             prod, stop = build_product(extend_with_dummy(d), nfa, strategy, max_nodes), None
         except ProductBudgetExceeded as e:
             prod, stop = e.product, e
-        stats.product_nodes = len(prod.nodes)
-        stats.product_edges = len(prod.edges)
-        stats.product_finals = len(prod.finals)
-        keep = dict(product=prod, nfa=nfa, strategy=strategy)
         path = find_accepting_path(prod)
         if path is None:
             if stop is not None:
@@ -402,12 +381,12 @@ def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
             # cutoff equivalence at K on the integer gap-order fragment), so
             # merged states have the same continuations, and a saturated
             # product with no accepting path leaves no witness run
-            return Verdict("no-witness", stats, **keep)
+            return _verdict("no-witness", strategy, nfa, prod)
         run, word = extract_witness(d, prod, path)
     except (sm.NoSummaryFound, BudgetExceeded, solve.UnsupportedInteger) as e:
-        return Verdict("inconclusive", stats, reason=str(e))
+        return _verdict("inconclusive", strategy, nfa, prod, reason=str(e))
     _assert_witness(d, run, word, pre)
-    return Verdict("witness", stats, run=run, word=word, **keep)
+    return _verdict("witness", strategy, nfa, prod, run=run, word=word)
 
 
 def _assert_witness(d: Ddsa, run: Run, word: Sequence[SigmaSymbol], pre: Ltlf) -> None:

@@ -300,13 +300,14 @@ class _Leaf:
         return not self._refuted(c1, c2) and solve.equivalent(c1.compared, c2.compared)
 
     def _refuted(self, c1: _Class, c2: _Class) -> bool:
-        """Whether a stored model of one side satisfies its compared DNF and
-        falsifies the other's.  That model is a witness of exactly what the
-        solver checks first, so a refutation is the solver's answer.  `sat`
-        gives every stored model a value for each of the leaf's variables,
-        so no atom's truth lacks one."""
+        """Whether a stored model of one side falsifies the other's compared
+        DNF.  It satisfies its own side's, the state or (over the integers)
+        its cutoff, which only weakens bounds, so it witnesses exactly what
+        the solver checks first, and a refutation is the solver's answer.
+        `sat` gives every stored model a value for each of the leaf's
+        variables, so no atom's truth lacks one."""
         for a, b in ((c1, c2), (c2, c1)):
-            if a.model is not None and self._holds(a, a) and not self._holds(b, a):
+            if a.model is not None and not self._holds(b, a):
                 return True
         return False
 

@@ -195,7 +195,7 @@ def test_criterion_5_product_witness_b1(b1):
     psi = parsing.parse_property("F (y > 5)", b1)
     v = verify(b1, psi)
     elapsed = time.perf_counter() - t0
-    ok = v.kind == "witness" and v.stats.product_nodes == 9
+    ok = v.kind == "witness" and v.sizes["product_nodes"] == 9
     ok = ok and validate_run(b1, v.run)
     ok = ok and v.run.configs[-1].state in b1.finals
     ok = ok and run_models(b1, v.run, 0, preprocess(psi))

@@ -404,7 +404,7 @@ def test_update_equals_reference_on_golden_product_nodes():
         d = with_domain(load_model(model), dom)
         v = product.verify(d, parsing.parse_property(prop, d))
         if v.product is not None:
-            K = v.strategy.parts[0][1].K
+            K = v.product.strategy.parts[0][1].K
             models.setdefault((model, dom, K), (d, set()))[1].update(
                 node.formula for node in v.product.nodes
             )

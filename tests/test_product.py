@@ -136,7 +136,7 @@ def test_extract_witness_validates(b1):
 def test_verify_b1_witness(b1):
     v = verify(b1, parsing.parse_property("F (y > 5)", b1))
     assert v.kind == "witness"
-    assert v.stats.product_nodes == 9
+    assert v.sizes["product_nodes"] == 9
 
 
 def test_verify_no_witness_unsat_constraint(b1):
@@ -519,7 +519,7 @@ def test_two_variable_disequality_systems_are_gap_order_and_agree_with_oracle(qu
     d = parsing.parse_model(model)
     psi = parsing.parse_property(prop, d)
     v = verify(d, psi)
-    assert v.stats.strategy.startswith("GC(K="), (model, prop)
+    assert v.label.startswith("GC(K="), (model, prop)
     assert v.kind in ("witness", "no-witness"), (model, prop, v.reason)
     grid = oracle.default_grid(d, lt.constraints_of(lt.preprocess(psi)), -3, 4)
     found = oracle.brute_force_witness(d, psi, 3, grid)
@@ -546,8 +546,8 @@ def test_disequality_with_a_non_integral_constant_is_true_over_the_integers(c, p
     psi = parsing.parse_property(prop, d)
     v = verify(d, psi)
     half = verify(parsing.parse_model(model("1/2")), psi)
-    assert (v.kind, v.stats.strategy) == (half.kind, half.stats.strategy)
-    assert v.stats.strategy.startswith("GC(K=") and v.kind in ("witness", "no-witness")
+    assert (v.kind, v.label) == (half.kind, half.label)
+    assert v.label.startswith("GC(K=") and v.kind in ("witness", "no-witness")
     grid = oracle.default_grid(d, lt.constraints_of(lt.preprocess(psi)), -3, 4)
     found = oracle.brute_force_witness(d, psi, 3, grid)
     assert (found is not None) == (v.kind == "witness")
@@ -557,7 +557,7 @@ def test_disequality_with_a_non_integral_constant_gets_a_witness():
     model = "domain int\nvars x\ninit x=0\nstates 1\ninitial 1\nfinal 1\ntrans 1 a 1 [x^w - x^r != 3/2]\n"
     d = parsing.parse_model(model)
     v = verify(d, parsing.parse_property("F (x > 3)", d))
-    assert (v.kind, v.stats.strategy) == ("witness", "GC(K=5)")
+    assert (v.kind, v.label) == ("witness", "GC(K=5)")
 
 
 def _gap_step_model(g, u):
@@ -572,7 +572,7 @@ def test_gap_order_bound_tells_the_steps_under_the_exit_apart():
     # four steps; at K = 1 the cutoff merges x = 1 and x = 2 with x >= 3
     d = parsing.parse_model(_gap_step_model(1, 2))
     v = verify(d, parsing.parse_property("X X X X true", d))
-    assert (v.kind, v.stats.strategy) == ("no-witness", "GC(K=3)")
+    assert (v.kind, v.label) == ("no-witness", "GC(K=3)")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -583,7 +583,7 @@ def test_gap_steps_under_an_exit_bound_agree_with_oracle(g, u, n):
     d = parsing.parse_model(_gap_step_model(g, u))
     psi = parsing.parse_property("X " * n + "true", d)
     v = verify(d, psi)
-    assert v.stats.strategy.startswith("GC(K=") and v.kind in ("witness", "no-witness"), v.reason
+    assert v.label.startswith("GC(K=") and v.kind in ("witness", "no-witness"), v.reason
     grid = oracle.default_grid(d, lt.constraints_of(lt.preprocess(psi)), 0, u)
     found = oracle.brute_force_witness(d, psi, n + 2, grid)
     assert (found is not None) == (v.kind == "witness"), (g, u, n)
@@ -643,7 +643,7 @@ def test_product_is_the_quotient_of_the_random_systems(capsys, tmp_path):
                 if v.product is None:
                     continue
                 products += 1
-                strat = v.strategy
+                strat = v.product.strategy
                 leaves = [leaf for _, leaf in strat.parts]
                 if domain == INT:
                     same = lambda a, b: solve.gc_equivalent(  # noqa: E731
@@ -791,7 +791,7 @@ def test_projected_leaf_images_each_state_and_transition_formula_once(auction, m
     monkeypatch.setattr(dd, "update", counting_update)
     psi = parsing.parse_property("F (sold & b=0)", auction)
     v = verify(auction, psi)
-    assert "{b}: exact-fixpoint" in v.stats.strategy
+    assert "{b}: exact-fixpoint" in v.label
     assert imaged.keys() == moving.keys() and set(imaged.values()) == {1}
     assert not still.keys() & moving.keys()
     shared: dict = {}
@@ -928,9 +928,9 @@ def _assert_extraction_matches_joint_cubes(d, v):
 
 def test_psi12_extraction_solves_each_part_on_its_own_system(monkeypatch):
     # each part is solved on its own projection, whose transition cubes its
-    # images built: the whole model's own cubes are never built, and a
-    # part's are built during extraction only for an action whose guard on
-    # it is true (no image is computed for that one)
+    # images built: the whole model's own cubes are never built, and
+    # extraction builds none of a part's, since it grounds only the steps
+    # that write the part's variables, and those the part has imaged
     d = load_model("auction.ddsa")
     extract, before = product.extract_witness, []
 
@@ -940,12 +940,43 @@ def test_psi12_extraction_solves_each_part_on_its_own_system(monkeypatch):
 
     monkeypatch.setattr(product, "extract_witness", tracked)
     v = verify(d, parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", d))
-    assert v.kind == "witness" and len(v.strategy.parts) == 3
+    assert v.kind == "witness" and len(v.product.strategy.parts) == 3
     assert d._cubes_cache == {}
-    for built, (_, leaf) in zip(before[0], v.strategy.parts):
-        assert built
-        assert all(leaf.d.guard(a) == TRUE for a, _ in leaf.d._cubes_cache.keys() - built)
+    for built, (_, leaf) in zip(before[0], v.product.strategy.parts):
+        assert built and leaf.d._cubes_cache.keys() == built
     _assert_extraction_matches_joint_cubes(d, v)
+
+
+def test_psi12_extraction_grounds_only_the_steps_that_write(monkeypatch):
+    # a step whose action writes none of a part's variables keeps every
+    # value of the part, so extraction takes the next assignment there and
+    # grounds no transition
+    d = load_model("auction.ddsa")
+    ground, grounded = dd.grounded_transition, []
+
+    def tracked(system, action, post):
+        grounded.append((system, action))
+        return ground(system, action, post)
+
+    monkeypatch.setattr(dd, "grounded_transition", tracked)
+    v = verify(d, parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", d))
+    assert v.kind == "witness" and grounded
+    assert all(system.write_set(a) for system, a in grounded), grounded
+
+
+def test_a_part_opens_no_class_for_an_edge_a_later_part_refutes():
+    # the edge under `x <= 10 & y < 0` is satisfiable in the {x} part and
+    # not in the {y} part, so no node holds an {x} class for it: the parts
+    # are canonised only once every part is satisfiable
+    d = parsing.parse_model(
+        "domain rat\nvars x y\ninit x=0 y=0\nstates 1 2\ninitial 1\nfinal 2\n"
+        "trans 1 a 2 [x^w >= 1]\n"
+    )
+    v = verify(d, parsing.parse_property("F (x <= 10 & y < 0)", d))
+    parts = v.product.strategy.parts
+    held = {c for n in v.product.nodes for c in n.cls}
+    assert v.kind == "no-witness" and len(parts) == 2
+    assert all(c in held for _, leaf in parts for c in leaf._classes)
 
 
 @pytest.mark.parametrize(
@@ -954,7 +985,7 @@ def test_psi12_extraction_solves_each_part_on_its_own_system(monkeypatch):
 def test_extraction_of_parts_with_several_cubes_matches_the_joint_cubes(prop):
     d = parsing.parse_model(SEVERAL_CUBES)
     v = verify(d, parsing.parse_property(prop, d))
-    assert v.kind == "witness" and len(v.strategy.parts) == 2
+    assert v.kind == "witness" and len(v.product.strategy.parts) == 2
     path = find_accepting_path(v.product)
     assert all(len(c.state) > 1 for c in v.product.nodes[path[-1].dst].cls)
     _assert_extraction_matches_joint_cubes(d, v)
@@ -1439,7 +1470,7 @@ def test_four_control_system_gives_the_witness_the_oracle_finds(text, sizes):
     psi = parsing.parse_property(text, d)
     v = verify(d, psi)
     assert v.kind == "witness"
-    assert (v.stats.product_nodes, v.stats.product_edges, v.stats.product_finals) == sizes
+    assert tuple(v.sizes[k] for k in ("product_nodes", "product_edges", "product_finals")) == sizes
     product._assert_witness(d, v.run, v.word, lt.preprocess(psi))
     assert v.run.actions == ("p", "q", "chk")
     assert [c.state for c in v.run.configs] == ["1", "4", "2", "3"]
@@ -1555,7 +1586,7 @@ def test_sweep_query_refutes_with_stored_models(b4, monkeypatch):
     monkeypatch.setattr(solve, "equivalent", counting_equivalent)
     psi = parsing.parse_property("G (a < 7) | F (s > 8)", b4)
     v = verify(b4, psi)
-    assert (v.kind, v.stats.product_nodes, v.stats.product_edges) == ("witness", 62, 144)
+    assert (v.kind, v.sizes["product_nodes"], v.sizes["product_edges"]) == ("witness", 62, 144)
     assert len(calls) == 23
 
 

@@ -56,6 +56,7 @@ from conftest import (
     with_domain,
 )
 from test_cli import FOUR_SELF_LOOPS_MODEL
+from test_ddsa import golden_queries
 
 x, y, s = VarId("x"), VarId("y"), VarId("s")
 CG_CONSTRAINTS = [atom(x, ">", 5), atom(s, ">", 0)]  # shared example set
@@ -513,7 +514,7 @@ def test_summary_certifies_the_parts_verify_solves(auction):
     for d, text in [(loops, "(x < y U 1 <= 1)")] + [(auction, t) for t in AUCTION_PROPERTIES]:
         psi = parsing.parse_property(text, d)
         label = certify(d, constraints_of(preprocess(psi)))
-        assert _top_parts(label) == _top_parts(verify(d, psi).strategy.describe()), text
+        assert _top_parts(label) == _top_parts(verify(d, psi).label), text
     assert _top_parts(label) == [["d"], ["o", "t", "s"], ["b"]]
 
 
@@ -783,6 +784,22 @@ def test_gc_equiv_after_sat_agrees_with_the_solver(b1_int, pair, K):
     gc = _Leaf(b1_int, K=K)
     a, b = (_solved(gc, s) for s in pair)
     assert gc.equiv(a, b) == solve.gc_equivalent(*(to_dnf(s, INT) for s in pair), K)
+
+
+def test_every_stored_model_satisfies_its_own_compared_dnf():
+    # `_refuted` reads a class's stored model as a model of its own compared
+    # DNF, the state over Q and its cutoff over Z, on every class of the
+    # auction, disjunction and integer golden products
+    checked = 0
+    for model, dom, prop in golden_queries():
+        d = with_domain(load_model(model), dom)
+        v = verify(d, parsing.parse_property(prop, d))
+        for _, leaf in () if v.product is None else v.product.strategy.parts:
+            for c in leaf._classes:
+                if c.model is not None:
+                    assert evaluate(dnf_to_formula(c.compared), c.model), (model, prop)
+                    checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------
