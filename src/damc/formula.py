@@ -11,7 +11,7 @@ rejected at construction time.  Every value here is immutable and
 hashable, so formulas can be shared freely across data structures.
 
 The value classes here and in the other modules state their fields once.
-A flat record (`VarId`, `Domain`, `NormAtom`, and elsewhere `Sym`,
+A flat record (`VarId`, `Domain`, `NormAtom`, and elsewhere
 `DeltaEntry`, `NfaEdge`, `SatResult`, `Config`, `PNode`, `PEdge`,
 `ProductAutomaton`, `ConstraintGraph`, `Verdict`) is a
 `typing.NamedTuple`: it compares, sorts and prints in C, hashes when its

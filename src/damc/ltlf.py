@@ -3,7 +3,6 @@ the next-action preprocessing, the transition function delta, the NFA
 construction, and the direct trace semantics used as its oracle."""
 from __future__ import annotations
 
-from collections import deque
 from functools import reduce
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -223,42 +222,17 @@ def preprocess(psi: Ltlf) -> Ltlf:
 
 
 # ---------------------------------------------------------------------------
-# Alphabet symbols.  A symbol is a set of state names, action names, and
-# constraints; the last/not-last flags exist only inside delta results.
+# Alphabet symbols.  A symbol is the set of the property's own atom nodes
+# (`Constr`, `StateAtom`, `ActionAtom`) that a position must meet; the
+# last/not-last flags exist only inside delta results.
 
-
-class Sym(NamedTuple):
-    kind: str  # "state" | "action" | "constr"
-    state: str = ""
-    formula: Optional[Formula] = None
-
-    def __str__(self):
-        if self.kind == "constr":
-            return str(self.formula)
-        return self.state
-
-
-def sym_state(s: str) -> Sym:
-    return Sym("state", s)
-
-
-def sym_action(a: str) -> Sym:
-    return Sym("action", a)
-
-
-def sym_constr(f: Formula) -> Sym:
-    return Sym("constr", formula=f)
-
-
-SigmaSymbol = frozenset[Sym]
+SigmaSymbol = frozenset[Ltlf]
 
 EMPTY_SYMBOL: SigmaSymbol = frozenset()
 
 
 def constr_of(symbol: SigmaSymbol) -> list[Formula]:
-    return sorted(
-        (s.formula for s in symbol if s.kind == "constr"), key=str
-    )
+    return sorted((s.formula for s in symbol if isinstance(s, Constr)), key=str)
 
 
 def fmt_symbol(symbol: SigmaSymbol) -> str:
@@ -309,28 +283,16 @@ _DELTA_LAMBDA = [
 def delta(psi: Ltlf) -> list[DeltaEntry]:
     """The transition function on quoted formulas.
 
-    Atom cases use the relaxed rule carrying (Bot, {}) instead of a negated
+    An atom reads itself: it goes to Top on the symbol that holds it.  Atom
+    cases use the relaxed rule carrying (Bot, {}) instead of a negated
     requirement, so transition labels state minimal requirements only.
     """
     if isinstance(psi, Top):
         return [DeltaEntry(TOP, EMPTY_SYMBOL)]
     if isinstance(psi, Bot):
         return [DeltaEntry(BOT, EMPTY_SYMBOL)]
-    if isinstance(psi, Constr):
-        return [
-            DeltaEntry(TOP, frozenset({sym_constr(psi.formula)})),
-            DeltaEntry(BOT, EMPTY_SYMBOL),
-        ]
-    if isinstance(psi, StateAtom):
-        return [
-            DeltaEntry(TOP, frozenset({sym_state(psi.state)})),
-            DeltaEntry(BOT, EMPTY_SYMBOL),
-        ]
-    if isinstance(psi, ActionAtom):
-        return [
-            DeltaEntry(TOP, frozenset({sym_action(psi.action)})),
-            DeltaEntry(BOT, EMPTY_SYMBOL),
-        ]
+    if isinstance(psi, (Constr, StateAtom, ActionAtom)):
+        return [DeltaEntry(TOP, frozenset({psi})), DeltaEntry(BOT, EMPTY_SYMBOL)]
     if isinstance(psi, LOr):
         return _combine(delta(psi.left), delta(psi.right), lor)
     if isinstance(psi, LAnd):
@@ -425,14 +387,10 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
         return index[q]
 
     edges: list[NfaEdge] = []
-    todo = deque([psi])
-    done = set()
-    while todo:
-        q = todo.popleft()
-        if q in done:
-            continue
-        done.add(q)
-        qi = state_id(q)
+    # `states` is the worklist: a state is explored once, in index order
+    for qi, q in enumerate(states):
+        if q == QE_STATE:
+            continue  # it consumes the last symbol and has no successors
         entries = delta(q)
         ends = [e.symbol for e in entries if e.last and e.target == TOP]
         for entry in entries:
@@ -443,8 +401,6 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
                 if entry.not_last and target == TOP and not any(s <= entry.symbol for s in ends):
                     target = _GO_ON
                 ti = state_id(target)
-                if target not in done:
-                    todo.append(target)
             elif target == TOP:
                 ti = state_id(QE_STATE)
             else:
@@ -538,8 +494,8 @@ def symbol_consistent_with_step(
     action taken (none at all without one), no state atom other than the
     target state."""
     for s in symbol:
-        if s.kind == "action" and s.state != action:
+        if isinstance(s, ActionAtom) and s.action != action:
             return False
-        if s.kind == "state" and s.state != target:
+        if isinstance(s, StateAtom) and s.state != target:
             return False
     return True

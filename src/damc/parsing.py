@@ -27,13 +27,14 @@ from .ddsa import Ddsa, validate
 from .formula import (
     INT,
     RAT,
+    TRUE,
+    And,
     Atom,
     Domain,
     Exact,
     Formula,
     Term,
     VarId,
-    atoms_of,
     conj,
     exact_div,
     fmt_rat,
@@ -261,6 +262,11 @@ def _distinct(rest: str, what: str, line: int) -> list[str]:
     return names
 
 
+# A `#` at the start of a line or after a blank starts a comment; one right
+# after a name belongs to it, as in the split action ids `a#1`, `a#2`.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_model(text: str) -> Ddsa:
     domain: Optional[Domain] = None
     variables: list[VarId] = []
@@ -274,7 +280,7 @@ def parse_model(text: str) -> Ddsa:
     given: dict[str, int] = {}  # the line of each directive given once
 
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         kw, _, rest = line.partition(" ")
@@ -371,10 +377,20 @@ def print_model(d: Ddsa) -> str:
     lines.append(f"initial {d.initial}")
     lines.append("final " + " ".join(s for s in d.states if s in d.finals))
     for (s, a, t) in d.transitions:
-        g = d.guards[a]
-        body = "true" if g == conj() else " && ".join(str(x) for x in atoms_of(g))
-        lines.append(f"trans {s} {a} {t} [{body}]")
+        lines.append(f"trans {s} {a} {t} [{_print_guard(a, d.guards[a])}]")
     return "\n".join(lines) + "\n"
+
+
+def _print_guard(action: str, g: Formula) -> str:
+    """A guard as the model format states it: `true`, an atom, or a
+    conjunction of atoms; any other guard is a ValueError naming the
+    action."""
+    if g == TRUE:
+        return "true"
+    parts = g.args if isinstance(g, And) else (g,)
+    if not all(isinstance(p, Atom) for p in parts):
+        raise ValueError(f"action {action!r}: the model format cannot state the guard {g}")
+    return " && ".join(str(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import deque
@@ -34,6 +35,7 @@ from damc.formula import (
 from damc.solve import BudgetExceeded, NotGapOrder
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def load_model(name: str) -> Ddsa:
@@ -52,6 +54,16 @@ def with_domain(d: Ddsa, dom) -> Ddsa:
         guards=d.guards,
         domain=dom,
     )
+
+
+def golden_queries():
+    """(model file, domain, property text) of the auction, disjunction and
+    integer golden queries."""
+    for name in ("auction", "disjunction"):
+        for case in json.loads((GOLDEN / f"{name}_verdicts.json").read_text()).values():
+            yield "auction.ddsa" if name == "auction" else "b1.ddsa", RAT, case["property"]
+    for case in json.loads((GOLDEN / "integer_verdicts.json").read_text()).values():
+        yield case["model"], INT, case["property"]
 
 
 @pytest.fixture(scope="session")

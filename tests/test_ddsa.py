@@ -1,7 +1,5 @@
 import itertools
-import json
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +37,15 @@ from damc.formula import (
 )
 from damc.solve import dnf_to_formula, is_sat, to_dnf
 
-from conftest import cube_equivalent, equivalent, frac_grid, load_model, reference_update, with_domain
+from conftest import (
+    cube_equivalent,
+    equivalent,
+    frac_grid,
+    golden_queries,
+    load_model,
+    reference_update,
+    with_domain,
+)
 
 x, y = VarId("x"), VarId("y")
 
@@ -382,17 +388,6 @@ def assert_same_images(d, phis, K=None):
             assert cube_equivalent(*cubes, d.domain), (str(phi), a, str(got), str(want))
             if K is not None:
                 assert solve.gc_equivalent(*cubes, K), (str(phi), a, K)
-
-
-GOLDEN = Path(__file__).parent / "golden"
-
-
-def golden_queries():
-    for name in ("auction", "disjunction"):
-        for case in json.loads((GOLDEN / f"{name}_verdicts.json").read_text()).values():
-            yield "auction.ddsa" if name == "auction" else "b1.ddsa", RAT, case["property"]
-    for case in json.loads((GOLDEN / "integer_verdicts.json").read_text()).values():
-        yield case["model"], INT, case["property"]
 
 
 def test_update_equals_reference_on_golden_product_nodes():

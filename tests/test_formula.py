@@ -134,8 +134,7 @@ def _ir_samples():
     printed = NormAtom(((x, -2), (y, 1)), "<", 3).to_atom()
     z_term = Term(((z, 1),), 0)
     c, s, act = lt.Constr(b), lt.StateAtom("s1"), lt.ActionAtom("bid")
-    state_sym = lt.sym_state("s1")
-    sym = frozenset({state_sym})
+    sym = frozenset({s})
     c1, c2 = Config("s1", ((x, 0),)), Config("s2", ((x, 3),))
     X = "VarId(name='x', kind='plain', idx=-1)"
     Y = "VarId(name='y', kind='plain', idx=-1)"
@@ -143,7 +142,7 @@ def _ir_samples():
     T = f"Term(coeffs=(({X}, 1), ({Y}, -2)), const=Fraction(3, 2))"
     A = f"Atom(lhs={T}, op='<=', rhs=Term(coeffs=(({Z}, 1),), const=0))"
     B = f"Atom(lhs=Term(coeffs=(({Y}, 1),), const=0), op='>', rhs=Term(coeffs=(), const=0))"
-    S = "frozenset({Sym(kind='state', state='s1', formula=None)})"
+    S = "frozenset({StateAtom(state='s1')})"
     return [
         (x, ("x", "plain", -1), X),
         (VarId("x", "ix", 4), ("x", "ix", 4), "VarId(name='x', kind='ix', idx=4)"),
@@ -172,7 +171,6 @@ def _ir_samples():
         (lt.Eventually(c), (c,), f"Eventually(sub=Constr(formula={B}))"),
         (lt.Always(s), (s,), "Always(sub=StateAtom(state='s1'))"),
         (lt.Until(s, c), (s, c), f"Until(left=StateAtom(state='s1'), right=Constr(formula={B}))"),
-        (lt.sym_constr(b), ("constr", "", b), f"Sym(kind='constr', state='', formula={B})"),
         (
             lt.DeltaEntry(c, sym, not_last=True),
             (c, sym, False, True),

@@ -31,13 +31,18 @@ from damc.ltlf import (
     lor,
     preprocess,
     run_models,
-    sym_action,
-    sym_constr,
-    sym_state,
+    walk,
     word_consistent,
 )
 
-from conftest import PAPER_NESTED_NEXT_EDGES, minimal_edges, nfa_paths
+from conftest import (
+    PAPER_NESTED_NEXT_EDGES,
+    golden_queries,
+    load_model,
+    minimal_edges,
+    nfa_paths,
+    with_domain,
+)
 
 x, y = VarId("x"), VarId("y")
 C_Y5 = Constr(atom(y, ">", 5))
@@ -88,7 +93,7 @@ def test_delta_eventually():
     c = C_Y5
     psi = Eventually(c)
     out = delta(psi)
-    sym = frozenset({sym_constr(c.formula)})
+    sym = frozenset({c})
     assert DeltaEntry(TOP, sym, not_last=True) in out
     assert DeltaEntry(TOP, sym, last=True) in out
     assert DeltaEntry(psi, frozenset(), not_last=True) in out
@@ -145,9 +150,33 @@ def test_nfa_auction_psi12_shape(auction):
     assert len(nfa.states) == 4
     # the all-atoms edge label b=1 && b!=1 is unsatisfiable and pruned
     for e in nfa.edges:
-        cs = [s.formula for s in e.symbol if s.kind == "constr"]
+        cs = [s.formula for s in e.symbol if isinstance(s, Constr)]
         names = {str(f) for f in cs}
         assert not ({"b = 1", "b != 1"} <= names)
+
+
+def test_nfa_symbols_are_sets_of_the_property_atoms():
+    # a symbol holds the property's own atom nodes, nothing that wraps them
+    edges = 0
+    for model, dom, text in golden_queries():
+        d = with_domain(load_model(model), dom)
+        pre = preprocess(parsing.parse_property(text, d))
+        atoms = {n for n in walk(pre) if isinstance(n, (Constr, StateAtom, ActionAtom))}
+        for e in build_nfa(pre, d.domain).edges:
+            edges += 1
+            assert e.symbol <= atoms, (text, fmt_symbol(e.symbol))
+    assert edges > 100
+
+
+def test_nfa_explores_each_state_once_in_index_order():
+    # a state explored twice, or out of order, would list its edges again
+    for model, dom, text in golden_queries():
+        d = with_domain(load_model(model), dom)
+        nfa = build_nfa(preprocess(parsing.parse_property(text, d)), d.domain)
+        assert len(set(nfa.states)) == len(nfa.states), text
+        srcs = [e.src for e in nfa.edges]
+        assert srcs == sorted(srcs), text
+        assert len(set(nfa.edges)) == len(nfa.edges), text
 
 
 def test_nfa_deterministic_construction():
@@ -207,13 +236,13 @@ def test_run_models_action_modality(b1):
 
 def test_word_consistent_sample_word(b1):
     run = sample_witness_run(b1)
-    word = [frozenset(), frozenset(), frozenset({sym_constr(atom(y, ">", 5))}), frozenset()]
+    word = [frozenset(), frozenset(), frozenset({C_Y5}), frozenset()]
     assert word_consistent(b1, word, run)
 
 
 def test_word_consistent_wrong_action(b1):
     run = sample_witness_run(b1)
-    word = [frozenset(), frozenset({sym_action("a2")}), frozenset(), frozenset()]
+    word = [frozenset(), frozenset({ActionAtom("a2")}), frozenset(), frozenset()]
     assert not word_consistent(b1, word, run)
 
 
@@ -224,11 +253,11 @@ def test_word_consistent_has_no_action_at_position_0(b1):
 
     run = Run((Config.make("1", {x: 0, y: 0}),), ())
     assert not run_models(b1, run, 0, ActionAtom("a1"))
-    assert not word_consistent(b1, [frozenset({sym_action("a1")})], run)
-    assert not word_consistent(b1, [frozenset({sym_state("2")})], run)
-    assert word_consistent(b1, [frozenset({sym_state("1")})], run)
+    assert not word_consistent(b1, [frozenset({ActionAtom("a1")})], run)
+    assert not word_consistent(b1, [frozenset({StateAtom("2")})], run)
+    assert word_consistent(b1, [frozenset({StateAtom("1")})], run)
     longer = sample_witness_run(b1)
-    word = [frozenset({sym_action("a1")}), frozenset(), frozenset(), frozenset()]
+    word = [frozenset({ActionAtom("a1")}), frozenset(), frozenset(), frozenset()]
     assert not word_consistent(b1, word, longer)
 
 

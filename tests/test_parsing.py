@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from damc import ltlf as lt
-from damc.formula import INT, RAT, Term, VarId, atom, conj
+from damc.formula import FALSE, INT, RAT, Term, VarId, atom, conj, disj, neg
 from damc.parsing import (
     ParseError,
     UnknownAtom,
@@ -102,8 +102,15 @@ def test_parse_model_rejects_a_second_declaration(second):
         parse_model(ONE_LOOP + second + "\n")
 
 
+# a `||` guard splits its action into `a#1` and `a#2`, which print as names
+SPLIT = (
+    "domain rat\nvars x\ninit x=0\nstates s t\ninitial s\nfinal t  # the end\n"
+    "trans s a t [x^w > 1 || x^w < 0]\ntrans t b s []\n"
+)
+
+
 def test_model_round_trip(b1, b2, b3, b4, auction):
-    for d in (b1, b2, b3, b4, auction):
+    for d in (b1, b2, b3, b4, auction, parse_model(SPLIT)):
         again = parse_model(print_model(d))
         assert again.states == d.states
         assert again.actions == d.actions
@@ -114,6 +121,27 @@ def test_model_round_trip(b1, b2, b3, b4, auction):
         assert {a: again.guards[a] for a in again.actions} == {
             a: d.guards[a] for a in d.actions
         }
+
+
+def test_a_hash_starts_a_comment_only_at_line_start_or_after_a_blank():
+    d = parse_model(
+        "# a model\ndomain rat            # or: int\nvars x\ninit x=0\n"
+        "states s t\ninitial s\nfinal t\t# tab\n"
+        "trans s a#1 t [x^w > 1]  # kept name\ntrans t b s []\n"
+    )
+    assert d.domain == RAT
+    assert d.finals == frozenset({"t"})
+    assert d.actions == ("a#1", "b")
+    assert [a for (_, a, _) in d.transitions] == ["a#1", "b"]
+
+
+def test_print_model_refuses_a_guard_the_format_cannot_state(b1):
+    # `[]` would read false back as true, and the atoms of an `||` or `!`
+    # guard as their conjunction
+    x_w = VarId("x", "w")
+    for g in (FALSE, disj(atom(x_w, ">", 1), atom(x_w, "<", 0)), neg(atom(x_w, ">", 1))):
+        with pytest.raises(ValueError, match="action 'a2'"):
+            print_model(b1.replace(guards={**b1.guards, "a2": g}))
 
 
 def test_parse_constraint_rationals():

@@ -4,8 +4,8 @@ benchmark's seeded queries, pinned in `golden/product_digests.json`.
 The *structure* digest covers what a verdict shows but the node text: its
 kind, reason, strategy and sizes, every product node's control state and
 NFA state, every edge, the finals, the witness run, and the word as sorted
-strings, as `damc verify --json` prints it (a `Sym`'s `repr` and frozenset
-order are not stable between processes).  The *text* digest covers each
+strings, as `damc verify --json` prints it (a symbol's frozenset order is
+not stable between processes).  The *text* digest covers each
 node's formula as printed.  A change that only reprints nodes moves text
 digests alone.  The seeded queries are the auction, disjunction and sweep
 workloads at seeds 1-5, at `--max-nodes 300`.
