@@ -21,6 +21,7 @@ from .formula import (
     evaluate,
     exact,
     free_vars,
+    primitive_atom,
 )
 from . import solve
 
@@ -75,9 +76,9 @@ class Ddsa:
             self._out.setdefault(s, []).append((a, d))
         self._delta_cache: dict[str, Formula] = {}
         self._write_cache: dict[str, tuple[VarId, ...]] = {}
-        # the snapshot and the renamed transition cubes per (action,
-        # snapshot index), as `_transition_cubes` builds them
-        self._cubes_cache: dict[tuple[str, int], tuple] = {}
+        # the snapshot and the renamed transition cubes per action, as
+        # `_transition_cubes` builds them
+        self._cubes_cache: dict[str, tuple] = {}
 
     def _fields(self) -> dict:
         """The constructor's arguments: every attribute but the caches."""
@@ -176,27 +177,26 @@ def transition_formula(d: Ddsa, action: str) -> Formula:
 
 def update(d: Ddsa, state: solve.Dnf, action: str) -> solve.Dnf:
     """One-step image of a state, a DNF in normal form over the system's
-    domain, under the action's transition formula, as a DNF.  It is built by
-    renaming instead of substitution: in the state's cubes each snapshot
-    variable v becomes its copy v#idx, with idx above every index in the
-    state, and in the transition cubes (`_transition_cubes`) a snapshot
-    variable's read v^r becomes v#idx and each write v^w becomes v.  Over
-    the rationals only the variables the action writes (`write_set`) are
-    copied, and the cubes are the guard's: an unwritten variable keeps its
-    value, so its read v^r is a read of the post-state, renamed to v, and
-    no inertia row v^w = v^r is built.  Over the integers every variable is
-    copied and the cubes are the full transition formula's: the gap-order
-    leaf compares states by their cutoffs, which cap rows one by one, and
-    the rows the unwritten copies imply keep the cutoff of the exact image.
-    Renaming keeps the variable order, so a renamed atom is still
-    normalized.  Each renamed state cube meets each transition cube, and
-    the copies are eliminated at once by Fourier-Motzkin on integer rows;
-    over the integers (`qe_gc`, where only gap-order systems are imaged)
-    each cube is first tightened to integer difference bounds.  Each image
-    makes exactly one QE call, also when nothing is copied.
+    domain and over plain variables only, as every product state and
+    history prefix is (QE eliminates each copy an image makes), under the
+    action's transition formula, as a DNF.  It is built by renaming: in the
+    state's cubes each snapshot variable v becomes its copy v#0, and in the
+    transition cubes (`_transition_cubes`) a snapshot variable's read v^r
+    becomes v#0 and each write v^w becomes v.  Over the rationals only the
+    variables the action writes (`write_set`) are copied, and the cubes are
+    the guard's: an unwritten variable keeps its value, so its read v^r is a
+    read of the post-state, renamed to v, and no inertia row is built.  Over
+    the integers every variable is copied and the cubes are the full
+    transition formula's: the gap-order leaf compares states by their
+    cutoffs, which cap rows one by one, and the rows the unwritten copies
+    imply keep the cutoff of the exact image.  Renaming keeps the variable
+    order, so a renamed atom is still normalized.  Each renamed state cube
+    meets each transition cube, and the copies are eliminated at once by
+    Fourier-Motzkin on integer rows; over the integers (`qe_gc`) each cube
+    is first tightened to integer difference bounds.  Each image makes
+    exactly one QE call, also when nothing is copied.
     """
-    idx = 1 + max((v.idx for cube in state for na in cube for v, _ in na.coeffs), default=-1)
-    snapshot, trans = _transition_cubes(d, action, idx)
+    snapshot, trans = _transition_cubes(d, action)
     cubes = []
     for cube in state:
         pre = tuple(_rename(na, snapshot) for na in cube)
@@ -208,22 +208,20 @@ def update(d: Ddsa, state: solve.Dnf, action: str) -> solve.Dnf:
     return qe(list(snapshot.values()), tuple(cubes))
 
 
-def _transition_cubes(
-    d: Ddsa, action: str, idx: int
-) -> tuple[dict[VarId, VarId], list[solve.Cube]]:
-    """The snapshot v -> v#idx, of the written variables over the rationals
+def _transition_cubes(d: Ddsa, action: str) -> tuple[dict[VarId, VarId], list[solve.Cube]]:
+    """The snapshot v -> v#0, of the written variables over the rationals
     and of every variable over the integers, and the DNF of the guard
     (rationals) or of the transition formula (integers) with a snapshot
-    variable's read v^r renamed to v#idx, every other read v^r to v and
-    each write v^w to v, once per (action, idx)."""
-    key = (action, idx)
-    hit = d._cubes_cache.get(key)
+    variable's read v^r renamed to v#0, every other read v^r to v and each
+    write v^w to v, once per action: `update` and `grounded_transition`
+    read the same entry."""
+    hit = d._cubes_cache.get(action)
     if hit is None:
         if d.domain == INT:
             copied, delta = d.variables, transition_formula(d, action)
         else:
             copied, delta = d.write_set(action), d.guard(action)
-        snapshot = {v: v.indexed(idx) for v in copied}
+        snapshot = {v: v.indexed(0) for v in copied}
         copies = {v.read(): snapshot.get(v, v) for v in d.variables}
         copies.update((v.write(), v) for v in d.variables)
         cubes = solve.to_dnf(delta, d.domain)
@@ -232,7 +230,7 @@ def _transition_cubes(
             names = ", ".join(sorted(map(str, stray)))
             raise ModelError(f"transition '{action}' uses {names}: not a read or write copy")
         renamed = [tuple(_rename(na, copies) for na in c) for c in cubes]
-        hit = d._cubes_cache[key] = (snapshot, renamed)
+        hit = d._cubes_cache[action] = (snapshot, renamed)
     return hit
 
 
@@ -241,14 +239,14 @@ def _rename(na: NormAtom, copies: Mapping[VarId, VarId]) -> NormAtom:
 
 
 def grounded_transition(d: Ddsa, action: str, post: Mapping[VarId, Exact]) -> list[solve.Cube]:
-    """The pre-states the action takes to `post`, as a DNF: the cached
-    transition cubes `update` uses (a snapshot variable's read is v#0, every
-    write v, an unwritten variable's uncopied read v) with each write's
-    value folded into the constant and each read renamed to v, and
-    `v = post[v]` for each variable outside the snapshot, divided by the
-    gcd as `norm_atom` would (`solve.primitive_atom`)."""
-    snapshot, cubes = _transition_cubes(d, action, 0)
-    kept = [solve.primitive_atom({v: 1}, "=", post[v]) for v in d.variables if v not in snapshot]
+    """The pre-states the action takes to `post`, as a DNF: the transition
+    cubes `update` uses (`_transition_cubes`: a snapshot variable's read is
+    v#0, every write v, an unwritten variable's uncopied read v) with each
+    write's value folded into the constant and each read renamed to v, and
+    `v = post[v]` for each variable outside the snapshot, every row built
+    by `primitive_atom`, as `norm_atom` builds it."""
+    snapshot, cubes = _transition_cubes(d, action)
+    kept = [primitive_atom({v: 1}, "=", post[v]) for v in d.variables if v not in snapshot]
     out = []
     for cube in cubes:
         atoms = []
@@ -261,7 +259,7 @@ def grounded_transition(d: Ddsa, action: str, post: Mapping[VarId, Exact]) -> li
                     const -= c * post[v]
                 else:
                     reads[v] = c
-            atoms.append(solve.primitive_atom(reads, na.op, const))
+            atoms.append(primitive_atom(reads, na.op, const))
         grounded = solve.norm_cube(atoms + kept)
         if grounded is not None:
             out.append(grounded)

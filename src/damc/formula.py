@@ -367,11 +367,11 @@ class NormAtom(NamedTuple):
     Coefficients are scaled to primitive integers and stored as `int`; the
     constant is an `int` too unless it is not integral, so on integral data
     the solver's normal form hashes, compares and evaluates without
-    `Fraction`.  Equalities additionally get a canonical sign.  Ground atoms
-    have an empty coefficient vector.  The solver only builds atoms in this
-    form, so the atom `to_atom` prints stores this atom as its normal form,
-    and `norm_atom` reads it back without normalising.  As a tuple it sorts
-    by (coeffs, op, const), the order of a cube's atoms.
+    `Fraction`.  `=` and `!=` also get a canonical sign (`primitive_atom`).
+    Ground atoms have an empty coefficient vector.  The solver only builds
+    atoms in this form, so the atom `to_atom` prints stores this atom as its
+    normal form, and `norm_atom` reads it back without normalising.  As a
+    tuple it sorts by (coeffs, op, const), the order of a cube's atoms.
     """
 
     coeffs: tuple[tuple[VarId, int], ...]
@@ -419,12 +419,20 @@ class NormAtom(NamedTuple):
         return val < self.const
 
 
-def _primitive_scale(coeffs: tuple[tuple[VarId, Exact], ...]) -> Exact:
-    """Positive factor making the coefficient vector primitive integers."""
-    dens = [c.denominator for _, c in coeffs]
-    nums = [abs(c.numerator) for _, c in coeffs]
-    l = lcm(*dens)
-    return exact_div(l, gcd(*[n * l // d for n, d in zip(nums, dens)]))
+def primitive_atom(acc: Mapping[VarId, int], op: str, const: Exact) -> NormAtom:
+    """The normalized atom `sum(c * v) op const` on integer coefficients:
+    divided by their gcd, with the sign fixed on `=` and `!=` (the first
+    coefficient positive).  `norm_atom`, Fourier-Motzkin and
+    `ddsa.grounded_transition` all normalize a row here."""
+    coeffs = tuple(sorted((v, c) for v, c in acc.items() if c))
+    if coeffs:
+        g = gcd(*(c for _, c in coeffs))
+        if op in ("=", "!=") and coeffs[0][1] < 0:
+            g = -g
+        if g != 1:
+            coeffs = tuple((v, c // g) for v, c in coeffs)
+            return NormAtom(coeffs, op, exact_div(const, g))
+    return NormAtom(coeffs, op, exact(const))
 
 
 def norm_atom(a: Atom) -> NormAtom:
@@ -441,15 +449,9 @@ def _norm_atom(a: Atom) -> NormAtom:
     if op in (">", ">="):
         t = -t
         op = "<" if op == ">" else "<="
-    coeffs, const = t.coeffs, -t.const
-    if coeffs:
-        k = _primitive_scale(coeffs)
-        coeffs = tuple((v, int(c * k)) for v, c in coeffs)
-        const = exact(const * k)
-        if op in ("=", "!=") and coeffs[0][1] < 0:
-            coeffs = tuple((v, -c) for v, c in coeffs)
-            const = -const
-    return NormAtom(coeffs, op, const)
+    # scaled by the lcm of the denominators, the coefficients are integers
+    l = lcm(*(c.denominator for _, c in t.coeffs))
+    return primitive_atom({v: int(c * l) for v, c in t.coeffs}, op, -t.const * l)
 
 
 # ---------------------------------------------------------------------------

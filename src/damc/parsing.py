@@ -12,9 +12,9 @@ Model format::
     trans s1 a1 s2 [x^w > y^r && y^w = y^r]
 
 A `||` at guard top level splits the transition into parallel ones with
-suffixed action ids.  Properties use X/F/G/U, `<a>` for the action
-modality, `&`/`|`, and linear comparisons as atoms; bare identifiers
-resolve to state atoms first, then action atoms.
+action ids `a#1`, `a#2`, which properties name.  Properties use X/F/G/U,
+`<a>` for the action modality, `&`/`|`, and linear comparisons as atoms;
+bare identifiers resolve to state atoms first, then action atoms.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ class UnknownAtom(ParseError):
 _TOKEN = re.compile(
     r"""\s*(?:
         (?P<num>\d+(?:\.\d+)?(?:/\d+(?:\.\d+)?)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\^[rw])?)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\#\d+)?(?:\^[rw])?)
       | (?P<op><=|>=|!=|=|<|>)
       | (?P<punct>\(|\)|\[|\]|\+|-|\*|&&|\|\||&|\||\.|<|>)
     )""",
@@ -443,7 +443,7 @@ def _parse_unary(s: _Stream, d: Ddsa) -> Ltlf:
             s.next()
             if s.accept("op", ">") or s.accept("punct", ">"):
                 if nv not in d.actions:
-                    raise UnknownAtom(f"unknown action '{nv}' in modality")
+                    raise UnknownAtom(f"unknown action '{nv}' in modality{_split_ids(nv, d)}")
                 return lt.ActNext(nv, s.nested(_parse_unary, d))
         s.i = save
     if s.accept("punct", "("):
@@ -451,6 +451,12 @@ def _parse_unary(s: _Stream, d: Ddsa) -> Ltlf:
         s.expect("punct", ")")
         return inner
     return _parse_leaf(s, d)
+
+
+def _split_ids(name: str, d: Ddsa) -> str:
+    """The ids of the actions a `||` guard split `name` into, as a hint."""
+    ids = [a for a in d.actions if a.rpartition("#")[0] == name]
+    return f" (its guard is split: name {' or '.join(ids)})" if ids else ""
 
 
 def _starts_comparison(s: _Stream) -> bool:
@@ -489,7 +495,7 @@ def _parse_leaf(s: _Stream, d: Ddsa) -> Ltlf:
                 return lt.StateAtom(v)
             if in_actions:
                 return lt.ActionAtom(v)
-            raise UnknownAtom(f"'{v}' is neither a state nor an action")
+            raise UnknownAtom(f"'{v}' is neither a state nor an action{_split_ids(v, d)}")
     # constraint atom
     a = _parse_atom(s)
     _check_vars(a, d)

@@ -113,15 +113,13 @@ def build_product(
 
     Every state stays in the solver's normal form, a DNF per part.  An
     edge needs a satisfiable update image conjoined with the NFA symbol's
-    constraints in every part (the strategy's `successor`), and the symbol
-    must be consistent with the transition taken.  The constraints are over
-    the post-state, so they commute with the image's existential: each
-    (node, action) asks the strategy for its image once, on its first
-    consistent NFA edge, and every edge conjoins to that image.  A symbol's
-    constraints are put in normal form, and split by part, once.  A leaf
-    computes one image per (class, guard), so the actions that a projected
-    leaf sees with the same guard share it, and none for an action whose
-    guard on it is true: that image is the state itself.
+    constraints in every part, and the symbol must be consistent with the
+    transition taken; each NFA edge asks the strategy for one `successor`.
+    The constraints are over the post-state, so they commute with the
+    image's existential, and the leaf shares one image per (class, guard)
+    among the edges that conjoin to it, none for a guard that is true on
+    it: that image is the state itself.  A symbol's constraints are put in
+    normal form, and split by part, once.
     Nodes at the word-end NFA state are only created when final (they have
     no successors, so non-final ones are dead).
 
@@ -145,18 +143,15 @@ def build_product(
             node = nodes[i]
             for (a, dst) in d.outgoing(node.state):
                 step = None if a == dummy_action else a  # the dummy step moves nothing
-                image = None
                 for ne in nfa.outgoing(node.q):
                     if not lt.symbol_consistent_with_step(ne.symbol, a, dst):
                         continue
                     if ne.dst == qe_idx and dst not in d.finals:
                         continue
-                    if image is None:
-                        image = strategy.image(node.cls, step)
                     label = labels.get(ne.symbol)
                     if label is None:
                         label = labels[ne.symbol] = strategy.label(lt.constr_of(ne.symbol))
-                    cls = strategy.successor(image, label)
+                    cls = strategy.successor(node.cls, step, label)
                     if cls is None:
                         continue
                     j = index.get((dst, ne.dst, cls), len(nodes))

@@ -21,7 +21,7 @@ divided by their gcd, the primitive normal form of the combined atom.
 """
 from __future__ import annotations
 
-from math import ceil, floor, gcd
+from math import ceil, floor
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .formula import (
@@ -41,9 +41,9 @@ from .formula import (
     VarId,
     conj,
     disj,
-    exact,
     exact_div,
     norm_atom,
+    primitive_atom,
 )
 
 
@@ -267,20 +267,6 @@ def _resolve(p: NormAtom, a: int, q: NormAtom, b: int) -> NormAtom:
     else:
         op = "<" if "<" in (p.op, q.op) else "<="
     return primitive_atom(acc, op, mp * p.const + mq * q.const)
-
-
-def primitive_atom(acc: Mapping[VarId, int], op: str, const: Exact) -> NormAtom:
-    """The atom `sum(c * v) op const` on integer coefficients as `norm_atom`
-    gives it: divided by the gcd, with the sign fixed on an equality."""
-    coeffs = tuple(sorted((v, c) for v, c in acc.items() if c))
-    if coeffs:
-        g = gcd(*(c for _, c in coeffs))
-        if op == "=" and coeffs[0][1] < 0:
-            g = -g
-        if g != 1:
-            coeffs = tuple((v, c // g) for v, c in coeffs)
-            return NormAtom(coeffs, op, exact_div(const, g))
-    return NormAtom(coeffs, op, exact(const))
 
 
 def _resolvents(eqs: Rows, lowers: Rows, uppers: Rows) -> list[NormAtom]:

@@ -241,9 +241,9 @@ class _Leaf:
         # no action (the dummy step) and a true guard keep every variable's
         # value (on a projected leaf, an action that moves none of its
         # variables): the image is the state itself.  Otherwise one image
-        # per (class, guard), shared by the NFA edges that conjoin to it and
-        # by the actions with that guard: on one system the guard fixes the
-        # write set, and so the whole transition formula
+        # per (class, guard), the one image memo, shared by the product's
+        # NFA edges and by the actions with that guard: on one system the
+        # guard fixes the write set, and so the whole transition formula
         guard = None if action is None else self.d.guard(action)
         if guard is None or isinstance(guard, TrueF):
             return rep.state
@@ -332,8 +332,9 @@ class Strategy:
     """One exact leaf per part of the variables, solved apart: `parts` is
     one or more `(names, leaf)` pairs (an unsplit system is one part), and a
     class or a state is one leaf class or DNF per part, in part order.  The
-    product asks for a `label` per NFA symbol, the `initial` class, an
-    `image` per (node, action) and a `successor` per edge it tries."""
+    product asks for a `label` per NFA symbol, the `initial` class and one
+    `successor` per edge it tries; only a leaf shares images, one per
+    (class, guard)."""
 
     def __init__(self, parts: tuple[tuple[tuple[str, ...], _Leaf], ...]):
         self.parts = parts
@@ -362,12 +363,11 @@ class Strategy:
         """The class of each part's initial constraints."""
         return tuple(leaf.canon(leaf.label(leaf.d.initial_constraints())) for leaf in self._leaves)
 
-    def image(self, cls: tuple[_Class, ...], action: Optional[str]) -> tuple[Dnf, ...]:
-        return tuple(map(_Leaf.image, self._leaves, cls, repeat(action)))
-
-    def successor(self, images: tuple[Dnf, ...], label: tuple[Dnf, ...]) -> Optional[tuple]:
-        """Each part's class of its image met with its label, or None when a
-        part, solved in part order, is unsatisfiable."""
+    def successor(self, cls: tuple, action: Optional[str], label: tuple) -> Optional[tuple]:
+        """Each part's class of its image under `action` met with its label,
+        or None if a part is unsatisfiable: every image and meet come first,
+        then `sat` in part order, then `canon` once all parts are satisfiable."""
+        images = tuple(map(_Leaf.image, self._leaves, cls, repeat(action)))
         states = tuple(map(_Leaf.meet, images, label))
         if all(map(_Leaf.sat, self._leaves, states)):
             return tuple(map(_Leaf.canon, self._leaves, states))

@@ -69,6 +69,22 @@ def test_verify_parse_error_in_property(capsys):
     assert code == 3
 
 
+def test_a_split_action_is_named_by_its_id(capsys, tmp_path):
+    # a `||` guard splits `a` into `a#1` and `a#2`: a property names those,
+    # and the bare `a` is a parse error that names them
+    p = tmp_path / "split.ddsa"
+    p.write_text(
+        "domain rat\nvars x\ninit x=0\nstates s t\ninitial s\nfinal t\n"
+        "trans s a t [x^w > 1 || x^w < 0]\n"
+    )
+    code, out, _ = run_cli(capsys, "verify", str(p), "--prop", "<a#1> true", "--json")
+    v = json.loads(out)
+    assert (code, v["verdict"], v["actions"]) == (0, "witness", ["a#1"])
+    code, out, err = run_cli(capsys, "verify", str(p), "--prop", "F a")
+    assert (code, out) == (3, "")
+    assert "a#1" in err
+
+
 @pytest.mark.parametrize(
     "edit, prop, where",
     [

@@ -1,6 +1,8 @@
 import ast
+import operator
 import pickle
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -65,11 +67,17 @@ def test_free_vars():
 # ---------------------------------------------------------------------------
 # invariants
 
+# rational coefficients and constants, so normalising scales by the lcm
+# of the denominators
+dens = st.integers(1, 4)
 terms = st.builds(
-    lambda cx, cy, c: Term.make([(x, F(cx)), (y, F(cy))], F(c)),
+    lambda cx, dx, cy, dy, c, dc: Term.make([(x, F(cx, dx)), (y, F(cy, dy))], F(c, dc)),
     st.integers(-3, 3),
+    dens,
     st.integers(-3, 3),
+    dens,
     st.integers(-5, 5),
+    dens,
 )
 ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 atoms = st.builds(Atom, terms, ops, terms)
@@ -101,11 +109,29 @@ def test_normalization_idempotent(a):
     na = norm_atom(a)
     assert norm_atom(na.to_atom()) == na
     assert _norm_atom(na.to_atom()) == na
+    # primitive int coefficients, the first positive on `=` and `!=`
+    cs = [c for _, c in na.coeffs]
+    assert all(type(c) is int for c in cs)
+    if cs:
+        assert gcd(*cs) == 1
+        assert na.op not in ("=", "!=") or cs[0] > 0
+
+
+COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @given(atoms, grid_points)
 def test_norm_preserves_semantics(a, alpha):
     assert evaluate(a, alpha) == norm_atom(a).holds(alpha)
+    # `evaluate` reads the normal form, so compare with the terms' values
+    assert norm_atom(a).holds(alpha) == COMPARE[a.op](a.lhs.value(alpha), a.rhs.value(alpha))
 
 
 @settings(max_examples=200)

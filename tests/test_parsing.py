@@ -135,6 +135,22 @@ def test_a_hash_starts_a_comment_only_at_line_start_or_after_a_blank():
     assert [a for (_, a, _) in d.transitions] == ["a#1", "b"]
 
 
+def test_a_property_names_a_split_action_by_its_id():
+    d = parse_model(SPLIT)
+    assert parse_property("<a#1> true", d).action == "a#1"
+    assert parse_property("F a#2", d) == lt.Eventually(lt.ActionAtom("a#2"))
+    # the bare name is no action; the errors name the ids to use instead
+    with pytest.raises(UnknownAtom, match=r"'a' is neither .* name a#1 or a#2\)$"):
+        parse_property("F a", d)
+    with pytest.raises(UnknownAtom, match=r"unknown action 'a' in modality .* name a#1 or a#2\)$"):
+        parse_property("<a> true", d)
+    # a name with an id suffix is a name, so `x#1` is an unknown variable
+    with pytest.raises(UnknownAtom, match="unknown variable 'x#1'"):
+        parse_property("F (x#1 > 0)", d)
+    with pytest.raises(ParseError, match="unknown variable 'x#1'"):
+        parse_model(SPLIT.replace("x^w > 1 ||", "x#1^w > 1 ||"))
+
+
 def test_print_model_refuses_a_guard_the_format_cannot_state(b1):
     # `[]` would read false back as true, and the atoms of an `||` or `!`
     # guard as their conjunction

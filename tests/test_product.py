@@ -16,6 +16,7 @@ from damc.cli import _verdict_json
 from damc.ddsa import Ddsa, validate_run
 from damc.formula import (
     INT,
+    PLAIN,
     RAT,
     TRUE,
     And,
@@ -1296,6 +1297,30 @@ def golden_cases(auction, b1):
         (with_domain(load_model(c["model"]), INT), c["property"]) for c in INTEGER_GOLDEN.values()
     ]
     return cases
+
+
+def test_every_image_is_of_a_state_over_plain_variables_on_goldens(auction, b1, monkeypatch):
+    # `update` snapshots at index 0, since every state it is handed (a
+    # product state, and over Z an extraction's history prefix) is over
+    # plain variables: QE eliminates each copy an image makes.  Over Q,
+    # where extraction images nothing, the leaf's memo shares each image,
+    # so no (system, state, guard) is imaged twice in one verify
+    update, seen = dd.update, []
+
+    def checked(d, state, action):
+        assert {v.kind for cube in state for na in cube for v, _ in na.coeffs} <= {PLAIN}
+        seen.append((id(d), state, d.guard(action)))
+        return update(d, state, action)
+
+    monkeypatch.setattr(dd, "update", checked)
+    imaged = {RAT: 0, INT: 0}
+    for d, text in golden_cases(auction, b1):
+        seen.clear()
+        verify(d, parsing.parse_property(text, d))
+        if d.domain == RAT:
+            assert len(set(seen)) == len(seen), text
+        imaged[d.domain] += len(seen)
+    assert min(imaged.values()) > 100
 
 
 def _extraction_images(monkeypatch) -> list:
