@@ -31,8 +31,7 @@ from .solve import (
 from .ltlf import build_nfa, preprocess, run_models, word_consistent
 from .summary import NoSummaryFound, check_gc, detect
 from .certificates import certify, check_bounded_lookback, check_feedback_free, check_mc
-from .product import Verdict, constraint_graph, extend_with_dummy
-from .product import realize_run, verify
+from .product import Verdict, constraint_graph, realize_run, verify
 from .oracle import brute_force_witness, default_grid, enumerate_runs
 from .parsing import parse_model, parse_property, print_model
 

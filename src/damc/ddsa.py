@@ -40,7 +40,8 @@ Assignment = dict[VarId, Exact]
 class Ddsa:
     """Labelled transition system with guarded actions over read/write
     variable copies.  Treated as immutable after construction: `replace`
-    gives a changed copy.
+    gives a changed copy.  It holds what the model declares, nothing more:
+    the product adds its own root (`product.build_product`).
 
     `alpha0` may be None for subsystems with a symbolic initial assignment
     (used by the sequential decomposition); such systems contribute no
@@ -58,7 +59,6 @@ class Ddsa:
         alpha0: Optional[Assignment],
         guards: dict[str, Formula],
         domain: Domain,
-        dummy: Optional[tuple[str, str]] = None,  # (dummy state, dummy action)
     ):
         self.states = states
         self.initial = initial
@@ -69,7 +69,6 @@ class Ddsa:
         self.alpha0 = alpha0
         self.guards = guards
         self.domain = domain
-        self.dummy = dummy
         self._tmap = {(s, a): d for (s, a, d) in self.transitions}
         self._out: dict[str, list[tuple[str, str]]] = {}
         for (s, a, d) in self.transitions:

@@ -253,13 +253,27 @@ _ONCE = ("domain", "vars", "states", "initial", "final")
 
 
 def _distinct(rest: str, what: str, line: int) -> list[str]:
-    """The names of a declaration line, or a ParseError naming one that
-    occurs twice."""
+    """The names of a declaration line, or a ParseError naming one that a
+    property cannot read (`_readable`) or that occurs twice."""
     names = rest.split()
     for i, n in enumerate(names):
+        _readable(n, what, line)
         if n in names[:i]:
             raise ParseError(f"{what} {n!r} declared twice", line)
     return names
+
+
+def _readable(name: str, what: str, line: int) -> None:
+    """A ParseError unless a property can read the declared `name`: a
+    variable is one `name` token of `_tokens` without a `^r`, `^w` or `#`
+    suffix, and a state or an action one `name` or `num` token."""
+    m = _TOKEN.fullmatch(name)
+    if what == "variable":
+        ok = m is not None and m.lastgroup == "name" and name.isidentifier()
+    else:
+        ok = m is not None and m.lastgroup in ("name", "num")
+    if not ok:
+        raise ParseError(f"{what} {name!r} is not a name a property can read", line)
 
 
 # A `#` at the start of a line or after a blank starts a comment; one right
@@ -322,6 +336,7 @@ def parse_model(text: str) -> Ddsa:
             else:
                 labels = [f"{act}#{i + 1}" for i in range(len(disjuncts))]
             for label, g in zip(labels, disjuncts):
+                _readable(label, "action", ln)
                 if label in guards:
                     if guards[label] != g:
                         raise ParseError(

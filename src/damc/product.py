@@ -43,23 +43,8 @@ class InternalInconsistency(Exception):
     the equivalence relation, never a property of the model."""
 
 
-def extend_with_dummy(d: Ddsa) -> Ddsa:
-    """Prefix a dummy initial state reached by a fresh always-enabled action."""
-    if d.dummy is not None:
-        raise ValueError("system already carries a dummy initial state")
-    b0 = _fresh_name("_init", d.states)
-    a0 = _fresh_name("_start", d.actions)
-    return d.replace(
-        states=(b0,) + d.states,
-        initial=b0,
-        actions=(a0,) + d.actions,
-        transitions=((b0, a0, d.initial),) + d.transitions,
-        guards={**d.guards, a0: conj()},  # the dummy action's guard is true
-        dummy=(b0, a0),
-    )
-
-
 def _fresh_name(base: str, taken: Sequence[str]) -> str:
+    """`base`, or the first of `base1`, `base2`, ... that `taken` lacks."""
     name = base
     i = 0
     while name in taken:
@@ -107,6 +92,12 @@ def build_product(
     cubes of the class's representative, its first state, written only
     when the node is printed.
 
+    The product adds its own root, node 0, so that position 0 reads a
+    symbol too: a control outside `d`'s (`_init`, or the first of `_init1`,
+    `_init2`, ... that `d` lacks) at the initial class, whose one move is a
+    fresh action (`_start` likewise) into `d.initial` that moves nothing.
+    Every other node moves by `d.outgoing`.
+
     It is the emptiness search: a BFS whose node indices are discovery
     order, a node's edges going out by action in declaration order, then in
     the NFA's `outgoing` order; `parents` holds the BFS tree.
@@ -126,23 +117,20 @@ def build_product(
     A budget stop (the node budget or a solver's) raises
     `ProductBudgetExceeded` with the product built so far.
     """
-    if d.dummy is None:
-        raise ValueError("build_product needs the dummy-extended system")
     qe_idx = next(i for i, s in enumerate(nfa.states) if s == lt.QE_STATE)
-    dummy_action = d.dummy[1]
-    init = strategy.initial()
-    root = PNode(d.initial, nfa.initial, init)
+    root = PNode(_fresh_name("_init", d.states), nfa.initial, strategy.initial())
+    start = ((_fresh_name("_start", d.actions), d.initial),)
     p = ProductAutomaton(nfa, [root], [], 0, set(), [None], strategy)
     nodes, edges, finals, parents = p.nodes, p.edges, p.finals, p.parents
-    index = {(d.initial, nfa.initial, init): 0}
+    index = {root: 0}
     labels: dict[SigmaSymbol, tuple] = {}
     queue = deque([0])
     try:
         while queue:
             i = queue.popleft()
             node = nodes[i]
-            for (a, dst) in d.outgoing(node.state):
-                step = None if a == dummy_action else a  # the dummy step moves nothing
+            for (a, dst) in d.outgoing(node.state) if i else start:
+                step = a if i else None  # the root's move moves nothing
                 for ne in nfa.outgoing(node.q):
                     if not lt.symbol_consistent_with_step(ne.symbol, a, dst):
                         continue
@@ -206,11 +194,9 @@ def constraint_graph(
 ) -> ConstraintGraph:
     """Fixpoint exploration from the initial constraint, quotiented by the
     strategy: the product with the automaton of `true`, whose one state
-    reads every symbol, without the dummy node."""
+    reads every symbol, without the product's root."""
     try:
-        p = build_product(
-            extend_with_dummy(d), lt.build_nfa(lt.TOP, d.domain), strategy, max_nodes + 1
-        )
+        p = build_product(d, lt.build_nfa(lt.TOP, d.domain), strategy, max_nodes + 1)
     except ProductBudgetExceeded as e:
         if e.__cause__ is not None:  # a solver budget, whose message stands
             raise
@@ -284,7 +270,7 @@ def extract_witness(
     d: Ddsa, p: ProductAutomaton, path: Sequence[PEdge]
 ) -> tuple[Run, list[SigmaSymbol]]:
     """Concrete run of the system `d` from an accepting path of its
-    dummy-extended product `p`, solved backwards (`_solve_backwards`).
+    product `p`, solved backwards (`_solve_backwards`).
 
     Over the rationals each part is solved on its own system, whose
     transition cubes its images built, and on its classes' states along
@@ -296,11 +282,11 @@ def extract_witness(
     prefixes are the exact history constraints.  `_assert_witness`
     revalidates the run either way.
 
-    The dummy first step contributes the position-0 constraint set; the
-    returned run starts at the real initial state.
+    The first step, the root's, contributes the position-0 constraint set;
+    the returned run starts at `d`'s initial state.
     """
     if not path:
-        raise ValueError("path must start with the dummy step")
+        raise ValueError("path must start with the root's step")
     word: list[SigmaSymbol] = [e.symbol for e in path]
     actions = [e.action for e in path[1:]]
     if d.domain == INT:
@@ -365,7 +351,7 @@ def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
         strategy = sm.detect(d, lt.constraints_of(pre))
         nfa = lt.build_nfa(pre, d.domain)
         try:
-            prod, stop = build_product(extend_with_dummy(d), nfa, strategy, max_nodes), None
+            prod, stop = build_product(d, nfa, strategy, max_nodes), None
         except ProductBudgetExceeded as e:
             prod, stop = e.product, e
         path = find_accepting_path(prod)

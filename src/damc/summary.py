@@ -238,9 +238,9 @@ class _Leaf:
         return tuple(solve.to_dnf(conj(*formulas), self.d.domain))
 
     def image(self, rep: _Class, action: Optional[str]) -> Dnf:
-        # no action (the dummy step) and a true guard keep every variable's
-        # value (on a projected leaf, an action that moves none of its
-        # variables): the image is the state itself.  Otherwise one image
+        # no action (the product root's step) and a true guard keep each
+        # variable's value (on a projected leaf, an action that moves none of
+        # its variables): the image is the state itself.  Otherwise one image
         # per (class, guard), the one image memo, shared by the product's
         # NFA edges and by the actions with that guard: on one system the
         # guard fixes the write set, and so the whole transition formula

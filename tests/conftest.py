@@ -12,7 +12,6 @@ from damc import ltlf as lt, parsing, product, solve
 from damc.certificates import ComputationGraph, enumerate_symbolic_runs, seq_decompose
 from damc.summary import used_actions
 from damc.ddsa import Ddsa, transition_formula, update
-from damc.product import extend_with_dummy
 from damc.formula import (
     INDEXED,
     INT,
@@ -277,10 +276,23 @@ def check_closed(d, verdict) -> int:
     an edge with that action and symbol to a node at the step's (control,
     NFA state) whose formula the conjunction entails.  So a merge into a
     larger class passes, and one into a smaller or incomparable class
-    fails (Namjoshi, CAV 2001)."""
+    fails (Namjoshi, CAV 2001).  The steps run on the reference's own
+    extension of `d` by the product's root: node 0's control, entered by
+    the action of the product's first edge (when there is none, any name
+    `d` lacks) under a true guard."""
     p = verdict.product
     assert d.domain == RAT and verdict.kind == "no-witness" and p is not None
-    nfa, e = p.nfa, extend_with_dummy(d)
+    b0 = p.nodes[p.initial].state
+    a0 = p.edges[0].action if p.edges else "".join(d.actions) + "_"
+    assert b0 not in d.states and a0 not in d.actions
+    e = d.replace(
+        states=(b0,) + d.states,
+        initial=b0,
+        actions=(a0,) + d.actions,
+        transitions=((b0, a0, d.initial),) + d.transitions,
+        guards={**d.guards, a0: conj()},
+    )
+    nfa = p.nfa
     word_end = nfa.states.index(lt.QE_STATE)
     out: dict = {}
     for edge in p.edges:

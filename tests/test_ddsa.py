@@ -276,6 +276,20 @@ def test_validate_reports_problems(b1):
     assert any("unknown variable 'q'" in m for m in issues)
 
 
+@pytest.mark.parametrize(
+    "changes, problem",
+    [
+        (lambda d: {"guards": {"a1": d.guards["a1"]}}, "action 'a2' has no guard"),
+        (lambda d: {"actions": ("a1",)}, "transition uses undeclared action 'a2'"),
+        (lambda d: {"alpha0": {x: F(0)}}, "initial assignment missing variable 'y'"),
+    ],
+)
+def test_validate_names_what_a_directly_built_system_lacks(b1, changes, problem):
+    # the parser never builds these: it declares each action with its guard
+    # and requires an init assignment for every variable
+    assert validate(b1.replace(**changes(b1))) == [problem]
+
+
 def test_validate_empty_finals_diagnostic(b1):
     d = Ddsa(
         states=b1.states,

@@ -102,6 +102,96 @@ def test_parse_model_rejects_a_second_declaration(second):
         parse_model(ONE_LOOP + second + "\n")
 
 
+# every name a property reads: each case below edits one line of it
+NAMED = (
+    "domain rat\nvars x y\ninit x=0 y=0\nstates s t\ninitial s\nfinal t\n"
+    "trans s go t [x^w > y^r]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, edit, name",
+    [
+        ("vars x y", "vars x y+z", "variable 'y+z'"),
+        ("vars x y", "vars x y^r", "variable 'y^r'"),
+        ("vars x y", "vars x y#1", "variable 'y#1'"),
+        ("vars x y", "vars x 2", "variable '2'"),
+        ("states s t", "states s u-v", "state 'u-v'"),
+        ("states s t", "states s (t)", "state '(t)'"),
+        ("trans s go t", "trans s go-on t", "action 'go-on'"),
+        ("trans s go t [x^w > y^r]", "trans s a#1 t [x^w > 1 || x^w < 0]", "action 'a#1#1'"),
+    ],
+)
+def test_parse_model_rejects_a_name_no_property_can_read(line, edit, name):
+    # `F (y+z > 0)` reads y plus z, and `F u-v` the term u minus v
+    assert line in NAMED and parse_model(NAMED)
+    n = next(i for i, ln in enumerate(NAMED.splitlines(), start=1) if ln.startswith(line))
+    with pytest.raises(ParseError) as e:
+        parse_model(NAMED.replace(line, edit))
+    assert str(e.value) == f"{name} is not a name a property can read at line {n}"
+    assert e.value.line == n
+
+
+def test_a_declared_name_is_one_token_a_property_reads():
+    # a plain name for a variable; a name, a number or a split id for a
+    # state or an action, as b1's states `1 2` and printed split ids `a#1`
+    d = parse_model(
+        "domain rat\nvars x_1 _y\ninit x_1=0 _y=0\nstates 1 s^r\ninitial 1\nfinal s^r\n"
+        "trans 1 a#1 s^r [x_1^w > _y^r]\ntrans s^r 2 1 []\n"
+    )
+    reads = atom(VarId("x_1"), ">", VarId("_y"))
+    assert parse_property("F (x_1 > _y)", d) == lt.Eventually(lt.Constr(reads))
+    assert parse_property("F s^r", d) == lt.Eventually(lt.StateAtom("s^r"))
+    assert parse_property("F <a#1> 1", d) == lt.Eventually(lt.ActNext("a#1", lt.StateAtom("1")))
+    assert parse_property("F 2", d) == lt.Eventually(lt.ActionAtom("2"))
+
+
+@pytest.mark.parametrize(
+    "line, edit, message, n",
+    [
+        ("domain rat", "domain real", "domain must be 'int' or 'rat', got 'real'", 1),
+        ("init x=0 y=0", "init x=0 y", "init entries look like x=0, got 'y'", 3),
+        ("trans s go t", "trans s go", "trans lines look like: trans s a t [guard]", 7),
+        ("final t", "final t\nfinish t", "unknown directive 'finish'", 7),
+        ("x^w > y^r", "2 * 3 > y^r", "expected a variable after '*'", 7),
+        ("domain rat\n", "", "missing 'domain' line", None),
+        ("vars x y\n", "", "missing 'vars' line", None),
+    ],
+)
+def test_parse_model_error_names_what_and_where(line, edit, message, n):
+    assert line in NAMED
+    with pytest.raises(ParseError) as e:
+        parse_model(NAMED.replace(line, edit))
+    assert str(e.value).startswith(message) and e.value.line == n
+
+
+@pytest.mark.parametrize(
+    "line, edit, problem",
+    [
+        ("initial s", "initial u", "initial state 'u' not in states"),
+        ("trans s go", "trans u go", "transition source 'u' not in states"),
+        (
+            "\ntrans",
+            "\ntrans s go s [x^w > y^r]\ntrans",
+            "duplicate transition for state 's' and action 'go'",
+        ),
+        ("x^w > y^r", "x > y^r", "guard of 'go' uses non read/write variable 'x'"),
+    ],
+)
+def test_check_model_names_the_problem(line, edit, problem):
+    # what `validate` finds, as parse_model reports it through check_model
+    assert line in NAMED
+    with pytest.raises(ParseError) as e:
+        parse_model(NAMED.replace(line, edit))
+    assert str(e.value) == f"invalid model: {problem}"
+
+
+def test_a_property_atom_naming_both_a_state_and_an_action_is_an_error():
+    d = parse_model(NAMED.replace("trans s go t", "trans s t t"))
+    with pytest.raises(UnknownAtom, match="^'t' names both a state and an action$"):
+        parse_property("F t", d)
+
+
 # a `||` guard splits its action into `a#1` and `a#2`, which print as names
 SPLIT = (
     "domain rat\nvars x\ninit x=0\nstates s t\ninitial s\nfinal t  # the end\n"

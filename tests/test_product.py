@@ -31,7 +31,6 @@ from damc.formula import (
 from damc.product import (
     build_product,
     constraint_graph,
-    extend_with_dummy,
     find_accepting_path,
     extract_witness,
     verify,
@@ -55,28 +54,56 @@ from conftest import (
 x, y = VarId("x"), VarId("y")
 
 
-def test_extend_with_dummy(b1):
-    ext = extend_with_dummy(b1)
-    assert len(ext.states) == 3
-    b0, a0 = ext.dummy
-    assert ext.initial == b0
-    assert ext.target(b0, a0) == "1"
-    assert ext.finals == b1.finals
-    with pytest.raises(ValueError):
-        extend_with_dummy(ext)
-
-
 def build_b1_product(b1, prop_text="F (y > 5)"):
     psi = parsing.parse_property(prop_text, b1)
     pre = lt.preprocess(psi)
     nfa = lt.build_nfa(pre, b1.domain)
     strat = detect(b1, lt.constraints_of(pre))
-    ext = extend_with_dummy(b1)
-    return ext, nfa, build_product(ext, nfa, strat, 1000), pre
+    prod = build_product(b1, nfa, strat, 1000)
+    return prod.nodes[prod.initial].state, nfa, prod, pre
+
+
+def test_product_adds_its_own_root(b1):
+    # node 0 sits at a control the system lacks; its one action, which the
+    # system lacks too, enters the initial control and moves nothing; no
+    # other edge reads that action or enters the root
+    root, _, prod, _ = build_b1_product(b1)
+    assert prod.initial == 0 and root == "_init"
+    assert root not in b1.states
+    out = [e for e in prod.edges if e.src == 0]
+    assert out and {e.action for e in out} == {"_start"} and "_start" not in b1.actions
+    assert all(prod.nodes[e.dst].state == b1.initial for e in out)
+    assert all(e.action != "_start" and e.dst != 0 for e in prod.edges if e.src != 0)
+    assert prod.nodes[out[0].dst].cls == prod.nodes[0].cls  # x = y = 0 still
+
+
+def test_check_closed_names_the_action_of_a_root_with_no_edge(b1):
+    # position 0 fails `x > 0`, so the root has no edge to read its action
+    # off, and the reference checks the root's one step on a name of its own
+    v = verify(b1, parsing.parse_property("x > 0", b1))
+    assert v.kind == "no-witness" and v.sizes["product_edges"] == 0
+    assert check_closed(b1, v) == 0
+
+
+@pytest.mark.parametrize(
+    "states, root, start",
+    [("_init s", "_init1", "_start1"), ("_init _init1 s", "_init2", "_start1")],
+)
+def test_product_root_takes_a_name_the_model_leaves_free(states, root, start):
+    # a model may declare `_init` and `_start` itself: the root takes the
+    # next free name, and the witness starts at the model's own `_init`
+    d = parsing.parse_model(
+        f"domain rat\nvars x\ninit x=0\nstates {states}\ninitial _init\nfinal s\n"
+        "trans _init _start s [x^w > x^r]\n"
+    )
+    v = verify(d, parsing.parse_property("F (x > 0)", d))
+    assert v.kind == "witness" and v.run.actions == ("_start",)
+    assert v.run.configs[0].state == "_init"
+    assert v.product.nodes[0].state == root and v.product.edges[0].action == start
 
 
 def test_product_b1_golden(b1):
-    ext, nfa, prod, _ = build_b1_product(b1)
+    root, nfa, prod, _ = build_b1_product(b1)
     assert len(prod.nodes) == 9
     phi = {
         "phi0": conj(atom(x, "=", 0), atom(y, "=", 0)),
@@ -88,7 +115,7 @@ def test_product_b1_golden(b1):
         "phi2s": conj(atom(x, ">", 5), atom(y, ">", x)),
     }
     expected = {
-        (ext.dummy[0], "psi", "phi0"),
+        (root, "psi", "phi0"),
         ("1", "psi", "phi0"),
         ("2", "psi", "phi1"),
         ("1", "psi", "phi2"),
@@ -111,20 +138,20 @@ def test_product_b1_golden(b1):
 
 
 def test_find_accepting_path_shortest(b1):
-    ext, nfa, prod, _ = build_b1_product(b1)
+    _, nfa, prod, _ = build_b1_product(b1)
     path = find_accepting_path(prod)
     assert path is not None
-    assert len(path) == 4  # dummy, a1, a2 (constraint), a1
+    assert len(path) == 4  # the root's step, a1, a2 (constraint), a1
     assert [e.action for e in path][1:] == ["a1", "a2", "a1"]
 
 
 def test_find_accepting_path_none(b1):
-    ext, nfa, prod, _ = build_b1_product(b1, "F (y > 5 & y < 0)")
+    _, nfa, prod, _ = build_b1_product(b1, "F (y > 5 & y < 0)")
     assert find_accepting_path(prod) is None
 
 
 def test_extract_witness_validates(b1):
-    ext, nfa, prod, pre = build_b1_product(b1)
+    _, nfa, prod, pre = build_b1_product(b1)
     path = find_accepting_path(prod)
     run, word = extract_witness(b1, prod, path)
     assert validate_run(b1, run)
@@ -132,6 +159,14 @@ def test_extract_witness_validates(b1):
     assert lt.run_models(b1, run, 0, pre)
     final = run.configs[-1].assignment()
     assert final[y] > 5 and final[x] > final[y]
+
+
+def test_realize_run_is_none_on_an_unsatisfiable_history(b1):
+    # a1 writes x > y from x = y = 0, so no run reaches x < 0 after it; the
+    # same run without that constraint is realized
+    assert product.realize_run(b1, ["a1"], [[], [atom(x, "<", 0)]]) is None
+    run = product.realize_run(b1, ["a1"], [[], []])
+    assert run is not None and validate_run(b1, run) and run.actions == ("a1",)
 
 
 def test_verify_b1_witness(b1):
@@ -229,7 +264,7 @@ def test_b3_integer_witness(b3):
 
 def test_finals_nonempty_iff_path_found(b1):
     for prop, nonempty in (("F (y > 5)", True), ("F (y > 5 & y < 0)", False)):
-        ext, nfa, prod, _ = build_b1_product(b1, prop)
+        _, nfa, prod, _ = build_b1_product(b1, prop)
         assert bool(prod.finals) == nonempty
         assert (find_accepting_path(prod) is not None) == nonempty
 
@@ -690,7 +725,7 @@ def test_product_nodes_satisfy_history_spotcheck(b1):
     # representative matches the recomputed history constraint of its path
     from damc.ddsa import history_constraint
 
-    ext, nfa, prod, _ = build_b1_product(b1)
+    _, nfa, prod, _ = build_b1_product(b1)
     assert len(prod.parents) == len(prod.nodes) and prod.parents[prod.initial] is None
     for i in range(len(prod.nodes)):
         edges = []
@@ -773,7 +808,7 @@ def test_projected_leaf_images_each_state_and_transition_formula_once(auction, m
 
     def tracked_image(self, rep, action):
         out = leaf_image(self, rep, action)
-        if action is None:  # the dummy step moves nothing
+        if action is None:  # the step out of the product's root moves nothing
             assert out is rep.state
             return out
         key = (id(self.d), rep.state, dd.transition_formula(self.d, action))
@@ -1258,7 +1293,7 @@ def test_build_product_writes_no_formula_on_the_gated_goldens(auction, b1, monke
     for d, text in cases:
         pre = lt.preprocess(parsing.parse_property(text, d))
         strategy = detect(d, lt.constraints_of(pre))
-        p = build_product(extend_with_dummy(d), lt.build_nfa(pre, d.domain), strategy)
+        p = build_product(d, lt.build_nfa(pre, d.domain), strategy)
         assert len(p.nodes) > 1
 
 
