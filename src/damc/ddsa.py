@@ -1,6 +1,5 @@
 """Data-aware dynamic systems: model, step semantics, symbolic runs,
 transition formulas, the update operator, and history constraints."""
-from __future__ import annotations
 
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -73,7 +72,6 @@ class Ddsa:
         self._out: dict[str, list[tuple[str, str]]] = {}
         for (s, a, d) in self.transitions:
             self._out.setdefault(s, []).append((a, d))
-        self._delta_cache: dict[str, Formula] = {}
         self._write_cache: dict[str, tuple[VarId, ...]] = {}
         # the snapshot and the renamed transition cubes per action, as
         # `_transition_cubes` builds them
@@ -159,9 +157,6 @@ def symbolic_states(d: Ddsa, actions: Sequence[str]) -> list[str]:
 
 def transition_formula(d: Ddsa, action: str) -> Formula:
     """guard(a) plus inertia equalities v^w = v^r for unwritten variables."""
-    hit = d._delta_cache.get(action)
-    if hit is not None:
-        return hit
     g = d.guard(action)
     written = set(d.write_set(action))
     inertia = [
@@ -169,9 +164,7 @@ def transition_formula(d: Ddsa, action: str) -> Formula:
         for v in d.variables
         if v not in written
     ]
-    out = conj(g, *inertia)
-    d._delta_cache[action] = out
-    return out
+    return conj(g, *inertia)
 
 
 def update(d: Ddsa, state: solve.Dnf, action: str) -> solve.Dnf:

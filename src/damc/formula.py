@@ -24,7 +24,6 @@ them without building code at import, as `dataclasses` would.  A memo lives on t
 name starts with `_` (`Value._hash`, `Atom._norm`), and no table in the
 module remembers a value across calls.
 """
-from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -200,7 +199,7 @@ class Term(Value):
         _set(self, "_hash", None)
 
     @staticmethod
-    def of(x: Union["Term", VarId, RatLike]) -> "Term":
+    def of(x: "Union[Term, VarId, RatLike]") -> "Term":
         if isinstance(x, Term):
             return x
         if isinstance(x, VarId):

@@ -1,14 +1,13 @@
 """Finite-trace temporal formulas with arithmetic constraints: the AST,
 the next-action preprocessing, the transition function delta, the NFA
-construction, and the direct trace semantics used as its oracle."""
-from __future__ import annotations
+construction from the formula alone (no solver, no domain), and the
+direct trace semantics used as its oracle."""
 
 from functools import reduce
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .ddsa import Ddsa, Run, step_allowed
-from .formula import Domain, Formula, Value, conj, evaluate
-from . import solve
+from .formula import Formula, Value, evaluate
 
 
 class LtlfError(Exception):
@@ -365,19 +364,19 @@ class Nfa:
         return "q_e" if s == QE_STATE else str(s)
 
 
-def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
-    """Least-fixpoint construction from the quoted initial formula.
+def build_nfa(psi: Ltlf) -> Nfa:
+    """Least-fixpoint construction from the quoted initial formula alone.
 
     An entry without the last flag yields an ordinary transition; an entry
     with the last flag targeting Top yields a transition into qe.  Top is
     final, so a not-last entry into Top goes to _GO_ON instead, unless a
     last entry into Top with a subset of its symbol already accepts where
-    the word ends.  Entries into the Bot sink, which accepts nothing, and
-    transitions whose constraint sets are unsatisfiable are dropped.  Each
-    distinct constraint set is decided once per construction.
+    the word ends.  Entries into the Bot sink, which accepts nothing, are
+    dropped.  A symbol whose constraints cannot hold together keeps its
+    edge: whether they can is a question about data, which the product
+    answers on every edge it reads.
     """
     states: list[Union[Ltlf, str]] = [psi]
-    satisfiable: dict[Formula, bool] = {}  # by the constraints' conjunction
     index: dict = {psi: 0}
 
     def state_id(q) -> int:
@@ -405,14 +404,6 @@ def build_nfa(psi: Ltlf, dom: Domain) -> Nfa:
                 ti = state_id(QE_STATE)
             else:
                 continue
-            # the target is explored even when this label is unsatisfiable
-            cs = constr_of(entry.symbol)
-            if cs:
-                label = conj(*cs)
-                if label not in satisfiable:
-                    satisfiable[label] = solve.is_sat(tuple(solve.to_dnf(label, dom)), dom).sat
-                if not satisfiable[label]:
-                    continue
             edges.append(NfaEdge(qi, entry.symbol, ti))
     return Nfa(states, edges, 0, {state_id(TOP), state_id(QE_STATE)})
 
@@ -435,9 +426,11 @@ def run_models(d: Ddsa, run: Run, i: int, psi: Ltlf) -> bool:
     if isinstance(psi, StateAtom):
         return run.configs[i].state == psi.state
     if isinstance(psi, ActionAtom):
-        # introduced by preprocessing: the step into position i used the action
-        return i > 0 and step_allowed(
-            d, run.configs[i - 1], psi.action, run.configs[i]
+        # introduced by preprocessing: the run took the action into position i
+        return (
+            i > 0
+            and run.actions[i - 1] == psi.action
+            and step_allowed(d, run.configs[i - 1], psi.action, run.configs[i])
         )
     if isinstance(psi, LAnd):
         return run_models(d, run, i, psi.left) and run_models(d, run, i, psi.right)
@@ -446,6 +439,7 @@ def run_models(d: Ddsa, run: Run, i: int, psi: Ltlf) -> bool:
     if isinstance(psi, ActNext):
         return (
             i < n
+            and run.actions[i] == psi.action
             and step_allowed(d, run.configs[i], psi.action, run.configs[i + 1])
             and run_models(d, run, i + 1, psi.sub)
         )

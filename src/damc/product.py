@@ -11,7 +11,6 @@ nothing; over the integers on the path's exact history constraints.
 `verify` returns one `Verdict` record of what it built: the strategy's
 label, the NFA's and product's sizes, and, unless it is inconclusive, the
 product, which holds the NFA and the strategy."""
-from __future__ import annotations
 
 from collections import deque
 from typing import NamedTuple, Optional, Sequence
@@ -31,7 +30,7 @@ class ProductBudgetExceeded(BudgetExceeded):
     `product` is what was built by then: the first nodes of the whole
     product, in its BFS order, with their edges, finals and BFS tree."""
 
-    def __init__(self, message: str, product: ProductAutomaton):
+    def __init__(self, message: str, product: "ProductAutomaton"):
         super().__init__(message)
         self.product = product
 
@@ -105,7 +104,8 @@ def build_product(
     Every state stays in the solver's normal form, a DNF per part.  An
     edge needs a satisfiable update image conjoined with the NFA symbol's
     constraints in every part, and the symbol must be consistent with the
-    transition taken; each NFA edge asks the strategy for one `successor`.
+    transition taken; each NFA edge asks the strategy for one `successor`,
+    which also refutes a symbol whose constraints cannot hold together.
     The constraints are over the post-state, so they commute with the
     image's existential, and the leaf shares one image per (class, guard)
     among the edges that conjoin to it, none for a guard that is true on
@@ -196,7 +196,7 @@ def constraint_graph(
     strategy: the product with the automaton of `true`, whose one state
     reads every symbol, without the product's root."""
     try:
-        p = build_product(d, lt.build_nfa(lt.TOP, d.domain), strategy, max_nodes + 1)
+        p = build_product(d, lt.build_nfa(lt.TOP), strategy, max_nodes + 1)
     except ProductBudgetExceeded as e:
         if e.__cause__ is not None:  # a solver budget, whose message stands
             raise
@@ -349,7 +349,7 @@ def verify(d: Ddsa, psi: Ltlf, max_nodes: int = 10_000) -> Verdict:
     strategy = nfa = prod = None
     try:
         strategy = sm.detect(d, lt.constraints_of(pre))
-        nfa = lt.build_nfa(pre, d.domain)
+        nfa = lt.build_nfa(pre)
         try:
             prod, stop = build_product(d, nfa, strategy, max_nodes), None
         except ProductBudgetExceeded as e:

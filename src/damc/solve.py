@@ -19,7 +19,6 @@ every other entry point takes and returns DNFs.  Fourier-Motzkin runs on
 the integer rows: two rows combine as positive integer multiples and are
 divided by their gcd, the primitive normal form of the combined atom.
 """
-from __future__ import annotations
 
 from math import ceil, floor
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence

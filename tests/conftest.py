@@ -95,6 +95,15 @@ def auction():
     return load_model("auction.ddsa")
 
 
+@pytest.fixture(scope="session")
+def two_actions():
+    # b's guard x^w > 1 implies a's x^w > 0: every b-step is a step a allows
+    return parsing.parse_model(
+        "domain rat\nvars x\ninit x=0\nstates s t\ninitial s\nfinal t\n"
+        "trans s a t [x^w > 0]\ntrans s b t [x^w > 1]\n"
+    )
+
+
 @pytest.fixture()
 def rng():
     return random.Random(20240817)

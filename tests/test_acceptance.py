@@ -152,7 +152,7 @@ def test_criterion_3_gap_order_b3(b3):
 
 def test_criterion_4_nfa_goldens():
     c = Constr(atom(y, ">", 5))
-    nfa = build_nfa(Eventually(c), RAT)
+    nfa = build_nfa(Eventually(c))
     names = {nfa.state_name(i) for i in range(len(nfa.states))}
     psi_s = nfa.state_name(nfa.initial)
     es = {(nfa.state_name(e.src), lt.fmt_symbol(e.symbol), nfa.state_name(e.dst)) for e in nfa.edges}
@@ -166,7 +166,7 @@ def test_criterion_4_nfa_goldens():
 
     gap = Constr(atom(Term.of(x) - Term.of(y), ">=", 2))
     psi2 = Eventually(land(StateAtom("b"), Next(gap)))
-    nfa2 = build_nfa(psi2, RAT)
+    nfa2 = build_nfa(psi2)
     ok = ok and len(nfa2.states) == 4
     mid = [
         nfa2.state_name(i)
@@ -527,7 +527,7 @@ def test_criterion_8d_nfa_acceptance(rng, b1, b2):
         runs = list(itertools.islice(oracle.enumerate_runs(d, 3, frac_grid(0, 3, halves=True)), 30))
         for psi in sample_properties(d, rng):
             pre = preprocess(psi)
-            nfa = build_nfa(pre, d.domain)
+            nfa = build_nfa(pre)
             for run in runs:
                 want = run_models(d, run, 0, pre)
                 got = any(

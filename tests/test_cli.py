@@ -541,9 +541,9 @@ def _raise(exc):
     return fail
 
 
-def test_integer_search_failure_in_nfa_pruning_is_inconclusive(capsys, monkeypatch):
-    # MC detection on b1 solves nothing, so the first is_sat call is the
-    # pruning pass of build_nfa
+def test_integer_search_failure_in_the_product_is_inconclusive(capsys, monkeypatch):
+    # MC detection on b1 solves nothing and the NFA is the formula's, so
+    # the first is_sat call is the product's, on its first successor
     exc = UnsupportedInteger("integer search space too large")
     monkeypatch.setattr(solve, "is_sat", _raise(exc))
     code, out, err = run_cli(capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", "F (y > 5)")
@@ -552,8 +552,9 @@ def test_integer_search_failure_in_nfa_pruning_is_inconclusive(capsys, monkeypat
     assert "Traceback" not in out + err
 
 
-def test_dnf_budget_in_nfa_pruning_is_inconclusive(capsys, monkeypatch):
-    # `!=` splits into two cubes, one more than this budget allows
+def test_dnf_budget_on_a_label_is_inconclusive(capsys, monkeypatch):
+    # `!=` splits into two cubes, one more than this budget allows, where
+    # the product first meets the label
     monkeypatch.setattr(solve, "_DNF_CUBE_LIMIT", 1)
     code, out, _ = run_cli(
         capsys, "verify", str(MODELS / "b1.ddsa"), "--prop", "F (x != 1 & y != 2)", "--json"

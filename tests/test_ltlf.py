@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from damc import oracle, parsing
-from damc.formula import RAT, Term, VarId, atom, conj
+from damc.formula import Term, VarId, atom
 from damc.ltlf import (
     BOT,
     TOP,
@@ -34,6 +34,7 @@ from damc.ltlf import (
     walk,
     word_consistent,
 )
+from damc.product import verify
 
 from conftest import (
     PAPER_NESTED_NEXT_EDGES,
@@ -110,7 +111,7 @@ def test_delta_top():
 
 def test_nfa_simple_eventually():
     psi = Eventually(C_Y5)
-    nfa = build_nfa(psi, RAT)
+    nfa = build_nfa(psi)
     names = [nfa.state_name(i) for i in range(len(nfa.states))]
     assert len(names) == 3  # psi, true, q_e (bot sink dropped)
     es = edge_set(nfa)
@@ -127,7 +128,7 @@ def test_nfa_nested_next_golden():
     # F (b & X (x - y >= 2)) over a system with state atom "b"
     c = Constr(atom(Term.of(x) - Term.of(y), ">=", 2))
     psi = Eventually(land(StateAtom("b"), Next(c)))
-    nfa = build_nfa(psi, RAT)
+    nfa = build_nfa(psi)
     assert len(nfa.states) == 4
     psi_s = nfa.state_name(nfa.initial)
     mid = [
@@ -144,15 +145,20 @@ def test_nfa_nested_next_golden():
 
 
 def test_nfa_auction_psi12_shape(auction):
+    # psi, psi' = psi | F(sold & b != 1), true, q_e; the automaton is the
+    # formula's, so the all-atoms symbol {b = 1, b != 1, o > t, sold}, whose
+    # constraints cannot hold together, keeps its two edges, and the
+    # product refutes it on every node, as it refutes any other label
     psi = parsing.parse_property("F (b=1 & o>t & F (sold & b!=1))", auction)
-    nfa = build_nfa(preprocess(psi), auction.domain)
-    # psi, psi' = psi | F(sold & b != 1), true, q_e
-    assert len(nfa.states) == 4
-    # the all-atoms edge label b=1 && b!=1 is unsatisfiable and pruned
-    for e in nfa.edges:
-        cs = [s.formula for s in e.symbol if isinstance(s, Constr)]
-        names = {str(f) for f in cs}
-        assert not ({"b = 1", "b != 1"} <= names)
+    nfa = build_nfa(preprocess(psi))
+    assert (len(nfa.states), len(nfa.edges)) == (4, 8)
+    clash = lambda symbol: {"b = 1", "b != 1"} <= {str(s) for s in symbol}  # noqa: E731
+    assert sorted(fmt_symbol(e.symbol) for e in nfa.edges if clash(e.symbol)) == [
+        "{b != 1, b = 1, o > t, sold}"
+    ] * 2
+    v = verify(auction, psi)
+    assert v.kind == "witness" and v.sizes["nfa_edges"] == 8
+    assert v.product.edges and not [e for e in v.product.edges if clash(e.symbol)]
 
 
 def test_nfa_symbols_are_sets_of_the_property_atoms():
@@ -162,7 +168,7 @@ def test_nfa_symbols_are_sets_of_the_property_atoms():
         d = with_domain(load_model(model), dom)
         pre = preprocess(parsing.parse_property(text, d))
         atoms = {n for n in walk(pre) if isinstance(n, (Constr, StateAtom, ActionAtom))}
-        for e in build_nfa(pre, d.domain).edges:
+        for e in build_nfa(pre).edges:
             edges += 1
             assert e.symbol <= atoms, (text, fmt_symbol(e.symbol))
     assert edges > 100
@@ -172,7 +178,7 @@ def test_nfa_explores_each_state_once_in_index_order():
     # a state explored twice, or out of order, would list its edges again
     for model, dom, text in golden_queries():
         d = with_domain(load_model(model), dom)
-        nfa = build_nfa(preprocess(parsing.parse_property(text, d)), d.domain)
+        nfa = build_nfa(preprocess(parsing.parse_property(text, d)))
         assert len(set(nfa.states)) == len(nfa.states), text
         srcs = [e.src for e in nfa.edges]
         assert srcs == sorted(srcs), text
@@ -181,8 +187,8 @@ def test_nfa_explores_each_state_once_in_index_order():
 
 def test_nfa_deterministic_construction():
     psi = Until(Constr(atom(x, "=", 0)), Eventually(C_Y5))
-    a = build_nfa(psi, RAT)
-    b = build_nfa(psi, RAT)
+    a = build_nfa(psi)
+    b = build_nfa(psi)
     assert [str(s) for s in a.states] == [str(s) for s in b.states]
     assert [(e.src, e.dst, fmt_symbol(e.symbol)) for e in a.edges] == [
         (e.src, e.dst, fmt_symbol(e.symbol)) for e in b.edges
@@ -191,7 +197,7 @@ def test_nfa_deterministic_construction():
 
 def test_qe_state_has_no_outgoing():
     psi = Always(C_Y5)
-    nfa = build_nfa(psi, RAT)
+    nfa = build_nfa(psi)
     qe = next(i for i, s in enumerate(nfa.states) if s == QE_STATE)
     assert nfa.outgoing(qe) == []
     assert qe in nfa.finals
@@ -232,6 +238,21 @@ def test_run_models_action_modality(b1):
     run = sample_witness_run(b1)
     assert run_models(b1, run, 0, ActNext("a1", TOP))
     assert not run_models(b1, run, 0, ActNext("a2", TOP))
+
+
+def test_run_models_reads_an_action_as_the_one_the_run_took(two_actions):
+    # the run took b into x = 2, which a's guard also allows: an action atom
+    # names the action taken, so a holds nowhere on the run, as no word
+    # with an a is consistent with it
+    from damc.ddsa import Config, Run
+
+    d = two_actions
+    run = Run((Config.make("s", {x: 0}), Config.make("t", {x: 2})), ("b",))
+    for text, holds in [("<a> true", False), ("F a", False), ("X a", False),
+                        ("X (a & b)", False), ("<b> true", True), ("F b", True), ("X b", True)]:
+        pre = preprocess(parsing.parse_property(text, d))
+        assert run_models(d, run, 0, pre) == holds, text
+    assert not word_consistent(d, [frozenset(), frozenset({ActionAtom("a")})], run)
 
 
 def test_word_consistent_sample_word(b1):
@@ -329,7 +350,7 @@ def test_nfa_acceptance_matches_semantics(b1, b2):
         runs = list(oracle.enumerate_runs(d, 3, frac_grid(0, 3, halves=True)))
         for psi in itertools.chain(psis_for(d), random_psis(d, rng)):
             pre = preprocess(psi)
-            nfa = build_nfa(pre, d.domain)
+            nfa = build_nfa(pre)
             for run in runs:
                 assert accepts_consistent_word(d, nfa, run) == run_models(d, run, 0, pre), psi
 
@@ -342,7 +363,7 @@ def test_nfa_entry_into_top_keeps_the_next_position(b1):
     runs = list(oracle.enumerate_runs(b1, 3, frac_grid(0, 3, halves=True)))
     assert {len(run) for run in runs} == {0, 1, 2, 3}
     for psi in (Next(TOP), Next(Next(TOP)), LOr(Constr(atom(y, ">", 2)), Next(TOP))):
-        nfa = build_nfa(psi, b1.domain)
+        nfa = build_nfa(psi)
         for run in runs:
             assert accepts_consistent_word(b1, nfa, run) == run_models(b1, run, 0, psi), (psi, run)
 
@@ -365,7 +386,7 @@ def test_nfa_of_until_between_unbounded_operands_closes(b1):
     c1, c2 = Constr(atom(y, ">", 2)), Constr(atom(x, "=", 0))
     for left, right in itertools.product((Eventually, Always), repeat=2):
         pre = preprocess(Until(left(c2), right(c1)))
-        nfa = build_nfa(pre, b1.domain)
+        nfa = build_nfa(pre)
         assert len(nfa.states) <= 8
         for run in runs:
             assert accepts_consistent_word(b1, nfa, run) == run_models(b1, run, 0, pre)
@@ -403,32 +424,3 @@ def test_delta_totality_on_runs(b1):
                         break
                 assert ok, f"delta not total at {q} position {i}"
         states.extend(e.target for e in entries)
-
-
-AUCTION_PROPERTIES = (
-    "F (sold & d>0 & o<=t)",
-    "F (b=1 & o>t & F (sold & b!=1))",
-    "F (sold & b=0)",
-    "(s=0) U (d<=0 | o>t)",
-    "G (s=0) | ((d>0 & o<=t) U (s!=0))",
-)
-
-
-def test_build_nfa_decides_each_distinct_label_once(auction, monkeypatch):
-    # the five auction properties' NFAs have 25 edge entries with
-    # constraints, and 12 distinct constraint sets among them: one
-    # satisfiability check each, none twice within a construction
-    from damc import solve
-
-    is_sat, asked = solve.is_sat, []
-
-    def recording(cubes, dom):
-        asked.append(tuple(cubes))
-        return is_sat(cubes, dom)
-
-    monkeypatch.setattr(solve, "is_sat", recording)
-    for text in AUCTION_PROPERTIES:
-        before = len(asked)
-        build_nfa(preprocess(parsing.parse_property(text, auction)), auction.domain)
-        assert len(set(asked[before:])) == len(asked) - before, text
-    assert len(asked) == 12

@@ -6,6 +6,7 @@ from damc.ddsa import Config, Run, validate_run
 from damc.formula import INT, VarId, atom
 from damc.ltlf import Constr, Eventually, StateAtom, land
 from damc.oracle import brute_force_witness, default_grid, enumerate_runs
+from damc.product import verify
 
 from conftest import frac_grid, with_domain
 
@@ -59,6 +60,19 @@ def test_brute_force_witness_found(b1):
 def test_brute_force_witness_unsat(b1):
     psi = Eventually(land(Constr(atom(y, ">", 5)), Constr(atom(y, "<", 0))))
     assert brute_force_witness(b1, psi, 4, frac_grid(0, 9)) is None
+
+
+def test_brute_force_witness_takes_the_named_action(two_actions):
+    # a run satisfies an action atom only by taking that action, as verify
+    # reads it, so no run satisfies X (a & b)
+    d = two_actions
+    grid = default_grid(d, hi=3)
+    for text, action in [("X a", "a"), ("X b", "b"), ("F b", "b"), ("<b> true", "b")]:
+        run = brute_force_witness(d, parsing.parse_property(text, d), 2, grid)
+        assert run is not None and run.actions == (action,), text
+    psi = parsing.parse_property("X (a & b)", d)
+    assert brute_force_witness(d, psi, 2, grid) is None
+    assert verify(d, psi).kind == "no-witness"
 
 
 def test_brute_force_empty_run_witness():

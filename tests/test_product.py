@@ -57,7 +57,7 @@ x, y = VarId("x"), VarId("y")
 def build_b1_product(b1, prop_text="F (y > 5)"):
     psi = parsing.parse_property(prop_text, b1)
     pre = lt.preprocess(psi)
-    nfa = lt.build_nfa(pre, b1.domain)
+    nfa = lt.build_nfa(pre)
     strat = detect(b1, lt.constraints_of(pre))
     prod = build_product(b1, nfa, strat, 1000)
     return prod.nodes[prod.initial].state, nfa, prod, pre
@@ -1293,7 +1293,7 @@ def test_build_product_writes_no_formula_on_the_gated_goldens(auction, b1, monke
     for d, text in cases:
         pre = lt.preprocess(parsing.parse_property(text, d))
         strategy = detect(d, lt.constraints_of(pre))
-        p = build_product(d, lt.build_nfa(pre, d.domain), strategy)
+        p = build_product(d, lt.build_nfa(pre), strategy)
         assert len(p.nodes) > 1
 
 
@@ -1621,7 +1621,7 @@ def test_nfa_symbols_are_minimal_between_two_states(auction, b1):
     cases += [(b1, c["property"]) for c in DISJUNCTION_GOLDEN.values()]
     cases += [(load_model(c["model"]), c["property"]) for c in INTEGER_GOLDEN.values()]
     for d, text in cases:
-        nfa = lt.build_nfa(lt.preprocess(parsing.parse_property(text, d)), d.domain)
+        nfa = lt.build_nfa(lt.preprocess(parsing.parse_property(text, d)))
         symbols: dict = {}
         for e in nfa.edges:
             symbols.setdefault((e.src, e.dst), []).append(e.symbol)
