@@ -1,6 +1,11 @@
 """Linear-arithmetic terms, atoms, quantifier-free formulas, and variable
 assignments.
 
+A formula is `TRUE`, `FALSE`, an atom, or an `And` or `Or` of formulas.
+There is no negation node: the comparisons are closed under negation, so
+a negated comparison is the atom with the complementary operator (`<=`
+and `>`, `<` and `>=`, `=` and `!=`).
+
 Every coefficient, constant and assigned value is an exact rational, kept
 as a Python `int` when it is integral and as a `fractions.Fraction` only
 when it is not (`exact`, `exact_div`); the coefficients of a normalized
@@ -305,13 +310,6 @@ class Or(Formula):
         return fmt_formula(self)
 
 
-class Not(Formula):
-    __slots__ = ("arg",)  # Formula
-
-    def __str__(self) -> str:
-        return fmt_formula(self)
-
-
 def conj(*parts: Formula) -> Formula:
     """Flattened conjunction that keeps each conjunct's first occurrence."""
     flat: dict[Formula, None] = {}
@@ -344,16 +342,6 @@ def disj(*parts: Formula) -> Formula:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
-
-
-def neg(p: Formula) -> Formula:
-    if isinstance(p, TrueF):
-        return FALSE
-    if isinstance(p, FalseF):
-        return TRUE
-    if isinstance(p, Not):
-        return p.arg
-    return Not(p)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +458,6 @@ def evaluate(phi: Formula, alpha: Mapping[VarId, Exact]) -> bool:
         return all(evaluate(p, alpha) for p in phi.args)
     if isinstance(phi, Or):
         return any(evaluate(p, alpha) for p in phi.args)
-    if isinstance(phi, Not):
-        return not evaluate(phi.arg, alpha)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -485,8 +471,6 @@ def free_vars(phi: Formula) -> set[VarId]:
         for p in phi.args:
             out |= free_vars(p)
         return out
-    if isinstance(phi, Not):
-        return free_vars(phi.arg)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -496,8 +480,6 @@ def atoms_of(phi: Formula) -> Iterator[Atom]:
     elif isinstance(phi, (And, Or)):
         for p in phi.args:
             yield from atoms_of(p)
-    elif isinstance(phi, Not):
-        yield from atoms_of(phi.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +526,6 @@ def fmt_formula(phi: Formula) -> str:
         return " && ".join(_wrap(p, for_and=True) for p in phi.args)
     if isinstance(phi, Or):
         return " || ".join(_wrap(p, for_and=False) for p in phi.args)
-    if isinstance(phi, Not):
-        return f"!({fmt_formula(phi.arg)})"
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -104,8 +104,10 @@ def build_product(
     Every state stays in the solver's normal form, a DNF per part.  An
     edge needs a satisfiable update image conjoined with the NFA symbol's
     constraints in every part, and the symbol must be consistent with the
-    transition taken; each NFA edge asks the strategy for one `successor`,
-    which also refutes a symbol whose constraints cannot hold together.
+    transition taken.  An edge whose label has a part with no cube (its
+    constraints normalize to false) is skipped; each other NFA edge asks
+    the strategy for one `successor`, which also refutes a symbol whose
+    constraints cannot hold together.
     The constraints are over the post-state, so they commute with the
     image's existential, and the leaf shares one image per (class, guard)
     among the edges that conjoin to it, none for a guard that is true on
@@ -139,6 +141,8 @@ def build_product(
                     label = labels.get(ne.symbol)
                     if label is None:
                         label = labels[ne.symbol] = strategy.label(lt.constr_of(ne.symbol))
+                    if not all(label):  # a part's constraints cannot hold
+                        continue
                     cls = strategy.successor(node.cls, step, label)
                     if cls is None:
                         continue

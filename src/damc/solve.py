@@ -15,9 +15,12 @@ is deliberately no SMT backend so every answer is reproducible.  The
 solver's currency is the normal form: a cube is a tuple of `NormAtom`s,
 whose coefficients are primitive integers, and a DNF is a tuple of cubes.
 `to_dnf` is the way in from a formula and `dnf_to_formula` the way back;
-every other entry point takes and returns DNFs.  Fourier-Motzkin runs on
-the integer rows: two rows combine as positive integer multiples and are
-divided by their gcd, the primitive normal form of the combined atom.
+every other entry point takes and returns DNFs.  A formula has no
+negation, so `to_dnf` reads each node one way; the one negation the
+solver takes is that of a cube's atoms, inside `entails`.
+Fourier-Motzkin runs on the integer rows: two rows combine as positive
+integer multiples and are divided by their gcd, the primitive normal
+form of the combined atom.
 """
 
 from math import ceil, floor
@@ -34,7 +37,6 @@ from .formula import (
     Formula,
     FormulaError,
     NormAtom,
-    Not,
     Or,
     TrueF,
     VarId,
@@ -143,32 +145,28 @@ def norm_cube(atoms: Sequence[NormAtom]) -> Optional[Cube]:
 
 def to_dnf(phi: Formula, dom: Domain = RAT) -> list[Cube]:
     """Disjunctive normal form over the domain as a list of cubes, each
-    once; [] is false, [()] true.
+    once; [] is false, [()] true.  The formula has no negation, so each
+    node is read as it stands: an `Or` concatenates its parts' cubes and
+    an `And` multiplies them.
 
     `!=` atoms are expanded into the two strict alternatives, except that
     over the integers one with a constant that is not an integer is true
     (`_atom_cubes`).
     """
-    return list(dict.fromkeys(_dnf(phi, True, dom == INT)))
+    return list(dict.fromkeys(_dnf(phi, dom == INT)))
 
 
-def _dnf(phi: Formula, positive: bool, integers: bool) -> list[Cube]:
+def _dnf(phi: Formula, integers: bool) -> list[Cube]:
     if isinstance(phi, TrueF):
-        return [()] if positive else []
+        return [()]
     if isinstance(phi, FalseF):
-        return [] if positive else [()]
-    if isinstance(phi, Not):
-        return _dnf(phi.arg, not positive, integers)
+        return []
     if isinstance(phi, Atom):
-        na = norm_atom(phi)
-        if not positive:
-            na = _negate(na)
-        return _atom_cubes(na, integers)
-    if isinstance(phi, (And, Or)):
-        is_and = isinstance(phi, And) == positive
-        parts = [_dnf(p, positive, integers) for p in phi.args]
-        if not is_and:
-            return [c for ds in parts for c in ds]
+        return _atom_cubes(norm_atom(phi), integers)
+    if isinstance(phi, Or):
+        return [c for p in phi.args for c in _dnf(p, integers)]
+    if isinstance(phi, And):
+        parts = [_dnf(p, integers) for p in phi.args]
         if not all(parts):
             return []
         # the one-cube parts meet in one `norm_cube`: they change neither
@@ -198,10 +196,9 @@ def conj_cubes(left: Sequence[Cube], right: Sequence[Cube]) -> list[Cube]:
 
 
 def _negate(na: NormAtom) -> NormAtom:
+    """The complement of a cube's atom, which is never a `!=`."""
     if na.op == "=":
         return NormAtom(na.coeffs, "!=", na.const)
-    if na.op == "!=":
-        return NormAtom(na.coeffs, "=", na.const)
     if na.op == "<=":  # not(t <= c)  <=>  -t < -c
         return NormAtom(tuple((v, -c) for v, c in na.coeffs), "<", -na.const)
     return NormAtom(tuple((v, -c) for v, c in na.coeffs), "<=", -na.const)
@@ -578,13 +575,18 @@ def entails(a: Sequence[Cube], b: Sequence[Cube]) -> bool:
     each cube of `a` conjoined with the negation of `b`, cube by cube, has
     no model.  A cube's negation splits a partial cube into one per atom
     (two for an equality); one with no model is pruned, and one whose model
-    satisfies the negated atom keeps it without a solver call."""
+    satisfies the negated atom keeps it without a solver call.  A partial
+    cube whose conjunction with the cube normalizes to false already lies
+    in the negation, and is kept whole with its model."""
     for cube in a:
         first = _sat_cube_rational(cube)
         partial = {} if first is None else {cube: first}
         for other in b:
             split: dict[Cube, dict[VarId, Exact]] = {}
             for p, model in partial.items():
+                if norm_cube(p + other) is None:  # p lies outside `other`
+                    split.setdefault(p, model)
+                    continue
                 for na in other:
                     for (neg,) in _atom_cubes(_negate(na), integers=False):
                         q = norm_cube(p + (neg,))

@@ -13,13 +13,14 @@ from damc.certificates import ComputationGraph, enumerate_symbolic_runs, seq_dec
 from damc.summary import used_actions
 from damc.ddsa import Ddsa, transition_formula, update
 from damc.formula import (
+    FALSE,
     INDEXED,
     INT,
     RAT,
+    TRUE,
     And,
     Atom,
     FalseF,
-    Not,
     Or,
     Term,
     TrueF,
@@ -28,7 +29,6 @@ from damc.formula import (
     disj,
     exact_div,
     free_vars,
-    neg,
     norm_atom,
 )
 from damc.solve import BudgetExceeded, NotGapOrder
@@ -220,12 +220,31 @@ def reference_accepting_path(p):
     return None
 
 
+_COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def negate(phi):
+    """The negation of `phi`, pushed down to its atoms (De Morgan): each
+    atom takes the complementary comparison, an `And` becomes an `Or` of
+    its parts' negations and an `Or` an `And`.  The formula IR has no
+    negation node, so the tests negate a formula here."""
+    if isinstance(phi, TrueF):
+        return FALSE
+    if isinstance(phi, FalseF):
+        return TRUE
+    if isinstance(phi, Atom):
+        return Atom(phi.lhs, _COMPLEMENT[phi.op], phi.rhs)
+    if isinstance(phi, And):
+        return Or(tuple(negate(p) for p in phi.args))
+    return And(tuple(negate(p) for p in phi.args))
+
+
 def reference_entails(phi, psi, dom=RAT) -> bool:
     """Whether the formula `phi` entails `psi` over the domain: `phi`
     conjoined with the negation of `psi` has no model, renormalised through
     `to_dnf`.  The formula-level reference for `solve.entails`, with which
     it shares no code but `is_sat`."""
-    return not solve.is_sat(solve.to_dnf(conj(phi, Not(psi)), dom), dom).sat
+    return not solve.is_sat(solve.to_dnf(conj(phi, negate(psi)), dom), dom).sat
 
 
 def equivalent(phi, psi, dom) -> bool:
@@ -238,14 +257,23 @@ def equivalent(phi, psi, dom) -> bool:
 def cube_entails(a, b, dom) -> bool:
     """`reference_entails` on two DNFs, one cube of `b` at a time: each
     cube of `a` is conjoined with the negation of `b`'s cubes in turn, and
-    a partial cube with no model over the domain is dropped.  For DNFs
-    whose negation has more cubes than `to_dnf` allows."""
+    a partial cube with no model over the domain is dropped; one with no
+    model together with the cube is kept whole, since it already lies in
+    the cube's negation.  For DNFs whose negation has more cubes than
+    `to_dnf` allows."""
     for cube in a:
         partial = [cube] if solve.is_sat([cube], dom).sat else []
         for other in b:
-            negated = solve.to_dnf(Not(solve.dnf_to_formula([other])), dom)
-            joined = dict.fromkeys(solve.conj_cubes(partial, negated))
-            partial = [q for q in joined if solve.is_sat([q], dom).sat]
+            negated = solve.to_dnf(negate(solve.dnf_to_formula([other])), dom)
+            joined = {}
+            for p in partial:
+                if not solve.is_sat([p + other], dom).sat:
+                    joined[p] = True
+                    continue
+                for q in solve.conj_cubes([p], negated):
+                    if q not in joined:
+                        joined[q] = solve.is_sat([q], dom).sat
+            partial = [q for q, sat in joined.items() if sat]
         if partial:
             return False
     return True
@@ -652,7 +680,7 @@ def substitute(phi, mapping):
         return conj(*(substitute(p, mapping) for p in phi.args))
     if isinstance(phi, Or):
         return disj(*(substitute(p, mapping) for p in phi.args))
-    return neg(substitute(phi.arg, mapping))
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def _subst_term(t, mapping):

@@ -458,6 +458,25 @@ def test_update_equals_reference_on_random_rational_states(model, data):
     assert_same_images(d, [phi])
 
 
+# a state of the random rational states above whose `dec` images, the
+# library's and the reference's, have 26 cubes each: the reference decides
+# them only by keeping whole a partial cube that already lies outside the
+# next cube, since splitting each such cube atom by atom blows past the
+# solver's cube budget
+WIDE_DEC_STATE = (
+    "-3*d + 3*s != -4 && d != -3 && s + 3*t < 0 && -b + 2*d != -3"
+    " || -3*d + 3*t != -1/2 && t < -5/2 && s + 3*t < 0"
+    " || -3*d + 2*o + 3*s != -4 && d != -3 && -3*s != -1 && -b + 2*d != -3"
+)
+
+
+def test_update_equals_reference_on_a_state_with_wide_dec_images(auction):
+    phi = disj(*(parsing.parse_constraint(c) for c in WIDE_DEC_STATE.split(" || ")))
+    assert_same_images(auction, [phi])
+    images = [tuple(to_dnf(f(auction, phi, "dec"))) for f in (formula_image, reference_update)]
+    assert len(images[0]) == 26 and solve.equivalent(*images)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(("b1.ddsa", "b3.ddsa")), st.data())
 def test_update_equals_reference_on_random_gap_order_states(model, data):

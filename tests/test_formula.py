@@ -30,11 +30,12 @@ from damc.formula import (
     disj,
     evaluate,
     free_vars,
-    neg,
     norm_atom,
 )
 from damc.product import PEdge, PNode
 from damc.solve import SatResult
+
+from conftest import negate
 
 x, y, z = VarId("x"), VarId("y"), VarId("z")
 
@@ -94,7 +95,7 @@ def formulas(draw, depth=2):
         return conj(draw(formulas(depth - 1)), draw(formulas(depth - 1)))
     if kind == 2:
         return disj(draw(formulas(depth - 1)), draw(formulas(depth - 1)))
-    return neg(draw(formulas(depth - 1)))
+    return negate(draw(formulas(depth - 1)))
 
 
 grid_points = st.fixed_dictionaries(
@@ -139,7 +140,7 @@ def test_norm_preserves_semantics(a, alpha):
 def test_eval_homomorphism(f, g, alpha):
     assert evaluate(conj(f, g), alpha) == (evaluate(f, alpha) and evaluate(g, alpha))
     assert evaluate(disj(f, g), alpha) == (evaluate(f, alpha) or evaluate(g, alpha))
-    assert evaluate(neg(f), alpha) == (not evaluate(f, alpha))
+    assert evaluate(negate(f), alpha) == (not evaluate(f, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,6 @@ def _ir_samples():
         (a, (t, "<=", z_term), A),
         (conj(a, b), ((a, b),), f"And(args=({A}, {B}))"),
         (disj(a, b), ((a, b),), f"Or(args=({A}, {B}))"),
-        (neg(a), (a,), f"Not(arg={A})"),
         (
             norm_atom(a),
             (((x, 1), (y, -2), (z, -1)), "<=", F(-3, 2)),

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from damc import ltlf as lt
-from damc.formula import FALSE, INT, RAT, Term, VarId, atom, conj, disj, neg
+from damc.formula import FALSE, INT, RAT, And, Atom, Term, TrueF, VarId, atom, conj, disj
 from damc.parsing import (
     ParseError,
     UnknownAtom,
@@ -12,6 +12,8 @@ from damc.parsing import (
     parse_property,
     print_model,
 )
+
+from conftest import MODELS, golden_queries, load_model, with_domain
 
 x, y = VarId("x"), VarId("y")
 
@@ -242,12 +244,32 @@ def test_a_property_names_a_split_action_by_its_id():
 
 
 def test_print_model_refuses_a_guard_the_format_cannot_state(b1):
-    # `[]` would read false back as true, and the atoms of an `||` or `!`
-    # guard as their conjunction
+    # `[]` would read false back as true, and the atoms of an `||` guard as
+    # their conjunction
     x_w = VarId("x", "w")
-    for g in (FALSE, disj(atom(x_w, ">", 1), atom(x_w, "<", 0)), neg(atom(x_w, ">", 1))):
+    for g in (FALSE, disj(atom(x_w, ">", 1), atom(x_w, "<", 0))):
         with pytest.raises(ValueError, match="action 'a2'"):
             print_model(b1.replace(guards={**b1.guards, "a2": g}))
+
+
+def _conjunctive(phi):
+    return isinstance(phi, (TrueF, Atom)) or (
+        isinstance(phi, And) and all(_conjunctive(p) for p in phi.args)
+    )
+
+
+def test_parsed_guards_and_constraints_are_conjunctions_of_atoms():
+    # the formulas the parsers build have no negation and, on the models
+    # and golden properties, no disjunction: a `||` guard splits its action
+    formulas = []
+    for path in sorted(MODELS.glob("*.ddsa")):
+        d = parse_model(path.read_text())
+        formulas += [d.guard(a) for a in d.actions] + d.initial_constraints()
+    for model, dom, text in golden_queries():
+        d = with_domain(load_model(model), dom)
+        formulas += lt.constraints_of(parse_property(text, d))
+    assert len(formulas) > 100
+    assert all(_conjunctive(phi) for phi in formulas), [str(p) for p in formulas]
 
 
 def test_parse_constraint_rationals():

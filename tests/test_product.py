@@ -26,7 +26,6 @@ from damc.formula import (
     conj,
     disj,
     free_vars,
-    neg,
 )
 from damc.product import (
     build_product,
@@ -46,6 +45,7 @@ from conftest import (
     gc_norm,
     is_exact,
     load_model,
+    negate,
     reference_accepting_path,
     reference_joint_run,
     with_domain,
@@ -1075,8 +1075,8 @@ _XY_PROPERTIES = (
 
 @st.composite
 def _disjunctive_xy_systems(draw):
-    """Systems over x and y whose guards mix `disj` and `neg` within one
-    variable and across both, and a property."""
+    """Systems over x and y whose guards mix `disj` and `negate` (complemented
+    atoms, De Morgan) within one variable and across both, and a property."""
 
     def leaf(v):
         shape, op = draw(st.integers(0, 2)), draw(st.sampled_from(["<", "<=", "=", ">=", ">"]))
@@ -1090,7 +1090,7 @@ def _disjunctive_xy_systems(draw):
             return leaf(v)
         if kind == 1:
             return disj(leaf(v), leaf(w))
-        return neg(leaf(v)) if kind == 2 else neg(conj(leaf(v), leaf(w)))
+        return negate(leaf(v)) if kind == 2 else negate(conj(leaf(v), leaf(w)))
 
     # control only moves forward, so every run is decided within 3 steps
     steps = st.lists(st.sampled_from("1234"), min_size=2, max_size=2, unique=True).map(sorted)
@@ -1104,14 +1104,14 @@ def _disjunctive_xy_systems(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_disjunctive_xy_systems())
 @example((_then_step_y(disj(atom(x.write(), ">", 1), atom(x.write(), "<", -1))), "F (x > 1)"))
-@example((_then_step_y(neg(atom(x.write(), "<=", 1))), "F (x > 1)"))
+@example((_then_step_y(negate(atom(x.write(), "<=", 1))), "F (x > 1)"))
 @example(
     (_then_step_y(disj(atom(x.write(), ">", 1), atom(y.write(), ">", 1))), "F (x > 1 & y <= 1)")
 )
 def test_split_of_disjunctive_and_negated_guards_agrees_with_oracle(query):
     # a variable split divides a guard by whole conjuncts: a conjunct over x
-    # alone keeps its disjunction or negation when projected, and one that
-    # crosses x and y keeps them together
+    # alone keeps its disjunction when projected, and one that crosses x
+    # and y keeps its disjuncts together
     d, text = query
     psi = parsing.parse_property(text, d)
     constraints = lt.constraints_of(lt.preprocess(psi))
@@ -1356,6 +1356,22 @@ def test_every_image_is_of_a_state_over_plain_variables_on_goldens(auction, b1, 
             assert len(set(seen)) == len(seen), text
         imaged[d.domain] += len(seen)
     assert min(imaged.values()) > 100
+
+
+def test_build_product_asks_no_successor_for_a_label_with_an_empty_part(auction, b1, monkeypatch):
+    # a label part whose constraints normalize to false (`x > 7 & x < 5`)
+    # refutes its NFA edge before any image is met with it
+    successor, labels = summary.Strategy.successor, []
+
+    def recording(self, cls, action, label):
+        labels.append(label)
+        return successor(self, cls, action, label)
+
+    monkeypatch.setattr(summary.Strategy, "successor", recording)
+    for d, text in golden_cases(auction, b1):
+        verify(d, parsing.parse_property(text, d))
+    assert len(labels) > 100
+    assert all(all(label) for label in labels)
 
 
 def _extraction_images(monkeypatch) -> list:

@@ -11,7 +11,6 @@ from damc.formula import (
     INT,
     RAT,
     Atom,
-    Not,
     Term,
     VarId,
     atom,
@@ -44,6 +43,7 @@ from conftest import (
     equivalent as reference_equivalent,
     gc_norm,
     is_exact,
+    negate,
     reference_cube_cutoff,
     reference_entails,
     reference_gap_bound,
@@ -86,9 +86,9 @@ def test_normal_form_coefficients_are_ints():
     assert na.coeffs == ((x, -2), (y, 3)) and na.const == F(-4)
     cubes = [(na,)]
     cubes += to_dnf(atom(t, "!=", 1))  # the != split
-    cubes += to_dnf(Not(atom(t, "<=", 1)))  # a negated atom
+    cubes += to_dnf(negate(atom(t, "<=", 1)))  # a complemented atom
     cubes += to_dnf(conj(atom(x, ">=", 1), atom(x, "<=", 3)))  # a flipped lower bound
-    cubes += to_dnf(Not(atom(t, "=", 1)))
+    cubes += to_dnf(negate(atom(t, "=", 1)))
     cubes += [
         solve._as_difference_cube(c)
         for c in to_dnf(conj(atom(Term.of(x) - Term.of(y), "=", 0), atom(x, "<", F(5, 2))))
@@ -506,6 +506,20 @@ def test_entails_agrees_with_the_formula_reference(a, b):
     want = reference_entails(dnf_to_formula(a), dnf_to_formula(b))
     assert entails(a, b) == want, (a, b)
     assert equivalent(a, b) == (want and reference_entails(dnf_to_formula(b), dnf_to_formula(a)))
+
+
+def test_entails_keeps_whole_a_partial_cube_outside_the_next_cube(monkeypatch):
+    # the 64 cubes of six `!=` atoms, each against the cubes in reverse
+    # order: a partial cube that contradicts the next cube already lies in
+    # its negation, so it is kept whole rather than split atom by atom
+    calls = []
+    counted = solve.norm_cube
+    monkeypatch.setattr(solve, "norm_cube", lambda atoms: calls.append(1) or counted(atoms))
+    vs = [VarId(n) for n in "abcdef"]
+    cubes = to_dnf(conj(*(atom(v, "!=", k) for k, v in enumerate(vs))))
+    assert len(cubes) == 64
+    assert equivalent(cubes, cubes[::-1])
+    assert len(calls) < 10_000
 
 
 # ---------------------------------------------------------------------------
